@@ -1,23 +1,29 @@
 """Truncated bisimplicial sets: commuting horizontal and vertical structures.
 
-The first index p is horizontal, the second q vertical.  Horizontal tables
-act on p, vertical tables on q, and every mixed pair of actions commutes.
-Rows, columns and the diagonal are materialised as ordinary truncated
-simplicial sets that reuse the bisimplex ids level by level.
+The first index p is horizontal, the second q vertical.  A bisimplicial set
+is stored as its rows and its columns: row q is the simplicial set
+p -> X_{p,q} carrying the horizontal tables, column p the simplicial set
+q -> X_{p,q} carrying the vertical tables.  Rows and columns share the
+bisimplex ids of each level, so every table lives in exactly one validated
+simplicial set, and rows, columns and the transpose are read off without
+copying.  The diagonal composes one row table with one column table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .errors import RejectedInput, TruncationError
 from .simplicial import (
     Simplex,
     SimplicialMap,
     TruncatedSimplicialSet,
+    point,
     validate_simplicial_identities,
 )
+
+T = TypeVar("T")
 
 
 class BiSimplex(NamedTuple):
@@ -26,20 +32,33 @@ class BiSimplex(NamedTuple):
     idx: int
 
 
-def _as_table(entries: Sequence[int], size: int, target: int, what: str) -> tuple[int, ...]:
-    table = tuple(int(v) for v in entries)
-    if len(table) != size:
-        raise RejectedInput(f"{what}: expected {size} entries, got {len(table)}")
-    for v in table:
-        if not 0 <= v < target:
-            raise RejectedInput(f"{what}: entry {v} outside range(0, {target})")
-    return table
+def _in_line(what: str, build: Callable[..., T], *args) -> T:
+    """Build one row or column object, naming the line in any rejection."""
+    try:
+        return build(*args)
+    except RejectedInput as exc:
+        raise RejectedInput(f"{what}: {exc}") from None
+
+
+def _labels_at(line: TruncatedSimplicialSet, n: int) -> tuple[str, ...] | None:
+    return None if line._labels is None else line._labels[n]
+
+
+def _line(lines: Sequence[T], k: int, what: str, bounds: tuple[int, int]) -> T:
+    if not 0 <= k < len(lines):
+        raise RejectedInput(f"{what} index {k} outside bounds {bounds}")
+    return lines[k]
 
 
 class TruncatedBisimplicialSet:
-    """Doubly indexed simplex tables with horizontal and vertical actions."""
+    """Doubly indexed simplex tables, stored as rows and columns.
 
-    __slots__ = ("bounds", "counts", "_h_faces", "_h_degens", "_v_faces", "_v_degens", "_labels")
+    The constructor takes the four table grids ``tables[p][q][i]``, with no
+    face tables at p = 0 (horizontal) or q = 0 (vertical) and no degeneracy
+    tables at p = P or q = Q, and regroups them into lines.
+    """
+
+    __slots__ = ("bounds", "counts", "rows", "columns")
 
     def __init__(
         self,
@@ -54,55 +73,65 @@ class TruncatedBisimplicialSet:
             raise RejectedInput("need at least the (0,0) level")
         P = len(counts) - 1
         Q = len(counts[0]) - 1
-        if any(len(level) != Q + 1 for level in counts):
-            raise RejectedInput("counts must form a full (P+1) x (Q+1) grid")
-        self.bounds = (P, Q)
-        self.counts = tuple(tuple(int(c) for c in level) for level in counts)
-
-        def build(tables, acting_on, what):
-            out = []
+        grids = {
+            "horizontal face": (h_faces, lambda p, q: p == 0),
+            "horizontal degeneracy": (h_degeneracies, lambda p, q: p == P),
+            "vertical face": (v_faces, lambda p, q: q == 0),
+            "vertical degeneracy": (v_degeneracies, lambda p, q: q == Q),
+        }
+        for grid in (counts, labels) + tuple(g for g, _ in grids.values()):
+            if grid is not None and (len(grid) != P + 1 or any(len(g) != Q + 1 for g in grid)):
+                raise RejectedInput("counts, tables and labels must form a full (P+1) x (Q+1) grid")
+        for what, (grid, empty) in grids.items():
             for p in range(P + 1):
-                row = []
                 for q in range(Q + 1):
-                    here = self.counts[p][q]
-                    if acting_on == "h-face":
-                        need = p + 1 if p >= 1 else 0
-                        target = self.counts[p - 1][q] if p >= 1 else 0
-                    elif acting_on == "h-degen":
-                        need = p + 1 if p < P else 0
-                        target = self.counts[p + 1][q] if p < P else 0
-                    elif acting_on == "v-face":
-                        need = q + 1 if q >= 1 else 0
-                        target = self.counts[p][q - 1] if q >= 1 else 0
-                    else:
-                        need = q + 1 if q < Q else 0
-                        target = self.counts[p][q + 1] if q < Q else 0
-                    got = tables[p][q]
-                    if len(got) != need:
-                        raise RejectedInput(f"{what} at ({p},{q}): expected {need} tables")
-                    row.append(tuple(
-                        _as_table(got[i], here, target, f"{what}[{i}] at ({p},{q})")
-                        for i in range(need)
-                    ))
-                out.append(tuple(row))
-            return tuple(out)
-
-        self._h_faces = build(h_faces, "h-face", "horizontal face")
-        self._h_degens = build(h_degeneracies, "h-degen", "horizontal degeneracy")
-        self._v_faces = build(v_faces, "v-face", "vertical face")
-        self._v_degens = build(v_degeneracies, "v-degen", "vertical degeneracy")
-
-        if labels is None:
-            self._labels = None
-        else:
-            self._labels = tuple(
-                tuple(tuple(str(s) for s in labels[p][q]) for q in range(Q + 1))
-                for p in range(P + 1)
+                    if empty(p, q) and len(grid[p][q]):
+                        raise RejectedInput(f"{what} at ({p},{q}): expected 0 tables")
+        rows = tuple(
+            _in_line(
+                f"row {q}", TruncatedSimplicialSet,
+                [counts[p][q] for p in range(P + 1)],
+                [h_faces[p][q] for p in range(P + 1)],
+                [h_degeneracies[p][q] for p in range(P + 1)],
+                None if labels is None else [labels[p][q] for p in range(P + 1)],
             )
-            for p in range(P + 1):
-                for q in range(Q + 1):
-                    if len(self._labels[p][q]) != self.counts[p][q]:
-                        raise RejectedInput(f"labels at ({p},{q}) do not match the count")
+            for q in range(Q + 1)
+        )
+        columns = tuple(
+            _in_line(
+                f"column {p}", TruncatedSimplicialSet,
+                counts[p], v_faces[p], v_degeneracies[p],
+                None if labels is None else labels[p],
+            )
+            for p in range(P + 1)
+        )
+        self._adopt(rows, columns)
+
+    @classmethod
+    def from_lines(
+        cls, rows: Sequence[TruncatedSimplicialSet], columns: Sequence[TruncatedSimplicialSet]
+    ) -> "TruncatedBisimplicialSet":
+        """Assemble rows and columns that agree on the count and labels of every level."""
+        X = cls.__new__(cls)
+        X._adopt(tuple(rows), tuple(columns))
+        return X
+
+    def _adopt(
+        self, rows: tuple[TruncatedSimplicialSet, ...], columns: tuple[TruncatedSimplicialSet, ...]
+    ) -> None:
+        if not rows or not columns:
+            raise RejectedInput("need at least one row and one column")
+        P, Q = len(columns) - 1, len(rows) - 1
+        if any(r.bound != P for r in rows) or any(c.bound != Q for c in columns):
+            raise RejectedInput(f"need {Q + 1} rows of bound {P} and {P + 1} columns of bound {Q}")
+        for p, col in enumerate(columns):
+            for q, r in enumerate(rows):
+                if r.counts[p] != col.counts[q] or _labels_at(r, p) != _labels_at(col, q):
+                    raise RejectedInput(f"row {q} and column {p} disagree on level ({p},{q})")
+        self.bounds = (P, Q)
+        self.counts = tuple(col.counts for col in columns)
+        self.rows = rows
+        self.columns = columns
 
     def size(self, p: int, q: int) -> int:
         if not (0 <= p <= self.bounds[0] and 0 <= q <= self.bounds[1]):
@@ -112,60 +141,41 @@ class TruncatedBisimplicialSet:
     def simplices(self, p: int, q: int):
         return (BiSimplex(p, q, idx) for idx in range(self.size(p, q)))
 
-    def _check(self, x: BiSimplex) -> None:
-        if not (0 <= x.p <= self.bounds[0] and 0 <= x.q <= self.bounds[1]):
+    def _on_row(self, x: BiSimplex) -> tuple[TruncatedSimplicialSet, Simplex]:
+        if not 0 <= x.q <= self.bounds[1]:
             raise TruncationError(f"bisimplex level ({x.p},{x.q}) outside bounds {self.bounds}")
-        if not 0 <= x.idx < self.counts[x.p][x.q]:
-            raise RejectedInput(f"no bisimplex {x} in this set")
+        return self.rows[x.q], Simplex(x.p, x.idx)
+
+    def _on_column(self, x: BiSimplex) -> tuple[TruncatedSimplicialSet, Simplex]:
+        if not 0 <= x.p <= self.bounds[0]:
+            raise TruncationError(f"bisimplex level ({x.p},{x.q}) outside bounds {self.bounds}")
+        return self.columns[x.p], Simplex(x.q, x.idx)
 
     def h_face(self, i: int, x: BiSimplex) -> BiSimplex:
-        self._check(x)
-        if x.p < 1:
-            raise RejectedInput("horizontal dimension 0 has no horizontal faces")
-        if not 0 <= i <= x.p:
-            raise RejectedInput(f"horizontal face index {i} invalid at p={x.p}")
-        return BiSimplex(x.p - 1, x.q, self._h_faces[x.p][x.q][i][x.idx])
+        line, s = self._on_row(x)
+        return BiSimplex(x.p - 1, x.q, line.face(i, s).idx)
 
     def v_face(self, i: int, x: BiSimplex) -> BiSimplex:
-        self._check(x)
-        if x.q < 1:
-            raise RejectedInput("vertical dimension 0 has no vertical faces")
-        if not 0 <= i <= x.q:
-            raise RejectedInput(f"vertical face index {i} invalid at q={x.q}")
-        return BiSimplex(x.p, x.q - 1, self._v_faces[x.p][x.q][i][x.idx])
+        line, s = self._on_column(x)
+        return BiSimplex(x.p, x.q - 1, line.face(i, s).idx)
 
     def h_degeneracy(self, i: int, x: BiSimplex) -> BiSimplex:
-        self._check(x)
-        if x.p >= self.bounds[0]:
-            raise TruncationError(f"horizontal degeneracy leaves the bounds at p={x.p}")
-        if not 0 <= i <= x.p:
-            raise RejectedInput(f"horizontal degeneracy index {i} invalid at p={x.p}")
-        return BiSimplex(x.p + 1, x.q, self._h_degens[x.p][x.q][i][x.idx])
+        line, s = self._on_row(x)
+        return BiSimplex(x.p + 1, x.q, line.degeneracy(i, s).idx)
 
     def v_degeneracy(self, i: int, x: BiSimplex) -> BiSimplex:
-        self._check(x)
-        if x.q >= self.bounds[1]:
-            raise TruncationError(f"vertical degeneracy leaves the bounds at q={x.q}")
-        if not 0 <= i <= x.q:
-            raise RejectedInput(f"vertical degeneracy index {i} invalid at q={x.q}")
-        return BiSimplex(x.p, x.q + 1, self._v_degens[x.p][x.q][i][x.idx])
+        line, s = self._on_column(x)
+        return BiSimplex(x.p, x.q + 1, line.degeneracy(i, s).idx)
 
     def label(self, x: BiSimplex) -> str:
-        self._check(x)
-        if self._labels is None:
-            return f"({x.p},{x.q})#{x.idx}"
-        return self._labels[x.p][x.q][x.idx]
+        line, s = self._on_row(x)
+        text = line.label(s)
+        return text if line._labels is not None else f"({x.p},{x.q})#{x.idx}"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedBisimplicialSet):
             return NotImplemented
-        return (
-            self.counts == other.counts
-            and self._h_faces == other._h_faces
-            and self._h_degens == other._h_degens
-            and self._v_faces == other._v_faces
-            and self._v_degens == other._v_degens
-        )
+        return self.rows == other.rows and self.columns == other.columns
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -174,57 +184,22 @@ class TruncatedBisimplicialSet:
 
 
 def point_bisimplicial(P: int, Q: int) -> TruncatedBisimplicialSet:
-    counts = [[1] * (Q + 1) for _ in range(P + 1)]
-
-    def tables(kind: str):
-        out = []
-        for p in range(P + 1):
-            row = []
-            for q in range(Q + 1):
-                if kind == "hf":
-                    need = p + 1 if p >= 1 else 0
-                elif kind == "hd":
-                    need = p + 1 if p < P else 0
-                elif kind == "vf":
-                    need = q + 1 if q >= 1 else 0
-                else:
-                    need = q + 1 if q < Q else 0
-                row.append([[0]] * need)
-            out.append(row)
-        return out
-
-    labels = [[["pt"] for _ in range(Q + 1)] for _ in range(P + 1)]
-    return TruncatedBisimplicialSet(
-        counts, tables("hf"), tables("hd"), tables("vf"), tables("vd"), labels
-    )
+    return TruncatedBisimplicialSet.from_lines([point(P)] * (Q + 1), [point(Q)] * (P + 1))
 
 
 def row(X: TruncatedBisimplicialSet, q: int) -> TruncatedSimplicialSet:
     """The simplicial set p -> X_{p,q} carrying the horizontal tables."""
-    if not 0 <= q <= X.bounds[1]:
-        raise RejectedInput(f"row index {q} outside bounds {X.bounds}")
-    P = X.bounds[0]
-    counts = [X.counts[p][q] for p in range(P + 1)]
-    faces = [[]] + [list(X._h_faces[p][q]) for p in range(1, P + 1)]
-    degens = [list(X._h_degens[p][q]) for p in range(P)] + [[]]
-    labels = None
-    if X._labels is not None:
-        labels = [list(X._labels[p][q]) for p in range(P + 1)]
-    return TruncatedSimplicialSet(counts, faces, degens, labels)
+    return _line(X.rows, q, "row", X.bounds)
 
 
 def column(X: TruncatedBisimplicialSet, p: int) -> TruncatedSimplicialSet:
     """The simplicial set q -> X_{p,q} carrying the vertical tables."""
-    if not 0 <= p <= X.bounds[0]:
-        raise RejectedInput(f"column index {p} outside bounds {X.bounds}")
-    Q = X.bounds[1]
-    counts = [X.counts[p][q] for q in range(Q + 1)]
-    faces = [[]] + [list(X._v_faces[p][q]) for q in range(1, Q + 1)]
-    degens = [list(X._v_degens[p][q]) for q in range(Q)] + [[]]
-    labels = None
-    if X._labels is not None:
-        labels = [list(X._labels[p][q]) for q in range(Q + 1)]
-    return TruncatedSimplicialSet(counts, faces, degens, labels)
+    return _line(X.columns, p, "column", X.bounds)
+
+
+def _compose(outer: Sequence[int], inner: Sequence[int]) -> list[int]:
+    """The table of ``outer`` after ``inner``."""
+    return [outer[v] for v in inner]
 
 
 def diagonal(X: TruncatedBisimplicialSet) -> TruncatedSimplicialSet:
@@ -234,119 +209,78 @@ def diagonal(X: TruncatedBisimplicialSet) -> TruncatedSimplicialSet:
     and bisimplices can be converted back and forth by reindexing alone.
     """
     bound = min(X.bounds)
+    rows, cols = X.rows, X.columns
     counts = [X.counts[n][n] for n in range(bound + 1)]
-    faces: list[list[list[int]]] = [[]]
-    for n in range(1, bound + 1):
-        faces.append(
-            [
-                [
-                    X.h_face(i, X.v_face(i, BiSimplex(n, n, idx))).idx
-                    for idx in range(counts[n])
-                ]
-                for i in range(n + 1)
-            ]
-        )
-    degens: list[list[list[int]]] = []
-    for n in range(bound):
-        degens.append(
-            [
-                [
-                    X.h_degeneracy(i, X.v_degeneracy(i, BiSimplex(n, n, idx))).idx
-                    for idx in range(counts[n])
-                ]
-                for i in range(n + 1)
-            ]
-        )
-    degens.append([])
+    faces = [[]] + [
+        [_compose(rows[n - 1]._faces[n][i], cols[n]._faces[n][i]) for i in range(n + 1)]
+        for n in range(1, bound + 1)
+    ]
+    degens = [
+        [_compose(rows[n + 1]._degens[n][i], cols[n]._degens[n][i]) for i in range(n + 1)]
+        for n in range(bound)
+    ] + [[]]
     labels = None
-    if X._labels is not None:
-        labels = [list(X._labels[n][n]) for n in range(bound + 1)]
+    if rows[0]._labels is not None:
+        labels = [rows[n]._labels[n] for n in range(bound + 1)]
     return TruncatedSimplicialSet(counts, faces, degens, labels)
 
 
 def transpose(X: TruncatedBisimplicialSet) -> TruncatedBisimplicialSet:
-    """Swap the two gradings, exchanging horizontal and vertical tables."""
-    P, Q = X.bounds
-    counts = [[X.counts[p][q] for p in range(P + 1)] for q in range(Q + 1)]
-
-    def flip(tables):
-        return [[tables[p][q] for p in range(P + 1)] for q in range(Q + 1)]
-
-    labels = None
-    if X._labels is not None:
-        labels = flip(X._labels)
-    return TruncatedBisimplicialSet(
-        counts, flip(X._v_faces), flip(X._v_degens), flip(X._h_faces), flip(X._h_degens), labels
-    )
+    """Swap the two gradings: the rows become the columns and vice versa."""
+    return TruncatedBisimplicialSet.from_lines(X.columns, X.rows)
 
 
 def tensor(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedBisimplicialSet:
     """The external product: (A (x) B)_{p,q} = A_p x B_q.
 
-    Ids are packed row-major with the B factor minor; horizontal tables act on
-    the A coordinate, vertical tables on the B coordinate, so the required
-    commutation holds by construction.
+    Ids are packed row-major with the B factor minor.  Row q is A acting on
+    the first coordinate of A_p x B_q, column p is B acting on the second, so
+    the required commutation holds by construction.
     """
     P, Q = A.bound, B.bound
-    counts = [[A.counts[p] * B.counts[q] for q in range(Q + 1)] for p in range(P + 1)]
 
-    def h_face_tables(p, q):
-        bq = B.counts[q]
-        return [
-            [
-                A._faces[p][i][idx // bq] * bq + idx % bq
-                for idx in range(counts[p][q])
-            ]
-            for i in range(p + 1)
-        ]
+    def on_first(table: Sequence[int], width: int) -> list[int]:
+        return [a * width + b for a in table for b in range(width)]
 
-    def h_degen_tables(p, q):
-        bq = B.counts[q]
-        return [
-            [
-                A._degens[p][i][idx // bq] * bq + idx % bq
-                for idx in range(counts[p][q])
-            ]
-            for i in range(p + 1)
-        ]
+    def on_second(table: Sequence[int], height: int, width: int) -> list[int]:
+        return [a * width + b for a in range(height) for b in table]
 
-    def v_face_tables(p, q):
-        bq = B.counts[q]
-        bq1 = B.counts[q - 1]
-        return [
-            [
-                (idx // bq) * bq1 + B._faces[q][i][idx % bq]
-                for idx in range(counts[p][q])
-            ]
-            for i in range(q + 1)
-        ]
-
-    def v_degen_tables(p, q):
-        bq = B.counts[q]
-        bq1 = B.counts[q + 1]
-        return [
-            [
-                (idx // bq) * bq1 + B._degens[q][i][idx % bq]
-                for idx in range(counts[p][q])
-            ]
-            for i in range(q + 1)
-        ]
-
-    h_faces = [[h_face_tables(p, q) if p >= 1 else [] for q in range(Q + 1)] for p in range(P + 1)]
-    h_degens = [[h_degen_tables(p, q) if p < P else [] for q in range(Q + 1)] for p in range(P + 1)]
-    v_faces = [[v_face_tables(p, q) if q >= 1 else [] for q in range(Q + 1)] for p in range(P + 1)]
-    v_degens = [[v_degen_tables(p, q) if q < Q else [] for q in range(Q + 1)] for p in range(P + 1)]
     labels = [
         [
             [
-                f"({A.label(Simplex(p, idx // B.counts[q]))},{B.label(Simplex(q, idx % B.counts[q]))})"
-                for idx in range(counts[p][q])
+                f"({A.label(Simplex(p, a))},{B.label(Simplex(q, b))})"
+                for a in range(A.counts[p])
+                for b in range(B.counts[q])
             ]
             for q in range(Q + 1)
         ]
         for p in range(P + 1)
     ]
-    return TruncatedBisimplicialSet(counts, h_faces, h_degens, v_faces, v_degens, labels)
+    rows = [
+        TruncatedSimplicialSet(
+            [A.counts[p] * B.counts[q] for p in range(P + 1)],
+            [[on_first(t, B.counts[q]) for t in A._faces[p]] for p in range(P + 1)],
+            [[on_first(t, B.counts[q]) for t in A._degens[p]] for p in range(P + 1)],
+            [labels[p][q] for p in range(P + 1)],
+        )
+        for q in range(Q + 1)
+    ]
+    columns = [
+        TruncatedSimplicialSet(
+            [A.counts[p] * B.counts[q] for q in range(Q + 1)],
+            [[]] + [
+                [on_second(t, A.counts[p], B.counts[q - 1]) for t in B._faces[q]]
+                for q in range(1, Q + 1)
+            ],
+            [
+                [on_second(t, A.counts[p], B.counts[q + 1]) for t in B._degens[q]]
+                for q in range(Q)
+            ] + [[]],
+            labels[p],
+        )
+        for p in range(P + 1)
+    ]
+    return TruncatedBisimplicialSet.from_lines(rows, columns)
 
 
 @dataclass(frozen=True)
@@ -405,9 +339,13 @@ def validate_bisimplicial_identities(X: TruncatedBisimplicialSet) -> Bisimplicia
 
 
 class BisimplicialMap:
-    """A levelwise map commuting with all four table families."""
+    """A levelwise map, held as one simplicial map per row and per column.
 
-    __slots__ = ("domain", "codomain", "components")
+    The row maps commute with the horizontal tables and the column maps with
+    the vertical ones, which together is naturality for all four families.
+    """
+
+    __slots__ = ("domain", "codomain", "row_maps", "column_maps")
 
     def __init__(
         self,
@@ -421,44 +359,30 @@ class BisimplicialMap:
         self.domain = domain
         self.codomain = codomain
         P, Q = domain.bounds
-        self.components = tuple(
-            tuple(
-                _as_table(
-                    components[p][q], domain.counts[p][q], codomain.counts[p][q],
-                    f"component ({p},{q})",
-                )
-                for q in range(Q + 1)
+        if len(components) != P + 1 or any(len(c) != Q + 1 for c in components):
+            raise RejectedInput("components must form a full (P+1) x (Q+1) grid")
+        self.row_maps = tuple(
+            _in_line(
+                f"row {q}", SimplicialMap, domain.rows[q], codomain.rows[q],
+                [components[p][q] for p in range(P + 1)], validate,
+            )
+            for q in range(Q + 1)
+        )
+        self.column_maps = tuple(
+            _in_line(
+                f"column {p}", SimplicialMap, domain.columns[p], codomain.columns[p],
+                components[p], validate,
             )
             for p in range(P + 1)
         )
-        if validate:
-            self._validate_naturality()
 
-    def _validate_naturality(self) -> None:
-        P, Q = self.domain.bounds
-        for p in range(P + 1):
-            for q in range(Q + 1):
-                for x in self.domain.simplices(p, q):
-                    fx = self.apply(x)
-                    if p >= 1:
-                        for i in range(p + 1):
-                            if self.apply(self.domain.h_face(i, x)) != self.codomain.h_face(i, fx):
-                                raise RejectedInput(f"map does not commute with h-face d_{i} at {x}")
-                    if q >= 1:
-                        for i in range(q + 1):
-                            if self.apply(self.domain.v_face(i, x)) != self.codomain.v_face(i, fx):
-                                raise RejectedInput(f"map does not commute with v-face d_{i} at {x}")
-                    if p < P:
-                        for i in range(p + 1):
-                            if self.apply(self.domain.h_degeneracy(i, x)) != self.codomain.h_degeneracy(i, fx):
-                                raise RejectedInput(f"map does not commute with h-degeneracy s_{i} at {x}")
-                    if q < Q:
-                        for i in range(q + 1):
-                            if self.apply(self.domain.v_degeneracy(i, x)) != self.codomain.v_degeneracy(i, fx):
-                                raise RejectedInput(f"map does not commute with v-degeneracy s_{i} at {x}")
+    @property
+    def components(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """``components[p][q]``: the table of the map at level (p, q)."""
+        return tuple(m.components for m in self.column_maps)
 
     def apply(self, x: BiSimplex) -> BiSimplex:
-        return BiSimplex(x.p, x.q, self.components[x.p][x.q][x.idx])
+        return BiSimplex(x.p, x.q, self.column_maps[x.p].components[x.q][x.idx])
 
     def __repr__(self) -> str:
         return f"BisimplicialMap(bounds={self.domain.bounds})"
@@ -475,26 +399,21 @@ def diagonal_map(f: BisimplicialMap) -> SimplicialMap:
     """Restrict a bisimplicial map to the diagonals of both sides."""
     dom = diagonal(f.domain)
     cod = diagonal(f.codomain)
-    comps = [f.components[n][n] for n in range(dom.bound + 1)]
+    comps = [f.column_maps[n].components[n] for n in range(dom.bound + 1)]
     return SimplicialMap(dom, cod, comps, validate=False)
 
 
 def column_map(f: BisimplicialMap, p: int) -> SimplicialMap:
     """The column component of a bisimplicial map at horizontal level p."""
-    dom = column(f.domain, p)
-    cod = column(f.codomain, p)
-    return SimplicialMap(dom, cod, list(f.components[p]), validate=False)
+    return _line(f.column_maps, p, "column", f.domain.bounds)
 
 
 def row_map(f: BisimplicialMap, q: int) -> SimplicialMap:
     """The row component of a bisimplicial map at vertical level q."""
-    dom = row(f.domain, q)
-    cod = row(f.codomain, q)
-    P = f.domain.bounds[0]
-    return SimplicialMap(dom, cod, [f.components[p][q] for p in range(P + 1)], validate=False)
+    return _line(f.row_maps, q, "row", f.domain.bounds)
 
 
 def transpose_map(f: BisimplicialMap) -> BisimplicialMap:
-    P, Q = f.domain.bounds
-    comps = [[f.components[p][q] for p in range(P + 1)] for q in range(Q + 1)]
+    # level (q, p) of the transpose is level (p, q), which row map q holds at p
+    comps = [m.components for m in f.row_maps]
     return BisimplicialMap(transpose(f.domain), transpose(f.codomain), comps, validate=False)

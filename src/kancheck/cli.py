@@ -19,9 +19,8 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .bisimplicial import (
     TruncatedBisimplicialSet,
@@ -157,16 +156,6 @@ class RunReport:
         state = "OK" if self.overall_ok else "NOT OK"
         lines.append(f"overall: {state} ({good}/{len(self.checks)} checks as expected)")
         return "\n".join(lines)
-
-
-def _run_checks(
-    jobs: Sequence[tuple[str, Callable[[], CheckResult]]], threads: int
-) -> list[CheckResult]:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(job) for _, job in jobs]
-            return [f.result() for f in futures]
-    return [job() for _, job in jobs]
 
 
 def load_input(path: str) -> dict[str, Any]:
@@ -331,11 +320,7 @@ def cmd_kan(args: argparse.Namespace) -> RunReport:
     indices = tuple(args.index) if args.index else (0, 1, 2)
     start = time.perf_counter()
     objects = _build_kan_objects(args.preset, data, args.construction, indices, args.max_dim)
-    jobs = [
-        (name, (lambda nm=name, X=X, meta=meta: _kan_check_to_point(X, args.max_dim, nm, meta)))
-        for name, X, meta in objects
-    ]
-    checks = _run_checks(jobs, args.threads)
+    checks = [_kan_check_to_point(X, args.max_dim, name, meta) for name, X, meta in objects]
     elapsed = time.perf_counter() - start
     return RunReport(
         "kan",
@@ -346,8 +331,6 @@ def cmd_kan(args: argparse.Namespace) -> RunReport:
             "indices": list(indices) if args.construction in ("row", "column") else None,
             "max_dim": args.max_dim,
             "format": args.format,
-            "threads": args.threads,
-            "seed": args.seed,
         },
         CONVENTIONS,
         checks,
@@ -391,8 +374,6 @@ def cmd_pointwise(args: argparse.Namespace) -> RunReport:
             "input": args.input,
             "max_total_dim": dim,
             "format": args.format,
-            "threads": args.threads,
-            "seed": args.seed,
         },
         CONVENTIONS,
         [check],
@@ -400,7 +381,7 @@ def cmd_pointwise(args: argparse.Namespace) -> RunReport:
     )
 
 
-def _s3_counterexample_checks(threads: int) -> list[CheckResult]:
+def _s3_counterexample_checks() -> list[CheckResult]:
     preset = preset_group_pair("s3-counterexample")
     G, A, B = preset.group, preset.A, preset.B
     D = preset_double_groupoid("s3-counterexample")
@@ -418,31 +399,13 @@ def _s3_counterexample_checks(threads: int) -> list[CheckResult]:
             {"AB": ab, "BA": ba},
         )
 
-    def line_checks() -> list[tuple[str, Callable[[], CheckResult]]]:
-        jobs: list[tuple[str, Callable[[], CheckResult]]] = []
-        for p in range(3):
-            jobs.append(
-                (
-                    f"column-{p}",
-                    lambda p=p: _kan_check_to_point(
-                        column(NN, p), 3, f"column-{p}-kan-to-point",
-                        {"construction": "column", "index": p, "max_dim": 3,
-                         "preset": "s3-counterexample"},
-                    ),
-                )
-            )
-        for q in range(3):
-            jobs.append(
-                (
-                    f"row-{q}",
-                    lambda q=q: _kan_check_to_point(
-                        row(NN, q), 3, f"row-{q}-kan-to-point",
-                        {"construction": "row", "index": q, "max_dim": 3,
-                         "preset": "s3-counterexample"},
-                    ),
-                )
-            )
-        return jobs
+    def line_check(construction: str, index: int) -> CheckResult:
+        line = column(NN, index) if construction == "column" else row(NN, index)
+        return _kan_check_to_point(
+            line, 3, f"{construction}-{index}-kan-to-point",
+            {"construction": construction, "index": index, "max_dim": 3,
+             "preset": "s3-counterexample"},
+        )
 
     def horn() -> CheckResult:
         cert = s3_diagonal_horn_certificate()
@@ -464,10 +427,11 @@ def _s3_counterexample_checks(threads: int) -> list[CheckResult]:
             },
         )
 
-    checks = [products()]
-    checks.extend(_run_checks(line_checks(), threads))
-    checks.append(horn())
-    return checks
+    return (
+        [products()]
+        + [line_check(construction, k) for construction in ("column", "row") for k in range(3)]
+        + [horn()]
+    )
 
 
 def s3_diagonal_horn_certificate():
@@ -525,7 +489,7 @@ def _eg_tensor_checks() -> list[CheckResult]:
 def cmd_counterexample(args: argparse.Namespace) -> RunReport:
     start = time.perf_counter()
     if args.preset == "s3-counterexample":
-        checks = _s3_counterexample_checks(args.threads)
+        checks = _s3_counterexample_checks()
     elif args.preset == "z2-commuting":
         preset = preset_group_pair("z2-commuting")
         distinct = subgroup_products_distinct(preset.group, preset.A, preset.B)
@@ -548,8 +512,6 @@ def cmd_counterexample(args: argparse.Namespace) -> RunReport:
         {
             "preset": args.preset,
             "format": args.format,
-            "threads": args.threads,
-            "seed": args.seed,
         },
         CONVENTIONS,
         checks,
@@ -560,24 +522,63 @@ def cmd_counterexample(args: argparse.Namespace) -> RunReport:
 def _rebuild_for_reverify(config: dict[str, Any], meta: dict[str, Any]) -> TruncatedSimplicialSet:
     construction = meta.get("construction")
     preset = meta.get("preset", config.get("preset"))
+    if construction == "diagonal-horn":
+        return diagonal(preset_bisimplicial(preset, 2, 2))
     max_dim = meta.get("max_dim", config.get("max_dim"))
     data = load_input(config["input"]) if config.get("input") else None
-    if construction == "diagonal-horn":
-        return diagonal(preset_bisimplicial("s3-counterexample", 2, 2))
     indices = (meta.get("index", 0),)
-    built = _build_kan_objects(preset, data, construction, indices, max_dim)
-    if construction in ("row", "column"):
-        return built[0][1]
-    return built[0][1]
+    return _build_kan_objects(preset, data, construction, indices, max_dim)[0][1]
+
+
+def _report_consistent(check_passed: bool, report: dict[str, Any]) -> bool:
+    """Whether an embedded report's derived fields agree with its cells.
+
+    Every cell is fully filled except the last cell before a failure, which
+    stops one short; the totals are the sums of the cells, and the verdicts
+    follow from the failure (and, for a boundary sweep, the base point).
+    """
+    failure = report["failure"]
+    if report.get("kind") == "pointwise-sweep":
+        size = "problems"
+        transposed = failure is not None and failure["transposed"]
+        sides = [
+            (report["direct_cells"], failure is not None and not transposed),
+            (report["transposed_cells"], transposed),
+        ]
+        total = sum(c[size] for cells, _ in sides for c in cells)
+        derived = (
+            report["problems_checked"] == total
+            and report["families_verified_compatible"] == total
+            and report["passed"] == (failure is None)
+        )
+    else:
+        size = "families"
+        sides = [(report["cells"], failure is not None)]
+        derived = (
+            report["families_checked"] == sum(c[size] for c in report["cells"])
+            and report["passed"] == (failure is None and not report["base_point_missing"])
+        )
+    for cells, failed in sides:
+        for k, c in enumerate(cells):
+            stops_short = failed and k == len(cells) - 1
+            if c["filled"] != c[size] - int(stops_short):
+                return False
+    return derived and check_passed == report["passed"]
 
 
 def reverify_report(report: RunReport) -> bool:
-    """Re-run every certificate embedded in a report against rebuilt objects.
+    """Check every embedded report and re-run every embedded certificate.
 
-    Returns True when each embedded family is still compatible and the
-    brute-force search reproduces the recorded outcome, witness and count.
+    Returns True when each embedded report's totals and verdicts agree with
+    its cells, and each embedded family is still compatible on the rebuilt
+    object with the brute-force search reproducing the recorded outcome,
+    witness and count.
     """
     for check in report.checks:
+        if "report" in check.details and not _report_consistent(
+            check.passed, check.details["report"]
+        ):
+            return False
         payload = None
         meta = dict(check.details)
         if "certificate" in check.details:
@@ -615,10 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "structured"), default="text")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallel independent checks; never changes the report")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; all searches are deterministic")
 
     p_id = sub.add_parser("identities", help="fuzz the operator identity families")
     p_id.add_argument("--max-n", type=int, default=6)

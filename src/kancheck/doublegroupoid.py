@@ -16,7 +16,14 @@ from typing import Sequence
 from .bisimplicial import TruncatedBisimplicialSet
 from .errors import RejectedInput
 from .groups import FiniteGroup
-from .groupoids import FiniteGroupoid, one_object_groupoid
+from .groupoids import (
+    FiniteGroupoid,
+    nerve_keys,
+    one_object_groupoid,
+    string_degeneracy,
+    string_face,
+    string_label,
+)
 
 
 @dataclass(frozen=True)
@@ -231,16 +238,35 @@ ColumnKey = tuple[int, ...]          # squares of one column, top row first
 MatrixKey = tuple[ColumnKey, ...]    # columns left to right
 
 
-def _column_chains(D: DoubleGroupoid, q: int) -> list[ColumnKey]:
+def _matrix_keys(D: DoubleGroupoid, P: int, Q: int) -> list[list[tuple[MatrixKey, ...]]]:
+    """``keys[p][q]`` for 1 <= p <= P, 1 <= q <= Q, in ascending lexicographic order.
+
+    A matrix grows by the column chains whose left vertical line equals its
+    last right vertical line; the chains are indexed by that line, so no
+    matrix is ever paired with a column that does not fit.
+    """
+    sq = D.squares
+    below: dict[int, list[int]] = {}
+    for s in range(D.n_squares):
+        below.setdefault(sq[s].top, []).append(s)
+    keys: list[list[tuple[MatrixKey, ...]]] = [[() for _ in range(Q + 1)] for _ in range(P + 1)]
     chains: list[ColumnKey] = [(s,) for s in range(D.n_squares)]
-    for _ in range(q - 1):
-        chains = [
-            c + (s,)
-            for c in chains
-            for s in range(D.n_squares)
-            if D.squares[c[-1]].bottom == D.squares[s].top
-        ]
-    return chains
+    for q in range(1, Q + 1):
+        if q > 1:
+            chains = [c + (s,) for c in chains for s in below.get(sq[c[-1]].bottom, ())]
+        by_left: dict[tuple[int, ...], list[ColumnKey]] = {}
+        for c in chains:
+            by_left.setdefault(tuple(sq[s].left for s in c), []).append(c)
+        mats: list[MatrixKey] = [(c,) for c in chains]
+        for p in range(1, P + 1):
+            if p > 1:
+                mats = [
+                    m + (c,)
+                    for m in mats
+                    for c in by_left.get(tuple(sq[s].right for s in m[-1]), ())
+                ]
+            keys[p][q] = tuple(mats)
+    return keys
 
 
 def double_nerve_indexed(
@@ -255,53 +281,12 @@ def double_nerve_indexed(
     if P < 0 or Q < 0:
         raise RejectedInput("bounds must be nonnegative")
     h, v = D.horizontal, D.vertical
-
-    def h_strings(p: int) -> list[object]:
-        if p == 0:
-            return list(range(len(h.objects)))
-        strings: list[tuple[int, ...]] = [(g,) for g in range(h.n_arrows)]
-        for _ in range(p - 1):
-            strings = [
-                s + (g,)
-                for s in strings
-                for g in range(h.n_arrows)
-                if h.arrow_target[g] == h.arrow_source[s[-1]]
-            ]
-        return strings
-
-    def v_strings(q: int) -> list[object]:
-        if q == 0:
-            return list(range(len(v.objects)))
-        strings: list[tuple[int, ...]] = [(g,) for g in range(v.n_arrows)]
-        for _ in range(q - 1):
-            strings = [
-                s + (g,)
-                for s in strings
-                for g in range(v.n_arrows)
-                if v.arrow_target[g] == v.arrow_source[s[-1]]
-            ]
-        return strings
-
-    def matrices(p: int, q: int) -> list[object]:
-        if p == 0:
-            return v_strings(q)
-        if q == 0:
-            return h_strings(p)
-        columns = _column_chains(D, q)
-        mats: list[MatrixKey] = [(c,) for c in columns]
-        for _ in range(p - 1):
-            mats = [
-                m + (c,)
-                for m in mats
-                for c in columns
-                if all(
-                    D.squares[m[-1][j]].right == D.squares[c[j]].left
-                    for j in range(q)
-                )
-            ]
-        return mats
-
-    keys = tuple(tuple(tuple(matrices(p, q)) for q in range(Q + 1)) for p in range(P + 1))
+    grid = _matrix_keys(D, P, Q)
+    h_keys, v_keys = nerve_keys(h, P), nerve_keys(v, Q)
+    keys = tuple(
+        tuple(v_keys[q] if p == 0 else h_keys[p] if q == 0 else grid[p][q] for q in range(Q + 1))
+        for p in range(P + 1)
+    )
     index = [
         [{key: k for k, key in enumerate(keys[p][q])} for q in range(Q + 1)]
         for p in range(P + 1)
@@ -327,14 +312,7 @@ def double_nerve_indexed(
 
     def h_face_key(p: int, q: int, key: object, i: int) -> object:
         if q == 0:
-            s = key  # type: ignore[assignment]
-            if p == 1:
-                return h.arrow_source[s[0]] if i == 0 else h.arrow_target[s[0]]
-            if i == 0:
-                return s[1:]
-            if i == p:
-                return s[:-1]
-            return s[: i - 1] + (h.compose(s[i - 1], s[i]),) + s[i + 1:]
+            return string_face(h, p, key, i)
         mat = key  # type: ignore[assignment]
         if p == 1:
             return line_v_arrows(p, q, key, 1 if i == 0 else 0)
@@ -349,14 +327,7 @@ def double_nerve_indexed(
 
     def v_face_key(p: int, q: int, key: object, j: int) -> object:
         if p == 0:
-            s = key  # type: ignore[assignment]
-            if q == 1:
-                return v.arrow_source[s[0]] if j == 0 else v.arrow_target[s[0]]
-            if j == 0:
-                return s[1:]
-            if j == q:
-                return s[:-1]
-            return s[: j - 1] + (v.compose(s[j - 1], s[j]),) + s[j + 1:]
+            return string_face(v, q, key, j)
         mat = key  # type: ignore[assignment]
         if q == 1:
             return level_h_arrows(p, q, key, 0 if j == 1 else 1)
@@ -370,11 +341,7 @@ def double_nerve_indexed(
 
     def h_degen_key(p: int, q: int, key: object, i: int) -> object:
         if q == 0:
-            if p == 0:
-                return (h.identity(key),)  # type: ignore[arg-type]
-            s = key  # type: ignore[assignment]
-            obj = h.arrow_target[s[i]] if i < p else h.arrow_source[s[p - 1]]
-            return s[:i] + (h.identity(obj),) + s[i:]
+            return string_degeneracy(h, p, key, i)
         line = line_v_arrows(p, q, key, i)
         id_col: ColumnKey = tuple(D.h_identity[b] for b in line)
         if p == 0:
@@ -384,11 +351,7 @@ def double_nerve_indexed(
 
     def v_degen_key(p: int, q: int, key: object, j: int) -> object:
         if p == 0:
-            if q == 0:
-                return (v.identity(key),)  # type: ignore[arg-type]
-            s = key  # type: ignore[assignment]
-            obj = v.arrow_target[s[j]] if j < q else v.arrow_source[s[q - 1]]
-            return s[:j] + (v.identity(obj),) + s[j:]
+            return string_degeneracy(v, q, key, j)
         level = level_h_arrows(p, q, key, j)
         id_row = tuple(D.v_identity[a] for a in level)
         if q == 0:
@@ -439,12 +402,10 @@ def double_nerve_indexed(
     ]
 
     def label(p: int, q: int, key: object) -> str:
-        if p == 0 and q == 0:
-            return h.objects[key]  # type: ignore[index]
         if q == 0:
-            return "|".join(h.arrow_labels[g] for g in key)  # type: ignore[union-attr]
+            return string_label(h, p, key)
         if p == 0:
-            return "|".join(v.arrow_labels[g] for g in key)  # type: ignore[union-attr]
+            return string_label(v, q, key)
         return ";".join(
             "|".join(D.square_label(s) for s in colu) for colu in key  # type: ignore[union-attr]
         )

@@ -154,61 +154,71 @@ def discrete_groupoid(names: Sequence[str]) -> FiniteGroupoid:
 NerveKeys = tuple[tuple[object, ...], ...]
 
 
+def nerve_keys(C: FiniteGroupoid, bound: int) -> NerveKeys:
+    """The nerve's simplices up to ``bound`` as keys, level by level: objects at
+    level 0, then strings ``(g_1, ..., g_n)`` with source(g_i) == target(g_{i+1}),
+    in ascending lexicographic order."""
+    keys: list[tuple[object, ...]] = [tuple(range(len(C.objects)))]
+    strings: list[tuple[int, ...]] = [(g,) for g in range(C.n_arrows)]
+    for n in range(1, bound + 1):
+        if n > 1:
+            strings = [
+                s + (g,)
+                for s in strings
+                for g in range(C.n_arrows)
+                if C.arrow_target[g] == C.arrow_source[s[-1]]
+            ]
+        keys.append(tuple(strings))
+    return tuple(keys)
+
+
+def string_face(C: FiniteGroupoid, n: int, key: object, i: int) -> object:
+    """The key of d_i of the nerve simplex ``key`` at level n >= 1."""
+    s = key  # type: ignore[assignment]
+    if n == 1:
+        return C.arrow_source[s[0]] if i == 0 else C.arrow_target[s[0]]
+    if i == 0:
+        return s[1:]
+    if i == n:
+        return s[:-1]
+    return s[: i - 1] + (C.compose(s[i - 1], s[i]),) + s[i + 1:]
+
+
+def string_degeneracy(C: FiniteGroupoid, n: int, key: object, i: int) -> object:
+    """The key of s_i of the nerve simplex ``key`` at level n: an inserted identity."""
+    if n == 0:
+        return (C.identity(key),)  # type: ignore[arg-type]
+    s = key  # type: ignore[assignment]
+    obj = C.arrow_target[s[i]] if i < n else C.arrow_source[s[n - 1]]
+    return s[:i] + (C.identity(obj),) + s[i:]
+
+
+def string_label(C: FiniteGroupoid, n: int, key: object) -> str:
+    if n == 0:
+        return C.objects[key]  # type: ignore[index]
+    return "|".join(C.arrow_labels[g] for g in key)  # type: ignore[union-attr]
+
+
 def nerve_indexed(C: FiniteGroupoid, bound: int) -> tuple[TruncatedSimplicialSet, NerveKeys]:
     """The nerve together with the composable-string key behind each id."""
     if bound < 0:
         raise RejectedInput("bound must be nonnegative")
-    keys: list[tuple[object, ...]] = [tuple(range(len(C.objects)))]
-    for n in range(1, bound + 1):
-        prev = keys[n - 1]
-        strings: list[tuple[int, ...]] = []
-        if n == 1:
-            strings = [(g,) for g in range(C.n_arrows)]
-        else:
-            for s in prev:
-                for g in range(C.n_arrows):
-                    if C.arrow_target[g] == C.arrow_source[s[-1]]:
-                        strings.append(s + (g,))
-        keys.append(tuple(strings))
+    keys = nerve_keys(C, bound)
     index = [{key: k for k, key in enumerate(level)} for level in keys]
-
-    def face_key(n: int, key: object, i: int) -> object:
-        s = key  # type: ignore[assignment]
-        if n == 1:
-            return C.arrow_source[s[0]] if i == 0 else C.arrow_target[s[0]]
-        if i == 0:
-            return s[1:]
-        if i == n:
-            return s[:-1]
-        return s[: i - 1] + (C.compose(s[i - 1], s[i]),) + s[i + 1:]
-
-    def degen_key(n: int, key: object, i: int) -> object:
-        if n == 0:
-            return (C.identity(key),)  # type: ignore[arg-type]
-        s = key  # type: ignore[assignment]
-        obj = C.arrow_target[s[i]] if i < n else C.arrow_source[s[n - 1]]
-        return s[:i] + (C.identity(obj),) + s[i:]
-
     counts = [len(level) for level in keys]
     faces: list[list[list[int]]] = [[]]
     for n in range(1, bound + 1):
         faces.append(
-            [[index[n - 1][face_key(n, key, i)] for key in keys[n]] for i in range(n + 1)]
+            [[index[n - 1][string_face(C, n, key, i)] for key in keys[n]] for i in range(n + 1)]
         )
     degens: list[list[list[int]]] = []
     for n in range(bound):
         degens.append(
-            [[index[n + 1][degen_key(n, key, i)] for key in keys[n]] for i in range(n + 1)]
+            [[index[n + 1][string_degeneracy(C, n, key, i)] for key in keys[n]] for i in range(n + 1)]
         )
     degens.append([])
-
-    def label(n: int, key: object) -> str:
-        if n == 0:
-            return C.objects[key]  # type: ignore[index]
-        return "|".join(C.arrow_labels[g] for g in key)  # type: ignore[union-attr]
-
-    labels = [[label(n, key) for key in keys[n]] for n in range(bound + 1)]
-    return TruncatedSimplicialSet(counts, faces, degens, labels), tuple(keys)
+    labels = [[string_label(C, n, key) for key in keys[n]] for n in range(bound + 1)]
+    return TruncatedSimplicialSet(counts, faces, degens, labels), keys
 
 
 def nerve(C: FiniteGroupoid, bound: int) -> TruncatedSimplicialSet:

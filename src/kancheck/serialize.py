@@ -38,19 +38,19 @@ def simplicial_from_dict(data: dict[str, Any]) -> TruncatedSimplicialSet:
 def bisimplicial_to_dict(X: TruncatedBisimplicialSet) -> dict[str, Any]:
     P, Q = X.bounds
 
-    def tables(grid):
-        return [[[list(t) for t in grid[p][q]] for q in range(Q + 1)] for p in range(P + 1)]
+    def grid(tables):
+        return [[[list(t) for t in tables(p, q)] for q in range(Q + 1)] for p in range(P + 1)]
 
     return {
         "kind": "bisimplicial-set",
         "bounds": [P, Q],
         "counts": [list(level) for level in X.counts],
-        "h_faces": tables(X._h_faces),
-        "h_degeneracies": tables(X._h_degens),
-        "v_faces": tables(X._v_faces),
-        "v_degeneracies": tables(X._v_degens),
-        "labels": None if X._labels is None else [
-            [list(X._labels[p][q]) for q in range(Q + 1)] for p in range(P + 1)
+        "h_faces": grid(lambda p, q: X.rows[q]._faces[p]),
+        "h_degeneracies": grid(lambda p, q: X.rows[q]._degens[p]),
+        "v_faces": grid(lambda p, q: X.columns[p]._faces[q]),
+        "v_degeneracies": grid(lambda p, q: X.columns[p]._degens[q]),
+        "labels": None if X.columns[0]._labels is None else [
+            [list(level) for level in col._labels] for col in X.columns
         ],
     }
 

@@ -91,6 +91,27 @@ class TestRowsColumnsDiagonal:
                     via_h_first = eg_tensor_3.v_face(i, eg_tensor_3.h_face(i, x))
                     assert dg.face(i, Simplex(n, idx)).idx == via_h_first.idx
 
+    @pytest.mark.parametrize("fixture", ["eg_tensor_3", "s3_double_nerve"])
+    def test_diagonal_is_the_double_composite(self, fixture, request):
+        X = request.getfixturevalue(fixture)
+        dg = diagonal(X)
+        for n in range(dg.bound + 1):
+            for idx in range(dg.size(n)):
+                x = BiSimplex(n, n, idx)
+                for i in range(n + 1):
+                    if n >= 1:
+                        assert dg.face(i, Simplex(n, idx)).idx == X.h_face(i, X.v_face(i, x)).idx
+                    if n < dg.bound:
+                        assert dg.degeneracy(i, Simplex(n, idx)).idx == (
+                            X.h_degeneracy(i, X.v_degeneracy(i, x)).idx
+                        )
+
+    def test_rows_and_columns_are_stored_not_copied(self, s3_double_nerve):
+        X = s3_double_nerve
+        assert all(row(X, q) is X.rows[q] for q in range(X.bounds[1] + 1))
+        assert all(column(X, p) is X.columns[p] for p in range(X.bounds[0] + 1))
+        assert transpose(X).rows is X.columns
+
     def test_pi0_of_rows_counts_second_factor(self, eg_tensor_3):
         # rows are (first factor) x (constant on the second factor's level),
         # so the component count is the size of that level: |G|^(q+1)
@@ -119,24 +140,53 @@ class TestTranspose:
 
 class TestCommutationAudit:
     def test_violation_detected(self, eg_tensor_3):
+        from kancheck.serialize import bisimplicial_from_dict, bisimplicial_to_dict
+
+        data = bisimplicial_to_dict(eg_tensor_3)
+        # swap two entries of one horizontal face table
+        table = data["h_faces"][1][1][0]
+        table[0], table[1] = table[1], table[0]
+        broken = bisimplicial_from_dict(data)
+        assert not validate_bisimplicial_identities(broken).ok
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("grid, level", [
+        ("h_faces", (0, 1)),
+        ("v_faces", (1, 0)),
+        ("h_degeneracies", (2, 1)),
+        ("v_degeneracies", (1, 2)),
+    ])
+    def test_tables_outside_the_structure_rejected(self, grid, level):
+        from kancheck.serialize import bisimplicial_from_dict, bisimplicial_to_dict
+
+        data = bisimplicial_to_dict(point_bisimplicial(2, 2))
+        bisimplicial_from_dict(data)
+        p, q = level
+        data[grid][p][q] = [[0]]
+        with pytest.raises(RejectedInput):
+            bisimplicial_from_dict(data)
+
+    def test_ragged_grid_rejected(self):
+        from kancheck.serialize import bisimplicial_to_dict
         from kancheck.bisimplicial import TruncatedBisimplicialSet
 
-        X = eg_tensor_3
-        P, Q = X.bounds
+        data = bisimplicial_to_dict(point_bisimplicial(1, 1))
+        data["v_faces"][1].pop()
+        with pytest.raises(RejectedInput):
+            TruncatedBisimplicialSet(
+                data["counts"], data["h_faces"], data["h_degeneracies"],
+                data["v_faces"], data["v_degeneracies"],
+            )
 
-        def grids(attr):
-            return [
-                [[list(t) for t in getattr(X, attr)[p][q]] for q in range(Q + 1)]
-                for p in range(P + 1)
-            ]
+    def test_lines_must_agree_on_levels(self, eg_z2):
+        from kancheck.bisimplicial import TruncatedBisimplicialSet
 
-        h_faces = grids("_h_faces")
-        # swap two entries of one horizontal face table
-        h_faces[1][1][0][0], h_faces[1][1][0][1] = h_faces[1][1][0][1], h_faces[1][1][0][0]
-        broken = TruncatedBisimplicialSet(
-            X.counts, h_faces, grids("_h_degens"), grids("_v_faces"), grids("_v_degens")
-        )
-        assert not validate_bisimplicial_identities(broken).ok
+        X = tensor(eg_z2, eg_z2)
+        with pytest.raises(RejectedInput):
+            TruncatedBisimplicialSet.from_lines(X.rows, X.columns[:-1])
+        with pytest.raises(RejectedInput):
+            TruncatedBisimplicialSet.from_lines(X.rows, (point(3),) * 4)
 
 
 class TestMaps:
@@ -180,6 +230,30 @@ class TestMaps:
         ]
         comps[1][1][0], comps[1][1][1] = comps[1][1][1], comps[1][1][0]
         with pytest.raises(RejectedInput):
+            BisimplicialMap(eg_tensor_3, eg_tensor_3, comps)
+
+
+    def test_vertical_naturality_enforced_alone(self, eg_z2, eg_tensor_3):
+        # act on the second factor by a levelwise bijection g of EG that is
+        # not simplicial: the row maps stay natural, the column maps do not
+        from kancheck.bisimplicial import BisimplicialMap
+        from kancheck.simplicial import SimplicialMap
+
+        P, Q = eg_tensor_3.bounds
+        g = [list(range(eg_z2.counts[q])) for q in range(Q + 1)]
+        g[1][0], g[1][1] = g[1][1], g[1][0]
+        comps = [
+            [
+                [a * eg_z2.counts[q] + g[q][b]
+                 for a in range(eg_z2.counts[p]) for b in range(eg_z2.counts[q])]
+                for q in range(Q + 1)
+            ]
+            for p in range(P + 1)
+        ]
+        for q in range(Q + 1):
+            row_q = row(eg_tensor_3, q)
+            SimplicialMap(row_q, row_q, [comps[p][q] for p in range(P + 1)])
+        with pytest.raises(RejectedInput, match="column"):
             BisimplicialMap(eg_tensor_3, eg_tensor_3, comps)
 
 

@@ -138,20 +138,6 @@ class TestReportContract:
         _, b = run_report(["counterexample", "--preset", "s3-counterexample"])
         assert a.verdict_dict() == b.verdict_dict()
 
-    def test_threads_do_not_change_checks(self):
-        _, a = run_report(["counterexample", "--preset", "s3-counterexample"])
-        _, b = run_report(
-            ["counterexample", "--preset", "s3-counterexample", "--threads", "4"]
-        )
-        assert a.to_dict()["checks"] == b.to_dict()["checks"]
-
-    def test_kan_checks_reproducible_across_threads(self):
-        args = ["kan", "--preset", "s3-counterexample", "--construction", "row",
-                "--max-dim", "2"]
-        _, a = run_report(args)
-        _, b = run_report(args + ["--threads", "3"])
-        assert a.to_dict()["checks"] == b.to_dict()["checks"]
-
 
 class TestReverify:
     def test_counterexample_witnesses_reverify(self):
@@ -174,6 +160,47 @@ class TestReverify:
         failure["outcome"] = "filled"
         failure["witness"] = {"dim": 2, "id": 0, "label": "forged"}
         assert not reverify_report(report)
+
+    def test_passing_report_reverifies(self):
+        _, report = run_report(
+            ["kan", "--preset", "s3-counterexample", "--construction", "column",
+             "--max-dim", "3"]
+        )
+        assert report.overall_ok
+        assert reverify_report(RunReport.from_dict(report.to_dict()))
+
+    def test_tampered_passing_count_detected(self):
+        _, report = run_report(
+            ["kan", "--preset", "s3-counterexample", "--construction", "column",
+             "--max-dim", "3"]
+        )
+        data = report.to_dict()
+        data["checks"][0]["details"]["report"]["families_checked"] = 999999
+        assert not reverify_report(RunReport.from_dict(data))
+
+    @pytest.mark.parametrize("tamper", [
+        lambda check: check["details"]["report"].update(passed=False),
+        lambda check: check.update(passed=False),
+        lambda check: check["details"]["report"]["cells"][0].update(filled=0),
+    ], ids=["report-passed", "check-passed", "cell-filled"])
+    def test_tampered_passing_verdict_detected(self, tamper):
+        _, report = run_report(
+            ["kan", "--preset", "s3-counterexample", "--construction", "column",
+             "--max-dim", "3"]
+        )
+        data = report.to_dict()
+        tamper(data["checks"][0])
+        assert not reverify_report(RunReport.from_dict(data))
+
+    def test_tampered_sweep_totals_detected(self):
+        _, report = run_report(
+            ["pointwise", "--preset", "eg-tensor", "--max-total-dim", "2"]
+        )
+        assert reverify_report(report)
+        for field in ("problems_checked", "families_verified_compatible"):
+            data = report.to_dict()
+            data["checks"][0]["details"]["report"][field] += 1
+            assert not reverify_report(RunReport.from_dict(data))
 
 
 def test_parser_lists_commands():

@@ -5,11 +5,13 @@ from kancheck import (
     Square,
     column,
     double_nerve,
+    group_from_permutations,
     group_pair_double_groupoid,
     nerve,
     one_object_groupoid,
     row,
     subgroup_group,
+    subgroup_products_distinct,
     trivial_double_groupoid,
     validate_bisimplicial_identities,
 )
@@ -103,3 +105,61 @@ class TestDoubleNerve:
     def test_z2_pair_nerve_lawful(self):
         NN = double_nerve(preset_double_groupoid("z2-commuting"), 2, 2)
         assert validate_bisimplicial_identities(NN).ok
+
+
+def _filtered_product_keys(D, P, Q):
+    """Every (p,q) key list of the double nerve, enumerated as the filtered
+    product of all candidate strings, chains and columns: the oracle for the
+    indexed enumeration."""
+    def strings(C, n):
+        if n == 0:
+            return tuple(range(len(C.objects)))
+        out = [(g,) for g in range(C.n_arrows)]
+        for _ in range(n - 1):
+            out = [
+                s + (g,) for s in out for g in range(C.n_arrows)
+                if C.arrow_target[g] == C.arrow_source[s[-1]]
+            ]
+        return tuple(out)
+
+    def matrices(p, q):
+        columns = [(s,) for s in range(D.n_squares)]
+        for _ in range(q - 1):
+            columns = [
+                c + (s,) for c in columns for s in range(D.n_squares)
+                if D.squares[c[-1]].bottom == D.squares[s].top
+            ]
+        mats = [(c,) for c in columns]
+        for _ in range(p - 1):
+            mats = [
+                m + (c,) for m in mats for c in columns
+                if all(D.squares[m[-1][j]].right == D.squares[c[j]].left for j in range(q))
+            ]
+        return tuple(mats)
+
+    return tuple(
+        tuple(
+            strings(D.vertical, q) if p == 0 else strings(D.horizontal, p) if q == 0
+            else matrices(p, q)
+            for q in range(Q + 1)
+        )
+        for p in range(P + 1)
+    )
+
+
+def _s4_pair_double_groupoid():
+    G = group_from_permutations(4, [[2, 1, 3, 4], [2, 3, 4, 1]])
+    A = tuple(G.index(s) for s in ("id", "(2,3)"))
+    B = tuple(G.index(s) for s in (
+        "id", "(3,4)", "(1,2)", "(1,2)(3,4)", "(1,3)(2,4)", "(1,3,2,4)", "(1,4,2,3)", "(1,4)(2,3)",
+    ))
+    assert subgroup_products_distinct(G, A, B)
+    return group_pair_double_groupoid(G, A, B)
+
+
+@pytest.mark.parametrize("which", ["s3-preset", "s4-pair"])
+def test_double_nerve_keys_match_filtered_product(which, s3_D):
+    D = s3_D if which == "s3-preset" else _s4_pair_double_groupoid()
+    _, keys = double_nerve_indexed(D, 3, 3)
+    assert keys == _filtered_product_keys(D, 3, 3)
+    assert len(keys[3][3]) > 0

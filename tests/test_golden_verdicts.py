@@ -1,0 +1,39 @@
+"""The verdicts of the README's command lines, compared with committed copies.
+
+Each file under ``tests/golden`` holds ``RunReport.verdict_dict()`` of one
+README command, as JSON.  Any change that moves a verdict, a count, a
+certificate id or a label fails here.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from kancheck.cli import run
+
+HERE = Path(__file__).parent
+
+COMMANDS = {
+    "identities": "identities --max-n 6",
+    "kan-s3-double-nerve-diagonal":
+        "kan --preset s3-counterexample --construction double-nerve-diagonal --max-dim 2",
+    "kan-s3-column": "kan --preset s3-counterexample --construction column --max-dim 3",
+    "pointwise-eg-tensor": "pointwise --preset eg-tensor --max-total-dim 3",
+    "counterexample-s3": "counterexample --preset s3-counterexample",
+    "counterexample-eg-tensor": "counterexample --preset eg-tensor",
+}
+
+
+def test_commands_are_the_readme_commands():
+    readme = (HERE.parent / "README.md").read_text(encoding="utf-8")
+    listed = {line[len("kancheck "):] for line in readme.splitlines() if line.startswith("kancheck ")}
+    assert listed == set(COMMANDS.values())
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_verdict_matches_golden(name, capsys):
+    _, report = run(COMMANDS[name].split())
+    capsys.readouterr()
+    expected = json.loads((HERE / "golden" / f"{name}.json").read_text(encoding="utf-8"))
+    assert json.loads(json.dumps(report.verdict_dict())) == expected
