@@ -81,12 +81,10 @@ from .ordinal import (
 )
 from .pointwise import (
     DiagonalLift,
-    PointwiseHornProblem,
     PointwiseSweepReport,
     build_diagonal_family,
     diagonal_lift,
-    iter_pointwise_problems,
-    pointwise_filler_via_diagonal,
+    missing_index,
     verify_pointwise_fillers,
 )
 from .simplicial import (

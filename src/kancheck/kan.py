@@ -8,7 +8,7 @@ compatibility pruning, never over the raw product of face choices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import InternalInvariantError, RejectedInput
 from .simplicial import Simplex, SimplicialMap, TruncatedSimplicialSet, to_point_map
@@ -198,70 +198,64 @@ class FibrationReport:
         return sum(c.families for c in self.cells)
 
 
-def check_kan_fibration(f: SimplicialMap, max_dim: int) -> FibrationReport:
-    """Fill every full horn (I = [n] minus one index) for 1 <= n <= max_dim."""
+def _require_max_dim(bound: int, max_dim: int) -> None:
     if max_dim < 1:
         raise RejectedInput("max_dim must be at least 1")
-    if f.domain.bound < max_dim:
-        raise RejectedInput(f"bound {f.domain.bound} is smaller than max_dim {max_dim}")
-    cells: list[HornCellStats] = []
-    for n in range(1, max_dim + 1):
-        for k in range(n + 1):
-            indices = tuple(i for i in range(n + 1) if i != k)
-            families = filled = 0
-            for family in iter_compatible_families(f, n, indices):
-                families += 1
-                cert = brute_force_fill(family)
-                if not cert.filled:
-                    cells.append(HornCellStats(n, k, families, filled))
-                    return FibrationReport("kan", max_dim, tuple(cells), cert)
-                filled += 1
-            cells.append(HornCellStats(n, k, families, filled))
-    return FibrationReport("kan", max_dim, tuple(cells), None)
+    if bound < max_dim:
+        raise RejectedInput(f"bound {bound} is smaller than max_dim {max_dim}")
+
+
+def _fill_cells(
+    f: SimplicialMap, kind: str, max_dim: int, cells: list[tuple[int, int]]
+) -> FibrationReport:
+    """Fill every family of each (n, k) cell in order, stopping at the first
+    unfillable one; k is the index left out of [n] (-1 leaves none out)."""
+    done: list[HornCellStats] = []
+    for n, k in cells:
+        indices = tuple(i for i in range(n + 1) if i != k)
+        families = filled = 0
+        for family in iter_compatible_families(f, n, indices):
+            families += 1
+            cert = brute_force_fill(family)
+            if not cert.filled:
+                done.append(HornCellStats(n, k, families, filled))
+                return FibrationReport(kind, max_dim, tuple(done), cert)
+            filled += 1
+        done.append(HornCellStats(n, k, families, filled))
+    return FibrationReport(kind, max_dim, tuple(done), None)
+
+
+def check_kan_fibration(f: SimplicialMap, max_dim: int) -> FibrationReport:
+    """Fill every full horn (I = [n] minus one index) for 1 <= n <= max_dim."""
+    _require_max_dim(f.domain.bound, max_dim)
+    cells = [(n, k) for n in range(1, max_dim + 1) for k in range(n + 1)]
+    return _fill_cells(f, "kan", max_dim, cells)
 
 
 def check_trivial_fibration_to_point(
     X: TruncatedSimplicialSet, max_dim: int
 ) -> FibrationReport:
     """Fill every compatible full boundary (I = [n]) for 1 <= n <= max_dim."""
-    if max_dim < 1:
-        raise RejectedInput("max_dim must be at least 1")
-    if X.bound < max_dim:
-        raise RejectedInput(f"bound {X.bound} is smaller than max_dim {max_dim}")
+    _require_max_dim(X.bound, max_dim)
     if X.size(0) == 0:
         return FibrationReport("trivial", max_dim, (), None, base_point_missing=True)
-    f = to_point_map(X)
-    cells: list[HornCellStats] = []
-    for n in range(1, max_dim + 1):
-        indices = tuple(range(n + 1))
-        families = filled = 0
-        for family in iter_compatible_families(f, n, indices):
-            families += 1
-            cert = brute_force_fill(family)
-            if not cert.filled:
-                cells.append(HornCellStats(n, -1, families, filled))
-                return FibrationReport("trivial", max_dim, tuple(cells), cert)
-            filled += 1
-        cells.append(HornCellStats(n, -1, families, filled))
-    return FibrationReport("trivial", max_dim, tuple(cells), None)
+    cells = [(n, -1) for n in range(1, max_dim + 1)]
+    return _fill_cells(to_point_map(X), "trivial", max_dim, cells)
 
 
-FullHornFiller = Callable[[CompatibleFamily], FillCertificate]
+def fill_partial_horn(family: CompatibleFamily) -> FillCertificate:
+    """Fill a partial horn (1 <= |I| <= n) by reduction to full-horn fills.
 
-
-def fill_partial_horn(
-    family: CompatibleFamily, full_horn_filler: FullHornFiller = brute_force_fill
-) -> FillCertificate:
-    """Fill a partial horn (1 <= |I| <= n) given a filler for full horns.
-
-    Double induction: a full horn goes straight to the oracle.  Otherwise let
-    k be the largest missing index; the faces ``d_{k-1} x_i`` (i < k) and
-    ``d_k x_i`` (i > k), re-indexed to I' inside [n-1], together with the
-    target ``d_k y`` form a family one dimension down.  Filling it recursively
-    produces a candidate x_k; the family enlarged by x_k is compatible again,
-    and recursion on the larger index set finishes the job.  Both derived
-    compatibilities are re-verified and raise if they ever fail, since they
-    hold for every compatible input.
+    Double induction: a full horn goes straight to :func:`brute_force_fill`,
+    looked up by its module-global name at call time, so replacing that
+    attribute reaches every fill.  Otherwise let k be the largest missing
+    index; the faces ``d_{k-1} x_i`` (i < k) and ``d_k x_i`` (i > k),
+    re-indexed to I' inside [n-1], together with the target ``d_k y`` form a
+    family one dimension down.  Filling it recursively produces a candidate
+    x_k; the family enlarged by x_k is compatible again, and recursion on the
+    larger index set finishes the job.  Both derived compatibilities are
+    re-verified and raise if they ever fail, since they hold for every
+    compatible input.
     """
     r = len(family.index_set)
     if not 1 <= r <= family.n:
@@ -269,7 +263,7 @@ def fill_partial_horn(
     if not is_compatible(family):
         raise RejectedInput("family is not compatible; nothing to fill")
     if r == family.n:
-        return full_horn_filler(family)
+        return brute_force_fill(family)
 
     X, Y = family.f.domain, family.f.codomain
     n = family.n
@@ -286,7 +280,7 @@ def fill_partial_horn(
     if not is_compatible(subfamily):
         raise InternalInvariantError("derived family one dimension down is incompatible")
 
-    sub_cert = fill_partial_horn(subfamily, full_horn_filler)
+    sub_cert = fill_partial_horn(subfamily)
     if not sub_cert.filled:
         return FillCertificate(
             family, None, sub_cert.candidates_examined,
@@ -296,7 +290,7 @@ def fill_partial_horn(
     if not is_compatible(enlarged):
         raise InternalInvariantError("family enlarged by the found face is incompatible")
 
-    cert = fill_partial_horn(enlarged, full_horn_filler)
+    cert = fill_partial_horn(enlarged)
     examined = sub_cert.candidates_examined + cert.candidates_examined
     if not cert.filled:
         return FillCertificate(

@@ -1,14 +1,17 @@
 """Pointwise horn fillers obtained from a diagonal partial-horn filler.
 
-Given a bisimplicial map f whose diagonal is a Kan fibration, every vertical
-horn problem in a fixed column p can be filled.  The construction degenerates
+Given a bisimplicial map f whose diagonal is a Kan fibration, every horn of a
+column map ``column_map(f, p)`` can be filled.  A horn is a
+:class:`~kancheck.kan.CompatibleFamily` of that column map whose index set is
+[q] minus one index l; its faces and target carry the ids of the bisimplices
+at levels (p, q-1) and (p, q).  The construction degenerates
 the given faces up to the diagonal, fills one partial diagonal horn there, and
 carves the answer back down with faces.  Every intermediate step the argument
 relies on (dimension bookkeeping, compatibility of the built diagonal family,
 and the requested face/target relations of the answer) is re-verified at run
 time and raises ``InternalInvariantError`` if it ever fails.
 
-Index bookkeeping, for a problem at column p, vertical dimension q >= 1 and
+Index bookkeeping, for a horn in column p, vertical dimension q >= 1 and
 missing index l: the diagonal family lives at dimension n = p + q over the
 index set ``I = {i : i < l} u {p + i : l < i <= q}``, which has exactly q
 elements, so the partial-horn filler applies whenever q >= 1.
@@ -17,7 +20,7 @@ elements, so the partial-horn filler applies whenever q >= 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from .bisimplicial import (
     BiSimplex,
@@ -30,7 +33,6 @@ from .errors import InternalInvariantError, RejectedInput, TruncationError
 from .kan import (
     CompatibleFamily,
     FillCertificate,
-    brute_force_fill,
     check_kan_fibration,
     fill_partial_horn,
     is_compatible,
@@ -39,59 +41,9 @@ from .kan import (
 from .simplicial import Simplex, SimplicialMap
 
 
-@dataclass(frozen=True)
-class PointwiseHornProblem:
-    """A vertical horn in column p: faces x_i in X_{p,q-1} for i != missing,
-    and a target y in Y_{p,q}, to be filled against f."""
-
-    f: BisimplicialMap
-    p: int
-    q: int
-    missing: int
-    faces: tuple[BiSimplex, ...]
-    target: BiSimplex
-
-    def __post_init__(self) -> None:
-        if self.p < 0 or self.q < 1:
-            raise RejectedInput("need p >= 0 and q >= 1")
-        if not 0 <= self.missing <= self.q:
-            raise RejectedInput(f"missing index {self.missing} outside [0, {self.q}]")
-        if len(self.faces) != self.q:
-            raise RejectedInput(f"expected {self.q} faces, got {len(self.faces)}")
-        for x in self.faces:
-            if (x.p, x.q) != (self.p, self.q - 1):
-                raise RejectedInput(f"face {x} must sit at level ({self.p},{self.q - 1})")
-            if not 0 <= x.idx < self.f.domain.counts[x.p][x.q]:
-                raise RejectedInput(f"face {x} not in the domain")
-        if (self.target.p, self.target.q) != (self.p, self.q):
-            raise RejectedInput(f"target {self.target} must sit at level ({self.p},{self.q})")
-        if not 0 <= self.target.idx < self.f.codomain.counts[self.p][self.q]:
-            raise RejectedInput(f"target {self.target} not in the codomain")
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.q + 1) if i != self.missing)
-
-    def face(self, i: int) -> BiSimplex:
-        return self.faces[self.indices.index(i)]
-
-    def items(self) -> tuple[tuple[int, BiSimplex], ...]:
-        return tuple(zip(self.indices, self.faces))
-
-
-def problem_is_compatible(problem: PointwiseHornProblem) -> bool:
-    """Vertical compatibility: d_i^v x_j == d_{j-1}^v x_i and f x_i == d_i^v y."""
-    X, Y = problem.f.domain, problem.f.codomain
-    for i, x in problem.items():
-        if problem.f.apply(x) != Y.v_face(i, problem.target):
-            return False
-    if problem.q >= 2:
-        pairs = problem.items()
-        for a, (i, xi) in enumerate(pairs):
-            for j, xj in pairs[a + 1:]:
-                if X.v_face(i, xj) != X.v_face(j - 1, xi):
-                    return False
-    return True
+def missing_index(horn: CompatibleFamily) -> int:
+    """The index l left out of a horn's index set [q] minus {l}."""
+    return next(i for i in range(horn.n + 1) if i not in horn.index_set)
 
 
 def _repeat(op: Callable[[int, BiSimplex], BiSimplex], index: int, times: int, x: BiSimplex) -> BiSimplex:
@@ -106,31 +58,36 @@ def _expect_level(x: BiSimplex, p: int, q: int, what: str) -> None:
 
 
 def build_diagonal_family(
-    problem: PointwiseHornProblem, diag_f: SimplicialMap | None = None
+    f: BisimplicialMap, p: int, horn: CompatibleFamily, diag_f: SimplicialMap | None = None
 ) -> CompatibleFamily:
-    """Degenerate a pointwise horn problem into a diagonal compatible family.
+    """Degenerate a horn of ``column_map(f, p)`` into a diagonal compatible family.
 
-    For missing index l, face i maps to
+    For the horn's dimension q and missing index l, face i maps to
       (s_0^h)^{l-1} (s_p^h)^{q-l}   (s_{l-1}^v)^p x_i   when i < l, kept at index i,
       (s_0^h)^{l}   (s_p^h)^{q-l-1} (s_l^v)^p     x_i   when i > l, placed at index p+i,
     and the target to (s_0^h)^l (s_p^h)^{q-l} (s_l^v)^p y.  Powers apply right
     to left as repeated single-index degeneracies.  The family is verified
     compatible for the diagonal map before it is returned.
     """
-    X, Y = problem.f.domain, problem.f.codomain
-    p, q, l = problem.p, problem.q, problem.missing
+    if horn.f is not column_map(f, p):
+        raise RejectedInput(f"the horn is not a horn of column {p}")
+    if len(horn.index_set) != horn.n:
+        raise RejectedInput(f"a pointwise horn leaves out exactly one index of [{horn.n}]")
+    X, Y = f.domain, f.codomain
+    q, l = horn.n, missing_index(horn)
     n = p + q
     if X.bounds[0] < n or X.bounds[1] < n or Y.bounds[0] < n or Y.bounds[1] < n:
         raise TruncationError(
             f"bounds {X.bounds} cannot hold the dimension-({n},{n}) diagonal family"
         )
-    if not problem_is_compatible(problem):
-        raise RejectedInput("problem faces are not compatible with the target")
+    if not is_compatible(horn):
+        raise RejectedInput("horn faces are not compatible with the target")
     if diag_f is None:
-        diag_f = diagonal_map(problem.f)
+        diag_f = diagonal_map(f)
 
     faces: dict[int, Simplex] = {}
-    for i, x in problem.items():
+    for i, face in horn.items():
+        x = BiSimplex(p, q - 1, face.idx)
         if i < l:
             lifted = _repeat(X.v_degeneracy, l - 1, p, x)
             lifted = _repeat(X.h_degeneracy, p, q - l, lifted)
@@ -144,7 +101,7 @@ def build_diagonal_family(
             _expect_level(lifted, n - 1, n - 1, f"degenerated face {i}")
             faces[p + i] = Simplex(n - 1, lifted.idx)
 
-    lifted_target = _repeat(Y.v_degeneracy, l, p, problem.target)
+    lifted_target = _repeat(Y.v_degeneracy, l, p, BiSimplex(p, q, horn.target.idx))
     lifted_target = _repeat(Y.h_degeneracy, p, q - l, lifted_target)
     lifted_target = _repeat(Y.h_degeneracy, 0, l, lifted_target)
     _expect_level(lifted_target, n, n, "degenerated target")
@@ -160,18 +117,13 @@ def build_diagonal_family(
     return family
 
 
-DiagonalPartialFiller = Callable[[CompatibleFamily], FillCertificate]
-
-
-def _default_partial_filler(family: CompatibleFamily) -> FillCertificate:
-    return fill_partial_horn(family, brute_force_fill)
-
-
 @dataclass(frozen=True)
 class DiagonalLift:
-    """The full trace of one pointwise fill through the diagonal."""
+    """The full trace of one pointwise fill through the diagonal: the horn of
+    column p, the diagonal family built from it, its fill and the answer."""
 
-    problem: PointwiseHornProblem
+    p: int
+    horn: CompatibleFamily
     diagonal_family: CompatibleFamily
     certificate: FillCertificate
     answer: BiSimplex | None
@@ -182,66 +134,34 @@ class DiagonalLift:
 
 
 def diagonal_lift(
-    problem: PointwiseHornProblem,
-    diag_partial_filler: DiagonalPartialFiller | None = None,
-    diag_f: SimplicialMap | None = None,
+    f: BisimplicialMap, p: int, horn: CompatibleFamily, diag_f: SimplicialMap | None = None
 ) -> DiagonalLift:
-    """Fill a pointwise horn problem through the diagonal, with verification.
+    """Fill a horn of ``column_map(f, p)`` through the diagonal, with verification.
 
     The filled diagonal simplex w is cut back down by
     ``x = (d_{p+1}^h)^{q-l} (d_0^h)^l (d_l^v)^p w`` and the answer is checked
     to satisfy ``d_i^v x == x_i`` for every i != l (including the outer ones)
     and ``f x == y`` exactly.
     """
-    X = problem.f.domain
-    p, q, l = problem.p, problem.q, problem.missing
-    filler = diag_partial_filler or _default_partial_filler
-    family = build_diagonal_family(problem, diag_f)
-    cert = filler(family)
+    family = build_diagonal_family(f, p, horn, diag_f)
+    cert = fill_partial_horn(family)
     if not cert.filled:
-        return DiagonalLift(problem, family, cert, None)
+        return DiagonalLift(p, horn, family, cert, None)
 
+    X = f.domain
+    q, l = horn.n, missing_index(horn)
     w = BiSimplex(p + q, p + q, cert.witness.idx)
     x = _repeat(X.v_face, l, p, w)
     x = _repeat(X.h_face, 0, l, x)
     x = _repeat(X.h_face, p + 1, q - l, x)
     _expect_level(x, p, q, "answer")
-    for i, xi in problem.items():
-        if X.v_face(i, x) != xi:
+    in_column = Simplex(q, x.idx)
+    for i, xi in horn.items():
+        if horn.f.domain.face(i, in_column) != xi:
             raise InternalInvariantError(f"answer violates the requested face at {i}")
-    if problem.f.apply(x) != problem.target:
+    if horn.f.apply(in_column) != horn.target:
         raise InternalInvariantError("answer does not map to the requested target")
-    return DiagonalLift(problem, family, cert, x)
-
-
-def pointwise_filler_via_diagonal(
-    problem: PointwiseHornProblem,
-    diag_partial_filler: DiagonalPartialFiller | None = None,
-    diag_f: SimplicialMap | None = None,
-) -> BiSimplex | None:
-    """The filled bisimplex for a pointwise horn problem, or None if the
-    supplied diagonal filler fails."""
-    return diagonal_lift(problem, diag_partial_filler, diag_f).answer
-
-
-def iter_pointwise_problems(
-    f: BisimplicialMap, p: int, q: int, missing: int,
-    col_f: SimplicialMap | None = None,
-) -> Iterator[PointwiseHornProblem]:
-    """All compatible pointwise horn problems at (p, q, missing).
-
-    Enumeration happens on the column map at level p, whose simplices carry
-    the same ids as the bisimplices they come from.
-    """
-    if col_f is None:
-        col_f = column_map(f, p)
-    indices = tuple(i for i in range(q + 1) if i != missing)
-    for fam in iter_compatible_families(col_f, q, indices):
-        yield PointwiseHornProblem(
-            f, p, q, missing,
-            tuple(BiSimplex(p, q - 1, s.idx) for s in fam.faces),
-            BiSimplex(p, q, fam.target.idx),
-        )
+    return DiagonalLift(p, horn, family, cert, x)
 
 
 @dataclass(frozen=True)
@@ -284,7 +204,6 @@ class PointwiseSweepReport:
 def _sweep(
     f: BisimplicialMap,
     max_total_dim: int,
-    filler: DiagonalPartialFiller,
     transposed: bool,
 ) -> tuple[tuple[SweepCell, ...], SweepFailure | None]:
     diag_f = diagonal_map(f)
@@ -293,10 +212,11 @@ def _sweep(
         col_f = column_map(f, p)
         for q in range(1, max_total_dim - p + 1):
             for missing in range(q + 1):
+                indices = tuple(i for i in range(q + 1) if i != missing)
                 problems = filled = max_search = 0
-                for problem in iter_pointwise_problems(f, p, q, missing, col_f):
+                for horn in iter_compatible_families(col_f, q, indices):
                     problems += 1
-                    lift = diagonal_lift(problem, filler, diag_f)
+                    lift = diagonal_lift(f, p, horn, diag_f)
                     max_search = max(max_search, lift.certificate.candidates_examined)
                     if not lift.filled:
                         cells.append(SweepCell(p, q, missing, problems, filled, max_search))
@@ -306,11 +226,7 @@ def _sweep(
     return tuple(cells), None
 
 
-def verify_pointwise_fillers(
-    f: BisimplicialMap,
-    max_total_dim: int,
-    diag_partial_filler: DiagonalPartialFiller | None = None,
-) -> PointwiseSweepReport:
+def verify_pointwise_fillers(f: BisimplicialMap, max_total_dim: int) -> PointwiseSweepReport:
     """Certify that a diagonal Kan fibration fills every pointwise horn.
 
     First the diagonal map is required to pass the brute-force Kan check up to
@@ -336,9 +252,8 @@ def verify_pointwise_fillers(
             f"I={fail.family.index_set}, faces="
             f"{tuple(x.idx for x in fail.family.faces)}"
         )
-    filler = diag_partial_filler or _default_partial_filler
-    direct, failure = _sweep(f, max_total_dim, filler, transposed=False)
+    direct, failure = _sweep(f, max_total_dim, transposed=False)
     if failure is not None:
         return PointwiseSweepReport(max_total_dim, direct, (), failure)
-    transposed, failure = _sweep(transpose_map(f), max_total_dim, filler, transposed=True)
+    transposed, failure = _sweep(transpose_map(f), max_total_dim, transposed=True)
     return PointwiseSweepReport(max_total_dim, direct, transposed, failure)

@@ -12,7 +12,7 @@ from typing import Any
 from .bisimplicial import BiSimplex, TruncatedBisimplicialSet
 from .errors import RejectedInput
 from .kan import CompatibleFamily, FibrationReport, FillCertificate
-from .pointwise import PointwiseSweepReport
+from .pointwise import PointwiseSweepReport, missing_index
 from .simplicial import Simplex, SimplicialMap, TruncatedSimplicialSet
 
 
@@ -138,9 +138,9 @@ def sweep_report_to_dict(report: PointwiseSweepReport) -> dict[str, Any]:
         lift = report.failure.lift
         failure = {
             "transposed": report.failure.transposed,
-            "p": lift.problem.p,
-            "q": lift.problem.q,
-            "missing": lift.problem.missing,
+            "p": lift.p,
+            "q": lift.horn.n,
+            "missing": missing_index(lift.horn),
             "diagonal_certificate": certificate_to_dict(lift.certificate),
         }
     return {

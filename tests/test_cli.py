@@ -202,6 +202,26 @@ class TestReverify:
             data["checks"][0]["details"]["report"][field] += 1
             assert not reverify_report(RunReport.from_dict(data))
 
+    def test_failed_sweep_does_not_reverify(self, monkeypatch):
+        import kancheck.pointwise
+        from kancheck.cli import _report_consistent
+        from kancheck.kan import FillCertificate
+
+        # a consistent report of a sweep failure, which no real run can produce
+        monkeypatch.setattr(
+            kancheck.pointwise, "fill_partial_horn",
+            lambda family: FillCertificate(family, None, 0),
+        )
+        code, report = run_report(
+            ["pointwise", "--preset", "eg-tensor", "--max-total-dim", "2"]
+        )
+        monkeypatch.undo()
+        assert code == 1
+        check = report.checks[0]
+        assert check.details["report"]["failure"] is not None
+        assert _report_consistent(check.passed, check.details["report"])
+        assert reverify_report(RunReport.from_dict(report.to_dict())) is False
+
 
 def test_parser_lists_commands():
     parser = build_parser()
