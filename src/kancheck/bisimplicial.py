@@ -51,74 +51,19 @@ def _line(lines: Sequence[T], k: int, what: str, bounds: tuple[int, int]) -> T:
 
 
 class TruncatedBisimplicialSet:
-    """Doubly indexed simplex tables, stored as rows and columns.
+    """Doubly indexed simplex tables, given as rows and columns.
 
-    The constructor takes the four table grids ``tables[p][q][i]``, with no
-    face tables at p = 0 (horizontal) or q = 0 (vertical) and no degeneracy
-    tables at p = P or q = Q, and regroups them into lines.
+    ``rows[q]`` carries the horizontal tables of p -> X_{p,q} and
+    ``columns[p]`` the vertical tables of q -> X_{p,q}; every row and column
+    must agree on the count and labels of the level they share.
     """
 
     __slots__ = ("bounds", "counts", "rows", "columns")
 
     def __init__(
-        self,
-        counts: Sequence[Sequence[int]],
-        h_faces,
-        h_degeneracies,
-        v_faces,
-        v_degeneracies,
-        labels=None,
+        self, rows: Sequence[TruncatedSimplicialSet], columns: Sequence[TruncatedSimplicialSet]
     ) -> None:
-        if not counts or not counts[0]:
-            raise RejectedInput("need at least the (0,0) level")
-        P = len(counts) - 1
-        Q = len(counts[0]) - 1
-        grids = {
-            "horizontal face": (h_faces, lambda p, q: p == 0),
-            "horizontal degeneracy": (h_degeneracies, lambda p, q: p == P),
-            "vertical face": (v_faces, lambda p, q: q == 0),
-            "vertical degeneracy": (v_degeneracies, lambda p, q: q == Q),
-        }
-        for grid in (counts, labels) + tuple(g for g, _ in grids.values()):
-            if grid is not None and (len(grid) != P + 1 or any(len(g) != Q + 1 for g in grid)):
-                raise RejectedInput("counts, tables and labels must form a full (P+1) x (Q+1) grid")
-        for what, (grid, empty) in grids.items():
-            for p in range(P + 1):
-                for q in range(Q + 1):
-                    if empty(p, q) and len(grid[p][q]):
-                        raise RejectedInput(f"{what} at ({p},{q}): expected 0 tables")
-        rows = tuple(
-            _in_line(
-                f"row {q}", TruncatedSimplicialSet,
-                [counts[p][q] for p in range(P + 1)],
-                [h_faces[p][q] for p in range(P + 1)],
-                [h_degeneracies[p][q] for p in range(P + 1)],
-                None if labels is None else [labels[p][q] for p in range(P + 1)],
-            )
-            for q in range(Q + 1)
-        )
-        columns = tuple(
-            _in_line(
-                f"column {p}", TruncatedSimplicialSet,
-                counts[p], v_faces[p], v_degeneracies[p],
-                None if labels is None else labels[p],
-            )
-            for p in range(P + 1)
-        )
-        self._adopt(rows, columns)
-
-    @classmethod
-    def from_lines(
-        cls, rows: Sequence[TruncatedSimplicialSet], columns: Sequence[TruncatedSimplicialSet]
-    ) -> "TruncatedBisimplicialSet":
-        """Assemble rows and columns that agree on the count and labels of every level."""
-        X = cls.__new__(cls)
-        X._adopt(tuple(rows), tuple(columns))
-        return X
-
-    def _adopt(
-        self, rows: tuple[TruncatedSimplicialSet, ...], columns: tuple[TruncatedSimplicialSet, ...]
-    ) -> None:
+        rows, columns = tuple(rows), tuple(columns)
         if not rows or not columns:
             raise RejectedInput("need at least one row and one column")
         P, Q = len(columns) - 1, len(rows) - 1
@@ -184,7 +129,7 @@ class TruncatedBisimplicialSet:
 
 
 def point_bisimplicial(P: int, Q: int) -> TruncatedBisimplicialSet:
-    return TruncatedBisimplicialSet.from_lines([point(P)] * (Q + 1), [point(Q)] * (P + 1))
+    return TruncatedBisimplicialSet([point(P)] * (Q + 1), [point(Q)] * (P + 1))
 
 
 def row(X: TruncatedBisimplicialSet, q: int) -> TruncatedSimplicialSet:
@@ -227,7 +172,7 @@ def diagonal(X: TruncatedBisimplicialSet) -> TruncatedSimplicialSet:
 
 def transpose(X: TruncatedBisimplicialSet) -> TruncatedBisimplicialSet:
     """Swap the two gradings: the rows become the columns and vice versa."""
-    return TruncatedBisimplicialSet.from_lines(X.columns, X.rows)
+    return TruncatedBisimplicialSet(X.columns, X.rows)
 
 
 def tensor(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedBisimplicialSet:
@@ -280,7 +225,7 @@ def tensor(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedBis
         )
         for p in range(P + 1)
     ]
-    return TruncatedBisimplicialSet.from_lines(rows, columns)
+    return TruncatedBisimplicialSet(rows, columns)
 
 
 @dataclass(frozen=True)

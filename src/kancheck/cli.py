@@ -61,6 +61,7 @@ from .serialize import (
     certificate_to_dict,
     family_from_dict,
     fibration_report_to_dict,
+    required_entry,
     simplicial_from_dict,
     sweep_report_to_dict,
 )
@@ -168,9 +169,11 @@ def group_from_input(data: dict[str, Any]) -> FiniteGroup:
     if entry is None:
         raise RejectedInput("input file has no 'group' entry")
     if "table" in entry:
-        return group_from_table(entry["labels"], entry["table"])
+        return group_from_table(required_entry(entry, "labels", "group entry"), entry["table"])
     if "generators" in entry:
-        return group_from_permutations(entry["degree"], entry["generators"])
+        return group_from_permutations(
+            required_entry(entry, "degree", "group entry"), entry["generators"]
+        )
     raise RejectedInput("group entry needs either labels+table or degree+generators")
 
 

@@ -16,14 +16,7 @@ from typing import Sequence
 from .bisimplicial import TruncatedBisimplicialSet
 from .errors import RejectedInput
 from .groups import FiniteGroup
-from .groupoids import (
-    FiniteGroupoid,
-    nerve_keys,
-    one_object_groupoid,
-    string_degeneracy,
-    string_face,
-    string_label,
-)
+from .groupoids import FiniteGroupoid, keyed_simplicial_set, nerve_indexed, one_object_groupoid
 
 
 @dataclass(frozen=True)
@@ -276,148 +269,86 @@ def double_nerve_indexed(
 
     Keys: (0,0) levels hold object indices, (p,0) levels horizontal arrow
     strings, (0,q) levels vertical arrow strings, and (p,q) levels p-column
-    matrices of vertically chained squares with matching shared edges.
+    matrices of vertically chained squares with matching shared edges.  Row 0
+    and column 0 are the nerves of the horizontal and vertical groupoids; every
+    other line is built from its keys by the same table builder.
     """
     if P < 0 or Q < 0:
         raise RejectedInput("bounds must be nonnegative")
-    h, v = D.horizontal, D.vertical
+    sq = D.squares
+    row0, h_keys = nerve_indexed(D.horizontal, P)
+    col0, v_keys = nerve_indexed(D.vertical, Q)
     grid = _matrix_keys(D, P, Q)
-    h_keys, v_keys = nerve_keys(h, P), nerve_keys(v, Q)
     keys = tuple(
         tuple(v_keys[q] if p == 0 else h_keys[p] if q == 0 else grid[p][q] for q in range(Q + 1))
         for p in range(P + 1)
     )
-    index = [
-        [{key: k for k, key in enumerate(keys[p][q])} for q in range(Q + 1)]
+    labels = [
+        [
+            row0._labels[p] if q == 0 else col0._labels[q] if p == 0 else [
+                ";".join("|".join(D.square_label(s) for s in c) for c in key)
+                for key in grid[p][q]
+            ]
+            for q in range(Q + 1)
+        ]
         for p in range(P + 1)
     ]
 
-    def line_v_arrows(p: int, q: int, key: object, i: int) -> tuple[int, ...]:
+    def v_line(mat: MatrixKey, i: int) -> tuple[int, ...]:
         """Vertical arrows along the i-th vertical line, top row first."""
-        if p == 0:
-            return tuple(key)  # type: ignore[arg-type]
-        mat = key  # type: ignore[assignment]
         if i == 0:
-            return tuple(D.squares[s].left for s in mat[0])
-        return tuple(D.squares[s].right for s in mat[i - 1])
+            return tuple(sq[s].left for s in mat[0])
+        return tuple(sq[s].right for s in mat[i - 1])
 
-    def level_h_arrows(p: int, q: int, key: object, j: int) -> tuple[int, ...]:
+    def h_level(mat: MatrixKey, j: int) -> tuple[int, ...]:
         """Horizontal arrows along the j-th horizontal level, left column first."""
-        if q == 0:
-            return tuple(key)  # type: ignore[arg-type]
-        mat = key  # type: ignore[assignment]
         if j == 0:
-            return tuple(D.squares[c[0]].top for c in mat)
-        return tuple(D.squares[c[j - 1]].bottom for c in mat)
+            return tuple(sq[c[0]].top for c in mat)
+        return tuple(sq[c[j - 1]].bottom for c in mat)
 
-    def h_face_key(p: int, q: int, key: object, i: int) -> object:
-        if q == 0:
-            return string_face(h, p, key, i)
-        mat = key  # type: ignore[assignment]
+    def h_face_key(p: int, mat: MatrixKey, i: int) -> object:
         if p == 1:
-            return line_v_arrows(p, q, key, 1 if i == 0 else 0)
+            return v_line(mat, 1 if i == 0 else 0)
         if i == 0:
             return mat[1:]
         if i == p:
             return mat[:-1]
-        merged = tuple(
-            D.h_compose(mat[i - 1][j], mat[i][j]) for j in range(q)
-        )
+        merged = tuple(D.h_compose(a, b) for a, b in zip(mat[i - 1], mat[i]))
         return mat[: i - 1] + (merged,) + mat[i + 1:]
 
-    def v_face_key(p: int, q: int, key: object, j: int) -> object:
-        if p == 0:
-            return string_face(v, q, key, j)
-        mat = key  # type: ignore[assignment]
+    def v_face_key(q: int, mat: MatrixKey, j: int) -> object:
         if q == 1:
-            return level_h_arrows(p, q, key, 0 if j == 1 else 1)
+            return h_level(mat, 0 if j == 1 else 1)
         if j == 0:
             return tuple(c[1:] for c in mat)
         if j == q:
             return tuple(c[:-1] for c in mat)
-        return tuple(
-            c[: j - 1] + (D.v_compose(c[j - 1], c[j]),) + c[j + 1:] for c in mat
+        return tuple(c[: j - 1] + (D.v_compose(c[j - 1], c[j]),) + c[j + 1:] for c in mat)
+
+    def h_degen_key(p: int, key, i: int) -> object:
+        """Insert an identity column; at p = 0 the key is a vertical string."""
+        id_col: ColumnKey = tuple(D.h_identity[b] for b in (key if p == 0 else v_line(key, i)))
+        return (id_col,) if p == 0 else key[:i] + (id_col,) + key[i:]
+
+    def v_degen_key(q: int, key, j: int) -> object:
+        """Insert an identity row; at q = 0 the key is a horizontal string."""
+        if q == 0:
+            return tuple((D.v_identity[a],) for a in key)
+        id_row = (D.v_identity[a] for a in h_level(key, j))
+        return tuple(c[:j] + (s,) + c[j:] for s, c in zip(id_row, key))
+
+    rows = [row0] + [
+        keyed_simplicial_set(
+            [keys[p][q] for p in range(P + 1)], h_face_key, h_degen_key,
+            [labels[p][q] for p in range(P + 1)],
         )
-
-    def h_degen_key(p: int, q: int, key: object, i: int) -> object:
-        if q == 0:
-            return string_degeneracy(h, p, key, i)
-        line = line_v_arrows(p, q, key, i)
-        id_col: ColumnKey = tuple(D.h_identity[b] for b in line)
-        if p == 0:
-            return (id_col,)
-        mat = key  # type: ignore[assignment]
-        return mat[:i] + (id_col,) + mat[i:]
-
-    def v_degen_key(p: int, q: int, key: object, j: int) -> object:
-        if p == 0:
-            return string_degeneracy(v, q, key, j)
-        level = level_h_arrows(p, q, key, j)
-        id_row = tuple(D.v_identity[a] for a in level)
-        if q == 0:
-            return tuple((sq,) for sq in id_row)
-        mat = key  # type: ignore[assignment]
-        return tuple(c[:j] + (id_row[ci],) + c[j:] for ci, c in enumerate(mat))
-
-    counts = [[len(keys[p][q]) for q in range(Q + 1)] for p in range(P + 1)]
-    h_faces = [
-        [
-            [
-                [index[p - 1][q][h_face_key(p, q, key, i)] for key in keys[p][q]]
-                for i in range(p + 1)
-            ] if p >= 1 else []
-            for q in range(Q + 1)
-        ]
-        for p in range(P + 1)
+        for q in range(1, Q + 1)
     ]
-    h_degens = [
-        [
-            [
-                [index[p + 1][q][h_degen_key(p, q, key, i)] for key in keys[p][q]]
-                for i in range(p + 1)
-            ] if p < P else []
-            for q in range(Q + 1)
-        ]
-        for p in range(P + 1)
+    columns = [col0] + [
+        keyed_simplicial_set(keys[p], v_face_key, v_degen_key, labels[p])
+        for p in range(1, P + 1)
     ]
-    v_faces = [
-        [
-            [
-                [index[p][q - 1][v_face_key(p, q, key, j)] for key in keys[p][q]]
-                for j in range(q + 1)
-            ] if q >= 1 else []
-            for q in range(Q + 1)
-        ]
-        for p in range(P + 1)
-    ]
-    v_degens = [
-        [
-            [
-                [index[p][q + 1][v_degen_key(p, q, key, j)] for key in keys[p][q]]
-                for j in range(q + 1)
-            ] if q < Q else []
-            for q in range(Q + 1)
-        ]
-        for p in range(P + 1)
-    ]
-
-    def label(p: int, q: int, key: object) -> str:
-        if q == 0:
-            return string_label(h, p, key)
-        if p == 0:
-            return string_label(v, q, key)
-        return ";".join(
-            "|".join(D.square_label(s) for s in colu) for colu in key  # type: ignore[union-attr]
-        )
-
-    labels = [
-        [[label(p, q, key) for key in keys[p][q]] for q in range(Q + 1)]
-        for p in range(P + 1)
-    ]
-    return (
-        TruncatedBisimplicialSet(counts, h_faces, h_degens, v_faces, v_degens, labels),
-        keys,
-    )
+    return TruncatedBisimplicialSet(rows, columns), keys
 
 
 def double_nerve(D: DoubleGroupoid, P: int, Q: int) -> TruncatedBisimplicialSet:

@@ -9,8 +9,8 @@ identity arrow.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Sequence
+from functools import lru_cache, partial
+from typing import Any, Callable, Sequence
 
 from .errors import InternalInvariantError, RejectedInput
 from .groups import FiniteGroup
@@ -199,26 +199,40 @@ def string_label(C: FiniteGroupoid, n: int, key: object) -> str:
     return "|".join(C.arrow_labels[g] for g in key)  # type: ignore[union-attr]
 
 
+def keyed_simplicial_set(
+    keys: Sequence[Sequence[object]],
+    face_key: Callable[[int, Any, int], object],
+    degen_key: Callable[[int, Any, int], object],
+    labels: Sequence[Sequence[str]],
+) -> TruncatedSimplicialSet:
+    """The simplicial set whose n-simplex ids index ``keys[n]``.
+
+    ``face_key(n, key, i)`` and ``degen_key(n, key, i)`` give the keys of d_i
+    and s_i of the n-simplex ``key``; they must be keys of the adjacent level.
+    """
+    bound = len(keys) - 1
+    index = [{key: k for k, key in enumerate(level)} for level in keys]
+    faces = [[]] + [
+        [[index[n - 1][face_key(n, key, i)] for key in keys[n]] for i in range(n + 1)]
+        for n in range(1, bound + 1)
+    ]
+    degens = [
+        [[index[n + 1][degen_key(n, key, i)] for key in keys[n]] for i in range(n + 1)]
+        for n in range(bound)
+    ] + [[]]
+    return TruncatedSimplicialSet([len(level) for level in keys], faces, degens, labels)
+
+
 def nerve_indexed(C: FiniteGroupoid, bound: int) -> tuple[TruncatedSimplicialSet, NerveKeys]:
     """The nerve together with the composable-string key behind each id."""
     if bound < 0:
         raise RejectedInput("bound must be nonnegative")
     keys = nerve_keys(C, bound)
-    index = [{key: k for k, key in enumerate(level)} for level in keys]
-    counts = [len(level) for level in keys]
-    faces: list[list[list[int]]] = [[]]
-    for n in range(1, bound + 1):
-        faces.append(
-            [[index[n - 1][string_face(C, n, key, i)] for key in keys[n]] for i in range(n + 1)]
-        )
-    degens: list[list[list[int]]] = []
-    for n in range(bound):
-        degens.append(
-            [[index[n + 1][string_degeneracy(C, n, key, i)] for key in keys[n]] for i in range(n + 1)]
-        )
-    degens.append([])
-    labels = [[string_label(C, n, key) for key in keys[n]] for n in range(bound + 1)]
-    return TruncatedSimplicialSet(counts, faces, degens, labels), keys
+    labels = [[string_label(C, n, key) for key in level] for n, level in enumerate(keys)]
+    N = keyed_simplicial_set(
+        keys, partial(string_face, C), partial(string_degeneracy, C), labels
+    )
+    return N, keys
 
 
 def nerve(C: FiniteGroupoid, bound: int) -> TruncatedSimplicialSet:

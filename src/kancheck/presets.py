@@ -57,23 +57,15 @@ def preset_double_groupoid(name: str) -> DoubleGroupoid:
     return group_pair_double_groupoid(data.group, data.A, data.B)
 
 
-def preset_double_nerve(name: str, P: int, Q: int) -> TruncatedBisimplicialSet:
-    return double_nerve(preset_double_groupoid(name), P, Q)
-
-
 def eg_tensor_group() -> FiniteGroup:
     return cyclic_group(2)
-
-
-def preset_eg_tensor(bound: int) -> TruncatedBisimplicialSet:
-    """The external square of the universal cover of the order-two group."""
-    eg = eg_construction(eg_tensor_group(), bound)
-    return tensor(eg, eg)
 
 
 def preset_bisimplicial(name: str, P: int, Q: int) -> TruncatedBisimplicialSet:
     if name == "eg-tensor":
         if P != Q:
             raise RejectedInput("the tensor preset uses symmetric bounds")
-        return preset_eg_tensor(P)
-    return preset_double_nerve(name, P, Q)
+        # the external square of the universal cover of the order-two group
+        eg = eg_construction(eg_tensor_group(), P)
+        return tensor(eg, eg)
+    return double_nerve(preset_double_groupoid(name), P, Q)

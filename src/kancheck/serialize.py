@@ -27,44 +27,42 @@ def simplicial_to_dict(X: TruncatedSimplicialSet) -> dict[str, Any]:
     }
 
 
+def required_entry(data: dict[str, Any], key: str, record: str) -> Any:
+    """``data[key]``, or a rejection naming the key the record lacks."""
+    try:
+        return data[key]
+    except KeyError:
+        raise RejectedInput(f"{record} has no {key!r} entry") from None
+
+
 def simplicial_from_dict(data: dict[str, Any]) -> TruncatedSimplicialSet:
     if data.get("kind") != "simplicial-set":
         raise RejectedInput("expected a simplicial-set record")
+    record = "simplicial-set record"
     return TruncatedSimplicialSet(
-        data["counts"], data["faces"], data["degeneracies"], data.get("labels")
+        required_entry(data, "counts", record),
+        required_entry(data, "faces", record),
+        required_entry(data, "degeneracies", record),
+        data.get("labels"),
     )
 
 
 def bisimplicial_to_dict(X: TruncatedBisimplicialSet) -> dict[str, Any]:
-    P, Q = X.bounds
-
-    def grid(tables):
-        return [[[list(t) for t in tables(p, q)] for q in range(Q + 1)] for p in range(P + 1)]
-
+    """Row records then column records, each a ``simplicial_to_dict`` record."""
     return {
         "kind": "bisimplicial-set",
-        "bounds": [P, Q],
-        "counts": [list(level) for level in X.counts],
-        "h_faces": grid(lambda p, q: X.rows[q]._faces[p]),
-        "h_degeneracies": grid(lambda p, q: X.rows[q]._degens[p]),
-        "v_faces": grid(lambda p, q: X.columns[p]._faces[q]),
-        "v_degeneracies": grid(lambda p, q: X.columns[p]._degens[q]),
-        "labels": None if X.columns[0]._labels is None else [
-            [list(level) for level in col._labels] for col in X.columns
-        ],
+        "rows": [simplicial_to_dict(r) for r in X.rows],
+        "columns": [simplicial_to_dict(c) for c in X.columns],
     }
 
 
 def bisimplicial_from_dict(data: dict[str, Any]) -> TruncatedBisimplicialSet:
     if data.get("kind") != "bisimplicial-set":
         raise RejectedInput("expected a bisimplicial-set record")
+    record = "bisimplicial-set record"
     return TruncatedBisimplicialSet(
-        data["counts"],
-        data["h_faces"],
-        data["h_degeneracies"],
-        data["v_faces"],
-        data["v_degeneracies"],
-        data.get("labels"),
+        [simplicial_from_dict(r) for r in required_entry(data, "rows", record)],
+        [simplicial_from_dict(c) for c in required_entry(data, "columns", record)],
     )
 
 

@@ -53,6 +53,10 @@ class TruncatedSimplicialSet:
         self.bound: int = len(self.counts) - 1
         if len(faces) != self.bound + 1 or len(degeneracies) != self.bound + 1:
             raise RejectedInput("face/degeneracy tables must cover every dimension")
+        if len(faces[0]) or len(degeneracies[self.bound]):
+            raise RejectedInput(
+                "dimension 0 takes no face tables and the bound no degeneracy tables"
+            )
 
         built_faces: list[tuple[tuple[int, ...], ...]] = [()]
         for n in range(1, self.bound + 1):

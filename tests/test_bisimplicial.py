@@ -143,8 +143,8 @@ class TestCommutationAudit:
         from kancheck.serialize import bisimplicial_from_dict, bisimplicial_to_dict
 
         data = bisimplicial_to_dict(eg_tensor_3)
-        # swap two entries of one horizontal face table
-        table = data["h_faces"][1][1][0]
+        # swap two entries of one horizontal face table: d_0 of row 1 at p = 1
+        table = data["rows"][1]["faces"][1][0]
         table[0], table[1] = table[1], table[0]
         broken = bisimplicial_from_dict(data)
         assert not validate_bisimplicial_identities(broken).ok
@@ -163,30 +163,28 @@ class TestConstruction:
         data = bisimplicial_to_dict(point_bisimplicial(2, 2))
         bisimplicial_from_dict(data)
         p, q = level
-        data[grid][p][q] = [[0]]
+        # a horizontal table lives in row q at level p, a vertical one in column p at level q
+        line, n = (data["rows"][q], p) if grid.startswith("h_") else (data["columns"][p], q)
+        line["faces" if grid.endswith("_faces") else "degeneracies"][n] = [[0]]
         with pytest.raises(RejectedInput):
             bisimplicial_from_dict(data)
 
     def test_ragged_grid_rejected(self):
-        from kancheck.serialize import bisimplicial_to_dict
-        from kancheck.bisimplicial import TruncatedBisimplicialSet
+        from kancheck.serialize import bisimplicial_from_dict, bisimplicial_to_dict
 
         data = bisimplicial_to_dict(point_bisimplicial(1, 1))
-        data["v_faces"][1].pop()
+        data["columns"].pop()
         with pytest.raises(RejectedInput):
-            TruncatedBisimplicialSet(
-                data["counts"], data["h_faces"], data["h_degeneracies"],
-                data["v_faces"], data["v_degeneracies"],
-            )
+            bisimplicial_from_dict(data)
 
     def test_lines_must_agree_on_levels(self, eg_z2):
         from kancheck.bisimplicial import TruncatedBisimplicialSet
 
         X = tensor(eg_z2, eg_z2)
         with pytest.raises(RejectedInput):
-            TruncatedBisimplicialSet.from_lines(X.rows, X.columns[:-1])
+            TruncatedBisimplicialSet(X.rows, X.columns[:-1])
         with pytest.raises(RejectedInput):
-            TruncatedBisimplicialSet.from_lines(X.rows, (point(3),) * 4)
+            TruncatedBisimplicialSet(X.rows, (point(3),) * 4)
 
 
 class TestMaps:

@@ -58,10 +58,13 @@ class TestKanCommand:
         payload = {"group": {"labels": ["e", "g"], "table": [[0, 1], [1, 0]]}}
         path = tmp_path / "group.json"
         path.write_text(json.dumps(payload))
-        code, report = run_report(
-            ["kan", "--input", str(path), "--construction", "nerve", "--max-dim", "2"]
-        )
+        argv = ["kan", "--input", str(path), "--construction", "nerve", "--max-dim", "2"]
+        code, report = run_report(argv)
         assert code == 0
+        # a group entry missing its labels or degree is rejected input, not a crash
+        for entry in ({"table": [[0, 1], [1, 0]]}, {"generators": [[2, 1]]}):
+            path.write_text(json.dumps({"group": entry}))
+            assert run(argv) == (2, None)
 
     def test_input_file_explicit_set(self, tmp_path, z2_nerve):
         from kancheck.serialize import simplicial_to_dict
@@ -69,11 +72,19 @@ class TestKanCommand:
         payload = {"simplicial_set": simplicial_to_dict(z2_nerve)}
         path = tmp_path / "set.json"
         path.write_text(json.dumps(payload))
-        code, report = run_report(
-            ["kan", "--input", str(path), "--construction", "simplicial-set",
-             "--max-dim", "3"]
-        )
+        argv = ["kan", "--input", str(path), "--construction", "simplicial-set", "--max-dim", "3"]
+        code, report = run_report(argv)
         assert code == 0
+        # a record missing a table entry, or with a face table at dimension 0,
+        # is rejected input, not a crash or a silently different set
+        for key in ("counts", "faces", "degeneracies", None):
+            record = simplicial_to_dict(z2_nerve)
+            if key is None:
+                record["faces"][0] = [[0]]
+            else:
+                del record[key]
+            path.write_text(json.dumps({"simplicial_set": record}))
+            assert run(argv) == (2, None)
 
     def test_missing_source_errors(self, capsys):
         with pytest.raises(SystemExit):

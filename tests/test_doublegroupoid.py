@@ -18,6 +18,10 @@ from kancheck import (
 from kancheck.doublegroupoid import double_nerve_indexed
 from kancheck.errors import RejectedInput
 from kancheck.presets import preset_double_groupoid, z2_commuting
+from kancheck.serialize import simplicial_to_dict
+
+# square and asymmetric bounds: rows and columns are built to different bounds
+BOUNDS = [(3, 3), (1, 3), (3, 1)]
 
 
 @pytest.fixture(scope="module")
@@ -78,18 +82,23 @@ class TestDoubleNerve:
         assert NN.size(1, 1) == 3
         assert NN.size(2, 2) == 7
 
-    def test_lawful(self, s3_double_nerve):
-        assert validate_bisimplicial_identities(s3_double_nerve).ok
+    @pytest.mark.parametrize("P, Q", BOUNDS)
+    def test_lawful(self, s3_D, P, Q):
+        assert validate_bisimplicial_identities(double_nerve(s3_D, P, Q)).ok
 
-    def test_zero_column_is_nerve_of_vertical_group(self, s3_pair, s3_double_nerve):
+    @pytest.mark.parametrize("P, Q", BOUNDS)
+    def test_zero_column_is_nerve_of_vertical_group(self, s3_pair, s3_D, P, Q):
         B_group = subgroup_group(s3_pair.group, s3_pair.B)
-        expected = nerve(one_object_groupoid(B_group), 3)
-        assert column(s3_double_nerve, 0) == expected
+        expected = nerve(one_object_groupoid(B_group), Q)
+        got = column(double_nerve(s3_D, P, Q), 0)
+        assert simplicial_to_dict(got) == simplicial_to_dict(expected)
 
-    def test_zero_row_is_nerve_of_horizontal_group(self, s3_pair, s3_double_nerve):
+    @pytest.mark.parametrize("P, Q", BOUNDS)
+    def test_zero_row_is_nerve_of_horizontal_group(self, s3_pair, s3_D, P, Q):
         A_group = subgroup_group(s3_pair.group, s3_pair.A)
-        expected = nerve(one_object_groupoid(A_group), 3)
-        assert row(s3_double_nerve, 0) == expected
+        expected = nerve(one_object_groupoid(A_group), P)
+        got = row(double_nerve(s3_D, P, Q), 0)
+        assert simplicial_to_dict(got) == simplicial_to_dict(expected)
 
     def test_degenerate_levels_are_strings(self, s3_D):
         NN, keys = double_nerve_indexed(s3_D, 2, 2)
@@ -157,9 +166,14 @@ def _s4_pair_double_groupoid():
     return group_pair_double_groupoid(G, A, B)
 
 
-@pytest.mark.parametrize("which", ["s3-preset", "s4-pair"])
-def test_double_nerve_keys_match_filtered_product(which, s3_D):
+# the (3,3) cases keep the ids they had before the asymmetric bounds were added
+@pytest.mark.parametrize("which, P, Q", [
+    pytest.param(which, P, Q, id=which if (P, Q) == (3, 3) else f"{which}-{P}-{Q}")
+    for which in ("s3-preset", "s4-pair")
+    for P, Q in BOUNDS
+])
+def test_double_nerve_keys_match_filtered_product(which, P, Q, s3_D):
     D = s3_D if which == "s3-preset" else _s4_pair_double_groupoid()
-    _, keys = double_nerve_indexed(D, 3, 3)
-    assert keys == _filtered_product_keys(D, 3, 3)
-    assert len(keys[3][3]) > 0
+    _, keys = double_nerve_indexed(D, P, Q)
+    assert keys == _filtered_product_keys(D, P, Q)
+    assert len(keys[P][Q]) > 0
