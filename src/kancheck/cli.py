@@ -59,8 +59,9 @@ from .presets import (
 from .doublegroupoid import Square, double_nerve_indexed
 from .serialize import (
     certificate_to_dict,
-    family_from_dict,
     fibration_report_to_dict,
+    json_int_array,
+    json_shape,
     required_entry,
     simplicial_from_dict,
     sweep_report_to_dict,
@@ -160,28 +161,35 @@ class RunReport:
 
 
 def load_input(path: str) -> dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise RejectedInput(f"cannot read input file {path!r}: {exc}") from None
+    return json_shape(data, dict, "input file")
 
 
 def group_from_input(data: dict[str, Any]) -> FiniteGroup:
     entry = data.get("group")
     if entry is None:
         raise RejectedInput("input file has no 'group' entry")
+    json_shape(entry, dict, "group entry")
     if "table" in entry:
-        return group_from_table(required_entry(entry, "labels", "group entry"), entry["table"])
+        return group_from_table(
+            json_shape(required_entry(entry, "labels", "group entry"), list, "group labels"),
+            json_int_array(entry["table"], 2, "group table"),
+        )
     if "generators" in entry:
         return group_from_permutations(
-            required_entry(entry, "degree", "group entry"), entry["generators"]
+            json_shape(required_entry(entry, "degree", "group entry"), int, "group degree"),
+            json_int_array(entry["generators"], 2, "group generators"),
         )
     raise RejectedInput("group entry needs either labels+table or degree+generators")
 
 
 def subgroups_from_input(data: dict[str, Any], G: FiniteGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
     def resolve(key: str) -> tuple[int, ...]:
-        labels = data.get(key)
-        if labels is None:
-            raise RejectedInput(f"input file has no {key!r} entry")
+        labels = json_shape(required_entry(data, key, "input file"), list, key)
         return tuple(G.index(s) for s in labels)
 
     return resolve("subgroup_a"), resolve("subgroup_b")
@@ -280,7 +288,7 @@ def _build_kan_objects(
     indices: tuple[int, ...],
     max_dim: int,
 ) -> list[tuple[str, TruncatedSimplicialSet, dict[str, Any]]]:
-    """The simplicial sets a kan run will check, with reverification metadata."""
+    """The simplicial sets a kan run will check, with the metadata each reports."""
     out: list[tuple[str, TruncatedSimplicialSet, dict[str, Any]]] = []
     meta_base = {"construction": construction, "max_dim": max_dim}
     if construction == "simplicial-set":
@@ -412,9 +420,7 @@ def _s3_counterexample_checks() -> list[CheckResult]:
 
     def horn() -> CheckResult:
         cert = s3_diagonal_horn_certificate()
-        exhaustive = cert.candidates_examined == diagonal(
-            preset_bisimplicial("s3-counterexample", 2, 2)
-        ).size(2)
+        exhaustive = cert.candidates_examined == cert.family.f.domain.size(2)
         return CheckResult(
             "diagonal-horn-unfillable",
             (not cert.filled) and is_compatible(cert.family) and exhaustive,
@@ -522,96 +528,30 @@ def cmd_counterexample(args: argparse.Namespace) -> RunReport:
     )
 
 
-def _rebuild_for_reverify(config: dict[str, Any], meta: dict[str, Any]) -> TruncatedSimplicialSet:
-    construction = meta.get("construction")
-    preset = meta.get("preset", config.get("preset"))
-    if construction == "diagonal-horn":
-        return diagonal(preset_bisimplicial(preset, 2, 2))
-    max_dim = meta.get("max_dim", config.get("max_dim"))
-    data = load_input(config["input"]) if config.get("input") else None
-    indices = (meta.get("index", 0),)
-    return _build_kan_objects(preset, data, construction, indices, max_dim)[0][1]
-
-
-def _report_consistent(check_passed: bool, report: dict[str, Any]) -> bool:
-    """Whether an embedded report's derived fields agree with its cells.
-
-    Every cell is fully filled except the last cell before a failure, which
-    stops one short; the totals are the sums of the cells, and the verdicts
-    follow from the failure (and, for a boundary sweep, the base point).
-    """
-    failure = report["failure"]
-    if report.get("kind") == "pointwise-sweep":
-        size = "problems"
-        transposed = failure is not None and failure["transposed"]
-        sides = [
-            (report["direct_cells"], failure is not None and not transposed),
-            (report["transposed_cells"], transposed),
-        ]
-        total = sum(c[size] for cells, _ in sides for c in cells)
-        derived = (
-            report["problems_checked"] == total
-            and report["families_verified_compatible"] == total
-            and report["passed"] == (failure is None)
-        )
-    else:
-        size = "families"
-        sides = [(report["cells"], failure is not None)]
-        derived = (
-            report["families_checked"] == sum(c[size] for c in report["cells"])
-            and report["passed"] == (failure is None and not report["base_point_missing"])
-        )
-    for cells, failed in sides:
-        for k, c in enumerate(cells):
-            stops_short = failed and k == len(cells) - 1
-            if c["filled"] != c[size] - int(stops_short):
-                return False
-    return derived and check_passed == report["passed"]
-
-
 def reverify_report(report: RunReport) -> bool:
-    """Check every embedded report and re-run every embedded certificate.
+    """Re-run the report's command from its config and compare the verdicts.
 
-    Returns True when each embedded report's totals and verdicts agree with
-    its cells, and each embedded family is still compatible on the rebuilt
-    object with the brute-force search reproducing the recorded outcome,
-    witness and count.
+    Each config key becomes its own flag (``indices`` a repeated ``--index``).
+    Returns True only when the fresh ``verdict_dict()`` equals the report's
+    byte for byte; input that is rejected, or that the parser refuses, gives
+    False.  Nothing is printed to stdout.
     """
-    for check in report.checks:
-        if "report" in check.details and not _report_consistent(
-            check.passed, check.details["report"]
-        ):
-            return False
-        payload = None
-        meta = dict(check.details)
-        if "certificate" in check.details:
-            payload = check.details["certificate"]
-            meta.setdefault("construction", "diagonal-horn")
-        elif "report" in check.details and check.details["report"].get("failure"):
-            if check.details["report"]["kind"] == "pointwise-sweep":
-                # the sweep runs only once the diagonal passed the Kan check,
-                # and then every pointwise horn fills, so no sweep can fail
-                return False
-            payload = check.details["report"]["failure"]
-        if payload is None:
-            continue
-        X = _rebuild_for_reverify(report.config, meta)
-        f = to_point_map(X)
-        family = family_from_dict(f, payload["family"])
-        if not is_compatible(family):
-            return False
-        cert = brute_force_fill(family)
-        recorded_outcome = payload["outcome"]
-        if ("filled" if cert.filled else "unfillable") != recorded_outcome:
-            return False
-        if cert.candidates_examined != payload["candidates_examined"]:
-            return False
-        witness = payload.get("witness")
-        if (witness is None) != (cert.witness is None):
-            return False
-        if witness is not None and cert.witness.idx != witness["id"]:
-            return False
-    return True
+    argv = [report.command]
+    for key, value in report.config.items():
+        flag = "--index" if key == "indices" else "--" + key.replace("_", "-")
+        for item in value if isinstance(value, list) else [value]:
+            if item is not None:
+                argv += [flag, str(item)]
+    try:
+        args = _parse_args(argv)
+        fresh = args.func(args)
+    except (RejectedInput, SystemExit):
+        return False
+    return _verdict_bytes(fresh) == _verdict_bytes(report)
+
+
+def _verdict_bytes(report: RunReport) -> str:
+    return json.dumps(report.verdict_dict(), sort_keys=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -658,12 +598,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv: Sequence[str] | None = None) -> tuple[int, RunReport | None]:
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "preset", None) is None and getattr(args, "input", None) is None:
         if args.command in ("kan", "pointwise"):
             parser.error(f"{args.command} needs either --preset or --input")
+    return args
+
+
+def run(argv: Sequence[str] | None = None) -> tuple[int, RunReport | None]:
+    args = _parse_args(argv)
     try:
         report: RunReport = args.func(args)
     except RejectedInput as exc:

@@ -81,7 +81,7 @@ class FiniteGroup:
     def index(self, label: str) -> int:
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):
             raise RejectedInput(f"no element labelled {label!r}") from None
 
     def __repr__(self) -> str:

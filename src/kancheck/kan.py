@@ -1,8 +1,10 @@
-"""Compatible families, horn enumeration, brute-force fillers and Kan checks.
+"""Compatible families, horn enumeration, fillers and Kan checks.
 
 All searches scan simplices in ascending id order, so every certificate is
 reproducible.  Horn families are enumerated by backtracking with incremental
-compatibility pruning, never over the raw product of face choices.
+compatibility pruning, never over the raw product of face choices.  Both the
+fill and the enumeration scan a face fiber (the simplices with one given face)
+instead of a whole table, and report what a whole-table scan would report.
 """
 
 from __future__ import annotations
@@ -117,19 +119,29 @@ class FillCertificate:
 
 
 def brute_force_fill(family: CompatibleFamily) -> FillCertificate:
-    """Scan the whole n-simplex table in ascending id order for a filler."""
+    """The least-id filler of a family, or the proof that none exists.
+
+    Scans the smallest face fiber ``face_fiber(n, i, x_i)`` (the f-fiber of
+    the target when I is empty) in ascending id order and tests the other
+    faces and f on the raw tables.  ``candidates_examined`` is defined as the
+    count a scan of all of X_n would examine: ``witness.idx + 1``, or |X_n|
+    when nothing fills.
+    """
     if not is_compatible(family):
         raise RejectedInput("family is not compatible; nothing to fill")
-    X = family.f.domain
-    items = family.items()
-    examined = 0
-    for x in X.simplices(family.n):
-        examined += 1
-        if family.f.apply(x) != family.target:
-            continue
-        if all(X.face(i, x) == xi for i, xi in items):
-            return FillCertificate(family, x, examined)
-    return FillCertificate(family, None, examined)
+    f, n, y = family.f, family.n, family.target.idx
+    X = f.domain
+    pool = f.fiber(n, y)
+    for i, x in family.items():
+        by_face = X.face_fiber(n, i, x.idx)
+        if len(by_face) < len(pool):
+            pool = by_face
+    component = f.components[n]
+    tests = [(X._faces[n][i], x.idx) for i, x in family.items()]
+    for idx in pool:
+        if component[idx] == y and all(table[idx] == v for table, v in tests):
+            return FillCertificate(family, Simplex(n, idx), idx + 1)
+    return FillCertificate(family, None, X.size(n))
 
 
 def iter_compatible_families(
@@ -137,9 +149,11 @@ def iter_compatible_families(
 ) -> Iterator[CompatibleFamily]:
     """All f-compatible families for a fixed index set, in certificate order.
 
-    Backtracks over the faces in ascending index order; a candidate for the
-    next face is drawn from the fiber of ``f`` over the matching face of the
-    target and discarded at the first violated pairwise equation.
+    Backtracks over the faces in ascending index order.  A candidate for face
+    ``t`` is drawn from the fiber of ``f`` over the matching face of the
+    target or, for ``t >= 1`` when it is smaller, from the face fiber
+    ``face_fiber(n-1, i_0, d_{i_t-1} x_0)`` filtered by ``f``; either way it is
+    discarded at the first violated pairwise equation.
     """
     if n < 1 or n > f.domain.bound:
         raise RejectedInput(f"ambient dimension {n} outside bound {f.domain.bound}")
@@ -147,6 +161,7 @@ def iter_compatible_families(
     if indices and not 0 <= indices[0] <= indices[-1] <= n:
         raise RejectedInput(f"index set must lie inside [0, {n}]")
     X, Y = f.domain, f.codomain
+    component = f.components[n - 1]
 
     for y in Y.simplices(n):
         required = [Y.face(i, y).idx for i in indices]
@@ -157,7 +172,12 @@ def iter_compatible_families(
                 yield CompatibleFamily(f, n, indices, tuple(chosen), y)
                 return
             i_t = indices[t]
-            for idx in f.fiber(n - 1, required[t]):
+            pool = f.fiber(n - 1, required[t])
+            if t and n >= 2:
+                by_face = X.face_fiber(n - 1, indices[0], X.face(i_t - 1, chosen[0]).idx)
+                if len(by_face) < len(pool):
+                    pool = [idx for idx in by_face if component[idx] == required[t]]
+            for idx in pool:
                 x = Simplex(n - 1, idx)
                 if n >= 2 and any(
                     X.face(i_s, x) != X.face(i_t - 1, chosen[s])

@@ -35,15 +35,32 @@ def required_entry(data: dict[str, Any], key: str, record: str) -> Any:
         raise RejectedInput(f"{record} has no {key!r} entry") from None
 
 
+def json_shape(value: Any, kind: type, what: str) -> Any:
+    """``value`` when it is a ``kind`` (dict, list or int), else a rejection."""
+    if not isinstance(value, kind):
+        raise RejectedInput(f"{what} must be a {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
+def json_int_array(value: Any, depth: int, what: str) -> Any:
+    """``value`` when it is integers nested ``depth`` lists deep, else a rejection."""
+    if depth == 0:
+        return json_shape(value, int, what)
+    return [json_int_array(v, depth - 1, what) for v in json_shape(value, list, what)]
+
+
 def simplicial_from_dict(data: dict[str, Any]) -> TruncatedSimplicialSet:
-    if data.get("kind") != "simplicial-set":
-        raise RejectedInput("expected a simplicial-set record")
     record = "simplicial-set record"
+    if json_shape(data, dict, record).get("kind") != "simplicial-set":
+        raise RejectedInput("expected a simplicial-set record")
+    labels = data.get("labels")
     return TruncatedSimplicialSet(
-        required_entry(data, "counts", record),
-        required_entry(data, "faces", record),
-        required_entry(data, "degeneracies", record),
-        data.get("labels"),
+        json_int_array(required_entry(data, "counts", record), 1, "counts"),
+        json_int_array(required_entry(data, "faces", record), 3, "faces"),
+        json_int_array(required_entry(data, "degeneracies", record), 3, "degeneracies"),
+        None if labels is None else [
+            json_shape(level, list, "labels") for level in json_shape(labels, list, "labels")
+        ],
     )
 
 

@@ -1,14 +1,23 @@
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from kancheck import cyclic_group, nerve, one_object_groupoid
 from kancheck.cli import RunReport, build_parser, main, reverify_report, run
+from kancheck.serialize import simplicial_to_dict
 
 
 def run_report(argv):
     code, report = run(argv)
     assert report is not None
     return code, report
+
+
+def detached_dict(report):
+    """A copy of ``report.to_dict()`` that shares no dict with the report."""
+    return json.loads(json.dumps(report.to_dict()))
 
 
 class TestIdentitiesCommand:
@@ -61,14 +70,18 @@ class TestKanCommand:
         argv = ["kan", "--input", str(path), "--construction", "nerve", "--max-dim", "2"]
         code, report = run_report(argv)
         assert code == 0
-        # a group entry missing its labels or degree is rejected input, not a crash
-        for entry in ({"table": [[0, 1], [1, 0]]}, {"generators": [[2, 1]]}):
+        # a group entry missing its labels or degree, or with a number for its
+        # table, is rejected input, not a crash
+        for entry in (
+            {"table": [[0, 1], [1, 0]]}, {"generators": [[2, 1]]},
+            {"labels": ["e", "g"], "table": 7},
+        ):
             path.write_text(json.dumps({"group": entry}))
             assert run(argv) == (2, None)
+            # the report of the unedited file no longer re-verifies
+            assert reverify_report(report) is False
 
     def test_input_file_explicit_set(self, tmp_path, z2_nerve):
-        from kancheck.serialize import simplicial_to_dict
-
         payload = {"simplicial_set": simplicial_to_dict(z2_nerve)}
         path = tmp_path / "set.json"
         path.write_text(json.dumps(payload))
@@ -85,10 +98,78 @@ class TestKanCommand:
                 del record[key]
             path.write_text(json.dumps({"simplicial_set": record}))
             assert run(argv) == (2, None)
+        # so is a file that is not JSON, a missing file, a set given as a
+        # list and faces given as a number; re-verification says False
+        with_number_faces = dict(simplicial_to_dict(z2_nerve), faces=3)
+        for text in (
+            "not json", None, json.dumps({"simplicial_set": [1, 2]}),
+            json.dumps({"simplicial_set": with_number_faces}),
+        ):
+            if text is None:
+                path.unlink()
+            else:
+                path.write_text(text)
+            assert run(argv) == (2, None)
+            assert reverify_report(report) is False
 
     def test_missing_source_errors(self, capsys):
         with pytest.raises(SystemExit):
             main(["kan", "--construction", "nerve"])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.text(max_size=3),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+# valid records and the kan construction that reads each
+VALID_INPUTS = (
+    ({"group": {"labels": ["e", "g"], "table": [[0, 1], [1, 0]]}}, "nerve"),
+    ({"group": {"degree": 3, "generators": [[2, 1, 3]]}}, "nerve"),
+    ({"group": {"labels": ["e", "g"], "table": [[0, 1], [1, 0]]},
+      "subgroup_a": ["e"], "subgroup_b": ["e", "g"]}, "double-nerve-diagonal"),
+    ({"simplicial_set": simplicial_to_dict(nerve(one_object_groupoid(cyclic_group(2)), 2))},
+     "simplicial-set"),
+)
+
+
+def node_paths(node, path=()):
+    """The path to every node of a JSON value, the root included."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from node_paths(child, path + (key,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_input_exits_cleanly(tmp_path_factory, data):
+    # any one node of a valid record replaced by any JSON value gives a verdict
+    # or rejected input (exit 2), never a traceback
+    record, construction = data.draw(st.sampled_from(VALID_INPUTS))
+    record = json.loads(json.dumps(record))
+    path = data.draw(st.sampled_from(list(node_paths(record))))
+    value = data.draw(JSON_VALUES)
+    if path:
+        node = record
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    else:
+        record = value
+    source = tmp_path_factory.mktemp("mutated") / "input.json"
+    source.write_text(json.dumps(record))
+    code, _ = run(["kan", "--input", str(source), "--construction", construction,
+                   "--max-dim", "2"])
+    assert code in (0, 1, 2)
 
 
 class TestPointwiseCommand:
@@ -167,10 +248,12 @@ class TestReverify:
             ["kan", "--preset", "s3-counterexample",
              "--construction", "double-nerve-diagonal", "--max-dim", "2"]
         )
-        failure = report.checks[0].details["report"]["failure"]
+        data = detached_dict(report)
+        failure = data["checks"][0]["details"]["report"]["failure"]
         failure["outcome"] = "filled"
         failure["witness"] = {"dim": 2, "id": 0, "label": "forged"}
-        assert not reverify_report(report)
+        assert not reverify_report(RunReport.from_dict(data))
+        assert reverify_report(report)
 
     def test_passing_report_reverifies(self):
         _, report = run_report(
@@ -180,14 +263,40 @@ class TestReverify:
         assert report.overall_ok
         assert reverify_report(RunReport.from_dict(report.to_dict()))
 
+    def test_reverify_prints_nothing(self, capsys):
+        _, report = run_report(
+            ["kan", "--preset", "s3-counterexample", "--construction", "column",
+             "--max-dim", "3", "--format", "structured"]
+        )
+        capsys.readouterr()
+        assert reverify_report(report)
+        assert capsys.readouterr().out == ""
+
     def test_tampered_passing_count_detected(self):
         _, report = run_report(
             ["kan", "--preset", "s3-counterexample", "--construction", "column",
              "--max-dim", "3"]
         )
-        data = report.to_dict()
+        data = detached_dict(report)
         data["checks"][0]["details"]["report"]["families_checked"] = 999999
         assert not reverify_report(RunReport.from_dict(data))
+
+    def test_consistently_tampered_counts_detected(self):
+        # every cell one family larger, every cell still full, the total re-summed:
+        # a report whose counts agree with each other, but not with a re-run
+        _, report = run_report(
+            ["kan", "--preset", "s3-counterexample", "--construction", "column",
+             "--max-dim", "3"]
+        )
+        data = detached_dict(report)
+        for check in data["checks"]:
+            embedded = check["details"]["report"]
+            for cell in embedded["cells"]:
+                cell["families"] += 1
+                cell["filled"] += 1
+            embedded["families_checked"] = sum(c["families"] for c in embedded["cells"])
+        assert not reverify_report(RunReport.from_dict(data))
+        assert reverify_report(report)
 
     @pytest.mark.parametrize("tamper", [
         lambda check: check["details"]["report"].update(passed=False),
@@ -199,7 +308,7 @@ class TestReverify:
             ["kan", "--preset", "s3-counterexample", "--construction", "column",
              "--max-dim", "3"]
         )
-        data = report.to_dict()
+        data = detached_dict(report)
         tamper(data["checks"][0])
         assert not reverify_report(RunReport.from_dict(data))
 
@@ -209,13 +318,12 @@ class TestReverify:
         )
         assert reverify_report(report)
         for field in ("problems_checked", "families_verified_compatible"):
-            data = report.to_dict()
+            data = detached_dict(report)
             data["checks"][0]["details"]["report"][field] += 1
             assert not reverify_report(RunReport.from_dict(data))
 
     def test_failed_sweep_does_not_reverify(self, monkeypatch):
         import kancheck.pointwise
-        from kancheck.cli import _report_consistent
         from kancheck.kan import FillCertificate
 
         # a consistent report of a sweep failure, which no real run can produce
@@ -230,7 +338,6 @@ class TestReverify:
         assert code == 1
         check = report.checks[0]
         assert check.details["report"]["failure"] is not None
-        assert _report_consistent(check.passed, check.details["report"])
         assert reverify_report(RunReport.from_dict(report.to_dict())) is False
 
 

@@ -2,7 +2,8 @@
 
 Each file under ``tests/golden`` holds ``RunReport.verdict_dict()`` of one
 README command, as JSON.  Any change that moves a verdict, a count, a
-certificate id or a label fails here.
+certificate id or a label fails here, and each committed verdict must
+re-verify by re-running its own config.
 """
 
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from kancheck.cli import run
+from kancheck.cli import RunReport, reverify_report, run
 
 HERE = Path(__file__).parent
 
@@ -37,3 +38,5 @@ def test_verdict_matches_golden(name, capsys):
     capsys.readouterr()
     expected = json.loads((HERE / "golden" / f"{name}.json").read_text(encoding="utf-8"))
     assert json.loads(json.dumps(report.verdict_dict())) == expected
+    # re-running the committed verdict's config reproduces it
+    assert reverify_report(RunReport.from_dict(expected))

@@ -1,15 +1,22 @@
+import itertools
+
 import pytest
 
 from kancheck import (
     CompatibleFamily,
     Simplex,
+    SimplicialMap,
     brute_force_fill,
     check_kan_fibration,
     check_trivial_fibration_to_point,
+    cyclic_group,
     diagonal,
+    eg_construction,
     fill_partial_horn,
     is_compatible,
     iter_compatible_families,
+    nerve,
+    one_object_groupoid,
     point,
     to_point_map,
 )
@@ -26,9 +33,86 @@ def restriction_family(f, x, indices):
     )
 
 
+def full_scan_fill(family):
+    """The oracle: scan all of X_n in ascending id order for a filler.
+
+    Returns the first filler (or None) and the number of simplices examined.
+    """
+    X = family.f.domain
+    for x in X.simplices(family.n):
+        if family.f.apply(x) == family.target and all(
+            X.face(i, x) == xi for i, xi in family.items()
+        ):
+            return x, x.idx + 1
+    return None, X.size(family.n)
+
+
+def fiber_families(f, n, indices):
+    """The oracle enumeration: every face drawn from its whole f-fiber,
+    backtracking in ascending index order, as (faces, target) pairs."""
+    X, Y = f.domain, f.codomain
+    for y in Y.simplices(n):
+        required = [Y.face(i, y).idx for i in indices]
+
+        def extend(chosen):
+            t = len(chosen)
+            if t == len(indices):
+                yield tuple(chosen), y
+                return
+            for idx in f.fiber(n - 1, required[t]):
+                x = Simplex(n - 1, idx)
+                if n < 2 or all(
+                    X.face(indices[s], x) == X.face(indices[t] - 1, chosen[s])
+                    for s in range(t)
+                ):
+                    yield from extend(chosen + [x])
+
+        yield from extend([])
+
+
 @pytest.fixture(scope="module")
 def s3_diag_map():
     return to_point_map(diagonal(preset_bisimplicial("s3-counterexample", 2, 2)))
+
+
+@pytest.fixture(scope="module")
+def eg_diag_map(eg_tensor_3):
+    return to_point_map(diagonal(eg_tensor_3))
+
+
+@pytest.fixture(scope="module")
+def s3_identity_map(s3_nerve):
+    X = s3_nerve
+    return SimplicialMap(X, X, [list(range(X.counts[n])) for n in range(X.bound + 1)])
+
+
+@pytest.fixture(scope="module")
+def eg_sign_map(s3):
+    """EG(S3) -> BZ2, the universal cover followed by the sign: (g_0..g_n) goes
+    to the string of sign(g_{j-1}) + sign(g_j).  An edge's sign needs both of
+    its vertices, and its f-fiber (18) outgrows its face fiber (6), so both
+    searches must filter their face fibers by f."""
+    squares = {s3.mul(a, a) for a in range(s3.order)}
+    odd = [int(g not in squares) for g in range(s3.order)]
+    bound = 2
+    components = [
+        [
+            int("".join(str(odd[a] ^ odd[b]) for a, b in zip(c, c[1:])) or "0", 2)
+            for c in itertools.product(range(s3.order), repeat=n + 1)
+        ]
+        for n in range(bound + 1)
+    ]
+    Y = nerve(one_object_groupoid(cyclic_group(2)), bound)
+    return SimplicialMap(eg_construction(s3, bound), Y, components)
+
+
+# the Z2 and S3 nerves, a diagonal with an unfillable horn, a Kan diagonal,
+# and two maps that are not to the point: the identity, whose f-fibers are
+# single simplices, and a sign map, whose face fibers are filtered by f
+DIFFERENTIAL_MAPS = (
+    "z2_nerve_map", "s3_nerve_map", "s3_diag_map", "eg_diag_map", "s3_identity_map",
+    "eg_sign_map",
+)
 
 
 class TestCompatibility:
@@ -124,6 +208,30 @@ class TestBruteForceFill:
         assert report.failure.candidates_examined == X.size(2)
 
 
+class TestFaceFiberSearch:
+    """The face-fiber engine against the whole-fiber, whole-table oracles."""
+
+    @pytest.mark.parametrize("name", DIFFERENTIAL_MAPS)
+    def test_engine_matches_oracles_on_every_cell(self, name, request):
+        f = request.getfixturevalue(name)
+        unfilled = 0
+        for n in range(1, f.domain.bound + 1):
+            for k in range(-1, n + 1):
+                indices = tuple(i for i in range(n + 1) if i != k)
+                families = list(iter_compatible_families(f, n, indices))
+                assert [(fam.faces, fam.target) for fam in families] == list(
+                    fiber_families(f, n, indices)
+                )
+                for fam in families:
+                    cert = brute_force_fill(fam)
+                    assert (cert.witness, cert.candidates_examined) == full_scan_fill(fam)
+                    unfilled += not cert.filled
+        # some boundaries of the nerves and of the sign map, and a horn of the
+        # S3 diagonal, do not fill; every family on the diagonal of EG x EG and
+        # on the identity does
+        assert (unfilled > 0) == (name not in ("eg_diag_map", "s3_identity_map"))
+
+
 class TestKanCheck:
     def test_nerve_to_point_passes(self, z2_nerve_map):
         report = check_kan_fibration(z2_nerve_map, 3)
@@ -202,21 +310,21 @@ class TestPartialHorn:
         assert not cert.filled
         assert cert.failed_subfamily is not None
 
-    def test_oracle_equivalence_on_kan_fixtures(self, z2_nerve_map, s3_nerve_map):
+    def test_oracle_equivalence_on_kan_fixtures(self, request):
         # on a Kan-verified map, recursive filling succeeds exactly when the
-        # direct search does (witnesses may differ)
-        for f in (z2_nerve_map, s3_nerve_map):
+        # whole-table scan does (witnesses may differ); the S3 diagonal is not
+        # Kan, and there the two still agree on which partial horns fill
+        s3_diag_map = request.getfixturevalue("s3_diag_map")
+        for f in map(request.getfixturevalue, DIFFERENTIAL_MAPS):
+            outcomes = set()
             for n in (1, 2):
                 for size in range(1, n + 1):
-                    import itertools
-
                     for indices in itertools.combinations(range(n + 1), size):
                         for fam in iter_compatible_families(f, n, indices):
-                            assert (
-                                fill_partial_horn(fam).filled
-                                == brute_force_fill(fam).filled
-                                == True  # noqa: E712
-                            )
+                            filled = full_scan_fill(fam)[0] is not None
+                            assert fill_partial_horn(fam).filled == filled
+                            outcomes.add(filled)
+            assert outcomes == ({True, False} if f is s3_diag_map else {True})
 
 
 class TestTrivialFibration:
