@@ -122,7 +122,9 @@ class RunReport:
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "RunReport":
-        return RunReport(
+        """Read a report back; the recorded ``as_expected`` and ``overall_ok``
+        must be what ``passed`` and ``expected_to_pass`` imply."""
+        report = RunReport(
             data["command"],
             dict(data["config"]),
             dict(data["conventions"]),
@@ -135,6 +137,12 @@ class RunReport:
             ],
             dict(data.get("timings", {})),
         )
+        for c, check in zip(data["checks"], report.checks):
+            if c["as_expected"] != check.as_expected:
+                raise RejectedInput(f"check {check.name!r} records a wrong as_expected")
+        if data["overall_ok"] != report.overall_ok:
+            raise RejectedInput("the report records a wrong overall_ok")
+        return report
 
     def verdict_dict(self) -> dict[str, Any]:
         """The reproducible part of the report: everything except timings."""

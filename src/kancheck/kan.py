@@ -5,12 +5,18 @@ reproducible.  Horn families are enumerated by backtracking with incremental
 compatibility pruning, never over the raw product of face choices.  Both the
 fill and the enumeration scan a face fiber (the simplices with one given face)
 instead of a whole table, and report what a whole-table scan would report.
+
+One engine searches, on raw table ids: ``_families`` enumerates families and
+``_filler`` fills one.  ``iter_compatible_families`` and ``brute_force_fill``
+wrap it in objects; the Kan and trivial-fibration sweeps count on ids and
+build objects only for the first family that does not fill.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from functools import cached_property
+from typing import Iterator, Mapping, Sequence
 
 from .errors import InternalInvariantError, RejectedInput
 from .simplicial import Simplex, SimplicialMap, TruncatedSimplicialSet, to_point_map
@@ -64,6 +70,15 @@ class CompatibleFamily:
         indices = tuple(sorted(faces))
         return cls(f, n, indices, tuple(faces[i] for i in indices), target)
 
+    @property
+    def ids(self) -> tuple[int, ...]:
+        """The raw ids of the faces, in index-set order."""
+        return tuple(x.idx for x in self.faces)
+
+    @cached_property
+    def _equations_hold(self) -> bool:
+        return _compatible(self.f, self.n, self.index_set, self.ids, self.target.idx)
+
     def face(self, i: int) -> Simplex:
         return self.faces[self.index_set.index(i)]
 
@@ -78,19 +93,44 @@ class CompatibleFamily:
         return CompatibleFamily.from_mapping(self.f, self.n, mapping, self.target)
 
 
-def is_compatible(family: CompatibleFamily) -> bool:
-    """Check d_i x_j == d_{j-1} x_i for i < j in I, and f x_i == d_i y."""
-    X, Y = family.f.domain, family.f.codomain
-    for i, x in family.items():
-        if family.f.apply(x) != Y.face(i, family.target):
+def _compatible(
+    f: SimplicialMap, n: int, indices: Sequence[int], faces: Sequence[int], y: int
+) -> bool:
+    """The face equations of a family on raw ids: f x_i == d_i y, and
+    d_i x_j == d_{j-1} x_i for i < j in I."""
+    component, target_faces = f.components[n - 1], f.codomain._faces[n]
+    for i, x in zip(indices, faces):
+        if component[x] != target_faces[i][y]:
             return False
-    if family.n >= 2:
-        pairs = family.items()
-        for a, (i, xi) in enumerate(pairs):
-            for j, xj in pairs[a + 1:]:
-                if X.face(i, xj) != X.face(j - 1, xi):
+    if n >= 2:
+        tables = f.domain._faces[n - 1]
+        for a, (i, xi) in enumerate(zip(indices, faces)):
+            for j, xj in zip(indices[a + 1:], faces[a + 1:]):
+                if tables[i][xj] != tables[j - 1][xi]:
                     return False
     return True
+
+
+def is_compatible(family: CompatibleFamily) -> bool:
+    """Check d_i x_j == d_{j-1} x_i for i < j in I, and f x_i == d_i y.
+
+    A family is immutable, so its equations are evaluated once and the answer
+    is kept on it: a family handed through several checking entry points is
+    checked once.
+    """
+    return family._equations_hold
+
+
+def _check_witness(
+    f: SimplicialMap, n: int, indices: Sequence[int], faces: Sequence[int], y: int, w: int
+) -> None:
+    """Raise unless the n-simplex w has the family's faces and maps to y."""
+    tables = f.domain._faces[n]
+    for i, x in zip(indices, faces):
+        if tables[i][w] != x:
+            raise InternalInvariantError(f"witness face d_{i} mismatch")
+    if f.components[n][w] != y:
+        raise InternalInvariantError("witness does not map to the target")
 
 
 @dataclass(frozen=True)
@@ -104,44 +144,107 @@ class FillCertificate:
 
     def __post_init__(self) -> None:
         if self.witness is not None:
-            X = self.family.f.domain
-            if self.witness.dim != self.family.n:
+            fam = self.family
+            if self.witness.dim != fam.n:
                 raise InternalInvariantError("witness has the wrong dimension")
-            for i, x in self.family.items():
-                if X.face(i, self.witness) != x:
-                    raise InternalInvariantError(f"witness face d_{i} mismatch")
-            if self.family.f.apply(self.witness) != self.family.target:
-                raise InternalInvariantError("witness does not map to the target")
+            if not 0 <= self.witness.idx < fam.f.domain.counts[fam.n]:
+                raise InternalInvariantError(f"witness {self.witness} is not in the domain")
+            _check_witness(
+                fam.f, fam.n, fam.index_set, fam.ids, fam.target.idx, self.witness.idx
+            )
 
     @property
     def filled(self) -> bool:
         return self.witness is not None
 
 
+def _filler(
+    f: SimplicialMap, n: int, indices: Sequence[int], faces: Sequence[int], y: int
+) -> int | None:
+    """The least id of an n-simplex with faces x_i at I that maps to y, or None.
+
+    Scans the smallest face fiber ``face_fiber(n, i, x_i)`` (the f-fiber of y
+    when I is empty) in ascending id order and tests the other faces and f on
+    the raw tables.
+    """
+    X = f.domain
+    pool = f.fiber(n, y)
+    tests = []
+    for i, x in zip(indices, faces):
+        by_face = X.face_fiber(n, i, x)
+        if len(by_face) < len(pool):
+            pool = by_face
+        tests.append((X._faces[n][i], x))
+    component = f.components[n]
+    for w in pool:
+        if component[w] == y:
+            for table, v in tests:
+                if table[w] != v:
+                    break
+            else:
+                return w
+    return None
+
+
 def brute_force_fill(family: CompatibleFamily) -> FillCertificate:
     """The least-id filler of a family, or the proof that none exists.
 
-    Scans the smallest face fiber ``face_fiber(n, i, x_i)`` (the f-fiber of
-    the target when I is empty) in ascending id order and tests the other
-    faces and f on the raw tables.  ``candidates_examined`` is defined as the
-    count a scan of all of X_n would examine: ``witness.idx + 1``, or |X_n|
-    when nothing fills.
+    ``candidates_examined`` is defined as the count a scan of all of X_n in
+    ascending id order would examine: ``witness.idx + 1``, or |X_n| when
+    nothing fills.  The search itself scans one face fiber (see
+    :func:`_filler`).
     """
     if not is_compatible(family):
         raise RejectedInput("family is not compatible; nothing to fill")
-    f, n, y = family.f, family.n, family.target.idx
-    X = f.domain
-    pool = f.fiber(n, y)
-    for i, x in family.items():
-        by_face = X.face_fiber(n, i, x.idx)
-        if len(by_face) < len(pool):
-            pool = by_face
-    component = f.components[n]
-    tests = [(X._faces[n][i], x.idx) for i, x in family.items()]
-    for idx in pool:
-        if component[idx] == y and all(table[idx] == v for table, v in tests):
-            return FillCertificate(family, Simplex(n, idx), idx + 1)
-    return FillCertificate(family, None, X.size(n))
+    f, n = family.f, family.n
+    w = _filler(f, n, family.index_set, family.ids, family.target.idx)
+    if w is None:
+        return FillCertificate(family, None, f.domain.size(n))
+    return FillCertificate(family, Simplex(n, w), w + 1)
+
+
+def _families(
+    f: SimplicialMap, n: int, indices: tuple[int, ...]
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every f-compatible family over I as raw ids ``(y, faces)``, in
+    certificate order: targets ascending, then faces by backtracking.
+
+    A candidate for face ``t`` is drawn from the fiber of ``f`` over the
+    matching face of the target or, for ``t >= 1`` when it is smaller, from the
+    face fiber ``face_fiber(n-1, i_0, d_{i_t-1} x_0)`` filtered by ``f``; either
+    way it is discarded at the first violated pairwise equation.
+    """
+    X, Y = f.domain, f.codomain
+    component = f.components[n - 1]
+    target_faces = [Y._faces[n][i] for i in indices]
+    tables = X._faces[n - 1]
+    chosen = [0] * len(indices)
+
+    def extend(t: int, required: list[int]) -> Iterator[tuple[int, ...]]:
+        if t == len(indices):
+            yield tuple(chosen)
+            return
+        i_t, want = indices[t], required[t]
+        pool = f.fiber(n - 1, want)
+        # d_{i_s} x == d_{i_t - 1} x_s for every face x_s already chosen
+        tests = [
+            (tables[indices[s]], tables[i_t - 1][chosen[s]]) for s in range(t)
+        ] if n >= 2 else []
+        if tests:
+            by_face = X.face_fiber(n - 1, indices[0], tests[0][1])
+            if len(by_face) < len(pool):
+                pool = [x for x in by_face if component[x] == want]
+        for x in pool:
+            for table, v in tests:
+                if table[x] != v:
+                    break
+            else:
+                chosen[t] = x
+                yield from extend(t + 1, required)
+
+    for y in range(Y.counts[n]):
+        for faces in extend(0, [table[y] for table in target_faces]):
+            yield y, faces
 
 
 def iter_compatible_families(
@@ -149,46 +252,18 @@ def iter_compatible_families(
 ) -> Iterator[CompatibleFamily]:
     """All f-compatible families for a fixed index set, in certificate order.
 
-    Backtracks over the faces in ascending index order.  A candidate for face
-    ``t`` is drawn from the fiber of ``f`` over the matching face of the
-    target or, for ``t >= 1`` when it is smaller, from the face fiber
-    ``face_fiber(n-1, i_0, d_{i_t-1} x_0)`` filtered by ``f``; either way it is
-    discarded at the first violated pairwise equation.
+    Builds one :class:`CompatibleFamily` for each family the id engine
+    ``_families`` enumerates.
     """
     if n < 1 or n > f.domain.bound:
         raise RejectedInput(f"ambient dimension {n} outside bound {f.domain.bound}")
     indices = tuple(sorted(set(index_set)))
     if indices and not 0 <= indices[0] <= indices[-1] <= n:
         raise RejectedInput(f"index set must lie inside [0, {n}]")
-    X, Y = f.domain, f.codomain
-    component = f.components[n - 1]
-
-    for y in Y.simplices(n):
-        required = [Y.face(i, y).idx for i in indices]
-        chosen: list[Simplex] = []
-
-        def extend(t: int) -> Iterator[CompatibleFamily]:
-            if t == len(indices):
-                yield CompatibleFamily(f, n, indices, tuple(chosen), y)
-                return
-            i_t = indices[t]
-            pool = f.fiber(n - 1, required[t])
-            if t and n >= 2:
-                by_face = X.face_fiber(n - 1, indices[0], X.face(i_t - 1, chosen[0]).idx)
-                if len(by_face) < len(pool):
-                    pool = [idx for idx in by_face if component[idx] == required[t]]
-            for idx in pool:
-                x = Simplex(n - 1, idx)
-                if n >= 2 and any(
-                    X.face(i_s, x) != X.face(i_t - 1, chosen[s])
-                    for s, i_s in enumerate(indices[:t])
-                ):
-                    continue
-                chosen.append(x)
-                yield from extend(t + 1)
-                chosen.pop()
-
-        yield from extend(0)
+    for y, faces in _families(f, n, indices):
+        yield CompatibleFamily(
+            f, n, indices, tuple(Simplex(n - 1, x) for x in faces), Simplex(n, y)
+        )
 
 
 @dataclass(frozen=True)
@@ -229,17 +304,28 @@ def _fill_cells(
     f: SimplicialMap, kind: str, max_dim: int, cells: list[tuple[int, int]]
 ) -> FibrationReport:
     """Fill every family of each (n, k) cell in order, stopping at the first
-    unfillable one; k is the index left out of [n] (-1 leaves none out)."""
+    unfillable one; k is the index left out of [n] (-1 leaves none out).
+
+    Counts on raw ids: each family's equations and each witness are checked on
+    the tables, and objects are built only for the first family that does not
+    fill, whose certificate :func:`brute_force_fill` makes.
+    """
     done: list[HornCellStats] = []
     for n, k in cells:
         indices = tuple(i for i in range(n + 1) if i != k)
         families = filled = 0
-        for family in iter_compatible_families(f, n, indices):
+        for y, faces in _families(f, n, indices):
             families += 1
-            cert = brute_force_fill(family)
-            if not cert.filled:
+            if not _compatible(f, n, indices, faces, y):
+                raise InternalInvariantError("enumerated family is not compatible")
+            w = _filler(f, n, indices, faces, y)
+            if w is None:
+                family = CompatibleFamily(
+                    f, n, indices, tuple(Simplex(n - 1, x) for x in faces), Simplex(n, y)
+                )
                 done.append(HornCellStats(n, k, families, filled))
-                return FibrationReport(kind, max_dim, tuple(done), cert)
+                return FibrationReport(kind, max_dim, tuple(done), brute_force_fill(family))
+            _check_witness(f, n, indices, faces, y, w)
             filled += 1
         done.append(HornCellStats(n, k, families, filled))
     return FibrationReport(kind, max_dim, tuple(done), None)
@@ -275,15 +361,16 @@ def fill_partial_horn(family: CompatibleFamily) -> FillCertificate:
     x_k; the family enlarged by x_k is compatible again, and recursion on the
     larger index set finishes the job.  Both derived compatibilities are
     re-verified and raise if they ever fail, since they hold for every
-    compatible input.
+    compatible input; the recursive call's own entry check then reads the
+    answer kept on the family, so each family is checked once.
     """
     r = len(family.index_set)
     if not 1 <= r <= family.n:
         raise RejectedInput(f"partial horn needs 1 <= |I| <= n, got |I|={r}, n={family.n}")
-    if not is_compatible(family):
-        raise RejectedInput("family is not compatible; nothing to fill")
     if r == family.n:
         return brute_force_fill(family)
+    if not is_compatible(family):
+        raise RejectedInput("family is not compatible; nothing to fill")
 
     X, Y = family.f.domain, family.f.codomain
     n = family.n

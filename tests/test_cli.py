@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from kancheck import cyclic_group, nerve, one_object_groupoid
 from kancheck.cli import RunReport, build_parser, main, reverify_report, run
+from kancheck.errors import RejectedInput
 from kancheck.serialize import simplicial_to_dict
 
 
@@ -299,9 +300,13 @@ class TestReverify:
         assert reverify_report(report)
 
     @pytest.mark.parametrize("tamper", [
-        lambda check: check["details"]["report"].update(passed=False),
-        lambda check: check.update(passed=False),
-        lambda check: check["details"]["report"]["cells"][0].update(filled=0),
+        lambda data: data["checks"][0]["details"]["report"].update(passed=False),
+        # with as_expected and overall_ok flipped to match, so it reads back
+        lambda data: (
+            data["checks"][0].update(passed=False, as_expected=False),
+            data.update(overall_ok=False),
+        ),
+        lambda data: data["checks"][0]["details"]["report"]["cells"][0].update(filled=0),
     ], ids=["report-passed", "check-passed", "cell-filled"])
     def test_tampered_passing_verdict_detected(self, tamper):
         _, report = run_report(
@@ -309,8 +314,27 @@ class TestReverify:
              "--max-dim", "3"]
         )
         data = detached_dict(report)
-        tamper(data["checks"][0])
+        tamper(data)
         assert not reverify_report(RunReport.from_dict(data))
+
+    @pytest.mark.parametrize("tamper", [
+        lambda data: data.update(overall_ok=False),
+        lambda data: data["checks"][0].update(as_expected=False),
+        lambda data: (data.update(overall_ok=False), data["checks"][0].update(as_expected=False)),
+        lambda data: data["checks"][0].update(passed=False),
+    ], ids=["overall-ok", "as-expected", "both", "passed"])
+    def test_tampered_expectation_rejected(self, tamper):
+        # as_expected and overall_ok follow from passed and expected_to_pass,
+        # so a report that records other values is not read back at all
+        _, report = run_report(
+            ["kan", "--preset", "s3-counterexample", "--construction", "column",
+             "--max-dim", "3"]
+        )
+        assert report.overall_ok
+        data = detached_dict(report)
+        tamper(data)
+        with pytest.raises(RejectedInput):
+            RunReport.from_dict(data)
 
     def test_tampered_sweep_totals_detected(self):
         _, report = run_report(

@@ -21,6 +21,7 @@ from kancheck import (
     to_point_map,
 )
 from kancheck.errors import InternalInvariantError, RejectedInput
+from kancheck.kan import FibrationReport, FillCertificate, HornCellStats
 from kancheck.presets import preset_bisimplicial
 from kancheck.serialize import fibration_report_to_dict
 
@@ -68,6 +69,26 @@ def fiber_families(f, n, indices):
                     yield from extend(chosen + [x])
 
         yield from extend([])
+
+
+def oracle_report(f, kind, max_dim, cells):
+    """The oracle sweep: the (n, k) cells filled in order over objects, with
+    families from fiber_families and fills from full_scan_fill."""
+    done = []
+    for n, k in cells:
+        indices = tuple(i for i in range(n + 1) if i != k)
+        families = filled = 0
+        for faces, y in fiber_families(f, n, indices):
+            families += 1
+            family = CompatibleFamily(f, n, indices, faces, y)
+            witness, examined = full_scan_fill(family)
+            if witness is None:
+                done.append(HornCellStats(n, k, families, filled))
+                failure = FillCertificate(family, None, examined)
+                return FibrationReport(kind, max_dim, tuple(done), failure)
+            filled += 1
+        done.append(HornCellStats(n, k, families, filled))
+    return FibrationReport(kind, max_dim, tuple(done), None)
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +251,37 @@ class TestFaceFiberSearch:
         # S3 diagonal, do not fill; every family on the diagonal of EG x EG and
         # on the identity does
         assert (unfilled > 0) == (name not in ("eg_diag_map", "s3_identity_map"))
+
+
+class TestIdEngineReports:
+    """The sweeps count on raw ids; their reports must be the oracle's."""
+
+    @pytest.mark.parametrize("name", DIFFERENTIAL_MAPS)
+    def test_reports_match_oracle_sweep(self, name, request):
+        f = request.getfixturevalue(name)
+        d = f.domain.bound
+        kan = check_kan_fibration(f, d)
+        kan_cells = [(n, k) for n in range(1, d + 1) for k in range(n + 1)]
+        assert kan == oracle_report(f, "kan", d, kan_cells)
+        # only the S3 diagonal is not Kan; its failure is the oracle's too
+        assert kan.passed == (name != "s3_diag_map")
+        trivial = check_trivial_fibration_to_point(f.domain, d)
+        trivial_cells = [(n, -1) for n in range(1, d + 1)]
+        assert trivial == oracle_report(to_point_map(f.domain), "trivial", d, trivial_cells)
+
+    def test_passing_sweep_builds_no_family(self, eg_diag_map, s3_diag_map, monkeypatch):
+        built = []
+        post_init = CompatibleFamily.__post_init__
+
+        def counting(family):
+            built.append(family)
+            post_init(family)
+
+        monkeypatch.setattr(CompatibleFamily, "__post_init__", counting)
+        assert check_kan_fibration(eg_diag_map, 3).passed
+        assert built == []
+        report = check_kan_fibration(s3_diag_map, 2)
+        assert len(built) == 1 and built[0] is report.failure.family
 
 
 class TestKanCheck:

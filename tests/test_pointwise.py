@@ -7,6 +7,7 @@ from kancheck import (
     CompatibleFamily,
     Simplex,
     build_diagonal_family,
+    check_kan_fibration,
     column_map,
     diagonal_lift,
     diagonal_map,
@@ -166,6 +167,34 @@ class TestSweep:
         assert report.passed
         assert report.problems_checked > 0
         assert report.families_verified_compatible == report.problems_checked
+
+    def test_each_family_checked_once(self, eg_tensor_map, monkeypatch):
+        # every family's face equations are evaluated once: each family of the
+        # diagonal Kan check, each horn and the diagonal family built from it,
+        # and the subfamily and enlarged family of each partial-horn step
+        # (3368 here; the tree before counted 5928 is_compatible calls)
+        kan_families = check_kan_fibration(diagonal_map(eg_tensor_map), 3).families_checked
+        evaluated = steps = 0
+        compatible = kancheck.kan._compatible
+        fill = kancheck.kan.fill_partial_horn
+
+        def counting(*args):
+            nonlocal evaluated
+            evaluated += 1
+            return compatible(*args)
+
+        def counting_steps(family):
+            nonlocal steps
+            steps += len(family.index_set) < family.n
+            return fill(family)
+
+        monkeypatch.setattr(kancheck.kan, "_compatible", counting)
+        monkeypatch.setattr(kancheck.kan, "fill_partial_horn", counting_steps)
+        monkeypatch.setattr(kancheck.pointwise, "fill_partial_horn", counting_steps)
+        report = verify_pointwise_fillers(eg_tensor_map, 3)
+        assert report.passed
+        assert (kan_families, report.problems_checked, steps) == (1224, 656, 416)
+        assert evaluated == kan_families + 2 * report.problems_checked + 2 * steps == 3368
 
     def test_point_sweep(self):
         report = verify_pointwise_fillers(to_point_bimap(point_bisimplicial(2, 2)), 2)
