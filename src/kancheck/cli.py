@@ -122,25 +122,35 @@ class RunReport:
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "RunReport":
-        """Read a report back; the recorded ``as_expected`` and ``overall_ok``
-        must be what ``passed`` and ``expected_to_pass`` imply."""
-        report = RunReport(
-            data["command"],
-            dict(data["config"]),
-            dict(data["conventions"]),
-            [
-                CheckResult(
-                    c["name"], c["passed"], c["expected_to_pass"], c["summary"],
-                    dict(c["details"]),
-                )
-                for c in data["checks"]
-            ],
-            dict(data.get("timings", {})),
-        )
-        for c, check in zip(data["checks"], report.checks):
-            if c["as_expected"] != check.as_expected:
+        """Read a report back, refusing one with a missing or ill-typed entry;
+        the recorded ``as_expected`` and ``overall_ok`` must be what ``passed``
+        and ``expected_to_pass`` imply."""
+
+        def entry(record: dict[str, Any], key: str, kind: type, what: str) -> Any:
+            return json_shape(required_entry(record, key, what), kind, f"{what} {key!r}")
+
+        json_shape(data, dict, "report")
+        checks = []
+        for c in entry(data, "checks", list, "report"):
+            json_shape(c, dict, "check")
+            check = CheckResult(
+                entry(c, "name", str, "check"),
+                entry(c, "passed", bool, "check"),
+                entry(c, "expected_to_pass", bool, "check"),
+                entry(c, "summary", str, "check"),
+                dict(entry(c, "details", dict, "check")),
+            )
+            if entry(c, "as_expected", bool, "check") != check.as_expected:
                 raise RejectedInput(f"check {check.name!r} records a wrong as_expected")
-        if data["overall_ok"] != report.overall_ok:
+            checks.append(check)
+        report = RunReport(
+            entry(data, "command", str, "report"),
+            dict(entry(data, "config", dict, "report")),
+            dict(entry(data, "conventions", dict, "report")),
+            checks,
+            dict(json_shape(data.get("timings", {}), dict, "report 'timings'")),
+        )
+        if entry(data, "overall_ok", bool, "report") != report.overall_ok:
             raise RejectedInput("the report records a wrong overall_ok")
         return report
 

@@ -6,10 +6,11 @@ compatibility pruning, never over the raw product of face choices.  Both the
 fill and the enumeration scan a face fiber (the simplices with one given face)
 instead of a whole table, and report what a whole-table scan would report.
 
-One engine searches, on raw table ids: ``_families`` enumerates families and
-``_filler`` fills one.  ``iter_compatible_families`` and ``brute_force_fill``
-wrap it in objects; the Kan and trivial-fibration sweeps count on ids and
-build objects only for the first family that does not fill.
+One engine searches, on raw table ids: ``_families`` enumerates families,
+``_filler`` fills a full horn and ``_fill_partial`` a partial one.
+``iter_compatible_families``, ``brute_force_fill`` and ``fill_partial_horn``
+wrap it in objects; the Kan, trivial-fibration and pointwise sweeps count on
+ids and build objects only for the first family that does not fill.
 """
 
 from __future__ import annotations
@@ -70,6 +71,15 @@ class CompatibleFamily:
         indices = tuple(sorted(faces))
         return cls(f, n, indices, tuple(faces[i] for i in indices), target)
 
+    @classmethod
+    def of_ids(
+        cls, f: SimplicialMap, n: int, indices: Sequence[int], faces: Sequence[int], y: int
+    ) -> "CompatibleFamily":
+        """The family with raw face ids ``faces`` at ``indices`` and target id y."""
+        return cls(
+            f, n, tuple(indices), tuple(Simplex(n - 1, x) for x in faces), Simplex(n, y)
+        )
+
     @property
     def ids(self) -> tuple[int, ...]:
         """The raw ids of the faces, in index-set order."""
@@ -84,13 +94,6 @@ class CompatibleFamily:
 
     def items(self) -> tuple[tuple[int, Simplex], ...]:
         return tuple(zip(self.index_set, self.faces))
-
-    def with_face(self, i: int, x: Simplex) -> "CompatibleFamily":
-        if i in self.index_set:
-            raise RejectedInput(f"index {i} already present")
-        mapping = dict(self.items())
-        mapping[i] = x
-        return CompatibleFamily.from_mapping(self.f, self.n, mapping, self.target)
 
 
 def _compatible(
@@ -261,9 +264,7 @@ def iter_compatible_families(
     if indices and not 0 <= indices[0] <= indices[-1] <= n:
         raise RejectedInput(f"index set must lie inside [0, {n}]")
     for y, faces in _families(f, n, indices):
-        yield CompatibleFamily(
-            f, n, indices, tuple(Simplex(n - 1, x) for x in faces), Simplex(n, y)
-        )
+        yield CompatibleFamily.of_ids(f, n, indices, faces, y)
 
 
 @dataclass(frozen=True)
@@ -320,9 +321,7 @@ def _fill_cells(
                 raise InternalInvariantError("enumerated family is not compatible")
             w = _filler(f, n, indices, faces, y)
             if w is None:
-                family = CompatibleFamily(
-                    f, n, indices, tuple(Simplex(n - 1, x) for x in faces), Simplex(n, y)
-                )
+                family = CompatibleFamily.of_ids(f, n, indices, faces, y)
                 done.append(HornCellStats(n, k, families, filled))
                 return FibrationReport(kind, max_dim, tuple(done), brute_force_fill(family))
             _check_witness(f, n, indices, faces, y, w)
@@ -349,59 +348,79 @@ def check_trivial_fibration_to_point(
     return _fill_cells(to_point_map(X), "trivial", max_dim, cells)
 
 
+# a family on raw ids: (n, indices, faces, y)
+IdFamily = tuple[int, tuple[int, ...], tuple[int, ...], int]
+
+
+def _fill_partial(
+    f: SimplicialMap, n: int, indices: tuple[int, ...], faces: tuple[int, ...], y: int
+) -> tuple[int | None, int, IdFamily | None]:
+    """Fill a compatible partial horn (1 <= |I| <= n) on raw ids, by reduction
+    to full-horn fills.
+
+    Returns ``(w, examined, failed)``: the filler's id or None, the candidates
+    its full-horn fills examined (as :func:`brute_force_fill` counts them) and,
+    when nothing fills, the innermost derived family that did not fill (None
+    when the family itself is a full horn).
+
+    Double induction: a full horn goes to :func:`_filler` and its filler is
+    re-checked.  Otherwise let k be the largest missing index; the faces
+    ``d_{k-1} x_i`` (i < k) and ``d_k x_i`` (i > k), re-indexed to I' inside
+    [n-1], together with the target ``d_k y`` form a family one dimension
+    down.  Filling it recursively produces a candidate x_k; the family
+    enlarged by x_k is compatible again, and recursion on the larger index set
+    finishes the job.  Both derived compatibilities are re-verified and raise
+    if they ever fail, since they hold for every compatible input.
+    """
+    if len(indices) == n:
+        w = _filler(f, n, indices, faces, y)
+        if w is None:
+            return None, f.domain.counts[n], None
+        _check_witness(f, n, indices, faces, y, w)
+        return w, w + 1, None
+
+    k = max(i for i in range(n + 1) if i not in indices)  # k >= 1: two are missing
+    tables = f.domain._faces[n - 1]
+    sub_indices = tuple(i if i < k else i - 1 for i in indices)
+    sub_faces = tuple(tables[k - 1 if i < k else k][x] for i, x in zip(indices, faces))
+    sub_y = f.codomain._faces[n][k][y]
+    if not _compatible(f, n - 1, sub_indices, sub_faces, sub_y):
+        raise InternalInvariantError("derived family one dimension down is incompatible")
+
+    x_k, examined, failed = _fill_partial(f, n - 1, sub_indices, sub_faces, sub_y)
+    if x_k is None:
+        return None, examined, failed or (n - 1, sub_indices, sub_faces, sub_y)
+    at = sum(1 for i in indices if i < k)
+    enlarged = indices[:at] + (k,) + indices[at:]
+    enlarged_faces = faces[:at] + (x_k,) + faces[at:]
+    if not _compatible(f, n, enlarged, enlarged_faces, y):
+        raise InternalInvariantError("family enlarged by the found face is incompatible")
+
+    w, more, failed = _fill_partial(f, n, enlarged, enlarged_faces, y)
+    examined += more
+    if w is None:
+        return None, examined, failed or (n, enlarged, enlarged_faces, y)
+    return w, examined, None
+
+
 def fill_partial_horn(family: CompatibleFamily) -> FillCertificate:
     """Fill a partial horn (1 <= |I| <= n) by reduction to full-horn fills.
 
-    Double induction: a full horn goes straight to :func:`brute_force_fill`,
-    looked up by its module-global name at call time, so replacing that
-    attribute reaches every fill.  Otherwise let k be the largest missing
-    index; the faces ``d_{k-1} x_i`` (i < k) and ``d_k x_i`` (i > k),
-    re-indexed to I' inside [n-1], together with the target ``d_k y`` form a
-    family one dimension down.  Filling it recursively produces a candidate
-    x_k; the family enlarged by x_k is compatible again, and recursion on the
-    larger index set finishes the job.  Both derived compatibilities are
-    re-verified and raise if they ever fail, since they hold for every
-    compatible input; the recursive call's own entry check then reads the
-    answer kept on the family, so each family is checked once.
+    Wraps the id engine :func:`_fill_partial` in a :class:`FillCertificate`,
+    whose ``failed_subfamily`` is the innermost derived family that did not
+    fill.  A full horn gets the certificate :func:`brute_force_fill` would
+    give it.
     """
     r = len(family.index_set)
     if not 1 <= r <= family.n:
         raise RejectedInput(f"partial horn needs 1 <= |I| <= n, got |I|={r}, n={family.n}")
-    if r == family.n:
-        return brute_force_fill(family)
     if not is_compatible(family):
         raise RejectedInput("family is not compatible; nothing to fill")
-
-    X, Y = family.f.domain, family.f.codomain
-    n = family.n
-    k = max(i for i in range(n + 1) if i not in family.index_set)
-    sub_faces = {}
-    for i, x in family.items():
-        if i < k:
-            sub_faces[i] = X.face(k - 1, x)
-        else:
-            sub_faces[i - 1] = X.face(k, x)
-    subfamily = CompatibleFamily.from_mapping(
-        family.f, n - 1, sub_faces, Y.face(k, family.target)
+    f, n = family.f, family.n
+    w, examined, failed = _fill_partial(f, n, family.index_set, family.ids, family.target.idx)
+    if w is not None:
+        return FillCertificate(family, Simplex(n, w), examined)
+    return FillCertificate(
+        family, None, examined,
+        failed_subfamily=None if failed is None else CompatibleFamily.of_ids(f, *failed),
     )
-    if not is_compatible(subfamily):
-        raise InternalInvariantError("derived family one dimension down is incompatible")
-
-    sub_cert = fill_partial_horn(subfamily)
-    if not sub_cert.filled:
-        return FillCertificate(
-            family, None, sub_cert.candidates_examined,
-            failed_subfamily=sub_cert.failed_subfamily or subfamily,
-        )
-    enlarged = family.with_face(k, sub_cert.witness)
-    if not is_compatible(enlarged):
-        raise InternalInvariantError("family enlarged by the found face is incompatible")
-
-    cert = fill_partial_horn(enlarged)
-    examined = sub_cert.candidates_examined + cert.candidates_examined
-    if not cert.filled:
-        return FillCertificate(
-            family, None, examined,
-            failed_subfamily=cert.failed_subfamily or enlarged,
-        )
-    return FillCertificate(family, cert.witness, examined)

@@ -7,9 +7,16 @@ column map ``column_map(f, p)`` can be filled.  A horn is a
 at levels (p, q-1) and (p, q).  The construction degenerates
 the given faces up to the diagonal, fills one partial diagonal horn there, and
 carves the answer back down with faces.  Every intermediate step the argument
-relies on (dimension bookkeeping, compatibility of the built diagonal family,
-and the requested face/target relations of the answer) is re-verified at run
-time and raises ``InternalInvariantError`` if it ever fails.
+relies on (compatibility of the built diagonal family, of each derived
+partial-horn family, and the requested face/target relations of the answer)
+is re-verified at run time and raises ``InternalInvariantError`` if it ever
+fails.
+
+Each step runs on raw table ids: ``_diagonal_family`` degenerates,
+``kan._fill_partial`` fills and ``_answer`` cuts down.  The sweep counts on
+ids and builds objects only for the first horn that does not fill;
+``build_diagonal_family`` and ``diagonal_lift`` wrap the same steps in
+objects.
 
 Index bookkeeping, for a horn in column p, vertical dimension q >= 1 and
 missing index l: the diagonal family lives at dimension n = p + q over the
@@ -20,11 +27,12 @@ elements, so the partial-horn filler applies whenever q >= 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
 from .bisimplicial import (
     BiSimplex,
     BisimplicialMap,
+    TruncatedBisimplicialSet,
     column_map,
     diagonal_map,
     transpose_map,
@@ -33,12 +41,16 @@ from .errors import InternalInvariantError, RejectedInput, TruncationError
 from .kan import (
     CompatibleFamily,
     FillCertificate,
+    IdFamily,
+    _check_witness,
+    _compatible,
+    _families,
+    _fill_partial,
     check_kan_fibration,
     fill_partial_horn,
     is_compatible,
-    iter_compatible_families,
 )
-from .simplicial import Simplex, SimplicialMap
+from .simplicial import SimplicialMap
 
 
 def missing_index(horn: CompatibleFamily) -> int:
@@ -46,15 +58,60 @@ def missing_index(horn: CompatibleFamily) -> int:
     return next(i for i in range(horn.n + 1) if i not in horn.index_set)
 
 
-def _repeat(op: Callable[[int, BiSimplex], BiSimplex], index: int, times: int, x: BiSimplex) -> BiSimplex:
-    for _ in range(times):
-        x = op(index, x)
+def _repeat(tables: Sequence, i: int, times: int, level: int, x: int, step: int) -> int:
+    """Apply operator i ``times`` times to the id x, reading ``tables[level][i]``
+    and moving ``step`` levels each time (+1 for degeneracies, -1 for faces)."""
+    for m in range(level, level + step * times, step):
+        x = tables[m][i][x]
     return x
 
 
-def _expect_level(x: BiSimplex, p: int, q: int, what: str) -> None:
-    if (x.p, x.q) != (p, q):
-        raise InternalInvariantError(f"{what} landed at ({x.p},{x.q}), expected ({p},{q})")
+def _degenerate(X: TruncatedBisimplicialSet, p: int, m: int, s: int, x: int) -> int:
+    """``(s_0^h)^s (s_p^h)^(m-p-s) (s_s^v)^p x`` for x at level (p, m-p): a
+    bisimplex at (m, m).  Powers apply right to left."""
+    x = _repeat(X.columns[p]._degens, s, p, m - p, x, 1)
+    row = X.rows[m]._degens
+    x = _repeat(row, p, m - p - s, p, x, 1)
+    return _repeat(row, 0, s, m - s, x, 1)
+
+
+def _diagonal_family(
+    f: BisimplicialMap, diag_f: SimplicialMap, p: int, q: int, l: int,
+    faces: Sequence[int], y: int,
+) -> IdFamily:
+    """The diagonal family of a horn of column p, on raw ids, verified
+    compatible for ``diag_f``.
+
+    For the horn's dimension q and missing index l, face i maps to
+      (s_0^h)^{l-1} (s_p^h)^{q-l} (s_{l-1}^v)^p x_i   when i < l, kept at index i,
+      (s_0^h)^{l}   (s_p^h)^{q-l-1} (s_l^v)^p   x_i   when i > l, placed at index p+i,
+    and the target to (s_0^h)^l (s_p^h)^{q-l} (s_l^v)^p y.
+    """
+    n = p + q
+    indices = tuple(range(l)) + tuple(range(p + l + 1, n + 1))
+    lifted = tuple(
+        _degenerate(f.domain, p, n - 1, l - 1 if t < l else l, x) for t, x in enumerate(faces)
+    )
+    target = _degenerate(f.codomain, p, n, l, y)
+    if not _compatible(diag_f, n, indices, lifted, target):
+        raise InternalInvariantError("built diagonal family is not compatible")
+    return n, indices, lifted, target
+
+
+def _answer(
+    f: BisimplicialMap, p: int, q: int, l: int,
+    indices: Sequence[int], faces: Sequence[int], y: int, w: int,
+) -> int:
+    """Cut the diagonal filler w down by ``(d_{p+1}^h)^{q-l} (d_0^h)^l (d_l^v)^p``
+    to level (p, q), on raw ids, and check that the answer has every requested
+    face ``d_i^v x == x_i`` (i != l, the outer ones included) and maps to y."""
+    X, n = f.domain, p + q
+    x = _repeat(X.columns[n]._faces, l, p, n, w, -1)
+    row = X.rows[q]._faces
+    x = _repeat(row, 0, l, n, x, -1)
+    x = _repeat(row, p + 1, q - l, n - l, x, -1)
+    _check_witness(f.column_maps[p], q, indices, faces, y, x)
+    return x
 
 
 def build_diagonal_family(
@@ -62,19 +119,15 @@ def build_diagonal_family(
 ) -> CompatibleFamily:
     """Degenerate a horn of ``column_map(f, p)`` into a diagonal compatible family.
 
-    For the horn's dimension q and missing index l, face i maps to
-      (s_0^h)^{l-1} (s_p^h)^{q-l}   (s_{l-1}^v)^p x_i   when i < l, kept at index i,
-      (s_0^h)^{l}   (s_p^h)^{q-l-1} (s_l^v)^p     x_i   when i > l, placed at index p+i,
-    and the target to (s_0^h)^l (s_p^h)^{q-l} (s_l^v)^p y.  Powers apply right
-    to left as repeated single-index degeneracies.  The family is verified
-    compatible for the diagonal map before it is returned.
+    The object form of ``_diagonal_family``, which gives the degeneracies;
+    the family is verified compatible for the diagonal map.
     """
     if horn.f is not column_map(f, p):
         raise RejectedInput(f"the horn is not a horn of column {p}")
     if len(horn.index_set) != horn.n:
         raise RejectedInput(f"a pointwise horn leaves out exactly one index of [{horn.n}]")
     X, Y = f.domain, f.codomain
-    q, l = horn.n, missing_index(horn)
+    q = horn.n
     n = p + q
     if X.bounds[0] < n or X.bounds[1] < n or Y.bounds[0] < n or Y.bounds[1] < n:
         raise TruncationError(
@@ -84,37 +137,8 @@ def build_diagonal_family(
         raise RejectedInput("horn faces are not compatible with the target")
     if diag_f is None:
         diag_f = diagonal_map(f)
-
-    faces: dict[int, Simplex] = {}
-    for i, face in horn.items():
-        x = BiSimplex(p, q - 1, face.idx)
-        if i < l:
-            lifted = _repeat(X.v_degeneracy, l - 1, p, x)
-            lifted = _repeat(X.h_degeneracy, p, q - l, lifted)
-            lifted = _repeat(X.h_degeneracy, 0, l - 1, lifted)
-            _expect_level(lifted, n - 1, n - 1, f"degenerated face {i}")
-            faces[i] = Simplex(n - 1, lifted.idx)
-        else:
-            lifted = _repeat(X.v_degeneracy, l, p, x)
-            lifted = _repeat(X.h_degeneracy, p, q - l - 1, lifted)
-            lifted = _repeat(X.h_degeneracy, 0, l, lifted)
-            _expect_level(lifted, n - 1, n - 1, f"degenerated face {i}")
-            faces[p + i] = Simplex(n - 1, lifted.idx)
-
-    lifted_target = _repeat(Y.v_degeneracy, l, p, BiSimplex(p, q, horn.target.idx))
-    lifted_target = _repeat(Y.h_degeneracy, p, q - l, lifted_target)
-    lifted_target = _repeat(Y.h_degeneracy, 0, l, lifted_target)
-    _expect_level(lifted_target, n, n, "degenerated target")
-
-    expected_indices = tuple(sorted(list(range(l)) + [p + i for i in range(l + 1, q + 1)]))
-    family = CompatibleFamily.from_mapping(
-        diag_f, n, faces, Simplex(n, lifted_target.idx)
-    )
-    if family.index_set != expected_indices:
-        raise InternalInvariantError("diagonal index set does not match the construction")
-    if not is_compatible(family):
-        raise InternalInvariantError("built diagonal family is not compatible")
-    return family
+    family = _diagonal_family(f, diag_f, p, q, missing_index(horn), horn.ids, horn.target.idx)
+    return CompatibleFamily.of_ids(diag_f, *family)
 
 
 @dataclass(frozen=True)
@@ -138,30 +162,20 @@ def diagonal_lift(
 ) -> DiagonalLift:
     """Fill a horn of ``column_map(f, p)`` through the diagonal, with verification.
 
-    The filled diagonal simplex w is cut back down by
-    ``x = (d_{p+1}^h)^{q-l} (d_0^h)^l (d_l^v)^p w`` and the answer is checked
-    to satisfy ``d_i^v x == x_i`` for every i != l (including the outer ones)
-    and ``f x == y`` exactly.
+    The object form of the sweep's steps: :func:`build_diagonal_family`,
+    :func:`~kancheck.kan.fill_partial_horn`, then ``_answer`` cuts the filled
+    diagonal simplex back down and checks the requested relations exactly.
     """
     family = build_diagonal_family(f, p, horn, diag_f)
     cert = fill_partial_horn(family)
     if not cert.filled:
         return DiagonalLift(p, horn, family, cert, None)
-
-    X = f.domain
-    q, l = horn.n, missing_index(horn)
-    w = BiSimplex(p + q, p + q, cert.witness.idx)
-    x = _repeat(X.v_face, l, p, w)
-    x = _repeat(X.h_face, 0, l, x)
-    x = _repeat(X.h_face, p + 1, q - l, x)
-    _expect_level(x, p, q, "answer")
-    in_column = Simplex(q, x.idx)
-    for i, xi in horn.items():
-        if horn.f.domain.face(i, in_column) != xi:
-            raise InternalInvariantError(f"answer violates the requested face at {i}")
-    if horn.f.apply(in_column) != horn.target:
-        raise InternalInvariantError("answer does not map to the requested target")
-    return DiagonalLift(p, horn, family, cert, x)
+    q = horn.n
+    x = _answer(
+        f, p, q, missing_index(horn), horn.index_set, horn.ids, horn.target.idx,
+        cert.witness.idx,
+    )
+    return DiagonalLift(p, horn, family, cert, BiSimplex(p, q, x))
 
 
 @dataclass(frozen=True)
@@ -203,10 +217,17 @@ class PointwiseSweepReport:
 
 def _sweep(
     f: BisimplicialMap,
+    diag_f: SimplicialMap,
     max_total_dim: int,
     transposed: bool,
 ) -> tuple[tuple[SweepCell, ...], SweepFailure | None]:
-    diag_f = diagonal_map(f)
+    """Fill every horn of each (p, q, l) cell in order, stopping at the first
+    one that does not fill.
+
+    Counts on raw ids: each horn's equations are re-checked on the tables,
+    and objects are built only for the first horn that does not fill, whose
+    :class:`DiagonalLift` :func:`diagonal_lift` makes.
+    """
     cells: list[SweepCell] = []
     for p in range(max_total_dim):
         col_f = column_map(f, p)
@@ -214,13 +235,20 @@ def _sweep(
             for missing in range(q + 1):
                 indices = tuple(i for i in range(q + 1) if i != missing)
                 problems = filled = max_search = 0
-                for horn in iter_compatible_families(col_f, q, indices):
+                for y, faces in _families(col_f, q, indices):
                     problems += 1
-                    lift = diagonal_lift(f, p, horn, diag_f)
-                    max_search = max(max_search, lift.certificate.candidates_examined)
-                    if not lift.filled:
+                    if not _compatible(col_f, q, indices, faces, y):
+                        raise InternalInvariantError("enumerated horn is not compatible")
+                    family = _diagonal_family(f, diag_f, p, q, missing, faces, y)
+                    w, examined, _ = _fill_partial(diag_f, *family)
+                    max_search = max(max_search, examined)
+                    if w is None:
+                        horn = CompatibleFamily.of_ids(col_f, q, indices, faces, y)
                         cells.append(SweepCell(p, q, missing, problems, filled, max_search))
-                        return tuple(cells), SweepFailure(transposed, lift)
+                        return tuple(cells), SweepFailure(
+                            transposed, diagonal_lift(f, p, horn, diag_f)
+                        )
+                    _answer(f, p, q, missing, indices, faces, y, w)
                     filled += 1
                 cells.append(SweepCell(p, q, missing, problems, filled, max_search))
     return tuple(cells), None
@@ -252,8 +280,9 @@ def verify_pointwise_fillers(f: BisimplicialMap, max_total_dim: int) -> Pointwis
             f"I={fail.family.index_set}, faces="
             f"{tuple(x.idx for x in fail.family.faces)}"
         )
-    direct, failure = _sweep(f, max_total_dim, transposed=False)
+    direct, failure = _sweep(f, diag_f, max_total_dim, transposed=False)
     if failure is not None:
         return PointwiseSweepReport(max_total_dim, direct, (), failure)
-    transposed, failure = _sweep(transpose_map(f), max_total_dim, transposed=True)
+    g = transpose_map(f)
+    transposed, failure = _sweep(g, diagonal_map(g), max_total_dim, transposed=True)
     return PointwiseSweepReport(max_total_dim, direct, transposed, failure)

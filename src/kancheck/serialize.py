@@ -36,7 +36,7 @@ def required_entry(data: dict[str, Any], key: str, record: str) -> Any:
 
 
 def json_shape(value: Any, kind: type, what: str) -> Any:
-    """``value`` when it is a ``kind`` (dict, list or int), else a rejection."""
+    """``value`` when it is a ``kind`` (dict, list, int, bool or str), else a rejection."""
     if not isinstance(value, kind):
         raise RejectedInput(f"{what} must be a {kind.__name__}, not {type(value).__name__}")
     return value

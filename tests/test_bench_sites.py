@@ -17,8 +17,12 @@ tracing = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracing)
 
 # pointwise fills only through kan.fill_partial_horn, so it no longer imports
-# brute_force_fill; the kancheck.kan site still counts those fills
-RETIRED = {"kancheck.pointwise:brute_force_fill"}
+# brute_force_fill; its sweep enumerates horns with the id engine kan._families,
+# so it no longer imports iter_compatible_families either
+RETIRED = {
+    "kancheck.pointwise:brute_force_fill",
+    "kancheck.pointwise:iter_compatible_families",
+}
 
 SITES = sorted({site for sites in tracing.SITES.values() for site in sites})
 

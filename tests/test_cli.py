@@ -336,6 +336,20 @@ class TestReverify:
         with pytest.raises(RejectedInput):
             RunReport.from_dict(data)
 
+    @pytest.mark.parametrize("malformed", [
+        lambda data: {"command": "kan"},
+        lambda data: {
+            **data,
+            "checks": [{k: v for k, v in data["checks"][0].items() if k != "passed"}],
+        },
+        lambda data: {**data, "checks": 5},
+    ], ids=["no-config", "check-without-passed", "checks-not-a-list"])
+    def test_malformed_report_rejected(self, malformed):
+        # a report with a missing or ill-typed entry is refused, not crashed on
+        _, report = run_report(["identities", "--max-n", "4"])
+        with pytest.raises(RejectedInput):
+            RunReport.from_dict(malformed(detached_dict(report)))
+
     def test_tampered_sweep_totals_detected(self):
         _, report = run_report(
             ["pointwise", "--preset", "eg-tensor", "--max-total-dim", "2"]
@@ -347,14 +361,12 @@ class TestReverify:
             assert not reverify_report(RunReport.from_dict(data))
 
     def test_failed_sweep_does_not_reverify(self, monkeypatch):
+        import kancheck.kan
         import kancheck.pointwise
-        from kancheck.kan import FillCertificate
 
         # a consistent report of a sweep failure, which no real run can produce
-        monkeypatch.setattr(
-            kancheck.pointwise, "fill_partial_horn",
-            lambda family: FillCertificate(family, None, 0),
-        )
+        for module in (kancheck.kan, kancheck.pointwise):
+            monkeypatch.setattr(module, "_fill_partial", lambda *family: (None, 0, None))
         code, report = run_report(
             ["pointwise", "--preset", "eg-tensor", "--max-total-dim", "2"]
         )

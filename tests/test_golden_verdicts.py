@@ -21,6 +21,7 @@ COMMANDS = {
         "kan --preset s3-counterexample --construction double-nerve-diagonal --max-dim 2",
     "kan-s3-column": "kan --preset s3-counterexample --construction column --max-dim 3",
     "pointwise-eg-tensor": "pointwise --preset eg-tensor --max-total-dim 3",
+    "pointwise-z2-commuting": "pointwise --preset z2-commuting --max-total-dim 2",
     "counterexample-s3": "counterexample --preset s3-counterexample",
     "counterexample-eg-tensor": "counterexample --preset eg-tensor",
 }

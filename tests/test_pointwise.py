@@ -1,4 +1,5 @@
 import pytest
+from test_kan import fiber_families, full_scan_fill
 
 import kancheck.kan
 import kancheck.pointwise
@@ -16,10 +17,12 @@ from kancheck import (
     missing_index,
     point_bisimplicial,
     to_point_bimap,
+    transpose_map,
     verify_pointwise_fillers,
 )
 from kancheck.errors import RejectedInput, TruncationError
 from kancheck.kan import FillCertificate
+from kancheck.pointwise import SweepCell
 from kancheck.presets import preset_bisimplicial
 from kancheck.serialize import sweep_report_to_dict
 
@@ -33,8 +36,95 @@ def restriction_horn(f, w, missing):
     return CompatibleFamily.from_mapping(col_f, w.q, faces, col_f.apply(x))
 
 
-def refuse(family):
-    return FillCertificate(family, None, 0)
+def repeat(op, index, times, x):
+    for _ in range(times):
+        x = op(index, x)
+    return x
+
+
+def oracle_partial_fill(family):
+    """The object recursion: a full horn is scanned by full_scan_fill; otherwise
+    fill the family one dimension down at the largest missing index k, enlarge
+    by the answer, and fill again.  Returns (witness or None, examined)."""
+    X, Y = family.f.domain, family.f.codomain
+    n = family.n
+    if len(family.index_set) == n:
+        return full_scan_fill(family)
+    k = max(i for i in range(n + 1) if i not in family.index_set)
+    sub_faces = {
+        i if i < k else i - 1: X.face(k - 1 if i < k else k, x) for i, x in family.items()
+    }
+    sub = CompatibleFamily.from_mapping(family.f, n - 1, sub_faces, Y.face(k, family.target))
+    assert is_compatible(sub)
+    x_k, examined = oracle_partial_fill(sub)
+    if x_k is None:
+        return None, examined
+    enlarged = CompatibleFamily.from_mapping(
+        family.f, n, {**dict(family.items()), k: x_k}, family.target
+    )
+    assert is_compatible(enlarged)
+    w, more = oracle_partial_fill(enlarged)
+    return w, examined + more
+
+
+def oracle_lift(f, p, horn, diag_f):
+    """One pointwise fill over objects: BiSimplex degeneracies up to the
+    diagonal, the object recursion there, BiSimplex faces back down.  Returns
+    (answer or None, examined)."""
+    X, Y = f.domain, f.codomain
+    q, l = horn.n, missing_index(horn)
+    n = p + q
+    faces = {}
+    for i, face in horn.items():
+        x = BiSimplex(p, q - 1, face.idx)
+        if i < l:
+            x = repeat(X.v_degeneracy, l - 1, p, x)
+            x = repeat(X.h_degeneracy, 0, l - 1, repeat(X.h_degeneracy, p, q - l, x))
+            faces[i] = Simplex(n - 1, x.idx)
+        else:
+            x = repeat(X.v_degeneracy, l, p, x)
+            x = repeat(X.h_degeneracy, 0, l, repeat(X.h_degeneracy, p, q - l - 1, x))
+            faces[p + i] = Simplex(n - 1, x.idx)
+        assert (x.p, x.q) == (n - 1, n - 1)
+    y = repeat(Y.v_degeneracy, l, p, BiSimplex(p, q, horn.target.idx))
+    y = repeat(Y.h_degeneracy, 0, l, repeat(Y.h_degeneracy, p, q - l, y))
+    family = CompatibleFamily.from_mapping(diag_f, n, faces, Simplex(n, y.idx))
+    assert is_compatible(family)
+    w, examined = oracle_partial_fill(family)
+    if w is None:
+        return None, examined
+    x = repeat(X.v_face, l, p, BiSimplex(n, n, w.idx))
+    x = repeat(X.h_face, p + 1, q - l, repeat(X.h_face, 0, l, x))
+    assert (x.p, x.q) == (p, q)
+    for i, xi in horn.items():
+        assert X.v_face(i, x) == BiSimplex(p, q - 1, xi.idx)
+    assert f.apply(x) == BiSimplex(p, q, horn.target.idx)
+    return x, examined
+
+
+def oracle_cells(f, max_total_dim):
+    """The sweep's cells over objects: horns from fiber_families, each lifted
+    by oracle_lift."""
+    diag_f = diagonal_map(f)
+    cells = []
+    for p in range(max_total_dim):
+        col_f = column_map(f, p)
+        for q in range(1, max_total_dim - p + 1):
+            for missing in range(q + 1):
+                indices = tuple(i for i in range(q + 1) if i != missing)
+                problems = filled = max_search = 0
+                for faces, y in fiber_families(col_f, q, indices):
+                    horn = CompatibleFamily(col_f, q, indices, faces, y)
+                    x, examined = oracle_lift(f, p, horn, diag_f)
+                    problems += 1
+                    filled += x is not None
+                    max_search = max(max_search, examined)
+                cells.append(SweepCell(p, q, missing, problems, filled, max_search))
+    return tuple(cells)
+
+
+def refuse(f, n, indices, faces, y):
+    return None, 0, None
 
 
 class TestProblemValidation:
@@ -153,7 +243,7 @@ class TestPointwiseFiller:
         assert lift.diagonal_family.n == 2
 
     def test_failure_propagates_as_unfilled(self, eg_tensor_map, monkeypatch):
-        monkeypatch.setattr(kancheck.kan, "brute_force_fill", refuse)
+        monkeypatch.setattr(kancheck.kan, "_filler", lambda *family: None)
         horn = restriction_horn(eg_tensor_map, BiSimplex(1, 1, 3), 0)
         lift = diagonal_lift(eg_tensor_map, 1, horn)
         assert not lift.filled
@@ -176,21 +266,21 @@ class TestSweep:
         kan_families = check_kan_fibration(diagonal_map(eg_tensor_map), 3).families_checked
         evaluated = steps = 0
         compatible = kancheck.kan._compatible
-        fill = kancheck.kan.fill_partial_horn
+        fill = kancheck.kan._fill_partial
 
         def counting(*args):
             nonlocal evaluated
             evaluated += 1
             return compatible(*args)
 
-        def counting_steps(family):
+        def counting_steps(f, n, indices, faces, y):
             nonlocal steps
-            steps += len(family.index_set) < family.n
-            return fill(family)
+            steps += len(indices) < n
+            return fill(f, n, indices, faces, y)
 
-        monkeypatch.setattr(kancheck.kan, "_compatible", counting)
-        monkeypatch.setattr(kancheck.kan, "fill_partial_horn", counting_steps)
-        monkeypatch.setattr(kancheck.pointwise, "fill_partial_horn", counting_steps)
+        for module in (kancheck.kan, kancheck.pointwise):
+            monkeypatch.setattr(module, "_compatible", counting)
+            monkeypatch.setattr(module, "_fill_partial", counting_steps)
         report = verify_pointwise_fillers(eg_tensor_map, 3)
         assert report.passed
         assert (kan_families, report.problems_checked, steps) == (1224, 656, 416)
@@ -244,17 +334,19 @@ class TestSweep:
         # in the transposed run, let every horn of the direct sweep's cell fill
         skip = clean.direct_cells[position(clean.direct_cells)].problems if transposed else 0
         seen = 0
-        fill = kancheck.pointwise.fill_partial_horn
+        fill = kancheck.kan._fill_partial
 
-        def refusing(family):
+        def refusing(f, n, indices, faces, y):
             nonlocal seen
-            if (family.n, family.index_set) == diagonal_horn:
+            if (n, indices) == diagonal_horn:
                 seen += 1
                 if seen > skip:
-                    return refuse(family)
-            return fill(family)
+                    return refuse(f, n, indices, faces, y)
+            return fill(f, n, indices, faces, y)
 
-        monkeypatch.setattr(kancheck.pointwise, "fill_partial_horn", refusing)
+        # the sweep and the failure's diagonal_lift both fill through the engine
+        monkeypatch.setattr(kancheck.kan, "_fill_partial", refusing)
+        monkeypatch.setattr(kancheck.pointwise, "_fill_partial", refusing)
         report = verify_pointwise_fillers(f, 2)
         data = sweep_report_to_dict(report)
         assert not data["passed"]
@@ -273,3 +365,53 @@ class TestSweep:
         last = cells[-1]
         assert (last.p, last.q, last.missing) == (p, q, missing)
         assert (last.problems, last.filled) == (1, 0)
+
+
+class TestIdSweep:
+    """The sweep runs on raw ids; its cells must be the object oracle's."""
+
+    @pytest.mark.parametrize("name, dim", [
+        ("eg-tensor", 2), ("eg-tensor", 3), ("z2-commuting", 2), ("point", 2),
+    ])
+    def test_cells_match_object_oracle(self, name, dim):
+        X = point_bisimplicial(dim, dim) if name == "point" else preset_bisimplicial(
+            name, dim, dim
+        )
+        f = to_point_bimap(X)
+        report = verify_pointwise_fillers(f, dim)
+        assert report.passed
+        assert report.direct_cells == oracle_cells(f, dim)
+        assert report.transposed_cells == oracle_cells(transpose_map(f), dim)
+
+    def test_eg_tensor_dim4_closed_form(self):
+        # column p of EG x EG is the discrete EG_p times EG; a q-horn of EG is
+        # one vertex for q = 1 and all q + 1 vertices above
+        f = to_point_bimap(preset_bisimplicial("eg-tensor", 4, 4))
+        report = verify_pointwise_fillers(f, 4)
+        assert report.passed
+        for c in report.direct_cells + report.transposed_cells:
+            want = 2 ** (c.p + 1) * 2 ** (1 if c.q == 1 else c.q + 1)
+            assert c.problems == c.filled == want
+        assert report.problems_checked == 2320
+
+    def test_passing_sweep_builds_no_objects(self, eg_tensor_map, monkeypatch):
+        built = []
+        for cls in (CompatibleFamily, FillCertificate):
+            def counting(obj, post_init=cls.__post_init__):
+                built.append(obj)
+                post_init(obj)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        lift = kancheck.pointwise.DiagonalLift
+
+        def recording(*args):
+            built.append(args)
+            return lift(*args)
+
+        monkeypatch.setattr(kancheck.pointwise, "DiagonalLift", recording)
+        assert verify_pointwise_fillers(eg_tensor_map, 3).passed
+        assert built == []
+        # the counters do see the objects a lift builds
+        diagonal_lift(eg_tensor_map, 1, restriction_horn(eg_tensor_map, BiSimplex(1, 1, 3), 0))
+        kinds = {type(x) for x in built}
+        assert {CompatibleFamily, FillCertificate, tuple} <= kinds
