@@ -53,7 +53,6 @@ from .groupoids import (
     discrete_groupoid,
     eg_construction,
     eg_simplex,
-    groupoid_horn_filler,
     nerve,
     nerve_indexed,
     one_object_groupoid,
@@ -79,14 +78,7 @@ from .ordinal import (
     compose_ordinal,
     factorize,
 )
-from .pointwise import (
-    DiagonalLift,
-    PointwiseSweepReport,
-    build_diagonal_family,
-    diagonal_lift,
-    missing_index,
-    verify_pointwise_fillers,
-)
+from .pointwise import PointwiseSweepReport, verify_pointwise_fillers
 from .simplicial import (
     IdentityReport,
     Simplex,

@@ -1,4 +1,4 @@
-"""Finite groupoids, their nerves, algebraic horn fillers, and universal covers.
+"""Finite groupoids, their nerves, and universal covers.
 
 Nerve strings follow the right-to-left picture ``a_0 <- a_1 <- ... <- a_n``:
 an n-simplex is a tuple ``(f_1, ..., f_n)`` with ``f_t : a_t -> a_{t-1}``, so
@@ -9,12 +9,11 @@ identity arrow.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from typing import Any, Callable, Sequence
 
-from .errors import InternalInvariantError, RejectedInput
+from .errors import RejectedInput
 from .groups import FiniteGroup
-from .kan import CompatibleFamily, FillCertificate, is_compatible
 from .simplicial import Simplex, TruncatedSimplicialSet
 
 
@@ -238,67 +237,6 @@ def nerve_indexed(C: FiniteGroupoid, bound: int) -> tuple[TruncatedSimplicialSet
 def nerve(C: FiniteGroupoid, bound: int) -> TruncatedSimplicialSet:
     """Strings of composable arrows, with composing faces and identity insertions."""
     return nerve_indexed(C, bound)[0]
-
-
-@lru_cache(maxsize=64)
-def _nerve_indexed_cached(C: FiniteGroupoid, bound: int):
-    # groupoids are immutable and compared by identity, so caching is sound
-    return nerve_indexed(C, bound)
-
-
-def groupoid_horn_filler(C: FiniteGroupoid, family: CompatibleFamily) -> FillCertificate:
-    """Solve a full horn on nerve(C) -> point arrow-algebraically, no search.
-
-    Supports n <= 3.  The missing arrows of the filler string are recovered
-    from the given faces using composition and inverses; the resulting witness
-    is re-verified by the certificate constructor.
-    """
-    n = family.n
-    if len(family.index_set) != n:
-        raise RejectedInput("the algebraic filler only handles full horns (|I| = n)")
-    if n > 3:
-        raise RejectedInput("the algebraic filler is implemented for n <= 3")
-    if not is_compatible(family):
-        raise RejectedInput("family is not compatible; nothing to fill")
-    X = family.f.domain
-    built, keys = _nerve_indexed_cached(C, X.bound)
-    if X != built:
-        raise RejectedInput("family does not live on the nerve of this groupoid")
-    index = [{key: k for k, key in enumerate(level)} for level in keys]
-    given = {i: keys[n - 1][x.idx] for i, x in family.items()}
-    k = next(i for i in range(n + 1) if i not in family.index_set)
-
-    if n == 1:
-        obj = given[family.index_set[0]]
-        string: tuple[int, ...] = (C.identity(obj),)
-    elif n == 2:
-        if k == 0:
-            f1 = given[2][0]
-            f2 = C.compose(C.inv(f1), given[1][0])
-        elif k == 1:
-            f2 = given[0][0]
-            f1 = given[2][0]
-        else:
-            f2 = given[0][0]
-            f1 = C.compose(given[1][0], C.inv(f2))
-        string = (f1, f2)
-    else:
-        if k == 3:
-            f2, f3 = given[0]
-            f1 = C.compose(given[1][0], C.inv(f2))
-        elif k == 0:
-            f1, f2 = given[3]
-            f3 = given[1][1]
-        else:
-            f1, f2 = given[3]
-            f3 = given[0][1]
-        string = (f1, f2, f3)
-
-    try:
-        witness = Simplex(n, index[n][string])
-    except KeyError:
-        raise InternalInvariantError("solved string is not a composable simplex") from None
-    return FillCertificate(family, witness, 0)
 
 
 def eg_construction(G: FiniteGroup, bound: int) -> TruncatedSimplicialSet:

@@ -9,8 +9,10 @@ instead of a whole table, and report what a whole-table scan would report.
 One engine searches, on raw table ids: ``_families`` enumerates families,
 ``_filler`` fills a full horn and ``_fill_partial`` a partial one.
 ``iter_compatible_families``, ``brute_force_fill`` and ``fill_partial_horn``
-wrap it in objects; the Kan, trivial-fibration and pointwise sweeps count on
-ids and build objects only for the first family that does not fill.
+wrap it in objects.  The Kan and trivial-fibration sweeps count on ids and
+build objects only for the first family that does not fill; the pointwise
+sweep builds none, since a partial diagonal horn that does not fill there is
+a broken invariant.
 """
 
 from __future__ import annotations

@@ -50,12 +50,6 @@ class OrdinalMap:
     def __call__(self, k: int) -> int:
         return self.values[k]
 
-    @property
-    def is_identity(self) -> bool:
-        return self.source_size == self.target_size and all(
-            v == k for k, v in enumerate(self.values)
-        )
-
     @staticmethod
     def identity(n: int) -> "OrdinalMap":
         return OrdinalMap(n, n, tuple(range(n + 1)))

@@ -1,22 +1,21 @@
 """Pointwise horn fillers obtained from a diagonal partial-horn filler.
 
 Given a bisimplicial map f whose diagonal is a Kan fibration, every horn of a
-column map ``column_map(f, p)`` can be filled.  A horn is a
-:class:`~kancheck.kan.CompatibleFamily` of that column map whose index set is
-[q] minus one index l; its faces and target carry the ids of the bisimplices
-at levels (p, q-1) and (p, q).  The construction degenerates
-the given faces up to the diagonal, fills one partial diagonal horn there, and
-carves the answer back down with faces.  Every intermediate step the argument
-relies on (compatibility of the built diagonal family, of each derived
-partial-horn family, and the requested face/target relations of the answer)
-is re-verified at run time and raises ``InternalInvariantError`` if it ever
-fails.
+column map ``column_map(f, p)`` can be filled.  A horn is a compatible family
+of that column map whose index set is [q] minus one index l; its faces and
+target are the ids of bisimplices at levels (p, q-1) and (p, q).  The
+construction degenerates the given faces up to the diagonal, fills one
+partial diagonal horn there, and carves the answer back down with faces.
+Every step the argument relies on (compatibility of the built diagonal
+family and of each derived partial-horn family, that the diagonal horn
+fills, and the requested face/target relations of the answer) is re-verified
+at run time and raises ``InternalInvariantError`` if it ever fails.
 
 Each step runs on raw table ids: ``_diagonal_family`` degenerates,
-``kan._fill_partial`` fills and ``_answer`` cuts down.  The sweep counts on
-ids and builds objects only for the first horn that does not fill;
-``build_diagonal_family`` and ``diagonal_lift`` wrap the same steps in
-objects.
+``kan._fill_partial`` fills and ``_answer`` cuts down; no object is built.
+Both sweeps, direct and transposed, fill in the one diagonal map the Kan
+check passed: horizontal and vertical operators commute, so the diagonal of
+the transpose is the same map.
 
 Index bookkeeping, for a horn in column p, vertical dimension q >= 1 and
 missing index l: the diagonal family lives at dimension n = p + q over the
@@ -30,7 +29,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bisimplicial import (
-    BiSimplex,
     BisimplicialMap,
     TruncatedBisimplicialSet,
     column_map,
@@ -39,23 +37,14 @@ from .bisimplicial import (
 )
 from .errors import InternalInvariantError, RejectedInput, TruncationError
 from .kan import (
-    CompatibleFamily,
-    FillCertificate,
     IdFamily,
     _check_witness,
     _compatible,
     _families,
     _fill_partial,
     check_kan_fibration,
-    fill_partial_horn,
-    is_compatible,
 )
 from .simplicial import SimplicialMap
-
-
-def missing_index(horn: CompatibleFamily) -> int:
-    """The index l left out of a horn's index set [q] minus {l}."""
-    return next(i for i in range(horn.n + 1) if i not in horn.index_set)
 
 
 def _repeat(tables: Sequence, i: int, times: int, level: int, x: int, step: int) -> int:
@@ -114,70 +103,6 @@ def _answer(
     return x
 
 
-def build_diagonal_family(
-    f: BisimplicialMap, p: int, horn: CompatibleFamily, diag_f: SimplicialMap | None = None
-) -> CompatibleFamily:
-    """Degenerate a horn of ``column_map(f, p)`` into a diagonal compatible family.
-
-    The object form of ``_diagonal_family``, which gives the degeneracies;
-    the family is verified compatible for the diagonal map.
-    """
-    if horn.f is not column_map(f, p):
-        raise RejectedInput(f"the horn is not a horn of column {p}")
-    if len(horn.index_set) != horn.n:
-        raise RejectedInput(f"a pointwise horn leaves out exactly one index of [{horn.n}]")
-    X, Y = f.domain, f.codomain
-    q = horn.n
-    n = p + q
-    if X.bounds[0] < n or X.bounds[1] < n or Y.bounds[0] < n or Y.bounds[1] < n:
-        raise TruncationError(
-            f"bounds {X.bounds} cannot hold the dimension-({n},{n}) diagonal family"
-        )
-    if not is_compatible(horn):
-        raise RejectedInput("horn faces are not compatible with the target")
-    if diag_f is None:
-        diag_f = diagonal_map(f)
-    family = _diagonal_family(f, diag_f, p, q, missing_index(horn), horn.ids, horn.target.idx)
-    return CompatibleFamily.of_ids(diag_f, *family)
-
-
-@dataclass(frozen=True)
-class DiagonalLift:
-    """The full trace of one pointwise fill through the diagonal: the horn of
-    column p, the diagonal family built from it, its fill and the answer."""
-
-    p: int
-    horn: CompatibleFamily
-    diagonal_family: CompatibleFamily
-    certificate: FillCertificate
-    answer: BiSimplex | None
-
-    @property
-    def filled(self) -> bool:
-        return self.answer is not None
-
-
-def diagonal_lift(
-    f: BisimplicialMap, p: int, horn: CompatibleFamily, diag_f: SimplicialMap | None = None
-) -> DiagonalLift:
-    """Fill a horn of ``column_map(f, p)`` through the diagonal, with verification.
-
-    The object form of the sweep's steps: :func:`build_diagonal_family`,
-    :func:`~kancheck.kan.fill_partial_horn`, then ``_answer`` cuts the filled
-    diagonal simplex back down and checks the requested relations exactly.
-    """
-    family = build_diagonal_family(f, p, horn, diag_f)
-    cert = fill_partial_horn(family)
-    if not cert.filled:
-        return DiagonalLift(p, horn, family, cert, None)
-    q = horn.n
-    x = _answer(
-        f, p, q, missing_index(horn), horn.index_set, horn.ids, horn.target.idx,
-        cert.witness.idx,
-    )
-    return DiagonalLift(p, horn, family, cert, BiSimplex(p, q, x))
-
-
 @dataclass(frozen=True)
 class SweepCell:
     p: int
@@ -189,21 +114,14 @@ class SweepCell:
 
 
 @dataclass(frozen=True)
-class SweepFailure:
-    transposed: bool
-    lift: DiagonalLift
-
-
-@dataclass(frozen=True)
 class PointwiseSweepReport:
     max_total_dim: int
     direct_cells: tuple[SweepCell, ...]
     transposed_cells: tuple[SweepCell, ...]
-    failure: SweepFailure | None
 
     @property
     def passed(self) -> bool:
-        return self.failure is None
+        return all(c.filled == c.problems for c in self.direct_cells + self.transposed_cells)
 
     @property
     def problems_checked(self) -> int:
@@ -220,13 +138,12 @@ def _sweep(
     diag_f: SimplicialMap,
     max_total_dim: int,
     transposed: bool,
-) -> tuple[tuple[SweepCell, ...], SweepFailure | None]:
-    """Fill every horn of each (p, q, l) cell in order, stopping at the first
-    one that does not fill.
+) -> tuple[SweepCell, ...]:
+    """Fill every horn of each (p, q, l) cell in order, on raw ids.
 
-    Counts on raw ids: each horn's equations are re-checked on the tables,
-    and objects are built only for the first horn that does not fill, whose
-    :class:`DiagonalLift` :func:`diagonal_lift` makes.
+    Each horn's equations are re-checked on the tables.  ``diag_f`` passed
+    the Kan check up to ``max_total_dim``, so every diagonal family fills; one
+    that does not is a broken invariant, named by its cell and direction.
     """
     cells: list[SweepCell] = []
     for p in range(max_total_dim):
@@ -241,17 +158,17 @@ def _sweep(
                         raise InternalInvariantError("enumerated horn is not compatible")
                     family = _diagonal_family(f, diag_f, p, q, missing, faces, y)
                     w, examined, _ = _fill_partial(diag_f, *family)
-                    max_search = max(max_search, examined)
                     if w is None:
-                        horn = CompatibleFamily.of_ids(col_f, q, indices, faces, y)
-                        cells.append(SweepCell(p, q, missing, problems, filled, max_search))
-                        return tuple(cells), SweepFailure(
-                            transposed, diagonal_lift(f, p, horn, diag_f)
+                        raise InternalInvariantError(
+                            f"{'transposed' if transposed else 'direct'} horn at "
+                            f"(p, q, missing) = ({p}, {q}, {missing}) did not fill "
+                            "through the Kan diagonal"
                         )
+                    max_search = max(max_search, examined)
                     _answer(f, p, q, missing, indices, faces, y, w)
                     filled += 1
                 cells.append(SweepCell(p, q, missing, problems, filled, max_search))
-    return tuple(cells), None
+    return tuple(cells)
 
 
 def verify_pointwise_fillers(f: BisimplicialMap, max_total_dim: int) -> PointwiseSweepReport:
@@ -260,8 +177,9 @@ def verify_pointwise_fillers(f: BisimplicialMap, max_total_dim: int) -> Pointwis
     First the diagonal map is required to pass the brute-force Kan check up to
     ``max_total_dim`` (rejected input otherwise, naming the failing horn).
     Then every pointwise horn problem with p + q <= max_total_dim is solved
-    through the diagonal, and the whole sweep is repeated on the transpose,
-    covering the row direction by the same symmetry.
+    through that diagonal, and the whole sweep is repeated on the transpose,
+    whose diagonal is the same map, covering the row direction by the same
+    symmetry.
     """
     if max_total_dim < 1:
         raise RejectedInput("max_total_dim must be at least 1")
@@ -280,9 +198,8 @@ def verify_pointwise_fillers(f: BisimplicialMap, max_total_dim: int) -> Pointwis
             f"I={fail.family.index_set}, faces="
             f"{tuple(x.idx for x in fail.family.faces)}"
         )
-    direct, failure = _sweep(f, diag_f, max_total_dim, transposed=False)
-    if failure is not None:
-        return PointwiseSweepReport(max_total_dim, direct, (), failure)
-    g = transpose_map(f)
-    transposed, failure = _sweep(g, diagonal_map(g), max_total_dim, transposed=True)
-    return PointwiseSweepReport(max_total_dim, direct, transposed, failure)
+    return PointwiseSweepReport(
+        max_total_dim,
+        _sweep(f, diag_f, max_total_dim, transposed=False),
+        _sweep(transpose_map(f), diag_f, max_total_dim, transposed=True),
+    )

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from .bisimplicial import BiSimplex, TruncatedBisimplicialSet
+from .bisimplicial import TruncatedBisimplicialSet
 from .errors import RejectedInput
 from .kan import CompatibleFamily, FibrationReport, FillCertificate
-from .pointwise import PointwiseSweepReport, missing_index
+from .pointwise import PointwiseSweepReport
 from .simplicial import Simplex, SimplicialMap, TruncatedSimplicialSet
 
 
@@ -87,10 +87,6 @@ def simplex_ref(X: TruncatedSimplicialSet, x: Simplex) -> dict[str, Any]:
     return {"dim": x.dim, "id": x.idx, "label": X.label(x)}
 
 
-def bisimplex_ref(X: TruncatedBisimplicialSet, x: BiSimplex) -> dict[str, Any]:
-    return {"p": x.p, "q": x.q, "id": x.idx, "label": X.label(x)}
-
-
 def family_to_dict(family: CompatibleFamily) -> dict[str, Any]:
     X, Y = family.f.domain, family.f.codomain
     return {
@@ -148,16 +144,6 @@ def sweep_report_to_dict(report: PointwiseSweepReport) -> dict[str, Any]:
             for c in cs
         ]
 
-    failure = None
-    if report.failure is not None:
-        lift = report.failure.lift
-        failure = {
-            "transposed": report.failure.transposed,
-            "p": lift.p,
-            "q": lift.horn.n,
-            "missing": missing_index(lift.horn),
-            "diagonal_certificate": certificate_to_dict(lift.certificate),
-        }
     return {
         "kind": "pointwise-sweep",
         "max_total_dim": report.max_total_dim,
@@ -166,5 +152,6 @@ def sweep_report_to_dict(report: PointwiseSweepReport) -> dict[str, Any]:
         "families_verified_compatible": report.families_verified_compatible,
         "direct_cells": cells(report.direct_cells),
         "transposed_cells": cells(report.transposed_cells),
-        "failure": failure,
+        # a pointwise horn that does not fill raises, so no sweep carries a failure
+        "failure": None,
     }

@@ -18,9 +18,15 @@ _spec.loader.exec_module(tracing)
 
 # pointwise fills only through kan.fill_partial_horn, so it no longer imports
 # brute_force_fill; its sweep enumerates horns with the id engine kan._families,
-# so it no longer imports iter_compatible_families either
+# so it no longer imports iter_compatible_families either.  The sweep fills on
+# ids alone and raises on a horn that does not fill, so the object lift
+# (build_diagonal_family, diagonal_lift) is gone and pointwise no longer
+# imports fill_partial_horn; those layers already read 0 on every passing run
 RETIRED = {
     "kancheck.pointwise:brute_force_fill",
+    "kancheck.pointwise:build_diagonal_family",
+    "kancheck.pointwise:diagonal_lift",
+    "kancheck.pointwise:fill_partial_horn",
     "kancheck.pointwise:iter_compatible_families",
 }
 

@@ -13,12 +13,14 @@ from kancheck import (
     row,
     row_map,
     tensor,
+    to_point_bimap,
     transpose,
     transpose_map,
     validate_bisimplicial_identities,
     validate_simplicial_identities,
 )
 from kancheck.errors import RejectedInput, TruncationError
+from kancheck.presets import preset_bisimplicial
 
 
 class TestPointAndTensor:
@@ -128,6 +130,20 @@ class TestTranspose:
 
     def test_preserves_diagonal(self, s3_double_nerve):
         assert diagonal(transpose(s3_double_nerve)) == diagonal(s3_double_nerve)
+
+    @pytest.mark.parametrize("name, dim", [
+        ("eg-tensor", 3), ("z2-commuting", 2), ("s3-counterexample", 3), ("point", 3),
+    ])
+    def test_preserves_diagonal_map(self, name, dim):
+        # so a pointwise sweep of the transpose fills in the direct diagonal map
+        X = point_bisimplicial(dim, dim) if name == "point" else preset_bisimplicial(
+            name, dim, dim
+        )
+        f = to_point_bimap(X)
+        direct, swapped = diagonal_map(f), diagonal_map(transpose_map(f))
+        assert swapped.domain == direct.domain
+        assert swapped.codomain == direct.codomain
+        assert swapped.components == direct.components
 
     def test_swaps_rows_and_columns(self, s3_double_nerve):
         for k in range(3):

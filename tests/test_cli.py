@@ -360,21 +360,25 @@ class TestReverify:
             data["checks"][0]["details"]["report"][field] += 1
             assert not reverify_report(RunReport.from_dict(data))
 
-    def test_failed_sweep_does_not_reverify(self, monkeypatch):
-        import kancheck.kan
-        import kancheck.pointwise
-
-        # a consistent report of a sweep failure, which no real run can produce
-        for module in (kancheck.kan, kancheck.pointwise):
-            monkeypatch.setattr(module, "_fill_partial", lambda *family: (None, 0, None))
-        code, report = run_report(
+    def test_failed_sweep_does_not_reverify(self):
+        # a consistent report of a sweep failure, which no real run can produce:
+        # the last transposed horn is recorded as unfilled
+        _, report = run_report(
             ["pointwise", "--preset", "eg-tensor", "--max-total-dim", "2"]
         )
-        monkeypatch.undo()
-        assert code == 1
-        check = report.checks[0]
-        assert check.details["report"]["failure"] is not None
-        assert reverify_report(RunReport.from_dict(report.to_dict())) is False
+        data = detached_dict(report)
+        check = data["checks"][0]
+        sweep = check["details"]["report"]
+        last = sweep["transposed_cells"][-1]
+        last["filled"] -= 1
+        sweep["failure"] = {
+            "transposed": True, "p": last["p"], "q": last["q"], "missing": last["missing"],
+        }
+        sweep["passed"] = check["passed"] = check["as_expected"] = data["overall_ok"] = False
+        check["summary"] = "a pointwise horn problem could not be filled"
+        failed = RunReport.from_dict(data)
+        assert not failed.overall_ok
+        assert reverify_report(failed) is False
 
 
 def test_parser_lists_commands():

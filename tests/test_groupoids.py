@@ -2,12 +2,9 @@ import pytest
 
 from kancheck import (
     FiniteGroupoid,
-    brute_force_fill,
     discrete_groupoid,
     eg_construction,
     eg_simplex,
-    groupoid_horn_filler,
-    iter_compatible_families,
     nerve,
     one_object_groupoid,
     pi0,
@@ -70,31 +67,6 @@ class TestNerve:
         assert keys[1][N.face(1, two).idx] == (0,)
         assert keys[1][N.face(0, two).idx] == (1,)
         assert keys[1][N.face(2, two).idx] == (1,)
-
-
-class TestGroupoidHornFiller:
-    def test_inner_horn_on_z2(self, z2, z2_nerve_map):
-        C = one_object_groupoid(z2)
-        for fam in iter_compatible_families(z2_nerve_map, 2, (0, 2)):
-            cert = groupoid_horn_filler(C, fam)
-            assert cert.filled and cert.candidates_examined == 0
-
-    def test_agrees_with_brute_force_on_presets(self, z2, s3, z2_nerve_map, s3_nerve_map):
-        for G, f in ((z2, z2_nerve_map), (s3, s3_nerve_map)):
-            C = one_object_groupoid(G)
-            for n in range(1, 4):
-                for k in range(n + 1):
-                    indices = tuple(i for i in range(n + 1) if i != k)
-                    for fam in iter_compatible_families(f, n, indices):
-                        alg = groupoid_horn_filler(C, fam)
-                        raw = brute_force_fill(fam)
-                        assert alg.filled == raw.filled == True  # noqa: E712
-
-    def test_partial_horn_rejected(self, z2, z2_nerve_map):
-        C = one_object_groupoid(z2)
-        fam = next(iter_compatible_families(z2_nerve_map, 2, (0,)))
-        with pytest.raises(RejectedInput):
-            groupoid_horn_filler(C, fam)
 
 
 class TestUniversalCover:

@@ -7,24 +7,21 @@ from kancheck import (
     BiSimplex,
     CompatibleFamily,
     Simplex,
-    build_diagonal_family,
+    brute_force_fill,
     check_kan_fibration,
     column_map,
-    diagonal_lift,
     diagonal_map,
     is_compatible,
     iter_compatible_families,
-    missing_index,
     point_bisimplicial,
     to_point_bimap,
     transpose_map,
     verify_pointwise_fillers,
 )
-from kancheck.errors import RejectedInput, TruncationError
-from kancheck.kan import FillCertificate
-from kancheck.pointwise import SweepCell
+from kancheck.errors import InternalInvariantError, RejectedInput, TruncationError
+from kancheck.kan import FillCertificate, _compatible, _fill_partial
+from kancheck.pointwise import SweepCell, _answer, _diagonal_family
 from kancheck.presets import preset_bisimplicial
-from kancheck.serialize import sweep_report_to_dict
 
 
 def restriction_horn(f, w, missing):
@@ -72,7 +69,8 @@ def oracle_lift(f, p, horn, diag_f):
     diagonal, the object recursion there, BiSimplex faces back down.  Returns
     (answer or None, examined)."""
     X, Y = f.domain, f.codomain
-    q, l = horn.n, missing_index(horn)
+    q = horn.n
+    l = next(i for i in range(q + 1) if i not in horn.index_set)
     n = p + q
     faces = {}
     for i, face in horn.items():
@@ -123,8 +121,11 @@ def oracle_cells(f, max_total_dim):
     return tuple(cells)
 
 
-def refuse(f, n, indices, faces, y):
-    return None, 0, None
+def diagonal_family(f, p, horn, diag_f=None):
+    """``_diagonal_family`` of an object horn of column p."""
+    l = next(i for i in range(horn.n + 1) if i not in horn.index_set)
+    diag_f = diag_f or diagonal_map(f)
+    return _diagonal_family(f, diag_f, p, horn.n, l, horn.ids, horn.target.idx)
 
 
 class TestProblemValidation:
@@ -132,25 +133,14 @@ class TestProblemValidation:
         for missing in range(3):
             horn = restriction_horn(eg_tensor_map, BiSimplex(1, 2, 17), missing)
             assert is_compatible(horn)
-            assert missing_index(horn) == missing
+            assert horn.index_set == tuple(i for i in range(3) if i != missing)
 
     def test_dimension_mismatch_rejected(self, eg_tensor_map):
-        f = eg_tensor_map
-        col_f = column_map(f, 1)
+        col_f = column_map(eg_tensor_map, 1)
         with pytest.raises(RejectedInput):
             CompatibleFamily(col_f, 2, (1, 2), (Simplex(1, 0), Simplex(0, 0)), Simplex(2, 0))
         with pytest.raises(RejectedInput):
             CompatibleFamily(col_f, 2, (0, 3), (Simplex(1, 0), Simplex(1, 1)), Simplex(2, 0))
-        # a horn of column 1 is not a horn of column 2
-        with pytest.raises(RejectedInput):
-            build_diagonal_family(f, 2, restriction_horn(f, BiSimplex(1, 1, 3), 0))
-        # a full boundary (|I| = q + 1) misses no index
-        w = Simplex(2, 12)
-        boundary = CompatibleFamily.from_mapping(
-            col_f, 2, {i: col_f.domain.face(i, w) for i in range(3)}, col_f.apply(w)
-        )
-        with pytest.raises(RejectedInput):
-            build_diagonal_family(f, 1, boundary)
 
     def test_q_zero_rejected(self, eg_tensor_map):
         with pytest.raises(RejectedInput):
@@ -164,24 +154,24 @@ class TestBuildDiagonalFamily:
         X = eg_tensor_map.domain
         p = 2
         horn = restriction_horn(eg_tensor_map, BiSimplex(p, 1, 5), 1)
-        fam = build_diagonal_family(eg_tensor_map, p, horn)
-        assert fam.index_set == (0,)
+        n, indices, faces, _ = diagonal_family(eg_tensor_map, p, horn)
+        assert indices == (0,)
         lifted = BiSimplex(p, 0, horn.face(0).idx)
         for _ in range(p):
             lifted = X.v_degeneracy(0, lifted)
-        assert fam.faces[0] == Simplex(p, lifted.idx)
+        assert (n, faces[0]) == (p + 1, lifted.idx)
 
     def test_exponent_degeneration_missing0(self, eg_tensor_map):
         # missing=0 leaves only the upper branch of the index set
         horn = restriction_horn(eg_tensor_map, BiSimplex(1, 2, 30), 0)
-        fam = build_diagonal_family(eg_tensor_map, 1, horn)
-        assert fam.index_set == (2, 3)  # {p+i : 0 < i <= q} with p=1, q=2
+        _, indices, _, _ = diagonal_family(eg_tensor_map, 1, horn)
+        assert indices == (2, 3)  # {p+i : 0 < i <= q} with p=1, q=2
 
     def test_index_set_shape(self, eg_tensor_map):
         horn = restriction_horn(eg_tensor_map, BiSimplex(1, 2, 12), 1)
-        fam = build_diagonal_family(eg_tensor_map, 1, horn)
-        assert fam.index_set == (0, 3)
-        assert fam.n == 3
+        n, indices, _, _ = diagonal_family(eg_tensor_map, 1, horn)
+        assert indices == (0, 3)
+        assert n == 3
 
     def test_family_is_diag_compatible_concrete(self, eg_tensor_map):
         # p=1, q=2, every missing index, every enumerated horn
@@ -191,17 +181,10 @@ class TestBuildDiagonalFamily:
         for missing in range(3):
             indices = tuple(i for i in range(3) if i != missing)
             for horn in iter_compatible_families(col_f, 2, indices):
-                fam = build_diagonal_family(eg_tensor_map, 1, horn, diag_f)
-                assert is_compatible(fam)
+                fam = diagonal_family(eg_tensor_map, 1, horn, diag_f)
+                assert _compatible(diag_f, *fam)
                 seen += 1
         assert seen > 0
-
-    def test_bounds_too_small(self):
-        X = preset_bisimplicial("eg-tensor", 2, 2)
-        f = to_point_bimap(X)
-        horn = restriction_horn(f, BiSimplex(1, 2, 0), 1)
-        with pytest.raises(TruncationError):
-            build_diagonal_family(f, 1, horn)
 
     def test_incompatible_problem_rejected(self, eg_tensor_map):
         col_f = column_map(eg_tensor_map, 1)
@@ -217,8 +200,9 @@ class TestBuildDiagonalFamily:
                     break
             if found:
                 break
-        with pytest.raises(RejectedInput):
-            build_diagonal_family(eg_tensor_map, 1, found)
+        # the degenerated family is re-checked, and an incompatible horn fails it
+        with pytest.raises(InternalInvariantError):
+            diagonal_family(eg_tensor_map, 1, found)
 
 
 class TestPointwiseFiller:
@@ -229,25 +213,45 @@ class TestPointwiseFiller:
             w = BiSimplex(p, q, X.size(p, q) // 2)
             for missing in range(q + 1):
                 horn = restriction_horn(eg_tensor_map, w, missing)
-                x = diagonal_lift(eg_tensor_map, p, horn, diag_f).answer
-                assert x is not None
+                w_diag, _, _ = _fill_partial(
+                    diag_f, *diagonal_family(eg_tensor_map, p, horn, diag_f)
+                )
+                assert w_diag is not None
+                x = _answer(
+                    eg_tensor_map, p, q, missing, horn.index_set, horn.ids,
+                    horn.target.idx, w_diag,
+                )
                 for i, xi in horn.items():
-                    assert X.v_face(i, x) == BiSimplex(p, q - 1, xi.idx)
+                    assert X.v_face(i, BiSimplex(p, q, x)) == BiSimplex(p, q - 1, xi.idx)
 
     def test_lift_records_trace(self, eg_tensor_map):
+        # one lift step by step: the horn of column 1 that leaves out 0 becomes
+        # a diagonal family at n = 2 over I = {p + 1}, which fills, and the
+        # filler cuts down to a bisimplex of column 1
         horn = restriction_horn(eg_tensor_map, BiSimplex(1, 1, 3), 0)
-        lift = diagonal_lift(eg_tensor_map, 1, horn)
-        assert lift.filled
-        assert (lift.p, lift.horn) == (1, horn)
-        assert lift.certificate.filled
-        assert lift.diagonal_family.n == 2
+        diag_f = diagonal_map(eg_tensor_map)
+        family = diagonal_family(eg_tensor_map, 1, horn, diag_f)
+        assert family[:2] == (2, (2,))
+        w, examined, failed = _fill_partial(diag_f, *family)
+        assert w is not None and examined > 0 and failed is None
+        x = _answer(eg_tensor_map, 1, 1, 0, horn.index_set, horn.ids, horn.target.idx, w)
+        assert 0 <= x < eg_tensor_map.domain.size(1, 1)
 
     def test_failure_propagates_as_unfilled(self, eg_tensor_map, monkeypatch):
-        monkeypatch.setattr(kancheck.kan, "_filler", lambda *family: None)
-        horn = restriction_horn(eg_tensor_map, BiSimplex(1, 1, 3), 0)
-        lift = diagonal_lift(eg_tensor_map, 1, horn)
-        assert not lift.filled
-        assert lift.answer is None
+        # once the diagonal has passed its Kan check, the full-horn filler under
+        # the partial-horn engine refuses: the first horn of the first cell
+        # cannot fill, and the sweep raises naming it
+        check = kancheck.pointwise.check_kan_fibration
+
+        def then_refuse(*args):
+            report = check(*args)
+            monkeypatch.setattr(kancheck.kan, "_filler", lambda *family: None)
+            return report
+
+        monkeypatch.setattr(kancheck.pointwise, "check_kan_fibration", then_refuse)
+        with pytest.raises(InternalInvariantError) as err:
+            verify_pointwise_fillers(eg_tensor_map, 3)
+        assert str(err.value).startswith("direct horn at (p, q, missing) = (0, 1, 0)")
 
 
 class TestSweep:
@@ -316,6 +320,27 @@ class TestSweep:
         with pytest.raises(TruncationError):
             verify_pointwise_fillers(to_point_bimap(X), 3)
 
+    def test_both_sweeps_fill_in_the_kan_checked_diagonal(self, eg_tensor_map, monkeypatch):
+        # the diagonal is built once; the Kan check and both sweeps use it,
+        # since the diagonal of the transpose is the same map
+        built, filled_in = [], set()
+        build, fill = kancheck.pointwise.diagonal_map, kancheck.pointwise._fill_partial
+
+        def counting_build(f):
+            built.append(build(f))
+            return built[-1]
+
+        def recording_fill(f, *family):
+            filled_in.add(id(f))
+            return fill(f, *family)
+
+        monkeypatch.setattr(kancheck.pointwise, "diagonal_map", counting_build)
+        monkeypatch.setattr(kancheck.pointwise, "_fill_partial", recording_fill)
+        report = verify_pointwise_fillers(eg_tensor_map, 3)
+        assert report.passed and report.transposed_cells
+        assert len(built) == 1
+        assert filled_in == {id(built[0])}
+
     @pytest.mark.parametrize("transposed", [False, True], ids=["direct", "transposed"])
     def test_refused_cell_is_reported(self, monkeypatch, transposed):
         f = to_point_bimap(preset_bisimplicial("eg-tensor", 2, 2))
@@ -334,37 +359,34 @@ class TestSweep:
         # in the transposed run, let every horn of the direct sweep's cell fill
         skip = clean.direct_cells[position(clean.direct_cells)].problems if transposed else 0
         seen = 0
-        fill = kancheck.kan._fill_partial
+        fill = kancheck.pointwise._fill_partial
 
         def refusing(f, n, indices, faces, y):
             nonlocal seen
             if (n, indices) == diagonal_horn:
                 seen += 1
                 if seen > skip:
-                    return refuse(f, n, indices, faces, y)
+                    return None, 0, None
             return fill(f, n, indices, faces, y)
 
-        # the sweep and the failure's diagonal_lift both fill through the engine
-        monkeypatch.setattr(kancheck.kan, "_fill_partial", refusing)
-        monkeypatch.setattr(kancheck.pointwise, "_fill_partial", refusing)
-        report = verify_pointwise_fillers(f, 2)
-        data = sweep_report_to_dict(report)
-        assert not data["passed"]
-        failure = data["failure"]
-        assert (failure["p"], failure["q"], failure["missing"]) == (p, q, missing)
-        assert failure["transposed"] is transposed
-        assert failure["diagonal_certificate"]["outcome"] == "unfillable"
+        swept = []
+        sweep = kancheck.pointwise._sweep
 
-        if transposed:
-            assert report.direct_cells == clean.direct_cells
-            cells, clean_cells = report.transposed_cells, clean.transposed_cells
-        else:
-            assert report.transposed_cells == ()
-            cells, clean_cells = report.direct_cells, clean.direct_cells
-        assert cells[:-1] == clean_cells[:position(clean_cells)]
-        last = cells[-1]
-        assert (last.p, last.q, last.missing) == (p, q, missing)
-        assert (last.problems, last.filled) == (1, 0)
+        def recording(*args, **kwargs):
+            swept.append(sweep(*args, **kwargs))
+            return swept[-1]
+
+        monkeypatch.setattr(kancheck.pointwise, "_fill_partial", refusing)
+        monkeypatch.setattr(kancheck.pointwise, "_sweep", recording)
+        with pytest.raises(InternalInvariantError) as err:
+            verify_pointwise_fillers(f, 2)
+        direction = "transposed" if transposed else "direct"
+        assert str(err.value).startswith(
+            f"{direction} horn at (p, q, missing) = ({p}, {q}, {missing})"
+        )
+        assert seen == skip + 1
+        # the transposed sweep runs only after the direct one has passed whole
+        assert swept == ([clean.direct_cells] if transposed else [])
 
 
 class TestIdSweep:
@@ -402,16 +424,8 @@ class TestIdSweep:
                 post_init(obj)
 
             monkeypatch.setattr(cls, "__post_init__", counting)
-        lift = kancheck.pointwise.DiagonalLift
-
-        def recording(*args):
-            built.append(args)
-            return lift(*args)
-
-        monkeypatch.setattr(kancheck.pointwise, "DiagonalLift", recording)
         assert verify_pointwise_fillers(eg_tensor_map, 3).passed
         assert built == []
-        # the counters do see the objects a lift builds
-        diagonal_lift(eg_tensor_map, 1, restriction_horn(eg_tensor_map, BiSimplex(1, 1, 3), 0))
-        kinds = {type(x) for x in built}
-        assert {CompatibleFamily, FillCertificate, tuple} <= kinds
+        # the counters do see the objects an object-level fill builds
+        brute_force_fill(restriction_horn(eg_tensor_map, BiSimplex(1, 1, 3), 0))
+        assert {type(x) for x in built} == {CompatibleFamily, FillCertificate}
