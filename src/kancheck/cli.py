@@ -345,6 +345,8 @@ def _build_kan_objects(
 
 
 def cmd_kan(args: argparse.Namespace) -> RunReport:
+    if args.index and args.construction not in ("row", "column"):
+        raise RejectedInput("--index applies only to the row and column constructions")
     data = load_input(args.input) if args.input else None
     indices = tuple(args.index) if args.index else (0, 1, 2)
     start = time.perf_counter()
@@ -368,8 +370,10 @@ def cmd_kan(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_pointwise(args: argparse.Namespace) -> RunReport:
-    data = load_input(args.input) if args.input else None
     dim = args.max_total_dim
+    if dim < 1:
+        raise RejectedInput("max-total-dim must be at least 1")
+    data = load_input(args.input) if args.input else None
     start = time.perf_counter()
     X = _bisimplicial_from_source(args.preset, data, dim, dim)
     f = to_point_bimap(X)
@@ -557,7 +561,7 @@ def reverify_report(report: RunReport) -> bool:
             if item is not None:
                 argv += [flag, str(item)]
     try:
-        args = _parse_args(argv)
+        args = build_parser().parse_args(argv)
         fresh = args.func(args)
     except (RejectedInput, SystemExit):
         return False
@@ -578,14 +582,18 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "structured"), default="text")
 
+    def source(p: argparse.ArgumentParser) -> None:
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--preset", choices=PRESET_NAMES)
+        group.add_argument("--input", help="JSON input file (group tables or explicit sets)")
+
     p_id = sub.add_parser("identities", help="fuzz the operator identity families")
     p_id.add_argument("--max-n", type=int, default=6)
     common(p_id)
     p_id.set_defaults(func=cmd_identities)
 
     p_kan = sub.add_parser("kan", help="Kan check to a point")
-    p_kan.add_argument("--preset", choices=PRESET_NAMES)
-    p_kan.add_argument("--input", help="JSON input file (group tables or explicit sets)")
+    source(p_kan)
     p_kan.add_argument(
         "--construction",
         choices=("nerve", "double-nerve-diagonal", "eg-tensor-diagonal", "row",
@@ -599,8 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kan.set_defaults(func=cmd_kan)
 
     p_pw = sub.add_parser("pointwise", help="pointwise fillers from a diagonal fibration")
-    p_pw.add_argument("--preset", choices=PRESET_NAMES)
-    p_pw.add_argument("--input")
+    source(p_pw)
     p_pw.add_argument("--max-total-dim", type=int, default=3)
     common(p_pw)
     p_pw.set_defaults(func=cmd_pointwise)
@@ -612,17 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "preset", None) is None and getattr(args, "input", None) is None:
-        if args.command in ("kan", "pointwise"):
-            parser.error(f"{args.command} needs either --preset or --input")
-    return args
-
-
 def run(argv: Sequence[str] | None = None) -> tuple[int, RunReport | None]:
-    args = _parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         report: RunReport = args.func(args)
     except RejectedInput as exc:

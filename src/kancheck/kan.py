@@ -12,13 +12,13 @@ One engine searches, on raw table ids: ``_families`` enumerates families,
 wrap it in objects.  The Kan and trivial-fibration sweeps count on ids and
 build objects only for the first family that does not fill; the pointwise
 sweep builds none, since a partial diagonal horn that does not fill there is
-a broken invariant.
+a broken invariant.  So ``_fill_partial`` returns only a filler and the
+candidates it examined, and keeps no record of where a fill stopped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InternalInvariantError, RejectedInput
@@ -87,10 +87,6 @@ class CompatibleFamily:
         """The raw ids of the faces, in index-set order."""
         return tuple(x.idx for x in self.faces)
 
-    @cached_property
-    def _equations_hold(self) -> bool:
-        return _compatible(self.f, self.n, self.index_set, self.ids, self.target.idx)
-
     def face(self, i: int) -> Simplex:
         return self.faces[self.index_set.index(i)]
 
@@ -117,13 +113,8 @@ def _compatible(
 
 
 def is_compatible(family: CompatibleFamily) -> bool:
-    """Check d_i x_j == d_{j-1} x_i for i < j in I, and f x_i == d_i y.
-
-    A family is immutable, so its equations are evaluated once and the answer
-    is kept on it: a family handed through several checking entry points is
-    checked once.
-    """
-    return family._equations_hold
+    """Check d_i x_j == d_{j-1} x_i for i < j in I, and f x_i == d_i y."""
+    return _compatible(family.f, family.n, family.index_set, family.ids, family.target.idx)
 
 
 def _check_witness(
@@ -145,7 +136,6 @@ class FillCertificate:
     family: CompatibleFamily
     witness: Simplex | None
     candidates_examined: int
-    failed_subfamily: CompatibleFamily | None = None
 
     def __post_init__(self) -> None:
         if self.witness is not None:
@@ -350,20 +340,14 @@ def check_trivial_fibration_to_point(
     return _fill_cells(to_point_map(X), "trivial", max_dim, cells)
 
 
-# a family on raw ids: (n, indices, faces, y)
-IdFamily = tuple[int, tuple[int, ...], tuple[int, ...], int]
-
-
 def _fill_partial(
     f: SimplicialMap, n: int, indices: tuple[int, ...], faces: tuple[int, ...], y: int
-) -> tuple[int | None, int, IdFamily | None]:
+) -> tuple[int | None, int]:
     """Fill a compatible partial horn (1 <= |I| <= n) on raw ids, by reduction
     to full-horn fills.
 
-    Returns ``(w, examined, failed)``: the filler's id or None, the candidates
-    its full-horn fills examined (as :func:`brute_force_fill` counts them) and,
-    when nothing fills, the innermost derived family that did not fill (None
-    when the family itself is a full horn).
+    Returns ``(w, examined)``: the filler's id or None, and the candidates its
+    full-horn fills examined (as :func:`brute_force_fill` counts them).
 
     Double induction: a full horn goes to :func:`_filler` and its filler is
     re-checked.  Otherwise let k be the largest missing index; the faces
@@ -377,9 +361,9 @@ def _fill_partial(
     if len(indices) == n:
         w = _filler(f, n, indices, faces, y)
         if w is None:
-            return None, f.domain.counts[n], None
+            return None, f.domain.counts[n]
         _check_witness(f, n, indices, faces, y, w)
-        return w, w + 1, None
+        return w, w + 1
 
     k = max(i for i in range(n + 1) if i not in indices)  # k >= 1: two are missing
     tables = f.domain._faces[n - 1]
@@ -389,29 +373,24 @@ def _fill_partial(
     if not _compatible(f, n - 1, sub_indices, sub_faces, sub_y):
         raise InternalInvariantError("derived family one dimension down is incompatible")
 
-    x_k, examined, failed = _fill_partial(f, n - 1, sub_indices, sub_faces, sub_y)
+    x_k, examined = _fill_partial(f, n - 1, sub_indices, sub_faces, sub_y)
     if x_k is None:
-        return None, examined, failed or (n - 1, sub_indices, sub_faces, sub_y)
+        return None, examined
     at = sum(1 for i in indices if i < k)
     enlarged = indices[:at] + (k,) + indices[at:]
     enlarged_faces = faces[:at] + (x_k,) + faces[at:]
     if not _compatible(f, n, enlarged, enlarged_faces, y):
         raise InternalInvariantError("family enlarged by the found face is incompatible")
 
-    w, more, failed = _fill_partial(f, n, enlarged, enlarged_faces, y)
-    examined += more
-    if w is None:
-        return None, examined, failed or (n, enlarged, enlarged_faces, y)
-    return w, examined, None
+    w, more = _fill_partial(f, n, enlarged, enlarged_faces, y)
+    return w, examined + more
 
 
 def fill_partial_horn(family: CompatibleFamily) -> FillCertificate:
     """Fill a partial horn (1 <= |I| <= n) by reduction to full-horn fills.
 
-    Wraps the id engine :func:`_fill_partial` in a :class:`FillCertificate`,
-    whose ``failed_subfamily`` is the innermost derived family that did not
-    fill.  A full horn gets the certificate :func:`brute_force_fill` would
-    give it.
+    Wraps the id engine :func:`_fill_partial` in a :class:`FillCertificate`.
+    A full horn gets the certificate :func:`brute_force_fill` would give it.
     """
     r = len(family.index_set)
     if not 1 <= r <= family.n:
@@ -419,10 +398,5 @@ def fill_partial_horn(family: CompatibleFamily) -> FillCertificate:
     if not is_compatible(family):
         raise RejectedInput("family is not compatible; nothing to fill")
     f, n = family.f, family.n
-    w, examined, failed = _fill_partial(f, n, family.index_set, family.ids, family.target.idx)
-    if w is not None:
-        return FillCertificate(family, Simplex(n, w), examined)
-    return FillCertificate(
-        family, None, examined,
-        failed_subfamily=None if failed is None else CompatibleFamily.of_ids(f, *failed),
-    )
+    w, examined = _fill_partial(f, n, family.index_set, family.ids, family.target.idx)
+    return FillCertificate(family, None if w is None else Simplex(n, w), examined)

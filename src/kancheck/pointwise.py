@@ -37,7 +37,6 @@ from .bisimplicial import (
 )
 from .errors import InternalInvariantError, RejectedInput, TruncationError
 from .kan import (
-    IdFamily,
     _check_witness,
     _compatible,
     _families,
@@ -45,6 +44,9 @@ from .kan import (
     check_kan_fibration,
 )
 from .simplicial import SimplicialMap
+
+# a family on raw ids: (n, indices, faces, y)
+IdFamily = tuple[int, tuple[int, ...], tuple[int, ...], int]
 
 
 def _repeat(tables: Sequence, i: int, times: int, level: int, x: int, step: int) -> int:
@@ -157,7 +159,7 @@ def _sweep(
                     if not _compatible(col_f, q, indices, faces, y):
                         raise InternalInvariantError("enumerated horn is not compatible")
                     family = _diagonal_family(f, diag_f, p, q, missing, faces, y)
-                    w, examined, _ = _fill_partial(diag_f, *family)
+                    w, examined = _fill_partial(diag_f, *family)
                     if w is None:
                         raise InternalInvariantError(
                             f"{'transposed' if transposed else 'direct'} horn at "

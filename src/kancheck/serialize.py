@@ -13,7 +13,7 @@ from .bisimplicial import TruncatedBisimplicialSet
 from .errors import RejectedInput
 from .kan import CompatibleFamily, FibrationReport, FillCertificate
 from .pointwise import PointwiseSweepReport
-from .simplicial import Simplex, SimplicialMap, TruncatedSimplicialSet
+from .simplicial import Simplex, TruncatedSimplicialSet
 
 
 def simplicial_to_dict(X: TruncatedSimplicialSet) -> dict[str, Any]:
@@ -97,15 +97,6 @@ def family_to_dict(family: CompatibleFamily) -> dict[str, Any]:
     }
 
 
-def family_from_dict(f: SimplicialMap, data: dict[str, Any]) -> CompatibleFamily:
-    n = int(data["n"])
-    faces = {
-        int(i): Simplex(ref["dim"], ref["id"]) for i, ref in data["faces"].items()
-    }
-    target = Simplex(data["target"]["dim"], data["target"]["id"])
-    return CompatibleFamily.from_mapping(f, n, faces, target)
-
-
 def certificate_to_dict(cert: FillCertificate) -> dict[str, Any]:
     X = cert.family.f.domain
     return {
@@ -113,9 +104,8 @@ def certificate_to_dict(cert: FillCertificate) -> dict[str, Any]:
         "family": family_to_dict(cert.family),
         "witness": None if cert.witness is None else simplex_ref(X, cert.witness),
         "candidates_examined": cert.candidates_examined,
-        "failed_subfamily": (
-            None if cert.failed_subfamily is None else family_to_dict(cert.failed_subfamily)
-        ),
+        # a fill that stops keeps no trail of where, so no certificate carries one
+        "failed_subfamily": None,
     }
 
 

@@ -29,6 +29,14 @@ def _as_table(entries: Sequence[int], size: int, target_size: int, what: str) ->
     return table
 
 
+def _buckets(table: Sequence[int], size: int) -> tuple[tuple[int, ...], ...]:
+    """For each value v < size, the ascending positions of ``table`` holding v."""
+    buckets: list[list[int]] = [[] for _ in range(size)]
+    for idx, v in enumerate(table):
+        buckets[v].append(idx)
+    return tuple(tuple(b) for b in buckets)
+
+
 class TruncatedSimplicialSet:
     """Simplex tables with face and degeneracy actions up to a dimension bound.
 
@@ -136,10 +144,7 @@ class TruncatedSimplicialSet:
         """Ids of n-simplices whose i-th face has the given id, ascending."""
         key = (n, i)
         if key not in self._face_fibers:
-            buckets: list[list[int]] = [[] for _ in range(self.counts[n - 1])]
-            for idx, v in enumerate(self._faces[n][i]):
-                buckets[v].append(idx)
-            self._face_fibers[key] = tuple(tuple(b) for b in buckets)
+            self._face_fibers[key] = _buckets(self._faces[n][i], self.counts[n - 1])
         return self._face_fibers[key][target_idx]
 
     def __eq__(self, other: object) -> bool:
@@ -303,10 +308,7 @@ class SimplicialMap:
     def fiber(self, n: int, target_idx: int) -> tuple[int, ...]:
         """Ids of domain n-simplices mapping to the given codomain id, ascending."""
         if n not in self._fibers:
-            buckets: list[list[int]] = [[] for _ in range(self.codomain.counts[n])]
-            for idx, v in enumerate(self.components[n]):
-                buckets[v].append(idx)
-            self._fibers[n] = tuple(tuple(b) for b in buckets)
+            self._fibers[n] = _buckets(self.components[n], self.codomain.counts[n])
         return self._fibers[n][target_idx]
 
     def __eq__(self, other: object) -> bool:

@@ -117,6 +117,26 @@ class TestKanCommand:
         with pytest.raises(SystemExit):
             main(["kan", "--construction", "nerve"])
 
+    @pytest.mark.parametrize("argv", [
+        ["kan", "--preset", "s3-counterexample", "--input", "bench/inputs/s4_pair.json",
+         "--construction", "double-nerve-diagonal"],
+        ["pointwise", "--preset", "eg-tensor", "--input", "/nonexistent"],
+    ], ids=["kan", "pointwise"])
+    def test_preset_and_input_exclusive(self, capsys, argv):
+        # one source per run: the parser refuses both before any file is read
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "error: argument --input: not allowed with argument --preset" in (
+            capsys.readouterr().err
+        )
+
+    def test_index_outside_lines_rejected(self, capsys):
+        argv = ["kan", "--preset", "eg-tensor", "--construction", "nerve", "--max-dim", "2"]
+        assert run(argv + ["--index", "7"]) == (2, None)
+        assert "error: --index applies only to" in capsys.readouterr().err
+        assert run(argv)[0] == 0
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 40) | st.text(max_size=3),
@@ -186,6 +206,12 @@ class TestPointwiseCommand:
         )
         assert code == 1
         assert report.checks[0].name == "diagonal-kan-precondition"
+
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_dim_below_one_rejected(self, capsys, dim):
+        # a bad argument exits 2; it is not a failed precondition check
+        assert run(["pointwise", "--preset", "eg-tensor", "--max-total-dim", dim]) == (2, None)
+        assert "error: max-total-dim must be at least 1" in capsys.readouterr().err
 
 
 class TestCounterexampleCommand:

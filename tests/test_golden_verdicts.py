@@ -1,9 +1,10 @@
 """The verdicts of the README's command lines, compared with committed copies.
 
 Each file under ``tests/golden`` holds ``RunReport.verdict_dict()`` of one
-README command, as JSON.  Any change that moves a verdict, a count, a
-certificate id or a label fails here, and each committed verdict must
-re-verify by re-running its own config.
+README command, or of one of the ``PINNED`` commands that cover the other
+constructions and the pointwise precondition failure, as JSON.  Any change
+that moves a verdict, a count, a certificate id or a label fails here, and
+each committed verdict must re-verify by re-running its own config.
 """
 
 import json
@@ -26,6 +27,15 @@ COMMANDS = {
     "counterexample-eg-tensor": "counterexample --preset eg-tensor",
 }
 
+# commands the README does not list, pinned the same way
+PINNED = {
+    "kan-eg-tensor-diagonal":
+        "kan --preset eg-tensor --construction eg-tensor-diagonal --max-dim 3",
+    "kan-s3-row": "kan --preset s3-counterexample --construction row --max-dim 3",
+    "kan-s3-nerve": "kan --preset s3-counterexample --construction nerve --max-dim 3",
+    "pointwise-s3-counterexample": "pointwise --preset s3-counterexample --max-total-dim 2",
+}
+
 
 def test_commands_are_the_readme_commands():
     readme = (HERE.parent / "README.md").read_text(encoding="utf-8")
@@ -33,9 +43,9 @@ def test_commands_are_the_readme_commands():
     assert listed == set(COMMANDS.values())
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
+@pytest.mark.parametrize("name", sorted(COMMANDS) + sorted(PINNED))
 def test_verdict_matches_golden(name, capsys):
-    _, report = run(COMMANDS[name].split())
+    _, report = run({**COMMANDS, **PINNED}[name].split())
     capsys.readouterr()
     expected = json.loads((HERE / "golden" / f"{name}.json").read_text(encoding="utf-8"))
     assert json.loads(json.dumps(report.verdict_dict())) == expected

@@ -213,7 +213,7 @@ class TestPointwiseFiller:
             w = BiSimplex(p, q, X.size(p, q) // 2)
             for missing in range(q + 1):
                 horn = restriction_horn(eg_tensor_map, w, missing)
-                w_diag, _, _ = _fill_partial(
+                w_diag, _ = _fill_partial(
                     diag_f, *diagonal_family(eg_tensor_map, p, horn, diag_f)
                 )
                 assert w_diag is not None
@@ -232,8 +232,8 @@ class TestPointwiseFiller:
         diag_f = diagonal_map(eg_tensor_map)
         family = diagonal_family(eg_tensor_map, 1, horn, diag_f)
         assert family[:2] == (2, (2,))
-        w, examined, failed = _fill_partial(diag_f, *family)
-        assert w is not None and examined > 0 and failed is None
+        w, examined = _fill_partial(diag_f, *family)
+        assert w is not None and examined > 0
         x = _answer(eg_tensor_map, 1, 1, 0, horn.index_set, horn.ids, horn.target.idx, w)
         assert 0 <= x < eg_tensor_map.domain.size(1, 1)
 
@@ -366,7 +366,7 @@ class TestSweep:
             if (n, indices) == diagonal_horn:
                 seen += 1
                 if seen > skip:
-                    return None, 0, None
+                    return None, 0
             return fill(f, n, indices, faces, y)
 
         swept = []

@@ -15,8 +15,6 @@ from kancheck.serialize import (
     bisimplicial_from_dict,
     bisimplicial_to_dict,
     certificate_to_dict,
-    family_from_dict,
-    family_to_dict,
     fibration_report_to_dict,
     simplicial_from_dict,
     simplicial_to_dict,
@@ -39,15 +37,6 @@ class TestSetRoundTrips:
 
 
 class TestCertificates:
-    def test_family_round_trip(self, z2_nerve_map):
-        X = z2_nerve_map.domain
-        fam = CompatibleFamily.from_mapping(
-            z2_nerve_map, 2, {0: X.face(0, Simplex(2, 3)), 2: X.face(2, Simplex(2, 3))},
-            Simplex(2, 0),
-        )
-        back = family_from_dict(z2_nerve_map, family_to_dict(fam))
-        assert back == fam
-
     def test_certificate_embeds_witness(self, z2_nerve_map):
         X = z2_nerve_map.domain
         fam = CompatibleFamily.from_mapping(
@@ -70,7 +59,13 @@ class TestCertificates:
         report = check_kan_fibration(to_point_map(X), 2)
         data = fibration_report_to_dict(report)
         assert data["failure"]["outcome"] == "unfillable"
-        fam = family_from_dict(to_point_map(X), data["failure"]["family"])
+        record = data["failure"]["family"]
+        fam = CompatibleFamily.from_mapping(
+            to_point_map(X),
+            record["n"],
+            {int(i): Simplex(ref["dim"], ref["id"]) for i, ref in record["faces"].items()},
+            Simplex(record["target"]["dim"], record["target"]["id"]),
+        )
         again = brute_force_fill(fam)
         assert not again.filled
         assert again.candidates_examined == data["failure"]["candidates_examined"]
