@@ -233,6 +233,8 @@ def _bisimplicial_from_source(
 
 def cmd_identities(args: argparse.Namespace) -> RunReport:
     max_n = args.max_n
+    if max_n < 0:
+        raise RejectedInput("max-n must be at least 0")
     if max_n > 10:
         raise RejectedInput("max-n is capped at 10")
     start = time.perf_counter()

@@ -1,10 +1,16 @@
 """Compatible families, horn enumeration, fillers and Kan checks.
 
-All searches scan simplices in ascending id order, so every certificate is
-reproducible.  Horn families are enumerated by backtracking with incremental
-compatibility pruning, never over the raw product of face choices.  Both the
-fill and the enumeration scan a face fiber (the simplices with one given face)
-instead of a whole table, and report what a whole-table scan would report.
+All searches take simplices in ascending id order, so every certificate is
+reproducible.  Both the fill and the enumeration are lookups: X_m is bucketed,
+once per map, dimension m and face set J, by the key ``(f w, d_j w for j in
+J)`` (:meth:`SimplicialMap.index`), and a bucket holds exactly the simplices
+with those faces over that image, ascending.  A fill is one lookup under the
+horn's key and takes the bucket's least id, which is the filler a scan of the
+whole table would find first.  Horn families are enumerated by backtracking,
+face by face, each face drawn from the bucket that already satisfies every
+equation with the faces chosen before it, never from the raw product of face
+choices.  Every family found is still re-checked on the tables, and so is
+every filler.
 
 One engine searches, on raw table ids: ``_families`` enumerates families,
 ``_filler`` fills a full horn and ``_fill_partial`` a partial one.
@@ -22,7 +28,13 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InternalInvariantError, RejectedInput
-from .simplicial import Simplex, SimplicialMap, TruncatedSimplicialSet, to_point_map
+from .simplicial import (
+    Simplex,
+    SimplicialMap,
+    TruncatedSimplicialSet,
+    pack_key,
+    to_point_map,
+)
 
 
 @dataclass(frozen=True)
@@ -154,31 +166,16 @@ class FillCertificate:
 
 
 def _filler(
-    f: SimplicialMap, n: int, indices: Sequence[int], faces: Sequence[int], y: int
+    f: SimplicialMap, n: int, indices: tuple[int, ...], faces: Sequence[int], y: int
 ) -> int | None:
     """The least id of an n-simplex with faces x_i at I that maps to y, or None.
 
-    Scans the smallest face fiber ``face_fiber(n, i, x_i)`` (the f-fiber of y
-    when I is empty) in ascending id order and tests the other faces and f on
-    the raw tables.
+    One lookup in the index of X_n by ``(f w, d_i w for i in I)``, under the
+    key ``(y, x_i for i in I)``: the bucket holds exactly the fillers,
+    ascending, so its first id is the first filler a scan of X_n meets.
     """
-    X = f.domain
-    pool = f.fiber(n, y)
-    tests = []
-    for i, x in zip(indices, faces):
-        by_face = X.face_fiber(n, i, x)
-        if len(by_face) < len(pool):
-            pool = by_face
-        tests.append((X._faces[n][i], x))
-    component = f.components[n]
-    for w in pool:
-        if component[w] == y:
-            for table, v in tests:
-                if table[w] != v:
-                    break
-            else:
-                return w
-    return None
+    bucket = f.index(n, indices).get(pack_key(f.domain.counts[n - 1], y, faces))
+    return bucket[0] if bucket else None
 
 
 def brute_force_fill(family: CompatibleFamily) -> FillCertificate:
@@ -186,8 +183,8 @@ def brute_force_fill(family: CompatibleFamily) -> FillCertificate:
 
     ``candidates_examined`` is defined as the count a scan of all of X_n in
     ascending id order would examine: ``witness.idx + 1``, or |X_n| when
-    nothing fills.  The search itself scans one face fiber (see
-    :func:`_filler`).
+    nothing fills.  It is a definition, not the work done: the search itself
+    is one index lookup (see :func:`_filler`).
     """
     if not is_compatible(family):
         raise RejectedInput("family is not compatible; nothing to fill")
@@ -204,37 +201,40 @@ def _families(
     """Every f-compatible family over I as raw ids ``(y, faces)``, in
     certificate order: targets ascending, then faces by backtracking.
 
-    A candidate for face ``t`` is drawn from the fiber of ``f`` over the
-    matching face of the target or, for ``t >= 1`` when it is smaller, from the
-    face fiber ``face_fiber(n-1, i_0, d_{i_t-1} x_0)`` filtered by ``f``; either
-    way it is discarded at the first violated pairwise equation.
+    Face ``t`` is drawn, in ascending id order, from the index of X_{n-1} by
+    ``(f x, d_{i_s} x for s < t)`` under the key ``(d_{i_t} y, d_{i_t - 1} x_s
+    for s < t)``: its bucket holds exactly the candidates that satisfy
+    ``f x_t == d_{i_t} y`` and every pairwise equation with the faces already
+    chosen, so no candidate is tested.  At n = 1 there are no pairwise
+    equations and every face is drawn from an f-fiber.
     """
     X, Y = f.domain, f.codomain
-    component = f.components[n - 1]
+    if not indices:
+        for y in range(Y.counts[n]):
+            yield y, ()
+        return
     target_faces = [Y._faces[n][i] for i in indices]
-    tables = X._faces[n - 1]
+    if n >= 2:
+        radix = X.counts[n - 2]
+        pools = [f.index(n - 1, indices[:t]) for t in range(len(indices))]
+        # d_{i_t - 1}: the chosen x_s's digits of face t's key (read for t >= 1)
+        shifted = [X._faces[n - 1][i - 1] for i in indices]
+    else:
+        radix, pools, shifted = 0, [f.index(0, ())] * len(indices), []
     chosen = [0] * len(indices)
+    last = len(indices) - 1
 
     def extend(t: int, required: list[int]) -> Iterator[tuple[int, ...]]:
-        if t == len(indices):
-            yield tuple(chosen)
-            return
-        i_t, want = indices[t], required[t]
-        pool = f.fiber(n - 1, want)
-        # d_{i_s} x == d_{i_t - 1} x_s for every face x_s already chosen
-        tests = [
-            (tables[indices[s]], tables[i_t - 1][chosen[s]]) for s in range(t)
-        ] if n >= 2 else []
-        if tests:
-            by_face = X.face_fiber(n - 1, indices[0], tests[0][1])
-            if len(by_face) < len(pool):
-                pool = [x for x in by_face if component[x] == want]
-        for x in pool:
-            for table, v in tests:
-                if table[x] != v:
-                    break
+        key = required[t]
+        if shifted:  # pack_key, inline on the hot path
+            table = shifted[t]
+            for x in chosen[:t]:
+                key = key * radix + table[x]
+        for x in pools[t].get(key, ()):
+            chosen[t] = x
+            if t == last:
+                yield tuple(chosen)
             else:
-                chosen[t] = x
                 yield from extend(t + 1, required)
 
     for y in range(Y.counts[n]):

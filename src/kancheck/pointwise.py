@@ -15,7 +15,8 @@ Each step runs on raw table ids: ``_diagonal_family`` degenerates,
 ``kan._fill_partial`` fills and ``_answer`` cuts down; no object is built.
 Both sweeps, direct and transposed, fill in the one diagonal map the Kan
 check passed: horizontal and vertical operators commute, so the diagonal of
-the transpose is the same map.
+the transpose is the same map.  A partial fill ends in full-horn fills of
+that map, so they look up the indexes its Kan check built.
 
 Index bookkeeping, for a horn in column p, vertical dimension q >= 1 and
 missing index l: the diagonal family lives at dimension n = p + q over the

@@ -2,7 +2,9 @@
 
 A simplex is identified by its ``(dim, idx)`` pair; labels are metadata only.
 All tables are total maps stored as tuples of integers, so structures are
-immutable after construction and safe to share between readers.
+immutable after construction and safe to share between readers.  A map also
+caches the horn-search indexes it builds from its tables on first use
+(:meth:`SimplicialMap.index`); an index is never changed once built.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ def _as_table(entries: Sequence[int], size: int, target_size: int, what: str) ->
     return table
 
 
-def _buckets(table: Sequence[int], size: int) -> tuple[tuple[int, ...], ...]:
-    """For each value v < size, the ascending positions of ``table`` holding v."""
-    buckets: list[list[int]] = [[] for _ in range(size)]
-    for idx, v in enumerate(table):
-        buckets[v].append(idx)
-    return tuple(tuple(b) for b in buckets)
+def pack_key(radix: int, head: int, digits: Iterable[int]) -> int:
+    """The mixed-radix int ``(head, *digits)``, each digit below ``radix``;
+    distinct tuples give distinct keys."""
+    for d in digits:
+        head = head * radix + d
+    return head
 
 
 class TruncatedSimplicialSet:
@@ -44,7 +46,7 @@ class TruncatedSimplicialSet:
     0 <= i <= n; ``degeneracies[n][i]`` maps upward for 0 <= n < bound.
     """
 
-    __slots__ = ("bound", "counts", "_faces", "_degens", "_labels", "_face_fibers")
+    __slots__ = ("bound", "counts", "_faces", "_degens", "_labels")
 
     def __init__(
         self,
@@ -100,7 +102,6 @@ class TruncatedSimplicialSet:
             ):
                 raise RejectedInput("labels must match the simplex counts")
             self._labels = tuple(tuple(str(s) for s in level) for level in labels)
-        self._face_fibers: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
     def size(self, n: int) -> int:
         if not 0 <= n <= self.bound:
@@ -139,13 +140,6 @@ class TruncatedSimplicialSet:
         if self._labels is None:
             return f"{x.dim}#{x.idx}"
         return self._labels[x.dim][x.idx]
-
-    def face_fiber(self, n: int, i: int, target_idx: int) -> tuple[int, ...]:
-        """Ids of n-simplices whose i-th face has the given id, ascending."""
-        key = (n, i)
-        if key not in self._face_fibers:
-            self._face_fibers[key] = _buckets(self._faces[n][i], self.counts[n - 1])
-        return self._face_fibers[key][target_idx]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSimplicialSet):
@@ -263,7 +257,7 @@ def apply_operator(X: TruncatedSimplicialSet, op: SimplicialOperator, x: Simplex
 class SimplicialMap:
     """A dimensionwise map commuting with all face and degeneracy tables."""
 
-    __slots__ = ("domain", "codomain", "components", "_fibers")
+    __slots__ = ("domain", "codomain", "components", "_indexes")
 
     def __init__(
         self,
@@ -280,7 +274,7 @@ class SimplicialMap:
             _as_table(components[n], domain.counts[n], codomain.counts[n], f"component {n}")
             for n in range(domain.bound + 1)
         )
-        self._fibers: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._indexes: dict[tuple[int, tuple[int, ...]], dict[int, list[int]]] = {}
         if validate:
             self._validate_naturality()
 
@@ -305,11 +299,37 @@ class SimplicialMap:
     def apply(self, x: Simplex) -> Simplex:
         return Simplex(x.dim, self.components[x.dim][x.idx])
 
+    def index(self, m: int, faces: tuple[int, ...]) -> dict[int, list[int]]:
+        """The domain m-simplices w bucketed by the key ``pack_key(|X_{m-1}|,
+        f w, (d_j w for j in faces))``; a bucket holds its ids ascending, and a
+        key that no simplex has is absent.  Read the buckets, never change them.
+
+        Built in full the first time it is asked for and kept with the map, so
+        every search over the same (m, faces) shares one index.
+        """
+        found = self._indexes.get((m, faces))
+        if found is None:
+            found = self._indexes[m, faces] = self._build_index(m, faces)
+        return found
+
+    def _build_index(self, m: int, faces: tuple[int, ...]) -> dict[int, list[int]]:
+        keys: Sequence[int] = self.components[m]
+        if faces:
+            radix, tables = self.domain.counts[m - 1], self.domain._faces[m]
+            for j in faces:  # pack_key, one digit at a time over the whole level
+                keys = [key * radix + d for key, d in zip(keys, tables[j])]
+        buckets: dict[int, list[int]] = {}
+        for w, key in enumerate(keys):
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [w]
+            else:
+                bucket.append(w)
+        return buckets
+
     def fiber(self, n: int, target_idx: int) -> tuple[int, ...]:
         """Ids of domain n-simplices mapping to the given codomain id, ascending."""
-        if n not in self._fibers:
-            self._fibers[n] = _buckets(self.components[n], self.codomain.counts[n])
-        return self._fibers[n][target_idx]
+        return tuple(self.index(n, ()).get(target_idx, ()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialMap):

@@ -33,6 +33,12 @@ class TestIdentitiesCommand:
         code, _ = run(["identities", "--max-n", "11"])
         assert code == 2
 
+    @pytest.mark.parametrize("max_n", ["-1", "-3"])
+    def test_max_n_below_zero_rejected(self, capsys, max_n):
+        # no identity holds vacuously: a negative bound is bad input, not a PASS
+        assert run(["identities", "--max-n", max_n]) == (2, None)
+        assert "error: max-n must be at least 0" in capsys.readouterr().err
+
 
 class TestKanCommand:
     def test_nerve_preset_passes(self):

@@ -34,6 +34,11 @@ PINNED = {
     "kan-s3-row": "kan --preset s3-counterexample --construction row --max-dim 3",
     "kan-s3-nerve": "kan --preset s3-counterexample --construction nerve --max-dim 3",
     "pointwise-s3-counterexample": "pointwise --preset s3-counterexample --max-total-dim 2",
+    # the benchmark's kan-diagonal-eg command, and the eg-tensor sweep one
+    # dimension past the README's (2320 problems)
+    "kan-eg-tensor-diagonal-dim4":
+        "kan --preset eg-tensor --construction eg-tensor-diagonal --max-dim 4",
+    "pointwise-eg-tensor-dim4": "pointwise --preset eg-tensor --max-total-dim 4",
 }
 
 

@@ -1,9 +1,13 @@
 import itertools
+from collections import Counter
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from kancheck import (
     CompatibleFamily,
+    FiniteGroupoid,
     Simplex,
     SimplicialMap,
     brute_force_fill,
@@ -18,6 +22,7 @@ from kancheck import (
     nerve,
     one_object_groupoid,
     point,
+    symmetric_group_preset,
     to_point_map,
 )
 from kancheck.errors import InternalInvariantError, RejectedInput
@@ -49,23 +54,23 @@ def full_scan_fill(family):
 
 
 def fiber_families(f, n, indices):
-    """The oracle enumeration: every face drawn from its whole f-fiber,
-    backtracking in ascending index order, as (faces, target) pairs."""
+    """The oracle enumeration: every face drawn from its whole f-fiber, found
+    by a scan of all of X_{n-1} (no index), backtracking in ascending index
+    order, as (faces, target) pairs."""
     X, Y = f.domain, f.codomain
     for y in Y.simplices(n):
-        required = [Y.face(i, y).idx for i in indices]
+        required = [Y.face(i, y) for i in indices]
 
         def extend(chosen):
             t = len(chosen)
             if t == len(indices):
                 yield tuple(chosen), y
                 return
-            for idx in f.fiber(n - 1, required[t]):
-                x = Simplex(n - 1, idx)
-                if n < 2 or all(
+            for x in X.simplices(n - 1):
+                if f.apply(x) == required[t] and (n < 2 or all(
                     X.face(indices[s], x) == X.face(indices[t] - 1, chosen[s])
                     for s in range(t)
-                ):
+                )):
                     yield from extend(chosen + [x])
 
         yield from extend([])
@@ -111,8 +116,10 @@ def s3_identity_map(s3_nerve):
 def eg_sign_map(s3):
     """EG(S3) -> BZ2, the universal cover followed by the sign: (g_0..g_n) goes
     to the string of sign(g_{j-1}) + sign(g_j).  An edge's sign needs both of
-    its vertices, and its f-fiber (18) outgrows its face fiber (6), so both
-    searches must filter their face fibers by f."""
+    its vertices, so the six edges with a given face d_i split three and three
+    by sign.  Only the f digit of an index key tells them apart: a key on the
+    faces alone would fill a one-face horn, or draw a face, over the wrong
+    target."""
     squares = {s3.mul(a, a) for a in range(s3.order)}
     odd = [int(g not in squares) for g in range(s3.order)]
     bound = 2
@@ -129,7 +136,7 @@ def eg_sign_map(s3):
 
 # the Z2 and S3 nerves, a diagonal with an unfillable horn, a Kan diagonal,
 # and two maps that are not to the point: the identity, whose f-fibers are
-# single simplices, and a sign map, whose face fibers are filtered by f
+# single simplices, and a sign map, whose index keys need their f digit
 DIFFERENTIAL_MAPS = (
     "z2_nerve_map", "s3_nerve_map", "s3_diag_map", "eg_diag_map", "s3_identity_map",
     "eg_sign_map",
@@ -229,16 +236,18 @@ class TestBruteForceFill:
         assert report.failure.candidates_examined == X.size(2)
 
 
-class TestFaceFiberSearch:
-    """The face-fiber engine against the whole-fiber, whole-table oracles."""
+class TestIndexSearch:
+    """The index lookup engine against the whole-fiber, whole-table oracles."""
 
     @pytest.mark.parametrize("name", DIFFERENTIAL_MAPS)
     def test_engine_matches_oracles_on_every_cell(self, name, request):
         f = request.getfixturevalue(name)
         unfilled = 0
         for n in range(1, f.domain.bound + 1):
-            for k in range(-1, n + 1):
-                indices = tuple(i for i in range(n + 1) if i != k)
+            # every horn and boundary, and the empty index set (a bare target)
+            for indices in [()] + [
+                tuple(i for i in range(n + 1) if i != k) for k in range(-1, n + 1)
+            ]:
                 families = list(iter_compatible_families(f, n, indices))
                 assert [(fam.faces, fam.target) for fam in families] == list(
                     fiber_families(f, n, indices)
@@ -251,6 +260,74 @@ class TestFaceFiberSearch:
         # S3 diagonal, do not fill; every family on the diagonal of EG x EG and
         # on the identity does
         assert (unfilled > 0) == (name not in ("eg_diag_map", "s3_identity_map"))
+
+
+def group_times_pair_groupoid(G, objects, order):
+    """G x the pair groupoid on ``objects`` objects: one arrow s -> t labelled
+    g for each g in G and each pair (s, t), composed by multiplying labels.
+    ``order`` permutes the arrow ids, and so the simplex ids of the nerve."""
+    arrows = [(g, t, s) for g in range(G.order) for t in range(objects) for s in range(objects)]
+    arrows = [arrows[a] for a in order]
+    number = {arrow: a for a, arrow in enumerate(arrows)}
+    compose = {
+        (number[g, t, m], number[h, m, s]): number[G.mul(g, h), t, s]
+        for g, t, m in arrows
+        for h, m2, s in arrows
+        if m2 == m
+    }
+    return FiniteGroupoid(
+        [f"o{o}" for o in range(objects)],
+        [s for _, _, s in arrows],
+        [t for _, t, _ in arrows],
+        compose,
+        [number[G.identity, o, o] for o in range(objects)],
+    )
+
+
+GROUPS = {
+    **{f"Z{m}": lambda m=m: cyclic_group(m) for m in range(1, 5)},
+    "S3": lambda: symmetric_group_preset(3),
+}
+
+
+@st.composite
+def groupoid_nerves(draw):
+    """Nerves of connected groupoids G x pair(1..3) with at most 12 arrows,
+    arrows in a drawn order, truncated at a drawn bound <= 3."""
+    G = GROUPS[draw(st.sampled_from(sorted(GROUPS)))]()
+    objects = draw(st.sampled_from([k for k in (1, 2, 3) if G.order * k * k <= 12]))
+    order = draw(st.permutations(range(G.order * objects * objects)))
+    bound = draw(st.integers(1, 3))
+    return nerve(group_times_pair_groupoid(G, objects, order), bound)
+
+
+class TestGroupoidNerves:
+    """Known answers: the nerve of a groupoid is Kan, and above dimension 1
+    every horn has exactly one filler."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(X=groupoid_nerves())
+    def test_engine_matches_oracles_and_fillers_are_unique(self, X):
+        f = to_point_map(X)
+        for n in range(1, X.bound + 1):
+            for k in range(n + 1):
+                indices = tuple(i for i in range(n + 1) if i != k)
+                families = list(iter_compatible_families(f, n, indices))
+                assert [(fam.faces, fam.target) for fam in families] == list(
+                    fiber_families(f, n, indices)
+                )
+                for fam in families:
+                    cert = brute_force_fill(fam)
+                    assert cert.filled
+                    assert (cert.witness, cert.candidates_examined) == full_scan_fill(fam)
+                if n >= 2:
+                    # one whole-table pass counts the fillers of every horn
+                    tables = X._faces[n]
+                    fillers = Counter(
+                        tuple(tables[i][w] for i in indices) for w in range(X.size(n))
+                    )
+                    assert [fillers[fam.ids] for fam in families] == [1] * len(families)
+                    assert len(families) == X.size(n)
 
 
 class TestIdEngineReports:

@@ -7,6 +7,7 @@ from kancheck import (
     BiSimplex,
     CompatibleFamily,
     Simplex,
+    SimplicialMap,
     brute_force_fill,
     check_kan_fibration,
     column_map,
@@ -340,6 +341,45 @@ class TestSweep:
         assert report.passed and report.transposed_cells
         assert len(built) == 1
         assert filled_in == {id(built[0])}
+
+    def test_each_index_built_once_and_shared_with_the_kan_check(
+        self, eg_tensor_map, monkeypatch
+    ):
+        # every (map, m, J) index is built at most once, and the sweeps' fills
+        # in the diagonal find every index they need already built by its Kan
+        # check: the sweeps build indexes only on column maps, to enumerate
+        builds, phase, kan_checked, columns = [], ["kan check"], [], []
+        build, check = SimplicialMap._build_index, kancheck.pointwise.check_kan_fibration
+        column = kancheck.pointwise.column_map
+
+        def counting_build(f, m, faces):
+            builds.append((phase[0], f, m, faces))
+            return build(f, m, faces)
+
+        def check_then_sweep(diag_f, max_dim):
+            kan_checked.append(diag_f)
+            report = check(diag_f, max_dim)
+            phase[0] = "sweeps"
+            return report
+
+        def recording_column(f, p):
+            columns.append(column(f, p))
+            return columns[-1]
+
+        monkeypatch.setattr(SimplicialMap, "_build_index", counting_build)
+        monkeypatch.setattr(kancheck.pointwise, "check_kan_fibration", check_then_sweep)
+        monkeypatch.setattr(kancheck.pointwise, "column_map", recording_column)
+        assert verify_pointwise_fillers(eg_tensor_map, 3).passed
+        # builds holds every map it names, so no two of them share an id()
+        keys = [(id(f), m, faces) for _, f, m, faces in builds]
+        assert len(keys) == len(set(keys))
+        [diag_f] = kan_checked
+        by_kan_check = {(m, faces) for when, f, m, faces in builds if f is diag_f}
+        assert {
+            (n, tuple(i for i in range(n + 1) if i != k)) for n in range(1, 4) for k in range(n + 1)
+        } <= by_kan_check
+        in_sweeps = [f for when, f, _, _ in builds if when == "sweeps"]
+        assert in_sweeps and all(any(f is col for col in columns) for f in in_sweeps)
 
     @pytest.mark.parametrize("transposed", [False, True], ids=["direct", "transposed"])
     def test_refused_cell_is_reported(self, monkeypatch, transposed):
