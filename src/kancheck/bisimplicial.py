@@ -12,6 +12,7 @@ copying.  The diagonal composes one row table with one column table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .errors import RejectedInput, TruncationError
@@ -40,8 +41,12 @@ def _in_line(what: str, build: Callable[..., T], *args) -> T:
         raise RejectedInput(f"{what}: {exc}") from None
 
 
-def _labels_at(line: TruncatedSimplicialSet, n: int) -> tuple[str, ...] | None:
-    return None if line._labels is None else line._labels[n]
+def _same_labels(r: TruncatedSimplicialSet, p: int, col: TruncatedSimplicialSet, q: int) -> bool:
+    """Whether row level p and column level q label alike: the same label
+    function, or functions that render the same strings."""
+    if r._labels is not None and col._labels is not None and r._labels[p] is col._labels[q]:
+        return True
+    return r.labels_at(p) == col.labels_at(q)
 
 
 def _line(lines: Sequence[T], k: int, what: str, bounds: tuple[int, int]) -> T:
@@ -71,7 +76,7 @@ class TruncatedBisimplicialSet:
             raise RejectedInput(f"need {Q + 1} rows of bound {P} and {P + 1} columns of bound {Q}")
         for p, col in enumerate(columns):
             for q, r in enumerate(rows):
-                if r.counts[p] != col.counts[q] or _labels_at(r, p) != _labels_at(col, q):
+                if r.counts[p] != col.counts[q] or not _same_labels(r, p, col, q):
                     raise RejectedInput(f"row {q} and column {p} disagree on level ({p},{q})")
         self.bounds = (P, Q)
         self.counts = tuple(col.counts for col in columns)
@@ -175,6 +180,13 @@ def transpose(X: TruncatedBisimplicialSet) -> TruncatedBisimplicialSet:
     return TruncatedBisimplicialSet(X.columns, X.rows)
 
 
+def _pair_label(
+    A: TruncatedSimplicialSet, p: int, B: TruncatedSimplicialSet, q: int, width: int, idx: int
+) -> str:
+    a, b = divmod(idx, width)
+    return f"({A.label(Simplex(p, a))},{B.label(Simplex(q, b))})"
+
+
 def tensor(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedBisimplicialSet:
     """The external product: (A (x) B)_{p,q} = A_p x B_q.
 
@@ -191,14 +203,7 @@ def tensor(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedBis
         return [a * width + b for a in range(height) for b in table]
 
     labels = [
-        [
-            [
-                f"({A.label(Simplex(p, a))},{B.label(Simplex(q, b))})"
-                for a in range(A.counts[p])
-                for b in range(B.counts[q])
-            ]
-            for q in range(Q + 1)
-        ]
+        [partial(_pair_label, A, p, B, q, B.counts[q]) for q in range(Q + 1)]
         for p in range(P + 1)
     ]
     rows = [

@@ -11,12 +11,22 @@ lower square's top edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
 from .bisimplicial import TruncatedBisimplicialSet
 from .errors import RejectedInput
 from .groups import FiniteGroup
-from .groupoids import FiniteGroupoid, keyed_simplicial_set, nerve_indexed, one_object_groupoid
+from .groupoids import (
+    FiniteGroupoid,
+    NerveKeys,
+    key_index,
+    nerve_keys,
+    nerve_set,
+    one_object_groupoid,
+    string_labels,
+)
+from .simplicial import Label, TruncatedSimplicialSet
 
 
 @dataclass(frozen=True)
@@ -227,39 +237,112 @@ def group_pair_double_groupoid(
     return DoubleGroupoid(h, v, squares)
 
 
-ColumnKey = tuple[int, ...]          # squares of one column, top row first
-MatrixKey = tuple[ColumnKey, ...]    # columns left to right
+class _LineGroupoid(NamedTuple):
+    """What the nerve code reads of a groupoid, for one given by lookups into
+    tables already built: the vertical square groupoid and the groupoid of
+    q-columns.  Their laws are the double groupoid's, validated with it."""
+
+    objects: Sequence[int]
+    arrow_source: Sequence[int]
+    arrow_target: Sequence[int]
+    compose: Callable[[int, int], int]
+    identity: Callable[[int], int]
 
 
-def _matrix_keys(D: DoubleGroupoid, P: int, Q: int) -> list[list[tuple[MatrixKey, ...]]]:
-    """``keys[p][q]`` for 1 <= p <= P, 1 <= q <= Q, in ascending lexicographic order.
+def _column_label(square_labels: Sequence[str], level: NerveKeys, idx: int) -> str:
+    return "|".join(square_labels[s] for s in level[idx])
 
-    A matrix grows by the column chains whose left vertical line equals its
-    last right vertical line; the chains are indexed by that line, so no
-    matrix is ever paired with a column that does not fit.
+
+def _matrix_label(column_label: Label, level: NerveKeys, idx: int) -> str:
+    return ";".join(map(column_label, level[idx]))
+
+
+def _elementwise(
+    table: Sequence[int], keys: Sequence[tuple[int, ...]], index: dict[object, int]
+) -> list[int]:
+    """The table of a column map applied to each column of every p-column key."""
+    get = table.__getitem__
+    return [index[tuple(map(get, key))] for key in keys]
+
+
+def _double_nerve(
+    D: DoubleGroupoid, P: int, Q: int
+) -> tuple[TruncatedBisimplicialSet, NerveKeys, NerveKeys, list[NerveKeys]]:
+    """The double nerve, the keys of columns 0 and 1, and the keys of every row.
+
+    Column 1 is the nerve of the vertical square groupoid (objects the
+    horizontal arrows, arrows the squares from bottom to top), so its
+    q-simplices are q-columns of squares, top first.  Row q >= 1 is the nerve
+    of the groupoid of q-columns (objects the vertical q-strings, arrows the
+    q-columns from right edge to left edge, composing square by square), so
+    its p-simplices are p-tuples of column ids.  Column p >= 2 applies the
+    tables of column 1 to each column.  Row 0 and column 0 are the nerves of
+    the horizontal and vertical groupoids.
     """
-    sq = D.squares
-    below: dict[int, list[int]] = {}
-    for s in range(D.n_squares):
-        below.setdefault(sq[s].top, []).append(s)
-    keys: list[list[tuple[MatrixKey, ...]]] = [[() for _ in range(Q + 1)] for _ in range(P + 1)]
-    chains: list[ColumnKey] = [(s,) for s in range(D.n_squares)]
+    if P < 0 or Q < 0:
+        raise RejectedInput("bounds must be nonnegative")
+    h, v, sq = D.horizontal, D.vertical, D.squares
+    h_keys, v_keys = nerve_keys(h, P), nerve_keys(v, Q)
+    h_index, v_index = key_index(h_keys), key_index(v_keys)
+    row0 = nerve_set(h, h_keys, h_index, string_labels(h, h_keys))
+    col0 = nerve_set(v, v_keys, v_index, string_labels(v, v_keys))
+
+    squares = _LineGroupoid(
+        range(h.n_arrows), tuple(s.bottom for s in sq), tuple(s.top for s in sq),
+        D.v_compose, D.v_identity.__getitem__,
+    )
+    c1_keys = nerve_keys(squares, Q)
+    c1_index = key_index(c1_keys)
+    square_labels = tuple(D.square_label(s) for s in range(D.n_squares))
+    column_labels = [partial(_column_label, square_labels, c1_keys[q]) for q in range(Q + 1)]
+
+    def q_columns(q: int) -> _LineGroupoid:
+        chains, index = c1_keys[q], c1_index[q]
+        lines, h_comp = v_index[q], D._h_comp
+
+        def compose(g: int, k: int) -> int:
+            return index[tuple(map(h_comp.__getitem__, zip(chains[g], chains[k])))]
+
+        return _LineGroupoid(
+            range(len(v_keys[q])),
+            tuple(lines[tuple(sq[s].right for s in c)] for c in chains),
+            tuple(lines[tuple(sq[s].left for s in c)] for c in chains),
+            compose,
+            tuple(index[tuple(D.h_identity[b] for b in line)] for line in v_keys[q]).__getitem__,
+        )
+
+    rows, row_keys, row_index = [row0], [h_keys], [h_index]
     for q in range(1, Q + 1):
-        if q > 1:
-            chains = [c + (s,) for c in chains for s in below.get(sq[c[-1]].bottom, ())]
-        by_left: dict[tuple[int, ...], list[ColumnKey]] = {}
-        for c in chains:
-            by_left.setdefault(tuple(sq[s].left for s in c), []).append(c)
-        mats: list[MatrixKey] = [(c,) for c in chains]
-        for p in range(1, P + 1):
-            if p > 1:
-                mats = [
-                    m + (c,)
-                    for m in mats
-                    for c in by_left.get(tuple(sq[s].right for s in m[-1]), ())
-                ]
-            keys[p][q] = tuple(mats)
-    return keys
+        C = q_columns(q)
+        keys = nerve_keys(C, P)
+        index = key_index(keys)
+        labels = [col0._labels[q], column_labels[q]] + [
+            partial(_matrix_label, column_labels[q], keys[p]) for p in range(2, P + 1)
+        ]
+        rows.append(nerve_set(C, keys, index, labels[: P + 1]))
+        row_keys.append(keys)
+        row_index.append(index)
+
+    columns = [col0]
+    if P:
+        columns.append(
+            nerve_set(squares, c1_keys, c1_index, [row0._labels[1]] + column_labels[1:])
+        )
+    for p in range(2, P + 1):
+        col1 = columns[1]
+        columns.append(TruncatedSimplicialSet(
+            [len(keys[p]) for keys in row_keys],
+            [[]] + [
+                [_elementwise(t, row_keys[q][p], row_index[q - 1][p]) for t in col1._faces[q]]
+                for q in range(1, Q + 1)
+            ],
+            [
+                [_elementwise(t, row_keys[q][p], row_index[q + 1][p]) for t in col1._degens[q]]
+                for q in range(Q)
+            ] + [[]],
+            [r._labels[p] for r in rows],
+        ))
+    return TruncatedBisimplicialSet(rows, columns), v_keys, c1_keys, row_keys
 
 
 def double_nerve_indexed(
@@ -267,91 +350,24 @@ def double_nerve_indexed(
 ) -> tuple[TruncatedBisimplicialSet, tuple[tuple[tuple[object, ...], ...], ...]]:
     """The double nerve together with the key behind every bisimplex id.
 
-    Keys: (0,0) levels hold object indices, (p,0) levels horizontal arrow
-    strings, (0,q) levels vertical arrow strings, and (p,q) levels p-column
-    matrices of vertically chained squares with matching shared edges.  Row 0
-    and column 0 are the nerves of the horizontal and vertical groupoids; every
-    other line is built from its keys by the same table builder.
+    ``keys[p][q]``: (0,0) levels hold object indices, (p,0) levels horizontal
+    arrow strings, (0,q) levels vertical arrow strings, and (p,q) levels
+    p-column matrices, each column a tuple of vertically chained squares, top
+    first; every level in ascending lexicographic order.
     """
-    if P < 0 or Q < 0:
-        raise RejectedInput("bounds must be nonnegative")
-    sq = D.squares
-    row0, h_keys = nerve_indexed(D.horizontal, P)
-    col0, v_keys = nerve_indexed(D.vertical, Q)
-    grid = _matrix_keys(D, P, Q)
+    NN, v_keys, c1_keys, row_keys = _double_nerve(D, P, Q)
     keys = tuple(
-        tuple(v_keys[q] if p == 0 else h_keys[p] if q == 0 else grid[p][q] for q in range(Q + 1))
+        tuple(
+            v_keys[q] if p == 0 else row_keys[0][p] if q == 0
+            else tuple(tuple(c1_keys[q][c] for c in key) for key in row_keys[q][p])
+            for q in range(Q + 1)
+        )
         for p in range(P + 1)
     )
-    labels = [
-        [
-            row0._labels[p] if q == 0 else col0._labels[q] if p == 0 else [
-                ";".join("|".join(D.square_label(s) for s in c) for c in key)
-                for key in grid[p][q]
-            ]
-            for q in range(Q + 1)
-        ]
-        for p in range(P + 1)
-    ]
-
-    def v_line(mat: MatrixKey, i: int) -> tuple[int, ...]:
-        """Vertical arrows along the i-th vertical line, top row first."""
-        if i == 0:
-            return tuple(sq[s].left for s in mat[0])
-        return tuple(sq[s].right for s in mat[i - 1])
-
-    def h_level(mat: MatrixKey, j: int) -> tuple[int, ...]:
-        """Horizontal arrows along the j-th horizontal level, left column first."""
-        if j == 0:
-            return tuple(sq[c[0]].top for c in mat)
-        return tuple(sq[c[j - 1]].bottom for c in mat)
-
-    def h_face_key(p: int, mat: MatrixKey, i: int) -> object:
-        if p == 1:
-            return v_line(mat, 1 if i == 0 else 0)
-        if i == 0:
-            return mat[1:]
-        if i == p:
-            return mat[:-1]
-        merged = tuple(D.h_compose(a, b) for a, b in zip(mat[i - 1], mat[i]))
-        return mat[: i - 1] + (merged,) + mat[i + 1:]
-
-    def v_face_key(q: int, mat: MatrixKey, j: int) -> object:
-        if q == 1:
-            return h_level(mat, 0 if j == 1 else 1)
-        if j == 0:
-            return tuple(c[1:] for c in mat)
-        if j == q:
-            return tuple(c[:-1] for c in mat)
-        return tuple(c[: j - 1] + (D.v_compose(c[j - 1], c[j]),) + c[j + 1:] for c in mat)
-
-    def h_degen_key(p: int, key, i: int) -> object:
-        """Insert an identity column; at p = 0 the key is a vertical string."""
-        id_col: ColumnKey = tuple(D.h_identity[b] for b in (key if p == 0 else v_line(key, i)))
-        return (id_col,) if p == 0 else key[:i] + (id_col,) + key[i:]
-
-    def v_degen_key(q: int, key, j: int) -> object:
-        """Insert an identity row; at q = 0 the key is a horizontal string."""
-        if q == 0:
-            return tuple((D.v_identity[a],) for a in key)
-        id_row = (D.v_identity[a] for a in h_level(key, j))
-        return tuple(c[:j] + (s,) + c[j:] for s, c in zip(id_row, key))
-
-    rows = [row0] + [
-        keyed_simplicial_set(
-            [keys[p][q] for p in range(P + 1)], h_face_key, h_degen_key,
-            [labels[p][q] for p in range(P + 1)],
-        )
-        for q in range(1, Q + 1)
-    ]
-    columns = [col0] + [
-        keyed_simplicial_set(keys[p], v_face_key, v_degen_key, labels[p])
-        for p in range(1, P + 1)
-    ]
-    return TruncatedBisimplicialSet(rows, columns), keys
+    return NN, keys
 
 
 def double_nerve(D: DoubleGroupoid, P: int, Q: int) -> TruncatedBisimplicialSet:
     """Matrices of composable squares, with composing faces and identity
     column/row degeneracies."""
-    return double_nerve_indexed(D, P, Q)[0]
+    return _double_nerve(D, P, Q)[0]

@@ -10,11 +10,12 @@ identity arrow.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Sequence
+from itertools import product
+from typing import Sequence
 
 from .errors import RejectedInput
 from .groups import FiniteGroup
-from .simplicial import Simplex, TruncatedSimplicialSet
+from .simplicial import Label, Simplex, TruncatedSimplicialSet
 
 
 class FiniteGroupoid:
@@ -151,24 +152,33 @@ def discrete_groupoid(names: Sequence[str]) -> FiniteGroupoid:
 
 
 NerveKeys = tuple[tuple[object, ...], ...]
+KeyIndex = list[dict[object, int]]
 
 
 def nerve_keys(C: FiniteGroupoid, bound: int) -> NerveKeys:
     """The nerve's simplices up to ``bound`` as keys, level by level: objects at
     level 0, then strings ``(g_1, ..., g_n)`` with source(g_i) == target(g_{i+1}),
-    in ascending lexicographic order."""
+    in ascending lexicographic order.
+
+    Reads only ``objects`` (its length) and the arrow endpoint tables of ``C``.
+    """
+    n_arrows = len(C.arrow_source)
     keys: list[tuple[object, ...]] = [tuple(range(len(C.objects)))]
-    strings: list[tuple[int, ...]] = [(g,) for g in range(C.n_arrows)]
+    strings: list[tuple[int, ...]] = [(g,) for g in range(n_arrows)]
+    by_target: list[list[int]] = [[] for _ in C.objects]
+    for g in range(n_arrows):
+        by_target[C.arrow_target[g]].append(g)
+    source = C.arrow_source
     for n in range(1, bound + 1):
         if n > 1:
-            strings = [
-                s + (g,)
-                for s in strings
-                for g in range(C.n_arrows)
-                if C.arrow_target[g] == C.arrow_source[s[-1]]
-            ]
+            strings = [s + (g,) for s in strings for g in by_target[source[s[-1]]]]
         keys.append(tuple(strings))
     return tuple(keys)
+
+
+def key_index(keys: Sequence[Sequence[object]]) -> KeyIndex:
+    """Per level, the dict from a key to its id."""
+    return [{key: k for k, key in enumerate(level)} for level in keys]
 
 
 def string_face(C: FiniteGroupoid, n: int, key: object, i: int) -> object:
@@ -192,34 +202,38 @@ def string_degeneracy(C: FiniteGroupoid, n: int, key: object, i: int) -> object:
     return s[:i] + (C.identity(obj),) + s[i:]
 
 
-def string_label(C: FiniteGroupoid, n: int, key: object) -> str:
+def string_label(C: FiniteGroupoid, level: Sequence[object], n: int, idx: int) -> str:
+    """The label of the nerve's n-simplex ``idx`` whose key is ``level[idx]``."""
+    key = level[idx]
     if n == 0:
         return C.objects[key]  # type: ignore[index]
     return "|".join(C.arrow_labels[g] for g in key)  # type: ignore[union-attr]
 
 
-def keyed_simplicial_set(
-    keys: Sequence[Sequence[object]],
-    face_key: Callable[[int, Any, int], object],
-    degen_key: Callable[[int, Any, int], object],
-    labels: Sequence[Sequence[str]],
+def nerve_set(
+    C: FiniteGroupoid, keys: NerveKeys, index: KeyIndex, labels: Sequence[Label]
 ) -> TruncatedSimplicialSet:
-    """The simplicial set whose n-simplex ids index ``keys[n]``.
+    """The nerve of ``C`` whose n-simplex ids index ``keys[n]``, for keys
+    ``nerve_keys(C, bound)`` and their ``key_index``, labelled by ``labels``.
 
-    ``face_key(n, key, i)`` and ``degen_key(n, key, i)`` give the keys of d_i
-    and s_i of the n-simplex ``key``; they must be keys of the adjacent level.
+    Reads only the objects, arrow endpoints, ``compose`` and ``identity`` of
+    ``C``, so anything with those attributes has a nerve.
     """
     bound = len(keys) - 1
-    index = [{key: k for k, key in enumerate(level)} for level in keys]
     faces = [[]] + [
-        [[index[n - 1][face_key(n, key, i)] for key in keys[n]] for i in range(n + 1)]
+        [[index[n - 1][string_face(C, n, key, i)] for key in keys[n]] for i in range(n + 1)]
         for n in range(1, bound + 1)
     ]
     degens = [
-        [[index[n + 1][degen_key(n, key, i)] for key in keys[n]] for i in range(n + 1)]
+        [[index[n + 1][string_degeneracy(C, n, key, i)] for key in keys[n]] for i in range(n + 1)]
         for n in range(bound)
     ] + [[]]
     return TruncatedSimplicialSet([len(level) for level in keys], faces, degens, labels)
+
+
+def string_labels(C: FiniteGroupoid, keys: NerveKeys) -> list[Label]:
+    """Per level of the nerve of ``C``, the function rendering an id's key."""
+    return [partial(string_label, C, level, n) for n, level in enumerate(keys)]
 
 
 def nerve_indexed(C: FiniteGroupoid, bound: int) -> tuple[TruncatedSimplicialSet, NerveKeys]:
@@ -227,16 +241,21 @@ def nerve_indexed(C: FiniteGroupoid, bound: int) -> tuple[TruncatedSimplicialSet
     if bound < 0:
         raise RejectedInput("bound must be nonnegative")
     keys = nerve_keys(C, bound)
-    labels = [[string_label(C, n, key) for key in level] for n, level in enumerate(keys)]
-    N = keyed_simplicial_set(
-        keys, partial(string_face, C), partial(string_degeneracy, C), labels
-    )
-    return N, keys
+    return nerve_set(C, keys, key_index(keys), string_labels(C, keys)), keys
 
 
 def nerve(C: FiniteGroupoid, bound: int) -> TruncatedSimplicialSet:
     """Strings of composable arrows, with composing faces and identity insertions."""
     return nerve_indexed(C, bound)[0]
+
+
+def _eg_label(G: FiniteGroup, n: int, idx: int) -> str:
+    """The coordinates of the n-simplex ``idx`` of EG, most significant first."""
+    coords = []
+    for _ in range(n + 1):
+        idx, c = divmod(idx, G.order)
+        coords.append(G.labels[c])
+    return "(" + ",".join(reversed(coords)) + ")"
 
 
 def eg_construction(G: FiniteGroup, bound: int) -> TruncatedSimplicialSet:
@@ -250,13 +269,6 @@ def eg_construction(G: FiniteGroup, bound: int) -> TruncatedSimplicialSet:
     order = G.order
     counts = [order ** (n + 1) for n in range(bound + 1)]
 
-    def decode(n: int, idx: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(n + 1):
-            out.append(idx % order)
-            idx //= order
-        return tuple(reversed(out))
-
     def encode(coords: tuple[int, ...]) -> int:
         idx = 0
         for c in coords:
@@ -264,29 +276,16 @@ def eg_construction(G: FiniteGroup, bound: int) -> TruncatedSimplicialSet:
         return idx
 
     faces: list[list[list[int]]] = [[]]
-    for n in range(1, bound + 1):
-        faces.append(
-            [
-                [encode(decode(n, idx)[:i] + decode(n, idx)[i + 1:]) for idx in range(counts[n])]
-                for i in range(n + 1)
-            ]
-        )
     degens: list[list[list[int]]] = []
-    for n in range(bound):
-        degens.append(
-            [
-                [
-                    encode(decode(n, idx)[: i + 1] + decode(n, idx)[i:])
-                    for idx in range(counts[n])
-                ]
-                for i in range(n + 1)
-            ]
-        )
+    for n in range(bound + 1):
+        # every id of level n decoded once: product's order is ascending id
+        coords = list(product(range(order), repeat=n + 1))
+        if n > 0:
+            faces.append([[encode(c[:i] + c[i + 1:]) for c in coords] for i in range(n + 1)])
+        if n < bound:
+            degens.append([[encode(c[: i + 1] + c[i:]) for c in coords] for i in range(n + 1)])
     degens.append([])
-    labels = [
-        ["(" + ",".join(G.labels[c] for c in decode(n, idx)) + ")" for idx in range(counts[n])]
-        for n in range(bound + 1)
-    ]
+    labels = [partial(_eg_label, G, n) for n in range(bound + 1)]
     return TruncatedSimplicialSet(counts, faces, degens, labels)
 
 

@@ -23,7 +23,7 @@ def simplicial_to_dict(X: TruncatedSimplicialSet) -> dict[str, Any]:
         "counts": list(X.counts),
         "faces": [[list(t) for t in X._faces[n]] for n in range(X.bound + 1)],
         "degeneracies": [[list(t) for t in X._degens[n]] for n in range(X.bound + 1)],
-        "labels": None if X._labels is None else [list(l) for l in X._labels],
+        "labels": None if X._labels is None else [X.labels_at(n) for n in range(X.bound + 1)],
     }
 
 

@@ -10,7 +10,7 @@ caches the horn-search indexes it builds from its tables on first use
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import RejectedInput, TruncationError
 from .ordinal import Degeneracy, Face, SimplicialOperator
@@ -22,13 +22,23 @@ class Simplex(NamedTuple):
 
 
 def _as_table(entries: Sequence[int], size: int, target_size: int, what: str) -> tuple[int, ...]:
-    table = tuple(int(v) for v in entries)
+    table = tuple(map(int, entries))
     if len(table) != size:
         raise RejectedInput(f"{what}: expected {size} entries, got {len(table)}")
-    for v in table:
-        if not 0 <= v < target_size:
-            raise RejectedInput(f"{what}: entry {v} outside range(0, {target_size})")
+    if table and (min(table) < 0 or max(table) >= target_size):
+        bad = next(v for v in table if not 0 <= v < target_size)
+        raise RejectedInput(f"{what}: entry {bad} outside range(0, {target_size})")
     return table
+
+
+Label = Callable[[int], str]
+
+
+def _label_table(level: Sequence[str], count: int) -> Label:
+    """A level's label table as its label function."""
+    if len(level) != count:
+        raise RejectedInput("labels must match the simplex counts")
+    return tuple(str(s) for s in level).__getitem__
 
 
 def pack_key(radix: int, head: int, digits: Iterable[int]) -> int:
@@ -44,6 +54,8 @@ class TruncatedSimplicialSet:
 
     ``faces[n][i]`` maps n-simplex ids to (n-1)-simplex ids for 1 <= n <= bound,
     0 <= i <= n; ``degeneracies[n][i]`` maps upward for 0 <= n < bound.
+    ``labels[n]`` is level n's label function ``idx -> str``, or a table of
+    its labels, which is wrapped as one; labels are rendered only when read.
     """
 
     __slots__ = ("bound", "counts", "_faces", "_degens", "_labels")
@@ -53,7 +65,7 @@ class TruncatedSimplicialSet:
         counts: Sequence[int],
         faces: Sequence[Sequence[Sequence[int]]],
         degeneracies: Sequence[Sequence[Sequence[int]]],
-        labels: Sequence[Sequence[str]] | None = None,
+        labels: Sequence[Sequence[str] | Label] | None = None,
     ) -> None:
         if not counts:
             raise RejectedInput("need at least the 0-dimensional level")
@@ -97,11 +109,12 @@ class TruncatedSimplicialSet:
         if labels is None:
             self._labels = None
         else:
-            if len(labels) != self.bound + 1 or any(
-                len(labels[n]) != self.counts[n] for n in range(self.bound + 1)
-            ):
+            if len(labels) != self.bound + 1:
                 raise RejectedInput("labels must match the simplex counts")
-            self._labels = tuple(tuple(str(s) for s in level) for level in labels)
+            self._labels = tuple(
+                level if callable(level) else _label_table(level, self.counts[n])
+                for n, level in enumerate(labels)
+            )
 
     def size(self, n: int) -> int:
         if not 0 <= n <= self.bound:
@@ -139,7 +152,13 @@ class TruncatedSimplicialSet:
         self._check(x)
         if self._labels is None:
             return f"{x.dim}#{x.idx}"
-        return self._labels[x.dim][x.idx]
+        return self._labels[x.dim](x.idx)
+
+    def labels_at(self, n: int) -> list[str] | None:
+        """Every label of level n in id order, or None for an unlabelled set."""
+        if self._labels is None:
+            return None
+        return list(map(self._labels[n], range(self.counts[n])))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSimplicialSet):

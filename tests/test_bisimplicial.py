@@ -21,6 +21,7 @@ from kancheck import (
 )
 from kancheck.errors import RejectedInput, TruncationError
 from kancheck.presets import preset_bisimplicial
+from kancheck.simplicial import TruncatedSimplicialSet
 
 
 class TestPointAndTensor:
@@ -201,6 +202,26 @@ class TestConstruction:
             TruncatedBisimplicialSet(X.rows, X.columns[:-1])
         with pytest.raises(RejectedInput):
             TruncatedBisimplicialSet(X.rows, (point(3),) * 4)
+
+    def test_lines_must_agree_on_labels(self, eg_z2):
+        from kancheck.bisimplicial import TruncatedBisimplicialSet
+
+        X = tensor(eg_z2, eg_z2)
+        col = X.columns[1]
+        relabelled = [col.labels_at(q) for q in range(col.bound + 1)]
+        relabelled[2][3] = "renamed"
+        other = TruncatedSimplicialSet(
+            col.counts, col._faces, [list(t) for t in col._degens], relabelled
+        )
+        assert other == col  # same counts and tables; only one label differs
+        # the same strings rendered by different functions are accepted
+        same = TruncatedSimplicialSet(
+            col.counts, col._faces, col._degens,
+            [col.labels_at(q) for q in range(col.bound + 1)],
+        )
+        TruncatedBisimplicialSet(X.rows, X.columns[:1] + (same,) + X.columns[2:])
+        with pytest.raises(RejectedInput, match=r"row 2 and column 1 disagree on level \(1,2\)"):
+            TruncatedBisimplicialSet(X.rows, X.columns[:1] + (other,) + X.columns[2:])
 
 
 class TestMaps:

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
 from kancheck import (
     DoubleGroupoid,
+    FiniteGroupoid,
     Square,
     column,
     double_nerve,
@@ -19,9 +22,12 @@ from kancheck.doublegroupoid import double_nerve_indexed
 from kancheck.errors import RejectedInput
 from kancheck.presets import preset_double_groupoid, z2_commuting
 from kancheck.serialize import simplicial_to_dict
+from kancheck.simplicial import TruncatedSimplicialSet
 
 # square and asymmetric bounds: rows and columns are built to different bounds
 BOUNDS = [(3, 3), (1, 3), (3, 1)]
+# a zero bound leaves only row 0 or only column 0
+ZERO_BOUNDS = [(0, 2), (2, 0), (0, 0)]
 
 
 @pytest.fixture(scope="module")
@@ -166,14 +172,139 @@ def _s4_pair_double_groupoid():
     return group_pair_double_groupoid(G, A, B)
 
 
+def _nested_key_double_nerve(D, P, Q):
+    """The rows and columns of the double nerve built on the nested keys of
+    ``_filtered_product_keys`` with the face and degeneracy formulas of the
+    nested-key build: the oracle for the build on flat column ids."""
+    sq = D.squares
+    keys = _filtered_product_keys(D, P, Q)
+
+    def label(p, q, key):
+        if p == 0:
+            return "|".join(D.vertical.arrow_labels[b] for b in key)
+        if q == 0:
+            return "|".join(D.horizontal.arrow_labels[a] for a in key)
+        return ";".join("|".join(D.square_label(s) for s in c) for c in key)
+
+    def v_line(mat, i):
+        """Vertical arrows along the i-th vertical line, top row first."""
+        if i == 0:
+            return tuple(sq[s].left for s in mat[0])
+        return tuple(sq[s].right for s in mat[i - 1])
+
+    def h_level(mat, j):
+        """Horizontal arrows along the j-th horizontal level, left column first."""
+        if j == 0:
+            return tuple(sq[c[0]].top for c in mat)
+        return tuple(sq[c[j - 1]].bottom for c in mat)
+
+    def h_face_key(p, mat, i):
+        if p == 1:
+            return v_line(mat, 1 if i == 0 else 0)
+        if i == 0:
+            return mat[1:]
+        if i == p:
+            return mat[:-1]
+        merged = tuple(D.h_compose(a, b) for a, b in zip(mat[i - 1], mat[i]))
+        return mat[: i - 1] + (merged,) + mat[i + 1:]
+
+    def v_face_key(q, mat, j):
+        if q == 1:
+            return h_level(mat, 0 if j == 1 else 1)
+        if j == 0:
+            return tuple(c[1:] for c in mat)
+        if j == q:
+            return tuple(c[:-1] for c in mat)
+        return tuple(c[: j - 1] + (D.v_compose(c[j - 1], c[j]),) + c[j + 1:] for c in mat)
+
+    def h_degen_key(p, key, i):
+        """Insert an identity column; at p = 0 the key is a vertical string."""
+        id_col = tuple(D.h_identity[b] for b in (key if p == 0 else v_line(key, i)))
+        return (id_col,) if p == 0 else key[:i] + (id_col,) + key[i:]
+
+    def v_degen_key(q, key, j):
+        """Insert an identity row; at q = 0 the key is a horizontal string."""
+        if q == 0:
+            return tuple((D.v_identity[a],) for a in key)
+        id_row = (D.v_identity[a] for a in h_level(key, j))
+        return tuple(c[:j] + (s,) + c[j:] for s, c in zip(id_row, key))
+
+    def line(levels, face_key, degen_key, level_labels):
+        index = [{key: k for k, key in enumerate(level)} for level in levels]
+        bound = len(levels) - 1
+        faces = [[]] + [
+            [[index[n - 1][face_key(n, key, i)] for key in levels[n]] for i in range(n + 1)]
+            for n in range(1, bound + 1)
+        ]
+        degens = [
+            [[index[n + 1][degen_key(n, key, i)] for key in levels[n]] for i in range(n + 1)]
+            for n in range(bound)
+        ] + [[]]
+        return TruncatedSimplicialSet([len(level) for level in levels], faces, degens, level_labels)
+
+    rows = [nerve(D.horizontal, P)] + [
+        line(
+            [keys[p][q] for p in range(P + 1)], h_face_key, h_degen_key,
+            [[label(p, q, key) for key in keys[p][q]] for p in range(P + 1)],
+        )
+        for q in range(1, Q + 1)
+    ]
+    columns = [nerve(D.vertical, Q)] + [
+        line(keys[p], v_face_key, v_degen_key,
+             [[label(p, q, key) for key in keys[p][q]] for q in range(Q + 1)])
+        for p in range(1, P + 1)
+    ]
+    return rows, columns, keys
+
+
+def _codiscrete_double_groupoid():
+    """Every square over the codiscrete groupoid on two objects, both ways:
+    the one double groupoid here with more than one object."""
+    arrows = [(t, s) for t in range(2) for s in range(2)]  # s -> t
+    ids = {a: k for k, a in enumerate(arrows)}
+    C = FiniteGroupoid(
+        ["x", "y"], [s for _, s in arrows], [t for t, _ in arrows],
+        {(ids[t, m], ids[m, s]): ids[t, s] for t, m in arrows for s in range(2)},
+        [ids[o, o] for o in range(2)], [f"{s}>{t}" for t, s in arrows],
+    )
+    src, tgt = C.arrow_source, C.arrow_target
+    return DoubleGroupoid(C, C, [
+        Square(top, right, bottom, left)
+        for top, right, bottom, left in itertools.product(range(len(arrows)), repeat=4)
+        if src[top] == tgt[right] and tgt[top] == tgt[left]
+        and src[bottom] == src[right] and tgt[bottom] == src[left]
+    ])
+
+
 # the (3,3) cases keep the ids they had before the asymmetric bounds were added
-@pytest.mark.parametrize("which, P, Q", [
+DOUBLE_NERVE_CASES = [
     pytest.param(which, P, Q, id=which if (P, Q) == (3, 3) else f"{which}-{P}-{Q}")
     for which in ("s3-preset", "s4-pair")
-    for P, Q in BOUNDS
-])
+    for P, Q in BOUNDS + ZERO_BOUNDS
+]
+
+
+@pytest.mark.parametrize("which, P, Q", DOUBLE_NERVE_CASES)
 def test_double_nerve_keys_match_filtered_product(which, P, Q, s3_D):
     D = s3_D if which == "s3-preset" else _s4_pair_double_groupoid()
     _, keys = double_nerve_indexed(D, P, Q)
     assert keys == _filtered_product_keys(D, P, Q)
     assert len(keys[P][Q]) > 0
+
+
+@pytest.mark.parametrize("which, P, Q", DOUBLE_NERVE_CASES + [
+    pytest.param("codiscrete", P, Q, id=f"codiscrete-{P}-{Q}") for P, Q in [(2, 2)] + ZERO_BOUNDS
+])
+def test_double_nerve_matches_nested_key_oracle(which, P, Q, s3_D):
+    D = {
+        "s3-preset": lambda: s3_D,
+        "s4-pair": _s4_pair_double_groupoid,
+        "codiscrete": _codiscrete_double_groupoid,
+    }[which]()
+    NN, keys = double_nerve_indexed(D, P, Q)
+    rows, columns, oracle_keys = _nested_key_double_nerve(D, P, Q)
+    assert keys == oracle_keys
+    assert NN.bounds == (P, Q)
+    # the records hold every table and every label
+    assert [simplicial_to_dict(r) for r in NN.rows] == [simplicial_to_dict(r) for r in rows]
+    assert [simplicial_to_dict(c) for c in NN.columns] == [simplicial_to_dict(c) for c in columns]

@@ -39,6 +39,9 @@ PINNED = {
     "kan-eg-tensor-diagonal-dim4":
         "kan --preset eg-tensor --construction eg-tensor-diagonal --max-dim 4",
     "pointwise-eg-tensor-dim4": "pointwise --preset eg-tensor --max-total-dim 4",
+    # the benchmark's not-kan-s4 command: an --input double nerve at dim 3
+    "kan-s4-pair-double-nerve-diagonal":
+        "kan --input bench/inputs/s4_pair.json --construction double-nerve-diagonal --max-dim 3",
 }
 
 
@@ -49,7 +52,9 @@ def test_commands_are_the_readme_commands():
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS) + sorted(PINNED))
-def test_verdict_matches_golden(name, capsys):
+def test_verdict_matches_golden(name, capsys, monkeypatch):
+    # config records an --input path as given, relative to the repo root
+    monkeypatch.chdir(HERE.parent)
     _, report = run({**COMMANDS, **PINNED}[name].split())
     capsys.readouterr()
     expected = json.loads((HERE / "golden" / f"{name}.json").read_text(encoding="utf-8"))

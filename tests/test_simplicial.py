@@ -47,6 +47,16 @@ class TestConstruction:
         with pytest.raises(RejectedInput):
             TruncatedSimplicialSet([1, 1], [[], [[0], [1]]], [[[0]], []])
 
+    def test_negative_entry_rejected(self):
+        with pytest.raises(RejectedInput, match=r"d_1 at 1: entry -1 outside range\(0, 1\)"):
+            TruncatedSimplicialSet([1, 1], [[], [[0], [-1]]], [[[0]], []])
+
+    def test_rejection_names_first_bad_entry(self):
+        # d_0 at 1 maps three edges into two vertices: 5 comes before -2 and 7
+        faces = [[], [[0, 5, 1, -2, 7], [0, 0, 0, 0, 0]]]
+        with pytest.raises(RejectedInput, match=r"^d_0 at 1: entry 5 outside range\(0, 2\)$"):
+            TruncatedSimplicialSet([2, 5], faces, [[[0, 0]], []])
+
     def test_face_bounds(self):
         pt = point(2)
         with pytest.raises(RejectedInput):
