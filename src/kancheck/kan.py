@@ -6,35 +6,52 @@ once per map, dimension m and face set J, by the key ``(f w, d_j w for j in
 J)`` (:meth:`SimplicialMap.index`), and a bucket holds exactly the simplices
 with those faces over that image, ascending.  A fill is one lookup under the
 horn's key and takes the bucket's least id, which is the filler a scan of the
-whole table would find first.  Horn families are enumerated by backtracking,
-face by face, each face drawn from the bucket that already satisfies every
-equation with the faces chosen before it, never from the raw product of face
-choices.  Every family found is still re-checked on the tables, and so is
-every filler.
+whole table would find first.  Horn families are enumerated face by face,
+each face drawn from the bucket that already satisfies every equation with
+the faces chosen before it, never from the raw product of face choices.
 
-One engine searches, on raw table ids: ``_families`` enumerates families,
-``_filler`` fills a full horn and ``_fill_partial`` a partial one.
-``iter_compatible_families``, ``brute_force_fill`` and ``fill_partial_horn``
-wrap it in objects.  The Kan and trivial-fibration sweeps count on ids and
-build objects only for the first family that does not fill; the pointwise
-sweep builds none, since a partial diagonal horn that does not fill there is
-a broken invariant.  So ``_fill_partial`` returns only a filler and the
-candidates it examined, and keeps no record of where a fill stopped.
+One engine searches, on raw table ids, a cell at a time.  A block holds up to
+``BLOCK_ROWS`` families of one (n, I) cell as id columns: the targets, then
+one column per face.  ``_blocks`` grows the blocks face by face in the order a
+depth-first search would find the families, ``_fillers`` fills a block of full
+horns with one lookup per row, and ``_partial_fillers`` fills a block of
+partial horns, running its reduction once for the whole block.  The bound
+keeps a block's memory fixed however large its cell.  Nothing is taken on
+trust from the index keys: every row's face equations and every filler are
+still re-checked on the tables, a column at a time (``_all_compatible``,
+``_check_witnesses``).
+
+The object API is the same engine on a block of one
+(``is_compatible``, ``brute_force_fill``, ``fill_partial_horn``) or over its
+blocks (``iter_compatible_families``).  The Kan and trivial-fibration sweeps
+count on blocks and build objects only for the first family that does not
+fill; the pointwise sweep builds none, since a partial diagonal horn that
+does not fill there is a broken invariant.  So ``_partial_fillers`` returns
+only each row's filler and the candidates it examined, and keeps no record of
+where a fill stopped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from itertools import chain, islice, repeat
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InternalInvariantError, RejectedInput
 from .simplicial import (
     Simplex,
     SimplicialMap,
     TruncatedSimplicialSet,
-    pack_key,
     to_point_map,
 )
+
+
+# A block is up to BLOCK_ROWS families of one (n, I) cell as id columns: the
+# targets ``ys``, then ``xs[t]``, the faces at ``I[t]``.  Row r is the family
+# ``(ys[r], xs[0][r], xs[1][r], ...)``.
+Block = tuple[list[int], list[list[int]]]
+
+BLOCK_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -105,39 +122,56 @@ class CompatibleFamily:
     def items(self) -> tuple[tuple[int, Simplex], ...]:
         return tuple(zip(self.index_set, self.faces))
 
+    def block(self) -> Block:
+        """The family as a block of one row."""
+        return [self.target.idx], [[x.idx] for x in self.faces]
 
-def _compatible(
-    f: SimplicialMap, n: int, indices: Sequence[int], faces: Sequence[int], y: int
+
+def _gather(table: Sequence[int], col: Sequence[int]) -> list[int]:
+    """The column ``table[x] for x in col``."""
+    return [table[x] for x in col]
+
+
+def _pack(radix: int, head: list[int], digits: Iterable[Sequence[int]]) -> list[int]:
+    """``pack_key`` of every row: the key column of a head column and digit columns."""
+    for col in digits:
+        head = [key * radix + d for key, d in zip(head, col)]
+    return head
+
+
+def _all_compatible(
+    f: SimplicialMap, n: int, indices: Sequence[int], ys: list[int], xs: list[list[int]]
 ) -> bool:
-    """The face equations of a family on raw ids: f x_i == d_i y, and
-    d_i x_j == d_{j-1} x_i for i < j in I."""
+    """The face equations of every row of a block, a column at a time:
+    f x_i == d_i y, and d_i x_j == d_{j-1} x_i for i < j in I."""
     component, target_faces = f.components[n - 1], f.codomain._faces[n]
-    for i, x in zip(indices, faces):
-        if component[x] != target_faces[i][y]:
+    for i, x in zip(indices, xs):
+        if _gather(component, x) != _gather(target_faces[i], ys):
             return False
     if n >= 2:
         tables = f.domain._faces[n - 1]
-        for a, (i, xi) in enumerate(zip(indices, faces)):
-            for j, xj in zip(indices[a + 1:], faces[a + 1:]):
-                if tables[i][xj] != tables[j - 1][xi]:
+        for a, (i, xi) in enumerate(zip(indices, xs)):
+            for j, xj in zip(indices[a + 1:], xs[a + 1:]):
+                if _gather(tables[i], xj) != _gather(tables[j - 1], xi):
                     return False
     return True
 
 
 def is_compatible(family: CompatibleFamily) -> bool:
     """Check d_i x_j == d_{j-1} x_i for i < j in I, and f x_i == d_i y."""
-    return _compatible(family.f, family.n, family.index_set, family.ids, family.target.idx)
+    return _all_compatible(family.f, family.n, family.index_set, *family.block())
 
 
-def _check_witness(
-    f: SimplicialMap, n: int, indices: Sequence[int], faces: Sequence[int], y: int, w: int
+def _check_witnesses(
+    f: SimplicialMap, n: int, indices: Sequence[int], ys: list[int], xs: list[list[int]],
+    ws: list[int],
 ) -> None:
-    """Raise unless the n-simplex w has the family's faces and maps to y."""
+    """Raise unless each n-simplex ``ws[r]`` has the faces of row r and maps to ``ys[r]``."""
     tables = f.domain._faces[n]
-    for i, x in zip(indices, faces):
-        if tables[i][w] != x:
+    for i, x in zip(indices, xs):
+        if _gather(tables[i], ws) != x:
             raise InternalInvariantError(f"witness face d_{i} mismatch")
-    if f.components[n][w] != y:
+    if _gather(f.components[n], ws) != ys:
         raise InternalInvariantError("witness does not map to the target")
 
 
@@ -156,26 +190,29 @@ class FillCertificate:
                 raise InternalInvariantError("witness has the wrong dimension")
             if not 0 <= self.witness.idx < fam.f.domain.counts[fam.n]:
                 raise InternalInvariantError(f"witness {self.witness} is not in the domain")
-            _check_witness(
-                fam.f, fam.n, fam.index_set, fam.ids, fam.target.idx, self.witness.idx
-            )
+            _check_witnesses(fam.f, fam.n, fam.index_set, *fam.block(), [self.witness.idx])
 
     @property
     def filled(self) -> bool:
         return self.witness is not None
 
 
-def _filler(
-    f: SimplicialMap, n: int, indices: tuple[int, ...], faces: Sequence[int], y: int
-) -> int | None:
-    """The least id of an n-simplex with faces x_i at I that maps to y, or None.
+# the bucket of a key that no simplex has: its least id is None
+_NO_FILLER = (None,)
 
-    One lookup in the index of X_n by ``(f w, d_i w for i in I)``, under the
-    key ``(y, x_i for i in I)``: the bucket holds exactly the fillers,
-    ascending, so its first id is the first filler a scan of X_n meets.
+
+def _fillers(
+    f: SimplicialMap, n: int, indices: tuple[int, ...], ys: list[int], xs: list[list[int]]
+) -> list[int | None]:
+    """Each row's least-id n-simplex with faces x_i at I that maps to y, or None.
+
+    One lookup per row in the index of X_n by ``(f w, d_i w for i in I)``,
+    under the key ``(y, x_i for i in I)``: the bucket holds exactly the
+    fillers, ascending, so its first id is the first filler a scan of X_n meets.
     """
-    bucket = f.index(n, indices).get(pack_key(f.domain.counts[n - 1], y, faces))
-    return bucket[0] if bucket else None
+    index = f.index(n, indices)
+    keys = _pack(f.domain.counts[n - 1], ys, xs)
+    return [index.get(key, _NO_FILLER)[0] for key in keys]
 
 
 def brute_force_fill(family: CompatibleFamily) -> FillCertificate:
@@ -184,36 +221,33 @@ def brute_force_fill(family: CompatibleFamily) -> FillCertificate:
     ``candidates_examined`` is defined as the count a scan of all of X_n in
     ascending id order would examine: ``witness.idx + 1``, or |X_n| when
     nothing fills.  It is a definition, not the work done: the search itself
-    is one index lookup (see :func:`_filler`).
+    is one index lookup (see :func:`_fillers`).
     """
     if not is_compatible(family):
         raise RejectedInput("family is not compatible; nothing to fill")
     f, n = family.f, family.n
-    w = _filler(f, n, family.index_set, family.ids, family.target.idx)
+    [w] = _fillers(f, n, family.index_set, *family.block())
     if w is None:
         return FillCertificate(family, None, f.domain.size(n))
     return FillCertificate(family, Simplex(n, w), w + 1)
 
 
-def _families(
-    f: SimplicialMap, n: int, indices: tuple[int, ...]
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Every f-compatible family over I as raw ids ``(y, faces)``, in
-    certificate order: targets ascending, then faces by backtracking.
+def _blocks(f: SimplicialMap, n: int, indices: tuple[int, ...]) -> Iterator[Block]:
+    """Every f-compatible family over I, in blocks of at most BLOCK_ROWS rows,
+    in certificate order: targets ascending, then faces by backtracking.
 
-    Face ``t`` is drawn, in ascending id order, from the index of X_{n-1} by
-    ``(f x, d_{i_s} x for s < t)`` under the key ``(d_{i_t} y, d_{i_t - 1} x_s
-    for s < t)``: its bucket holds exactly the candidates that satisfy
-    ``f x_t == d_{i_t} y`` and every pairwise equation with the faces already
-    chosen, so no candidate is tested.  At n = 1 there are no pairwise
-    equations and every face is drawn from an f-fiber.
+    A block grows face by face.  Face ``t`` of a row is drawn, in ascending id
+    order, from the index of X_{n-1} by ``(f x, d_{i_s} x for s < t)`` under the
+    key ``(d_{i_t} y, d_{i_t - 1} x_s for s < t)``: its bucket holds exactly the
+    candidates that satisfy ``f x_t == d_{i_t} y`` and every pairwise equation
+    with the faces already chosen, so no candidate is tested.  Each row gives
+    way to one child per id of its bucket, in bucket order, so the rows come
+    in the order of a depth-first search; children past BLOCK_ROWS go to the
+    next block.  At n = 1 there are no pairwise equations and every face is
+    drawn from an f-fiber.
     """
     X, Y = f.domain, f.codomain
-    if not indices:
-        for y in range(Y.counts[n]):
-            yield y, ()
-        return
-    target_faces = [Y._faces[n][i] for i in indices]
+    targets = [Y._faces[n][i] for i in indices]
     if n >= 2:
         radix = X.counts[n - 2]
         pools = [f.index(n - 1, indices[:t]) for t in range(len(indices))]
@@ -221,25 +255,25 @@ def _families(
         shifted = [X._faces[n - 1][i - 1] for i in indices]
     else:
         radix, pools, shifted = 0, [f.index(0, ())] * len(indices), []
-    chosen = [0] * len(indices)
-    last = len(indices) - 1
 
-    def extend(t: int, required: list[int]) -> Iterator[tuple[int, ...]]:
-        key = required[t]
-        if shifted:  # pack_key, inline on the hot path
-            table = shifted[t]
-            for x in chosen[:t]:
-                key = key * radix + table[x]
-        for x in pools[t].get(key, ()):
-            chosen[t] = x
-            if t == last:
-                yield tuple(chosen)
-            else:
-                yield from extend(t + 1, required)
+    def grow(t: int, ys: list[int], xs: list[list[int]]) -> Iterator[Block]:
+        if t == len(indices):
+            yield ys, xs
+            return
+        digits = [_gather(shifted[t], x) for x in xs] if shifted else ()
+        pool = pools[t]
+        buckets = [pool.get(key, ()) for key in _pack(radix, _gather(targets[t], ys), digits)]
+        # the parent row of each child, and the children, in search order
+        parents = chain.from_iterable(map(repeat, range(len(ys)), map(len, buckets)))
+        children = chain.from_iterable(buckets)
+        while at := list(islice(parents, BLOCK_ROWS)):
+            grown = [_gather(x, at) for x in xs]
+            grown.append(list(islice(children, BLOCK_ROWS)))
+            yield from grow(t + 1, _gather(ys, at), grown)
 
-    for y in range(Y.counts[n]):
-        for faces in extend(0, [table[y] for table in target_faces]):
-            yield y, faces
+    count = Y.counts[n]
+    for start in range(0, count, BLOCK_ROWS):
+        yield from grow(0, list(range(start, min(start + BLOCK_ROWS, count))), [])
 
 
 def iter_compatible_families(
@@ -247,16 +281,17 @@ def iter_compatible_families(
 ) -> Iterator[CompatibleFamily]:
     """All f-compatible families for a fixed index set, in certificate order.
 
-    Builds one :class:`CompatibleFamily` for each family the id engine
-    ``_families`` enumerates.
+    Builds one :class:`CompatibleFamily` for each row of the blocks the id
+    engine ``_blocks`` enumerates.
     """
     if n < 1 or n > f.domain.bound:
         raise RejectedInput(f"ambient dimension {n} outside bound {f.domain.bound}")
     indices = tuple(sorted(set(index_set)))
     if indices and not 0 <= indices[0] <= indices[-1] <= n:
         raise RejectedInput(f"index set must lie inside [0, {n}]")
-    for y, faces in _families(f, n, indices):
-        yield CompatibleFamily.of_ids(f, n, indices, faces, y)
+    for ys, xs in _blocks(f, n, indices):
+        for y, *faces in zip(ys, *xs):
+            yield CompatibleFamily.of_ids(f, n, indices, faces, y)
 
 
 @dataclass(frozen=True)
@@ -299,26 +334,27 @@ def _fill_cells(
     """Fill every family of each (n, k) cell in order, stopping at the first
     unfillable one; k is the index left out of [n] (-1 leaves none out).
 
-    Counts on raw ids: each family's equations and each witness are checked on
-    the tables, and objects are built only for the first family that does not
-    fill, whose certificate :func:`brute_force_fill` makes.
+    Counts on blocks of raw ids: every row's equations and every witness are
+    checked on the tables, and objects are built only for the first family
+    that does not fill, whose certificate :func:`brute_force_fill` makes.
     """
     done: list[HornCellStats] = []
     for n, k in cells:
         indices = tuple(i for i in range(n + 1) if i != k)
-        families = filled = 0
-        for y, faces in _families(f, n, indices):
-            families += 1
-            if not _compatible(f, n, indices, faces, y):
+        families = 0
+        for ys, xs in _blocks(f, n, indices):
+            if not _all_compatible(f, n, indices, ys, xs):
                 raise InternalInvariantError("enumerated family is not compatible")
-            w = _filler(f, n, indices, faces, y)
-            if w is None:
-                family = CompatibleFamily.of_ids(f, n, indices, faces, y)
-                done.append(HornCellStats(n, k, families, filled))
+            ws = _fillers(f, n, indices, ys, xs)
+            if None in ws:
+                r = ws.index(None)
+                _check_witnesses(f, n, indices, ys[:r], [x[:r] for x in xs], ws[:r])
+                family = CompatibleFamily.of_ids(f, n, indices, [x[r] for x in xs], ys[r])
+                done.append(HornCellStats(n, k, families + r + 1, families + r))
                 return FibrationReport(kind, max_dim, tuple(done), brute_force_fill(family))
-            _check_witness(f, n, indices, faces, y, w)
-            filled += 1
-        done.append(HornCellStats(n, k, families, filled))
+            _check_witnesses(f, n, indices, ys, xs, ws)
+            families += len(ys)
+        done.append(HornCellStats(n, k, families, families))
     return FibrationReport(kind, max_dim, tuple(done), None)
 
 
@@ -340,57 +376,81 @@ def check_trivial_fibration_to_point(
     return _fill_cells(to_point_map(X), "trivial", max_dim, cells)
 
 
-def _fill_partial(
-    f: SimplicialMap, n: int, indices: tuple[int, ...], faces: tuple[int, ...], y: int
-) -> tuple[int | None, int]:
-    """Fill a compatible partial horn (1 <= |I| <= n) on raw ids, by reduction
-    to full-horn fills.
+def _filled(ws: list[int | None]) -> list[int] | None:
+    """The rows that found a filler, or None when every row found one."""
+    return [r for r, w in enumerate(ws) if w is not None] if None in ws else None
 
-    Returns ``(w, examined)``: the filler's id or None, and the candidates its
-    full-horn fills examined (as :func:`brute_force_fill` counts them).
 
-    Double induction: a full horn goes to :func:`_filler` and its filler is
-    re-checked.  Otherwise let k be the largest missing index; the faces
-    ``d_{k-1} x_i`` (i < k) and ``d_k x_i`` (i > k), re-indexed to I' inside
-    [n-1], together with the target ``d_k y`` form a family one dimension
-    down.  Filling it recursively produces a candidate x_k; the family
-    enlarged by x_k is compatible again, and recursion on the larger index set
-    finishes the job.  Both derived compatibilities are re-verified and raise
-    if they ever fail, since they hold for every compatible input.
+def _rows(at: list[int] | None, col: list) -> list:
+    """The entries of a column at the rows ``at`` (None: every row)."""
+    return col if at is None else _gather(col, at)
+
+
+def _partial_fillers(
+    f: SimplicialMap, n: int, indices: tuple[int, ...], ys: list[int], xs: list[list[int]]
+) -> tuple[list[int | None], list[int]]:
+    """Fill every row of a block of compatible partial horns (1 <= |I| <= n)
+    on raw ids, by reduction to full-horn fills.
+
+    Returns ``(ws, examined)``: each row's filler id or None, and the
+    candidates its full-horn fills examined (as :func:`brute_force_fill`
+    counts them).
+
+    Double induction, run once for the whole block since its rows share I: a
+    full horn goes to :func:`_fillers` and every filler is re-checked.
+    Otherwise let k be the largest missing index; the faces ``d_{k-1} x_i``
+    (i < k) and ``d_k x_i`` (i > k), re-indexed to I' inside [n-1], together
+    with the target ``d_k y`` form a family one dimension down.  Filling it
+    recursively produces a candidate x_k; the family enlarged by x_k is
+    compatible again, and recursion on the larger index set finishes the job.
+    A row whose family one dimension down does not fill stops there, with what
+    that fill examined.  Both derived compatibilities are re-verified for
+    every row and raise if they ever fail, since they hold for every
+    compatible input.
     """
     if len(indices) == n:
-        w = _filler(f, n, indices, faces, y)
-        if w is None:
-            return None, f.domain.counts[n]
-        _check_witness(f, n, indices, faces, y, w)
-        return w, w + 1
+        ws = _fillers(f, n, indices, ys, xs)
+        at = _filled(ws)
+        _check_witnesses(f, n, indices, _rows(at, ys), [_rows(at, x) for x in xs], _rows(at, ws))
+        size = f.domain.counts[n]
+        return ws, [size if w is None else w + 1 for w in ws]
 
     k = max(i for i in range(n + 1) if i not in indices)  # k >= 1: two are missing
     tables = f.domain._faces[n - 1]
     sub_indices = tuple(i if i < k else i - 1 for i in indices)
-    sub_faces = tuple(tables[k - 1 if i < k else k][x] for i, x in zip(indices, faces))
-    sub_y = f.codomain._faces[n][k][y]
-    if not _compatible(f, n - 1, sub_indices, sub_faces, sub_y):
+    sub_xs = [_gather(tables[k - 1 if i < k else k], x) for i, x in zip(indices, xs)]
+    sub_ys = _gather(f.codomain._faces[n][k], ys)
+    if not _all_compatible(f, n - 1, sub_indices, sub_ys, sub_xs):
         raise InternalInvariantError("derived family one dimension down is incompatible")
 
-    x_k, examined = _fill_partial(f, n - 1, sub_indices, sub_faces, sub_y)
-    if x_k is None:
-        return None, examined
-    at = sum(1 for i in indices if i < k)
-    enlarged = indices[:at] + (k,) + indices[at:]
-    enlarged_faces = faces[:at] + (x_k,) + faces[at:]
-    if not _compatible(f, n, enlarged, enlarged_faces, y):
+    x_k, examined = _partial_fillers(f, n - 1, sub_indices, sub_ys, sub_xs)
+    at = _filled(x_k)
+    if at == []:
+        return x_k, examined
+    pos = sum(1 for i in indices if i < k)
+    enlarged = indices[:pos] + (k,) + indices[pos:]
+    ys, xs = _rows(at, ys), [_rows(at, x) for x in xs]
+    xs.insert(pos, _rows(at, x_k))
+    if not _all_compatible(f, n, enlarged, ys, xs):
         raise InternalInvariantError("family enlarged by the found face is incompatible")
 
-    w, more = _fill_partial(f, n, enlarged, enlarged_faces, y)
-    return w, examined + more
+    ws, more = _partial_fillers(f, n, enlarged, ys, xs)
+    if at is None:
+        return ws, [a + b for a, b in zip(examined, more)]
+    # x_k and examined are this call's own lists: the rows that went on take
+    # their filler and add what it examined
+    for r, w, m in zip(at, ws, more):
+        x_k[r] = w
+        examined[r] += m
+    return x_k, examined
 
 
 def fill_partial_horn(family: CompatibleFamily) -> FillCertificate:
     """Fill a partial horn (1 <= |I| <= n) by reduction to full-horn fills.
 
-    Wraps the id engine :func:`_fill_partial` in a :class:`FillCertificate`.
-    A full horn gets the certificate :func:`brute_force_fill` would give it.
+    Runs the id engine :func:`_partial_fillers` on a block of one and wraps the
+    result in a :class:`FillCertificate`.  A full horn gets the certificate
+    :func:`brute_force_fill` would give it.
     """
     r = len(family.index_set)
     if not 1 <= r <= family.n:
@@ -398,5 +458,5 @@ def fill_partial_horn(family: CompatibleFamily) -> FillCertificate:
     if not is_compatible(family):
         raise RejectedInput("family is not compatible; nothing to fill")
     f, n = family.f, family.n
-    w, examined = _fill_partial(f, n, family.index_set, family.ids, family.target.idx)
+    [w], [examined] = _partial_fillers(f, n, family.index_set, *family.block())
     return FillCertificate(family, None if w is None else Simplex(n, w), examined)

@@ -11,12 +11,15 @@ family and of each derived partial-horn family, that the diagonal horn
 fills, and the requested face/target relations of the answer) is re-verified
 at run time and raises ``InternalInvariantError`` if it ever fails.
 
-Each step runs on raw table ids: ``_diagonal_family`` degenerates,
-``kan._fill_partial`` fills and ``_answer`` cuts down; no object is built.
-Both sweeps, direct and transposed, fill in the one diagonal map the Kan
-check passed: horizontal and vertical operators commute, so the diagonal of
-the transpose is the same map.  A partial fill ends in full-horn fills of
-that map, so they look up the indexes its Kan check built.
+Each step runs on blocks of raw table ids, a whole cell's horns at a time
+(up to ``kan.BLOCK_ROWS`` rows, see :mod:`kancheck.kan`): ``_diagonal_family``
+degenerates a column at a time, ``kan._partial_fillers`` fills, once for the
+block since every horn of a cell leads to the same diagonal index set, and
+``_answer`` cuts down; every row of every step is still re-checked, and no
+object is built.  Both sweeps, direct and transposed, fill in the one
+diagonal map the Kan check passed: horizontal and vertical operators commute,
+so the diagonal of the transpose is the same map.  A partial fill ends in
+full-horn fills of that map, so they look up the indexes its Kan check built.
 
 Index bookkeeping, for a horn in column p, vertical dimension q >= 1 and
 missing index l: the diagonal family lives at dimension n = p + q over the
@@ -38,29 +41,32 @@ from .bisimplicial import (
 )
 from .errors import InternalInvariantError, RejectedInput, TruncationError
 from .kan import (
-    _check_witness,
-    _compatible,
-    _families,
-    _fill_partial,
+    _all_compatible,
+    _blocks,
+    _check_witnesses,
+    _gather,
+    _partial_fillers,
     check_kan_fibration,
 )
 from .simplicial import SimplicialMap
 
-# a family on raw ids: (n, indices, faces, y)
-IdFamily = tuple[int, tuple[int, ...], tuple[int, ...], int]
 
-
-def _repeat(tables: Sequence, i: int, times: int, level: int, x: int, step: int) -> int:
-    """Apply operator i ``times`` times to the id x, reading ``tables[level][i]``
-    and moving ``step`` levels each time (+1 for degeneracies, -1 for faces)."""
+def _repeat(
+    tables: Sequence, i: int, times: int, level: int, x: list[int], step: int
+) -> list[int]:
+    """Apply operator i ``times`` times to the id column x, reading
+    ``tables[level][i]`` and moving ``step`` levels each time (+1 for
+    degeneracies, -1 for faces)."""
     for m in range(level, level + step * times, step):
-        x = tables[m][i][x]
+        x = _gather(tables[m][i], x)
     return x
 
 
-def _degenerate(X: TruncatedBisimplicialSet, p: int, m: int, s: int, x: int) -> int:
-    """``(s_0^h)^s (s_p^h)^(m-p-s) (s_s^v)^p x`` for x at level (p, m-p): a
-    bisimplex at (m, m).  Powers apply right to left."""
+def _degenerate(
+    X: TruncatedBisimplicialSet, p: int, m: int, s: int, x: list[int]
+) -> list[int]:
+    """``(s_0^h)^s (s_p^h)^(m-p-s) (s_s^v)^p x`` for each x of a column at level
+    (p, m-p): bisimplices at (m, m).  Powers apply right to left."""
     x = _repeat(X.columns[p]._degens, s, p, m - p, x, 1)
     row = X.rows[m]._degens
     x = _repeat(row, p, m - p - s, p, x, 1)
@@ -69,40 +75,42 @@ def _degenerate(X: TruncatedBisimplicialSet, p: int, m: int, s: int, x: int) -> 
 
 def _diagonal_family(
     f: BisimplicialMap, diag_f: SimplicialMap, p: int, q: int, l: int,
-    faces: Sequence[int], y: int,
-) -> IdFamily:
-    """The diagonal family of a horn of column p, on raw ids, verified
-    compatible for ``diag_f``.
+    ys: list[int], xs: list[list[int]],
+) -> tuple[int, tuple[int, ...], list[int], list[list[int]]]:
+    """The diagonal families of a block of horns of column p, as
+    ``(n, indices, ys, xs)`` on raw ids, every row verified compatible for
+    ``diag_f``.
 
-    For the horn's dimension q and missing index l, face i maps to
+    For the horns' dimension q and missing index l, face i maps to
       (s_0^h)^{l-1} (s_p^h)^{q-l} (s_{l-1}^v)^p x_i   when i < l, kept at index i,
       (s_0^h)^{l}   (s_p^h)^{q-l-1} (s_l^v)^p   x_i   when i > l, placed at index p+i,
     and the target to (s_0^h)^l (s_p^h)^{q-l} (s_l^v)^p y.
     """
     n = p + q
     indices = tuple(range(l)) + tuple(range(p + l + 1, n + 1))
-    lifted = tuple(
-        _degenerate(f.domain, p, n - 1, l - 1 if t < l else l, x) for t, x in enumerate(faces)
-    )
-    target = _degenerate(f.codomain, p, n, l, y)
-    if not _compatible(diag_f, n, indices, lifted, target):
+    lifted = [
+        _degenerate(f.domain, p, n - 1, l - 1 if t < l else l, x) for t, x in enumerate(xs)
+    ]
+    target = _degenerate(f.codomain, p, n, l, ys)
+    if not _all_compatible(diag_f, n, indices, target, lifted):
         raise InternalInvariantError("built diagonal family is not compatible")
-    return n, indices, lifted, target
+    return n, indices, target, lifted
 
 
 def _answer(
     f: BisimplicialMap, p: int, q: int, l: int,
-    indices: Sequence[int], faces: Sequence[int], y: int, w: int,
-) -> int:
-    """Cut the diagonal filler w down by ``(d_{p+1}^h)^{q-l} (d_0^h)^l (d_l^v)^p``
-    to level (p, q), on raw ids, and check that the answer has every requested
-    face ``d_i^v x == x_i`` (i != l, the outer ones included) and maps to y."""
+    indices: Sequence[int], ys: list[int], xs: list[list[int]], ws: list[int],
+) -> list[int]:
+    """Cut each diagonal filler of ws down by ``(d_{p+1}^h)^{q-l} (d_0^h)^l
+    (d_l^v)^p`` to level (p, q), on raw ids, and check that every answer has
+    its row's requested faces ``d_i^v x == x_i`` (i != l, the outer ones
+    included) and maps to its y."""
     X, n = f.domain, p + q
-    x = _repeat(X.columns[n]._faces, l, p, n, w, -1)
+    x = _repeat(X.columns[n]._faces, l, p, n, ws, -1)
     row = X.rows[q]._faces
     x = _repeat(row, 0, l, n, x, -1)
     x = _repeat(row, p + 1, q - l, n - l, x, -1)
-    _check_witness(f.column_maps[p], q, indices, faces, y, x)
+    _check_witnesses(f.column_maps[p], q, indices, ys, xs, x)
     return x
 
 
@@ -142,7 +150,7 @@ def _sweep(
     max_total_dim: int,
     transposed: bool,
 ) -> tuple[SweepCell, ...]:
-    """Fill every horn of each (p, q, l) cell in order, on raw ids.
+    """Fill every horn of each (p, q, l) cell in order, on blocks of raw ids.
 
     Each horn's equations are re-checked on the tables.  ``diag_f`` passed
     the Kan check up to ``max_total_dim``, so every diagonal family fills; one
@@ -154,23 +162,22 @@ def _sweep(
         for q in range(1, max_total_dim - p + 1):
             for missing in range(q + 1):
                 indices = tuple(i for i in range(q + 1) if i != missing)
-                problems = filled = max_search = 0
-                for y, faces in _families(col_f, q, indices):
-                    problems += 1
-                    if not _compatible(col_f, q, indices, faces, y):
+                problems = max_search = 0
+                for ys, xs in _blocks(col_f, q, indices):
+                    if not _all_compatible(col_f, q, indices, ys, xs):
                         raise InternalInvariantError("enumerated horn is not compatible")
-                    family = _diagonal_family(f, diag_f, p, q, missing, faces, y)
-                    w, examined = _fill_partial(diag_f, *family)
-                    if w is None:
+                    family = _diagonal_family(f, diag_f, p, q, missing, ys, xs)
+                    ws, examined = _partial_fillers(diag_f, *family)
+                    if None in ws:
                         raise InternalInvariantError(
                             f"{'transposed' if transposed else 'direct'} horn at "
                             f"(p, q, missing) = ({p}, {q}, {missing}) did not fill "
                             "through the Kan diagonal"
                         )
-                    max_search = max(max_search, examined)
-                    _answer(f, p, q, missing, indices, faces, y, w)
-                    filled += 1
-                cells.append(SweepCell(p, q, missing, problems, filled, max_search))
+                    max_search = max(max_search, *examined)
+                    _answer(f, p, q, missing, indices, ys, xs, ws)
+                    problems += len(ys)
+                cells.append(SweepCell(p, q, missing, problems, problems, max_search))
     return tuple(cells)
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from .bisimplicial import TruncatedBisimplicialSet
 from .errors import RejectedInput
 from .kan import CompatibleFamily, FibrationReport, FillCertificate
 from .pointwise import PointwiseSweepReport
@@ -61,25 +60,6 @@ def simplicial_from_dict(data: dict[str, Any]) -> TruncatedSimplicialSet:
         None if labels is None else [
             json_shape(level, list, "labels") for level in json_shape(labels, list, "labels")
         ],
-    )
-
-
-def bisimplicial_to_dict(X: TruncatedBisimplicialSet) -> dict[str, Any]:
-    """Row records then column records, each a ``simplicial_to_dict`` record."""
-    return {
-        "kind": "bisimplicial-set",
-        "rows": [simplicial_to_dict(r) for r in X.rows],
-        "columns": [simplicial_to_dict(c) for c in X.columns],
-    }
-
-
-def bisimplicial_from_dict(data: dict[str, Any]) -> TruncatedBisimplicialSet:
-    if data.get("kind") != "bisimplicial-set":
-        raise RejectedInput("expected a bisimplicial-set record")
-    record = "bisimplicial-set record"
-    return TruncatedBisimplicialSet(
-        [simplicial_from_dict(r) for r in required_entry(data, "rows", record)],
-        [simplicial_from_dict(c) for c in required_entry(data, "columns", record)],
     )
 
 

@@ -17,7 +17,7 @@ tracing = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracing)
 
 # pointwise fills only through kan.fill_partial_horn, so it no longer imports
-# brute_force_fill; its sweep enumerates horns with the id engine kan._families,
+# brute_force_fill; its sweep enumerates horns with the id engine kan._blocks,
 # so it no longer imports iter_compatible_families either.  The sweep fills on
 # ids alone and raises on a horn that does not fill, so the object lift
 # (build_diagonal_family, diagonal_lift) is gone and pointwise no longer

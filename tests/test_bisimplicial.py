@@ -19,9 +19,23 @@ from kancheck import (
     validate_bisimplicial_identities,
     validate_simplicial_identities,
 )
+from kancheck.bisimplicial import TruncatedBisimplicialSet
 from kancheck.errors import RejectedInput, TruncationError
 from kancheck.presets import preset_bisimplicial
+from kancheck.serialize import simplicial_from_dict, simplicial_to_dict
 from kancheck.simplicial import TruncatedSimplicialSet
+
+
+def line_records(X):
+    """The ``simplicial_to_dict`` records of X's rows and of its columns."""
+    return [simplicial_to_dict(r) for r in X.rows], [simplicial_to_dict(c) for c in X.columns]
+
+
+def from_line_records(rows, columns):
+    """The bisimplicial set built from row and column records."""
+    return TruncatedBisimplicialSet(
+        [simplicial_from_dict(r) for r in rows], [simplicial_from_dict(c) for c in columns]
+    )
 
 
 class TestPointAndTensor:
@@ -157,13 +171,11 @@ class TestTranspose:
 
 class TestCommutationAudit:
     def test_violation_detected(self, eg_tensor_3):
-        from kancheck.serialize import bisimplicial_from_dict, bisimplicial_to_dict
-
-        data = bisimplicial_to_dict(eg_tensor_3)
+        rows, columns = line_records(eg_tensor_3)
         # swap two entries of one horizontal face table: d_0 of row 1 at p = 1
-        table = data["rows"][1]["faces"][1][0]
+        table = rows[1]["faces"][1][0]
         table[0], table[1] = table[1], table[0]
-        broken = bisimplicial_from_dict(data)
+        broken = from_line_records(rows, columns)
         assert not validate_bisimplicial_identities(broken).ok
 
 
@@ -175,28 +187,22 @@ class TestConstruction:
         ("v_degeneracies", (1, 2)),
     ])
     def test_tables_outside_the_structure_rejected(self, grid, level):
-        from kancheck.serialize import bisimplicial_from_dict, bisimplicial_to_dict
-
-        data = bisimplicial_to_dict(point_bisimplicial(2, 2))
-        bisimplicial_from_dict(data)
+        rows, columns = line_records(point_bisimplicial(2, 2))
+        from_line_records(rows, columns)
         p, q = level
         # a horizontal table lives in row q at level p, a vertical one in column p at level q
-        line, n = (data["rows"][q], p) if grid.startswith("h_") else (data["columns"][p], q)
+        line, n = (rows[q], p) if grid.startswith("h_") else (columns[p], q)
         line["faces" if grid.endswith("_faces") else "degeneracies"][n] = [[0]]
         with pytest.raises(RejectedInput):
-            bisimplicial_from_dict(data)
+            from_line_records(rows, columns)
 
     def test_ragged_grid_rejected(self):
-        from kancheck.serialize import bisimplicial_from_dict, bisimplicial_to_dict
-
-        data = bisimplicial_to_dict(point_bisimplicial(1, 1))
-        data["columns"].pop()
+        rows, columns = line_records(point_bisimplicial(1, 1))
+        columns.pop()
         with pytest.raises(RejectedInput):
-            bisimplicial_from_dict(data)
+            from_line_records(rows, columns)
 
     def test_lines_must_agree_on_levels(self, eg_z2):
-        from kancheck.bisimplicial import TruncatedBisimplicialSet
-
         X = tensor(eg_z2, eg_z2)
         with pytest.raises(RejectedInput):
             TruncatedBisimplicialSet(X.rows, X.columns[:-1])
@@ -204,8 +210,6 @@ class TestConstruction:
             TruncatedBisimplicialSet(X.rows, (point(3),) * 4)
 
     def test_lines_must_agree_on_labels(self, eg_z2):
-        from kancheck.bisimplicial import TruncatedBisimplicialSet
-
         X = tensor(eg_z2, eg_z2)
         col = X.columns[1]
         relabelled = [col.labels_at(q) for q in range(col.bound + 1)]

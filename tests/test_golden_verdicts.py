@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import kancheck.kan
+import kancheck.pointwise
 from kancheck.cli import RunReport, reverify_report, run
 
 HERE = Path(__file__).parent
@@ -61,3 +63,27 @@ def test_verdict_matches_golden(name, capsys, monkeypatch):
     assert json.loads(json.dumps(report.verdict_dict())) == expected
     # re-running the committed verdict's config reproduces it
     assert reverify_report(RunReport.from_dict(expected))
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("name", sorted(COMMANDS) + sorted(PINNED))
+def test_verdict_is_the_same_in_small_blocks(name, rows, capsys, monkeypatch):
+    # no benchmark cell outgrows the default block, so shrink it: every cell
+    # is cut over many blocks, and a failure can fall on any row of one
+    monkeypatch.chdir(HERE.parent)
+    monkeypatch.setattr(kancheck.kan, "BLOCK_ROWS", rows)
+    longest = 0
+    for module in (kancheck.kan, kancheck.pointwise):
+        for check_name in ("_all_compatible", "_check_witnesses"):
+            def recording(f, n, indices, ys, *columns, check=getattr(module, check_name)):
+                nonlocal longest
+                longest = max(longest, len(ys))
+                return check(f, n, indices, ys, *columns)
+
+            monkeypatch.setattr(module, check_name, recording)
+    _, report = run({**COMMANDS, **PINNED}[name].split())
+    capsys.readouterr()
+    expected = json.loads((HERE / "golden" / f"{name}.json").read_text(encoding="utf-8"))
+    assert json.dumps(report.verdict_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
+    # the checks saw blocks of up to ``rows`` rows, and some that long
+    assert longest == (0 if name == "identities" else rows)

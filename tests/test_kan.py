@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import kancheck.kan
 from kancheck import (
     CompatibleFamily,
     FiniteGroupoid,
@@ -29,6 +30,7 @@ from kancheck.errors import InternalInvariantError, RejectedInput
 from kancheck.kan import FibrationReport, FillCertificate, HornCellStats
 from kancheck.presets import preset_bisimplicial
 from kancheck.serialize import fibration_report_to_dict
+from kancheck.simplicial import TruncatedSimplicialSet
 
 
 def restriction_family(f, x, indices):
@@ -430,7 +432,9 @@ class TestPartialHorn:
     def test_oracle_failure_propagates(self, z2_nerve_map, monkeypatch):
         import kancheck.kan
 
-        monkeypatch.setattr(kancheck.kan, "_filler", lambda *family: None)
+        monkeypatch.setattr(
+            kancheck.kan, "_fillers", lambda f, n, indices, ys, xs: [None] * len(ys)
+        )
         fam = next(iter_compatible_families(z2_nerve_map, 3, (0, 2)))
         cert = fill_partial_horn(fam)
         assert not cert.filled
@@ -452,6 +456,138 @@ class TestPartialHorn:
                             assert fill_partial_horn(fam).filled == filled
                             outcomes.add(filled)
             assert outcomes == ({True, False} if f is s3_diag_map else {True})
+
+
+def standard_simplex(m, bound):
+    """Delta[m] up to ``bound``: the n-simplices are the nondecreasing
+    (n+1)-tuples over [m], with ids in lexicographic order; d_i deletes
+    entry i and s_i repeats it."""
+    levels = [
+        list(itertools.combinations_with_replacement(range(m + 1), n + 1))
+        for n in range(bound + 1)
+    ]
+    ids = [{s: i for i, s in enumerate(level)} for level in levels]
+    faces = [[]] + [
+        [[ids[n - 1][s[:i] + s[i + 1:]] for s in levels[n]] for i in range(n + 1)]
+        for n in range(1, bound + 1)
+    ]
+    degens = [
+        [[ids[n + 1][s[:i + 1] + s[i:]] for s in levels[n]] for i in range(n + 1)]
+        for n in range(bound)
+    ] + [[]]
+    return TruncatedSimplicialSet([len(level) for level in levels], faces, degens)
+
+
+# (witness id or None, candidates_examined) of fill_partial_horn for every
+# compatible partial horn (1 <= |I| <= n <= 3) of Delta[2] -> point, in the
+# order iter_compatible_families gives them, recorded with the engine that
+# filled one family at a time
+PARTIAL_FILLS_OF_DELTA2 = {
+    (1, (0,)): [(0, 1), (1, 2), (2, 3)],
+    (1, (1,)): [(0, 1), (3, 4), (5, 6)],
+    (2, (0,)): [(0, 2), (1, 3), (2, 4), (3, 6), (4, 7), (5, 9)],
+    (2, (1,)): [(0, 2), (1, 3), (2, 4), (6, 11), (7, 12), (9, 16)],
+    (2, (2,)): [(0, 2), (None, 11), (None, 11), (6, 11), (None, 14), (9, 16)],
+    (2, (0, 1)): [
+        (0, 1), (1, 2), (None, 10), (2, 3), (None, 10), (None, 10), (3, 4), (6, 7), (4, 5), (7, 8),
+        (None, 10), (5, 6), (8, 9), (9, 10),
+    ],
+    (2, (0, 2)): [(0, 1), (1, 2), (2, 3), (3, 4), (6, 7), (4, 5), (7, 8), (5, 6), (8, 9), (9, 10)],
+    (2, (1, 2)): [
+        (0, 1), (None, 10), (None, 10), (1, 2), (3, 4), (None, 10), (2, 3), (4, 5), (5, 6), (6, 7),
+        (None, 10), (7, 8), (8, 9), (9, 10),
+    ],
+    (3, (0,)): [
+        (0, 4), (1, 6), (2, 8), (3, 9), (4, 11), (5, 13), (6, 17), (7, 19), (8, 21), (9, 25),
+    ],
+    (3, (1,)): [
+        (0, 4), (1, 6), (2, 8), (3, 9), (4, 11), (5, 13), (10, 29), (11, 31), (12, 33), (14, 41),
+    ],
+    (3, (2,)): [
+        (0, 4), (1, 6), (2, 8), (None, 11), (None, 11), (None, 11), (10, 29), (11, 31), (None, 14),
+        (14, 41),
+    ],
+    (3, (3,)): [
+        (0, 4), (None, 12), (None, 12), (None, 11), (None, 11), (None, 11), (10, 29), (None, 21),
+        (None, 14), (14, 41),
+    ],
+    (3, (0, 1)): [
+        (0, 2), (1, 3), (2, 4), (3, 6), (None, 10), (4, 7), (None, 10), (5, 9), (None, 10),
+        (None, 10), (6, 11), (10, 18), (7, 12), (11, 19), (8, 14), (12, 21), (None, 10), (9, 16),
+        (13, 23), (14, 25),
+    ],
+    (3, (0, 2)): [
+        (0, 2), (1, 3), (2, 4), (3, 6), (4, 7), (5, 9), (6, 11), (10, 18), (7, 12), (11, 19),
+        (8, 14), (12, 21), (9, 16), (13, 23), (14, 25),
+    ],
+    (3, (0, 3)): [
+        (0, 2), (1, 4), (2, 6), (3, 6), (4, 8), (5, 9), (6, 11), (10, 18), (7, 13), (11, 20),
+        (8, 14), (12, 21), (9, 16), (13, 23), (14, 25),
+    ],
+    (3, (1, 2)): [
+        (0, 2), (1, 3), (None, 10), (2, 4), (None, 10), (None, 10), (3, 6), (6, 11), (4, 7),
+        (7, 12), (None, 10), (5, 9), (8, 14), (9, 16), (10, 18), (11, 19), (None, 10), (12, 21),
+        (13, 23), (14, 25),
+    ],
+    (3, (1, 3)): [
+        (0, 2), (1, 4), (2, 6), (3, 6), (6, 11), (4, 8), (7, 13), (5, 9), (8, 14), (9, 16),
+        (10, 18), (11, 20), (12, 21), (13, 23), (14, 25),
+    ],
+    (3, (2, 3)): [
+        (0, 2), (None, 10), (None, 10), (1, 4), (3, 8), (None, 10), (2, 6), (4, 10), (5, 12),
+        (6, 11), (None, 10), (7, 13), (8, 15), (9, 16), (10, 18), (None, 10), (11, 20), (12, 22),
+        (13, 23), (14, 25),
+    ],
+    (3, (0, 1, 2)): [
+        (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (10, 11), (7, 8), (11, 12), (8, 9),
+        (12, 13), (9, 10), (13, 14), (14, 15),
+    ],
+    (3, (0, 1, 3)): [
+        (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (10, 11), (7, 8), (11, 12), (8, 9),
+        (12, 13), (9, 10), (13, 14), (14, 15),
+    ],
+    (3, (0, 2, 3)): [
+        (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (10, 11), (7, 8), (11, 12), (8, 9),
+        (12, 13), (9, 10), (13, 14), (14, 15),
+    ],
+    (3, (1, 2, 3)): [
+        (0, 1), (1, 2), (2, 3), (3, 4), (6, 7), (4, 5), (7, 8), (5, 6), (8, 9), (9, 10), (10, 11),
+        (11, 12), (12, 13), (13, 14), (14, 15),
+    ],
+}
+
+
+class TestPartialFillBlocks:
+    """Delta[2] is not Kan, and in most of its partial-horn cells some rows
+    fill while others stop, one dimension down or at the last full horn."""
+
+    @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "1", "7"])
+    def test_rows_of_mixed_blocks_keep_their_fills(self, rows, monkeypatch):
+        if rows is not None:
+            monkeypatch.setattr(kancheck.kan, "BLOCK_ROWS", rows)
+        f = to_point_map(standard_simplex(2, 3))
+        assert not check_kan_fibration(f, 3).passed
+        assert set(PARTIAL_FILLS_OF_DELTA2) == {
+            (n, indices)
+            for n in range(1, 4)
+            for size in range(1, n + 1)
+            for indices in itertools.combinations(range(n + 1), size)
+        }
+        mixed = 0
+        for (n, indices), pinned in PARTIAL_FILLS_OF_DELTA2.items():
+            rows_filled = []
+            for ys, xs in kancheck.kan._blocks(f, n, indices):
+                ws, examined = kancheck.kan._partial_fillers(f, n, indices, ys, xs)
+                rows_filled += zip(ws, examined)
+                mixed += None in ws and ws.count(None) < len(ws)
+            assert rows_filled == pinned
+            certificates = map(fill_partial_horn, iter_compatible_families(f, n, indices))
+            assert [
+                (None if c.witness is None else c.witness.idx, c.candidates_examined)
+                for c in certificates
+            ] == pinned
+        # a block of one row is never mixed; the larger blocks are
+        assert (mixed == 0) == (rows == 1)
 
 
 class TestTrivialFibration:
@@ -492,4 +628,11 @@ class TestCertificateIntegrity:
         # a wrong-dimension witness is rejected too
         with pytest.raises(InternalInvariantError):
             FillCertificate(fam, Simplex(3, 0), 1)
+        # and so is a 2-simplex whose faces are not the family's
+        X = z2_nerve_map.domain
+        wrong = next(
+            w for w in X.simplices(2) if X.face(0, w) != fam.face(0) or X.face(1, w) != fam.face(1)
+        )
+        with pytest.raises(InternalInvariantError, match="witness face"):
+            FillCertificate(fam, wrong, wrong.idx + 1)
         assert good.filled

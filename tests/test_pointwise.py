@@ -20,7 +20,7 @@ from kancheck import (
     verify_pointwise_fillers,
 )
 from kancheck.errors import InternalInvariantError, RejectedInput, TruncationError
-from kancheck.kan import FillCertificate, _compatible, _fill_partial
+from kancheck.kan import FillCertificate, _partial_fillers
 from kancheck.pointwise import SweepCell, _answer, _diagonal_family
 from kancheck.presets import preset_bisimplicial
 
@@ -123,10 +123,24 @@ def oracle_cells(f, max_total_dim):
 
 
 def diagonal_family(f, p, horn, diag_f=None):
-    """``_diagonal_family`` of an object horn of column p."""
+    """``_diagonal_family`` of an object horn of column p, as a block of one,
+    returned as ``(n, indices, faces, y)``."""
     l = next(i for i in range(horn.n + 1) if i not in horn.index_set)
     diag_f = diag_f or diagonal_map(f)
-    return _diagonal_family(f, diag_f, p, horn.n, l, horn.ids, horn.target.idx)
+    n, indices, [y], xs = _diagonal_family(f, diag_f, p, horn.n, l, *horn.block())
+    return n, indices, tuple(x for [x] in xs), y
+
+
+def partial_fill(diag_f, n, indices, faces, y):
+    """``_partial_fillers`` on a block of one: ``(w or None, examined)``."""
+    [w], [examined] = _partial_fillers(diag_f, n, indices, [y], [[x] for x in faces])
+    return w, examined
+
+
+def answer(f, p, missing, horn, w):
+    """``_answer`` of one diagonal filler w of a horn of column p."""
+    [x] = _answer(f, p, horn.n, missing, horn.index_set, *horn.block(), [w])
+    return x
 
 
 class TestProblemValidation:
@@ -183,7 +197,7 @@ class TestBuildDiagonalFamily:
             indices = tuple(i for i in range(3) if i != missing)
             for horn in iter_compatible_families(col_f, 2, indices):
                 fam = diagonal_family(eg_tensor_map, 1, horn, diag_f)
-                assert _compatible(diag_f, *fam)
+                assert is_compatible(CompatibleFamily.of_ids(diag_f, *fam))
                 seen += 1
         assert seen > 0
 
@@ -214,14 +228,11 @@ class TestPointwiseFiller:
             w = BiSimplex(p, q, X.size(p, q) // 2)
             for missing in range(q + 1):
                 horn = restriction_horn(eg_tensor_map, w, missing)
-                w_diag, _ = _fill_partial(
+                w_diag, _ = partial_fill(
                     diag_f, *diagonal_family(eg_tensor_map, p, horn, diag_f)
                 )
                 assert w_diag is not None
-                x = _answer(
-                    eg_tensor_map, p, q, missing, horn.index_set, horn.ids,
-                    horn.target.idx, w_diag,
-                )
+                x = answer(eg_tensor_map, p, missing, horn, w_diag)
                 for i, xi in horn.items():
                     assert X.v_face(i, BiSimplex(p, q, x)) == BiSimplex(p, q - 1, xi.idx)
 
@@ -233,9 +244,9 @@ class TestPointwiseFiller:
         diag_f = diagonal_map(eg_tensor_map)
         family = diagonal_family(eg_tensor_map, 1, horn, diag_f)
         assert family[:2] == (2, (2,))
-        w, examined = _fill_partial(diag_f, *family)
+        w, examined = partial_fill(diag_f, *family)
         assert w is not None and examined > 0
-        x = _answer(eg_tensor_map, 1, 1, 0, horn.index_set, horn.ids, horn.target.idx, w)
+        x = answer(eg_tensor_map, 1, 0, horn, w)
         assert 0 <= x < eg_tensor_map.domain.size(1, 1)
 
     def test_failure_propagates_as_unfilled(self, eg_tensor_map, monkeypatch):
@@ -246,7 +257,9 @@ class TestPointwiseFiller:
 
         def then_refuse(*args):
             report = check(*args)
-            monkeypatch.setattr(kancheck.kan, "_filler", lambda *family: None)
+            monkeypatch.setattr(
+                kancheck.kan, "_fillers", lambda f, n, indices, ys, xs: [None] * len(ys)
+            )
             return report
 
         monkeypatch.setattr(kancheck.pointwise, "check_kan_fibration", then_refuse)
@@ -264,28 +277,29 @@ class TestSweep:
         assert report.families_verified_compatible == report.problems_checked
 
     def test_each_family_checked_once(self, eg_tensor_map, monkeypatch):
-        # every family's face equations are evaluated once: each family of the
-        # diagonal Kan check, each horn and the diagonal family built from it,
-        # and the subfamily and enlarged family of each partial-horn step
-        # (3368 here; the tree before counted 5928 is_compatible calls)
+        # every family's face equations are evaluated once, as one row of a
+        # block: each family of the diagonal Kan check, each horn and the
+        # diagonal family built from it, and the subfamily and enlarged family
+        # of each partial-horn step (3368 rows here; the tree before counted
+        # 5928 is_compatible calls)
         kan_families = check_kan_fibration(diagonal_map(eg_tensor_map), 3).families_checked
         evaluated = steps = 0
-        compatible = kancheck.kan._compatible
-        fill = kancheck.kan._fill_partial
+        compatible = kancheck.kan._all_compatible
+        fill = kancheck.kan._partial_fillers
 
-        def counting(*args):
+        def counting(f, n, indices, ys, xs):
             nonlocal evaluated
-            evaluated += 1
-            return compatible(*args)
+            evaluated += len(ys)
+            return compatible(f, n, indices, ys, xs)
 
-        def counting_steps(f, n, indices, faces, y):
+        def counting_steps(f, n, indices, ys, xs):
             nonlocal steps
-            steps += len(indices) < n
-            return fill(f, n, indices, faces, y)
+            steps += len(ys) if len(indices) < n else 0
+            return fill(f, n, indices, ys, xs)
 
         for module in (kancheck.kan, kancheck.pointwise):
-            monkeypatch.setattr(module, "_compatible", counting)
-            monkeypatch.setattr(module, "_fill_partial", counting_steps)
+            monkeypatch.setattr(module, "_all_compatible", counting)
+            monkeypatch.setattr(module, "_partial_fillers", counting_steps)
         report = verify_pointwise_fillers(eg_tensor_map, 3)
         assert report.passed
         assert (kan_families, report.problems_checked, steps) == (1224, 656, 416)
@@ -325,7 +339,7 @@ class TestSweep:
         # the diagonal is built once; the Kan check and both sweeps use it,
         # since the diagonal of the transpose is the same map
         built, filled_in = [], set()
-        build, fill = kancheck.pointwise.diagonal_map, kancheck.pointwise._fill_partial
+        build, fill = kancheck.pointwise.diagonal_map, kancheck.pointwise._partial_fillers
 
         def counting_build(f):
             built.append(build(f))
@@ -336,7 +350,7 @@ class TestSweep:
             return fill(f, *family)
 
         monkeypatch.setattr(kancheck.pointwise, "diagonal_map", counting_build)
-        monkeypatch.setattr(kancheck.pointwise, "_fill_partial", recording_fill)
+        monkeypatch.setattr(kancheck.pointwise, "_partial_fillers", recording_fill)
         report = verify_pointwise_fillers(eg_tensor_map, 3)
         assert report.passed and report.transposed_cells
         assert len(built) == 1
@@ -399,15 +413,20 @@ class TestSweep:
         # in the transposed run, let every horn of the direct sweep's cell fill
         skip = clean.direct_cells[position(clean.direct_cells)].problems if transposed else 0
         seen = 0
-        fill = kancheck.pointwise._fill_partial
+        fill = kancheck.pointwise._partial_fillers
 
-        def refusing(f, n, indices, faces, y):
+        def refusing(f, n, indices, ys, xs):
+            # count the rows of the cell's blocks up to the first refused one,
+            # where the sweep stops
             nonlocal seen
+            ws, examined = fill(f, n, indices, ys, xs)
             if (n, indices) == diagonal_horn:
-                seen += 1
-                if seen > skip:
-                    return None, 0
-            return fill(f, n, indices, faces, y)
+                for r in range(len(ws)):
+                    seen += 1
+                    if seen > skip:
+                        ws[r] = None
+                        break
+            return ws, examined
 
         swept = []
         sweep = kancheck.pointwise._sweep
@@ -416,7 +435,7 @@ class TestSweep:
             swept.append(sweep(*args, **kwargs))
             return swept[-1]
 
-        monkeypatch.setattr(kancheck.pointwise, "_fill_partial", refusing)
+        monkeypatch.setattr(kancheck.pointwise, "_partial_fillers", refusing)
         monkeypatch.setattr(kancheck.pointwise, "_sweep", recording)
         with pytest.raises(InternalInvariantError) as err:
             verify_pointwise_fillers(f, 2)

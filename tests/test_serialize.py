@@ -12,8 +12,6 @@ from kancheck import (
 )
 from kancheck.presets import preset_bisimplicial
 from kancheck.serialize import (
-    bisimplicial_from_dict,
-    bisimplicial_to_dict,
     certificate_to_dict,
     fibration_report_to_dict,
     simplicial_from_dict,
@@ -31,13 +29,6 @@ class TestSetRoundTrips:
         # == ignores labels; the records compare them too
         assert simplicial_to_dict(back) == data
         assert data["labels"][2][3] == z2_nerve.label(Simplex(2, 3))
-
-    def test_bisimplicial(self, s3_double_nerve):
-        data = bisimplicial_to_dict(s3_double_nerve)
-        json.dumps(data)
-        back = bisimplicial_from_dict(data)
-        assert back == s3_double_nerve
-        assert bisimplicial_to_dict(back) == data
 
 
 class TestCertificates:
