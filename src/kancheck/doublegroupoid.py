@@ -6,25 +6,36 @@ pointing up: ``top: b -> c`` across the top, ``right: a -> b`` up the right,
 Horizontal composition glues a left square's right edge to a right square's
 left edge; vertical composition glues an upper square's bottom edge to a
 lower square's top edge.
+
+The double nerve is built from nerves on id layouts
+(:class:`~kancheck.groupoids.NerveLayout`), where a string's id is
+``start[parent] + pos[last]``: its parent's block start plus its last arrow's
+rank among the arrows with that arrow's target.  Column 1 is laid out as the
+nerve of the vertical square groupoid, and row q as the nerve of the
+groupoid of q-columns, whose arrows are column 1's q-simplex ids.  That
+groupoid's endpoints, identities and composites, and the tables of the
+columns p >= 2, are gathered square position by square position and column
+by column on these layouts; no key tuple is built unless keys or a label are
+asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 from .bisimplicial import TruncatedBisimplicialSet
 from .errors import RejectedInput
 from .groups import FiniteGroup
 from .groupoids import (
     FiniteGroupoid,
-    NerveKeys,
-    key_index,
-    nerve_keys,
+    NerveLayout,
+    gather,
+    nerve_and_layout,
     nerve_set,
     one_object_groupoid,
-    string_labels,
+    string_label,
 )
 from .simplicial import Label, TruncatedSimplicialSet
 
@@ -47,7 +58,8 @@ class DoubleGroupoid:
     """
 
     __slots__ = ("horizontal", "vertical", "squares", "_square_index",
-                 "_h_comp", "_v_comp", "h_identity", "v_identity")
+                 "_h_comp", "_v_comp", "h_identity", "v_identity",
+                 "h_composites", "v_composites")
 
     def __init__(
         self,
@@ -103,6 +115,10 @@ class DoubleGroupoid:
                                t.bottom, v.compose(s.left, t.left)),
                         f"vertical composite of {s} and {t}",
                     )
+        # both dicts hold the composable pairs (s, t), s ascending and then t
+        # ascending: the order of level 2 in the nerves of the square groupoids
+        self.h_composites = tuple(self._h_comp.values())
+        self.v_composites = tuple(self._v_comp.values())
         self._validate_groupoid_laws()
         self._validate_interchange()
         for obj in range(len(h.objects)):
@@ -237,112 +253,103 @@ def group_pair_double_groupoid(
     return DoubleGroupoid(h, v, squares)
 
 
-class _LineGroupoid(NamedTuple):
-    """What the nerve code reads of a groupoid, for one given by lookups into
-    tables already built: the vertical square groupoid and the groupoid of
-    q-columns.  Their laws are the double groupoid's, validated with it."""
-
-    objects: Sequence[int]
-    arrow_source: Sequence[int]
-    arrow_target: Sequence[int]
-    compose: Callable[[int, int], int]
-    identity: Callable[[int], int]
+def _matrix_label(column_label: Label, R: NerveLayout, p: int, idx: int) -> str:
+    return ";".join(map(column_label, R.key(p, idx)))
 
 
-def _column_label(square_labels: Sequence[str], level: NerveKeys, idx: int) -> str:
-    return "|".join(square_labels[s] for s in level[idx])
-
-
-def _matrix_label(column_label: Label, level: NerveKeys, idx: int) -> str:
-    return ";".join(map(column_label, level[idx]))
-
-
-def _elementwise(
-    table: Sequence[int], keys: Sequence[tuple[int, ...]], index: dict[object, int]
+def _lift(
+    R: NerveLayout, R2: NerveLayout, p: int, T: Sequence[int], t: Sequence[int]
 ) -> list[int]:
-    """The table of a column map applied to each column of every p-column key."""
-    get = table.__getitem__
-    return [index[tuple(map(get, key))] for key in keys]
+    """The table of column p from row layout R to row layout R2, given the
+    same table of column p-1 (``T``) and of column 1 (``t``): each p-tuple
+    maps to ``(T parent, t last)``."""
+    return R2.encode(p, gather(T, R.parent[p]), gather(t, R.last[p]))
 
 
 def _double_nerve(
     D: DoubleGroupoid, P: int, Q: int
-) -> tuple[TruncatedBisimplicialSet, NerveKeys, NerveKeys, list[NerveKeys]]:
-    """The double nerve, the keys of columns 0 and 1, and the keys of every row.
+) -> tuple[TruncatedBisimplicialSet, NerveLayout, NerveLayout | None, list[NerveLayout]]:
+    """The double nerve, the layouts of columns 0 and 1 (``None`` at P = 0),
+    and the layout of every row.
 
     Column 1 is the nerve of the vertical square groupoid (objects the
     horizontal arrows, arrows the squares from bottom to top), so its
     q-simplices are q-columns of squares, top first.  Row q >= 1 is the nerve
     of the groupoid of q-columns (objects the vertical q-strings, arrows the
-    q-columns from right edge to left edge, composing square by square), so
-    its p-simplices are p-tuples of column ids.  Column p >= 2 applies the
-    tables of column 1 to each column.  Row 0 and column 0 are the nerves of
-    the horizontal and vertical groupoids.
+    q-columns from right edge to left edge), so its p-simplices are p-tuples
+    of column ids.  That groupoid's endpoints, identities and composites are
+    gathered on the layouts of column 0, column 1 and row q-1, one square
+    position at a time.  Column p >= 2 applies the tables of column 1 to each
+    column of a p-tuple.  Row 0 and column 0 are the nerves of the horizontal
+    and vertical groupoids.
     """
     if P < 0 or Q < 0:
         raise RejectedInput("bounds must be nonnegative")
-    h, v, sq = D.horizontal, D.vertical, D.squares
-    h_keys, v_keys = nerve_keys(h, P), nerve_keys(v, Q)
-    h_index, v_index = key_index(h_keys), key_index(v_keys)
-    row0 = nerve_set(h, h_keys, h_index, string_labels(h, h_keys))
-    col0 = nerve_set(v, v_keys, v_index, string_labels(v, v_keys))
+    h, sq = D.horizontal, D.squares
+    row0, H = nerve_and_layout(h, P)
+    col0, V = nerve_and_layout(D.vertical, Q)
+    if P == 0:
+        rows = [TruncatedSimplicialSet([n], [[]], [[]], [label])
+                for n, label in zip(col0.counts, col0._labels)]
+        return TruncatedBisimplicialSet(rows, [col0]), V, None, [H]
 
-    squares = _LineGroupoid(
-        range(h.n_arrows), tuple(s.bottom for s in sq), tuple(s.top for s in sq),
-        D.v_compose, D.v_identity.__getitem__,
-    )
-    c1_keys = nerve_keys(squares, Q)
-    c1_index = key_index(c1_keys)
+    C1 = NerveLayout(h.n_arrows, [s.bottom for s in sq], [s.top for s in sq], Q)
     square_labels = tuple(D.square_label(s) for s in range(D.n_squares))
-    column_labels = [partial(_column_label, square_labels, c1_keys[q]) for q in range(Q + 1)]
+    column_labels = [row0._labels[1]] + [
+        partial(string_label, square_labels, C1, q) for q in range(1, Q + 1)
+    ]
+    col1 = nerve_set(C1, D.v_identity, D.v_composites, column_labels)
 
-    def q_columns(q: int) -> _LineGroupoid:
-        chains, index = c1_keys[q], c1_index[q]
-        lines, h_comp = v_index[q], D._h_comp
-
-        def compose(g: int, k: int) -> int:
-            return index[tuple(map(h_comp.__getitem__, zip(chains[g], chains[k])))]
-
-        return _LineGroupoid(
-            range(len(v_keys[q])),
-            tuple(lines[tuple(sq[s].right for s in c)] for c in chains),
-            tuple(lines[tuple(sq[s].left for s in c)] for c in chains),
-            compose,
-            tuple(index[tuple(D.h_identity[b] for b in line)] for line in v_keys[q]).__getitem__,
-        )
-
-    rows, row_keys, row_index = [row0], [h_keys], [h_index]
+    rights, lefts = [s.right for s in sq], [s.left for s in sq]
+    source, target, identity, composites = rights, lefts, D.h_identity, D.h_composites
+    rows, layouts = [row0], [H]
     for q in range(1, Q + 1):
-        C = q_columns(q)
-        keys = nerve_keys(C, P)
-        index = key_index(keys)
+        if q > 1:
+            parent, last = C1.parent[q], C1.last[q]
+            source = V.encode(q, gather(source, parent), gather(rights, last))
+            target = V.encode(q, gather(target, parent), gather(lefts, last))
+            identity = C1.encode(
+                q, gather(identity, V.parent[q]), gather(D.h_identity, V.last[q])
+            )
+        R = NerveLayout(V.counts[q], source, target, P)
+        if q > 1 and P >= 2:
+            # a composite column is the composite of the two columns' first
+            # q-1 squares (row q-1) over the composite of their last squares
+            # (row 1)
+            left, right = R.parent[2], R.last[2]
+            composites = C1.encode(
+                q,
+                gather(composites, layouts[q - 1].encode(
+                    2, gather(parent, left), gather(parent, right))),
+                gather(D.h_composites, layouts[1].encode(
+                    2, gather(last, left), gather(last, right))),
+            )
         labels = [col0._labels[q], column_labels[q]] + [
-            partial(_matrix_label, column_labels[q], keys[p]) for p in range(2, P + 1)
+            partial(_matrix_label, column_labels[q], R, p) for p in range(2, P + 1)
         ]
-        rows.append(nerve_set(C, keys, index, labels[: P + 1]))
-        row_keys.append(keys)
-        row_index.append(index)
+        rows.append(nerve_set(R, identity, composites, labels))
+        layouts.append(R)
 
-    columns = [col0]
-    if P:
-        columns.append(
-            nerve_set(squares, c1_keys, c1_index, [row0._labels[1]] + column_labels[1:])
-        )
+    # column p >= 2 reads column p-1 on the first p-1 columns of a p-tuple
+    # and column 1 on the last; one column's tables are in lists at a time
+    columns = [col0, col1]
     for p in range(2, P + 1):
-        col1 = columns[1]
+        prev = columns[-1]
+        faces = [
+            [_lift(layouts[q], layouts[q - 1], p, T, t)
+             for T, t in zip(prev._faces[q], col1._faces[q])]
+            for q in range(1, Q + 1)
+        ]
+        degens = [
+            [_lift(layouts[q], layouts[q + 1], p, T, t)
+             for T, t in zip(prev._degens[q], col1._degens[q])]
+            for q in range(Q)
+        ]
         columns.append(TruncatedSimplicialSet(
-            [len(keys[p]) for keys in row_keys],
-            [[]] + [
-                [_elementwise(t, row_keys[q][p], row_index[q - 1][p]) for t in col1._faces[q]]
-                for q in range(1, Q + 1)
-            ],
-            [
-                [_elementwise(t, row_keys[q][p], row_index[q + 1][p]) for t in col1._degens[q]]
-                for q in range(Q)
-            ] + [[]],
+            [R.counts[p] for R in layouts], [[]] + faces, degens + [[]],
             [r._labels[p] for r in rows],
         ))
-    return TruncatedBisimplicialSet(rows, columns), v_keys, c1_keys, row_keys
+    return TruncatedBisimplicialSet(rows, columns), V, C1, layouts
 
 
 def double_nerve_indexed(
@@ -353,9 +360,13 @@ def double_nerve_indexed(
     ``keys[p][q]``: (0,0) levels hold object indices, (p,0) levels horizontal
     arrow strings, (0,q) levels vertical arrow strings, and (p,q) levels
     p-column matrices, each column a tuple of vertically chained squares, top
-    first; every level in ascending lexicographic order.
+    first; every level in ascending lexicographic order.  The keys are read
+    off the layouts of the build.
     """
-    NN, v_keys, c1_keys, row_keys = _double_nerve(D, P, Q)
+    NN, V, C1, layouts = _double_nerve(D, P, Q)
+    v_keys = V.keys()
+    row_keys = [R.keys() for R in layouts]
+    c1_keys = C1.keys() if C1 is not None else ()
     keys = tuple(
         tuple(
             v_keys[q] if p == 0 else row_keys[0][p] if q == 0

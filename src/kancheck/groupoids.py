@@ -5,13 +5,22 @@ an n-simplex is a tuple ``(f_1, ..., f_n)`` with ``f_t : a_t -> a_{t-1}``, so
 consecutive arrows satisfy ``src(f_t) == tgt(f_{t+1})``.  Outer faces drop the
 outer arrows, inner faces compose adjacent ones, degeneracies insert an
 identity arrow.
+
+A nerve never builds these tuples to make its tables.  Its ids are laid out
+level by level (:class:`NerveLayout`): level 0 is the objects, level 1 the
+arrows, and level n >= 2 is two int columns, ``parent`` (the id of the string
+without its last arrow) and ``last`` (that arrow).  A parent's children are
+contiguous, so ``id(s + (g,)) = start[n][s] + pos[g]``, and every face and
+degeneracy table is gathered from the tables one level down, a whole level
+at a time.  Keys and labels are read off the two columns on demand.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import product
-from typing import Sequence
+from itertools import accumulate, chain, product, repeat
+from operator import add
+from typing import Iterable, Iterator, Sequence
 
 from .errors import RejectedInput
 from .groups import FiniteGroup
@@ -152,101 +161,165 @@ def discrete_groupoid(names: Sequence[str]) -> FiniteGroupoid:
 
 
 NerveKeys = tuple[tuple[object, ...], ...]
-KeyIndex = list[dict[object, int]]
+
+# The most simplices one nerve level may hold.  A level's count is known from
+# the level below it before any of its columns is allocated, so a bound that
+# would pass it is refused there instead of building for minutes.
+MAX_LEVEL = 1 << 18
 
 
-def nerve_keys(C: FiniteGroupoid, bound: int) -> NerveKeys:
-    """The nerve's simplices up to ``bound`` as keys, level by level: objects at
-    level 0, then strings ``(g_1, ..., g_n)`` with source(g_i) == target(g_{i+1}),
-    in ascending lexicographic order.
+def gather(table: Sequence[int], ids: Iterable[int]) -> Iterator[int]:
+    """``table`` read at every id of ``ids``, lazily: one pass."""
+    return map(table.__getitem__, ids)
 
-    Reads only ``objects`` (its length) and the arrow endpoint tables of ``C``.
+
+class NerveLayout:
+    """The simplex ids of a nerve up to ``bound``, as one pair of int columns
+    per level.
+
+    Level 0 is the objects and level 1 the arrows: an arrow's id is itself.
+    Level n >= 2 lists the strings ``s + (g,)``, ``s`` ascending at level n-1
+    and ``g`` ascending among the arrows whose target is the source of the
+    last arrow of ``s``, as ``parent[n]`` (the id of ``s``) and ``last[n]``
+    (``g``).  The children of one parent are contiguous, so
+    ``id(s + (g,)) = start[n][s] + pos[g]`` with ``pos[g]`` the rank of ``g``
+    among the arrows with its target.  ``ids[n]`` holds level n's ids once, as
+    the int objects every table entry refers to, so an entry costs a pointer.
+
+    Reads only the object count and the arrow endpoint tables, so the nerve of
+    anything with those has a layout.
     """
-    n_arrows = len(C.arrow_source)
-    keys: list[tuple[object, ...]] = [tuple(range(len(C.objects)))]
-    strings: list[tuple[int, ...]] = [(g,) for g in range(n_arrows)]
-    by_target: list[list[int]] = [[] for _ in C.objects]
-    for g in range(n_arrows):
-        by_target[C.arrow_target[g]].append(g)
-    source = C.arrow_source
-    for n in range(1, bound + 1):
-        if n > 1:
-            strings = [s + (g,) for s in strings for g in by_target[source[s[-1]]]]
-        keys.append(tuple(strings))
-    return tuple(keys)
 
+    __slots__ = ("bound", "counts", "source", "target", "pos", "ids", "parent", "last", "start")
 
-def key_index(keys: Sequence[Sequence[object]]) -> KeyIndex:
-    """Per level, the dict from a key to its id."""
-    return [{key: k for k, key in enumerate(level)} for level in keys]
+    def __init__(
+        self, n_objects: int, source: Sequence[int], target: Sequence[int], bound: int
+    ) -> None:
+        by_target: list[list[int]] = [[] for _ in range(n_objects)]
+        pos = []
+        for g, t in enumerate(target):
+            pos.append(len(by_target[t]))
+            by_target[t].append(g)
+        fan = list(map(len, by_target))
+        self.bound = bound
+        self.counts = [n_objects, len(source)][: bound + 1]
+        self.source, self.target, self.pos = source, target, pos
+        self.ids: list[list[int]] = [[], list(range(len(source)))]
+        self.parent: list[list[int]] = [[], []]
+        self.last: list[list[int]] = [[], self.ids[1]]
+        self.start: list[list[int]] = [[], []]
+        for n in range(2, bound + 1):
+            tails = list(gather(source, self.last[n - 1]))
+            fans = list(gather(fan, tails))
+            count = sum(fans)
+            if count > MAX_LEVEL:
+                raise RejectedInput(
+                    f"nerve level {n} would hold {count} simplices, over the limit of {MAX_LEVEL}"
+                )
+            self.counts.append(count)
+            self.ids.append(list(range(count)))
+            self.start.append(list(accumulate(fans, initial=0)))
+            self.parent.append(list(chain.from_iterable(map(repeat, self.ids[n - 1], fans))))
+            self.last.append(list(chain.from_iterable(map(by_target.__getitem__, tails))))
 
+    def encode(self, n: int, parents: Iterable[int], lasts: Iterable[int]) -> list[int]:
+        """The level-n ids of the strings ``parent + (last,)``, pair by pair."""
+        computed = map(add, gather(self.start[n], parents), gather(self.pos, lasts))
+        return list(gather(self.ids[n], computed))
 
-def string_face(C: FiniteGroupoid, n: int, key: object, i: int) -> object:
-    """The key of d_i of the nerve simplex ``key`` at level n >= 1."""
-    s = key  # type: ignore[assignment]
-    if n == 1:
-        return C.arrow_source[s[0]] if i == 0 else C.arrow_target[s[0]]
-    if i == 0:
-        return s[1:]
-    if i == n:
-        return s[:-1]
-    return s[: i - 1] + (C.compose(s[i - 1], s[i]),) + s[i + 1:]
+    def key(self, n: int, idx: int) -> tuple[int, ...]:
+        """The arrows of the string with id ``idx`` at level n >= 1, first first."""
+        arrows = []
+        for m in range(n, 1, -1):
+            arrows.append(self.last[m][idx])
+            idx = self.parent[m][idx]
+        arrows.append(idx)
+        return tuple(reversed(arrows))
 
-
-def string_degeneracy(C: FiniteGroupoid, n: int, key: object, i: int) -> object:
-    """The key of s_i of the nerve simplex ``key`` at level n: an inserted identity."""
-    if n == 0:
-        return (C.identity(key),)  # type: ignore[arg-type]
-    s = key  # type: ignore[assignment]
-    obj = C.arrow_target[s[i]] if i < n else C.arrow_source[s[n - 1]]
-    return s[:i] + (C.identity(obj),) + s[i:]
-
-
-def string_label(C: FiniteGroupoid, level: Sequence[object], n: int, idx: int) -> str:
-    """The label of the nerve's n-simplex ``idx`` whose key is ``level[idx]``."""
-    key = level[idx]
-    if n == 0:
-        return C.objects[key]  # type: ignore[index]
-    return "|".join(C.arrow_labels[g] for g in key)  # type: ignore[union-attr]
+    def keys(self) -> NerveKeys:
+        """Every level's keys in id order: object ids, then arrow strings."""
+        level: list[tuple[int, ...]] = [(g,) for g in self.last[1]] if self.bound else []
+        keys: list[tuple[object, ...]] = [tuple(range(self.counts[0]))]
+        for n in range(1, self.bound + 1):
+            if n > 1:
+                tails = ((g,) for g in self.last[n])
+                level = list(map(add, gather(level, self.parent[n]), tails))
+            keys.append(tuple(level))
+        return tuple(keys)
 
 
 def nerve_set(
-    C: FiniteGroupoid, keys: NerveKeys, index: KeyIndex, labels: Sequence[Label]
+    L: NerveLayout, identity: Sequence[int], composites: Sequence[int], labels: Sequence[Label]
 ) -> TruncatedSimplicialSet:
-    """The nerve of ``C`` whose n-simplex ids index ``keys[n]``, for keys
-    ``nerve_keys(C, bound)`` and their ``key_index``, labelled by ``labels``.
+    """The nerve on the ids of ``L``, given each object's identity arrow and
+    the composite of each composable pair (in the order of level 2 of ``L``;
+    unread below bound 2), labelled by ``labels``.
 
-    Reads only the objects, arrow endpoints, ``compose`` and ``identity`` of
-    ``C``, so anything with those attributes has a nerve.
+    Level 1 has faces ``source`` and ``target``; level 2 has ``d_0 = last``,
+    ``d_1`` the composite and ``d_2 = parent``.  Above, every table is
+    gathered a level at a time, ``(a, g)`` standing for the id of
+    ``a + (g,)``: ``d_n = parent``, ``d_i = (d_i parent, last)`` for
+    ``i < n-1``, and ``d_{n-1} = (parent parent, composite)`` with the
+    composite of the last two arrows read from level 2, so ``compose`` runs
+    once per composable pair.  ``s_i = (s_i parent, last)`` for ``i < n``
+    and ``s_n = (id, identity)`` appends an identity arrow.
     """
-    bound = len(keys) - 1
-    faces = [[]] + [
-        [[index[n - 1][string_face(C, n, key, i)] for key in keys[n]] for i in range(n + 1)]
-        for n in range(1, bound + 1)
+    bound, source, target = L.bound, L.source, L.target
+    faces: list[list[Sequence[int]]] = [[]]
+    degens: list[list[Sequence[int]]] = []
+    if bound >= 1:
+        faces.append([source, target])
+        degens.append([identity])
+    for n in range(1, bound):
+        ids, lasts = L.ids[n], L.last[n]
+        top = L.encode(n + 1, ids, gather(identity, gather(source, lasts)))
+        if n == 1:
+            lower = [L.encode(2, gather(identity, target), ids)]
+        else:
+            parent = L.parent[n]
+            lower = [L.encode(n + 1, gather(s, parent), lasts) for s in degens[n - 1]]
+        degens.append(lower + [top])
+    degens.append([])
+    for n in range(2, bound + 1):
+        parent, lasts = L.parent[n], L.last[n]
+        if n == 2:
+            faces.append([lasts, composites, parent])
+            continue
+        inner = gather(composites, L.encode(2, gather(L.last[n - 1], parent), lasts))
+        faces.append(
+            [L.encode(n - 1, gather(d, parent), lasts) for d in faces[n - 1][: n - 1]]
+            + [L.encode(n - 1, gather(L.parent[n - 1], parent), inner), parent]
+        )
+    return TruncatedSimplicialSet(L.counts, faces, degens, labels)
+
+
+def string_label(names: Sequence[str], L: NerveLayout, n: int, idx: int) -> str:
+    """The label of the n-simplex ``idx`` of a nerve on ``L``: its arrows'
+    names, first first, read off ``L`` for this one id."""
+    return "|".join(names[g] for g in L.key(n, idx))
+
+
+def nerve_and_layout(C: FiniteGroupoid, bound: int) -> tuple[TruncatedSimplicialSet, NerveLayout]:
+    """The nerve together with the layout of its ids."""
+    if bound < 0:
+        raise RejectedInput("bound must be nonnegative")
+    L = NerveLayout(len(C.objects), C.arrow_source, C.arrow_target, bound)
+    composites = list(map(C.compose, L.parent[2], L.last[2])) if bound >= 2 else []
+    labels = [C.objects.__getitem__] + [
+        partial(string_label, C.arrow_labels, L, n) for n in range(1, bound + 1)
     ]
-    degens = [
-        [[index[n + 1][string_degeneracy(C, n, key, i)] for key in keys[n]] for i in range(n + 1)]
-        for n in range(bound)
-    ] + [[]]
-    return TruncatedSimplicialSet([len(level) for level in keys], faces, degens, labels)
-
-
-def string_labels(C: FiniteGroupoid, keys: NerveKeys) -> list[Label]:
-    """Per level of the nerve of ``C``, the function rendering an id's key."""
-    return [partial(string_label, C, level, n) for n, level in enumerate(keys)]
+    return nerve_set(L, C.identity_arrows, composites, labels), L
 
 
 def nerve_indexed(C: FiniteGroupoid, bound: int) -> tuple[TruncatedSimplicialSet, NerveKeys]:
     """The nerve together with the composable-string key behind each id."""
-    if bound < 0:
-        raise RejectedInput("bound must be nonnegative")
-    keys = nerve_keys(C, bound)
-    return nerve_set(C, keys, key_index(keys), string_labels(C, keys)), keys
+    N, L = nerve_and_layout(C, bound)
+    return N, L.keys()
 
 
 def nerve(C: FiniteGroupoid, bound: int) -> TruncatedSimplicialSet:
     """Strings of composable arrows, with composing faces and identity insertions."""
-    return nerve_indexed(C, bound)[0]
+    return nerve_and_layout(C, bound)[0]
 
 
 def _eg_label(G: FiniteGroup, n: int, idx: int) -> str:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from kancheck import cyclic_group, nerve, one_object_groupoid
 from kancheck.cli import RunReport, build_parser, main, reverify_report, run
 from kancheck.errors import RejectedInput
+from kancheck.groupoids import MAX_LEVEL
 from kancheck.serialize import simplicial_to_dict
 
 
@@ -142,6 +144,17 @@ class TestKanCommand:
         assert run(argv + ["--index", "7"]) == (2, None)
         assert "error: --index applies only to" in capsys.readouterr().err
         assert run(argv)[0] == 0
+
+    def test_oversized_nerve_rejected_quickly(self, capsys):
+        # the line index sets both bounds, so this asks for a 40 x 40 double
+        # nerve: row 0 alone would reach 2^40 strings; its first level over
+        # the limit is refused before it is allocated
+        argv = ["kan", "--preset", "s3-counterexample", "--construction", "row",
+                "--index", "40", "--max-dim", "1"]
+        start = time.perf_counter()
+        assert run(argv) == (2, None)
+        assert time.perf_counter() - start < 2
+        assert f"simplices, over the limit of {MAX_LEVEL}" in capsys.readouterr().err
 
 
 JSON_VALUES = st.recursive(

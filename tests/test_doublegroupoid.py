@@ -276,17 +276,27 @@ def _codiscrete_double_groupoid():
     ])
 
 
-# the (3,3) cases keep the ids they had before the asymmetric bounds were added
+# the (3,3) cases keep the ids they had before the asymmetric bounds were added;
+# z2-commuting (A = B = G) has every square whose boundary commutes
 DOUBLE_NERVE_CASES = [
     pytest.param(which, P, Q, id=which if (P, Q) == (3, 3) else f"{which}-{P}-{Q}")
-    for which in ("s3-preset", "s4-pair")
+    for which in ("s3-preset", "s4-pair", "z2-commuting")
     for P, Q in BOUNDS + ZERO_BOUNDS
 ]
 
 
+def _case_double_groupoid(which, s3_D):
+    return {
+        "s3-preset": lambda: s3_D,
+        "s4-pair": _s4_pair_double_groupoid,
+        "z2-commuting": lambda: preset_double_groupoid("z2-commuting"),
+        "codiscrete": _codiscrete_double_groupoid,
+    }[which]()
+
+
 @pytest.mark.parametrize("which, P, Q", DOUBLE_NERVE_CASES)
 def test_double_nerve_keys_match_filtered_product(which, P, Q, s3_D):
-    D = s3_D if which == "s3-preset" else _s4_pair_double_groupoid()
+    D = _case_double_groupoid(which, s3_D)
     _, keys = double_nerve_indexed(D, P, Q)
     assert keys == _filtered_product_keys(D, P, Q)
     assert len(keys[P][Q]) > 0
@@ -296,11 +306,7 @@ def test_double_nerve_keys_match_filtered_product(which, P, Q, s3_D):
     pytest.param("codiscrete", P, Q, id=f"codiscrete-{P}-{Q}") for P, Q in [(2, 2)] + ZERO_BOUNDS
 ])
 def test_double_nerve_matches_nested_key_oracle(which, P, Q, s3_D):
-    D = {
-        "s3-preset": lambda: s3_D,
-        "s4-pair": _s4_pair_double_groupoid,
-        "codiscrete": _codiscrete_double_groupoid,
-    }[which]()
+    D = _case_double_groupoid(which, s3_D)
     NN, keys = double_nerve_indexed(D, P, Q)
     rows, columns, oracle_keys = _nested_key_double_nerve(D, P, Q)
     assert keys == oracle_keys
