@@ -15,6 +15,7 @@ from .bisimplicial import (
     diagonal,
     diagonal_map,
     point_bisimplicial,
+    product,
     row,
     row_map,
     tensor,

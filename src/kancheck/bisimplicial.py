@@ -6,7 +6,9 @@ p -> X_{p,q} carrying the horizontal tables, column p the simplicial set
 q -> X_{p,q} carrying the vertical tables.  Rows and columns share the
 bisimplex ids of each level, so every table lives in exactly one validated
 simplicial set, and rows, columns and the transpose are read off without
-copying.  The diagonal composes one row table with one column table.
+copying.  The diagonal composes one row table with one column table; the
+diagonal of an external product is built directly as the product of its
+factors.
 """
 
 from __future__ import annotations
@@ -187,6 +189,11 @@ def _pair_label(
     return f"({A.label(Simplex(p, a))},{B.label(Simplex(q, b))})"
 
 
+def _pairs(ta: Sequence[int], tb: Sequence[int], width: int) -> list[int]:
+    """The table of ``ta`` x ``tb`` on pair ids ``a * width + b``, B minor."""
+    return [a * width + b for a in ta for b in tb]
+
+
 def tensor(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedBisimplicialSet:
     """The external product: (A (x) B)_{p,q} = A_p x B_q.
 
@@ -197,10 +204,10 @@ def tensor(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedBis
     P, Q = A.bound, B.bound
 
     def on_first(table: Sequence[int], width: int) -> list[int]:
-        return [a * width + b for a in table for b in range(width)]
+        return _pairs(table, range(width), width)
 
     def on_second(table: Sequence[int], height: int, width: int) -> list[int]:
-        return [a * width + b for a in range(height) for b in table]
+        return _pairs(range(height), table, width)
 
     labels = [
         [partial(_pair_label, A, p, B, q, B.counts[q]) for q in range(Q + 1)]
@@ -231,6 +238,27 @@ def tensor(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedBis
         for p in range(P + 1)
     ]
     return TruncatedBisimplicialSet(rows, columns)
+
+
+def product(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedSimplicialSet:
+    """The product simplicial set: (A x B)_n = A_n x B_n, d_i = (d_i, d_i).
+
+    This is ``diagonal(tensor(A, B))`` built without the rest of the grid:
+    the same ids (row-major, B minor), tables and labels, to the smaller of
+    the two bounds.
+    """
+    bound = min(A.bound, B.bound)
+    counts = [A.counts[n] * B.counts[n] for n in range(bound + 1)]
+    faces = [[]] + [
+        [_pairs(A._faces[n][i], B._faces[n][i], B.counts[n - 1]) for i in range(n + 1)]
+        for n in range(1, bound + 1)
+    ]
+    degens = [
+        [_pairs(A._degens[n][i], B._degens[n][i], B.counts[n + 1]) for i in range(n + 1)]
+        for n in range(bound)
+    ] + [[]]
+    labels = [partial(_pair_label, A, n, B, n, B.counts[n]) for n in range(bound + 1)]
+    return TruncatedSimplicialSet(counts, faces, degens, labels)
 
 
 @dataclass(frozen=True)

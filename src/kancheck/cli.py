@@ -26,6 +26,7 @@ from .bisimplicial import (
     TruncatedBisimplicialSet,
     column,
     diagonal,
+    product,
     row,
     tensor,
     to_point_bimap,
@@ -216,19 +217,25 @@ def subgroups_from_input(data: dict[str, Any], G: FiniteGroup) -> tuple[tuple[in
 def _bisimplicial_from_source(
     preset: str | None, data: dict[str, Any] | None, P: int, Q: int
 ) -> TruncatedBisimplicialSet:
-    if preset is not None:
+    """The preset or input's bisimplicial set at bounds ``(P, Q)``: a group
+    pair gives its double nerve, a single group the external square of EG."""
+    if preset == "eg-tensor":
+        G = eg_tensor_group()
+    elif preset is not None:
         return preset_bisimplicial(preset, P, Q)
-    assert data is not None
-    if "group" in data and ("subgroup_a" in data or "subgroup_b" in data):
-        from .doublegroupoid import double_nerve, group_pair_double_groupoid
+    else:
+        assert data is not None
+        if "group" in data and ("subgroup_a" in data or "subgroup_b" in data):
+            from .doublegroupoid import double_nerve, group_pair_double_groupoid
 
+            G = group_from_input(data)
+            A, B = subgroups_from_input(data, G)
+            return double_nerve(group_pair_double_groupoid(G, A, B), P, Q)
+        if "group" not in data:
+            raise RejectedInput("cannot build a bisimplicial set from this input")
         G = group_from_input(data)
-        A, B = subgroups_from_input(data, G)
-        return double_nerve(group_pair_double_groupoid(G, A, B), P, Q)
-    if "group" in data:
-        eg = eg_construction(group_from_input(data), max(P, Q))
-        return tensor(eg, eg)
-    raise RejectedInput("cannot build a bisimplicial set from this input")
+    eg = eg_construction(G, P)
+    return tensor(eg, eg if Q == P else eg_construction(G, Q))
 
 
 def cmd_identities(args: argparse.Namespace) -> RunReport:
@@ -324,18 +331,19 @@ def _build_kan_objects(
     elif construction == "eg-tensor-diagonal":
         if preset is not None and preset != "eg-tensor":
             raise RejectedInput("eg-tensor-diagonal runs on the eg-tensor preset or an input group")
-        if preset is not None:
-            X = preset_bisimplicial("eg-tensor", max_dim, max_dim)
-        else:
-            eg = eg_construction(group_from_input(data or {}), max_dim)
-            X = tensor(eg, eg)
-        out.append(("kan-diagonal", diagonal(X), meta_base))
+        # the diagonal of EG (x) EG is the product EG x EG, built without the grid
+        G = eg_tensor_group() if preset is not None else group_from_input(data or {})
+        eg = eg_construction(G, max_dim)
+        out.append(("kan-diagonal", product(eg, eg), meta_base))
     elif construction == "double-nerve-diagonal":
         X = _bisimplicial_from_source(preset, data, max_dim, max_dim)
         out.append(("kan-diagonal", diagonal(X), meta_base))
     elif construction in ("row", "column"):
-        span = max(max_dim, max(indices))
-        X = _bisimplicial_from_source(preset, data, span, span)
+        # only the lines asked for are read, each to max_dim: rows need the
+        # vertical bound to reach the top index, columns the horizontal one
+        top = max(0, *indices)
+        P, Q = (max_dim, top) if construction == "row" else (top, max_dim)
+        X = _bisimplicial_from_source(preset, data, P, Q)
         for idx in indices:
             piece = row(X, idx) if construction == "row" else column(X, idx)
             meta = dict(meta_base)

@@ -21,8 +21,18 @@ class Simplex(NamedTuple):
     idx: int
 
 
+def _int_tuple(entries: Iterable[int], what: str) -> tuple[int, ...]:
+    """``entries`` as a tuple, refused unless each is an int: a float, string
+    or bool is bad input, never converted."""
+    table = tuple(entries)
+    if not set(map(type, table)) <= {int}:
+        bad = next(v for v in table if type(v) is not int)
+        raise RejectedInput(f"{what}: entry {bad!r} is a {type(bad).__name__}, not an int")
+    return table
+
+
 def _as_table(entries: Sequence[int], size: int, target_size: int, what: str) -> tuple[int, ...]:
-    table = tuple(map(int, entries))
+    table = _int_tuple(entries, what)
     if len(table) != size:
         raise RejectedInput(f"{what}: expected {size} entries, got {len(table)}")
     if table and (min(table) < 0 or max(table) >= target_size):
@@ -69,7 +79,7 @@ class TruncatedSimplicialSet:
     ) -> None:
         if not counts:
             raise RejectedInput("need at least the 0-dimensional level")
-        self.counts: tuple[int, ...] = tuple(int(c) for c in counts)
+        self.counts: tuple[int, ...] = _int_tuple(counts, "counts")
         if any(c < 0 for c in self.counts):
             raise RejectedInput("simplex counts must be nonnegative")
         self.bound: int = len(self.counts) - 1

@@ -7,9 +7,12 @@ from kancheck import (
     column_map,
     diagonal,
     diagonal_map,
+    cyclic_group,
+    eg_construction,
     pi0,
     point,
     point_bisimplicial,
+    product,
     row,
     row_map,
     tensor,
@@ -17,6 +20,7 @@ from kancheck import (
     transpose,
     transpose_map,
     validate_bisimplicial_identities,
+    symmetric_group_preset,
     validate_simplicial_identities,
 )
 from kancheck.bisimplicial import TruncatedBisimplicialSet
@@ -136,6 +140,44 @@ class TestRowsColumnsDiagonal:
 
     def test_pi0_of_diagonal_is_one(self, eg_tensor_3):
         assert len(pi0(diagonal(eg_tensor_3))) == 1
+
+
+def unlabelled(X):
+    """X read back from a record that carries no labels."""
+    return simplicial_from_dict(dict(simplicial_to_dict(X), labels=None))
+
+
+class TestProduct:
+    @pytest.mark.parametrize("case", [
+        "eg-z2-squared", "eg-z3-times-eg-s3", "unequal-bounds", "unlabelled-factor",
+    ])
+    def test_is_the_diagonal_of_the_tensor(self, case):
+        z2, z3 = cyclic_group(2), cyclic_group(3)
+        A, B = {
+            "eg-z2-squared": lambda: (eg_construction(z2, 4),) * 2,
+            "eg-z3-times-eg-s3": lambda: (
+                eg_construction(z3, 2), eg_construction(symmetric_group_preset(3), 2)
+            ),
+            "unequal-bounds": lambda: (eg_construction(z2, 4), eg_construction(z3, 2)),
+            "unlabelled-factor": lambda: (unlabelled(eg_construction(z2, 3)), eg_construction(z3, 3)),
+        }[case]()
+        P, dg = product(A, B), diagonal(tensor(A, B))
+        assert P.bound == min(A.bound, B.bound)
+        assert P == dg
+        for n in range(P.bound + 1):
+            assert P.labels_at(n) == dg.labels_at(n)
+        if case == "unlabelled-factor":
+            # id 9 of level 1 is the pair (1, 0), |B_1| = 9: A renders by id
+            assert P.labels_at(1)[9].startswith("(1#1,(")
+
+    def test_lawful_and_connected(self, eg_z2):
+        P = product(eg_z2, eg_z2)
+        assert P.counts == (4, 16, 64, 256)
+        assert validate_simplicial_identities(P).ok
+        assert len(pi0(P)) == 1
+
+    def test_point_times_point(self):
+        assert product(point(3), point(2)) == point(2)
 
 
 class TestTranspose:

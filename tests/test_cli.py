@@ -1,10 +1,12 @@
 import json
 import time
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import kancheck.cli as cli
 from kancheck import cyclic_group, nerve, one_object_groupoid
 from kancheck.cli import RunReport, build_parser, main, reverify_report, run
 from kancheck.errors import RejectedInput
@@ -63,6 +65,46 @@ class TestKanCommand:
              "--construction", "eg-tensor-diagonal", "--max-dim", "2"]
         )
         assert code == 0
+
+    def test_eg_tensor_diagonal_builds_no_grid(self, tmp_path, monkeypatch):
+        # the diagonal of EG (x) EG is the product EG x EG, built directly
+        def refuse(*args):
+            raise AssertionError("the eg-tensor diagonal built the tensor grid")
+
+        monkeypatch.setattr(cli, "tensor", refuse)
+        monkeypatch.setattr(cli, "diagonal", refuse)
+        golden = Path(__file__).parent / "golden" / "kan-eg-tensor-diagonal.json"
+        expected = json.loads(golden.read_text(encoding="utf-8"))["checks"]
+        path = tmp_path / "z2.json"
+        path.write_text(json.dumps({"group": {"labels": ["e", "g"], "table": [[0, 1], [1, 0]]}}))
+        for source in (["--preset", "eg-tensor"], ["--input", str(path)]):
+            code, report = run_report(
+                ["kan", *source, "--construction", "eg-tensor-diagonal", "--max-dim", "3"]
+            )
+            assert code == 0
+            assert report.verdict_dict()["checks"] == expected
+
+    @pytest.mark.parametrize("argv, bounds", [
+        (["--preset", "s3-counterexample", "--construction", "row", "--index", "2",
+          "--max-dim", "1"], (1, 2)),
+        (["--preset", "s3-counterexample", "--construction", "column", "--index", "3",
+          "--max-dim", "1"], (3, 1)),
+        (["--preset", "eg-tensor", "--construction", "row", "--max-dim", "3"], (3, 2)),
+        (["--preset", "eg-tensor", "--construction", "column", "--index", "0",
+          "--max-dim", "2"], (0, 2)),
+    ])
+    def test_lines_build_only_their_bounds(self, monkeypatch, argv, bounds):
+        # a row q to max_dim needs bounds (max_dim, q), a column p (p, max_dim)
+        built = []
+
+        def recording(*args, build=cli._bisimplicial_from_source):
+            X = build(*args)
+            built.append(X.bounds)
+            return X
+
+        monkeypatch.setattr(cli, "_bisimplicial_from_source", recording)
+        assert run(["kan", *argv])[0] == 0
+        assert built == [bounds]
 
     def test_rows_and_columns(self):
         code, report = run_report(
@@ -146,9 +188,9 @@ class TestKanCommand:
         assert run(argv)[0] == 0
 
     def test_oversized_nerve_rejected_quickly(self, capsys):
-        # the line index sets both bounds, so this asks for a 40 x 40 double
-        # nerve: row 0 alone would reach 2^40 strings; its first level over
-        # the limit is refused before it is allocated
+        # row 40 needs the vertical bound 40, so this asks for a 1 x 40
+        # double nerve: column 0 alone would reach 2^40 strings; its first
+        # level over the limit is refused before it is allocated
         argv = ["kan", "--preset", "s3-counterexample", "--construction", "row",
                 "--index", "40", "--max-dim", "1"]
         start = time.perf_counter()

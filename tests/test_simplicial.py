@@ -57,6 +57,20 @@ class TestConstruction:
         with pytest.raises(RejectedInput, match=r"^d_0 at 1: entry 5 outside range\(0, 2\)$"):
             TruncatedSimplicialSet([2, 5], faces, [[[0, 0]], []])
 
+    @pytest.mark.parametrize("bad", [0.7, "0", True], ids=["float", "str", "bool"])
+    @pytest.mark.parametrize("place", ["face table", "component table", "counts"])
+    def test_entry_that_is_not_an_int_rejected(self, place, bad):
+        # never converted: 0.7 would silently become 0, "0" 0 and True 1
+        counts, faces, degens = [1, 1], [[], [[0], [0]]], [[[0]], []]
+        if place == "face table":
+            faces[1][1] = [bad]
+        elif place == "counts":
+            counts[0] = bad
+        kind = type(bad).__name__
+        with pytest.raises(RejectedInput, match=rf"entry {bad!r} is a {kind}, not an int"):
+            X = TruncatedSimplicialSet(counts, faces, degens)
+            SimplicialMap(X, point(1), [[0], [bad]])
+
     def test_face_bounds(self):
         pt = point(2)
         with pytest.raises(RejectedInput):
