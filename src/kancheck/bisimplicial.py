@@ -22,6 +22,7 @@ from .simplicial import (
     Simplex,
     SimplicialMap,
     TruncatedSimplicialSet,
+    gather,
     point,
     validate_simplicial_identities,
 )
@@ -149,26 +150,22 @@ def column(X: TruncatedBisimplicialSet, p: int) -> TruncatedSimplicialSet:
     return _line(X.columns, p, "column", X.bounds)
 
 
-def _compose(outer: Sequence[int], inner: Sequence[int]) -> list[int]:
-    """The table of ``outer`` after ``inner``."""
-    return [outer[v] for v in inner]
-
-
 def diagonal(X: TruncatedBisimplicialSet) -> TruncatedSimplicialSet:
     """The simplicial set n -> X_{n,n} with d_i = d_i^h d_i^v, s_i = s_i^h s_i^v.
 
     Ids are inherited unchanged from the (n,n) tables, so diagonal simplices
-    and bisimplices can be converted back and forth by reindexing alone.
+    and bisimplices can be converted back and forth by reindexing alone.  Each
+    table is one gather: the row table read at the entries of the column table.
     """
     bound = min(X.bounds)
     rows, cols = X.rows, X.columns
     counts = [X.counts[n][n] for n in range(bound + 1)]
     faces = [[]] + [
-        [_compose(rows[n - 1]._faces[n][i], cols[n]._faces[n][i]) for i in range(n + 1)]
+        [gather(rows[n - 1]._faces[n][i], cols[n]._faces[n][i]) for i in range(n + 1)]
         for n in range(1, bound + 1)
     ]
     degens = [
-        [_compose(rows[n + 1]._degens[n][i], cols[n]._degens[n][i]) for i in range(n + 1)]
+        [gather(rows[n + 1]._degens[n][i], cols[n]._degens[n][i]) for i in range(n + 1)]
         for n in range(bound)
     ] + [[]]
     labels = None

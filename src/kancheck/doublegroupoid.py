@@ -31,13 +31,12 @@ from .groups import FiniteGroup
 from .groupoids import (
     FiniteGroupoid,
     NerveLayout,
-    gather,
     nerve_and_layout,
     nerve_set,
     one_object_groupoid,
     string_label,
 )
-from .simplicial import Label, TruncatedSimplicialSet
+from .simplicial import Label, TruncatedSimplicialSet, gather
 
 
 @dataclass(frozen=True)
@@ -89,13 +88,13 @@ class DoubleGroupoid:
         self.v_identity = tuple(
             self._locate(Square(a, v.identity(h.arrow_source[a]), a,
                                 v.identity(h.arrow_target[a])),
-                         f"vertical identity square of horizontal arrow {a}")
+                         "vertical identity square of horizontal arrow {}", a)
             for a in range(h.n_arrows)
         )
         self.h_identity = tuple(
             self._locate(Square(h.identity(v.arrow_target[b]), b,
                                 h.identity(v.arrow_source[b]), b),
-                         f"horizontal identity square of vertical arrow {b}")
+                         "horizontal identity square of vertical arrow {}", b)
             for b in range(v.n_arrows)
         )
 
@@ -107,13 +106,13 @@ class DoubleGroupoid:
                     self._h_comp[(s_id, t_id)] = self._locate(
                         Square(h.compose(s.top, t.top), t.right,
                                h.compose(s.bottom, t.bottom), s.left),
-                        f"horizontal composite of {s} and {t}",
+                        "horizontal composite of {} and {}", s, t,
                     )
                 if s.bottom == t.top:
                     self._v_comp[(s_id, t_id)] = self._locate(
                         Square(s.top, v.compose(s.right, t.right),
                                t.bottom, v.compose(s.left, t.left)),
-                        f"vertical composite of {s} and {t}",
+                        "vertical composite of {} and {}", s, t,
                     )
         # both dicts hold the composable pairs (s, t), s ascending and then t
         # ascending: the order of level 2 in the nerves of the square groupoids
@@ -127,11 +126,12 @@ class DoubleGroupoid:
                     f"identity squares disagree on the identity arrows at object {obj}"
                 )
 
-    def _locate(self, sq: Square, what: str) -> int:
+    def _locate(self, sq: Square, what: str, *args: object) -> int:
+        """The id of ``sq``; only a miss formats ``what`` with ``args``."""
         try:
             return self._square_index[sq]
         except KeyError:
-            raise RejectedInput(f"{what} is missing from the square set") from None
+            raise RejectedInput(f"{what.format(*args)} is missing from the square set") from None
 
     def _validate_groupoid_laws(self) -> None:
         n = len(self.squares)
@@ -185,7 +185,7 @@ class DoubleGroupoid:
         return len(self.squares)
 
     def square_id(self, sq: Square) -> int:
-        return self._locate(sq, f"square {sq}")
+        return self._locate(sq, "square {}", sq)
 
     def has_square(self, sq: Square) -> bool:
         return sq in self._square_index

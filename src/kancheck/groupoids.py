@@ -12,7 +12,8 @@ arrows, and level n >= 2 is two int columns, ``parent`` (the id of the string
 without its last arrow) and ``last`` (that arrow).  A parent's children are
 contiguous, so ``id(s + (g,)) = start[n][s] + pos[g]``, and every face and
 degeneracy table is gathered from the tables one level down, a whole level
-at a time.  Keys and labels are read off the two columns on demand.
+at a time, by the one gather kernel (:func:`kancheck.simplicial.gather`).
+Keys and labels are read off the two columns on demand.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from __future__ import annotations
 from functools import partial
 from itertools import accumulate, chain, product, repeat
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .errors import RejectedInput
 from .groups import FiniteGroup
-from .simplicial import Label, Simplex, TruncatedSimplicialSet
+from .simplicial import Label, Simplex, TruncatedSimplicialSet, gather
 
 
 class FiniteGroupoid:
@@ -168,11 +169,6 @@ NerveKeys = tuple[tuple[object, ...], ...]
 MAX_LEVEL = 1 << 18
 
 
-def gather(table: Sequence[int], ids: Iterable[int]) -> Iterator[int]:
-    """``table`` read at every id of ``ids``, lazily: one pass."""
-    return map(table.__getitem__, ids)
-
-
 class NerveLayout:
     """The simplex ids of a nerve up to ``bound``, as one pair of int columns
     per level.
@@ -209,8 +205,8 @@ class NerveLayout:
         self.last: list[list[int]] = [[], self.ids[1]]
         self.start: list[list[int]] = [[], []]
         for n in range(2, bound + 1):
-            tails = list(gather(source, self.last[n - 1]))
-            fans = list(gather(fan, tails))
+            tails = gather(source, self.last[n - 1])
+            fans = gather(fan, tails)
             count = sum(fans)
             if count > MAX_LEVEL:
                 raise RejectedInput(
@@ -220,12 +216,13 @@ class NerveLayout:
             self.ids.append(list(range(count)))
             self.start.append(list(accumulate(fans, initial=0)))
             self.parent.append(list(chain.from_iterable(map(repeat, self.ids[n - 1], fans))))
-            self.last.append(list(chain.from_iterable(map(by_target.__getitem__, tails))))
+            self.last.append(list(chain.from_iterable(gather(by_target, tails))))
 
-    def encode(self, n: int, parents: Iterable[int], lasts: Iterable[int]) -> list[int]:
-        """The level-n ids of the strings ``parent + (last,)``, pair by pair."""
-        computed = map(add, gather(self.start[n], parents), gather(self.pos, lasts))
-        return list(gather(self.ids[n], computed))
+    def encode(self, n: int, parents: Sequence[int], lasts: Sequence[int]) -> list[int]:
+        """The level-n ids of the strings ``parent + (last,)``, pair by pair:
+        ``start[n][parent] + pos[last]``, read back through ``ids[n]``."""
+        computed = list(map(add, gather(self.start[n], parents), gather(self.pos, lasts)))
+        return gather(self.ids[n], computed)
 
     def key(self, n: int, idx: int) -> tuple[int, ...]:
         """The arrows of the string with id ``idx`` at level n >= 1, first first."""

@@ -10,6 +10,7 @@ from itertools import permutations as _permutations
 from typing import Iterable, Sequence
 
 from .errors import RejectedInput
+from .simplicial import gather
 
 COMPOSITION_CONVENTION = "right-to-left (f*g applies g first)"
 
@@ -57,15 +58,18 @@ class FiniteGroup:
             inverse.append(inv)
         self.inverse = tuple(inverse)
 
+        # a row at a time: (ab)c over every c is row ab, and a(bc) is row a
+        # read at row b; only a mismatch is searched for its first c
+        T = self.table
+        rows = list(map(list, T))
         for a in range(n):
             for b in range(n):
-                ab = self.table[a][b]
-                for c in range(n):
-                    if self.table[ab][c] != self.table[a][self.table[b][c]]:
-                        raise RejectedInput(
-                            "associativity fails at "
-                            f"({self.labels[a]!r}, {self.labels[b]!r}, {self.labels[c]!r})"
-                        )
+                if gather(T[a], T[b]) != rows[T[a][b]]:
+                    c = next(c for c in range(n) if T[T[a][b]][c] != T[a][T[b][c]])
+                    raise RejectedInput(
+                        "associativity fails at "
+                        f"({self.labels[a]!r}, {self.labels[b]!r}, {self.labels[c]!r})"
+                    )
         self._index = {s: k for k, s in enumerate(self.labels)}
 
     @property

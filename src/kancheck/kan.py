@@ -21,6 +21,11 @@ trust from the index keys: every row's face equations and every filler are
 still re-checked on the tables, a column at a time (``_all_compatible``,
 ``_check_witnesses``).
 
+Columns are read by the C-level ``gather``, keys are packed a column at a
+time by ``pack_keys`` (from the first face where the target digit is zero, as
+for every map to the point), and buckets are looked up with ``map``.  A level
+at which every row draws exactly one face keeps its rows as they are.
+
 The object API is the same engine on a block of one
 (``is_compatible``, ``brute_force_fill``, ``fill_partial_horn``) or over its
 blocks (``iter_compatible_families``).  The Kan and trivial-fibration sweeps
@@ -35,13 +40,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import InternalInvariantError, RejectedInput
 from .simplicial import (
     Simplex,
     SimplicialMap,
     TruncatedSimplicialSet,
+    gather,
+    pack_keys,
     to_point_map,
 )
 
@@ -127,18 +134,6 @@ class CompatibleFamily:
         return [self.target.idx], [[x.idx] for x in self.faces]
 
 
-def _gather(table: Sequence[int], col: Sequence[int]) -> list[int]:
-    """The column ``table[x] for x in col``."""
-    return [table[x] for x in col]
-
-
-def _pack(radix: int, head: list[int], digits: Iterable[Sequence[int]]) -> list[int]:
-    """``pack_key`` of every row: the key column of a head column and digit columns."""
-    for col in digits:
-        head = [key * radix + d for key, d in zip(head, col)]
-    return head
-
-
 def _all_compatible(
     f: SimplicialMap, n: int, indices: Sequence[int], ys: list[int], xs: list[list[int]]
 ) -> bool:
@@ -146,13 +141,13 @@ def _all_compatible(
     f x_i == d_i y, and d_i x_j == d_{j-1} x_i for i < j in I."""
     component, target_faces = f.components[n - 1], f.codomain._faces[n]
     for i, x in zip(indices, xs):
-        if _gather(component, x) != _gather(target_faces[i], ys):
+        if gather(component, x) != gather(target_faces[i], ys):
             return False
     if n >= 2:
         tables = f.domain._faces[n - 1]
         for a, (i, xi) in enumerate(zip(indices, xs)):
             for j, xj in zip(indices[a + 1:], xs[a + 1:]):
-                if _gather(tables[i], xj) != _gather(tables[j - 1], xi):
+                if gather(tables[i], xj) != gather(tables[j - 1], xi):
                     return False
     return True
 
@@ -169,9 +164,9 @@ def _check_witnesses(
     """Raise unless each n-simplex ``ws[r]`` has the faces of row r and maps to ``ys[r]``."""
     tables = f.domain._faces[n]
     for i, x in zip(indices, xs):
-        if _gather(tables[i], ws) != x:
+        if gather(tables[i], ws) != x:
             raise InternalInvariantError(f"witness face d_{i} mismatch")
-    if _gather(f.components[n], ws) != ys:
+    if gather(f.components[n], ws) != ys:
         raise InternalInvariantError("witness does not map to the target")
 
 
@@ -211,8 +206,8 @@ def _fillers(
     fillers, ascending, so its first id is the first filler a scan of X_n meets.
     """
     index = f.index(n, indices)
-    keys = _pack(f.domain.counts[n - 1], ys, xs)
-    return [index.get(key, _NO_FILLER)[0] for key in keys]
+    keys = pack_keys(f.domain.counts[n - 1], ys, xs)
+    return [bucket[0] for bucket in map(index.get, keys, repeat(_NO_FILLER))]
 
 
 def brute_force_fill(family: CompatibleFamily) -> FillCertificate:
@@ -260,16 +255,23 @@ def _blocks(f: SimplicialMap, n: int, indices: tuple[int, ...]) -> Iterator[Bloc
         if t == len(indices):
             yield ys, xs
             return
-        digits = [_gather(shifted[t], x) for x in xs] if shifted else ()
-        pool = pools[t]
-        buckets = [pool.get(key, ()) for key in _pack(radix, _gather(targets[t], ys), digits)]
+        digits = [gather(shifted[t], x) for x in xs] if shifted else []
+        keys = pack_keys(radix, gather(targets[t], ys), digits)
+        buckets = list(map(pools[t].get, keys, repeat(())))
+        del keys, digits  # not held while the rows below grow
+        sizes = list(map(len, buckets))
+        if sizes.count(1) == len(ys):
+            # one child per row: the parents are the identity, so the rows
+            # stand as they are and only the new face is read off
+            yield from grow(t + 1, ys, xs + [list(chain.from_iterable(buckets))])
+            return
         # the parent row of each child, and the children, in search order
-        parents = chain.from_iterable(map(repeat, range(len(ys)), map(len, buckets)))
+        parents = chain.from_iterable(map(repeat, range(len(ys)), sizes))
         children = chain.from_iterable(buckets)
         while at := list(islice(parents, BLOCK_ROWS)):
-            grown = [_gather(x, at) for x in xs]
+            grown = [gather(x, at) for x in xs]
             grown.append(list(islice(children, BLOCK_ROWS)))
-            yield from grow(t + 1, _gather(ys, at), grown)
+            yield from grow(t + 1, gather(ys, at), grown)
 
     count = Y.counts[n]
     for start in range(0, count, BLOCK_ROWS):
@@ -383,7 +385,7 @@ def _filled(ws: list[int | None]) -> list[int] | None:
 
 def _rows(at: list[int] | None, col: list) -> list:
     """The entries of a column at the rows ``at`` (None: every row)."""
-    return col if at is None else _gather(col, at)
+    return col if at is None else gather(col, at)
 
 
 def _partial_fillers(
@@ -418,8 +420,8 @@ def _partial_fillers(
     k = max(i for i in range(n + 1) if i not in indices)  # k >= 1: two are missing
     tables = f.domain._faces[n - 1]
     sub_indices = tuple(i if i < k else i - 1 for i in indices)
-    sub_xs = [_gather(tables[k - 1 if i < k else k], x) for i, x in zip(indices, xs)]
-    sub_ys = _gather(f.codomain._faces[n][k], ys)
+    sub_xs = [gather(tables[k - 1 if i < k else k], x) for i, x in zip(indices, xs)]
+    sub_ys = gather(f.codomain._faces[n][k], ys)
     if not _all_compatible(f, n - 1, sub_indices, sub_ys, sub_xs):
         raise InternalInvariantError("derived family one dimension down is incompatible")
 

@@ -44,11 +44,10 @@ from .kan import (
     _all_compatible,
     _blocks,
     _check_witnesses,
-    _gather,
     _partial_fillers,
     check_kan_fibration,
 )
-from .simplicial import SimplicialMap
+from .simplicial import SimplicialMap, gather
 
 
 def _repeat(
@@ -58,7 +57,7 @@ def _repeat(
     ``tables[level][i]`` and moving ``step`` levels each time (+1 for
     degeneracies, -1 for faces)."""
     for m in range(level, level + step * times, step):
-        x = _gather(tables[m][i], x)
+        x = gather(tables[m][i], x)
     return x
 
 

@@ -2,7 +2,9 @@
 
 A simplex is identified by its ``(dim, idx)`` pair; labels are metadata only.
 All tables are total maps stored as tuples of integers, so structures are
-immutable after construction and safe to share between readers.  A map also
+immutable after construction and safe to share between readers.  Every
+whole-column read of a table, by the builders and by the horn search alike,
+is one call of :func:`gather`, whose per-element loop runs in C.  A map also
 caches the horn-search indexes it builds from its tables on first use
 (:meth:`SimplicialMap.index`); an index is never changed once built.
 """
@@ -10,10 +12,19 @@ caches the horn-search indexes it builds from its tables on first use
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import RejectedInput, TruncationError
 from .ordinal import Degeneracy, Face, SimplicialOperator
+
+
+def gather(table: Sequence, ids: Sequence[int]) -> list:
+    """The column ``[table[x] for x in ids]`` in one C-level pass; one id or
+    none is read directly, as ``itemgetter`` gives a scalar or refuses."""
+    if len(ids) > 1:
+        return list(itemgetter(*ids)(table))
+    return [table[x] for x in ids]
 
 
 class Simplex(NamedTuple):
@@ -56,6 +67,18 @@ def pack_key(radix: int, head: int, digits: Iterable[int]) -> int:
     distinct tuples give distinct keys."""
     for d in digits:
         head = head * radix + d
+    return head
+
+
+def pack_keys(radix: int, head: Sequence[int], digits: Sequence[Sequence[int]]) -> Sequence[int]:
+    """``pack_key`` of every row: the key column of a head column and digit
+    columns.  A zero head adds nothing to a key, so an all-zero head (every
+    map to the point has one) starts the keys from the first digit column.
+    The result may be one of the given columns: read it, never change it."""
+    if digits and not any(head):
+        head, digits = digits[0], digits[1:]
+    for col in digits:
+        head = [key * radix + d for key, d in zip(head, col)]
     return head
 
 
@@ -342,11 +365,9 @@ class SimplicialMap:
         return found
 
     def _build_index(self, m: int, faces: tuple[int, ...]) -> dict[int, list[int]]:
-        keys: Sequence[int] = self.components[m]
-        if faces:
-            radix, tables = self.domain.counts[m - 1], self.domain._faces[m]
-            for j in faces:  # pack_key, one digit at a time over the whole level
-                keys = [key * radix + d for key, d in zip(keys, tables[j])]
+        radix = self.domain.counts[m - 1] if faces else 0
+        tables = self.domain._faces[m]
+        keys = pack_keys(radix, self.components[m], [tables[j] for j in faces])
         buckets: dict[int, list[int]] = {}
         for w, key in enumerate(keys):
             bucket = buckets.get(key)

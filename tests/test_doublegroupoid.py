@@ -77,6 +77,29 @@ class TestGroupPairDoubleGroupoid:
         with pytest.raises(RejectedInput):
             DoubleGroupoid(s3_D.horizontal, s3_D.vertical, s3_D.squares[:-1])
 
+    # the message of a missing square is formatted only on a miss; these are
+    # the messages it has always had
+    @pytest.mark.parametrize("drop, message", [
+        (0, "vertical identity square of horizontal arrow 0"),
+        (2, "horizontal identity square of vertical arrow 1"),
+        (1, "vertical composite of Square(top=0, right=1, bottom=0, left=1) and "
+            "Square(top=0, right=1, bottom=1, left=0)"),
+        (4, "horizontal composite of Square(top=0, right=0, bottom=1, left=1) and "
+            "Square(top=1, right=0, bottom=1, left=0)"),
+    ])
+    def test_missing_square_named(self, drop, message):
+        data = z2_commuting()
+        D = group_pair_double_groupoid(data.group, data.A, data.B)
+        squares = D.squares[:drop] + D.squares[drop + 1:]
+        with pytest.raises(RejectedInput) as err:
+            DoubleGroupoid(D.horizontal, D.vertical, squares)
+        assert str(err.value) == f"{message} is missing from the square set"
+        with pytest.raises(RejectedInput) as err:
+            D.square_id(Square(1, 1, 1, 0))
+        assert str(err.value) == (
+            "square Square(top=1, right=1, bottom=1, left=0) is missing from the square set"
+        )
+
 
 class TestDoubleNerve:
     def test_trivial_is_point(self):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from kancheck import (
@@ -34,6 +36,39 @@ class TestGroupFromTable:
             group_from_table(["e", "a", "b", "c", "d"], table)
         assert "associativity" in str(err.value)
         assert "'a'" in str(err.value)
+
+    def test_mutated_s4_names_the_first_failing_triple(self):
+        # two products of one row swapped: the identity and every inverse
+        # survive, and the row-at-a-time check still names the first triple
+        # (a, b, c) in the order of a loop over a, then b, then c
+        G = symmetric_group_preset(4)
+        table = [list(r) for r in G.table]
+        table[5][9], table[5][17] = table[5][17], table[5][9]
+        with pytest.raises(RejectedInput) as err:
+            group_from_table(G.labels, table)
+        assert str(err.value) == "associativity fails at ('(3,4)', '(1,3)', '(1,2,3)')"
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_first_failing_triple_matches_triple_loop(self, order):
+        G = symmetric_group_preset(order)
+        n, e = G.order, G.identity
+        rejected = 0
+        for a, b, c in itertools.combinations(range(n), 3):
+            table = [list(r) for r in G.table]
+            if e in (a, table[a][b], table[a][c]):
+                continue
+            table[a][b], table[a][c] = table[a][c], table[a][b]
+            first = next(
+                (x, y, z)
+                for x, y, z in itertools.product(range(n), repeat=3)
+                if table[table[x][y]][z] != table[x][table[y][z]]
+            )
+            with pytest.raises(RejectedInput) as err:
+                group_from_table(G.labels, table)
+            names = ", ".join(repr(G.labels[v]) for v in first)
+            assert str(err.value) == f"associativity fails at ({names})"
+            rejected += 1
+        assert rejected > 0
 
     def test_no_identity_rejected(self):
         with pytest.raises(RejectedInput):

@@ -30,7 +30,7 @@ from kancheck.errors import InternalInvariantError, RejectedInput
 from kancheck.kan import FibrationReport, FillCertificate, HornCellStats
 from kancheck.presets import preset_bisimplicial
 from kancheck.serialize import fibration_report_to_dict
-from kancheck.simplicial import TruncatedSimplicialSet
+from kancheck.simplicial import TruncatedSimplicialSet, pack_key
 
 
 def restriction_family(f, x, indices):
@@ -241,8 +241,19 @@ class TestBruteForceFill:
 class TestIndexSearch:
     """The index lookup engine against the whole-fiber, whole-table oracles."""
 
-    @pytest.mark.parametrize("name", DIFFERENTIAL_MAPS)
-    def test_engine_matches_oracles_on_every_cell(self, name, request):
+    # at one row a block never branches past a level of one-id buckets, at
+    # seven most cells span several blocks, and the default holds each cell
+    @pytest.mark.parametrize(
+        "name, rows",
+        [
+            pytest.param(name, rows, id=name if rows is None else f"{name}-rows{rows}")
+            for rows in (None, 1, 7)
+            for name in DIFFERENTIAL_MAPS
+        ],
+    )
+    def test_engine_matches_oracles_on_every_cell(self, name, rows, request, monkeypatch):
+        if rows is not None:
+            monkeypatch.setattr(kancheck.kan, "BLOCK_ROWS", rows)
         f = request.getfixturevalue(name)
         unfilled = 0
         for n in range(1, f.domain.bound + 1):
@@ -262,6 +273,29 @@ class TestIndexSearch:
         # S3 diagonal, do not fill; every family on the diagonal of EG x EG and
         # on the identity does
         assert (unfilled > 0) == (name not in ("eg_diag_map", "s3_identity_map"))
+
+
+class TestIndexKeys:
+    """``SimplicialMap.index`` against a per-simplex ``pack_key`` reference,
+    on a map to the point (an all-zero head, which the keys skip) and on the
+    identity (a head that is not zero)."""
+
+    @pytest.mark.parametrize("name", ["eg_diag_map", "s3_identity_map"])
+    def test_index_matches_pack_key_reference(self, name, request):
+        given = request.getfixturevalue(name)
+        X = given.domain
+        f = SimplicialMap(X, given.codomain, given.components, validate=False)
+        assert any(map(any, f.components)) == (name == "s3_identity_map")
+        for m in range(X.bound + 1):
+            for size in range(m + 2 if m else 1):
+                for faces in itertools.combinations(range(m + 1), size):
+                    radix = X.counts[m - 1] if faces else 0
+                    expected = {}
+                    for w in range(X.counts[m]):
+                        digits = [X._faces[m][j][w] for j in faces]
+                        key = pack_key(radix, f.components[m][w], digits)
+                        expected.setdefault(key, []).append(w)
+                    assert f.index(m, faces) == expected
 
 
 def group_times_pair_groupoid(G, objects, order):

@@ -24,7 +24,7 @@ from kancheck.ordinal import (
     compose_ordinal,
     factorize,
 )
-from kancheck.simplicial import TruncatedSimplicialSet
+from kancheck.simplicial import TruncatedSimplicialSet, gather
 
 
 def swap_face_entries(X, n, i, a, b):
@@ -150,6 +150,30 @@ class TestApplyOperator:
                 direct = apply_operator(X, composite, x)
                 stepwise = apply_operator(X, via_f, apply_operator(X, via_g, x))
                 assert direct == stepwise
+
+
+class TestGather:
+    """The gather kernel returns the list comprehension's list for any
+    number of ids, including the none and one that ``itemgetter`` treats
+    apart."""
+
+    @pytest.mark.parametrize(
+        "ids", [[], [3], [3, 0], [5, 1, 1, 4, 0, 2, 5, 3]], ids=["0", "1", "2", "many"]
+    )
+    @pytest.mark.parametrize(
+        "table", [tuple(range(10, 16)), list(range(20, 26)), range(30, 36)],
+        ids=["tuple", "list", "range"],
+    )
+    def test_equals_comprehension(self, table, ids):
+        for col in (ids, tuple(ids)):
+            got = gather(table, col)
+            assert type(got) is list
+            assert got == [table[x] for x in col]
+
+    @pytest.mark.parametrize("ids", [[9], [0, 9]], ids=["1", "2"])
+    def test_out_of_range_raises(self, ids):
+        with pytest.raises(IndexError):
+            gather((1, 2, 3), ids)
 
 
 class TestSimplicialMap:
