@@ -67,7 +67,13 @@ from .serialize import (
     simplicial_from_dict,
     sweep_report_to_dict,
 )
-from .simplicial import Simplex, TruncatedSimplicialSet, pi0, to_point_map
+from .simplicial import (
+    Simplex,
+    TruncatedSimplicialSet,
+    pi0,
+    to_point_map,
+    validate_simplicial_identities,
+)
 
 CONVENTIONS = {
     "permutation_composition": COMPOSITION_CONVENTION,
@@ -321,7 +327,18 @@ def _build_kan_objects(
     if construction == "simplicial-set":
         if data is None or "simplicial_set" not in data:
             raise RejectedInput("construction simplicial-set needs an input file")
-        out.append(("kan-simplicial-set", simplicial_from_dict(data["simplicial_set"]), meta_base))
+        X = simplicial_from_dict(data["simplicial_set"])
+        # a verdict is about a simplicial set: a record that breaks a law is
+        # refused, naming its first violation
+        violations = validate_simplicial_identities(X).violations
+        if violations:
+            v = violations[0]
+            raise RejectedInput(
+                f"simplicial-set record breaks the simplicial identities: {v.identity} "
+                f"at n={v.n}, i={v.i}, j={v.j}, simplex {v.simplex}: "
+                f"{X.label(v.lhs)} != {X.label(v.rhs)}"
+            )
+        out.append(("kan-simplicial-set", X, meta_base))
     elif construction == "nerve":
         if preset is not None:
             G = eg_tensor_group() if preset == "eg-tensor" else preset_group_pair(preset).group

@@ -6,7 +6,8 @@ mentions group elements records this convention.
 
 from __future__ import annotations
 
-from itertools import permutations as _permutations
+from itertools import chain, permutations as _permutations, repeat
+from operator import ne
 from typing import Iterable, Sequence
 
 from .errors import RejectedInput
@@ -105,30 +106,43 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def _cycle_notation(images: tuple[int, ...]) -> str:
-    """Cycle notation for a permutation given by 1-based images."""
+    """Cycle notation, on the points 1..n, for a permutation given by its
+    0-based images."""
     n = len(images)
     seen = [False] * n
     cycles = []
     for start in range(n):
-        if seen[start] or images[start] == start + 1:
+        if seen[start] or images[start] == start:
             seen[start] = True
             continue
         cycle = [start + 1]
         seen[start] = True
         nxt = images[start]
-        while nxt != start + 1:
-            cycle.append(nxt)
-            seen[nxt - 1] = True
-            nxt = images[nxt - 1]
+        while nxt != start:
+            cycle.append(nxt + 1)
+            seen[nxt] = True
+            nxt = images[nxt]
         cycles.append(cycle)
     if not cycles:
         return "id"
     return "".join("(" + ",".join(str(v) for v in c) + ")" for c in cycles)
 
 
-def _compose_perm(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    # right-to-left: apply g first
-    return tuple(f[g[x] - 1] for x in range(len(f)))
+def _compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """``f*g`` on 0-based image tuples, right to left: g is applied first."""
+    return tuple(gather(f, g))
+
+
+def _permutation_group(elements: Iterable[tuple[int, ...]]) -> FiniteGroup:
+    """The group of the given 0-based permutations, a set closed under
+    composition, ordered by the number of points moved, then by images."""
+    elements = sorted(elements, key=lambda p: (sum(map(ne, p, range(len(p)))), p))
+    pos = {p: k for k, p in enumerate(elements)}
+    # a row at a time: row a is every a*b, one gather of a by all the b's
+    # images end to end, cut back into tuples of the degree and looked up
+    flat, degree = list(chain.from_iterable(elements)), len(elements[0])
+    table = [list(map(pos.__getitem__, zip(*[iter(gather(a, flat))] * degree))) for a in elements]
+    return FiniteGroup(list(map(_cycle_notation, elements)), table)
 
 
 def group_from_permutations(
@@ -137,43 +151,31 @@ def group_from_permutations(
     """Close a set of permutations (1-based image lists) under composition."""
     if not 1 <= degree <= 6:
         raise RejectedInput("permutation degree must be between 1 and 6")
-    identity = tuple(range(1, degree + 1))
     gens = []
     for g in generators:
         perm = tuple(int(v) for v in g)
-        if sorted(perm) != list(identity):
+        if sorted(perm) != list(range(1, degree + 1)):
             raise RejectedInput(f"{perm} is not a permutation of 1..{degree}")
-        gens.append(perm)
-    elements = [identity]
+        gens.append(tuple(v - 1 for v in perm))
+    identity = tuple(range(degree))
     seen = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for x in frontier:
-            for g in gens:
-                y = _compose_perm(g, x)
+            for y in map(_compose, gens, repeat(x)):
                 if y not in seen:
                     seen.add(y)
-                    elements.append(y)
                     nxt.append(y)
         frontier = nxt
-    elements.sort(key=lambda p: (sum(1 for k in range(degree) if p[k] != k + 1), p))
-    pos = {p: k for k, p in enumerate(elements)}
-    table = [[pos[_compose_perm(a, b)] for b in elements] for a in elements]
-    return FiniteGroup([_cycle_notation(p) for p in elements], table)
+    return _permutation_group(seen)
 
 
 def symmetric_group_preset(n: int) -> FiniteGroup:
     """The full symmetric group on {1..n} with cycle-notation labels, n <= 4."""
     if not 1 <= n <= 4:
         raise RejectedInput("symmetric group preset supports 1 <= n <= 4")
-    elements = sorted(
-        _permutations(range(1, n + 1)),
-        key=lambda p: (sum(1 for k in range(n) if p[k] != k + 1), p),
-    )
-    pos = {p: k for k, p in enumerate(elements)}
-    table = [[pos[_compose_perm(a, b)] for b in elements] for a in elements]
-    return FiniteGroup([_cycle_notation(p) for p in elements], table)
+    return _permutation_group(_permutations(range(n)))
 
 
 def is_subgroup(G: FiniteGroup, elems: Sequence[int]) -> bool:

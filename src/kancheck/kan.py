@@ -1,14 +1,17 @@
 """Compatible families, horn enumeration, fillers and Kan checks.
 
 All searches take simplices in ascending id order, so every certificate is
-reproducible.  Both the fill and the enumeration are lookups: X_m is bucketed,
-once per map, dimension m and face set J, by the key ``(f w, d_j w for j in
-J)`` (:meth:`SimplicialMap.index`), and a bucket holds exactly the simplices
-with those faces over that image, ascending.  A fill is one lookup under the
-horn's key and takes the bucket's least id, which is the filler a scan of the
-whole table would find first.  Horn families are enumerated face by face,
-each face drawn from the bucket that already satisfies every equation with
-the faces chosen before it, never from the raw product of face choices.
+reproducible.  Both the fill and the enumeration are lookups under the key
+``(f w, d_j w for j in J)`` of an m-simplex w, in maps built once per map,
+dimension m and face set J.  The image ``f w`` is left out of the key exactly
+when codomain level m is a point (:meth:`SimplicialMap.headed`), so the maps
+and their lookups agree.  :meth:`SimplicialMap.index` buckets X_m by key, each
+bucket holding exactly the simplices with those faces over that image,
+ascending.  A fill is one lookup in :meth:`SimplicialMap.least`, which maps
+each key to its bucket's least id: the filler a scan of the whole table would
+find first.  Horn families are enumerated face by face, each face drawn from
+the bucket that already satisfies every equation with the faces chosen
+before it, never from the raw product of face choices.
 
 One engine searches, on raw table ids, a cell at a time.  A block holds up to
 ``BLOCK_ROWS`` families of one (n, I) cell as id columns: the targets, then
@@ -21,10 +24,10 @@ trust from the index keys: every row's face equations and every filler are
 still re-checked on the tables, a column at a time (``_all_compatible``,
 ``_check_witnesses``).
 
-Columns are read by the C-level ``gather``, keys are packed a column at a
-time by ``pack_keys`` (from the first face where the target digit is zero, as
-for every map to the point), and buckets are looked up with ``map``.  A level
-at which every row draws exactly one face keeps its rows as they are.
+Columns are read by the C-level ``gather``, key columns are zipped into
+tuples by ``zip_keys`` (one column is its own key), and buckets and fillers
+are looked up with ``map``.  A level at which every row draws exactly one
+face keeps its rows as they are.
 
 The object API is the same engine on a block of one
 (``is_compatible``, ``brute_force_fill``, ``fill_partial_horn``) or over its
@@ -48,8 +51,8 @@ from .simplicial import (
     SimplicialMap,
     TruncatedSimplicialSet,
     gather,
-    pack_keys,
     to_point_map,
+    zip_keys,
 )
 
 
@@ -192,22 +195,17 @@ class FillCertificate:
         return self.witness is not None
 
 
-# the bucket of a key that no simplex has: its least id is None
-_NO_FILLER = (None,)
-
-
 def _fillers(
     f: SimplicialMap, n: int, indices: tuple[int, ...], ys: list[int], xs: list[list[int]]
 ) -> list[int | None]:
     """Each row's least-id n-simplex with faces x_i at I that maps to y, or None.
 
-    One lookup per row in the index of X_n by ``(f w, d_i w for i in I)``,
-    under the key ``(y, x_i for i in I)``: the bucket holds exactly the
-    fillers, ascending, so its first id is the first filler a scan of X_n meets.
+    One lookup per row in the least-id map of X_n by ``(f w, d_i w for i in
+    I)`` (:meth:`SimplicialMap.least`), under the key ``(y, x_i for i in I)``:
+    the least id of the fillers is the first filler a scan of X_n meets.
     """
-    index = f.index(n, indices)
-    keys = pack_keys(f.domain.counts[n - 1], ys, xs)
-    return [bucket[0] for bucket in map(index.get, keys, repeat(_NO_FILLER))]
+    keys = zip_keys([ys, *xs] if f.headed(n) else xs, len(ys))
+    return list(map(f.least(n, indices).get, keys))
 
 
 def brute_force_fill(family: CompatibleFamily) -> FillCertificate:
@@ -242,23 +240,25 @@ def _blocks(f: SimplicialMap, n: int, indices: tuple[int, ...]) -> Iterator[Bloc
     drawn from an f-fiber.
     """
     X, Y = f.domain, f.codomain
-    targets = [Y._faces[n][i] for i in indices]
+    # d_{i_t} y: the head of face t's key, read only if the keys have one
+    targets = [Y._faces[n][i] for i in indices] if f.headed(n - 1) else None
     if n >= 2:
-        radix = X.counts[n - 2]
         pools = [f.index(n - 1, indices[:t]) for t in range(len(indices))]
-        # d_{i_t - 1}: the chosen x_s's digits of face t's key (read for t >= 1)
+        # d_{i_t - 1}: the chosen x_s's entries of face t's key (read for t >= 1)
         shifted = [X._faces[n - 1][i - 1] for i in indices]
     else:
-        radix, pools, shifted = 0, [f.index(0, ())] * len(indices), []
+        pools, shifted = [f.index(0, ())] * len(indices), []
 
     def grow(t: int, ys: list[int], xs: list[list[int]]) -> Iterator[Block]:
         if t == len(indices):
             yield ys, xs
             return
-        digits = [gather(shifted[t], x) for x in xs] if shifted else []
-        keys = pack_keys(radix, gather(targets[t], ys), digits)
+        cols = [gather(shifted[t], x) for x in xs] if shifted else []
+        if targets is not None:
+            cols.insert(0, gather(targets[t], ys))
+        keys = zip_keys(cols, len(ys))
         buckets = list(map(pools[t].get, keys, repeat(())))
-        del keys, digits  # not held while the rows below grow
+        del keys, cols  # not held while the rows below grow
         sizes = list(map(len, buckets))
         if sizes.count(1) == len(ys):
             # one child per row: the parents are the identity, so the rows

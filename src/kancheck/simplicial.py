@@ -5,15 +5,21 @@ All tables are total maps stored as tuples of integers, so structures are
 immutable after construction and safe to share between readers.  Every
 whole-column read of a table, by the builders and by the horn search alike,
 is one call of :func:`gather`, whose per-element loop runs in C.  A map also
-caches the horn-search indexes it builds from its tables on first use
-(:meth:`SimplicialMap.index`); an index is never changed once built.
+caches the horn-search maps it builds from its tables on first use, each
+never changed once built: :meth:`SimplicialMap.index` buckets a level by its
+key, and :meth:`SimplicialMap.least` gives each key its least id.  A key is a
+row of columns zipped into a tuple (:func:`zip_keys`): the image ``f w``,
+left out exactly when the codomain level is a point, then the faces.
+Buckets and least ids are built by C-level loops (``dict``, ``zip``,
+``sorted``, ``groupby``), never a Python loop over the simplices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import RejectedInput, TruncationError
 from .ordinal import Degeneracy, Face, SimplicialOperator
@@ -62,24 +68,18 @@ def _label_table(level: Sequence[str], count: int) -> Label:
     return tuple(str(s) for s in level).__getitem__
 
 
-def pack_key(radix: int, head: int, digits: Iterable[int]) -> int:
-    """The mixed-radix int ``(head, *digits)``, each digit below ``radix``;
-    distinct tuples give distinct keys."""
-    for d in digits:
-        head = head * radix + d
-    return head
+# a horn-search key: one id, or a tuple of ids
+Key = Union[int, tuple[int, ...]]
 
 
-def pack_keys(radix: int, head: Sequence[int], digits: Sequence[Sequence[int]]) -> Sequence[int]:
-    """``pack_key`` of every row: the key column of a head column and digit
-    columns.  A zero head adds nothing to a key, so an all-zero head (every
-    map to the point has one) starts the keys from the first digit column.
-    The result may be one of the given columns: read it, never change it."""
-    if digits and not any(head):
-        head, digits = digits[0], digits[1:]
-    for col in digits:
-        head = [key * radix + d for key, d in zip(head, col)]
-    return head
+def zip_keys(cols: Sequence[Sequence[int]], rows: int) -> Sequence[Key]:
+    """The key column of ``rows`` rows with the given columns: each row's
+    entries zipped into a tuple in C.  One column is its own key, and no
+    column keys every row by ``()``.  Distinct rows give distinct keys.  The
+    result may be the given column: read it, never change it."""
+    if len(cols) == 1:
+        return cols[0]
+    return list(zip(*cols)) if cols else [()] * rows
 
 
 class TruncatedSimplicialSet:
@@ -309,7 +309,7 @@ def apply_operator(X: TruncatedSimplicialSet, op: SimplicialOperator, x: Simplex
 class SimplicialMap:
     """A dimensionwise map commuting with all face and degeneracy tables."""
 
-    __slots__ = ("domain", "codomain", "components", "_indexes")
+    __slots__ = ("domain", "codomain", "components", "_indexes", "_leasts")
 
     def __init__(
         self,
@@ -326,7 +326,8 @@ class SimplicialMap:
             _as_table(components[n], domain.counts[n], codomain.counts[n], f"component {n}")
             for n in range(domain.bound + 1)
         )
-        self._indexes: dict[tuple[int, tuple[int, ...]], dict[int, list[int]]] = {}
+        self._indexes: dict[tuple[int, tuple[int, ...]], dict[Key, tuple[int, ...]]] = {}
+        self._leasts: dict[tuple[int, tuple[int, ...]], dict[Key, int]] = {}
         if validate:
             self._validate_naturality()
 
@@ -351,10 +352,23 @@ class SimplicialMap:
     def apply(self, x: Simplex) -> Simplex:
         return Simplex(x.dim, self.components[x.dim][x.idx])
 
-    def index(self, m: int, faces: tuple[int, ...]) -> dict[int, list[int]]:
-        """The domain m-simplices w bucketed by the key ``pack_key(|X_{m-1}|,
-        f w, (d_j w for j in faces))``; a bucket holds its ids ascending, and a
-        key that no simplex has is absent.  Read the buckets, never change them.
+    def headed(self, m: int) -> bool:
+        """Whether the keys at level m start with the image ``f w``: exactly
+        when codomain level m has more than one simplex.  At a point every
+        image is the same, so it is left out of the index and its lookups."""
+        return self.codomain.counts[m] > 1
+
+    def _keys(self, m: int, faces: tuple[int, ...]) -> Sequence[Key]:
+        """Each domain m-simplex w's key ``(f w, d_j w for j in faces)``, the
+        image left out unless :meth:`headed`, zipped by :func:`zip_keys`."""
+        cols = [self.domain._faces[m][j] for j in faces]
+        if self.headed(m):
+            cols.insert(0, self.components[m])
+        return zip_keys(cols, self.domain.counts[m])
+
+    def index(self, m: int, faces: tuple[int, ...]) -> dict[Key, tuple[int, ...]]:
+        """The domain m-simplices bucketed by their keys (:meth:`_keys`): key
+        to its ids, ascending; a key that no simplex has is absent.
 
         Built in full the first time it is asked for and kept with the map, so
         every search over the same (m, faces) shares one index.
@@ -364,22 +378,35 @@ class SimplicialMap:
             found = self._indexes[m, faces] = self._build_index(m, faces)
         return found
 
-    def _build_index(self, m: int, faces: tuple[int, ...]) -> dict[int, list[int]]:
-        radix = self.domain.counts[m - 1] if faces else 0
-        tables = self.domain._faces[m]
-        keys = pack_keys(radix, self.components[m], [tables[j] for j in faces])
-        buckets: dict[int, list[int]] = {}
-        for w, key in enumerate(keys):
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [w]
-            else:
-                bucket.append(w)
+    def _build_index(self, m: int, faces: tuple[int, ...]) -> dict[Key, tuple[int, ...]]:
+        keys = self._keys(m, faces)
+        count = len(keys)
+        buckets = dict(zip(keys, zip(range(count))))
+        if len(buckets) < count:
+            # a stable sort keeps each key's ids ascending
+            order = sorted(range(count), key=keys.__getitem__)
+            buckets = {key: tuple(ids) for key, ids in groupby(order, keys.__getitem__)}
         return buckets
+
+    def least(self, m: int, faces: tuple[int, ...]) -> dict[Key, int]:
+        """Each key of :meth:`index` to the least id of its bucket, the one
+        id a fill reads.  Cached with the map like the index, and built
+        without it."""
+        found = self._leasts.get((m, faces))
+        if found is None:
+            found = self._leasts[m, faces] = self._build_least(m, faces)
+        return found
+
+    def _build_least(self, m: int, faces: tuple[int, ...]) -> dict[Key, int]:
+        keys = self._keys(m, faces)
+        # read from the last id down, a key is left holding its least id
+        return dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
 
     def fiber(self, n: int, target_idx: int) -> tuple[int, ...]:
         """Ids of domain n-simplices mapping to the given codomain id, ascending."""
-        return tuple(self.index(n, ()).get(target_idx, ()))
+        if not 0 <= target_idx < self.codomain.counts[n]:
+            return ()
+        return self.index(n, ()).get(target_idx if self.headed(n) else (), ())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialMap):

@@ -163,6 +163,23 @@ class TestKanCommand:
             assert run(argv) == (2, None)
             assert reverify_report(report) is False
 
+    def test_input_set_breaking_a_law_rejected(self, tmp_path, capsys):
+        # two vertices and one edge from 1 to 0 whose degeneracy s_0 sends
+        # both vertices to it: d_1 s_0 != id at vertex 0, so this is not a
+        # simplicial set, and it gets no Kan verdict
+        record = {
+            "kind": "simplicial-set", "counts": [2, 1],
+            "faces": [[], [[0], [1]]], "degeneracies": [[[0, 0]], []],
+        }
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps({"simplicial_set": record}))
+        argv = ["kan", "--input", str(path), "--construction", "simplicial-set", "--max-dim", "1"]
+        assert run(argv) == (2, None)
+        assert capsys.readouterr().err == (
+            "error: simplicial-set record breaks the simplicial identities: "
+            "face-degen-cancel at n=0, i=1, j=0, simplex 0: 0#1 != 0#0\n"
+        )
+
     def test_missing_source_errors(self, capsys):
         with pytest.raises(SystemExit):
             main(["kan", "--construction", "nerve"])

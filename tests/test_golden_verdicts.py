@@ -7,6 +7,7 @@ that moves a verdict, a count, a certificate id or a label fails here, and
 each committed verdict must re-verify by re-running its own config.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -87,3 +88,32 @@ def test_verdict_is_the_same_in_small_blocks(name, rows, capsys, monkeypatch):
     assert json.dumps(report.verdict_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
     # the checks saw blocks of up to ``rows`` rows, and some that long
     assert longest == (0 if name == "identities" else rows)
+
+
+def test_s3_diagonal_spans_many_default_blocks(capsys, monkeypatch):
+    # the eg-tensor diagonal of S3 at dim 2: each dim-2 cell has 46656 rows,
+    # about three blocks at the default BLOCK_ROWS, where no golden cell
+    # outgrows one; the verdict is pinned by the hash of its sorted-key JSON
+    monkeypatch.chdir(HERE.parent)
+    sizes = []
+
+    def recording(f, n, indices, ys, *columns, check=kancheck.kan._check_witnesses):
+        sizes.append(len(ys))
+        return check(f, n, indices, ys, *columns)
+
+    monkeypatch.setattr(kancheck.kan, "_check_witnesses", recording)
+    code, report = run(
+        "kan --input tests/inputs/s3.json --construction eg-tensor-diagonal --max-dim 2".split()
+    )
+    capsys.readouterr()
+    assert code == 0
+    # each dim-2 cell fills in two full blocks and the rest
+    assert sizes.count(kancheck.kan.BLOCK_ROWS) == 6
+    verdict = report.verdict_dict()
+    cells = verdict["checks"][0]["details"]["report"]["cells"]
+    assert [c["families"] for c in cells] == [36, 36, 46656, 46656, 46656]
+    assert sum(c["families"] for c in cells) == 140040
+    text = json.dumps(verdict, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "80f1247e7dcb8e420fb5dba1a3d868b9dc4f1805026bc0332810dd39ddef60ce"
+    )

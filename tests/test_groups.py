@@ -103,14 +103,76 @@ class TestPresets:
         assert G.mul(3, 2) == 1
 
 
+def cycle_notation(images):
+    """Cycle notation of a permutation given by 1-based images."""
+    cycles, seen = [], set()
+    for start in range(1, len(images) + 1):
+        if start in seen or images[start - 1] == start:
+            continue
+        cycle = [start]
+        while images[cycle[-1] - 1] != start:
+            cycle.append(images[cycle[-1] - 1])
+        seen.update(cycle)
+        cycles.append("(" + ",".join(map(str, cycle)) + ")")
+    return "".join(cycles) or "id"
+
+
+def closure_by_pairs(degree, generators):
+    """The reference: labels and table of the group the 1-based generators
+    make, composing every pair by the formula (f*g)(x) = f(g(x))."""
+    def compose(f, g):
+        return tuple(f[g[x] - 1] for x in range(degree))
+
+    elements = {tuple(range(1, degree + 1))}
+    while True:
+        more = {compose(g, x) for x in elements for g in generators} - elements
+        if not more:
+            break
+        elements |= more
+    elements = sorted(
+        elements, key=lambda p: (sum(p[k] != k + 1 for k in range(degree)), p)
+    )
+    pos = {p: k for k, p in enumerate(elements)}
+    table = tuple(tuple(pos[compose(a, b)] for b in elements) for a in elements)
+    return tuple(map(cycle_notation, elements)), table
+
+
+# S3; the S4 of bench/inputs/s4_pair.json; the dihedral group of the hexagon
+# and S3 x S3 on two blocks of three, of degree 6
+CLOSURES = {
+    "s3": (3, [[2, 1, 3], [1, 3, 2]]),
+    "s4": (4, [[2, 1, 3, 4], [2, 3, 4, 1]]),
+    "d6": (6, [[2, 3, 4, 5, 6, 1], [1, 6, 5, 4, 3, 2]]),
+    "s3xs3": (6, [[2, 1, 3, 4, 5, 6], [2, 3, 1, 4, 5, 6], [1, 2, 3, 5, 4, 6], [1, 2, 3, 5, 6, 4]]),
+}
+
+
 class TestPermutationClosure:
     def test_generates_s3(self):
         G = group_from_permutations(3, [[2, 1, 3], [1, 3, 2]])
         assert G.order == 6
 
+    @pytest.mark.parametrize("name", sorted(CLOSURES))
+    def test_table_matches_per_pair_formula(self, name):
+        degree, generators = CLOSURES[name]
+        G = group_from_permutations(degree, generators)
+        assert (G.labels, G.table) == closure_by_pairs(degree, generators)
+        assert G.order == {"s3": 6, "s4": 24, "d6": 12, "s3xs3": 36}[name]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_preset_is_the_closure_of_all_permutations(self, n):
+        G = symmetric_group_preset(n)
+        perms = list(itertools.permutations(range(1, n + 1)))
+        assert (G.labels, G.table) == closure_by_pairs(n, perms)
+
     def test_non_permutation_rejected(self):
-        with pytest.raises(RejectedInput):
+        with pytest.raises(RejectedInput) as err:
             group_from_permutations(3, [[1, 1, 2]])
+        assert str(err.value) == "(1, 1, 2) is not a permutation of 1..3"
+        for degree in (0, 7):
+            with pytest.raises(RejectedInput) as err:
+                group_from_permutations(degree, [])
+            assert str(err.value) == "permutation degree must be between 1 and 6"
 
     def test_matches_table_preset(self, s3):
         G = group_from_permutations(3, [[2, 1, 3], [3, 2, 1]])

@@ -30,7 +30,7 @@ from kancheck.errors import InternalInvariantError, RejectedInput
 from kancheck.kan import FibrationReport, FillCertificate, HornCellStats
 from kancheck.presets import preset_bisimplicial
 from kancheck.serialize import fibration_report_to_dict
-from kancheck.simplicial import TruncatedSimplicialSet, pack_key
+from kancheck.simplicial import TruncatedSimplicialSet, gather
 
 
 def restriction_family(f, x, indices):
@@ -275,27 +275,59 @@ class TestIndexSearch:
         assert (unfilled > 0) == (name not in ("eg_diag_map", "s3_identity_map"))
 
 
-class TestIndexKeys:
-    """``SimplicialMap.index`` against a per-simplex ``pack_key`` reference,
-    on a map to the point (an all-zero head, which the keys skip) and on the
-    identity (a head that is not zero)."""
+def pack_key(radix, head, digits):
+    """The mixed-radix int ``(head, *digits)``, each digit below ``radix``:
+    the key the index used before its keys were tuples."""
+    for d in digits:
+        head = head * radix + d
+    return head
 
-    @pytest.mark.parametrize("name", ["eg_diag_map", "s3_identity_map"])
+
+def simplex_key(f, m, faces, w):
+    """The index key of the domain m-simplex w: ``(f w, d_j w for j in
+    faces)``, the image left out iff codomain level m is a point, and a
+    single entry standing for itself."""
+    key = [f.components[m][w]] if f.codomain.counts[m] > 1 else []
+    key += [f.domain._faces[m][j][w] for j in faces]
+    return key[0] if len(key) == 1 else tuple(key)
+
+
+class TestIndexKeys:
+    """``SimplicialMap.index`` and ``least`` against a per-simplex tuple-key
+    reference, on a map to the point (no image in the keys), on the identity
+    and on the sign map (an image in the keys, and at level 0 none: BZ2 has
+    one vertex).  The buckets are also those of the packed-int keys they
+    replace."""
+
+    @pytest.mark.parametrize("name", ["eg_diag_map", "s3_identity_map", "eg_sign_map"])
     def test_index_matches_pack_key_reference(self, name, request):
         given = request.getfixturevalue(name)
         X = given.domain
         f = SimplicialMap(X, given.codomain, given.components, validate=False)
-        assert any(map(any, f.components)) == (name == "s3_identity_map")
+        assert any(map(any, f.components)) == (name != "eg_diag_map")
         for m in range(X.bound + 1):
+            assert f.headed(m) == (f.codomain.counts[m] > 1)
             for size in range(m + 2 if m else 1):
                 for faces in itertools.combinations(range(m + 1), size):
                     radix = X.counts[m - 1] if faces else 0
-                    expected = {}
+                    expected, packed = {}, {}
                     for w in range(X.counts[m]):
-                        digits = [X._faces[m][j][w] for j in faces]
-                        key = pack_key(radix, f.components[m][w], digits)
+                        key = simplex_key(f, m, faces, w)
                         expected.setdefault(key, []).append(w)
-                    assert f.index(m, faces) == expected
+                        digits = [X._faces[m][j][w] for j in faces]
+                        packed.setdefault(pack_key(radix, f.components[m][w], digits), []).append(w)
+                    index, least = f.index(m, faces), f.least(m, faces)
+                    assert index == {key: tuple(ids) for key, ids in expected.items()}
+                    assert sorted(expected.values()) == sorted(packed.values())
+                    assert least == {key: ids[0] for key, ids in expected.items()}
+                    # the fill lookups key rows as the index keys simplices
+                    rows = list(range(X.counts[m]))
+                    ys = gather(f.components[m], rows)
+                    xs = [gather(X._faces[m][j], rows) for j in faces]
+                    if len(faces) == m and m:
+                        assert kancheck.kan._fillers(f, m, faces, ys, xs) == [
+                            least[simplex_key(f, m, faces, w)] for w in rows
+                        ]
 
 
 def group_times_pair_groupoid(G, objects, order):

@@ -359,16 +359,22 @@ class TestSweep:
     def test_each_index_built_once_and_shared_with_the_kan_check(
         self, eg_tensor_map, monkeypatch
     ):
-        # every (map, m, J) index is built at most once, and the sweeps' fills
-        # in the diagonal find every index they need already built by its Kan
-        # check: the sweeps build indexes only on column maps, to enumerate
+        # every (map, m, J) index and least-id map is built at most once, and
+        # the sweeps' fills in the diagonal find every least-id map they need
+        # already built by its Kan check: the sweeps build indexes only on
+        # column maps, to enumerate, and no least-id map at all
         builds, phase, kan_checked, columns = [], ["kan check"], [], []
-        build, check = SimplicialMap._build_index, kancheck.pointwise.check_kan_fibration
+        check = kancheck.pointwise.check_kan_fibration
         column = kancheck.pointwise.column_map
 
-        def counting_build(f, m, faces):
-            builds.append((phase[0], f, m, faces))
-            return build(f, m, faces)
+        def counting(kind):
+            build = getattr(SimplicialMap, kind)
+
+            def counting_build(f, m, faces):
+                builds.append((phase[0], kind, f, m, faces))
+                return build(f, m, faces)
+
+            monkeypatch.setattr(SimplicialMap, kind, counting_build)
 
         def check_then_sweep(diag_f, max_dim):
             kan_checked.append(diag_f)
@@ -380,20 +386,26 @@ class TestSweep:
             columns.append(column(f, p))
             return columns[-1]
 
-        monkeypatch.setattr(SimplicialMap, "_build_index", counting_build)
+        counting("_build_index")
+        counting("_build_least")
         monkeypatch.setattr(kancheck.pointwise, "check_kan_fibration", check_then_sweep)
         monkeypatch.setattr(kancheck.pointwise, "column_map", recording_column)
         assert verify_pointwise_fillers(eg_tensor_map, 3).passed
         # builds holds every map it names, so no two of them share an id()
-        keys = [(id(f), m, faces) for _, f, m, faces in builds]
+        keys = [(kind, id(f), m, faces) for _, kind, f, m, faces in builds]
         assert len(keys) == len(set(keys))
         [diag_f] = kan_checked
-        by_kan_check = {(m, faces) for when, f, m, faces in builds if f is diag_f}
+        by_kan_check = {
+            (m, faces) for when, kind, f, m, faces in builds
+            if f is diag_f and kind == "_build_least"
+        }
         assert {
             (n, tuple(i for i in range(n + 1) if i != k)) for n in range(1, 4) for k in range(n + 1)
         } <= by_kan_check
-        in_sweeps = [f for when, f, _, _ in builds if when == "sweeps"]
-        assert in_sweeps and all(any(f is col for col in columns) for f in in_sweeps)
+        in_sweeps = [(kind, f) for when, kind, f, _, _ in builds if when == "sweeps"]
+        assert in_sweeps and all(
+            kind == "_build_index" and any(f is col for col in columns) for kind, f in in_sweeps
+        )
 
     @pytest.mark.parametrize("transposed", [False, True], ids=["direct", "transposed"])
     def test_refused_cell_is_reported(self, monkeypatch, transposed):

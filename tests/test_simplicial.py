@@ -198,6 +198,15 @@ class TestSimplicialMap:
         assert list(fib) == sorted(fib)
         assert len(fib) == z2_nerve.size(2)
 
+    def test_fiber_of_each_target(self, z2_nerve):
+        # over a point the index keys leave the image out, so a target id
+        # that is not in the codomain must still have an empty fiber
+        to_point = to_point_map(z2_nerve)
+        assert to_point.fiber(2, 1) == to_point.fiber(2, -1) == ()
+        ids = [list(range(z2_nerve.counts[n])) for n in range(z2_nerve.bound + 1)]
+        identity = SimplicialMap(z2_nerve, z2_nerve, ids)
+        assert [identity.fiber(2, y) for y in range(5)] == [(0,), (1,), (2,), (3,), ()]
+
 
 class TestPi0:
     def test_point(self):
