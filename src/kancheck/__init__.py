@@ -85,7 +85,6 @@ from .simplicial import (
     Simplex,
     SimplicialMap,
     TruncatedSimplicialSet,
-    apply_operator,
     pi0,
     point,
     to_point_map,

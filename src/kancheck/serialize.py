@@ -35,8 +35,9 @@ def required_entry(data: dict[str, Any], key: str, record: str) -> Any:
 
 
 def json_shape(value: Any, kind: type, what: str) -> Any:
-    """``value`` when it is a ``kind`` (dict, list, int, bool or str), else a rejection."""
-    if not isinstance(value, kind):
+    """``value`` when it is a ``kind`` (dict, list, int, bool or str), else a
+    rejection; a bool is not an int here, though Python counts it as one."""
+    if not isinstance(value, kind) or (kind is int and type(value) is bool):
         raise RejectedInput(f"{what} must be a {kind.__name__}, not {type(value).__name__}")
     return value
 

@@ -132,6 +132,19 @@ class TestKanCommand:
             # the report of the unedited file no longer re-verifies
             assert reverify_report(report) is False
 
+    @pytest.mark.parametrize("entry", [
+        {"labels": ["e", "g"], "table": [[0, True], [True, 0]]},
+        {"degree": True, "generators": [[1]]},
+        {"degree": 1, "generators": [[True]]},
+    ], ids=["table-entry", "degree", "generator-entry"])
+    def test_input_group_bool_is_not_an_int(self, tmp_path, capsys, entry):
+        # JSON true is no int: read as 1 it made Z2 or the trivial group
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({"group": entry}))
+        argv = ["kan", "--input", str(path), "--construction", "nerve", "--max-dim", "2"]
+        assert run(argv) == (2, None)
+        assert "must be a int, not bool" in capsys.readouterr().err
+
     def test_input_file_explicit_set(self, tmp_path, z2_nerve):
         payload = {"simplicial_set": simplicial_to_dict(z2_nerve)}
         path = tmp_path / "set.json"
@@ -163,16 +176,11 @@ class TestKanCommand:
             assert run(argv) == (2, None)
             assert reverify_report(report) is False
 
-    def test_input_set_breaking_a_law_rejected(self, tmp_path, capsys):
+    def test_input_set_breaking_a_law_rejected(self, capsys):
         # two vertices and one edge from 1 to 0 whose degeneracy s_0 sends
         # both vertices to it: d_1 s_0 != id at vertex 0, so this is not a
         # simplicial set, and it gets no Kan verdict
-        record = {
-            "kind": "simplicial-set", "counts": [2, 1],
-            "faces": [[], [[0], [1]]], "degeneracies": [[[0, 0]], []],
-        }
-        path = tmp_path / "set.json"
-        path.write_text(json.dumps({"simplicial_set": record}))
+        path = Path(__file__).parent / "inputs" / "lawless_set.json"
         argv = ["kan", "--input", str(path), "--construction", "simplicial-set", "--max-dim", "1"]
         assert run(argv) == (2, None)
         assert capsys.readouterr().err == (

@@ -1,4 +1,5 @@
 import pytest
+from oracles import h_degeneracy, h_face, v_degeneracy, v_face
 from test_kan import fiber_families, full_scan_fill
 
 import kancheck.kan
@@ -34,9 +35,9 @@ def restriction_horn(f, w, missing):
     return CompatibleFamily.from_mapping(col_f, w.q, faces, col_f.apply(x))
 
 
-def repeat(op, index, times, x):
+def repeat(op, X, index, times, x):
     for _ in range(times):
-        x = op(index, x)
+        x = op(X, index, x)
     return x
 
 
@@ -77,26 +78,26 @@ def oracle_lift(f, p, horn, diag_f):
     for i, face in horn.items():
         x = BiSimplex(p, q - 1, face.idx)
         if i < l:
-            x = repeat(X.v_degeneracy, l - 1, p, x)
-            x = repeat(X.h_degeneracy, 0, l - 1, repeat(X.h_degeneracy, p, q - l, x))
+            x = repeat(v_degeneracy, X, l - 1, p, x)
+            x = repeat(h_degeneracy, X, 0, l - 1, repeat(h_degeneracy, X, p, q - l, x))
             faces[i] = Simplex(n - 1, x.idx)
         else:
-            x = repeat(X.v_degeneracy, l, p, x)
-            x = repeat(X.h_degeneracy, 0, l, repeat(X.h_degeneracy, p, q - l - 1, x))
+            x = repeat(v_degeneracy, X, l, p, x)
+            x = repeat(h_degeneracy, X, 0, l, repeat(h_degeneracy, X, p, q - l - 1, x))
             faces[p + i] = Simplex(n - 1, x.idx)
         assert (x.p, x.q) == (n - 1, n - 1)
-    y = repeat(Y.v_degeneracy, l, p, BiSimplex(p, q, horn.target.idx))
-    y = repeat(Y.h_degeneracy, 0, l, repeat(Y.h_degeneracy, p, q - l, y))
+    y = repeat(v_degeneracy, Y, l, p, BiSimplex(p, q, horn.target.idx))
+    y = repeat(h_degeneracy, Y, 0, l, repeat(h_degeneracy, Y, p, q - l, y))
     family = CompatibleFamily.from_mapping(diag_f, n, faces, Simplex(n, y.idx))
     assert is_compatible(family)
     w, examined = oracle_partial_fill(family)
     if w is None:
         return None, examined
-    x = repeat(X.v_face, l, p, BiSimplex(n, n, w.idx))
-    x = repeat(X.h_face, p + 1, q - l, repeat(X.h_face, 0, l, x))
+    x = repeat(v_face, X, l, p, BiSimplex(n, n, w.idx))
+    x = repeat(h_face, X, p + 1, q - l, repeat(h_face, X, 0, l, x))
     assert (x.p, x.q) == (p, q)
     for i, xi in horn.items():
-        assert X.v_face(i, x) == BiSimplex(p, q - 1, xi.idx)
+        assert v_face(X, i, x) == BiSimplex(p, q - 1, xi.idx)
     assert f.apply(x) == BiSimplex(p, q, horn.target.idx)
     return x, examined
 
@@ -173,7 +174,7 @@ class TestBuildDiagonalFamily:
         assert indices == (0,)
         lifted = BiSimplex(p, 0, horn.face(0).idx)
         for _ in range(p):
-            lifted = X.v_degeneracy(0, lifted)
+            lifted = v_degeneracy(X, 0, lifted)
         assert (n, faces[0]) == (p + 1, lifted.idx)
 
     def test_exponent_degeneration_missing0(self, eg_tensor_map):
@@ -234,7 +235,7 @@ class TestPointwiseFiller:
                 assert w_diag is not None
                 x = answer(eg_tensor_map, p, missing, horn, w_diag)
                 for i, xi in horn.items():
-                    assert X.v_face(i, BiSimplex(p, q, x)) == BiSimplex(p, q - 1, xi.idx)
+                    assert v_face(X, i, BiSimplex(p, q, x)) == BiSimplex(p, q - 1, xi.idx)
 
     def test_lift_records_trace(self, eg_tensor_map):
         # one lift step by step: the horn of column 1 that leaves out 0 becomes

@@ -1,11 +1,11 @@
 import itertools
 
 import pytest
+from oracles import apply_operator
 
 from kancheck import (
     Simplex,
     SimplicialMap,
-    apply_operator,
     discrete_groupoid,
     nerve,
     one_object_groupoid,
