@@ -7,7 +7,6 @@ certifies how diagonal and pointwise fibration conditions relate.
 """
 
 from .bisimplicial import (
-    BiSimplex,
     BisimplicialMap,
     TruncatedBisimplicialSet,
     column,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
-from typing import Callable, NamedTuple, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .errors import RejectedInput, TruncationError
 from .simplicial import (
@@ -32,12 +32,6 @@ from .simplicial import (
 )
 
 T = TypeVar("T")
-
-
-class BiSimplex(NamedTuple):
-    p: int
-    q: int
-    idx: int
 
 
 def _in_line(what: str, build: Callable[..., T], *args) -> T:
@@ -338,9 +332,6 @@ class BisimplicialMap:
     def components(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """``components[p][q]``: the table of the map at level (p, q)."""
         return tuple(m.components for m in self.column_maps)
-
-    def apply(self, x: BiSimplex) -> BiSimplex:
-        return BiSimplex(x.p, x.q, self.column_maps[x.p].components[x.q][x.idx])
 
     def __repr__(self) -> str:
         return f"BisimplicialMap(bounds={self.domain.bounds})"

@@ -332,11 +332,9 @@ def _build_kan_objects(
         # refused, naming its first violation
         violations = validate_simplicial_identities(X).violations
         if violations:
-            v = violations[0]
             raise RejectedInput(
-                f"simplicial-set record breaks the simplicial identities: {v.identity} "
-                f"at n={v.n}, i={v.i}, j={v.j}, simplex {v.simplex}: "
-                f"{X.label(v.lhs)} != {X.label(v.rhs)}"
+                "simplicial-set record breaks the simplicial identities: "
+                + violations[0].describe(X)
             )
         out.append(("kan-simplicial-set", X, meta_base))
     elif construction == "nerve":

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .errors import RejectedInput
 from .groups import FiniteGroup
-from .simplicial import Label, Simplex, TruncatedSimplicialSet, gather
+from .simplicial import Label, Simplex, TruncatedSimplicialSet, _int_tuple, gather
 
 
 class FiniteGroupoid:
@@ -49,8 +49,8 @@ class FiniteGroupoid:
         n_obj = len(self.objects)
         if n_obj == 0:
             raise RejectedInput("a groupoid needs at least one object")
-        self.arrow_source = tuple(int(v) for v in arrow_source)
-        self.arrow_target = tuple(int(v) for v in arrow_target)
+        self.arrow_source = _int_tuple(arrow_source, "arrow sources")
+        self.arrow_target = _int_tuple(arrow_target, "arrow targets")
         n_arr = len(self.arrow_source)
         if len(self.arrow_target) != n_arr:
             raise RejectedInput("source and target tables must agree in length")
@@ -63,10 +63,11 @@ class FiniteGroupoid:
         )
         if len(self.arrow_labels) != n_arr:
             raise RejectedInput("need one label per arrow")
-        self.identity_arrows = tuple(int(v) for v in identity_arrows)
+        self.identity_arrows = _int_tuple(identity_arrows, "identity arrows")
         if len(self.identity_arrows) != n_obj:
             raise RejectedInput("need one identity arrow per object")
         self._compose = dict(compose)
+        _int_tuple(self._compose.values(), "composition table")
         self._validate()
         self.inverse = self._find_inverses()
 

@@ -11,7 +11,7 @@ from operator import ne
 from typing import Iterable, Sequence
 
 from .errors import RejectedInput
-from .simplicial import gather
+from .simplicial import _int_tuple, gather
 
 COMPOSITION_CONVENTION = "right-to-left (f*g applies g first)"
 
@@ -32,7 +32,7 @@ class FiniteGroup:
             raise RejectedInput(f"multiplication table must be {n}x{n}")
         rows = []
         for row in table:
-            r = tuple(int(v) for v in row)
+            r = _int_tuple(row, "multiplication table")
             if any(not 0 <= v < n for v in r):
                 raise RejectedInput("table entries must be element indices")
             rows.append(r)
@@ -149,11 +149,12 @@ def group_from_permutations(
     degree: int, generators: Iterable[Sequence[int]]
 ) -> FiniteGroup:
     """Close a set of permutations (1-based image lists) under composition."""
+    (degree,) = _int_tuple([degree], "permutation degree")
     if not 1 <= degree <= 6:
         raise RejectedInput("permutation degree must be between 1 and 6")
     gens = []
     for g in generators:
-        perm = tuple(int(v) for v in g)
+        perm = _int_tuple(g, "permutation images")
         if sorted(perm) != list(range(1, degree + 1)):
             raise RejectedInput(f"{perm} is not a permutation of 1..{degree}")
         gens.append(tuple(v - 1 for v in perm))
@@ -188,7 +189,7 @@ def is_subgroup(G: FiniteGroup, elems: Sequence[int]) -> bool:
 
 
 def _require_subgroup(G: FiniteGroup, elems: Sequence[int], name: str) -> tuple[int, ...]:
-    members = tuple(sorted(set(int(a) for a in elems)))
+    members = tuple(sorted(set(_int_tuple(elems, name))))
     if any(not 0 <= a < G.order for a in members):
         raise RejectedInput(f"{name} contains indices outside the group")
     if not is_subgroup(G, members):

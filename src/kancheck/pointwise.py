@@ -9,7 +9,12 @@ partial diagonal horn there, and carves the answer back down with faces.
 Every step the argument relies on (compatibility of the built diagonal
 family and of each derived partial-horn family, that the diagonal horn
 fills, and the requested face/target relations of the answer) is re-verified
-at run time and raises ``InternalInvariantError`` if it ever fails.
+at run time and raises ``InternalInvariantError`` if it ever fails.  A horn
+itself is verified by its answer: the answer's faces and image are checked,
+and the laws of its column level (``d_i d_j = d_{j-1} d_i`` and
+``f d_i = d_i f``), checked once per (p, q) and direction by
+:func:`kancheck.simplicial.require_level_laws`, then give the horn's
+equations.
 
 Each step runs on blocks of raw table ids, a whole cell's horns at a time
 (up to ``kan.BLOCK_ROWS`` rows, see :mod:`kancheck.kan`): ``_diagonal_family``
@@ -47,7 +52,7 @@ from .kan import (
     _partial_fillers,
     check_kan_fibration,
 )
-from .simplicial import SimplicialMap, gather
+from .simplicial import SimplicialMap, gather, require_level_laws
 
 
 def _repeat(
@@ -151,7 +156,8 @@ def _sweep(
 ) -> tuple[SweepCell, ...]:
     """Fill every horn of each (p, q, l) cell in order, on blocks of raw ids.
 
-    Each horn's equations are re-checked on the tables.  ``diag_f`` passed
+    Each horn is verified by its answer and by the laws of level q of its
+    column map, checked before the level's first cell.  ``diag_f`` passed
     the Kan check up to ``max_total_dim``, so every diagonal family fills; one
     that does not is a broken invariant, named by its cell and direction.
     """
@@ -159,12 +165,11 @@ def _sweep(
     for p in range(max_total_dim):
         col_f = column_map(f, p)
         for q in range(1, max_total_dim - p + 1):
+            require_level_laws(col_f, q)
             for missing in range(q + 1):
                 indices = tuple(i for i in range(q + 1) if i != missing)
                 problems = max_search = 0
                 for ys, xs in _blocks(col_f, q, indices):
-                    if not _all_compatible(col_f, q, indices, ys, xs):
-                        raise InternalInvariantError("enumerated horn is not compatible")
                     family = _diagonal_family(f, diag_f, p, q, missing, ys, xs)
                     ws, examined = _partial_fillers(diag_f, *family)
                     if None in ws:

@@ -14,7 +14,9 @@ Buckets and least ids are built by C-level loops (``dict``, ``zip``,
 ``sorted``, ``groupby``), never a Python loop over the simplices.  The laws
 are checked the same way: each simplicial identity, and each square of a
 map's naturality, is two gathered columns over a whole level compared by
-:func:`_mismatches`.
+:func:`_mismatches`.  :func:`require_level_laws` runs the two of them a horn
+sweep needs at one level, face identities and naturality under faces, so that
+a filler verifies its horn.
 """
 
 from __future__ import annotations
@@ -164,9 +166,6 @@ class TruncatedSimplicialSet:
             raise TruncationError(f"dimension {n} outside bound {self.bound}")
         return self.counts[n]
 
-    def simplices(self, n: int) -> Iterable[Simplex]:
-        return (Simplex(n, idx) for idx in range(self.size(n)))
-
     def _check(self, x: Simplex) -> None:
         if not 0 <= x.dim <= self.bound:
             raise TruncationError(f"simplex dimension {x.dim} outside bound {self.bound}")
@@ -237,6 +236,13 @@ class IdentityViolation:
     lhs: Simplex
     rhs: Simplex
 
+    def describe(self, X: TruncatedSimplicialSet) -> str:
+        """The violation in words, its two sides by their labels in X."""
+        return (
+            f"{self.identity} at n={self.n}, i={self.i}, j={self.j}, simplex {self.simplex}: "
+            f"{X.label(self.lhs)} != {X.label(self.rhs)}"
+        )
+
 
 @dataclass(frozen=True)
 class IdentityReport:
@@ -247,16 +253,23 @@ class IdentityReport:
         return not self.violations
 
 
-def _level_checks(X: TruncatedSimplicialSet, n: int):
-    """Each identity of level n as ``(name, i, j, dim, lhs, rhs)``: two
-    columns over the n-simplices that must agree, with values in dimension
-    ``dim``, generated in the order a per-simplex loop checks them."""
-    F, D = X._faces, X._degens
+def _face_face_checks(X: TruncatedSimplicialSet, n: int):
+    """The identities ``d_i d_j = d_{j-1} d_i`` (i < j) of level n, as
+    :func:`_level_checks` yields them."""
+    F = X._faces
     if n >= 2:
         for j in range(n + 1):
             for i in range(j):
                 yield ("face-face", i, j, n - 2,
                        gather(F[n - 1][i], F[n][j]), gather(F[n - 1][j - 1], F[n][i]))
+
+
+def _level_checks(X: TruncatedSimplicialSet, n: int):
+    """Each identity of level n as ``(name, i, j, dim, lhs, rhs)``: two
+    columns over the n-simplices that must agree, with values in dimension
+    ``dim``, generated in the order a per-simplex loop checks them."""
+    F, D = X._faces, X._degens
+    yield from _face_face_checks(X, n)
     if n + 2 <= X.bound:
         for i in range(n + 1):
             for j in range(i, n + 1):
@@ -343,19 +356,26 @@ class SimplicialMap:
 
     def _validate_naturality(self) -> None:
         """Raise at the least ``(n, idx, i)`` where ``f d_i != d_i f``, then
-        likewise for ``s_i``: each ``(n, i)`` is one column comparison."""
+        likewise for ``s_i``."""
+        for name in ("d", "s"):
+            for n in range(self.domain.bound + 1):
+                self._require_natural(name, n)
+
+    def _require_natural(self, name: str, n: int) -> None:
+        """Raise at the least ``(idx, i)`` where f does not commute with the
+        operator ``name_i`` ("d" or "s") on the domain n-simplices: each i
+        is one column comparison."""
         dom, cod, f = self.domain, self.codomain, self.components
-        for name, step, dom_tables, cod_tables in (
-            ("d", -1, dom._faces, cod._faces), ("s", 1, dom._degens, cod._degens)
-        ):
-            for n, pairs in enumerate(map(zip, dom_tables, cod_tables)):
-                firsts = [
-                    (wrong[0], i) for i, (t, u) in enumerate(pairs)
-                    if (wrong := _mismatches(gather(f[n + step], t), gather(u, f[n])))
-                ]
-                if firsts:
-                    idx, i = min(firsts)
-                    raise RejectedInput(f"map does not commute with {name}_{i} at {Simplex(n, idx)}")
+        step, dom_tables, cod_tables = (
+            (-1, dom._faces, cod._faces) if name == "d" else (1, dom._degens, cod._degens)
+        )
+        firsts = [
+            (wrong[0], i) for i, (t, u) in enumerate(zip(dom_tables[n], cod_tables[n]))
+            if (wrong := _mismatches(gather(f[n + step], t), gather(u, f[n])))
+        ]
+        if firsts:
+            idx, i = min(firsts)
+            raise RejectedInput(f"map does not commute with {name}_{i} at {Simplex(n, idx)}")
 
     def apply(self, x: Simplex) -> Simplex:
         return Simplex(x.dim, self.components[x.dim][x.idx])
@@ -429,6 +449,34 @@ class SimplicialMap:
 
     def __repr__(self) -> str:
         return f"SimplicialMap(bound={self.domain.bound})"
+
+
+def require_level_laws(f: SimplicialMap, n: int) -> None:
+    """Raise ``RejectedInput`` unless the domain's n-simplices satisfy
+    ``d_i d_j = d_{j-1} d_i`` for i < j and, when ``f.headed(n - 1)``, f
+    commutes with every ``d_i`` on them; each violation named as the law
+    checkers name it, the face identity at its least simplex id.
+
+    These two facts make every filler's row compatible: if ``d_i w = x_i``
+    and ``f w = y``, then ``d_i x_j = d_i d_j w = d_{j-1} d_i w = d_{j-1} x_i``
+    and ``f x_i = f d_i w = d_i f w = d_i y``.  So a horn sweep checks them
+    once per level, and per row only the witness.  Over a point at n - 1
+    both sides of ``f d_i = d_i f`` are 0, as :func:`_as_table` range-checked.
+    """
+    X = f.domain
+    firsts = [
+        (wrong[0], order, IdentityViolation(
+            name, n, i, j, wrong[0], Simplex(dim, lhs[wrong[0]]), Simplex(dim, rhs[wrong[0]])
+        ))
+        for order, (name, i, j, dim, lhs, rhs) in enumerate(_face_face_checks(X, n))
+        if (wrong := _mismatches(lhs, rhs))
+    ]
+    if firsts:
+        raise RejectedInput(
+            f"domain breaks the simplicial identities: {min(firsts)[2].describe(X)}"
+        )
+    if f.headed(n - 1):
+        f._require_natural("d", n)
 
 
 def to_point_map(X: TruncatedSimplicialSet) -> SimplicialMap:

@@ -9,8 +9,10 @@ bisimplex, and the identity, commutation and naturality checks.
 
 from __future__ import annotations
 
+from typing import Iterator, NamedTuple
+
 from kancheck.bisimplicial import (
-    BiSimplex,
+    BisimplicialMap,
     BisimplicialReport,
     CommutationViolation,
     TruncatedBisimplicialSet,
@@ -38,6 +40,22 @@ def apply_operator(X: TruncatedSimplicialSet, op: SimplicialOperator, x: Simplex
         elif isinstance(token, Degeneracy):
             x = X.degeneracy(token.index, x)
     return x
+
+
+def simplices(X: TruncatedSimplicialSet, n: int) -> Iterator[Simplex]:
+    """The n-simplices of X in id order."""
+    return (Simplex(n, idx) for idx in range(X.size(n)))
+
+
+class BiSimplex(NamedTuple):
+    p: int
+    q: int
+    idx: int
+
+
+def bimap_apply(f: BisimplicialMap, x: BiSimplex) -> BiSimplex:
+    """The image of one bisimplex, read from its column map."""
+    return BiSimplex(x.p, x.q, f.column_maps[x.p].components[x.q][x.idx])
 
 
 def bisimplices(X: TruncatedBisimplicialSet, p: int, q: int):
@@ -85,7 +103,7 @@ def validate_simplicial_identities(X: TruncatedSimplicialSet) -> IdentityReport:
             bad.append(IdentityViolation(identity, n, i, j, idx, lhs, rhs))
 
     for n in range(X.bound + 1):
-        for x in X.simplices(n):
+        for x in simplices(X, n):
             if n >= 2:
                 for j in range(n + 1):
                     for i in range(j):
@@ -164,13 +182,13 @@ def naturality_error(f: SimplicialMap) -> str | None:
     """The message a validating ``SimplicialMap`` raises for f's components,
     or None when f commutes with every face and degeneracy."""
     for n in range(1, f.domain.bound + 1):
-        for x in f.domain.simplices(n):
+        for x in simplices(f.domain, n):
             fx = f.apply(x)
             for i in range(n + 1):
                 if f.apply(f.domain.face(i, x)) != f.codomain.face(i, fx):
                     return f"map does not commute with d_{i} at {x}"
     for n in range(f.domain.bound):
-        for x in f.domain.simplices(n):
+        for x in simplices(f.domain, n):
             fx = f.apply(x)
             for i in range(n + 1):
                 if f.apply(f.domain.degeneracy(i, x)) != f.codomain.degeneracy(i, fx):

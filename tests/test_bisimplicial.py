@@ -1,8 +1,7 @@
 import pytest
-from oracles import h_degeneracy, h_face, v_degeneracy, v_face
+from oracles import BiSimplex, h_degeneracy, h_face, v_degeneracy, v_face
 
 from kancheck import (
-    BiSimplex,
     Simplex,
     column,
     column_map,

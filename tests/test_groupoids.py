@@ -47,6 +47,29 @@ class TestFiniteGroupoid:
             )
 
 
+def one_object_with(place, bad):
+    """The trivial groupoid's constructor arguments with ``bad`` at ``place``."""
+    args = {"sources": [0], "targets": [0], "compose": {(0, 0): 0}, "identities": [0]}
+    if place == "compose":
+        args["compose"] = {(0, 0): bad}
+    else:
+        args[place] = [bad]
+    return ["x"], args["sources"], args["targets"], args["compose"], args["identities"]
+
+
+class TestNonIntEntries:
+    @pytest.mark.parametrize("bad", [0.0, False, "0"])
+    @pytest.mark.parametrize("place, what", [
+        ("sources", "arrow sources"),
+        ("targets", "arrow targets"),
+        ("identities", "identity arrows"),
+        ("compose", "composition table"),
+    ])
+    def test_refused_not_converted(self, place, what, bad):
+        with pytest.raises(RejectedInput, match=f"{what}: entry {bad!r} is a"):
+            FiniteGroupoid(*one_object_with(place, bad))
+
+
 class TestNerve:
     def test_trivial_groupoid_nerve_is_point(self):
         C = one_object_groupoid(FiniteGroup(["e"], [[0]]))

@@ -15,6 +15,35 @@ from kancheck import (
 from kancheck.errors import RejectedInput
 
 
+# a value of each type that int() would have read as an int
+NOT_INTS = [1.0, True, "1"]
+
+
+class TestNonIntEntries:
+    """Group entries must be exact ints: a float, bool or str is refused,
+    never converted."""
+
+    @pytest.mark.parametrize("bad", NOT_INTS)
+    def test_table_entry(self, bad):
+        with pytest.raises(RejectedInput, match=f"multiplication table: entry {bad!r} is a"):
+            group_from_table(["e", "g"], [[0, 1], [bad, 0]])
+
+    @pytest.mark.parametrize("bad", NOT_INTS)
+    def test_permutation_image(self, bad):
+        with pytest.raises(RejectedInput, match=f"permutation images: entry {bad!r} is a"):
+            group_from_permutations(2, [[2, bad]])
+
+    @pytest.mark.parametrize("bad", NOT_INTS)
+    def test_degree(self, bad):
+        with pytest.raises(RejectedInput, match=f"permutation degree: entry {bad!r} is a"):
+            group_from_permutations(bad, [[1]])
+
+    @pytest.mark.parametrize("bad", NOT_INTS)
+    def test_subgroup_member(self, s3, bad):
+        with pytest.raises(RejectedInput, match=f"A: entry {bad!r} is a"):
+            subgroup_products_distinct(s3, [0, bad], [0])
+
+
 class TestGroupFromTable:
     def test_z2(self):
         G = group_from_table(["e", "g"], [[0, 1], [1, 0]])

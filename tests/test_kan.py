@@ -4,6 +4,7 @@ from collections import Counter
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
+from oracles import simplices
 
 import kancheck.kan
 from kancheck import (
@@ -25,6 +26,7 @@ from kancheck import (
     point,
     symmetric_group_preset,
     to_point_map,
+    validate_simplicial_identities,
 )
 from kancheck.errors import InternalInvariantError, RejectedInput
 from kancheck.kan import FibrationReport, FillCertificate, HornCellStats
@@ -47,7 +49,7 @@ def full_scan_fill(family):
     Returns the first filler (or None) and the number of simplices examined.
     """
     X = family.f.domain
-    for x in X.simplices(family.n):
+    for x in simplices(X, family.n):
         if family.f.apply(x) == family.target and all(
             X.face(i, x) == xi for i, xi in family.items()
         ):
@@ -60,7 +62,7 @@ def fiber_families(f, n, indices):
     by a scan of all of X_{n-1} (no index), backtracking in ascending index
     order, as (faces, target) pairs."""
     X, Y = f.domain, f.codomain
-    for y in Y.simplices(n):
+    for y in simplices(Y, n):
         required = [Y.face(i, y) for i in indices]
 
         def extend(chosen):
@@ -68,7 +70,7 @@ def fiber_families(f, n, indices):
             if t == len(indices):
                 yield tuple(chosen), y
                 return
-            for x in X.simplices(n - 1):
+            for x in simplices(X, n - 1):
                 if f.apply(x) == required[t] and (n < 2 or all(
                     X.face(indices[s], x) == X.face(indices[t] - 1, chosen[s])
                     for s in range(t)
@@ -147,7 +149,7 @@ DIFFERENTIAL_MAPS = (
 
 class TestCompatibility:
     def test_restriction_is_compatible(self, s3_nerve_map):
-        for x in s3_nerve_map.domain.simplices(3):
+        for x in simplices(s3_nerve_map.domain, 3):
             fam = restriction_family(s3_nerve_map, x, (0, 2, 3))
             assert is_compatible(fam)
 
@@ -200,7 +202,7 @@ class TestCompatibility:
 
 class TestBruteForceFill:
     def test_restriction_fills(self, z2_nerve_map):
-        for x in z2_nerve_map.domain.simplices(2):
+        for x in simplices(z2_nerve_map.domain, 2):
             fam = restriction_family(z2_nerve_map, x, (0, 1))
             cert = brute_force_fill(fam)
             assert cert.filled
@@ -210,7 +212,7 @@ class TestBruteForceFill:
         cert = brute_force_fill(fam)
         others = [
             x
-            for x in z2_nerve_map.domain.simplices(2)
+            for x in simplices(z2_nerve_map.domain, 2)
             if z2_nerve_map.domain.face(1, x) == fam.faces[0]
         ]
         assert cert.witness == min(others)
@@ -460,6 +462,105 @@ class TestKanCheck:
         assert a == b
 
 
+def rotated_index(original, spared=()):
+    """``SimplicialMap.index`` with each bucket of a keyed index moved to the
+    next key, so that every draw after a map's first face is a wrong id; the
+    maps in ``spared`` keep their true index."""
+    def index(self, m, faces):
+        found = original(self, m, faces)
+        if not faces or len(found) < 2 or any(self is g for g in spared):
+            return found
+        keys = list(found)
+        return dict(zip(keys, map(found.__getitem__, keys[1:] + keys[:1])))
+    return index
+
+
+def break_one_face(X, n, i, idx, to):
+    """X with ``d_i`` of the n-simplex idx sent to the (n-1)-simplex ``to``."""
+    faces = [list(map(list, level)) for level in X._faces]
+    faces[n][i][idx] = to
+    return TruncatedSimplicialSet(X.counts, faces, X._degens)
+
+
+class TestRowsVerifiedByWitness:
+    """A row that fills is verified by its witness and the level laws of its
+    dimension, checked once per level; only a block with a row that does not
+    fill has its face equations evaluated."""
+
+    def test_passing_cells_evaluate_no_equations(self, eg_diag_map, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a passing cell evaluated its face equations")
+
+        monkeypatch.setattr(kancheck.kan, "_all_compatible", refuse)
+        assert check_kan_fibration(eg_diag_map, 3).passed
+        assert check_trivial_fibration_to_point(eg_diag_map.domain, 3).passed
+
+    def test_level_laws_checked_once_per_level(self, eg_diag_map, monkeypatch):
+        seen = []
+        check = kancheck.kan.require_level_laws
+
+        def recording(f, n):
+            seen.append((f, n))
+            return check(f, n)
+
+        monkeypatch.setattr(kancheck.kan, "require_level_laws", recording)
+        assert check_kan_fibration(eg_diag_map, 3).passed
+        assert [n for _, n in seen] == [1, 2, 3]
+        assert all(f is eg_diag_map for f, _ in seen)
+
+    def test_failing_block_evaluates_its_equations(self, s3_diag_map, monkeypatch):
+        rows = []
+        compatible = kancheck.kan._all_compatible
+
+        def counting(f, n, indices, ys, xs):
+            rows.append(len(ys))
+            return compatible(f, n, indices, ys, xs)
+
+        monkeypatch.setattr(kancheck.kan, "_all_compatible", counting)
+        report = check_kan_fibration(s3_diag_map, 2)
+        assert not report.passed
+        # the failing block, then the certificate's own family
+        assert rows[-1] == 1 and len(rows) == 2
+
+    @pytest.mark.parametrize("fixture", ["eg_diag_map", "z2_nerve_map"])
+    def test_wrong_bucket_id_raises(self, fixture, request, monkeypatch):
+        f = request.getfixturevalue(fixture)
+        monkeypatch.setattr(SimplicialMap, "index", rotated_index(SimplicialMap.index))
+        with pytest.raises(InternalInvariantError, match="enumerated family is not compatible"):
+            check_kan_fibration(f, 3)
+
+    def test_broken_face_identity_refused(self, z2):
+        X = eg_construction(z2, 2)
+        # d_0 of the 2-simplex (0, 0, 0) sent to the edge (1, 1): its d_0 d_0
+        # leaves vertex 0
+        bad = break_one_face(X, 2, 0, 0, 3)
+        first = next(v for v in validate_simplicial_identities(bad).violations if v.n == 2)
+        assert first.identity == "face-face"
+        with pytest.raises(RejectedInput) as err:
+            check_kan_fibration(to_point_map(bad), 2)
+        assert str(err.value) == (
+            "domain breaks the simplicial identities: " + first.describe(bad)
+        )
+        assert str(err.value).startswith(
+            "domain breaks the simplicial identities: face-face at n=2, i=0, j=1, simplex 0:"
+        )
+        with pytest.raises(RejectedInput, match="face-face at n=2"):
+            check_trivial_fibration_to_point(bad, 2)
+
+    def test_non_natural_map_refused(self, eg_sign_map):
+        f = eg_sign_map
+        assert f.headed(1) and not f.headed(0)
+        components = [list(c) for c in f.components]
+        components[2][0] ^= 1  # the sign of (e, e, e) at its last edge
+        with pytest.raises(RejectedInput) as validated:
+            SimplicialMap(f.domain, f.codomain, components)
+        lawless = SimplicialMap(f.domain, f.codomain, components, validate=False)
+        with pytest.raises(RejectedInput) as err:
+            check_kan_fibration(lawless, 2)
+        assert str(err.value) == str(validated.value)
+        assert str(err.value).startswith("map does not commute with d_")
+
+
 class TestPartialHorn:
     def test_full_horn_delegates_to_oracle(self, z2_nerve_map):
         fam = restriction_family(z2_nerve_map, Simplex(2, 1), (0, 1))
@@ -697,7 +798,7 @@ class TestCertificateIntegrity:
         # and so is a 2-simplex whose faces are not the family's
         X = z2_nerve_map.domain
         wrong = next(
-            w for w in X.simplices(2) if X.face(0, w) != fam.face(0) or X.face(1, w) != fam.face(1)
+            w for w in simplices(X, 2) if X.face(0, w) != fam.face(0) or X.face(1, w) != fam.face(1)
         )
         with pytest.raises(InternalInvariantError, match="witness face"):
             FillCertificate(fam, wrong, wrong.idx + 1)

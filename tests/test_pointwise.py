@@ -1,11 +1,10 @@
 import pytest
-from oracles import h_degeneracy, h_face, v_degeneracy, v_face
-from test_kan import fiber_families, full_scan_fill
+from oracles import BiSimplex, bimap_apply, h_degeneracy, h_face, v_degeneracy, v_face
+from test_kan import fiber_families, full_scan_fill, rotated_index
 
 import kancheck.kan
 import kancheck.pointwise
 from kancheck import (
-    BiSimplex,
     CompatibleFamily,
     Simplex,
     SimplicialMap,
@@ -98,7 +97,7 @@ def oracle_lift(f, p, horn, diag_f):
     assert (x.p, x.q) == (p, q)
     for i, xi in horn.items():
         assert v_face(X, i, x) == BiSimplex(p, q - 1, xi.idx)
-    assert f.apply(x) == BiSimplex(p, q, horn.target.idx)
+    assert bimap_apply(f, x) == BiSimplex(p, q, horn.target.idx)
     return x, examined
 
 
@@ -278,15 +277,18 @@ class TestSweep:
         assert report.families_verified_compatible == report.problems_checked
 
     def test_each_family_checked_once(self, eg_tensor_map, monkeypatch):
-        # every family's face equations are evaluated once, as one row of a
-        # block: each family of the diagonal Kan check, each horn and the
-        # diagonal family built from it, and the subfamily and enlarged family
-        # of each partial-horn step (3368 rows here; the tree before counted
-        # 5928 is_compatible calls)
+        # a row that fills is verified by its witness, once, and the level
+        # laws it needs are checked once per level: the Kan check's families
+        # and the horns have their face equations evaluated by no row, and
+        # only the families the argument builds do, each once as one row of a
+        # block: each horn's diagonal family, and the subfamily and enlarged
+        # family of each partial-horn step (1488 rows here)
         kan_families = check_kan_fibration(diagonal_map(eg_tensor_map), 3).families_checked
-        evaluated = steps = 0
+        evaluated = steps = full = 0
+        witnessed = {kancheck.kan: 0, kancheck.pointwise: 0}
         compatible = kancheck.kan._all_compatible
         fill = kancheck.kan._partial_fillers
+        check = kancheck.kan._check_witnesses
 
         def counting(f, n, indices, ys, xs):
             nonlocal evaluated
@@ -294,17 +296,29 @@ class TestSweep:
             return compatible(f, n, indices, ys, xs)
 
         def counting_steps(f, n, indices, ys, xs):
-            nonlocal steps
-            steps += len(ys) if len(indices) < n else 0
+            nonlocal steps, full
+            if len(indices) < n:
+                steps += len(ys)
+            else:
+                full += len(ys)
             return fill(f, n, indices, ys, xs)
 
         for module in (kancheck.kan, kancheck.pointwise):
+            def counting_witnesses(f, n, indices, ys, xs, ws, module=module):
+                witnessed[module] += len(ys)
+                return check(f, n, indices, ys, xs, ws)
+
             monkeypatch.setattr(module, "_all_compatible", counting)
             monkeypatch.setattr(module, "_partial_fillers", counting_steps)
+            monkeypatch.setattr(module, "_check_witnesses", counting_witnesses)
         report = verify_pointwise_fillers(eg_tensor_map, 3)
         assert report.passed
         assert (kan_families, report.problems_checked, steps) == (1224, 656, 416)
-        assert evaluated == kan_families + 2 * report.problems_checked + 2 * steps == 3368
+        assert evaluated == report.problems_checked + 2 * steps == 1488
+        # the witness of each Kan family and of each partial fill's full horn
+        # (every one fills here), and the answer of each horn, each seen once
+        assert witnessed[kancheck.kan] == kan_families + full
+        assert witnessed[kancheck.pointwise] == report.problems_checked
 
     def test_point_sweep(self):
         report = verify_pointwise_fillers(to_point_bimap(point_bisimplicial(2, 2)), 2)
@@ -356,6 +370,42 @@ class TestSweep:
         assert report.passed and report.transposed_cells
         assert len(built) == 1
         assert filled_in == {id(built[0])}
+
+    def test_level_laws_checked_once_per_column_level(self, eg_tensor_map, monkeypatch):
+        # each direction checks the laws of column map p at level q once per
+        # (p, q) it sweeps, before the cell's horns, which are then verified
+        # by their answers alone
+        seen = []
+        check = kancheck.pointwise.require_level_laws
+
+        def recording(f, n):
+            seen.append((f, n))
+            return check(f, n)
+
+        monkeypatch.setattr(kancheck.pointwise, "require_level_laws", recording)
+        assert verify_pointwise_fillers(eg_tensor_map, 3).passed
+        cells = [(p, q) for p in range(3) for q in range(1, 4 - p)]
+        assert [n for _, n in seen] == [q for _, q in cells] * 2
+        for direction, g in enumerate((eg_tensor_map, transpose_map(eg_tensor_map))):
+            for (f, n), (p, q) in zip(seen[direction * len(cells):], cells):
+                assert f.components == column_map(g, p).components
+
+    def test_wrong_bucket_id_in_a_column_raises(self, eg_tensor_map, monkeypatch):
+        # the diagonal keeps its true index, so its Kan check passes, and
+        # every column horn drawn past its first face is not compatible
+        diagonals = []
+        build = kancheck.pointwise.diagonal_map
+
+        def recording_build(f):
+            diagonals.append(build(f))
+            return diagonals[-1]
+
+        monkeypatch.setattr(kancheck.pointwise, "diagonal_map", recording_build)
+        monkeypatch.setattr(
+            SimplicialMap, "index", rotated_index(SimplicialMap.index, diagonals)
+        )
+        with pytest.raises(InternalInvariantError):
+            verify_pointwise_fillers(eg_tensor_map, 3)
 
     def test_each_index_built_once_and_shared_with_the_kan_check(
         self, eg_tensor_map, monkeypatch
