@@ -63,6 +63,7 @@ from .kan import (
     FillCertificate,
     brute_force_fill,
     check_kan_fibration,
+    check_kan_to_point,
     check_trivial_fibration_to_point,
     fill_partial_horn,
     is_compatible,

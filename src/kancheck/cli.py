@@ -44,7 +44,7 @@ from .groupoids import eg_construction, nerve, one_object_groupoid
 from .kan import (
     CompatibleFamily,
     brute_force_fill,
-    check_kan_fibration,
+    check_kan_to_point,
     check_trivial_fibration_to_point,
     is_compatible,
 )
@@ -299,7 +299,7 @@ def cmd_identities(args: argparse.Namespace) -> RunReport:
 def _kan_check_to_point(
     X: TruncatedSimplicialSet, max_dim: int, name: str, meta: dict[str, Any]
 ) -> CheckResult:
-    report = check_kan_fibration(to_point_map(X), max_dim)
+    report = check_kan_to_point(X, max_dim)
     details: dict[str, Any] = dict(meta)
     details["report"] = fibration_report_to_dict(report)
     summary = (

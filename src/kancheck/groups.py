@@ -179,22 +179,34 @@ def symmetric_group_preset(n: int) -> FiniteGroup:
     return _permutation_group(_permutations(range(n)))
 
 
-def is_subgroup(G: FiniteGroup, elems: Sequence[int]) -> bool:
-    subset = set(elems)
-    if not subset or G.identity not in subset:
+def _members(G: FiniteGroup, elems: Sequence[int], name: str) -> set[int]:
+    """The distinct members of ``elems``, refused unless each is an exact int
+    in ``range(G.order)``."""
+    members = set(_int_tuple(elems, name))
+    if any(not 0 <= a < G.order for a in members):
+        raise RejectedInput(f"{name} contains indices outside the group")
+    return members
+
+
+def _closed(G: FiniteGroup, subset: set[int]) -> bool:
+    if G.identity not in subset:
         return False
     return all(
         G.mul(a, b) in subset and G.inv(a) in subset for a in subset for b in subset
     )
 
 
+def is_subgroup(G: FiniteGroup, elems: Sequence[int]) -> bool:
+    """Whether ``elems`` is a subgroup of G; ``RejectedInput`` for a member
+    that is not an int in ``range(G.order)``."""
+    return _closed(G, _members(G, elems, "subgroup"))
+
+
 def _require_subgroup(G: FiniteGroup, elems: Sequence[int], name: str) -> tuple[int, ...]:
-    members = tuple(sorted(set(_int_tuple(elems, name))))
-    if any(not 0 <= a < G.order for a in members):
-        raise RejectedInput(f"{name} contains indices outside the group")
-    if not is_subgroup(G, members):
+    members = _members(G, elems, name)
+    if not _closed(G, members):
         raise RejectedInput(f"{name} is not a subgroup (not closed under product and inverse)")
-    return members
+    return tuple(sorted(members))
 
 
 def product_set(G: FiniteGroup, A: Sequence[int], B: Sequence[int]) -> frozenset[int]:

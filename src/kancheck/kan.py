@@ -28,6 +28,12 @@ check once per level (:func:`require_level_laws`), not once per row.  Only a
 block with a row that does not fill has every row's equations evaluated
 (``_all_compatible``).
 
+A check that builds its own map (:func:`check_kan_to_point`,
+:func:`check_trivial_fibration_to_point`) drops each map once no later cell
+reads it, so it holds one cell's least-id map and one level's indexes at a
+time; a caller's map keeps its maps (:func:`check_kan_fibration`), as the
+pointwise sweep reads the diagonal's least-id maps after its Kan check.
+
 Columns are read by the C-level ``gather``, key columns are zipped into
 tuples by ``zip_keys`` (one column is its own key), and buckets and fillers
 are looked up with ``map``.  A level at which every row draws exactly one
@@ -340,7 +346,7 @@ def _require_max_dim(bound: int, max_dim: int) -> None:
 
 
 def _fill_cells(
-    f: SimplicialMap, kind: str, max_dim: int, cells: list[tuple[int, int]]
+    f: SimplicialMap, kind: str, max_dim: int, cells: list[tuple[int, int]], owned: bool
 ) -> FibrationReport:
     """Fill every family of each (n, k) cell in order, stopping at the first
     unfillable one; k is the index left out of [n] (-1 leaves none out).
@@ -352,11 +358,19 @@ def _fill_cells(
     every row's equations checked, and objects are built only for the first
     family that does not fill, whose certificate :func:`brute_force_fill`
     makes.
+
+    A check that builds its own map (``owned``) drops each search map once
+    no later cell reads it: cell (n, I) alone reads ``f.least(n, I)``, so it
+    goes when the cell is counted, and only level n's cells read the indexes
+    of X_{n-1}, so they go before level n + 1 starts.  No map is built twice.
+    A caller's map keeps its maps, for the caller to read again.
     """
     done: list[HornCellStats] = []
     level = 0
     for n, k in cells:
         if n != level:
+            if owned:
+                f._indexes.clear()
             require_level_laws(f, n)
             level = n
         indices = tuple(i for i in range(n + 1) if i != k)
@@ -373,15 +387,30 @@ def _fill_cells(
                 return FibrationReport(kind, max_dim, tuple(done), brute_force_fill(family))
             _check_witnesses(f, n, indices, ys, xs, ws)
             families += len(ys)
+        if owned:
+            f._leasts.pop((n, indices), None)
         done.append(HornCellStats(n, k, families, families))
     return FibrationReport(kind, max_dim, tuple(done), None)
 
 
+def _horn_cells(max_dim: int) -> list[tuple[int, int]]:
+    return [(n, k) for n in range(1, max_dim + 1) for k in range(n + 1)]
+
+
 def check_kan_fibration(f: SimplicialMap, max_dim: int) -> FibrationReport:
-    """Fill every full horn (I = [n] minus one index) for 1 <= n <= max_dim."""
+    """Fill every full horn (I = [n] minus one index) for 1 <= n <= max_dim.
+
+    Every search map the sweep builds stays cached with f."""
     _require_max_dim(f.domain.bound, max_dim)
-    cells = [(n, k) for n in range(1, max_dim + 1) for k in range(n + 1)]
-    return _fill_cells(f, "kan", max_dim, cells)
+    return _fill_cells(f, "kan", max_dim, _horn_cells(max_dim), owned=False)
+
+
+def check_kan_to_point(X: TruncatedSimplicialSet, max_dim: int) -> FibrationReport:
+    """The report of ``check_kan_fibration(to_point_map(X), max_dim)``, on a
+    map of its own that holds one cell's least-id map and one level's
+    indexes at a time."""
+    _require_max_dim(X.bound, max_dim)
+    return _fill_cells(to_point_map(X), "kan", max_dim, _horn_cells(max_dim), owned=True)
 
 
 def check_trivial_fibration_to_point(
@@ -392,7 +421,7 @@ def check_trivial_fibration_to_point(
     if X.size(0) == 0:
         return FibrationReport("trivial", max_dim, (), None, base_point_missing=True)
     cells = [(n, -1) for n in range(1, max_dim + 1)]
-    return _fill_cells(to_point_map(X), "trivial", max_dim, cells)
+    return _fill_cells(to_point_map(X), "trivial", max_dim, cells, owned=True)
 
 
 def _filled(ws: list[int | None]) -> list[int] | None:

@@ -7,7 +7,9 @@ whole-column read of a table, by the builders and by the horn search alike,
 is one call of :func:`gather`, whose per-element loop runs in C.  A map also
 caches the horn-search maps it builds from its tables on first use, each
 never changed once built: :meth:`SimplicialMap.index` buckets a level by its
-key, and :meth:`SimplicialMap.least` gives each key its least id.  A key is a
+key, and :meth:`SimplicialMap.least` gives each key its least id.  A check
+that builds its own map drops each of these once no later cell reads it; a
+caller's map keeps its maps (see :func:`kancheck.kan._fill_cells`).  A key is a
 row of columns zipped into a tuple (:func:`zip_keys`): the image ``f w``,
 left out exactly when the codomain level is a point, then the faces.
 Buckets and least ids are built by C-level loops (``dict``, ``zip``,
@@ -377,9 +379,6 @@ class SimplicialMap:
             idx, i = min(firsts)
             raise RejectedInput(f"map does not commute with {name}_{i} at {Simplex(n, idx)}")
 
-    def apply(self, x: Simplex) -> Simplex:
-        return Simplex(x.dim, self.components[x.dim][x.idx])
-
     def headed(self, m: int) -> bool:
         """Whether the keys at level m start with the image ``f w``: exactly
         when codomain level m has more than one simplex.  At a point every
@@ -399,7 +398,9 @@ class SimplicialMap:
         to its ids, ascending; a key that no simplex has is absent.
 
         Built in full the first time it is asked for and kept with the map, so
-        every search over the same (m, faces) shares one index.
+        every search over the same (m, faces) shares one index, until a check
+        that built the map itself drops it: after the last cell of level
+        m + 1, the only cells that read it.
         """
         found = self._indexes.get((m, faces))
         if found is None:
@@ -419,7 +420,8 @@ class SimplicialMap:
     def least(self, m: int, faces: tuple[int, ...]) -> dict[Key, int]:
         """Each key of :meth:`index` to the least id of its bucket, the one
         id a fill reads.  Cached with the map like the index, and built
-        without it."""
+        without it; a check that built the map itself drops it once the one
+        cell that reads it, (m, faces), is counted."""
         found = self._leasts.get((m, faces))
         if found is None:
             found = self._leasts[m, faces] = self._build_least(m, faces)

@@ -53,6 +53,11 @@ class BiSimplex(NamedTuple):
     idx: int
 
 
+def map_apply(f: SimplicialMap, x: Simplex) -> Simplex:
+    """The image of one simplex, read from its component."""
+    return Simplex(x.dim, f.components[x.dim][x.idx])
+
+
 def bimap_apply(f: BisimplicialMap, x: BiSimplex) -> BiSimplex:
     """The image of one bisimplex, read from its column map."""
     return BiSimplex(x.p, x.q, f.column_maps[x.p].components[x.q][x.idx])
@@ -183,14 +188,14 @@ def naturality_error(f: SimplicialMap) -> str | None:
     or None when f commutes with every face and degeneracy."""
     for n in range(1, f.domain.bound + 1):
         for x in simplices(f.domain, n):
-            fx = f.apply(x)
+            fx = map_apply(f, x)
             for i in range(n + 1):
-                if f.apply(f.domain.face(i, x)) != f.codomain.face(i, fx):
+                if map_apply(f, f.domain.face(i, x)) != f.codomain.face(i, fx):
                     return f"map does not commute with d_{i} at {x}"
     for n in range(f.domain.bound):
         for x in simplices(f.domain, n):
-            fx = f.apply(x)
+            fx = map_apply(f, x)
             for i in range(n + 1):
-                if f.apply(f.domain.degeneracy(i, x)) != f.codomain.degeneracy(i, fx):
+                if map_apply(f, f.domain.degeneracy(i, x)) != f.codomain.degeneracy(i, fx):
                     return f"map does not commute with s_{i} at {x}"
     return None

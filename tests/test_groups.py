@@ -238,6 +238,21 @@ class TestSubgroupProducts:
         assert is_subgroup(s3, (0, s3.index("(1,2)")))
         assert not is_subgroup(s3, (s3.index("(1,2)"),))
 
+    @pytest.mark.parametrize(
+        "members, message",
+        [
+            ([0.0], "entry 0.0 is a float"),
+            ([0, "1"], "entry '1' is a str"),
+            ([True, 0], "entry True is a bool"),
+            ([0, 6], "indices outside the group"),
+            ([-1, 0], "indices outside the group"),
+        ],
+        ids=["float", "str", "bool", "past-order", "negative"],
+    )
+    def test_is_subgroup_refuses_bad_members(self, s3, members, message):
+        with pytest.raises(RejectedInput, match=message):
+            is_subgroup(s3, members)
+
     def test_subgroup_group(self, s3):
         H = subgroup_group(s3, (0, s3.index("(1,2)")))
         assert H.order == 2

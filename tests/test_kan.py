@@ -4,7 +4,7 @@ from collections import Counter
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
-from oracles import simplices
+from oracles import map_apply, simplices
 
 import kancheck.kan
 from kancheck import (
@@ -14,20 +14,25 @@ from kancheck import (
     SimplicialMap,
     brute_force_fill,
     check_kan_fibration,
+    check_kan_to_point,
     check_trivial_fibration_to_point,
     cyclic_group,
     diagonal,
+    double_nerve,
     eg_construction,
     fill_partial_horn,
+    group_pair_double_groupoid,
     is_compatible,
     iter_compatible_families,
     nerve,
     one_object_groupoid,
     point,
+    product,
     symmetric_group_preset,
     to_point_map,
     validate_simplicial_identities,
 )
+from kancheck.cli import group_from_input, load_input, subgroups_from_input
 from kancheck.errors import InternalInvariantError, RejectedInput
 from kancheck.kan import FibrationReport, FillCertificate, HornCellStats
 from kancheck.presets import preset_bisimplicial
@@ -39,7 +44,7 @@ def restriction_family(f, x, indices):
     """The family cut out of an existing simplex: x_i = d_i x, y = f x."""
     X = f.domain
     return CompatibleFamily.from_mapping(
-        f, x.dim, {i: X.face(i, x) for i in indices}, f.apply(x)
+        f, x.dim, {i: X.face(i, x) for i in indices}, map_apply(f, x)
     )
 
 
@@ -50,7 +55,7 @@ def full_scan_fill(family):
     """
     X = family.f.domain
     for x in simplices(X, family.n):
-        if family.f.apply(x) == family.target and all(
+        if map_apply(family.f, x) == family.target and all(
             X.face(i, x) == xi for i, xi in family.items()
         ):
             return x, x.idx + 1
@@ -71,7 +76,7 @@ def fiber_families(f, n, indices):
                 yield tuple(chosen), y
                 return
             for x in simplices(X, n - 1):
-                if f.apply(x) == required[t] and (n < 2 or all(
+                if map_apply(f, x) == required[t] and (n < 2 or all(
                     X.face(indices[s], x) == X.face(indices[t] - 1, chosen[s])
                     for s in range(t)
                 )):
@@ -782,6 +787,107 @@ class TestTrivialFibration:
     def test_bound_too_small_rejected(self, z2_nerve):
         with pytest.raises(RejectedInput):
             check_trivial_fibration_to_point(z2_nerve, 9)
+
+
+def horn_cells(max_dim):
+    return [(n, k) for n in range(1, max_dim + 1) for k in range(n + 1)]
+
+
+TRIVIAL_CELLS = [(n, -1) for n in range(1, 5)]
+
+
+def recording_builds(monkeypatch):
+    """Record every ``(kind, m, faces)`` build of an index or least-id map."""
+    builds = []
+    for kind in ("_build_index", "_build_least"):
+
+        def counting(f, m, faces, build=getattr(SimplicialMap, kind), kind=kind):
+            builds.append((kind, m, faces))
+            return build(f, m, faces)
+
+        monkeypatch.setattr(SimplicialMap, kind, counting)
+    return builds
+
+
+class TestMapLifetime:
+    """A check that builds its own map drops each search map once no later
+    cell reads it; a caller's map keeps its maps.  Neither builds a map
+    twice, and both give the same report."""
+
+    @pytest.fixture(scope="class")
+    def eg_product(self, z2):
+        eg = eg_construction(z2, 4)
+        return product(eg, eg)
+
+    @pytest.mark.parametrize("check, cells", [
+        (check_kan_to_point, horn_cells(4)),
+        (check_trivial_fibration_to_point, TRIVIAL_CELLS),
+    ], ids=["kan", "trivial"])
+    def test_each_cell_starts_with_one_level_of_indexes(
+        self, eg_product, monkeypatch, check, cells
+    ):
+        held = []
+        blocks = kancheck.kan._blocks
+
+        def recording(f, n, indices):
+            held.append((n, set(f._leasts), {m for m, _ in f._indexes}))
+            return blocks(f, n, indices)
+
+        monkeypatch.setattr(kancheck.kan, "_blocks", recording)
+        assert check(eg_product, 4).passed
+        assert [n for n, _, _ in held] == [n for n, _ in cells]
+        for n, leasts, levels in held:
+            assert not leasts
+            assert levels <= {n - 1}
+        # a level's later cells, where it has more than one, find the
+        # indexes its first cell built
+        assert any(levels for _, _, levels in held) == (len(cells) > 4)
+
+    @pytest.mark.parametrize("owned, kept", [
+        (
+            lambda X: check_kan_to_point(X, 4),
+            lambda X: check_kan_fibration(to_point_map(X), 4),
+        ),
+        (
+            lambda X: check_trivial_fibration_to_point(X, 4),
+            lambda X: kancheck.kan._fill_cells(
+                to_point_map(X), "trivial", 4, TRIVIAL_CELLS, owned=False
+            ),
+        ),
+    ], ids=["kan", "trivial"])
+    def test_builds_match_a_kept_map_and_none_twice(self, eg_product, monkeypatch, owned, kept):
+        builds = recording_builds(monkeypatch)
+        kept(eg_product)
+        on_kept = builds[:]
+        builds.clear()
+        owned(eg_product)
+        assert builds == on_kept
+        assert len(set(builds)) == len(builds)
+        assert {m for _, m, _ in builds} == set(range(5))
+
+    def test_callers_map_keeps_every_map(self, eg_product):
+        f = to_point_map(eg_product)
+        assert check_kan_fibration(f, 4).passed
+        assert set(f._leasts) == {
+            (n, tuple(i for i in range(n + 1) if i != k)) for n, k in horn_cells(4)
+        }
+        assert {m for m, _ in f._indexes} == {0, 1, 2, 3}
+
+    def test_same_report_as_the_kept_map(self, eg_product):
+        def reports(X, max_dim):
+            return (
+                fibration_report_to_dict(check_kan_to_point(X, max_dim)),
+                fibration_report_to_dict(check_kan_fibration(to_point_map(X), max_dim)),
+            )
+
+        owned, kept = reports(eg_product, 4)
+        assert owned == kept and owned["passed"]
+        data = load_input("bench/inputs/s4_pair.json")
+        G = group_from_input(data)
+        pair = group_pair_double_groupoid(G, *subgroups_from_input(data, G))
+        owned, kept = reports(diagonal(double_nerve(pair, 2, 2)), 2)
+        assert owned == kept and not owned["passed"]
+        assert owned["failure"]["family"]["n"] == 2
 
 
 class TestCertificateIntegrity:

@@ -1,5 +1,13 @@
 import pytest
-from oracles import BiSimplex, bimap_apply, h_degeneracy, h_face, v_degeneracy, v_face
+from oracles import (
+    BiSimplex,
+    bimap_apply,
+    h_degeneracy,
+    h_face,
+    map_apply,
+    v_degeneracy,
+    v_face,
+)
 from test_kan import fiber_families, full_scan_fill, rotated_index
 
 import kancheck.kan
@@ -31,7 +39,7 @@ def restriction_horn(f, w, missing):
     col_f = column_map(f, w.p)
     x = Simplex(w.q, w.idx)
     faces = {i: col_f.domain.face(i, x) for i in range(w.q + 1) if i != missing}
-    return CompatibleFamily.from_mapping(col_f, w.q, faces, col_f.apply(x))
+    return CompatibleFamily.from_mapping(col_f, w.q, faces, map_apply(col_f, x))
 
 
 def repeat(op, X, index, times, x):
