@@ -22,10 +22,12 @@ from typing import Callable, Sequence, TypeVar
 
 from .errors import RejectedInput, TruncationError
 from .simplicial import (
+    ProductAction,
     Simplex,
     SimplicialMap,
     TruncatedSimplicialSet,
     _mismatches,
+    _pairs,
     gather,
     point,
     validate_simplicial_identities,
@@ -150,11 +152,6 @@ def _pair_label(
     return f"({A.label(Simplex(p, a))},{B.label(Simplex(q, b))})"
 
 
-def _pairs(ta: Sequence[int], tb: Sequence[int], width: int) -> list[int]:
-    """The table of ``ta`` x ``tb`` on pair ids ``a * width + b``, B minor."""
-    return [a * width + b for a in ta for b in tb]
-
-
 def tensor(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedBisimplicialSet:
     """The external product: (A (x) B)_{p,q} = A_p x B_q.
 
@@ -206,7 +203,9 @@ def product(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedSi
 
     This is ``diagonal(tensor(A, B))`` built without the rest of the grid:
     the same ids (row-major, B minor), tables and labels, to the smaller of
-    the two bounds.
+    the two bounds.  If a factor carries a group action, the product carries
+    the product action (:class:`ProductAction`), which holds the factors
+    and builds no columns of its own.
     """
     bound = min(A.bound, B.bound)
     counts = [A.counts[n] * B.counts[n] for n in range(bound + 1)]
@@ -219,7 +218,10 @@ def product(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedSi
         for n in range(bound)
     ] + [[]]
     labels = [partial(_pair_label, A, n, B, n, B.counts[n]) for n in range(bound + 1)]
-    return TruncatedSimplicialSet(counts, faces, degens, labels)
+    X = TruncatedSimplicialSet(counts, faces, degens, labels)
+    if A._action is not None or B._action is not None:
+        X._action = ProductAction(A, B)
+    return X
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,15 @@ from typing import Sequence
 
 from .errors import RejectedInput
 from .groups import FiniteGroup
-from .simplicial import Label, Simplex, TruncatedSimplicialSet, _int_tuple, gather
+from .simplicial import (
+    GroupAction,
+    Label,
+    Simplex,
+    TruncatedSimplicialSet,
+    _int_tuple,
+    _pairs,
+    gather,
+)
 
 
 class FiniteGroupoid:
@@ -329,11 +337,32 @@ def _eg_label(G: FiniteGroup, n: int, idx: int) -> str:
     return "(" + ",".join(reversed(coords)) + ")"
 
 
+def _generators(G: FiniteGroup) -> list[int]:
+    """A generating set of G: each element, in id order, that the ones
+    before it do not generate."""
+    gens: list[int] = []
+    reached = {G.identity}
+    for g in range(G.order):
+        if g in reached:
+            continue
+        gens.append(g)
+        frontier = list(reached)
+        while frontier:
+            frontier = list({G.table[a][s] for a in frontier for s in gens} - reached)
+            reached.update(frontier)
+    return gens
+
+
 def eg_construction(G: FiniteGroup, bound: int) -> TruncatedSimplicialSet:
     """The universal cover of a group: n-simplices are (n+1)-tuples of elements.
 
     Faces delete a coordinate; degeneracies repeat one, the unique choice that
     makes the simplicial identities hold with coordinate-deleting faces.
+
+    The set carries the action of G by left multiplication,
+    ``g (g_0, ..., g_n) = (g g_0, ..., g g_n)``, which commutes with every
+    face and is free, with T_0 = {e}: one permutation column per generator
+    and level (:class:`~kancheck.simplicial.GroupAction`).
     """
     if bound < 0:
         raise RejectedInput("bound must be nonnegative")
@@ -357,7 +386,16 @@ def eg_construction(G: FiniteGroup, bound: int) -> TruncatedSimplicialSet:
             degens.append([[encode(c[: i + 1] + c[i:]) for c in coords] for i in range(n + 1)])
     degens.append([])
     labels = [partial(_eg_label, G, n) for n in range(bound + 1)]
-    return TruncatedSimplicialSet(counts, faces, degens, labels)
+    X = TruncatedSimplicialSet(counts, faces, degens, labels)
+    # an id is its prefix's id times |G| plus its last coordinate, so a
+    # column is the one below paired with left multiplication
+    columns = [[G.table[g] for g in _generators(G)]]
+    for n in range(bound):
+        columns.append([_pairs(col, left, order) for col, left in zip(columns[-1], columns[0])])
+    X._action = GroupAction(
+        tuple(tuple(map(tuple, level)) for level in columns), order, (G.identity,)
+    )
+    return X
 
 
 def eg_simplex(G: FiniteGroup, coords: Sequence[int]) -> Simplex:

@@ -34,6 +34,19 @@ reads it, so it holds one cell's least-id map and one level's indexes at a
 time; a caller's map keeps its maps (:func:`check_kan_fibration`), as the
 pointwise sweep reads the diagonal's least-id maps after its Kan check.
 
+Those two checks also search one horn family per orbit of a group action
+the set carries (McKay, "Isomorph-free exhaustive generation", 1998).  The
+action is checked on the tables first: it permutes each level, commutes
+with every face, and its group H_0 acts on X_0 freely with transversal T_0.
+A cell then searches only the families whose first face lies in
+T_{n-1}, the simplices whose vertex 0 is in T_0, and counts |H_0| families
+for each.  A lift of each h in H_0 to every level maps these
+representatives bijectively onto the families whose first face has its
+vertex 0 in h T_0, and fillers onto fillers, so the counts are exact; the
+first cell where a representative does not fill is searched again in full,
+so its counts and certificate are the full search's (see
+:func:`_fill_cells`).  A set without an action is searched in full.
+
 Columns are read by the C-level ``gather``, key columns are zipped into
 tuples by ``zip_keys`` (one column is its own key), and buckets and fillers
 are looked up with ``map``.  A level at which every row draws exactly one
@@ -60,6 +73,7 @@ from .simplicial import (
     Simplex,
     SimplicialMap,
     TruncatedSimplicialSet,
+    checked_orbits,
     gather,
     require_level_laws,
     to_point_map,
@@ -211,16 +225,18 @@ class FillCertificate:
 
 
 def _fillers(
-    f: SimplicialMap, n: int, indices: tuple[int, ...], ys: list[int], xs: list[list[int]]
+    f: SimplicialMap, n: int, indices: tuple[int, ...], ys: list[int], xs: list[list[int]],
+    least: dict | None = None,
 ) -> list[int | None]:
     """Each row's least-id n-simplex with faces x_i at I that maps to y, or None.
 
     One lookup per row in the least-id map of X_n by ``(f w, d_i w for i in
-    I)`` (:meth:`SimplicialMap.least`), under the key ``(y, x_i for i in I)``:
-    the least id of the fillers is the first filler a scan of X_n meets.
+    I)`` (:meth:`SimplicialMap.least`, or ``least`` when given), under the
+    key ``(y, x_i for i in I)``: the least id of the fillers is the first
+    filler a scan of X_n meets.
     """
     keys = zip_keys([ys, *xs] if f.headed(n) else xs, len(ys))
-    return list(map(f.least(n, indices).get, keys))
+    return list(map((f.least(n, indices) if least is None else least).get, keys))
 
 
 def brute_force_fill(family: CompatibleFamily) -> FillCertificate:
@@ -240,7 +256,9 @@ def brute_force_fill(family: CompatibleFamily) -> FillCertificate:
     return FillCertificate(family, Simplex(n, w), w + 1)
 
 
-def _blocks(f: SimplicialMap, n: int, indices: tuple[int, ...]) -> Iterator[Block]:
+def _blocks(
+    f: SimplicialMap, n: int, indices: tuple[int, ...], firsts: Sequence[int] | None = None
+) -> Iterator[Block]:
     """Every f-compatible family over I, in blocks of at most BLOCK_ROWS rows,
     in certificate order: targets ascending, then faces by backtracking.
 
@@ -252,45 +270,56 @@ def _blocks(f: SimplicialMap, n: int, indices: tuple[int, ...]) -> Iterator[Bloc
     way to one child per id of its bucket, in bucket order, so the rows come
     in the order of a depth-first search; children past BLOCK_ROWS go to the
     next block.  At n = 1 there are no pairwise equations and every face is
-    drawn from an f-fiber.
+    drawn from an f-fiber.  Over a point, ``firsts`` (ascending ids of
+    X_{n-1}) replaces face 0's bucket, so only the families whose face 0 is
+    among them are enumerated, in the same order.
     """
     X, Y = f.domain, f.codomain
     # d_{i_t} y: the head of face t's key, read only if the keys have one
     targets = [Y._faces[n][i] for i in indices] if f.headed(n - 1) else None
-    if n >= 2:
-        pools = [f.index(n - 1, indices[:t]) for t in range(len(indices))]
-        # d_{i_t - 1}: the chosen x_s's entries of face t's key (read for t >= 1)
-        shifted = [X._faces[n - 1][i - 1] for i in indices]
-    else:
-        pools, shifted = [f.index(0, ())] * len(indices), []
-
-    def grow(t: int, ys: list[int], xs: list[list[int]]) -> Iterator[Block]:
-        if t == len(indices):
-            yield ys, xs
-            return
-        cols = [gather(shifted[t], x) for x in xs] if shifted else []
-        if targets is not None:
-            cols.insert(0, gather(targets[t], ys))
-        keys = zip_keys(cols, len(ys))
-        buckets = list(map(pools[t].get, keys, repeat(())))
-        del keys, cols  # not held while the rows below grow
-        sizes = list(map(len, buckets))
-        if sizes.count(1) == len(ys):
-            # one child per row: the parents are the identity, so the rows
-            # stand as they are and only the new face is read off
-            yield from grow(t + 1, ys, xs + [list(chain.from_iterable(buckets))])
-            return
-        # the parent row of each child, and the children, in search order
-        parents = chain.from_iterable(map(repeat, range(len(ys)), sizes))
-        children = chain.from_iterable(buckets)
-        while at := list(islice(parents, BLOCK_ROWS)):
-            grown = [gather(x, at) for x in xs]
-            grown.append(list(islice(children, BLOCK_ROWS)))
-            yield from grow(t + 1, gather(ys, at), grown)
-
+    pools = [
+        {(): firsts} if t == 0 and firsts is not None
+        else f.index(n - 1, indices[:t] if n >= 2 else ())
+        for t in range(len(indices))
+    ]
+    # d_{i_t - 1}: the chosen x_s's entries of face t's key (read for t >= 1)
+    shifted = [X._faces[n - 1][i - 1] for i in indices] if n >= 2 else []
     count = Y.counts[n]
     for start in range(0, count, BLOCK_ROWS):
-        yield from grow(0, list(range(start, min(start + BLOCK_ROWS, count))), [])
+        rows = list(range(start, min(start + BLOCK_ROWS, count)))
+        yield from _grow(pools, shifted, targets, 0, rows, [])
+
+
+def _grow(
+    pools: list[Mapping], shifted: list[Sequence[int]], targets: list[Sequence[int]] | None,
+    t: int, ys: list[int], xs: list[list[int]],
+) -> Iterator[Block]:
+    """The blocks that the rows ``(ys, xs)``, faces 0..t-1 chosen, grow
+    into (see :func:`_blocks`).  A module-level generator, so that no
+    closure and its cell's maps outlive the cell in a reference cycle."""
+    if t == len(pools):
+        yield ys, xs
+        return
+    cols = [gather(shifted[t], x) for x in xs] if shifted else []
+    if targets is not None:
+        cols.insert(0, gather(targets[t], ys))
+    keys = zip_keys(cols, len(ys))
+    buckets = list(map(pools[t].get, keys, repeat(())))
+    del keys, cols  # not held while the rows below grow
+    sizes = list(map(len, buckets))
+    if sizes.count(1) == len(ys):
+        # one child per row: the parents are the identity, so the rows
+        # stand as they are and only the new face is read off
+        xs = xs + [list(chain.from_iterable(buckets))]
+        yield from _grow(pools, shifted, targets, t + 1, ys, xs)
+        return
+    # the parent row of each child, and the children, in search order
+    parents = chain.from_iterable(map(repeat, range(len(ys)), sizes))
+    children = chain.from_iterable(buckets)
+    while at := list(islice(parents, BLOCK_ROWS)):
+        grown = [gather(x, at) for x in xs]
+        grown.append(list(islice(children, BLOCK_ROWS)))
+        yield from _grow(pools, shifted, targets, t + 1, gather(ys, at), grown)
 
 
 def iter_compatible_families(
@@ -345,18 +374,43 @@ def _require_max_dim(bound: int, max_dim: int) -> None:
         raise RejectedInput(f"bound {bound} is smaller than max_dim {max_dim}")
 
 
+def _count_cell(
+    f: SimplicialMap, n: int, indices: tuple[int, ...],
+    firsts: Sequence[int] | None = None, least: dict | None = None,
+) -> tuple[int, tuple[int, list[int]] | None]:
+    """Fill the families of cell (n, I) in order, on blocks of raw ids, until
+    one does not fill: ``(families, None)`` when all fill, else the count
+    before it and its ``(y, faces)``.  ``firsts`` and ``least`` restrict the
+    search as :func:`_blocks` and :func:`_fillers` say.
+
+    A row that fills is verified by its witness, checked on the tables; a
+    block with a row that does not fill has every row's equations checked.
+    """
+    families = 0
+    for ys, xs in _blocks(f, n, indices, firsts):
+        ws = _fillers(f, n, indices, ys, xs, least)
+        if None in ws:
+            if not _all_compatible(f, n, indices, ys, xs):
+                raise InternalInvariantError("enumerated family is not compatible")
+            r = ws.index(None)
+            _check_witnesses(f, n, indices, ys[:r], [x[:r] for x in xs], ws[:r])
+            return families + r, (ys[r], [x[r] for x in xs])
+        _check_witnesses(f, n, indices, ys, xs, ws)
+        families += len(ys)
+    return families, None
+
+
 def _fill_cells(
     f: SimplicialMap, kind: str, max_dim: int, cells: list[tuple[int, int]], owned: bool
 ) -> FibrationReport:
     """Fill every family of each (n, k) cell in order, stopping at the first
     unfillable one; k is the index left out of [n] (-1 leaves none out).
 
-    Counts on blocks of raw ids.  A row that fills is verified by its
-    witness, checked on the tables, and by the level laws of n, checked once
-    before the level's first cell (:func:`require_level_laws`): together they
-    give the row's equations.  A block with a row that does not fill has
-    every row's equations checked, and objects are built only for the first
-    family that does not fill, whose certificate :func:`brute_force_fill`
+    Counts on blocks of raw ids (:func:`_count_cell`).  A row that fills is
+    verified by its witness, checked on the tables, and by the level laws of
+    n, checked once before the level's first cell (:func:`require_level_laws`):
+    together they give the row's equations.  Objects are built only for the
+    first family that does not fill, whose certificate :func:`brute_force_fill`
     makes.
 
     A check that builds its own map (``owned``) drops each search map once
@@ -364,7 +418,32 @@ def _fill_cells(
     goes when the cell is counted, and only level n's cells read the indexes
     of X_{n-1}, so they go before level n + 1 starts.  No map is built twice.
     A caller's map keeps its maps, for the caller to read again.
+
+    **One family per orbit.**  A check that builds its own map over a set
+    with a group action checks the action first (:func:`checked_orbits`):
+    the generators permute each level and commute with every face, they
+    generate a group H_0 on X_0, and ``H_0 x T_0 -> X_0`` is a bijection.
+    Each cell then enumerates only the families with ``x_{i_0}`` in
+    ``T_{n-1} = v0^{-1}(T_0)``, i_0 the least index of I and v0 the vertex-0
+    map, and fills them from a least-id map built only over the w with
+    ``d_{i_0} w`` in T_{n-1}, which holds every filler of such a family.
+    The cell's counts are |H_0| times theirs.  This is exact even if the
+    action has a kernel on a higher level.  For h in H_0, pick a word in
+    the generators that gives h on X_0, and let it act on every level.  It
+    is a permutation of each level that commutes with every face, so it
+    maps compatible families bijectively onto compatible families, and
+    fillers onto fillers.  Since v0 is a composite of faces, it commutes
+    with v0, so it maps the families with ``x_{i_0}`` in T_{n-1} onto those
+    with ``v0 x_{i_0}`` in ``h T_0``.  The sets ``h T_0`` partition X_0, so
+    the families of the cell fall into |H_0| classes, each in bijection
+    with the representatives, filled rows with filled rows.  So a cell
+    whose representatives all fill has all its families filled, and the
+    first cell with a representative that does not fill is the full
+    search's first failing cell: it is re-run in full, and its counts and
+    certificate are the full search's.  A caller's map always runs the full
+    search, since the pointwise sweep reads its full least-id maps.
     """
+    orbits = checked_orbits(f.domain, max_dim) if owned else None
     done: list[HornCellStats] = []
     level = 0
     for n, k in cells:
@@ -374,19 +453,19 @@ def _fill_cells(
             require_level_laws(f, n)
             level = n
         indices = tuple(i for i in range(n + 1) if i != k)
-        families = 0
-        for ys, xs in _blocks(f, n, indices):
-            ws = _fillers(f, n, indices, ys, xs)
-            if None in ws:
-                if not _all_compatible(f, n, indices, ys, xs):
-                    raise InternalInvariantError("enumerated family is not compatible")
-                r = ws.index(None)
-                _check_witnesses(f, n, indices, ys[:r], [x[:r] for x in xs], ws[:r])
-                family = CompatibleFamily.of_ids(f, n, indices, [x[r] for x in xs], ys[r])
-                done.append(HornCellStats(n, k, families + r + 1, families + r))
-                return FibrationReport(kind, max_dim, tuple(done), brute_force_fill(family))
-            _check_witnesses(f, n, indices, ys, xs, ws)
-            families += len(ys)
+        if orbits is not None:
+            least = f._build_least(n, indices, orbits.over(n, indices[0]))
+            reps, stuck = _count_cell(f, n, indices, orbits.level(n - 1), least)
+            del least
+            if stuck is None:
+                done.append(HornCellStats(n, k, reps * orbits.order, reps * orbits.order))
+                continue
+        families, stuck = _count_cell(f, n, indices)
+        if stuck is not None:
+            y, faces = stuck
+            family = CompatibleFamily.of_ids(f, n, indices, faces, y)
+            done.append(HornCellStats(n, k, families + 1, families))
+            return FibrationReport(kind, max_dim, tuple(done), brute_force_fill(family))
         if owned:
             f._leasts.pop((n, indices), None)
         done.append(HornCellStats(n, k, families, families))
@@ -408,7 +487,8 @@ def check_kan_fibration(f: SimplicialMap, max_dim: int) -> FibrationReport:
 def check_kan_to_point(X: TruncatedSimplicialSet, max_dim: int) -> FibrationReport:
     """The report of ``check_kan_fibration(to_point_map(X), max_dim)``, on a
     map of its own that holds one cell's least-id map and one level's
-    indexes at a time."""
+    indexes at a time.  If X carries a group action, it is checked, and each
+    cell searches one family per orbit (:func:`_fill_cells`)."""
     _require_max_dim(X.bound, max_dim)
     return _fill_cells(to_point_map(X), "kan", max_dim, _horn_cells(max_dim), owned=True)
 
@@ -416,7 +496,8 @@ def check_kan_to_point(X: TruncatedSimplicialSet, max_dim: int) -> FibrationRepo
 def check_trivial_fibration_to_point(
     X: TruncatedSimplicialSet, max_dim: int
 ) -> FibrationReport:
-    """Fill every compatible full boundary (I = [n]) for 1 <= n <= max_dim."""
+    """Fill every compatible full boundary (I = [n]) for 1 <= n <= max_dim,
+    on a map of its own, one family per orbit as :func:`check_kan_to_point`."""
     _require_max_dim(X.bound, max_dim)
     if X.size(0) == 0:
         return FibrationReport("trivial", max_dim, (), None, base_point_missing=True)

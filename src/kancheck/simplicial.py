@@ -19,6 +19,13 @@ map's naturality, is two gathered columns over a whole level compared by
 :func:`_mismatches`.  :func:`require_level_laws` runs the two of them a horn
 sweep needs at one level, face identities and naturality under faces, so that
 a filler verifies its horn.
+
+A set may carry the action of a group on its levels (``_action``), attached
+only by constructors: ``eg_construction`` attaches the action of G on EG by
+left multiplication (:class:`GroupAction`), and ``product`` the product of
+its factors' actions (:class:`ProductAction`).  The to-point horn sweeps
+check it on the tables (:func:`checked_orbits`) and then search one horn
+family per orbit (see :func:`kancheck.kan._fill_cells`).
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from itertools import compress, groupby
 from operator import attrgetter, itemgetter, ne
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-from .errors import RejectedInput, TruncationError
+from .errors import InternalInvariantError, RejectedInput, TruncationError
 
 
 def gather(table: Sequence, ids: Sequence[int]) -> list:
@@ -37,6 +44,11 @@ def gather(table: Sequence, ids: Sequence[int]) -> list:
     if len(ids) > 1:
         return list(itemgetter(*ids)(table))
     return [table[x] for x in ids]
+
+
+def _pairs(ta: Sequence[int], tb: Sequence[int], width: int) -> list[int]:
+    """The table of ``ta`` x ``tb`` on pair ids ``a * width + b``, B minor."""
+    return [a * width + b for a in ta for b in tb]
 
 
 def _mismatches(lhs: list, rhs: list) -> list[int]:
@@ -103,9 +115,11 @@ class TruncatedSimplicialSet:
     0 <= i <= n; ``degeneracies[n][i]`` maps upward for 0 <= n < bound.
     ``labels[n]`` is level n's label function ``idx -> str``, or a table of
     its labels, which is wrapped as one; labels are rendered only when read.
+    ``_action`` is a group action a constructor attached, or None; equality
+    does not read it.
     """
 
-    __slots__ = ("bound", "counts", "_faces", "_degens", "_labels")
+    __slots__ = ("bound", "counts", "_faces", "_degens", "_labels", "_action")
 
     def __init__(
         self,
@@ -152,6 +166,7 @@ class TruncatedSimplicialSet:
         built_degens.append(())
         self._faces = tuple(built_faces)
         self._degens = tuple(built_degens)
+        self._action: GroupAction | ProductAction | None = None
 
         if labels is None:
             self._labels = None
@@ -385,13 +400,18 @@ class SimplicialMap:
         image is the same, so it is left out of the index and its lookups."""
         return self.codomain.counts[m] > 1
 
-    def _keys(self, m: int, faces: tuple[int, ...]) -> Sequence[Key]:
+    def _keys(
+        self, m: int, faces: tuple[int, ...], ids: Sequence[int] | None = None
+    ) -> Sequence[Key]:
         """Each domain m-simplex w's key ``(f w, d_j w for j in faces)``, the
-        image left out unless :meth:`headed`, zipped by :func:`zip_keys`."""
+        image left out unless :meth:`headed`, zipped by :func:`zip_keys`; for
+        the simplices ``ids`` only, when given."""
         cols = [self.domain._faces[m][j] for j in faces]
         if self.headed(m):
             cols.insert(0, self.components[m])
-        return zip_keys(cols, self.domain.counts[m])
+        if ids is None:
+            return zip_keys(cols, self.domain.counts[m])
+        return zip_keys([gather(col, ids) for col in cols], len(ids))
 
     def index(self, m: int, faces: tuple[int, ...]) -> dict[Key, tuple[int, ...]]:
         """The domain m-simplices bucketed by their keys (:meth:`_keys`): key
@@ -427,10 +447,15 @@ class SimplicialMap:
             found = self._leasts[m, faces] = self._build_least(m, faces)
         return found
 
-    def _build_least(self, m: int, faces: tuple[int, ...]) -> dict[Key, int]:
-        keys = self._keys(m, faces)
+    def _build_least(
+        self, m: int, faces: tuple[int, ...], ids: Sequence[int] | None = None
+    ) -> dict[Key, int]:
+        """The least-id map of :meth:`least`, over the ascending ``ids`` only
+        when given: then it is not cached, and a search that reads it must
+        know that every simplex it looks for is among them."""
+        keys = self._keys(m, faces, ids)
         # read from the last id down, a key is left holding its least id
-        return dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        return dict(zip(reversed(keys), reversed(range(len(keys)) if ids is None else ids)))
 
     def fiber(self, n: int, target_idx: int) -> tuple[int, ...]:
         """Ids of domain n-simplices mapping to the given codomain id, ascending."""
@@ -487,6 +512,158 @@ def to_point_map(X: TruncatedSimplicialSet) -> SimplicialMap:
     return SimplicialMap(
         X, pt, [[0] * X.counts[n] for n in range(X.bound + 1)], validate=False
     )
+
+
+class GroupAction:
+    """A finite group H acting on a set's levels, given by generators.
+
+    ``generators[m][g]`` is generator g's permutation ``x -> g x`` of X_m;
+    ``order`` is |H_0|, the order of the group the generators generate on
+    X_0; ``base`` is T_0, meant to meet each orbit of X_0 once.  Nothing is
+    taken on trust: :func:`checked_orbits` checks all of it on the tables.
+    """
+
+    __slots__ = ("generators", "order", "base")
+
+    def __init__(
+        self, generators: tuple[tuple[tuple[int, ...], ...], ...], order: int,
+        base: tuple[int, ...],
+    ) -> None:
+        self.generators, self.order, self.base = generators, order, base
+
+
+class ProductAction:
+    """The action of H_A x H_B on ``A x B``, each factor on its coordinate.
+
+    It holds the factors, not product-level columns.  A factor with no
+    action counts as the trivial group, with T_0 all of its X_0.
+    """
+
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: TruncatedSimplicialSet, second: TruncatedSimplicialSet) -> None:
+        self.first, self.second = first, second
+
+
+class _Orbits:
+    """The orbits of a checked action on X, as a sweep reads them.
+
+    ``order`` is |H_0|.  ``level(m)`` is T_m = v0^{-1}(T_0): the m-simplices
+    whose vertex 0 lies in T_0, ascending.  ``over(n, i)`` is the n-simplices
+    w with ``d_i w`` in T_{n-1}, ascending.  Vertex 0 is read off a column
+    of 0s and 1s per level, gathered through ``d_m`` from the level below.
+    """
+
+    def __init__(self, X: TruncatedSimplicialSet, order: int, base: Iterable[int]) -> None:
+        self.X, self.order = X, order
+        member = [0] * X.counts[0]
+        for t in base:
+            member[t] = 1
+        self._members = [member]
+
+    def _member(self, m: int) -> list[int]:
+        """1 where an m-simplex's vertex 0 lies in T_0, else 0."""
+        faces = self.X._faces
+        while len(self._members) <= m:
+            k = len(self._members)
+            # vertex 0 of a k-simplex is vertex 0 of its face d_k
+            self._members.append(gather(self._members[-1], faces[k][k]))
+        return self._members[m]
+
+    def level(self, m: int) -> list[int]:
+        return list(compress(range(self.X.counts[m]), self._member(m)))
+
+    def over(self, n: int, i: int) -> list[int]:
+        inside = gather(self._member(n - 1), self.X._faces[n][i])
+        return list(compress(range(self.X.counts[n]), inside))
+
+
+class _ProductOrbits:
+    """The orbits of a product action, read off its factors' orbits: vertex
+    0 and the faces of ``A x B`` act a coordinate at a time, so T_m is
+    T_m(A) x T_m(B) and H_0 is H_0(A) x H_0(B)."""
+
+    def __init__(
+        self, X: TruncatedSimplicialSet, first: "_Orbits | _ProductOrbits",
+        second: "_Orbits | _ProductOrbits",
+    ) -> None:
+        self.X, self.first, self.second = X, first, second
+        self.order = first.order * second.order
+
+    def level(self, m: int) -> list[int]:
+        return _pairs(self.first.level(m), self.second.level(m), self.second.X.counts[m])
+
+    def over(self, n: int, i: int) -> list[int]:
+        return _pairs(self.first.over(n, i), self.second.over(n, i), self.second.X.counts[n])
+
+
+def checked_orbits(
+    X: TruncatedSimplicialSet, top: int
+) -> _Orbits | _ProductOrbits | None:
+    """The orbits of X's action on levels 0..top, or None if X has none.
+
+    The action is checked first on the tables it is given on: X's own, or
+    each factor's for a product.  Each generator column must be a
+    permutation of its level that commutes with every face table there; the
+    generators must generate a group of order |H_0| on X_0; and
+    ``H_0 x T_0 -> X_0``, ``(h, t) -> h t``, must be a bijection, so H_0 acts
+    freely on X_0 with transversal T_0.  Only constructors attach an
+    action, so a check that fails raises ``InternalInvariantError``.
+    """
+    return None if X._action is None else _orbits(X, top)
+
+
+def _orbits(X: TruncatedSimplicialSet, top: int) -> _Orbits | _ProductOrbits:
+    action = X._action
+    if action is None:
+        return _Orbits(X, 1, range(X.counts[0]))
+    if isinstance(action, ProductAction):
+        return _ProductOrbits(X, _orbits(action.first, top), _orbits(action.second, top))
+    _require_free_action(X, action, top)
+    return _Orbits(X, action.order, action.base)
+
+
+def _require_free_action(X: TruncatedSimplicialSet, action: GroupAction, top: int) -> None:
+    gens = action.generators
+    if len(gens) <= top or len({len(level) for level in gens[:top + 1]}) > 1:
+        raise InternalInvariantError("the action needs the same generators on every level")
+    for m in range(top + 1):
+        count = X.counts[m]
+        for g, col in enumerate(gens[m]):
+            if len(col) != count or set(col) != set(range(count)):
+                raise InternalInvariantError(f"generator {g} is not a permutation of level {m}")
+            for i, face in enumerate(X._faces[m]):
+                wrong = _mismatches(gather(gens[m - 1][g], face), gather(face, col))
+                if wrong:
+                    raise InternalInvariantError(
+                        f"generator {g} does not commute with d_{i} at {Simplex(m, wrong[0])}"
+                    )
+    count = X.counts[0]
+    group = _generated(gens[0], count, action.order)
+    if len(group) != action.order:
+        raise InternalInvariantError(
+            f"the generators generate a group of order {len(group)} on X_0, not {action.order}"
+        )
+    if not set(action.base) <= set(range(count)):
+        raise InternalInvariantError("T_0 is not a set of vertices")
+    images = [h[t] for h in group for t in action.base]
+    if len(images) != count or len(set(images)) != count:
+        raise InternalInvariantError("H_0 x T_0 -> X_0 is not a bijection")
+
+
+def _generated(
+    generators: Sequence[Sequence[int]], size: int, limit: int
+) -> list[tuple[int, ...]]:
+    """The permutations of range(size) that the generators generate, closed
+    under composition with each; the search stops once it has more than
+    ``limit``."""
+    group = {tuple(range(size))}
+    frontier = list(group)
+    while frontier and len(group) <= limit:
+        found = {tuple(gather(g, p)) for p in frontier for g in generators}
+        frontier = [q for q in found if q not in group]
+        group.update(frontier)
+    return list(group)
 
 
 class _UnionFind:

@@ -13,9 +13,12 @@ from pathlib import Path
 
 import pytest
 
+import kancheck.cli
 import kancheck.kan
 import kancheck.pointwise
+from kancheck import product
 from kancheck.cli import RunReport, reverify_report, run
+from kancheck.simplicial import TruncatedSimplicialSet
 
 HERE = Path(__file__).parent
 
@@ -90,11 +93,18 @@ def test_verdict_is_the_same_in_small_blocks(name, rows, capsys, monkeypatch):
     assert longest == (0 if name == "identities" else rows)
 
 
+def without_action(X):
+    """The same tables as X, with no group action: the full search runs."""
+    return TruncatedSimplicialSet(X.counts, X._faces, X._degens)
+
+
 def test_s3_diagonal_spans_many_default_blocks(capsys, monkeypatch):
     # the eg-tensor diagonal of S3 at dim 2: each dim-2 cell has 46656 rows,
     # about three blocks at the default BLOCK_ROWS, where no golden cell
-    # outgrows one; the verdict is pinned by the hash of its sorted-key JSON
+    # outgrows one; the verdict is pinned by the hash of its sorted-key JSON.
+    # The product is built without its action, so every family is searched
     monkeypatch.chdir(HERE.parent)
+    monkeypatch.setattr(kancheck.cli, "product", lambda A, B: without_action(product(A, B)))
     sizes = []
 
     def recording(f, n, indices, ys, *columns, check=kancheck.kan._check_witnesses):
@@ -116,4 +126,51 @@ def test_s3_diagonal_spans_many_default_blocks(capsys, monkeypatch):
     text = json.dumps(verdict, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "80f1247e7dcb8e420fb5dba1a3d868b9dc4f1805026bc0332810dd39ddef60ce"
+    )
+
+
+def test_s3_diagonal_searches_one_family_per_orbit(capsys, monkeypatch):
+    # the same command on the product with its action: S3 x S3 acts freely,
+    # so each dim-2 cell searches 46656 / 36 = 1296 representatives, and the
+    # verdict is the full search's, hash for hash
+    monkeypatch.chdir(HERE.parent)
+    sizes = []
+
+    def recording(f, n, indices, ys, *columns, check=kancheck.kan._check_witnesses):
+        sizes.append(len(ys))
+        return check(f, n, indices, ys, *columns)
+
+    monkeypatch.setattr(kancheck.kan, "_check_witnesses", recording)
+    code, report = run(
+        "kan --input tests/inputs/s3.json --construction eg-tensor-diagonal --max-dim 2".split()
+    )
+    capsys.readouterr()
+    assert code == 0
+    assert sizes == [1, 1, 1296, 1296, 1296]
+    text = json.dumps(report.verdict_dict(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "80f1247e7dcb8e420fb5dba1a3d868b9dc4f1805026bc0332810dd39ddef60ce"
+    )
+
+
+def test_s3_diagonal_dim3_rung(capsys, monkeypatch):
+    # the S3 eg-tensor diagonal at dim 3: 6858504 families, of which the
+    # orbit search visits one in 36; pinned by its per-cell counts and the
+    # hash of its structured-format verdict (the config records the format)
+    monkeypatch.chdir(HERE.parent)
+    code, report = run(
+        "kan --input tests/inputs/s3.json --construction eg-tensor-diagonal --max-dim 3"
+        " --format structured".split()
+    )
+    capsys.readouterr()
+    assert code == 0
+    verdict = report.verdict_dict()
+    cells = verdict["checks"][0]["details"]["report"]["cells"]
+    assert [(c["n"], c["families"], c["filled"]) for c in cells] == (
+        [(1, 36, 36)] * 2 + [(2, 46656, 46656)] * 3 + [(3, 1679616, 1679616)] * 4
+    )
+    assert sum(c["families"] for c in cells) == 6858504
+    text = json.dumps(verdict, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "cc44bb75761fc61070f2a5db171d44c2daf83fb8d617287cde2e1bf511e29929"
     )

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import types
 from collections import Counter
 
 import hypothesis.strategies as st
@@ -37,7 +39,7 @@ from kancheck.errors import InternalInvariantError, RejectedInput
 from kancheck.kan import FibrationReport, FillCertificate, HornCellStats
 from kancheck.presets import preset_bisimplicial
 from kancheck.serialize import fibration_report_to_dict
-from kancheck.simplicial import TruncatedSimplicialSet, gather
+from kancheck.simplicial import GroupAction, TruncatedSimplicialSet, gather
 
 
 def restriction_family(f, x, indices):
@@ -789,8 +791,20 @@ class TestTrivialFibration:
             check_trivial_fibration_to_point(z2_nerve, 9)
 
 
+@pytest.fixture(scope="module")
+def eg_product(z2):
+    """EG(Z2) x EG(Z2) to bound 4, with the free action of Z2 x Z2."""
+    eg = eg_construction(z2, 4)
+    return product(eg, eg)
+
+
 def horn_cells(max_dim):
     return [(n, k) for n in range(1, max_dim + 1) for k in range(n + 1)]
+
+
+def without_action(X):
+    """The same tables as X, with no group action: the full search runs."""
+    return TruncatedSimplicialSet(X.counts, X._faces, X._degens)
 
 
 TRIVIAL_CELLS = [(n, -1) for n in range(1, 5)]
@@ -814,11 +828,6 @@ class TestMapLifetime:
     cell reads it; a caller's map keeps its maps.  Neither builds a map
     twice, and both give the same report."""
 
-    @pytest.fixture(scope="class")
-    def eg_product(self, z2):
-        eg = eg_construction(z2, 4)
-        return product(eg, eg)
-
     @pytest.mark.parametrize("check, cells", [
         (check_kan_to_point, horn_cells(4)),
         (check_trivial_fibration_to_point, TRIVIAL_CELLS),
@@ -829,9 +838,9 @@ class TestMapLifetime:
         held = []
         blocks = kancheck.kan._blocks
 
-        def recording(f, n, indices):
+        def recording(f, n, indices, *firsts):
             held.append((n, set(f._leasts), {m for m, _ in f._indexes}))
-            return blocks(f, n, indices)
+            return blocks(f, n, indices, *firsts)
 
         monkeypatch.setattr(kancheck.kan, "_blocks", recording)
         assert check(eg_product, 4).passed
@@ -856,6 +865,8 @@ class TestMapLifetime:
         ),
     ], ids=["kan", "trivial"])
     def test_builds_match_a_kept_map_and_none_twice(self, eg_product, monkeypatch, owned, kept):
+        # the same tables without the action, so that both search in full
+        eg_product = without_action(eg_product)
         builds = recording_builds(monkeypatch)
         kept(eg_product)
         on_kept = builds[:]
@@ -888,6 +899,217 @@ class TestMapLifetime:
         owned, kept = reports(diagonal(double_nerve(pair, 2, 2)), 2)
         assert owned == kept and not owned["passed"]
         assert owned["failure"]["family"]["n"] == 2
+
+
+def s4_pair_diagonal(dim):
+    """The S4-pair double nerve's diagonal: it has no action, and it is not
+    Kan at n = 2."""
+    data = load_input("bench/inputs/s4_pair.json")
+    G = group_from_input(data)
+    pair = group_pair_double_groupoid(G, *subgroups_from_input(data, G))
+    return diagonal(double_nerve(pair, dim, dim))
+
+
+def closed_form_cells(order, max_dim, kind):
+    """The cells of ``product(EG(G), EG(G))``, |G| = order, by counting:
+    an n-simplex is its n + 1 vertices, so for n >= 2 a horn or a boundary
+    fixes every vertex and has one filler, and there are |X_n| of them; at
+    n = 1 a horn is a vertex and a boundary a pair of vertices."""
+    cells = []
+    for n in range(1, max_dim + 1):
+        if n >= 2:
+            families = order ** (2 * n + 2)
+        else:
+            families = order ** 2 if kind == "kan" else order ** 4
+        ks = range(n + 1) if kind == "kan" else [-1]
+        cells += [(n, k, families, families) for k in ks]
+    return cells
+
+
+class TestOrbitSearch:
+    """The to-point checks of a set with a free action search one family per
+    orbit; their reports are the full search's."""
+
+    @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "1", "7"])
+    @pytest.mark.parametrize("group, max_dim", [
+        (cyclic_group(2), 5), (cyclic_group(3), 3), (symmetric_group_preset(3), 2),
+    ], ids=["Z2", "Z3", "S3"])
+    def test_counts_match_the_closed_form(self, group, max_dim, rows, monkeypatch):
+        if rows is not None:
+            monkeypatch.setattr(kancheck.kan, "BLOCK_ROWS", rows)
+        eg = eg_construction(group, max_dim)
+        X = product(eg, eg)
+        checks = [(check_kan_to_point, "kan"), (check_trivial_fibration_to_point, "trivial")]
+        for check, kind in checks:
+            report = check(X, max_dim)
+            assert report.passed
+            assert [(c.n, c.k, c.families, c.filled) for c in report.cells] == (
+                closed_form_cells(group.order, max_dim, kind)
+            )
+
+    @pytest.mark.parametrize("check, cells", [
+        (check_kan_to_point, horn_cells(4)),
+        (check_trivial_fibration_to_point, TRIVIAL_CELLS),
+    ], ids=["kan", "trivial"])
+    def test_one_restricted_map_per_cell_and_none_twice(
+        self, eg_product, monkeypatch, check, cells
+    ):
+        builds = []
+        for kind in ("_build_index", "_build_least"):
+
+            def counting(f, m, faces, *ids, build=getattr(SimplicialMap, kind), kind=kind):
+                builds.append((kind, m, faces, len(ids[0]) if ids else None))
+                return build(f, m, faces, *ids)
+
+            monkeypatch.setattr(SimplicialMap, kind, counting)
+        assert check(eg_product, 4).passed
+        assert len(set(builds)) == len(builds)
+        leasts = [b for b in builds if b[0] == "_build_least"]
+        # each over the w whose face i_0 is a representative, |X_n| / 4 of
+        # them, and no full map: no cell was searched in full
+        assert leasts == [
+            ("_build_least", n, tuple(i for i in range(n + 1) if i != k), 4 ** (n + 1) // 4)
+            for n, k in cells
+        ]
+
+    def test_a_cell_spans_several_full_blocks(self, eg_product, monkeypatch):
+        rows = 16
+        monkeypatch.setattr(kancheck.kan, "BLOCK_ROWS", rows)
+        blocks = Counter()
+        check = kancheck.kan._check_witnesses
+
+        def recording(f, n, indices, ys, *columns):
+            blocks[n, indices, len(ys)] += 1
+            return check(f, n, indices, ys, *columns)
+
+        monkeypatch.setattr(kancheck.kan, "_check_witnesses", recording)
+        report = check_kan_to_point(eg_product, 4)
+        # each dim-4 cell has 1024 / 4 = 256 representatives: 16 full blocks
+        assert {cell: count for cell, count in blocks.items() if cell[0] == 4} == {
+            (4, tuple(i for i in range(5) if i != k), rows): 16 for k in range(5)
+        }
+        monkeypatch.setattr(kancheck.kan, "_check_witnesses", check)
+        assert report == check_kan_fibration(to_point_map(without_action(eg_product)), 4)
+
+    def test_failing_cell_is_searched_in_full(self, z2, monkeypatch):
+        # Z2 acts on the first factor only; Y has no action and is not Kan
+        X = product(eg_construction(z2, 2), s4_pair_diagonal(2))
+        seen = []
+        count_cell = kancheck.kan._count_cell
+
+        def recording(f, n, indices, *restricted):
+            seen.append((n, indices, bool(restricted)))
+            return count_cell(f, n, indices, *restricted)
+
+        monkeypatch.setattr(kancheck.kan, "_count_cell", recording)
+        owned = fibration_report_to_dict(check_kan_to_point(X, 2))
+        monkeypatch.setattr(kancheck.kan, "_count_cell", count_cell)
+        assert owned == fibration_report_to_dict(check_kan_fibration(to_point_map(X), 2))
+        assert not owned["passed"] and owned["failure"]["family"]["n"] == 2
+        # the failing cell's representatives, then the whole cell
+        assert seen[-2][:2] == seen[-1][:2] and (seen[-2][2], seen[-1][2]) == (True, False)
+        assert all(restricted for _, _, restricted in seen[:-1])
+
+    @pytest.mark.parametrize("build", [
+        lambda eg: product(eg, standard_simplex(2, 3)),
+        lambda eg: product(standard_simplex(2, 3), eg),
+        lambda eg: product(nerve(one_object_groupoid(cyclic_group(3)), 3), eg),
+        lambda eg: product(eg, product(eg, eg)),
+    ], ids=["eg-x-delta2", "delta2-x-eg", "bz3-x-eg", "eg-x-eg-x-eg"])
+    @pytest.mark.parametrize("check", [check_kan_to_point, check_trivial_fibration_to_point])
+    def test_reports_match_the_full_search(self, z2, build, check):
+        # an action on either factor, or on both through a nested product;
+        # Delta[2] fills neither every horn nor every boundary, and BZ3 fills
+        # every horn but not every boundary
+        X = build(eg_construction(z2, 3))
+        full = TruncatedSimplicialSet(X.counts, X._faces, X._degens, list(X._labels))
+        assert fibration_report_to_dict(check(X, 3)) == fibration_report_to_dict(check(full, 3))
+
+    def test_no_grow_closure_outlives_a_check(self, eg_product):
+        gc.collect()
+        gc.disable()
+        try:
+            assert check_kan_to_point(eg_product, 4).passed
+            assert check_kan_to_point(without_action(eg_product), 4).passed
+            assert not check_kan_to_point(s4_pair_diagonal(2), 2).passed
+            grows = [
+                o for o in gc.get_objects()
+                if isinstance(o, types.FunctionType) and o.__name__ == "grow"
+            ]
+        finally:
+            gc.enable()
+        assert grows == []
+
+
+def with_action(X, **changes):
+    """A copy of X's tables carrying X's action with the given fields
+    changed."""
+    action = X._action
+    fields = {"generators": action.generators, "order": action.order, "base": action.base}
+    Y = without_action(X)
+    Y._action = GroupAction(**{**fields, **changes})
+    return Y
+
+
+def edited_generators(X, m, g, edits):
+    """X's generator columns with generator g's image of each id in
+    ``edits`` at level m set to ``edits[id]``."""
+    columns = [list(map(list, level)) for level in X._action.generators]
+    for idx, to in edits.items():
+        columns[m][g][idx] = to
+    return tuple(tuple(map(tuple, level)) for level in columns)
+
+
+def swapped_entries(X, m, g, a, b):
+    """X's generator columns with generator g's images of a and b swapped
+    at level m: still a permutation."""
+    column = X._action.generators[m][g]
+    return edited_generators(X, m, g, {a: column[b], b: column[a]})
+
+
+def trivial_generators(X):
+    """One generator acting as the identity on every level."""
+    return tuple((tuple(range(c)),) for c in X.counts)
+
+
+class TestActionChecks:
+    """An action that is not a free action with transversal T_0 is a broken
+    invariant, refused before any cell is searched."""
+
+    @pytest.fixture(scope="class")
+    def eg(self, z2):
+        return eg_construction(z2, 2)
+
+    def test_eg_action_is_left_multiplication(self, eg, s3):
+        action = eg._action
+        assert action.order == 2 and action.base == (0,)
+        # the one generator swaps e and g in every coordinate
+        assert action.generators[1] == ((3, 2, 1, 0),)
+        assert eg_construction(s3, 1)._action.order == 6
+
+    @pytest.mark.parametrize("check", [check_kan_to_point, check_trivial_fibration_to_point])
+    @pytest.mark.parametrize("as_factor", [False, True], ids=["set", "factor"])
+    @pytest.mark.parametrize("broken, message", [
+        # one changed entry: the column is no longer a permutation
+        (lambda X: {"generators": edited_generators(X, 1, 0, {0: 2})}, "not a permutation"),
+        # a permutation that does not commute with the faces
+        (lambda X: {"generators": swapped_entries(X, 2, 0, 0, 1)}, "does not commute with d_"),
+        # Z2 acting trivially is not free, whatever order it claims
+        (lambda X: {"generators": trivial_generators(X)}, "order 1 on X_0, not 2"),
+        (lambda X: {"generators": trivial_generators(X), "order": 1}, "not a bijection"),
+        # both vertices of EG(Z2) lie in one orbit
+        (lambda X: {"base": (0, 1)}, "not a bijection"),
+    ], ids=["changed-entry", "swapped-entries", "trivial-action", "trivial-order-1", "base"])
+    def test_broken_action_raises(self, eg, broken, message, as_factor, check):
+        bad = with_action(eg, **broken(eg))
+        if as_factor:
+            bad = product(eg, bad)
+        with pytest.raises(InternalInvariantError, match=message):
+            check(bad, 2)
+
+    def test_caller_map_reads_no_action(self, eg):
+        bad = with_action(eg, base=(0, 1))
+        assert check_kan_fibration(to_point_map(bad), 2).passed
 
 
 class TestCertificateIntegrity:
