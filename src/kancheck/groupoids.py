@@ -392,9 +392,7 @@ def eg_construction(G: FiniteGroup, bound: int) -> TruncatedSimplicialSet:
     columns = [[G.table[g] for g in _generators(G)]]
     for n in range(bound):
         columns.append([_pairs(col, left, order) for col, left in zip(columns[-1], columns[0])])
-    X._action = GroupAction(
-        tuple(tuple(map(tuple, level)) for level in columns), order, (G.identity,)
-    )
+    X._action = GroupAction(tuple(tuple(map(tuple, level)) for level in columns), (G.identity,))
     return X
 
 

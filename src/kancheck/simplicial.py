@@ -518,18 +518,17 @@ class GroupAction:
     """A finite group H acting on a set's levels, given by generators.
 
     ``generators[m][g]`` is generator g's permutation ``x -> g x`` of X_m;
-    ``order`` is |H_0|, the order of the group the generators generate on
-    X_0; ``base`` is T_0, meant to meet each orbit of X_0 once.  Nothing is
-    taken on trust: :func:`checked_orbits` checks all of it on the tables.
+    ``base`` is T_0, meant to meet each orbit of X_0 once.  Nothing is taken
+    on trust: :func:`checked_orbits` checks all of it on the tables, and
+    works out |H_0| from the generators.
     """
 
-    __slots__ = ("generators", "order", "base")
+    __slots__ = ("generators", "base")
 
     def __init__(
-        self, generators: tuple[tuple[tuple[int, ...], ...], ...], order: int,
-        base: tuple[int, ...],
+        self, generators: tuple[tuple[tuple[int, ...], ...], ...], base: tuple[int, ...]
     ) -> None:
-        self.generators, self.order, self.base = generators, order, base
+        self.generators, self.base = generators, base
 
 
 class ProductAction:
@@ -604,8 +603,8 @@ def checked_orbits(
 
     The action is checked first on the tables it is given on: X's own, or
     each factor's for a product.  Each generator column must be a
-    permutation of its level that commutes with every face table there; the
-    generators must generate a group of order |H_0| on X_0; and
+    permutation of its level that commutes with every face table there; and,
+    with H_0 the group the generators generate on X_0,
     ``H_0 x T_0 -> X_0``, ``(h, t) -> h t``, must be a bijection, so H_0 acts
     freely on X_0 with transversal T_0.  Only constructors attach an
     action, so a check that fails raises ``InternalInvariantError``.
@@ -619,11 +618,11 @@ def _orbits(X: TruncatedSimplicialSet, top: int) -> _Orbits | _ProductOrbits:
         return _Orbits(X, 1, range(X.counts[0]))
     if isinstance(action, ProductAction):
         return _ProductOrbits(X, _orbits(action.first, top), _orbits(action.second, top))
-    _require_free_action(X, action, top)
-    return _Orbits(X, action.order, action.base)
+    return _Orbits(X, _free_action_order(X, action, top), action.base)
 
 
-def _require_free_action(X: TruncatedSimplicialSet, action: GroupAction, top: int) -> None:
+def _free_action_order(X: TruncatedSimplicialSet, action: GroupAction, top: int) -> int:
+    """Check the action on levels 0..top as :func:`checked_orbits` says; return |H_0|."""
     gens = action.generators
     if len(gens) <= top or len({len(level) for level in gens[:top + 1]}) > 1:
         raise InternalInvariantError("the action needs the same generators on every level")
@@ -639,16 +638,14 @@ def _require_free_action(X: TruncatedSimplicialSet, action: GroupAction, top: in
                         f"generator {g} does not commute with d_{i} at {Simplex(m, wrong[0])}"
                     )
     count = X.counts[0]
-    group = _generated(gens[0], count, action.order)
-    if len(group) != action.order:
-        raise InternalInvariantError(
-            f"the generators generate a group of order {len(group)} on X_0, not {action.order}"
-        )
+    # a free action has |H_0| <= |X_0|; a larger group fails the bijection
+    group = _generated(gens[0], count, count)
     if not set(action.base) <= set(range(count)):
         raise InternalInvariantError("T_0 is not a set of vertices")
     images = [h[t] for h in group for t in action.base]
     if len(images) != count or len(set(images)) != count:
         raise InternalInvariantError("H_0 x T_0 -> X_0 is not a bijection")
+    return len(group)
 
 
 def _generated(
