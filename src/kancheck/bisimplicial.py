@@ -8,9 +8,11 @@ bisimplex ids of each level, so every table lives in exactly one validated
 simplicial set, and rows, columns and the transpose are read off without
 copying.  The diagonal composes one row table with one column table; the
 diagonal of an external product is built directly as the product of its
-factors.  The laws are checked on the tables too: rows and columns by the
-simplicial identities, and each horizontal/vertical commutation at a level as
-one comparison of gathered columns.
+factors, and the diagonal of a ``tensor`` carries the product of its
+factors' group actions, as that product does.  The laws are checked on the
+tables too: rows and columns by the simplicial identities, and each
+horizontal/vertical commutation at a level as one comparison of gathered
+columns.
 """
 
 from __future__ import annotations
@@ -63,10 +65,11 @@ class TruncatedBisimplicialSet:
 
     ``rows[q]`` carries the horizontal tables of p -> X_{p,q} and
     ``columns[p]`` the vertical tables of q -> X_{p,q}; every row and column
-    must agree on the count and labels of the level they share.
+    must agree on the count and labels of the level they share.  ``_factors``
+    is ``(A, B)`` for ``tensor(A, B)``, else None; equality does not read it.
     """
 
-    __slots__ = ("bounds", "counts", "rows", "columns")
+    __slots__ = ("bounds", "counts", "rows", "columns", "_factors")
 
     def __init__(
         self, rows: Sequence[TruncatedSimplicialSet], columns: Sequence[TruncatedSimplicialSet]
@@ -85,6 +88,7 @@ class TruncatedBisimplicialSet:
         self.counts = tuple(col.counts for col in columns)
         self.rows = rows
         self.columns = columns
+        self._factors: tuple[TruncatedSimplicialSet, TruncatedSimplicialSet] | None = None
 
     def size(self, p: int, q: int) -> int:
         if not (0 <= p <= self.bounds[0] and 0 <= q <= self.bounds[1]):
@@ -122,6 +126,9 @@ def diagonal(X: TruncatedBisimplicialSet) -> TruncatedSimplicialSet:
     Ids are inherited unchanged from the (n,n) tables, so diagonal simplices
     and bisimplices can be converted back and forth by reindexing alone.  Each
     table is one gather: the row table read at the entries of the column table.
+    The diagonal of ``tensor(A, B)`` has the ids of ``product(A, B)``, so it
+    carries the same action, :class:`ProductAction` of the factors, when
+    either factor has one.
     """
     bound = min(X.bounds)
     rows, cols = X.rows, X.columns
@@ -137,7 +144,10 @@ def diagonal(X: TruncatedBisimplicialSet) -> TruncatedSimplicialSet:
     labels = None
     if rows[0]._labels is not None:
         labels = [rows[n]._labels[n] for n in range(bound + 1)]
-    return TruncatedSimplicialSet(counts, faces, degens, labels)
+    D = TruncatedSimplicialSet(counts, faces, degens, labels)
+    if X._factors is not None:
+        D._action = _product_action(*X._factors)
+    return D
 
 
 def transpose(X: TruncatedBisimplicialSet) -> TruncatedBisimplicialSet:
@@ -157,7 +167,8 @@ def tensor(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedBis
 
     Ids are packed row-major with the B factor minor.  Row q is A acting on
     the first coordinate of A_p x B_q, column p is B acting on the second, so
-    the required commutation holds by construction.
+    the required commutation holds by construction.  The result records its
+    factors, for :func:`diagonal`.
     """
     P, Q = A.bound, B.bound
 
@@ -195,7 +206,16 @@ def tensor(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedBis
         )
         for p in range(P + 1)
     ]
-    return TruncatedBisimplicialSet(rows, columns)
+    X = TruncatedBisimplicialSet(rows, columns)
+    X._factors = (A, B)
+    return X
+
+
+def _product_action(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> ProductAction | None:
+    """The action of ``A x B``: the factors' product, if either has an action."""
+    if A._action is None and B._action is None:
+        return None
+    return ProductAction(A, B)
 
 
 def product(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedSimplicialSet:
@@ -219,8 +239,7 @@ def product(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedSi
     ] + [[]]
     labels = [partial(_pair_label, A, n, B, n, B.counts[n]) for n in range(bound + 1)]
     X = TruncatedSimplicialSet(counts, faces, degens, labels)
-    if A._action is not None or B._action is not None:
-        X._action = ProductAction(A, B)
+    X._action = _product_action(A, B)
     return X
 
 
@@ -365,6 +384,10 @@ def row_map(f: BisimplicialMap, q: int) -> SimplicialMap:
 
 
 def transpose_map(f: BisimplicialMap) -> BisimplicialMap:
-    # level (q, p) of the transpose is level (p, q), which row map q holds at p
-    comps = [m.components for m in f.row_maps]
-    return BisimplicialMap(transpose(f.domain), transpose(f.codomain), comps, validate=False)
+    """The map of the transposes.  Its row maps are f's column maps and its
+    column maps f's row maps, the same objects, so a search map one of them
+    builds is kept with f."""
+    t = BisimplicialMap.__new__(BisimplicialMap)
+    t.domain, t.codomain = transpose(f.domain), transpose(f.codomain)
+    t.row_maps, t.column_maps = f.column_maps, f.row_maps
+    return t

@@ -34,9 +34,11 @@ reads it, so it holds one cell's least-id map and one level's indexes at a
 time; a caller's map keeps its maps (:func:`check_kan_fibration`), as the
 pointwise sweep reads the diagonal's least-id maps after its Kan check.
 
-Those two checks also search one horn family per orbit of a group action
-the set carries (McKay, "Isomorph-free exhaustive generation", 1998).  The
-action is checked on the tables first: it permutes each level, commutes
+Every Kan or trivial-fibration check of a map over a point, a caller's map
+included, also searches one horn family per orbit of a group action the
+domain carries (McKay, "Isomorph-free exhaustive generation", 1998); over a
+point ``f h = f`` for every h, so the action maps horns of f onto horns of
+f.  The action is checked on the tables first: it permutes each level, commutes
 with every face, and its group H_0 acts on X_0 freely with transversal T_0.
 A cell then searches only the families whose first face lies in
 T_{n-1}, the simplices whose vertex 0 is in T_0, and counts |H_0| families
@@ -45,7 +47,9 @@ representatives bijectively onto the families whose first face has its
 vertex 0 in h T_0, and fillers onto fillers, so the counts are exact; the
 first cell where a representative does not fill is searched again in full,
 so its counts and certificate are the full search's (see
-:func:`_fill_cells`).  A set without an action is searched in full.
+:func:`_fill_cells`).  The level's face identities are compared on T_n
+alone.  A domain without an action, or a map whose codomain is not a point,
+is searched in full.
 
 Columns are read by the C-level ``gather``, key columns are zipped into
 tuples by ``zip_keys`` (one column is its own key), and buckets and fillers
@@ -419,42 +423,47 @@ def _fill_cells(
     of X_{n-1}, so they go before level n + 1 starts.  No map is built twice.
     A caller's map keeps its maps, for the caller to read again.
 
-    **One family per orbit.**  A check that builds its own map over a set
-    with a group action checks the action first (:func:`checked_orbits`):
-    the generators permute each level and commute with every face, they
-    generate a group H_0 on X_0, and ``H_0 x T_0 -> X_0`` is a bijection.
-    Each cell then enumerates only the families with ``x_{i_0}`` in
-    ``T_{n-1} = v0^{-1}(T_0)``, i_0 the least index of I and v0 the vertex-0
-    map, and fills them from a least-id map built only over the w with
-    ``d_{i_0} w`` in T_{n-1}, which holds every filler of such a family.
-    The cell's counts are |H_0| times theirs.  This is exact even if the
-    action has a kernel on a higher level.  For h in H_0, pick a word in
-    the generators that gives h on X_0, and let it act on every level.  It
-    is a permutation of each level that commutes with every face, so it
-    maps compatible families bijectively onto compatible families, and
-    fillers onto fillers.  Since v0 is a composite of faces, it commutes
-    with v0, so it maps the families with ``x_{i_0}`` in T_{n-1} onto those
-    with ``v0 x_{i_0}`` in ``h T_0``.  The sets ``h T_0`` partition X_0, so
+    **One family per orbit.**  A map whose codomain is a point up to
+    ``max_dim``, and whose domain carries a group action, has the action
+    checked first (:func:`checked_orbits`): the generators permute each
+    level and commute with every face, they generate a group H_0 on X_0,
+    and ``H_0 x T_0 -> X_0`` is a bijection.  Any other map is searched in
+    full: over a point ``f h = f`` for every h, elsewhere the action need
+    not preserve f.  Each cell then enumerates only the families with
+    ``x_{i_0}`` in ``T_{n-1} = v0^{-1}(T_0)``, i_0 the least index of I and
+    v0 the vertex-0 map.  A map the check built fills them from a least-id
+    map built only over the w with ``d_{i_0} w`` in T_{n-1}, which holds
+    every filler of such a family; a caller's map fills them from its full
+    ``f.least(n, I)``, kept for the pointwise sweep that reads it next.
+    Each level's face identities are compared on ``T_n`` alone
+    (:func:`require_level_laws`).  The cell's counts are |H_0| times theirs.
+    This is exact even if the action has a kernel on a higher level.  For h
+    in H_0, pick a word in the generators that gives h on X_0, and let it
+    act on every level.  It is a permutation of each level that commutes
+    with every face, so it maps compatible families bijectively onto
+    compatible families, and fillers onto fillers.  Since v0 is a composite
+    of faces, it commutes with v0, so it maps the families with ``x_{i_0}``
+    in T_{n-1} onto those with ``v0 x_{i_0}`` in ``h T_0``.  The sets ``h T_0`` partition X_0, so
     the families of the cell fall into |H_0| classes, each in bijection
     with the representatives, filled rows with filled rows.  So a cell
     whose representatives all fill has all its families filled, and the
     first cell with a representative that does not fill is the full
     search's first failing cell: it is re-run in full, and its counts and
-    certificate are the full search's.  A caller's map always runs the full
-    search, since the pointwise sweep reads its full least-id maps.
+    certificate are the full search's.
     """
-    orbits = checked_orbits(f.domain, max_dim) if owned else None
+    over_point = f.codomain.counts[:max_dim + 1] == (1,) * (max_dim + 1)
+    orbits = checked_orbits(f.domain, max_dim) if over_point else None
     done: list[HornCellStats] = []
     level = 0
     for n, k in cells:
         if n != level:
             if owned:
                 f._indexes.clear()
-            require_level_laws(f, n)
+            require_level_laws(f, n, None if orbits is None else orbits.level(n))
             level = n
         indices = tuple(i for i in range(n + 1) if i != k)
         if orbits is not None:
-            least = f._build_least(n, indices, orbits.over(n, indices[0]))
+            least = f._build_least(n, indices, orbits.over(n, indices[0])) if owned else None
             reps, stuck = _count_cell(f, n, indices, orbits.level(n - 1), least)
             del least
             if stuck is None:
@@ -479,7 +488,10 @@ def _horn_cells(max_dim: int) -> list[tuple[int, int]]:
 def check_kan_fibration(f: SimplicialMap, max_dim: int) -> FibrationReport:
     """Fill every full horn (I = [n] minus one index) for 1 <= n <= max_dim.
 
-    Every search map the sweep builds stays cached with f."""
+    Every search map the sweep builds stays cached with f.  If the codomain
+    is a point up to max_dim and the domain carries a group action, the
+    action is checked and each cell searches one family per orbit
+    (:func:`_fill_cells`); otherwise every family is searched."""
     _require_max_dim(f.domain.bound, max_dim)
     return _fill_cells(f, "kan", max_dim, _horn_cells(max_dim), owned=False)
 

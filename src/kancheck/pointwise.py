@@ -24,7 +24,20 @@ block since every horn of a cell leads to the same diagonal index set, and
 object is built.  Both sweeps, direct and transposed, fill in the one
 diagonal map the Kan check passed: horizontal and vertical operators commute,
 so the diagonal of the transpose is the same map.  A partial fill ends in
-full-horn fills of that map, so they look up the indexes its Kan check built.
+full-horn fills of that map, so they look up the least-id maps its Kan check
+built.  The transposed sweep enumerates on f's own row maps
+(:func:`kancheck.bisimplicial.transpose_map` shares them), so their indexes
+are kept with f, as the column maps' are.
+
+The Kan check of the diagonal searches one horn family per orbit when the
+diagonal carries a group action and maps to a point (see
+:func:`kancheck.kan._fill_cells`): the diagonal of ``tensor(A, B)`` carries
+the product of the factors' actions, as ``product(A, B)`` does, so the
+precondition of ``pointwise`` on an eg-tensor searches one family in
+|H_0| (4 for Z2, 36 for S3), and fills each from the diagonal's full
+least-id map, which the sweeps read next.  Its report, and the message
+when it fails, are the full search's.  The sweeps themselves enumerate
+every horn, since ``max_search`` depends on ids.
 
 Index bookkeeping, for a horn in column p, vertical dimension q >= 1 and
 missing index l: the diagonal family lives at dimension n = p + q over the

@@ -22,10 +22,12 @@ a filler verifies its horn.
 
 A set may carry the action of a group on its levels (``_action``), attached
 only by constructors: ``eg_construction`` attaches the action of G on EG by
-left multiplication (:class:`GroupAction`), and ``product`` the product of
-its factors' actions (:class:`ProductAction`).  The to-point horn sweeps
-check it on the tables (:func:`checked_orbits`) and then search one horn
-family per orbit (see :func:`kancheck.kan._fill_cells`).
+left multiplication (:class:`GroupAction`), and ``product``, and
+``diagonal`` of a ``tensor``, the product of the factors' actions
+(:class:`ProductAction`).  The horn sweeps of a map over a point check it
+on the tables (:func:`checked_orbits`) and then search one horn family per
+orbit (see :func:`kancheck.kan._fill_cells`), with the face identities of
+each level compared on one simplex per orbit (:func:`require_level_laws`).
 """
 
 from __future__ import annotations
@@ -270,15 +272,17 @@ class IdentityReport:
         return not self.violations
 
 
-def _face_face_checks(X: TruncatedSimplicialSet, n: int):
+def _face_face_checks(X: TruncatedSimplicialSet, n: int, ids: Sequence[int] | None = None):
     """The identities ``d_i d_j = d_{j-1} d_i`` (i < j) of level n, as
-    :func:`_level_checks` yields them."""
+    :func:`_level_checks` yields them; on the n-simplices ``ids`` only, when
+    given."""
     F = X._faces
     if n >= 2:
+        tops = F[n] if ids is None else [gather(t, ids) for t in F[n]]
         for j in range(n + 1):
             for i in range(j):
                 yield ("face-face", i, j, n - 2,
-                       gather(F[n - 1][i], F[n][j]), gather(F[n - 1][j - 1], F[n][i]))
+                       gather(F[n - 1][i], tops[j]), gather(F[n - 1][j - 1], tops[i]))
 
 
 def _level_checks(X: TruncatedSimplicialSet, n: int):
@@ -342,11 +346,12 @@ class SimplicialMap:
     """A dimensionwise map commuting with all face and degeneracy tables.
 
     ``validate=True`` checks that it commutes, one column comparison per
-    table.  The maps this package builds (to the point, diagonals, transposes)
-    are natural by construction and pass ``validate=False``: validating them
+    table.  The maps this package builds (to the point, diagonals) are
+    natural by construction and pass ``validate=False``: validating them
     would cost the benchmark's ``kan-diagonal-eg`` run about 0.7 ms (some 4%
-    of its time to a verdict) and its ``pointwise-eg`` run about 1.8 ms (some
-    15%), measured on a 2-core host under CPython 3.11.
+    of its time to a verdict) and its ``pointwise-eg`` run about 0.7 ms (some
+    7%), measured on a 2-core host under CPython 3.11.  A transpose builds
+    no maps: it shares the lines of the map it transposes.
     """
 
     __slots__ = ("domain", "codomain", "components", "_indexes", "_leasts")
@@ -478,7 +483,9 @@ class SimplicialMap:
         return f"SimplicialMap(bound={self.domain.bound})"
 
 
-def require_level_laws(f: SimplicialMap, n: int) -> None:
+def require_level_laws(
+    f: SimplicialMap, n: int, reps: Sequence[int] | None = None
+) -> None:
     """Raise ``RejectedInput`` unless the domain's n-simplices satisfy
     ``d_i d_j = d_{j-1} d_i`` for i < j and, when ``f.headed(n - 1)``, f
     commutes with every ``d_i`` on them; each violation named as the law
@@ -489,19 +496,26 @@ def require_level_laws(f: SimplicialMap, n: int) -> None:
     and ``f x_i = f d_i w = d_i f w = d_i y``.  So a horn sweep checks them
     once per level, and per row only the witness.  Over a point at n - 1
     both sides of ``f d_i = d_i f`` are 0, as :func:`_as_table` range-checked.
+
+    ``reps`` is T_n of a checked action (:func:`checked_orbits`): every
+    n-simplex is g t for some t in T_n and a permutation g of each level
+    that commutes with every face, so the face identities hold on X_n once
+    they hold on T_n, and only T_n is compared.  On a mismatch the whole
+    level is compared again, so the message names the least violating id.
     """
     X = f.domain
-    firsts = [
-        (wrong[0], order, IdentityViolation(
-            name, n, i, j, wrong[0], Simplex(dim, lhs[wrong[0]]), Simplex(dim, rhs[wrong[0]])
-        ))
-        for order, (name, i, j, dim, lhs, rhs) in enumerate(_face_face_checks(X, n))
-        if (wrong := _mismatches(lhs, rhs))
-    ]
-    if firsts:
-        raise RejectedInput(
-            f"domain breaks the simplicial identities: {min(firsts)[2].describe(X)}"
-        )
+    if reps is None or any(lhs != rhs for *_, lhs, rhs in _face_face_checks(X, n, reps)):
+        firsts = [
+            (wrong[0], order, IdentityViolation(
+                name, n, i, j, wrong[0], Simplex(dim, lhs[wrong[0]]), Simplex(dim, rhs[wrong[0]])
+            ))
+            for order, (name, i, j, dim, lhs, rhs) in enumerate(_face_face_checks(X, n))
+            if (wrong := _mismatches(lhs, rhs))
+        ]
+        if firsts:
+            raise RejectedInput(
+                f"domain breaks the simplicial identities: {min(firsts)[2].describe(X)}"
+            )
     if f.headed(n - 1):
         f._require_natural("d", n)
 

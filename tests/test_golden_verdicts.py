@@ -48,6 +48,9 @@ PINNED = {
     # the benchmark's not-kan-s4 command: an --input double nerve at dim 3
     "kan-s4-pair-double-nerve-diagonal":
         "kan --input bench/inputs/s4_pair.json --construction double-nerve-diagonal --max-dim 3",
+    # the S3 eg-tensor sweep (8784 problems), whose diagonal Kan check
+    # searches one family per orbit of S3 x S3 (|H_0| = 36)
+    "pointwise-s3-eg-tensor": "pointwise --input tests/inputs/s3.json --max-total-dim 2",
 }
 
 

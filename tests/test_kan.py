@@ -506,14 +506,16 @@ class TestRowsVerifiedByWitness:
         seen = []
         check = kancheck.kan.require_level_laws
 
-        def recording(f, n):
-            seen.append((f, n))
-            return check(f, n)
+        def recording(f, n, *reps):
+            seen.append((f, n, *map(len, reps)))
+            return check(f, n, *reps)
 
         monkeypatch.setattr(kancheck.kan, "require_level_laws", recording)
         assert check_kan_fibration(eg_diag_map, 3).passed
-        assert [n for _, n in seen] == [1, 2, 3]
-        assert all(f is eg_diag_map for f, _ in seen)
+        # the diagonal of a tensor carries Z2 x Z2, so each level's face
+        # identities are compared on T_n, a quarter of X_n
+        assert [(n, *reps) for _, n, *reps in seen] == [(n, 4 ** (n + 1) // 4) for n in (1, 2, 3)]
+        assert all(f is eg_diag_map for f, *_ in seen)
 
     def test_failing_block_evaluates_its_equations(self, s3_diag_map, monkeypatch):
         rows = []
@@ -553,6 +555,27 @@ class TestRowsVerifiedByWitness:
         )
         with pytest.raises(RejectedInput, match="face-face at n=2"):
             check_trivial_fibration_to_point(bad, 2)
+
+    def test_broken_face_identity_refused_per_orbit(self, z2):
+        # Z2 acts on the first factor with T_0 = {g}, so the least violating
+        # simplex, (e, e, e) paired with the broken one, is not among the
+        # representatives: they show a mismatch, and the whole level is then
+        # compared, so each message names the full search's least simplex
+        eg = eg_construction(z2, 2)
+        broken = break_one_face(eg, 2, 0, 0, 3)
+        X = product(with_action(eg, base=(1,)), broken)
+        full = product(without_action(eg), broken)
+        assert checked_orbits(X, 2).level(2)[0] > 0
+        first = next(v for v in validate_simplicial_identities(full).violations if v.n == 2)
+        want = "domain breaks the simplicial identities: " + first.describe(full)
+        for check in (
+            check_kan_to_point, check_trivial_fibration_to_point,
+            lambda Y, n: check_kan_fibration(to_point_map(Y), n),
+        ):
+            for tables in (X, full):
+                with pytest.raises(RejectedInput) as err:
+                    check(tables, 2)
+                assert str(err.value) == want
 
     def test_non_natural_map_refused(self, eg_sign_map):
         f = eg_sign_map
@@ -881,12 +904,16 @@ class TestMapLifetime:
         assert {m for _, m, _ in builds} == set(range(5))
 
     def test_callers_map_keeps_every_map(self, eg_product):
+        # the map is over a point and its domain has an action, so each cell
+        # draws face 0 from T_{n-1}, never from a level's index by no faces:
+        # no index of level 0 is built, and every full least-id map is kept
         f = to_point_map(eg_product)
         assert check_kan_fibration(f, 4).passed
         assert set(f._leasts) == {
             (n, tuple(i for i in range(n + 1) if i != k)) for n, k in horn_cells(4)
         }
-        assert {m for m, _ in f._indexes} == {0, 1, 2, 3}
+        assert {m for m, _ in f._indexes} == {1, 2, 3}
+        assert all(faces for _, faces in f._indexes)
 
     def test_same_report_as_the_kept_map(self, eg_product):
         def reports(X, max_dim):
@@ -1111,9 +1138,13 @@ class TestActionChecks:
         with pytest.raises(InternalInvariantError, match=message):
             check(bad, 2)
 
-    def test_caller_map_reads_no_action(self, eg):
+    def test_caller_map_over_a_point_checks_the_action(self, eg):
         bad = with_action(eg, base=(0, 1))
-        assert check_kan_fibration(to_point_map(bad), 2).passed
+        with pytest.raises(InternalInvariantError, match="not a bijection"):
+            check_kan_fibration(to_point_map(bad), 2)
+        # over a codomain that is not a point the action is not read
+        identity = SimplicialMap(bad, bad, [range(c) for c in bad.counts], validate=False)
+        assert check_kan_fibration(identity, 2).passed
 
 
 class TestCertificateIntegrity:

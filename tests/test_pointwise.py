@@ -8,7 +8,7 @@ from oracles import (
     v_degeneracy,
     v_face,
 )
-from test_kan import fiber_families, full_scan_fill, rotated_index
+from test_kan import fiber_families, full_scan_fill, rotated_index, s4_pair_diagonal
 
 import kancheck.kan
 import kancheck.pointwise
@@ -19,10 +19,14 @@ from kancheck import (
     brute_force_fill,
     check_kan_fibration,
     column_map,
+    cyclic_group,
     diagonal_map,
+    eg_construction,
     is_compatible,
     iter_compatible_families,
     point_bisimplicial,
+    symmetric_group_preset,
+    tensor,
     to_point_bimap,
     transpose_map,
     verify_pointwise_fillers,
@@ -31,6 +35,7 @@ from kancheck.errors import InternalInvariantError, RejectedInput, TruncationErr
 from kancheck.kan import FillCertificate, _partial_fillers
 from kancheck.pointwise import SweepCell, _answer, _diagonal_family
 from kancheck.presets import preset_bisimplicial
+from kancheck.serialize import fibration_report_to_dict
 
 
 def restriction_horn(f, w, missing):
@@ -323,9 +328,11 @@ class TestSweep:
         assert report.passed
         assert (kan_families, report.problems_checked, steps) == (1224, 656, 416)
         assert evaluated == report.problems_checked + 2 * steps == 1488
-        # the witness of each Kan family and of each partial fill's full horn
-        # (every one fills here), and the answer of each horn, each seen once
-        assert witnessed[kancheck.kan] == kan_families + full
+        # the witness of each Kan family the check searches, one per orbit
+        # of Z2 x Z2 on the diagonal (1224 / 4 = 306), and of each partial
+        # fill's full horn (every one fills here), and the answer of each
+        # horn, each seen once
+        assert witnessed[kancheck.kan] == kan_families // 4 + full == 306 + full
         assert witnessed[kancheck.pointwise] == report.problems_checked
 
     def test_point_sweep(self):
@@ -416,12 +423,14 @@ class TestSweep:
             verify_pointwise_fillers(eg_tensor_map, 3)
 
     def test_each_index_built_once_and_shared_with_the_kan_check(
-        self, eg_tensor_map, monkeypatch
+        self, eg_tensor_3, monkeypatch
     ):
         # every (map, m, J) index and least-id map is built at most once, and
         # the sweeps' fills in the diagonal find every least-id map they need
         # already built by its Kan check: the sweeps build indexes only on
-        # column maps, to enumerate, and no least-id map at all
+        # line maps, to enumerate, and no least-id map at all.  The map is
+        # fresh, as the transposed sweep enumerates on f's own row maps
+        eg_tensor_map = to_point_bimap(eg_tensor_3)
         builds, phase, kan_checked, columns = [], ["kan check"], [], []
         check = kancheck.pointwise.check_kan_fibration
         column = kancheck.pointwise.column_map
@@ -465,6 +474,15 @@ class TestSweep:
         assert in_sweeps and all(
             kind == "_build_index" and any(f is col for col in columns) for kind, f in in_sweeps
         )
+        # the column maps of the transpose are f's row maps, each used by
+        # one sweep; a second run on f finds every line index built
+        assert {id(col) for col in columns} == {
+            id(m) for m in eg_tensor_map.column_maps[:3] + eg_tensor_map.row_maps[:3]
+        }
+        builds.clear()
+        phase[0] = "kan check"
+        assert verify_pointwise_fillers(eg_tensor_map, 3).passed
+        assert [b for b in builds if b[0] == "sweeps"] == []
 
     @pytest.mark.parametrize("transposed", [False, True], ids=["direct", "transposed"])
     def test_refused_cell_is_reported(self, monkeypatch, transposed):
@@ -559,3 +577,61 @@ class TestIdSweep:
         # the counters do see the objects an object-level fill builds
         brute_force_fill(restriction_horn(eg_tensor_map, BiSimplex(1, 1, 3), 0))
         assert {type(x) for x in built} == {CompatibleFamily, FillCertificate}
+
+
+def actionless_diagonal_map(f):
+    """``diagonal_map(f)`` with the action its domain carries dropped, so
+    that its Kan check searches every family."""
+    d = diagonal_map(f)
+    d.domain._action = None
+    return d
+
+
+class TestOrbitPrecondition:
+    """The diagonal of a tensor carries the product action, so the Kan check
+    of a caller's diagonal map over a point searches one family per orbit;
+    its reports, and the sweeps after it, are the full search's."""
+
+    @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "1", "7"])
+    @pytest.mark.parametrize("group, dim", [
+        (cyclic_group(2), 2), (cyclic_group(2), 3), (cyclic_group(2), 4),
+        (cyclic_group(3), 2), (cyclic_group(3), 3), (symmetric_group_preset(3), 2),
+    ], ids=["Z2-2", "Z2-3", "Z2-4", "Z3-2", "Z3-3", "S3-2"])
+    def test_reports_match_the_full_search(self, group, dim, rows, monkeypatch):
+        if rows is not None:
+            monkeypatch.setattr(kancheck.kan, "BLOCK_ROWS", rows)
+        eg = eg_construction(group, dim)
+        f = to_point_bimap(tensor(eg, eg))
+        orbit, full = diagonal_map(f), actionless_diagonal_map(f)
+        assert orbit.domain._action is not None
+        kan = check_kan_fibration(orbit, dim)
+        assert kan.passed and kan == check_kan_fibration(full, dim)
+        swept = verify_pointwise_fillers(f, dim)
+        monkeypatch.setattr(kancheck.pointwise, "diagonal_map", actionless_diagonal_map)
+        assert swept == verify_pointwise_fillers(to_point_bimap(tensor(eg, eg)), dim)
+        assert swept.passed and swept.problems_checked > 0
+
+    def test_non_kan_precondition_is_the_full_search(self, z2, monkeypatch):
+        # Z2 acts on the first factor; the S4-pair diagonal has no action and
+        # is not Kan at n = 2, so the failing cell is searched in full
+        f = to_point_bimap(tensor(eg_construction(z2, 2), s4_pair_diagonal(2)))
+        seen = []
+        count_cell = kancheck.kan._count_cell
+
+        def recording(g, n, indices, *restricted):
+            seen.append(bool(restricted))
+            return count_cell(g, n, indices, *restricted)
+
+        monkeypatch.setattr(kancheck.kan, "_count_cell", recording)
+        orbit = fibration_report_to_dict(check_kan_fibration(diagonal_map(f), 2))
+        assert seen[-2:] == [True, False] and all(seen[:-1])
+        full = fibration_report_to_dict(check_kan_fibration(actionless_diagonal_map(f), 2))
+        assert orbit == full and not orbit["passed"]
+        assert orbit["failure"]["family"]["n"] == 2
+        with pytest.raises(RejectedInput) as by_orbits:
+            verify_pointwise_fillers(f, 2)
+        monkeypatch.setattr(kancheck.pointwise, "diagonal_map", actionless_diagonal_map)
+        with pytest.raises(RejectedInput) as in_full:
+            verify_pointwise_fillers(f, 2)
+        assert str(by_orbits.value) == str(in_full.value)
+        assert "unfillable horn at n=2" in str(by_orbits.value)
