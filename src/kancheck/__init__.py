@@ -2,8 +2,10 @@
 
 The package builds finite simplicial and bisimplicial sets from groups,
 groupoids and double groupoids, checks every simplicial law exhaustively,
-fills horns by deterministic brute-force search or recursive reduction, and
-certifies how diagonal and pointwise fibration conditions relate.
+searches horns on raw table ids, and certifies how diagonal and pointwise
+fibration conditions relate.  A check that fails carries a
+:class:`FillCertificate` naming its unfillable horn by ids, which a rebuilt
+report re-verifies.
 """
 
 from .bisimplicial import (
@@ -52,22 +54,17 @@ from .groupoids import (
     FiniteGroupoid,
     discrete_groupoid,
     eg_construction,
-    eg_simplex,
     nerve,
     nerve_indexed,
     one_object_groupoid,
 )
 from .kan import (
-    CompatibleFamily,
     FibrationReport,
     FillCertificate,
     brute_force_fill,
     check_kan_fibration,
     check_kan_to_point,
     check_trivial_fibration_to_point,
-    fill_partial_horn,
-    is_compatible,
-    iter_compatible_families,
 )
 from .ordinal import (
     Degeneracy,

@@ -361,7 +361,7 @@ class BisimplicialMap:
 def to_point_bimap(X: TruncatedBisimplicialSet) -> BisimplicialMap:
     P, Q = X.bounds
     pt = point_bisimplicial(P, Q)
-    comps = [[[0] * X.counts[p][q] for q in range(Q + 1)] for p in range(P + 1)]
+    comps = [[(0,) * X.counts[p][q] for q in range(Q + 1)] for p in range(P + 1)]
     return BisimplicialMap(X, pt, comps, validate=False)
 
 

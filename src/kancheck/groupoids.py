@@ -28,7 +28,6 @@ from .groups import FiniteGroup
 from .simplicial import (
     GroupAction,
     Label,
-    Simplex,
     TruncatedSimplicialSet,
     _int_tuple,
     _pairs,
@@ -394,15 +393,3 @@ def eg_construction(G: FiniteGroup, bound: int) -> TruncatedSimplicialSet:
         columns.append([_pairs(col, left, order) for col, left in zip(columns[-1], columns[0])])
     X._action = GroupAction(tuple(tuple(map(tuple, level)) for level in columns), (G.identity,))
     return X
-
-
-def eg_simplex(G: FiniteGroup, coords: Sequence[int]) -> Simplex:
-    """The simplex of the universal cover holding the given coordinate tuple."""
-    if not coords:
-        raise RejectedInput("a simplex needs at least one coordinate")
-    idx = 0
-    for c in coords:
-        if not 0 <= c < G.order:
-            raise RejectedInput(f"coordinate {c} outside the group")
-        idx = idx * G.order + c
-    return Simplex(len(coords) - 1, idx)

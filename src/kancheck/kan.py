@@ -56,14 +56,14 @@ tuples by ``zip_keys`` (one column is its own key), and buckets and fillers
 are looked up with ``map``.  A level at which every row draws exactly one
 face keeps its rows as they are.
 
-The object API is the same engine on a block of one
-(``is_compatible``, ``brute_force_fill``, ``fill_partial_horn``) or over its
-blocks (``iter_compatible_families``).  The Kan and trivial-fibration sweeps
-count on blocks and build objects only for the first family that does not
-fill; the pointwise sweep builds none, since a partial diagonal horn that
-does not fill there is a broken invariant.  So ``_partial_fillers`` returns
-only each row's filler and the candidates it examined, and keeps no record of
-where a fill stopped.
+Every certificate is on raw ids: a :class:`FillCertificate` holds the
+family's face ids, its target id and the filler id or None, and only
+:func:`brute_force_fill`, the one fill of a single family, makes one.  The
+Kan and trivial-fibration sweeps count on blocks and make a certificate only
+for the first family that does not fill; the pointwise sweep makes none,
+since a partial diagonal horn that does not fill there is a broken
+invariant.  So ``_partial_fillers`` returns only each row's filler and the
+candidates it examined, and keeps no record of where a fill stopped.
 """
 
 from __future__ import annotations
@@ -74,9 +74,9 @@ from typing import Iterator, Mapping, Sequence
 
 from .errors import InternalInvariantError, RejectedInput
 from .simplicial import (
-    Simplex,
     SimplicialMap,
     TruncatedSimplicialSet,
+    _as_table,
     checked_orbits,
     gather,
     require_level_laws,
@@ -91,79 +91,6 @@ from .simplicial import (
 Block = tuple[list[int], list[list[int]]]
 
 BLOCK_ROWS = 16384
-
-
-@dataclass(frozen=True)
-class CompatibleFamily:
-    """The data (I, {x_i}, y) of a family to fill against a simplicial map.
-
-    ``faces[t]`` is the face attached to ``index_set[t]``.  Construction checks
-    dimensions and ranges; use :func:`is_compatible` for the face equations.
-    """
-
-    f: SimplicialMap
-    n: int
-    index_set: tuple[int, ...]
-    faces: tuple[Simplex, ...]
-    target: Simplex
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise RejectedInput("ambient dimension must be at least 1")
-        if self.n > self.f.domain.bound:
-            raise RejectedInput(
-                f"ambient dimension {self.n} outside bound {self.f.domain.bound}"
-            )
-        if list(self.index_set) != sorted(set(self.index_set)):
-            raise RejectedInput("index set must be strictly increasing")
-        if self.index_set and not 0 <= self.index_set[0] <= self.index_set[-1] <= self.n:
-            raise RejectedInput(f"index set must lie inside [0, {self.n}]")
-        if len(self.faces) != len(self.index_set):
-            raise RejectedInput("need exactly one face per index")
-        for x in self.faces:
-            if x.dim != self.n - 1:
-                raise RejectedInput(f"face {x} must have dimension {self.n - 1}")
-            if not 0 <= x.idx < self.f.domain.counts[x.dim]:
-                raise RejectedInput(f"face {x} not in the domain")
-        if self.target.dim != self.n:
-            raise RejectedInput(f"target {self.target} must have dimension {self.n}")
-        if not 0 <= self.target.idx < self.f.codomain.counts[self.n]:
-            raise RejectedInput(f"target {self.target} not in the codomain")
-
-    @classmethod
-    def from_mapping(
-        cls,
-        f: SimplicialMap,
-        n: int,
-        faces: Mapping[int, Simplex],
-        target: Simplex,
-    ) -> "CompatibleFamily":
-        indices = tuple(sorted(faces))
-        return cls(f, n, indices, tuple(faces[i] for i in indices), target)
-
-    @classmethod
-    def of_ids(
-        cls, f: SimplicialMap, n: int, indices: Sequence[int], faces: Sequence[int], y: int
-    ) -> "CompatibleFamily":
-        """The family with raw face ids ``faces`` at ``indices`` and target id y."""
-        return cls(
-            f, n, tuple(indices), tuple(Simplex(n - 1, x) for x in faces), Simplex(n, y)
-        )
-
-    @property
-    def ids(self) -> tuple[int, ...]:
-        """The raw ids of the faces, in index-set order."""
-        return tuple(x.idx for x in self.faces)
-
-    def face(self, i: int) -> Simplex:
-        return self.faces[self.index_set.index(i)]
-
-    def items(self) -> tuple[tuple[int, Simplex], ...]:
-        return tuple(zip(self.index_set, self.faces))
-
-    def block(self) -> Block:
-        """The family as a block of one row."""
-        return [self.target.idx], [[x.idx] for x in self.faces]
 
 
 def _all_compatible(
@@ -186,11 +113,6 @@ def _all_compatible(
     return True
 
 
-def is_compatible(family: CompatibleFamily) -> bool:
-    """Check d_i x_j == d_{j-1} x_i for i < j in I, and f x_i == d_i y."""
-    return _all_compatible(family.f, family.n, family.index_set, *family.block())
-
-
 def _check_witnesses(
     f: SimplicialMap, n: int, indices: Sequence[int], ys: list[int], xs: list[list[int]],
     ws: list[int],
@@ -208,20 +130,28 @@ def _check_witnesses(
 
 @dataclass(frozen=True)
 class FillCertificate:
-    """Outcome of a fill search; a witness is re-verified on construction."""
+    """Outcome of a fill search, on raw ids: the family's faces (ids in
+    X_{n-1}, ``faces[t]`` at ``index_set[t]``), its target (an id in Y_n),
+    and the least-id filler (an id in X_n) or None.  Only
+    :func:`brute_force_fill` makes one; a witness is re-verified on
+    construction."""
 
-    family: CompatibleFamily
-    witness: Simplex | None
+    f: SimplicialMap
+    n: int
+    index_set: tuple[int, ...]
+    faces: tuple[int, ...]
+    target: int
+    witness: int | None
     candidates_examined: int
 
     def __post_init__(self) -> None:
         if self.witness is not None:
-            fam = self.family
-            if self.witness.dim != fam.n:
-                raise InternalInvariantError("witness has the wrong dimension")
-            if not 0 <= self.witness.idx < fam.f.domain.counts[fam.n]:
+            if not 0 <= self.witness < self.f.domain.counts[self.n]:
                 raise InternalInvariantError(f"witness {self.witness} is not in the domain")
-            _check_witnesses(fam.f, fam.n, fam.index_set, *fam.block(), [self.witness.idx])
+            _check_witnesses(
+                self.f, self.n, self.index_set, [self.target], [[x] for x in self.faces],
+                [self.witness],
+            )
 
     @property
     def filled(self) -> bool:
@@ -243,21 +173,31 @@ def _fillers(
     return list(map((f.least(n, indices) if least is None else least).get, keys))
 
 
-def brute_force_fill(family: CompatibleFamily) -> FillCertificate:
-    """The least-id filler of a family, or the proof that none exists.
+def brute_force_fill(
+    f: SimplicialMap, n: int, indices: Sequence[int], faces: Sequence[int], y: int
+) -> FillCertificate:
+    """The least-id filler of the family with face ids ``faces`` at
+    ``indices`` and target id y, or the proof that none exists.  A family
+    whose ids do not fit the tables, or that is not compatible, is refused
+    with ``RejectedInput``.
 
     ``candidates_examined`` is defined as the count a scan of all of X_n in
-    ascending id order would examine: ``witness.idx + 1``, or |X_n| when
+    ascending id order would examine: ``witness + 1``, or |X_n| when
     nothing fills.  It is a definition, not the work done: the search itself
     is one index lookup (see :func:`_fillers`).
     """
-    if not is_compatible(family):
+    if not 1 <= n <= f.domain.bound:
+        raise RejectedInput(f"ambient dimension {n} outside [1, {f.domain.bound}]")
+    indices = _as_table(indices, len(indices), n + 1, "index set")
+    if list(indices) != sorted(set(indices)):
+        raise RejectedInput("index set must be strictly increasing")
+    faces = _as_table(faces, len(indices), f.domain.counts[n - 1], "faces")
+    [y] = _as_table([y], 1, f.codomain.counts[n], "target")
+    xs = [[x] for x in faces]
+    if not _all_compatible(f, n, indices, [y], xs):
         raise RejectedInput("family is not compatible; nothing to fill")
-    f, n = family.f, family.n
-    [w] = _fillers(f, n, family.index_set, *family.block())
-    if w is None:
-        return FillCertificate(family, None, f.domain.size(n))
-    return FillCertificate(family, Simplex(n, w), w + 1)
+    [w] = _fillers(f, n, indices, [y], xs)
+    return FillCertificate(f, n, indices, faces, y, w, f.domain.size(n) if w is None else w + 1)
 
 
 def _blocks(
@@ -324,24 +264,6 @@ def _grow(
         grown = [gather(x, at) for x in xs]
         grown.append(list(islice(children, BLOCK_ROWS)))
         yield from _grow(pools, shifted, targets, t + 1, gather(ys, at), grown)
-
-
-def iter_compatible_families(
-    f: SimplicialMap, n: int, index_set: tuple[int, ...]
-) -> Iterator[CompatibleFamily]:
-    """All f-compatible families for a fixed index set, in certificate order.
-
-    Builds one :class:`CompatibleFamily` for each row of the blocks the id
-    engine ``_blocks`` enumerates.
-    """
-    if n < 1 or n > f.domain.bound:
-        raise RejectedInput(f"ambient dimension {n} outside bound {f.domain.bound}")
-    indices = tuple(sorted(set(index_set)))
-    if indices and not 0 <= indices[0] <= indices[-1] <= n:
-        raise RejectedInput(f"index set must lie inside [0, {n}]")
-    for ys, xs in _blocks(f, n, indices):
-        for y, *faces in zip(ys, *xs):
-            yield CompatibleFamily.of_ids(f, n, indices, faces, y)
 
 
 @dataclass(frozen=True)
@@ -413,9 +335,9 @@ def _fill_cells(
     Counts on blocks of raw ids (:func:`_count_cell`).  A row that fills is
     verified by its witness, checked on the tables, and by the level laws of
     n, checked once before the level's first cell (:func:`require_level_laws`):
-    together they give the row's equations.  Objects are built only for the
-    first family that does not fill, whose certificate :func:`brute_force_fill`
-    makes.
+    together they give the row's equations.  Only the first family that does
+    not fill gets a certificate, which :func:`brute_force_fill` makes from
+    its ids.
 
     A check that builds its own map (``owned``) drops each search map once
     no later cell reads it: cell (n, I) alone reads ``f.least(n, I)``, so it
@@ -472,9 +394,9 @@ def _fill_cells(
         families, stuck = _count_cell(f, n, indices)
         if stuck is not None:
             y, faces = stuck
-            family = CompatibleFamily.of_ids(f, n, indices, faces, y)
             done.append(HornCellStats(n, k, families + 1, families))
-            return FibrationReport(kind, max_dim, tuple(done), brute_force_fill(family))
+            failure = brute_force_fill(f, n, indices, faces, y)
+            return FibrationReport(kind, max_dim, tuple(done), failure)
         if owned:
             f._leasts.pop((n, indices), None)
         done.append(HornCellStats(n, k, families, families))
@@ -584,20 +506,3 @@ def _partial_fillers(
         x_k[r] = w
         examined[r] += m
     return x_k, examined
-
-
-def fill_partial_horn(family: CompatibleFamily) -> FillCertificate:
-    """Fill a partial horn (1 <= |I| <= n) by reduction to full-horn fills.
-
-    Runs the id engine :func:`_partial_fillers` on a block of one and wraps the
-    result in a :class:`FillCertificate`.  A full horn gets the certificate
-    :func:`brute_force_fill` would give it.
-    """
-    r = len(family.index_set)
-    if not 1 <= r <= family.n:
-        raise RejectedInput(f"partial horn needs 1 <= |I| <= n, got |I|={r}, n={family.n}")
-    if not is_compatible(family):
-        raise RejectedInput("family is not compatible; nothing to fill")
-    f, n = family.f, family.n
-    [w], [examined] = _partial_fillers(f, n, family.index_set, *family.block())
-    return FillCertificate(family, None if w is None else Simplex(n, w), examined)

@@ -221,9 +221,8 @@ def verify_pointwise_fillers(f: BisimplicialMap, max_total_dim: int) -> Pointwis
         fail = kan_report.failure
         raise RejectedInput(
             "the diagonal map is not a Kan fibration up to dimension "
-            f"{max_total_dim}: unfillable horn at n={fail.family.n}, "
-            f"I={fail.family.index_set}, faces="
-            f"{tuple(x.idx for x in fail.family.faces)}"
+            f"{max_total_dim}: unfillable horn at n={fail.n}, "
+            f"I={fail.index_set}, faces={fail.faces}"
         )
     return PointwiseSweepReport(
         max_total_dim,

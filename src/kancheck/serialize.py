@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Any
 
 from .errors import RejectedInput
-from .kan import CompatibleFamily, FibrationReport, FillCertificate
+from .kan import FibrationReport, FillCertificate
 from .pointwise import PointwiseSweepReport
 from .simplicial import Simplex, TruncatedSimplicialSet
 
@@ -68,22 +68,20 @@ def simplex_ref(X: TruncatedSimplicialSet, x: Simplex) -> dict[str, Any]:
     return {"dim": x.dim, "id": x.idx, "label": X.label(x)}
 
 
-def family_to_dict(family: CompatibleFamily) -> dict[str, Any]:
-    X, Y = family.f.domain, family.f.codomain
-    return {
-        "n": family.n,
-        "index_set": list(family.index_set),
-        "faces": {str(i): simplex_ref(X, x) for i, x in family.items()},
-        "target": simplex_ref(Y, family.target),
-    }
-
-
 def certificate_to_dict(cert: FillCertificate) -> dict[str, Any]:
-    X = cert.family.f.domain
+    X, Y, n = cert.f.domain, cert.f.codomain, cert.n
     return {
         "outcome": "filled" if cert.filled else "unfillable",
-        "family": family_to_dict(cert.family),
-        "witness": None if cert.witness is None else simplex_ref(X, cert.witness),
+        "family": {
+            "n": n,
+            "index_set": list(cert.index_set),
+            "faces": {
+                str(i): simplex_ref(X, Simplex(n - 1, x))
+                for i, x in zip(cert.index_set, cert.faces)
+            },
+            "target": simplex_ref(Y, Simplex(n, cert.target)),
+        },
+        "witness": None if cert.witness is None else simplex_ref(X, Simplex(n, cert.witness)),
         "candidates_examined": cert.candidates_examined,
         # a fill that stops keeps no trail of where, so no certificate carries one
         "failed_subfamily": None,

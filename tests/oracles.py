@@ -4,7 +4,8 @@ The library checks every law as a comparison of whole table columns.  These
 are the direct readings of the definitions, one simplex and one operator at
 a time, kept as the oracles the table code is tested against: operator words
 applied by sequential lookups, the face and degeneracy operators of a
-bisimplex, and the identity, commutation and naturality checks.
+bisimplex, and the identity, commutation, naturality and horn-family
+compatibility checks.
 """
 
 from __future__ import annotations
@@ -61,6 +62,18 @@ def map_apply(f: SimplicialMap, x: Simplex) -> Simplex:
 def bimap_apply(f: BisimplicialMap, x: BiSimplex) -> BiSimplex:
     """The image of one bisimplex, read from its column map."""
     return BiSimplex(x.p, x.q, f.column_maps[x.p].components[x.q][x.idx])
+
+
+def compatible(f: SimplicialMap, n: int, indices, faces, y: int) -> bool:
+    """Whether the family with face ids ``faces`` at ``indices`` and target
+    id y meets its equations, one simplex at a time: f x_i = d_i y, and
+    d_i x_j = d_{j-1} x_i for i < j in I."""
+    X, Y = f.domain, f.codomain
+    xs = {i: Simplex(n - 1, x) for i, x in zip(indices, faces)}
+    over = all(map_apply(f, x) == Y.face(i, Simplex(n, y)) for i, x in xs.items())
+    return over and (n < 2 or all(
+        X.face(i, xs[j]) == X.face(j - 1, xs[i]) for i in xs for j in xs if i < j
+    ))
 
 
 def bisimplices(X: TruncatedBisimplicialSet, p: int, q: int):

@@ -20,9 +20,6 @@ from kancheck import (
     diagonal_map,
     discrete_groupoid,
     eg_construction,
-    fill_partial_horn,
-    is_compatible,
-    iter_compatible_families,
     nerve,
     one_object_groupoid,
     pi0,
@@ -40,8 +37,9 @@ from kancheck import (
 )
 from kancheck.cli import s3_diagonal_horn_certificate
 from kancheck.errors import RejectedInput
+from kancheck.kan import _blocks, _partial_fillers
 from kancheck.presets import eg_tensor_group, preset_bisimplicial, s3_counterexample
-from kancheck.simplicial import TruncatedSimplicialSet
+from kancheck.simplicial import Simplex, TruncatedSimplicialSet
 
 
 def announce(num: int, ok: bool, elapsed: float, text: str) -> None:
@@ -89,13 +87,14 @@ def test_criterion_2_partial_horn_oracle_equivalence():
         for n in range(1, 4):
             for size in range(1, n + 1):
                 for indices in itertools.combinations(range(n + 1), size):
-                    for fam in iter_compatible_families(f, n, indices):
-                        cert = fill_partial_horn(fam)
-                        assert cert.filled, (G.order, n, indices)
-                        for i, xi in fam.items():
-                            assert X.face(i, cert.witness) == xi
-                        assert brute_force_fill(fam).filled == cert.filled
-                        total += 1
+                    for ys, xs in _blocks(f, n, indices):
+                        ws, _ = _partial_fillers(f, n, indices, ys, xs)
+                        for y, w, *faces in zip(ys, ws, *xs):
+                            assert w is not None, (G.order, n, indices)
+                            for i, xi in zip(indices, faces):
+                                assert X.face(i, Simplex(n, w)) == Simplex(n - 1, xi)
+                            assert brute_force_fill(f, n, indices, faces, y).filled
+                            total += 1
     elapsed = time.perf_counter() - start
     announce(2, True, elapsed,
              f"recursive filler solved and brute force confirmed {total} partial "
@@ -116,9 +115,9 @@ def test_criterion_3_subgroup_pair_counterexample_certificate():
     )
 
     cert = s3_diagonal_horn_certificate()
+    # brute_force_fill refuses an incompatible family
     horn_ok = (
-        is_compatible(cert.family)
-        and cert.family.index_set == (0, 2)
+        cert.index_set == (0, 2)
         and not cert.filled
         and cert.candidates_examined
         == diagonal(preset_bisimplicial("s3-counterexample", 2, 2)).size(2)

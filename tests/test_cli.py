@@ -344,7 +344,52 @@ class TestReportContract:
         assert a.verdict_dict() == b.verdict_dict()
 
 
+# the two reports that carry a failure certificate, each with the path to
+# its certificate: the kan report's failure, and the counterexample's horn
+CERTIFIED_REPORTS = {
+    "kan-failure": (
+        ["kan", "--preset", "s3-counterexample",
+         "--construction", "double-nerve-diagonal", "--max-dim", "2"],
+        lambda data: data["checks"][0]["details"]["report"]["failure"],
+    ),
+    "counterexample-horn": (
+        ["counterexample", "--preset", "s3-counterexample"],
+        lambda data: next(
+            c for c in data["checks"] if c["name"] == "diagonal-horn-unfillable"
+        )["details"]["certificate"],
+    ),
+}
+
+
+def face_ref(family, t):
+    """The record of the family's face at its t-th index."""
+    return family["faces"][str(family["index_set"][t])]
+
+
+# every field of a certificate's family, each changed on its own
+FAMILY_TAMPERS = {
+    "first-face-id": lambda fam: face_ref(fam, 0).update(id=face_ref(fam, 0)["id"] + 1),
+    "second-face-id": lambda fam: face_ref(fam, 1).update(id=face_ref(fam, 1)["id"] - 1),
+    "face-label": lambda fam: face_ref(fam, 0).update(label="forged"),
+    "target-id": lambda fam: fam["target"].update(id=fam["target"]["id"] + 1),
+    "index-set": lambda fam: fam.update(index_set=fam["index_set"][::-1]),
+    "n": lambda fam: fam.update(n=fam["n"] + 1),
+}
+
+
 class TestReverify:
+    @pytest.mark.parametrize("field", sorted(FAMILY_TAMPERS))
+    @pytest.mark.parametrize("source", sorted(CERTIFIED_REPORTS))
+    def test_tampered_certificate_family_detected(self, source, field):
+        argv, certificate = CERTIFIED_REPORTS[source]
+        _, report = run_report(argv)
+        assert reverify_report(report)
+        data = detached_dict(report)
+        family = certificate(data)["family"]
+        FAMILY_TAMPERS[field](family)
+        assert family != certificate(detached_dict(report))["family"]
+        assert not reverify_report(RunReport.from_dict(data))
+
     def test_counterexample_witnesses_reverify(self):
         _, report = run_report(["counterexample", "--preset", "s3-counterexample"])
         assert reverify_report(report)

@@ -10,7 +10,6 @@ from kancheck import (
     cyclic_group,
     discrete_groupoid,
     eg_construction,
-    eg_simplex,
     nerve,
     one_object_groupoid,
     pi0,
@@ -205,16 +204,18 @@ class TestUniversalCover:
     def test_counts(self, eg_z2):
         assert eg_z2.counts == (2, 4, 8, 16)
 
-    def test_face_deletes_coordinate(self, z2, eg_z2):
-        x = eg_simplex(z2, (0, 1, 1))
-        assert eg_z2.face(1, x) == eg_simplex(z2, (0, 1))
-        assert eg_z2.face(0, x) == eg_simplex(z2, (1, 1))
-        assert eg_z2.face(2, x) == eg_simplex(z2, (0, 1))
+    # a simplex's id is its coordinates read as a numeral in base |G|, here
+    # 2: the 2-simplex (0, 1, 1) is id 0b011
+    def test_face_deletes_coordinate(self, eg_z2):
+        x = Simplex(2, 0b011)
+        assert eg_z2.face(1, x) == Simplex(1, 0b01)
+        assert eg_z2.face(0, x) == Simplex(1, 0b11)
+        assert eg_z2.face(2, x) == Simplex(1, 0b01)
 
-    def test_degeneracy_repeats_coordinate(self, z2, eg_z2):
-        x = eg_simplex(z2, (0, 1))
-        assert eg_z2.degeneracy(0, x) == eg_simplex(z2, (0, 0, 1))
-        assert eg_z2.degeneracy(1, x) == eg_simplex(z2, (0, 1, 1))
+    def test_degeneracy_repeats_coordinate(self, eg_z2):
+        x = Simplex(1, 0b01)
+        assert eg_z2.degeneracy(0, x) == Simplex(2, 0b001)
+        assert eg_z2.degeneracy(1, x) == Simplex(2, 0b011)
 
     def test_lawful(self, eg_z2):
         assert validate_simplicial_identities(eg_z2).ok

@@ -6,11 +6,10 @@ from collections import Counter
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
-from oracles import map_apply, simplices
+from oracles import compatible, map_apply, simplices
 
 import kancheck.kan
 from kancheck import (
-    CompatibleFamily,
     FiniteGroupoid,
     Simplex,
     SimplicialMap,
@@ -22,10 +21,7 @@ from kancheck import (
     diagonal,
     double_nerve,
     eg_construction,
-    fill_partial_horn,
     group_pair_double_groupoid,
-    is_compatible,
-    iter_compatible_families,
     nerve,
     one_object_groupoid,
     point,
@@ -36,38 +32,68 @@ from kancheck import (
 )
 from kancheck.cli import group_from_input, load_input, subgroups_from_input
 from kancheck.errors import InternalInvariantError, RejectedInput
-from kancheck.kan import FibrationReport, FillCertificate, HornCellStats
+from kancheck.kan import (
+    FibrationReport,
+    FillCertificate,
+    HornCellStats,
+    _all_compatible,
+    _blocks,
+    _partial_fillers,
+)
 from kancheck.presets import preset_bisimplicial
 from kancheck.serialize import fibration_report_to_dict
 from kancheck.simplicial import GroupAction, TruncatedSimplicialSet, checked_orbits, gather
 
 
+# A family is ``(n, indices, faces, y)`` on raw ids: ``faces[t]`` is the id
+# in X_{n-1} at ``indices[t]``, y the target's id in Y_n.  So
+# ``brute_force_fill(f, *family)`` fills it.
+
+
 def restriction_family(f, x, indices):
     """The family cut out of an existing simplex: x_i = d_i x, y = f x."""
     X = f.domain
-    return CompatibleFamily.from_mapping(
-        f, x.dim, {i: X.face(i, x) for i in indices}, map_apply(f, x)
-    )
+    faces = tuple(X.face(i, x).idx for i in indices)
+    return x.dim, tuple(indices), faces, map_apply(f, x).idx
 
 
-def full_scan_fill(family):
+def engine_compatible(f, n, indices, faces, y):
+    """The engine's equation check on a block of one."""
+    return _all_compatible(f, n, indices, [y], [[x] for x in faces])
+
+
+def engine_families(f, n, indices):
+    """The rows of the engine's blocks (``kan._blocks``), as ``(faces, y)``."""
+    for ys, xs in _blocks(f, n, indices):
+        for y, *faces in zip(ys, *xs):
+            yield tuple(faces), y
+
+
+def partial_fill(f, n, indices, faces, y):
+    """``_partial_fillers`` on a block of one: ``(w or None, examined)``."""
+    [w], [examined] = _partial_fillers(f, n, indices, [y], [[x] for x in faces])
+    return w, examined
+
+
+def full_scan_fill(f, n, indices, faces, y):
     """The oracle: scan all of X_n in ascending id order for a filler.
 
-    Returns the first filler (or None) and the number of simplices examined.
+    Returns the first filler's id (or None) and the number of simplices
+    examined.
     """
-    X = family.f.domain
-    for x in simplices(X, family.n):
-        if map_apply(family.f, x) == family.target and all(
-            X.face(i, x) == xi for i, xi in family.items()
+    X = f.domain
+    for w in simplices(X, n):
+        if map_apply(f, w).idx == y and all(
+            X.face(i, w).idx == x for i, x in zip(indices, faces)
         ):
-            return x, x.idx + 1
-    return None, X.size(family.n)
+            return w.idx, w.idx + 1
+    return None, X.size(n)
 
 
 def fiber_families(f, n, indices):
     """The oracle enumeration: every face drawn from its whole f-fiber, found
     by a scan of all of X_{n-1} (no index), backtracking in ascending index
-    order, as (faces, target) pairs."""
+    order, as ``(faces, y)`` id pairs."""
     X, Y = f.domain, f.codomain
     for y in simplices(Y, n):
         required = [Y.face(i, y) for i in indices]
@@ -75,7 +101,7 @@ def fiber_families(f, n, indices):
         def extend(chosen):
             t = len(chosen)
             if t == len(indices):
-                yield tuple(chosen), y
+                yield tuple(x.idx for x in chosen), y.idx
                 return
             for x in simplices(X, n - 1):
                 if map_apply(f, x) == required[t] and (n < 2 or all(
@@ -88,19 +114,18 @@ def fiber_families(f, n, indices):
 
 
 def oracle_report(f, kind, max_dim, cells):
-    """The oracle sweep: the (n, k) cells filled in order over objects, with
-    families from fiber_families and fills from full_scan_fill."""
+    """The oracle sweep: the (n, k) cells filled in order, with families
+    from fiber_families and fills from full_scan_fill."""
     done = []
     for n, k in cells:
         indices = tuple(i for i in range(n + 1) if i != k)
         families = filled = 0
         for faces, y in fiber_families(f, n, indices):
             families += 1
-            family = CompatibleFamily(f, n, indices, faces, y)
-            witness, examined = full_scan_fill(family)
+            witness, examined = full_scan_fill(f, n, indices, faces, y)
             if witness is None:
                 done.append(HornCellStats(n, k, families, filled))
-                failure = FillCertificate(family, None, examined)
+                failure = FillCertificate(f, n, indices, faces, y, None, examined)
                 return FibrationReport(kind, max_dim, tuple(done), failure)
             filled += 1
         done.append(HornCellStats(n, k, families, filled))
@@ -155,10 +180,14 @@ DIFFERENTIAL_MAPS = (
 
 
 class TestCompatibility:
+    """The engine's equation check, on blocks of one, against the
+    per-simplex oracle."""
+
     def test_restriction_is_compatible(self, s3_nerve_map):
         for x in simplices(s3_nerve_map.domain, 3):
             fam = restriction_family(s3_nerve_map, x, (0, 2, 3))
-            assert is_compatible(fam)
+            assert engine_compatible(s3_nerve_map, *fam)
+            assert compatible(s3_nerve_map, *fam)
 
     def test_mismatched_target_face_incompatible(self, z2_nerve):
         # against the identity map, f x_i = x_i must equal d_i y on the nose
@@ -168,31 +197,32 @@ class TestCompatibility:
             z2_nerve, z2_nerve,
             [list(range(z2_nerve.counts[n])) for n in range(z2_nerve.bound + 1)],
         )
-        y = Simplex(2, 3)
-        right = CompatibleFamily.from_mapping(
-            ident, 2, {0: z2_nerve.face(0, y)}, y
-        )
-        wrong_face = next(
-            Simplex(1, k) for k in range(z2_nerve.size(1))
-            if Simplex(1, k) != z2_nerve.face(0, y)
-        )
-        wrong = CompatibleFamily.from_mapping(ident, 2, {0: wrong_face}, y)
-        assert is_compatible(right)
-        assert not is_compatible(wrong)
+        y = 3
+        right = z2_nerve.face(0, Simplex(2, y)).idx
+        wrong = next(k for k in range(z2_nerve.size(1)) if k != right)
+        assert engine_compatible(ident, 2, (0,), (right,), y)
+        assert not engine_compatible(ident, 2, (0,), (wrong,), y)
+        assert not compatible(ident, 2, (0,), (wrong,), y)
+        with pytest.raises(RejectedInput, match="not compatible"):
+            brute_force_fill(ident, 2, (0,), (wrong,), y)
 
     def test_dimension_mismatch_rejected(self, z2_nerve_map):
-        with pytest.raises(RejectedInput):
-            CompatibleFamily.from_mapping(
-                z2_nerve_map, 2, {0: Simplex(0, 0)}, Simplex(2, 0)
-            )
-        with pytest.raises(RejectedInput):
-            CompatibleFamily.from_mapping(
-                z2_nerve_map, 2, {0: Simplex(1, 0)}, Simplex(1, 0)
-            )
-        with pytest.raises(RejectedInput):
-            CompatibleFamily.from_mapping(
-                z2_nerve_map, 2, {3: Simplex(1, 0)}, Simplex(2, 0)
-            )
+        # a family whose dimension, index set or ids do not fit the tables
+        # is refused before any search
+        X = z2_nerve_map.domain
+        for n, indices, faces, y in [
+            (0, (), (), 0),                    # ambient dimension below 1
+            (4, (0,), (0,), 0),                # ambient dimension past the bound
+            (2, (3,), (0,), 0),                # index outside [0, 2]
+            (2, (1, 0), (0, 0), 0),            # index set not increasing
+            (2, (0, 1), (0,), 0),              # one face too few
+            (2, (0,), (X.size(1),), 0),        # face id past X_1
+            (2, (0,), (-1,), 0),               # negative face id
+            (2, (0,), (0,), 1),                # target id past the point
+            (2, (0,), (0.0,), 0),              # a float is no id
+        ]:
+            with pytest.raises(RejectedInput):
+                brute_force_fill(z2_nerve_map, n, indices, faces, y)
 
     def test_vertex_incompatibility_at_n2(self, eg_z2):
         # on the universal cover the pairwise vertex equations genuinely bite
@@ -200,10 +230,9 @@ class TestCompatibility:
         flags = set()
         for a in range(eg_z2.size(1)):
             for b in range(eg_z2.size(1)):
-                fam = CompatibleFamily.from_mapping(
-                    f, 2, {0: Simplex(1, a), 1: Simplex(1, b)}, Simplex(2, 0)
-                )
-                flags.add(is_compatible(fam))
+                flag = engine_compatible(f, 2, (0, 1), (a, b), 0)
+                assert flag == compatible(f, 2, (0, 1), (a, b), 0)
+                flags.add(flag)
         assert flags == {True, False}
 
 
@@ -211,34 +240,29 @@ class TestBruteForceFill:
     def test_restriction_fills(self, z2_nerve_map):
         for x in simplices(z2_nerve_map.domain, 2):
             fam = restriction_family(z2_nerve_map, x, (0, 1))
-            cert = brute_force_fill(fam)
+            cert = brute_force_fill(z2_nerve_map, *fam)
             assert cert.filled
 
     def test_first_witness_in_id_order(self, z2_nerve_map):
-        fam = restriction_family(z2_nerve_map, Simplex(2, 0), (1,))
-        cert = brute_force_fill(fam)
+        n, indices, faces, y = restriction_family(z2_nerve_map, Simplex(2, 0), (1,))
+        cert = brute_force_fill(z2_nerve_map, n, indices, faces, y)
         others = [
-            x
+            x.idx
             for x in simplices(z2_nerve_map.domain, 2)
-            if z2_nerve_map.domain.face(1, x) == fam.faces[0]
+            if z2_nerve_map.domain.face(1, x).idx == faces[0]
         ]
         assert cert.witness == min(others)
 
     def test_incompatible_rejected(self, eg_z2):
         f = to_point_map(eg_z2)
-        bad = next(
-            fam
+        a, b = next(
+            (a, b)
             for a in range(eg_z2.size(1))
             for b in range(eg_z2.size(1))
-            for fam in [
-                CompatibleFamily.from_mapping(
-                    f, 2, {0: Simplex(1, a), 1: Simplex(1, b)}, Simplex(2, 0)
-                )
-            ]
-            if not is_compatible(fam)
+            if not compatible(f, 2, (0, 1), (a, b), 0)
         )
         with pytest.raises(RejectedInput):
-            brute_force_fill(bad)
+            brute_force_fill(f, 2, (0, 1), (a, b), 0)
 
     def test_unfillable_horn_examines_everything(self, s3_diag_map):
         X = s3_diag_map.domain
@@ -270,13 +294,13 @@ class TestIndexSearch:
             for indices in [()] + [
                 tuple(i for i in range(n + 1) if i != k) for k in range(-1, n + 1)
             ]:
-                families = list(iter_compatible_families(f, n, indices))
-                assert [(fam.faces, fam.target) for fam in families] == list(
-                    fiber_families(f, n, indices)
-                )
-                for fam in families:
-                    cert = brute_force_fill(fam)
-                    assert (cert.witness, cert.candidates_examined) == full_scan_fill(fam)
+                families = list(engine_families(f, n, indices))
+                assert families == list(fiber_families(f, n, indices))
+                for faces, y in families:
+                    cert = brute_force_fill(f, n, indices, faces, y)
+                    assert (cert.witness, cert.candidates_examined) == full_scan_fill(
+                        f, n, indices, faces, y
+                    )
                     unfilled += not cert.filled
         # some boundaries of the nerves and of the sign map, and a horn of the
         # S3 diagonal, do not fill; every family on the diagonal of EG x EG and
@@ -389,21 +413,21 @@ class TestGroupoidNerves:
         for n in range(1, X.bound + 1):
             for k in range(n + 1):
                 indices = tuple(i for i in range(n + 1) if i != k)
-                families = list(iter_compatible_families(f, n, indices))
-                assert [(fam.faces, fam.target) for fam in families] == list(
-                    fiber_families(f, n, indices)
-                )
-                for fam in families:
-                    cert = brute_force_fill(fam)
+                families = list(engine_families(f, n, indices))
+                assert families == list(fiber_families(f, n, indices))
+                for faces, y in families:
+                    cert = brute_force_fill(f, n, indices, faces, y)
                     assert cert.filled
-                    assert (cert.witness, cert.candidates_examined) == full_scan_fill(fam)
+                    assert (cert.witness, cert.candidates_examined) == full_scan_fill(
+                        f, n, indices, faces, y
+                    )
                 if n >= 2:
                     # one whole-table pass counts the fillers of every horn
                     tables = X._faces[n]
                     fillers = Counter(
                         tuple(tables[i][w] for i in indices) for w in range(X.size(n))
                     )
-                    assert [fillers[fam.ids] for fam in families] == [1] * len(families)
+                    assert [fillers[faces] for faces, _ in families] == [1] * len(families)
                     assert len(families) == X.size(n)
 
 
@@ -424,18 +448,19 @@ class TestIdEngineReports:
         assert trivial == oracle_report(to_point_map(f.domain), "trivial", d, trivial_cells)
 
     def test_passing_sweep_builds_no_family(self, eg_diag_map, s3_diag_map, monkeypatch):
+        # a family is built into a certificate only where it does not fill
         built = []
-        post_init = CompatibleFamily.__post_init__
+        post_init = FillCertificate.__post_init__
 
-        def counting(family):
-            built.append(family)
-            post_init(family)
+        def counting(cert):
+            built.append(cert)
+            post_init(cert)
 
-        monkeypatch.setattr(CompatibleFamily, "__post_init__", counting)
+        monkeypatch.setattr(FillCertificate, "__post_init__", counting)
         assert check_kan_fibration(eg_diag_map, 3).passed
         assert built == []
         report = check_kan_fibration(s3_diag_map, 2)
-        assert len(built) == 1 and built[0] is report.failure.family
+        assert len(built) == 1 and built[0] is report.failure
 
 
 class TestKanCheck:
@@ -455,9 +480,9 @@ class TestKanCheck:
         report = check_kan_fibration(s3_diag_map, 2)
         assert not report.passed
         fail = report.failure
-        assert fail.family.n == 2
-        assert len(fail.family.index_set) == 2
-        assert is_compatible(fail.family)
+        assert fail.n == 2
+        assert len(fail.index_set) == 2
+        assert compatible(s3_diag_map, fail.n, fail.index_set, fail.faces, fail.target)
 
     def test_bound_too_small_rejected(self, z2_nerve_map):
         with pytest.raises(RejectedInput):
@@ -592,20 +617,21 @@ class TestRowsVerifiedByWitness:
 
 
 class TestPartialHorn:
+    """``_partial_fillers`` on blocks of one."""
+
     def test_full_horn_delegates_to_oracle(self, z2_nerve_map):
         fam = restriction_family(z2_nerve_map, Simplex(2, 1), (0, 1))
-        direct = brute_force_fill(fam)
-        via = fill_partial_horn(fam)
-        assert via.witness == direct.witness
+        direct = brute_force_fill(z2_nerve_map, *fam)
+        assert partial_fill(z2_nerve_map, *fam) == (direct.witness, direct.candidates_examined)
 
     def test_z2_nerve_partial(self, z2_nerve_map):
         count = 0
-        for fam in iter_compatible_families(z2_nerve_map, 3, (0, 2)):
-            cert = fill_partial_horn(fam)
-            assert cert.filled
-            X = z2_nerve_map.domain
-            for i, x in fam.items():
-                assert X.face(i, cert.witness) == x
+        X = z2_nerve_map.domain
+        for faces, y in engine_families(z2_nerve_map, 3, (0, 2)):
+            w, _ = partial_fill(z2_nerve_map, 3, (0, 2), faces, y)
+            assert w is not None
+            for i, x in zip((0, 2), faces):
+                assert X.face(i, Simplex(3, w)).idx == x
             count += 1
         assert count == 8
 
@@ -614,17 +640,8 @@ class TestPartialHorn:
 
         diag_f = diagonal_map(eg_tensor_map)
         for k in range(3):
-            for fam in iter_compatible_families(diag_f, 2, (k,)):
-                assert fill_partial_horn(fam).filled
-
-    def test_index_set_size_bounds(self, z2_nerve_map):
-        fam = restriction_family(z2_nerve_map, Simplex(2, 1), (0, 1))
-        empty = CompatibleFamily(z2_nerve_map, 2, (), (), fam.target)
-        with pytest.raises(RejectedInput):
-            fill_partial_horn(empty)
-        boundary = restriction_family(z2_nerve_map, Simplex(2, 1), (0, 1, 2))
-        with pytest.raises(RejectedInput):
-            fill_partial_horn(boundary)
+            for faces, y in engine_families(diag_f, 2, (k,)):
+                assert partial_fill(diag_f, 2, (k,), faces, y)[0] is not None
 
     def test_oracle_failure_propagates(self, z2_nerve_map, monkeypatch):
         import kancheck.kan
@@ -632,11 +649,11 @@ class TestPartialHorn:
         monkeypatch.setattr(
             kancheck.kan, "_fillers", lambda f, n, indices, ys, xs: [None] * len(ys)
         )
-        fam = next(iter_compatible_families(z2_nerve_map, 3, (0, 2)))
-        cert = fill_partial_horn(fam)
-        assert not cert.filled
+        faces, y = next(engine_families(z2_nerve_map, 3, (0, 2)))
+        w, examined = partial_fill(z2_nerve_map, 3, (0, 2), faces, y)
+        assert w is None
         # the failure comes up from the full horn one dimension down, I = (0, 2)
-        assert cert.candidates_examined == z2_nerve_map.domain.size(2)
+        assert examined == z2_nerve_map.domain.size(2)
 
     def test_oracle_equivalence_on_kan_fixtures(self, request):
         # on a Kan-verified map, recursive filling succeeds exactly when the
@@ -648,9 +665,10 @@ class TestPartialHorn:
             for n in (1, 2):
                 for size in range(1, n + 1):
                     for indices in itertools.combinations(range(n + 1), size):
-                        for fam in iter_compatible_families(f, n, indices):
-                            filled = full_scan_fill(fam)[0] is not None
-                            assert fill_partial_horn(fam).filled == filled
+                        for faces, y in engine_families(f, n, indices):
+                            filled = full_scan_fill(f, n, indices, faces, y)[0] is not None
+                            w, _ = partial_fill(f, n, indices, faces, y)
+                            assert (w is not None) == filled
                             outcomes.add(filled)
             assert outcomes == ({True, False} if f is s3_diag_map else {True})
 
@@ -675,10 +693,10 @@ def standard_simplex(m, bound):
     return TruncatedSimplicialSet([len(level) for level in levels], faces, degens)
 
 
-# (witness id or None, candidates_examined) of fill_partial_horn for every
+# (witness id or None, candidates_examined) of a partial fill of every
 # compatible partial horn (1 <= |I| <= n <= 3) of Delta[2] -> point, in the
-# order iter_compatible_families gives them, recorded with the engine that
-# filled one family at a time
+# order the engine's blocks give them, recorded with the engine that filled
+# one family at a time
 PARTIAL_FILLS_OF_DELTA2 = {
     (1, (0,)): [(0, 1), (1, 2), (2, 3)],
     (1, (1,)): [(0, 1), (3, 4), (5, 6)],
@@ -778,10 +796,9 @@ class TestPartialFillBlocks:
                 rows_filled += zip(ws, examined)
                 mixed += None in ws and ws.count(None) < len(ws)
             assert rows_filled == pinned
-            certificates = map(fill_partial_horn, iter_compatible_families(f, n, indices))
             assert [
-                (None if c.witness is None else c.witness.idx, c.candidates_examined)
-                for c in certificates
+                partial_fill(f, n, indices, faces, y)
+                for faces, y in engine_families(f, n, indices)
             ] == pinned
         # a block of one row is never mixed; the larger blocks are
         assert (mixed == 0) == (rows == 1)
@@ -795,8 +812,8 @@ class TestTrivialFibration:
     def test_nerve_fails(self, z2_nerve):
         report = check_trivial_fibration_to_point(z2_nerve, 2)
         assert not report.passed
-        assert report.failure.family.n == 2
-        assert len(report.failure.family.index_set) == 3
+        assert report.failure.n == 2
+        assert len(report.failure.index_set) == 3
 
     def test_point_passes(self):
         assert check_trivial_fibration_to_point(point(2), 2).passed
@@ -1149,20 +1166,20 @@ class TestActionChecks:
 
 class TestCertificateIntegrity:
     def test_witness_reverified_on_construction(self, z2_nerve_map):
-        from kancheck.kan import FillCertificate
-
         fam = restriction_family(z2_nerve_map, Simplex(2, 1), (0, 1))
-        good = brute_force_fill(fam)
-        with pytest.raises(InternalInvariantError):
-            FillCertificate(fam, Simplex(1, 0), 1)
-        # a wrong-dimension witness is rejected too
-        with pytest.raises(InternalInvariantError):
-            FillCertificate(fam, Simplex(3, 0), 1)
-        # and so is a 2-simplex whose faces are not the family's
+        good = brute_force_fill(z2_nerve_map, *fam)
         X = z2_nerve_map.domain
+        # a witness id outside X_2 is rejected
+        for outside in (-1, X.size(2)):
+            with pytest.raises(InternalInvariantError, match="not in the domain"):
+                FillCertificate(z2_nerve_map, *fam, outside, 1)
+        # and so is a 2-simplex whose faces are not the family's
+        _, indices, faces, _ = fam
         wrong = next(
-            w for w in simplices(X, 2) if X.face(0, w) != fam.face(0) or X.face(1, w) != fam.face(1)
+            w.idx for w in simplices(X, 2)
+            if [X.face(i, w).idx for i in indices] != list(faces)
         )
         with pytest.raises(InternalInvariantError, match="witness face"):
-            FillCertificate(fam, wrong, wrong.idx + 1)
+            FillCertificate(z2_nerve_map, *fam, wrong, wrong + 1)
         assert good.filled
+        assert good == FillCertificate(z2_nerve_map, *fam, good.witness, good.witness + 1)

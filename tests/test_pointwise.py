@@ -2,18 +2,25 @@ import pytest
 from oracles import (
     BiSimplex,
     bimap_apply,
+    compatible,
     h_degeneracy,
     h_face,
-    map_apply,
     v_degeneracy,
     v_face,
 )
-from test_kan import fiber_families, full_scan_fill, rotated_index, s4_pair_diagonal
+from test_kan import (
+    engine_compatible,
+    engine_families,
+    fiber_families,
+    full_scan_fill,
+    partial_fill,
+    rotated_index,
+    s4_pair_diagonal,
+)
 
 import kancheck.kan
 import kancheck.pointwise
 from kancheck import (
-    CompatibleFamily,
     Simplex,
     SimplicialMap,
     brute_force_fill,
@@ -22,8 +29,6 @@ from kancheck import (
     cyclic_group,
     diagonal_map,
     eg_construction,
-    is_compatible,
-    iter_compatible_families,
     point_bisimplicial,
     symmetric_group_preset,
     tensor,
@@ -32,19 +37,24 @@ from kancheck import (
     verify_pointwise_fillers,
 )
 from kancheck.errors import InternalInvariantError, RejectedInput, TruncationError
-from kancheck.kan import FillCertificate, _partial_fillers
+from kancheck.kan import FillCertificate
 from kancheck.pointwise import SweepCell, _answer, _diagonal_family
 from kancheck.presets import preset_bisimplicial
 from kancheck.serialize import fibration_report_to_dict
 
 
+# A horn is a family ``(q, indices, faces, y)`` of a column map on raw ids,
+# as in test_kan: ``faces[t]`` at ``indices[t]``, all but one index of [q].
+
+
 def restriction_horn(f, w, missing):
     """The horn of column w.p cut out of an existing bisimplex w at vertical
     index missing."""
-    col_f = column_map(f, w.p)
+    X = column_map(f, w.p).domain
     x = Simplex(w.q, w.idx)
-    faces = {i: col_f.domain.face(i, x) for i in range(w.q + 1) if i != missing}
-    return CompatibleFamily.from_mapping(col_f, w.q, faces, map_apply(col_f, x))
+    indices = tuple(i for i in range(w.q + 1) if i != missing)
+    faces = tuple(X.face(i, x).idx for i in indices)
+    return w.q, indices, faces, bimap_apply(f, w).idx
 
 
 def repeat(op, X, index, times, x):
@@ -53,70 +63,72 @@ def repeat(op, X, index, times, x):
     return x
 
 
-def oracle_partial_fill(family):
-    """The object recursion: a full horn is scanned by full_scan_fill; otherwise
-    fill the family one dimension down at the largest missing index k, enlarge
-    by the answer, and fill again.  Returns (witness or None, examined)."""
-    X, Y = family.f.domain, family.f.codomain
-    n = family.n
-    if len(family.index_set) == n:
-        return full_scan_fill(family)
-    k = max(i for i in range(n + 1) if i not in family.index_set)
-    sub_faces = {
-        i if i < k else i - 1: X.face(k - 1 if i < k else k, x) for i, x in family.items()
+def oracle_partial_fill(f, n, indices, faces, y):
+    """The recursion over simplices: a full horn is scanned by
+    full_scan_fill; otherwise fill the family one dimension down at the
+    largest missing index k, enlarge by the answer, and fill again.  Returns
+    (witness id or None, examined)."""
+    X, Y = f.domain, f.codomain
+    if len(indices) == n:
+        return full_scan_fill(f, n, indices, faces, y)
+    k = max(i for i in range(n + 1) if i not in indices)
+    # re-indexing keeps the order, so each dict below is in index order
+    sub = {
+        i if i < k else i - 1: X.face(k - 1 if i < k else k, Simplex(n - 1, x)).idx
+        for i, x in zip(indices, faces)
     }
-    sub = CompatibleFamily.from_mapping(family.f, n - 1, sub_faces, Y.face(k, family.target))
-    assert is_compatible(sub)
-    x_k, examined = oracle_partial_fill(sub)
+    sub_family = (n - 1, tuple(sub), tuple(sub.values()), Y.face(k, Simplex(n, y)).idx)
+    assert compatible(f, *sub_family)
+    x_k, examined = oracle_partial_fill(f, *sub_family)
     if x_k is None:
         return None, examined
-    enlarged = CompatibleFamily.from_mapping(
-        family.f, n, {**dict(family.items()), k: x_k}, family.target
-    )
-    assert is_compatible(enlarged)
-    w, more = oracle_partial_fill(enlarged)
+    enlarged = dict(sorted([*zip(indices, faces), (k, x_k)]))
+    enlarged_family = (n, tuple(enlarged), tuple(enlarged.values()), y)
+    assert compatible(f, *enlarged_family)
+    w, more = oracle_partial_fill(f, *enlarged_family)
     return w, examined + more
 
 
 def oracle_lift(f, p, horn, diag_f):
-    """One pointwise fill over objects: BiSimplex degeneracies up to the
-    diagonal, the object recursion there, BiSimplex faces back down.  Returns
+    """One pointwise fill over simplices: BiSimplex degeneracies up to the
+    diagonal, the recursion there, BiSimplex faces back down.  Returns
     (answer or None, examined)."""
     X, Y = f.domain, f.codomain
-    q = horn.n
-    l = next(i for i in range(q + 1) if i not in horn.index_set)
+    q, horn_indices, horn_faces, horn_y = horn
+    l = next(i for i in range(q + 1) if i not in horn_indices)
     n = p + q
     faces = {}
-    for i, face in horn.items():
-        x = BiSimplex(p, q - 1, face.idx)
+    for i, face in zip(horn_indices, horn_faces):
+        x = BiSimplex(p, q - 1, face)
         if i < l:
             x = repeat(v_degeneracy, X, l - 1, p, x)
             x = repeat(h_degeneracy, X, 0, l - 1, repeat(h_degeneracy, X, p, q - l, x))
-            faces[i] = Simplex(n - 1, x.idx)
+            faces[i] = x.idx
         else:
             x = repeat(v_degeneracy, X, l, p, x)
             x = repeat(h_degeneracy, X, 0, l, repeat(h_degeneracy, X, p, q - l - 1, x))
-            faces[p + i] = Simplex(n - 1, x.idx)
+            faces[p + i] = x.idx
         assert (x.p, x.q) == (n - 1, n - 1)
-    y = repeat(v_degeneracy, Y, l, p, BiSimplex(p, q, horn.target.idx))
+    y = repeat(v_degeneracy, Y, l, p, BiSimplex(p, q, horn_y))
     y = repeat(h_degeneracy, Y, 0, l, repeat(h_degeneracy, Y, p, q - l, y))
-    family = CompatibleFamily.from_mapping(diag_f, n, faces, Simplex(n, y.idx))
-    assert is_compatible(family)
-    w, examined = oracle_partial_fill(family)
+    indices = tuple(sorted(faces))
+    family = (n, indices, tuple(faces[i] for i in indices), y.idx)
+    assert compatible(diag_f, *family)
+    w, examined = oracle_partial_fill(diag_f, *family)
     if w is None:
         return None, examined
-    x = repeat(v_face, X, l, p, BiSimplex(n, n, w.idx))
+    x = repeat(v_face, X, l, p, BiSimplex(n, n, w))
     x = repeat(h_face, X, p + 1, q - l, repeat(h_face, X, 0, l, x))
     assert (x.p, x.q) == (p, q)
-    for i, xi in horn.items():
-        assert v_face(X, i, x) == BiSimplex(p, q - 1, xi.idx)
-    assert bimap_apply(f, x) == BiSimplex(p, q, horn.target.idx)
+    for i, xi in zip(horn_indices, horn_faces):
+        assert v_face(X, i, x) == BiSimplex(p, q - 1, xi)
+    assert bimap_apply(f, x) == BiSimplex(p, q, horn_y)
     return x, examined
 
 
 def oracle_cells(f, max_total_dim):
-    """The sweep's cells over objects: horns from fiber_families, each lifted
-    by oracle_lift."""
+    """The sweep's cells over simplices: horns from fiber_families, each
+    lifted by oracle_lift."""
     diag_f = diagonal_map(f)
     cells = []
     for p in range(max_total_dim):
@@ -126,8 +138,7 @@ def oracle_cells(f, max_total_dim):
                 indices = tuple(i for i in range(q + 1) if i != missing)
                 problems = filled = max_search = 0
                 for faces, y in fiber_families(col_f, q, indices):
-                    horn = CompatibleFamily(col_f, q, indices, faces, y)
-                    x, examined = oracle_lift(f, p, horn, diag_f)
+                    x, examined = oracle_lift(f, p, (q, indices, faces, y), diag_f)
                     problems += 1
                     filled += x is not None
                     max_search = max(max_search, examined)
@@ -136,43 +147,41 @@ def oracle_cells(f, max_total_dim):
 
 
 def diagonal_family(f, p, horn, diag_f=None):
-    """``_diagonal_family`` of an object horn of column p, as a block of one,
+    """``_diagonal_family`` of a horn of column p, as a block of one,
     returned as ``(n, indices, faces, y)``."""
-    l = next(i for i in range(horn.n + 1) if i not in horn.index_set)
+    q, horn_indices, faces, y = horn
+    l = next(i for i in range(q + 1) if i not in horn_indices)
     diag_f = diag_f or diagonal_map(f)
-    n, indices, [y], xs = _diagonal_family(f, diag_f, p, horn.n, l, *horn.block())
+    n, indices, [y], xs = _diagonal_family(f, diag_f, p, q, l, [y], [[x] for x in faces])
     return n, indices, tuple(x for [x] in xs), y
-
-
-def partial_fill(diag_f, n, indices, faces, y):
-    """``_partial_fillers`` on a block of one: ``(w or None, examined)``."""
-    [w], [examined] = _partial_fillers(diag_f, n, indices, [y], [[x] for x in faces])
-    return w, examined
 
 
 def answer(f, p, missing, horn, w):
     """``_answer`` of one diagonal filler w of a horn of column p."""
-    [x] = _answer(f, p, horn.n, missing, horn.index_set, *horn.block(), [w])
+    q, indices, faces, y = horn
+    [x] = _answer(f, p, q, missing, indices, [y], [[x] for x in faces], [w])
     return x
 
 
 class TestProblemValidation:
     def test_restriction_is_compatible(self, eg_tensor_map):
+        col_f = column_map(eg_tensor_map, 1)
         for missing in range(3):
             horn = restriction_horn(eg_tensor_map, BiSimplex(1, 2, 17), missing)
-            assert is_compatible(horn)
-            assert horn.index_set == tuple(i for i in range(3) if i != missing)
+            assert engine_compatible(col_f, *horn) and compatible(col_f, *horn)
+            assert horn[1] == tuple(i for i in range(3) if i != missing)
 
     def test_dimension_mismatch_rejected(self, eg_tensor_map):
+        # a face id past X_{1,1}, and an index outside [0, 2], are refused
         col_f = column_map(eg_tensor_map, 1)
         with pytest.raises(RejectedInput):
-            CompatibleFamily(col_f, 2, (1, 2), (Simplex(1, 0), Simplex(0, 0)), Simplex(2, 0))
+            brute_force_fill(col_f, 2, (1, 2), (0, col_f.domain.size(1)), 0)
         with pytest.raises(RejectedInput):
-            CompatibleFamily(col_f, 2, (0, 3), (Simplex(1, 0), Simplex(1, 1)), Simplex(2, 0))
+            brute_force_fill(col_f, 2, (0, 3), (0, 1), 0)
 
     def test_q_zero_rejected(self, eg_tensor_map):
         with pytest.raises(RejectedInput):
-            CompatibleFamily(column_map(eg_tensor_map, 1), 0, (), (), Simplex(0, 0))
+            brute_force_fill(column_map(eg_tensor_map, 1), 0, (), (), 0)
 
 
 class TestBuildDiagonalFamily:
@@ -184,7 +193,7 @@ class TestBuildDiagonalFamily:
         horn = restriction_horn(eg_tensor_map, BiSimplex(p, 1, 5), 1)
         n, indices, faces, _ = diagonal_family(eg_tensor_map, p, horn)
         assert indices == (0,)
-        lifted = BiSimplex(p, 0, horn.face(0).idx)
+        lifted = BiSimplex(p, 0, horn[2][0])
         for _ in range(p):
             lifted = v_degeneracy(X, 0, lifted)
         assert (n, faces[0]) == (p + 1, lifted.idx)
@@ -208,26 +217,21 @@ class TestBuildDiagonalFamily:
         seen = 0
         for missing in range(3):
             indices = tuple(i for i in range(3) if i != missing)
-            for horn in iter_compatible_families(col_f, 2, indices):
-                fam = diagonal_family(eg_tensor_map, 1, horn, diag_f)
-                assert is_compatible(CompatibleFamily.of_ids(diag_f, *fam))
+            for faces, y in engine_families(col_f, 2, indices):
+                fam = diagonal_family(eg_tensor_map, 1, (2, indices, faces, y), diag_f)
+                assert compatible(diag_f, *fam)
                 seen += 1
         assert seen > 0
 
     def test_incompatible_problem_rejected(self, eg_tensor_map):
         col_f = column_map(eg_tensor_map, 1)
         # two faces whose shared vertex data disagrees
-        found = None
-        for a in range(col_f.domain.size(1)):
-            for b in range(col_f.domain.size(1)):
-                horn = CompatibleFamily(
-                    col_f, 2, (0, 1), (Simplex(1, a), Simplex(1, b)), Simplex(2, 0)
-                )
-                if not is_compatible(horn):
-                    found = horn
-                    break
-            if found:
-                break
+        found = next(
+            (2, (0, 1), (a, b), 0)
+            for a in range(col_f.domain.size(1))
+            for b in range(col_f.domain.size(1))
+            if not compatible(col_f, 2, (0, 1), (a, b), 0)
+        )
         # the degenerated family is re-checked, and an incompatible horn fails it
         with pytest.raises(InternalInvariantError):
             diagonal_family(eg_tensor_map, 1, found)
@@ -246,8 +250,8 @@ class TestPointwiseFiller:
                 )
                 assert w_diag is not None
                 x = answer(eg_tensor_map, p, missing, horn, w_diag)
-                for i, xi in horn.items():
-                    assert v_face(X, i, BiSimplex(p, q, x)) == BiSimplex(p, q - 1, xi.idx)
+                for i, xi in zip(horn[1], horn[2]):
+                    assert v_face(X, i, BiSimplex(p, q, x)) == BiSimplex(p, q - 1, xi)
 
     def test_lift_records_trace(self, eg_tensor_map):
         # one lift step by step: the horn of column 1 that leaves out 0 becomes
@@ -566,17 +570,19 @@ class TestIdSweep:
 
     def test_passing_sweep_builds_no_objects(self, eg_tensor_map, monkeypatch):
         built = []
-        for cls in (CompatibleFamily, FillCertificate):
-            def counting(obj, post_init=cls.__post_init__):
-                built.append(obj)
-                post_init(obj)
+        post_init = FillCertificate.__post_init__
 
-            monkeypatch.setattr(cls, "__post_init__", counting)
+        def counting(cert):
+            built.append(cert)
+            post_init(cert)
+
+        monkeypatch.setattr(FillCertificate, "__post_init__", counting)
         assert verify_pointwise_fillers(eg_tensor_map, 3).passed
         assert built == []
-        # the counters do see the objects an object-level fill builds
-        brute_force_fill(restriction_horn(eg_tensor_map, BiSimplex(1, 1, 3), 0))
-        assert {type(x) for x in built} == {CompatibleFamily, FillCertificate}
+        # the counter does see the certificate a single fill makes
+        col_f = column_map(eg_tensor_map, 1)
+        brute_force_fill(col_f, *restriction_horn(eg_tensor_map, BiSimplex(1, 1, 3), 0))
+        assert [type(x) for x in built] == [FillCertificate]
 
 
 def actionless_diagonal_map(f):

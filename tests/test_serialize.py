@@ -1,7 +1,6 @@
 import json
 
 from kancheck import (
-    CompatibleFamily,
     Simplex,
     brute_force_fill,
     check_kan_fibration,
@@ -34,14 +33,14 @@ class TestSetRoundTrips:
 class TestCertificates:
     def test_certificate_embeds_witness(self, z2_nerve_map):
         X = z2_nerve_map.domain
-        fam = CompatibleFamily.from_mapping(
-            z2_nerve_map, 2, {0: X.face(0, Simplex(2, 3))}, Simplex(2, 0)
-        )
-        cert = brute_force_fill(fam)
+        cert = brute_force_fill(z2_nerve_map, 2, (0,), (X.face(0, Simplex(2, 3)).idx,), 0)
         data = certificate_to_dict(cert)
         json.dumps(data)
         assert data["outcome"] == "filled"
-        assert data["witness"]["id"] == cert.witness.idx
+        assert data["witness"] == {
+            "dim": 2, "id": cert.witness, "label": X.label(Simplex(2, cert.witness))
+        }
+        assert data["family"]["faces"]["0"]["label"] == X.label(X.face(0, Simplex(2, 3)))
 
     def test_fibration_report_dict(self, z2_nerve_map):
         data = fibration_report_to_dict(check_kan_fibration(z2_nerve_map, 3))
@@ -55,13 +54,11 @@ class TestCertificates:
         data = fibration_report_to_dict(report)
         assert data["failure"]["outcome"] == "unfillable"
         record = data["failure"]["family"]
-        fam = CompatibleFamily.from_mapping(
-            to_point_map(X),
-            record["n"],
-            {int(i): Simplex(ref["dim"], ref["id"]) for i, ref in record["faces"].items()},
-            Simplex(record["target"]["dim"], record["target"]["id"]),
+        faces = {int(i): ref["id"] for i, ref in record["faces"].items()}
+        again = brute_force_fill(
+            to_point_map(X), record["n"], record["index_set"],
+            [faces[i] for i in record["index_set"]], record["target"]["id"],
         )
-        again = brute_force_fill(fam)
         assert not again.filled
         assert again.candidates_examined == data["failure"]["candidates_examined"]
 

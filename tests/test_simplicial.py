@@ -192,6 +192,20 @@ class TestSimplicialMap:
         with pytest.raises(RejectedInput):
             SimplicialMap(z2_nerve, z2_nerve, twisted)
 
+    @pytest.mark.parametrize("component, message", [
+        ([0, 0.0], "entry 0.0 is a float, not an int"),
+        ([0], "expected 2 entries, got 1"),
+        ([0, 1], r"entry 1 outside range\(0, 1\)"),
+    ], ids=["float", "short", "out-of-range"])
+    def test_validating_map_refuses_a_bad_component(self, z2_nerve, component, message):
+        # only the package's own maps, valid by construction, skip the checks
+        pt = point(z2_nerve.bound)
+        comps = [(0,) * count for count in z2_nerve.counts]
+        assert SimplicialMap(z2_nerve, pt, comps, validate=False).components[1] is comps[1]
+        comps[1] = component
+        with pytest.raises(RejectedInput, match=f"^component 1: {message}$"):
+            SimplicialMap(z2_nerve, pt, comps)
+
     def test_fibers_ascending(self, z2_nerve):
         f = to_point_map(z2_nerve)
         fib = f.fiber(2, 0)
