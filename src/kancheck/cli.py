@@ -20,6 +20,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Any, Sequence
 
 from .bisimplicial import (
@@ -577,7 +578,7 @@ def reverify_report(report: RunReport) -> bool:
             if item is not None:
                 argv += [flag, str(item)]
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         fresh = args.func(args)
     except (RejectedInput, SystemExit):
         return False
@@ -635,8 +636,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it as it was, so
+    ``run`` and ``reverify_report`` share it."""
+    return build_parser()
+
+
 def run(argv: Sequence[str] | None = None) -> tuple[int, RunReport | None]:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report: RunReport = args.func(args)
     except RejectedInput as exc:

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import Sequence
 
 from .bisimplicial import TruncatedBisimplicialSet
 from .errors import RejectedInput
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _by_value, _first_nonassociative
 from .groupoids import (
     FiniteGroupoid,
     NerveLayout,
@@ -54,11 +55,22 @@ class DoubleGroupoid:
     of both compositions, identity and inverse laws, associativity, the
     interchange law, and agreement of the two identity squares on identity
     arrows.  Violations are rejected with a witness in the message.
+
+    The squares are bucketed by their left and by their top edges, so every
+    check visits only composable pairs: the composites of a square are taken
+    with the squares whose left edge is its right edge and whose top edge is
+    its bottom edge, an inverse is searched among those, and the interchange
+    law runs over the 2x2 grids, the pairs under a composable pair found by
+    their top edges.  Each visits its pairs in the order of a loop over all
+    of them, so the first violation named is the same.  Associativity of each
+    composition is decided by Light's test
+    (:func:`kancheck.groups._first_nonassociative`), on the middle squares of
+    a generating set, and scanned in full only on a failure.
     """
 
     __slots__ = ("horizontal", "vertical", "squares", "_square_index",
                  "_h_comp", "_v_comp", "h_identity", "v_identity",
-                 "h_composites", "v_composites")
+                 "h_composites", "v_composites", "_edges", "_by_left", "_by_top")
 
     def __init__(
         self,
@@ -71,7 +83,10 @@ class DoubleGroupoid:
         self.horizontal = horizontal
         self.vertical = vertical
         self.squares = tuple(squares)
-        self._square_index = {sq: k for k, sq in enumerate(self.squares)}
+        # a square is its boundary, so the index is keyed by the edge tuple
+        boundaries = [(sq.top, sq.right, sq.bottom, sq.left) for sq in self.squares]
+        self._square_index = {key: k for k, key in enumerate(boundaries)}
+        self._edges = tuple(zip(*boundaries))
         if len(self._square_index) != len(self.squares):
             raise RejectedInput("duplicate squares")
         h, v = horizontal, vertical
@@ -86,34 +101,26 @@ class DoubleGroupoid:
                 raise RejectedInput(f"{sq}: bottom and left edges miss each other")
 
         self.v_identity = tuple(
-            self._locate(Square(a, v.identity(h.arrow_source[a]), a,
-                                v.identity(h.arrow_target[a])),
+            self._locate((a, v.identity(h.arrow_source[a]), a, v.identity(h.arrow_target[a])),
                          "vertical identity square of horizontal arrow {}", a)
             for a in range(h.n_arrows)
         )
         self.h_identity = tuple(
-            self._locate(Square(h.identity(v.arrow_target[b]), b,
-                                h.identity(v.arrow_source[b]), b),
+            self._locate((h.identity(v.arrow_target[b]), b, h.identity(v.arrow_source[b]), b),
                          "horizontal identity square of vertical arrow {}", b)
             for b in range(v.n_arrows)
         )
 
+        # the squares to the right of s are those whose left edge is s's
+        # right edge, and the squares below s those whose top edge is s's
+        # bottom edge
+        tops, _, _, lefts = self._edges
+        self._by_left = _by_value(lefts)
+        self._by_top = _by_value(tops)
         self._h_comp: dict[tuple[int, int], int] = {}
         self._v_comp: dict[tuple[int, int], int] = {}
         for s_id, s in enumerate(self.squares):
-            for t_id, t in enumerate(self.squares):
-                if s.right == t.left:
-                    self._h_comp[(s_id, t_id)] = self._locate(
-                        Square(h.compose(s.top, t.top), t.right,
-                               h.compose(s.bottom, t.bottom), s.left),
-                        "horizontal composite of {} and {}", s, t,
-                    )
-                if s.bottom == t.top:
-                    self._v_comp[(s_id, t_id)] = self._locate(
-                        Square(s.top, v.compose(s.right, t.right),
-                               t.bottom, v.compose(s.left, t.left)),
-                        "vertical composite of {} and {}", s, t,
-                    )
+            self._compose_with(s_id, s)
         # both dicts hold the composable pairs (s, t), s ascending and then t
         # ascending: the order of level 2 in the nerves of the square groupoids
         self.h_composites = tuple(self._h_comp.values())
@@ -126,16 +133,43 @@ class DoubleGroupoid:
                     f"identity squares disagree on the identity arrows at object {obj}"
                 )
 
-    def _locate(self, sq: Square, what: str, *args: object) -> int:
-        """The id of ``sq``; only a miss formats ``what`` with ``args``."""
+    def _locate(self, edges: tuple[int, int, int, int], what: str, *args: object) -> int:
+        """The id of the square with ``edges`` (top, right, bottom, left);
+        only a miss formats ``what`` with ``args``."""
         try:
-            return self._square_index[sq]
+            return self._square_index[edges]
         except KeyError:
             raise RejectedInput(f"{what.format(*args)} is missing from the square set") from None
 
+    def _compose_with(self, s_id: int, s: Square) -> None:
+        """Record the composites of s with each square to its right and each
+        square below it.  A missing composite is named as a loop over t, the
+        horizontal composite of (s, t) before the vertical one, meets it."""
+        h, v, index = self.horizontal, self.vertical, self._square_index
+        tops, rights, bottoms, lefts = self._edges
+        right, below = self._by_left.get(s.right, []), self._by_top.get(s.bottom, [])
+        across = list(zip(
+            map(h.compose, repeat(s.top), gather(tops, right)), gather(rights, right),
+            map(h.compose, repeat(s.bottom), gather(bottoms, right)), repeat(s.left),
+        ))
+        down = list(zip(
+            repeat(s.top), map(v.compose, repeat(s.right), gather(rights, below)),
+            gather(bottoms, below), map(v.compose, repeat(s.left), gather(lefts, below)),
+        ))
+        across_ids, down_ids = list(map(index.get, across)), list(map(index.get, down))
+        if None in across_ids or None in down_ids:
+            t, vertical, edges = min(
+                [(t, 0, e) for t, e, k in zip(right, across, across_ids) if k is None]
+                + [(t, 1, e) for t, e, k in zip(below, down, down_ids) if k is None]
+            )
+            self._locate(edges, ("vertical" if vertical else "horizontal")
+                         + " composite of {} and {}", s, self.squares[t])
+        self._h_comp.update(zip(zip(repeat(s_id), right), across_ids))
+        self._v_comp.update(zip(zip(repeat(s_id), below), down_ids))
+
     def _validate_groupoid_laws(self) -> None:
-        n = len(self.squares)
-        for s_id, s in enumerate(self.squares):
+        sq, h_comp, v_comp = self.squares, self._h_comp, self._v_comp
+        for s_id, s in enumerate(sq):
             if self.h_compose(s_id, self.h_identity[s.right]) != s_id:
                 raise RejectedInput(f"horizontal right identity law fails at {s}")
             if self.h_compose(self.h_identity[s.left], s_id) != s_id:
@@ -145,50 +179,69 @@ class DoubleGroupoid:
             if self.v_compose(self.v_identity[s.top], s_id) != s_id:
                 raise RejectedInput(f"vertical upper identity law fails at {s}")
             if not any(
-                self._h_comp[(s_id, t_id)] == self.h_identity[s.left]
-                and self._h_comp[(t_id, s_id)] == self.h_identity[s.right]
-                for t_id, t in enumerate(self.squares)
-                if t.left == s.right and t.right == s.left
+                h_comp[(s_id, t)] == self.h_identity[s.left]
+                and h_comp[(t, s_id)] == self.h_identity[s.right]
+                for t in self._by_left.get(s.right, ()) if sq[t].right == s.left
             ):
                 raise RejectedInput(f"{s} has no horizontal inverse")
             if not any(
-                self._v_comp[(s_id, t_id)] == self.v_identity[s.top]
-                and self._v_comp[(t_id, s_id)] == self.v_identity[s.bottom]
-                for t_id, t in enumerate(self.squares)
-                if t.top == s.bottom and t.bottom == s.top
+                v_comp[(s_id, t)] == self.v_identity[s.top]
+                and v_comp[(t, s_id)] == self.v_identity[s.bottom]
+                for t in self._by_top.get(s.bottom, ()) if sq[t].bottom == s.top
             ):
                 raise RejectedInput(f"{s} has no vertical inverse")
-        for (a, b), ab in self._h_comp.items():
-            for c in range(n):
-                if (b, c) in self._h_comp:
-                    if self.h_compose(ab, c) != self.h_compose(a, self._h_comp[(b, c)]):
-                        raise RejectedInput(f"horizontal associativity fails at ({a},{b},{c})")
-        for (a, b), ab in self._v_comp.items():
-            for c in range(n):
-                if (b, c) in self._v_comp:
-                    if self.v_compose(ab, c) != self.v_compose(a, self._v_comp[(b, c)]):
-                        raise RejectedInput(f"vertical associativity fails at ({a},{b},{c})")
+        # horizontally a square runs from its right edge to its left edge,
+        # vertically from its bottom edge to its top edge
+        tops, rights, bottoms, lefts = self._edges
+        for name, comp, compose, after, source, target, identities in (
+            ("horizontal", h_comp, self.h_compose, self._by_left, rights, lefts, self.h_identity),
+            ("vertical", v_comp, self.v_compose, self._by_top, bottoms, tops, self.v_identity),
+        ):
+            rows = [list(map(comp.__getitem__, zip(repeat(a), after.get(source[a], ()))))
+                    for a in range(len(sq))]
+            triple = _first_nonassociative(rows, compose, source, target, identities)
+            if triple is not None:
+                a, b, c = triple
+                raise RejectedInput(f"{name} associativity fails at ({a},{b},{c})")
 
     def _validate_interchange(self) -> None:
-        for (s, t), st in self._h_comp.items():
-            for (g, d), gd in self._h_comp.items():
-                if (s, g) in self._v_comp and (t, d) in self._v_comp:
-                    lhs = self.v_compose(st, gd)
-                    rhs = self.h_compose(self._v_comp[(s, g)], self._v_comp[(t, d)])
-                    if lhs != rhs:
-                        raise RejectedInput(
-                            f"interchange law fails at squares ({s},{t},{g},{d})"
-                        )
+        """``(s | t) / (g | d) == (s / g) | (t / d)`` on every 2x2 grid of
+        squares, ``|`` composing horizontally and ``/`` vertically.  The
+        grids of a composable pair (s, t) are the composable pairs (g, d)
+        whose top edges are the bottom edges of s and t; each pair's grids are
+        compared as whole columns, and only a pair with a mismatch is walked
+        grid by grid for the message."""
+        sq, h_comp, v_comp = self.squares, self._h_comp, self._v_comp
+        under: dict[tuple[int, int], tuple[list[int], list[int], list[int]]] = {}
+        for (g, d), gd in h_comp.items():
+            gs, ds, gds = under.setdefault((sq[g].top, sq[d].top), ([], [], []))
+            gs.append(g)
+            ds.append(d)
+            gds.append(gd)
+        v_get, h_get = v_comp.get, h_comp.get
+        for (s, t), st in h_comp.items():
+            gs, ds, gds = under.get((sq[s].bottom, sq[t].bottom), ([], [], []))
+            lhs = list(map(v_get, zip(repeat(st), gds)))
+            below = zip(map(v_get, zip(repeat(s), gs)), map(v_get, zip(repeat(t), ds)))
+            if lhs == list(map(h_get, below)) and None not in lhs:
+                continue
+            for g, d, gd in zip(gs, ds, gds):
+                lhs_sq = self.v_compose(st, gd)
+                rhs_sq = self.h_compose(v_comp[(s, g)], v_comp[(t, d)])
+                if lhs_sq != rhs_sq:
+                    raise RejectedInput(
+                        f"interchange law fails at squares ({s},{t},{g},{d})"
+                    )
 
     @property
     def n_squares(self) -> int:
         return len(self.squares)
 
     def square_id(self, sq: Square) -> int:
-        return self._locate(sq, "square {}", sq)
+        return self._locate((sq.top, sq.right, sq.bottom, sq.left), "square {}", sq)
 
     def has_square(self, sq: Square) -> bool:
-        return sq in self._square_index
+        return (sq.top, sq.right, sq.bottom, sq.left) in self._square_index
 
     def h_compose(self, s: int, t: int) -> int:
         """s to the left of t; requires s.right == t.left."""
@@ -242,28 +295,21 @@ def group_pair_double_groupoid(
     B = tuple(sorted(set(B)))
     h = one_object_groupoid(GA)
     v = one_object_groupoid(GB)
-    squares = [
-        Square(ta, rb, ba, lb)
-        for ta, a in enumerate(A)
-        for rb, b in enumerate(B)
-        for ba, a2 in enumerate(A)
-        for lb, b2 in enumerate(B)
-        if G.mul(a, b) == G.mul(b2, a2)
-    ]
+    # a*b == b'*a' leaves one candidate b' = a*b*a'^-1 for each (a, b, a')
+    rank_b = {b: k for k, b in enumerate(B)}
+    squares = []
+    for ta, a in enumerate(A):
+        for rb, b in enumerate(B):
+            ab = G.mul(a, b)
+            for ba, a2 in enumerate(A):
+                lb = rank_b.get(G.mul(ab, G.inv(a2)))
+                if lb is not None:
+                    squares.append(Square(ta, rb, ba, lb))
     return DoubleGroupoid(h, v, squares)
 
 
 def _matrix_label(column_label: Label, R: NerveLayout, p: int, idx: int) -> str:
     return ";".join(map(column_label, R.key(p, idx)))
-
-
-def _lift(
-    R: NerveLayout, R2: NerveLayout, p: int, T: Sequence[int], t: Sequence[int]
-) -> list[int]:
-    """The table of column p from row layout R to row layout R2, given the
-    same table of column p-1 (``T``) and of column 1 (``t``): each p-tuple
-    maps to ``(T parent, t last)``."""
-    return R2.encode(p, gather(T, R.parent[p]), gather(t, R.last[p]))
 
 
 def _double_nerve(
@@ -306,11 +352,9 @@ def _double_nerve(
     for q in range(1, Q + 1):
         if q > 1:
             parent, last = C1.parent[q], C1.last[q]
-            source = V.encode(q, gather(source, parent), gather(rights, last))
-            target = V.encode(q, gather(target, parent), gather(lefts, last))
-            identity = C1.encode(
-                q, gather(identity, V.parent[q]), gather(D.h_identity, V.last[q])
-            )
+            source = V.encode(q, source, parent, rights, last)
+            target = V.encode(q, target, parent, lefts, last)
+            identity = C1.encode(q, identity, V.parent[q], D.h_identity, V.last[q])
         R = NerveLayout(V.counts[q], source, target, P)
         if q > 1 and P >= 2:
             # a composite column is the composite of the two columns' first
@@ -319,10 +363,8 @@ def _double_nerve(
             left, right = R.parent[2], R.last[2]
             composites = C1.encode(
                 q,
-                gather(composites, layouts[q - 1].encode(
-                    2, gather(parent, left), gather(parent, right))),
-                gather(D.h_composites, layouts[1].encode(
-                    2, gather(last, left), gather(last, right))),
+                composites, layouts[q - 1].encode(2, parent, left, parent, right),
+                D.h_composites, layouts[1].encode(2, last, left, last, right),
             )
         labels = [col0._labels[q], column_labels[q]] + [
             partial(_matrix_label, column_labels[q], R, p) for p in range(2, P + 1)
@@ -331,17 +373,19 @@ def _double_nerve(
         layouts.append(R)
 
     # column p >= 2 reads column p-1 on the first p-1 columns of a p-tuple
-    # and column 1 on the last; one column's tables are in lists at a time
+    # and column 1 on the last: a p-tuple of row q maps to (T parent, t last)
+    # in row q -/+ 1, T and t the same table of columns p-1 and 1; one
+    # column's tables are in lists at a time
     columns = [col0, col1]
     for p in range(2, P + 1):
         prev = columns[-1]
         faces = [
-            [_lift(layouts[q], layouts[q - 1], p, T, t)
+            [layouts[q - 1].encode(p, T, layouts[q].parent[p], t, layouts[q].last[p])
              for T, t in zip(prev._faces[q], col1._faces[q])]
             for q in range(1, Q + 1)
         ]
         degens = [
-            [_lift(layouts[q], layouts[q + 1], p, T, t)
+            [layouts[q + 1].encode(p, T, layouts[q].parent[p], t, layouts[q].last[p])
              for T, t in zip(prev._degens[q], col1._degens[q])]
             for q in range(Q)
         ]

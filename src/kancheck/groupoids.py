@@ -24,7 +24,7 @@ from operator import add
 from typing import Sequence
 
 from .errors import RejectedInput
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _by_value, _first_nonassociative, _group_generators
 from .simplicial import (
     GroupAction,
     Label,
@@ -36,7 +36,17 @@ from .simplicial import (
 
 
 class FiniteGroupoid:
-    """Objects and invertible arrows with a partial composition table."""
+    """Objects and invertible arrows with a partial composition table.
+
+    Construction checks that composition is defined exactly on the composable
+    pairs, with the right endpoints, that the identity laws hold, that it is
+    associative and that every arrow has an inverse.  Associativity is decided
+    by Light's test (:func:`kancheck.groups._first_nonassociative`): only
+    triples whose middle arrow is in a generating set are compared, and only a
+    table that fails there is scanned in full, so the message still names the
+    first failing triple ``(g, h, k)`` in the order of a loop over g, h, then
+    k.
+    """
 
     __slots__ = (
         "objects", "arrow_source", "arrow_target", "arrow_labels",
@@ -100,16 +110,14 @@ class FiniteGroupoid:
                 raise RejectedInput(f"right identity law fails at arrow {g}")
             if self.compose(self.identity_arrows[self.arrow_target[g]], g) != g:
                 raise RejectedInput(f"left identity law fails at arrow {g}")
-        for g in range(n_arr):
-            for h in range(n_arr):
-                if self.arrow_source[g] != self.arrow_target[h]:
-                    continue
-                gh = self.compose(g, h)
-                for k in range(n_arr):
-                    if self.arrow_source[h] != self.arrow_target[k]:
-                        continue
-                    if self.compose(gh, k) != self.compose(g, self.compose(h, k)):
-                        raise RejectedInput(f"associativity fails at ({g},{h},{k})")
+        src, tgt = self.arrow_source, self.arrow_target
+        into = _by_value(tgt)
+        rows = [list(map(self._compose.__getitem__, zip(repeat(g), into[src[g]])))
+                for g in range(n_arr)]
+        triple = _first_nonassociative(rows, self.compose, src, tgt, self.identity_arrows)
+        if triple is not None:
+            g, h, k = triple
+            raise RejectedInput(f"associativity fails at ({g},{h},{k})")
 
     def _find_inverses(self) -> tuple[int, ...]:
         inverses = []
@@ -226,11 +234,23 @@ class NerveLayout:
             self.parent.append(list(chain.from_iterable(map(repeat, self.ids[n - 1], fans))))
             self.last.append(list(chain.from_iterable(gather(by_target, tails))))
 
-    def encode(self, n: int, parents: Sequence[int], lasts: Sequence[int]) -> list[int]:
-        """The level-n ids of the strings ``parent + (last,)``, pair by pair:
-        ``start[n][parent] + pos[last]``, read back through ``ids[n]``."""
-        computed = list(map(add, gather(self.start[n], parents), gather(self.pos, lasts)))
-        return gather(self.ids[n], computed)
+    def at(self, n: int, heads: Sequence[int], tails: Sequence[int]) -> list[int]:
+        """The level-n ids ``heads[k] + tails[k]``, block starts plus positions
+        within the block, read back through ``ids[n]``."""
+        return gather(self.ids[n], list(map(add, heads, tails)))
+
+    def encode(
+        self, n: int, head: Sequence[int], parents: Sequence[int],
+        tail: Sequence[int], lasts: Sequence[int],
+    ) -> list[int]:
+        """The level-n ids of the strings ``head[p] + (tail[g],)`` for the pairs
+        (p, g) of ``parents`` and ``lasts``: ``start[n][head[p]] +
+        pos[tail[g]]``, with ``start`` composed with ``head`` and ``pos`` with
+        ``tail`` on their own, smaller, levels before the gathers by
+        ``parents`` and ``lasts``."""
+        return self.at(
+            n, gather(gather(self.start[n], head), parents), gather(gather(self.pos, tail), lasts)
+        )
 
     def key(self, n: int, idx: int) -> tuple[int, ...]:
         """The arrows of the string with id ``idx`` at level n >= 1, first first."""
@@ -262,38 +282,46 @@ def nerve_set(
 
     Level 1 has faces ``source`` and ``target``; level 2 has ``d_0 = last``,
     ``d_1`` the composite and ``d_2 = parent``.  Above, every table is
-    gathered a level at a time, ``(a, g)`` standing for the id of
-    ``a + (g,)``: ``d_n = parent``, ``d_i = (d_i parent, last)`` for
-    ``i < n-1``, and ``d_{n-1} = (parent parent, composite)`` with the
-    composite of the last two arrows read from level 2, so ``compose`` runs
-    once per composable pair.  ``s_i = (s_i parent, last)`` for ``i < n``
-    and ``s_n = (id, identity)`` appends an identity arrow.
+    gathered a level at a time, ``(a, g)`` standing for the id
+    ``start[a] + pos[g]`` of ``a + (g,)``: ``d_n = parent``,
+    ``d_i = (d_i parent, last)`` for ``i < n-1``, and
+    ``d_{n-1} = (parent parent, composite)`` with the composite of the last
+    two arrows read from level 2, so ``compose`` runs once per composable
+    pair.  ``s_i = (s_i parent, last)`` for ``i < n``, the parent of an arrow
+    being its target, and ``s_n = (id, identity)`` appends an identity arrow.
+    ``start`` is composed with each lower table on the smaller level before
+    it is gathered by ``parent``, and each level's tail positions
+    ``pos[last]`` are read once for all of its tables.
     """
-    bound, source, target = L.bound, L.source, L.target
+    bound, source, target, pos = L.bound, L.source, L.target, L.pos
     faces: list[list[Sequence[int]]] = [[]]
     degens: list[list[Sequence[int]]] = []
     if bound >= 1:
         faces.append([source, target])
         degens.append([identity])
+
+    # the position of the identity at each arrow's source
+    id_pos = gather(pos, gather(identity, source))
+    tail_pos = [[], pos] + [gather(pos, L.last[n]) for n in range(2, bound + 1)]
     for n in range(1, bound):
-        ids, lasts = L.ids[n], L.last[n]
-        top = L.encode(n + 1, ids, gather(identity, gather(source, lasts)))
-        if n == 1:
-            lower = [L.encode(2, gather(identity, target), ids)]
-        else:
-            parent = L.parent[n]
-            lower = [L.encode(n + 1, gather(s, parent), lasts) for s in degens[n - 1]]
-        degens.append(lower + [top])
+        start = L.start[n + 1]
+        parent = L.parent[n] if n > 1 else target
+        degens.append(
+            [L.at(n + 1, gather(gather(start, s), parent), tail_pos[n]) for s in degens[n - 1]]
+            + [L.at(n + 1, start[:-1], gather(id_pos, L.last[n]))]
+        )
     degens.append([])
-    for n in range(2, bound + 1):
-        parent, lasts = L.parent[n], L.last[n]
-        if n == 2:
-            faces.append([lasts, composites, parent])
-            continue
-        inner = gather(composites, L.encode(2, gather(L.last[n - 1], parent), lasts))
+    if bound >= 2:
+        faces.append([L.last[2], composites, L.parent[2]])
+        composite_pos = gather(pos, composites)
+    for n in range(3, bound + 1):
+        start, parent, tails = L.start[n - 1], L.parent[n], tail_pos[n]
+        pairs = map(add, gather(gather(L.start[2], L.last[n - 1]), parent), tails)
         faces.append(
-            [L.encode(n - 1, gather(d, parent), lasts) for d in faces[n - 1][: n - 1]]
-            + [L.encode(n - 1, gather(L.parent[n - 1], parent), inner), parent]
+            [L.at(n - 1, gather(gather(start, d), parent), tails) for d in faces[n - 1][: n - 1]]
+            + [L.at(n - 1, gather(gather(start, L.parent[n - 1]), parent),
+                   gather(composite_pos, list(pairs))),
+               parent]
         )
     return TruncatedSimplicialSet(L.counts, faces, degens, labels)
 
@@ -336,22 +364,6 @@ def _eg_label(G: FiniteGroup, n: int, idx: int) -> str:
     return "(" + ",".join(reversed(coords)) + ")"
 
 
-def _generators(G: FiniteGroup) -> list[int]:
-    """A generating set of G: each element, in id order, that the ones
-    before it do not generate."""
-    gens: list[int] = []
-    reached = {G.identity}
-    for g in range(G.order):
-        if g in reached:
-            continue
-        gens.append(g)
-        frontier = list(reached)
-        while frontier:
-            frontier = list({G.table[a][s] for a in frontier for s in gens} - reached)
-            reached.update(frontier)
-    return gens
-
-
 def eg_construction(G: FiniteGroup, bound: int) -> TruncatedSimplicialSet:
     """The universal cover of a group: n-simplices are (n+1)-tuples of elements.
 
@@ -388,7 +400,7 @@ def eg_construction(G: FiniteGroup, bound: int) -> TruncatedSimplicialSet:
     X = TruncatedSimplicialSet(counts, faces, degens, labels)
     # an id is its prefix's id times |G| plus its last coordinate, so a
     # column is the one below paired with left multiplication
-    columns = [[G.table[g] for g in _generators(G)]]
+    columns = [[G.table[g] for g in _group_generators(G)]]
     for n in range(bound):
         columns.append([_pairs(col, left, order) for col, left in zip(columns[-1], columns[0])])
     X._action = GroupAction(tuple(tuple(map(tuple, level)) for level in columns), (G.identity,))

@@ -6,9 +6,9 @@ mentions group elements records this convention.
 
 from __future__ import annotations
 
-from itertools import chain, permutations as _permutations, repeat
-from operator import ne
-from typing import Iterable, Sequence
+from itertools import chain, compress, permutations as _permutations, repeat
+from operator import eq, itemgetter, ne
+from typing import Callable, Iterable, Sequence
 
 from .errors import RejectedInput
 from .simplicial import _int_tuple, gather
@@ -17,7 +17,16 @@ COMPOSITION_CONVENTION = "right-to-left (f*g applies g first)"
 
 
 class FiniteGroup:
-    """Element labels plus a fully validated multiplication table on indices."""
+    """Element labels plus a fully validated multiplication table on indices.
+
+    Associativity is decided by Light's test (Clifford and Preston, *The
+    Algebraic Theory of Semigroups* I, 1961, section 1.2): the middle nucleus
+    ``{b : (ab)c = a(bc) for all a, c}`` holds the identity and is closed
+    under the product, so the table is associative as soon as it holds each
+    element of a generating set (:func:`_first_nonassociative`).  Only a table
+    that fails there is scanned in full, so the message still names the first
+    failing triple ``(a, b, c)`` in the order of a loop over a, then b, then c.
+    """
 
     __slots__ = ("labels", "table", "identity", "inverse", "_index")
 
@@ -33,25 +42,27 @@ class FiniteGroup:
         rows = []
         for row in table:
             r = _int_tuple(row, "multiplication table")
-            if any(not 0 <= v < n for v in r):
+            if min(r) < 0 or max(r) >= n:
                 raise RejectedInput("table entries must be element indices")
             rows.append(r)
-        self.table = tuple(rows)
+        self.table = T = tuple(rows)
 
-        identity = None
-        for e in range(n):
-            if all(self.table[e][x] == x and self.table[x][e] == x for x in range(n)):
-                identity = e
-                break
+        # the first e whose row and column are both the identity map
+        ident = tuple(range(n))
+        identity = next(
+            (e for e in range(n) if T[e] == ident and tuple(map(itemgetter(e), T)) == ident),
+            None,
+        )
         if identity is None:
             raise RejectedInput("table has no two-sided identity element")
         self.identity = identity
 
         inverse = []
         for a in range(n):
+            # the first b with ab = e, among the b where row a holds e, and ba = e
             inv = next(
-                (b for b in range(n)
-                 if self.table[a][b] == identity and self.table[b][a] == identity),
+                (b for b in compress(ident, map(eq, T[a], repeat(identity)))
+                 if T[b][a] == identity),
                 None,
             )
             if inv is None:
@@ -59,18 +70,11 @@ class FiniteGroup:
             inverse.append(inv)
         self.inverse = tuple(inverse)
 
-        # a row at a time: (ab)c over every c is row ab, and a(bc) is row a
-        # read at row b; only a mismatch is searched for its first c
-        T = self.table
-        rows = list(map(list, T))
-        for a in range(n):
-            for b in range(n):
-                if gather(T[a], T[b]) != rows[T[a][b]]:
-                    c = next(c for c in range(n) if T[T[a][b]][c] != T[a][T[b][c]])
-                    raise RejectedInput(
-                        "associativity fails at "
-                        f"({self.labels[a]!r}, {self.labels[b]!r}, {self.labels[c]!r})"
-                    )
+        point = (0,) * n
+        triple = _first_nonassociative(T, self.mul, point, point, (identity,))
+        if triple is not None:
+            a, b, c = (self.labels[x] for x in triple)
+            raise RejectedInput(f"associativity fails at ({a!r}, {b!r}, {c!r})")
         self._index = {s: k for k, s in enumerate(self.labels)}
 
     @property
@@ -91,6 +95,114 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order}, labels={self.labels})"
+
+
+def _by_value(keys: Sequence[int]) -> dict[int, list[int]]:
+    """The positions of each value of ``keys``, ascending, one list per value."""
+    out: dict[int, list[int]] = {}
+    for x, k in enumerate(keys):
+        out.setdefault(k, []).append(x)
+    return out
+
+
+def _ranks(buckets: Iterable[list[int]], n: int) -> list[int]:
+    """Each of the ids ``range(n)`` ranked within its bucket."""
+    pos = [0] * n
+    for bucket in buckets:
+        for k, y in enumerate(bucket):
+            pos[y] = k
+    return pos
+
+
+def _generating_set(
+    rows: Sequence[Sequence[int]], pos: Sequence[int], source: Sequence[int],
+    target: Sequence[int], identities: Iterable[int],
+) -> list[int]:
+    """A generating set of the arrows of a finite groupoid given as in
+    :func:`_light_associative`: each arrow, in id order, that is not a
+    composite ``a s`` of an arrow reached before it (the identities first)
+    and a generator so far."""
+    gens: list[int] = []
+    reached = set(identities)
+    for g in range(len(rows)):
+        if g in reached:
+            continue
+        gens.append(g)
+        frontier = list(reached)
+        while frontier:
+            frontier = list({
+                rows[a][pos[s]] for a in frontier for s in gens if source[a] == target[s]
+            } - reached)
+            reached.update(frontier)
+    return gens
+
+
+def _group_generators(G: FiniteGroup) -> list[int]:
+    """The generating set of :func:`_generating_set` for a group."""
+    point = (0,) * G.order
+    return _generating_set(G.table, range(G.order), point, point, (G.identity,))
+
+
+def _light_associative(
+    rows: Sequence[Sequence[int]], source: Sequence[int], target: Sequence[int],
+    identities: Iterable[int],
+) -> bool:
+    """Whether ``(ab)c == a(bc)`` for every composable triple of a finite
+    groupoid whose identity laws hold, by Light's test.
+
+    Arrow x runs from ``source[x]`` to ``target[x]``, and ``ab`` is defined
+    when ``source[a] == target[b]``; ``rows[a]`` lists ``ab`` for those b,
+    ascending.  The middle nucleus ``{b : (ab)c = a(bc) for all a, c}`` holds
+    the identities and is closed under composition, so it is everything once
+    it holds a generating set: one gathered column per arrow a is compared
+    with a row for each generator b.  The argument needs every composite to
+    run from its right factor's source to its left factor's target; when one
+    does not, or a generator fails, the answer is False and the caller's full
+    scan decides.
+    """
+    rows = [list(r) for r in rows]
+    by_target = _by_value(target)
+    into = {o: gather(source, ys) for o, ys in by_target.items()}
+    for x, row in enumerate(rows):
+        if gather(source, row) != into.get(source[x], []):
+            return False
+        if set(gather(target, row)) - {target[x]}:
+            return False
+    by_source = _by_value(source)
+    pos = _ranks(by_target.values(), len(rows))
+    for b in _generating_set(rows, pos, source, target, identities):
+        # a(bc) over every c is row a read at the positions of row b
+        bc, at_b = gather(pos, rows[b]), pos[b]
+        for a in by_source.get(target[b], ()):
+            row = rows[a]
+            if gather(row, bc) != rows[row[at_b]]:
+                return False
+    return True
+
+
+def _first_nonassociative(
+    rows: Sequence[Sequence[int]], compose: Callable[[int, int], int],
+    source: Sequence[int], target: Sequence[int], identities: Iterable[int],
+) -> tuple[int, int, int] | None:
+    """None when ``(ab)c == a(bc)`` for every composable triple of a finite
+    groupoid whose identity laws hold, else the first failing triple (a, b, c)
+    in the order of a loop over a, then b, then c.
+
+    ``rows`` are as in :func:`_light_associative`, which decides first, and
+    ``compose(a, b)`` is the same ``ab``.  Only a groupoid that Light's test
+    does not pass is scanned in full; the scan calls ``compose`` on what it
+    meets, so one that raises for a pair that does not compose raises there.
+    """
+    if _light_associative(rows, source, target, identities):
+        return None
+    after = _by_value(target)
+    for a in range(len(source)):
+        for b in after.get(source[a], ()):
+            ab = compose(a, b)
+            for c in after.get(source[b], ()):
+                if compose(ab, c) != compose(a, compose(b, c)):
+                    return a, b, c
+    return None
 
 
 def group_from_table(labels: Sequence[str], table: Sequence[Sequence[int]]) -> FiniteGroup:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -15,6 +17,7 @@ from kancheck import (
     row,
     subgroup_group,
     subgroup_products_distinct,
+    symmetric_group_preset,
     trivial_double_groupoid,
     validate_bisimplicial_identities,
 )
@@ -337,3 +340,61 @@ def test_double_nerve_matches_nested_key_oracle(which, P, Q, s3_D):
     # the records hold every table and every label
     assert [simplicial_to_dict(r) for r in NN.rows] == [simplicial_to_dict(r) for r in rows]
     assert [simplicial_to_dict(c) for c in NN.columns] == [simplicial_to_dict(c) for c in columns]
+
+
+def _table_digest(X):
+    """The sha256 of a line's counts and every face and degeneracy table."""
+    text = json.dumps([X.counts, X._faces, X._degens], separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# the digest of every row and column of two double nerves, and of a nerve:
+# a change to how the tables are gathered must leave every id where it is
+TABLE_DIGESTS = {
+    "s4-pair-4-4": {
+        "rows": [
+            "07759699da5f99ceac93614357760dd281b5ada55fa7287a685581ef36e31a66",
+            "6f7db5349c96173cc3e3da7c8c813021b68a2cfbce4c1a5ad60d3dcb069c4051",
+            "a88a16d670a2e822b668a59ef712354f1419852880660c549e603dc671977355",
+            "b8e632a56e6a1c7b7dfd9da9aaaac5f4ae770fe6bad9822428d5ab4a7f412038",
+            "ce108dba18d7cc750b87161601ed6c828cadfaa243616866fcb74c4d15269398",
+        ],
+        "columns": [
+            "b44834b1addf81ac40503ce6ff90e119b8700edf6c1800194ed4ceb9bb87bfa5",
+            "ff21372ca111a0ed9444b9826701520d51333a3c57b6f745b79da02161ecd013",
+            "8d69174abe96d65f0ebfabcb3ce27642ecfe6dc3c1603683b9810ca9307f3185",
+            "009cbc68ae205725717ae065a33262f9b651e39a9923a5c3b82071c833903348",
+            "1ace455a38d94f4dbbc8a636e1ae3c92e4ab90b5a836ed11be3c14b9a0ab356f",
+        ],
+    },
+    "s3-counterexample-3-3": {
+        "rows": [
+            "169b97476d1d83b3cd1e326391271e206de2a70d4a9f5da3dd4bf5e3b70791a2",
+            "b5c3820a9c64c55c7c1212e5ccd2b1700b5216dd85abf354bb3969a6aab95b85",
+            "b39ab3fae3eef48794690207385ead9d662f2583cecec5a9915819e6348aca32",
+            "b8a4b0f243ecd1f59f92406dd3c0a632bc242aa73f301294475bf87fbe8464c7",
+        ],
+        "columns": [
+            "169b97476d1d83b3cd1e326391271e206de2a70d4a9f5da3dd4bf5e3b70791a2",
+            "16fd1ea4a37e0170271649b3c47d6bcddc24f87bc14761fa146a5fc58d60b43c",
+            "9c4bd0db528a03057c03ef517aad31b335354f19f61aeff8d19eadd88d64b9f8",
+            "e63dbcfe9319309d7ae63d7c450964515eaa769c9ababf2c55631bc7fe62d4d3",
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("name, build", [
+    ("s4-pair-4-4", lambda: double_nerve(_s4_pair_double_groupoid(), 4, 4)),
+    ("s3-counterexample-3-3",
+     lambda: double_nerve(preset_double_groupoid("s3-counterexample"), 3, 3)),
+])
+def test_double_nerve_tables_are_pinned(name, build):
+    NN = build()
+    assert [_table_digest(r) for r in NN.rows] == TABLE_DIGESTS[name]["rows"]
+    assert [_table_digest(c) for c in NN.columns] == TABLE_DIGESTS[name]["columns"]
+
+
+def test_nerve_tables_are_pinned():
+    N = nerve(one_object_groupoid(symmetric_group_preset(3)), 4)
+    assert _table_digest(N) == "50faa7abd0778063b285d82a6b4f1d9127a4fefab2aa5ce535954840bdd2b827"
