@@ -124,30 +124,37 @@ def diagonal(X: TruncatedBisimplicialSet) -> TruncatedSimplicialSet:
     """The simplicial set n -> X_{n,n} with d_i = d_i^h d_i^v, s_i = s_i^h s_i^v.
 
     Ids are inherited unchanged from the (n,n) tables, so diagonal simplices
-    and bisimplices can be converted back and forth by reindexing alone.  Each
-    table is one gather: the row table read at the entries of the column table.
-    The diagonal of ``tensor(A, B)`` has the ids of ``product(A, B)``, so it
+    and bisimplices can be converted back and forth by reindexing alone.
+    Level 0 is grown a level at a time by :func:`extend_diagonal`.  The
+    diagonal of ``tensor(A, B)`` has the ids of ``product(A, B)``, so it
     carries the same action, :class:`ProductAction` of the factors, when
     either factor has one.
     """
-    bound = min(X.bounds)
-    rows, cols = X.rows, X.columns
-    counts = [X.counts[n][n] for n in range(bound + 1)]
-    faces = [[]] + [
-        [gather(rows[n - 1]._faces[n][i], cols[n]._faces[n][i]) for i in range(n + 1)]
-        for n in range(1, bound + 1)
-    ]
-    degens = [
-        [gather(rows[n + 1]._degens[n][i], cols[n]._degens[n][i]) for i in range(n + 1)]
-        for n in range(bound)
-    ] + [[]]
-    labels = None
-    if rows[0]._labels is not None:
-        labels = [rows[n]._labels[n] for n in range(bound + 1)]
-    D = TruncatedSimplicialSet(counts, faces, degens, labels)
+    rows = X.rows
+    D = TruncatedSimplicialSet(
+        [X.counts[0][0]], [[]], [[]], None if rows[0]._labels is None else [rows[0]._labels[0]]
+    )
+    for _ in range(min(X.bounds)):
+        D = extend_diagonal(D, X)
     if X._factors is not None:
         D._action = _product_action(*X._factors)
     return D
+
+
+def extend_diagonal(
+    D: TruncatedSimplicialSet, X: TruncatedBisimplicialSet
+) -> TruncatedSimplicialSet:
+    """D, the diagonal of X up to level n - 1, with level n added (X must
+    reach (n, n)).  Each table is one gather, the row table read at the
+    entries of the column table: ``d_i`` of level n is row n-1's ``d_i`` at
+    column n's, and ``s_i`` into level n is row n's ``s_i`` at column n-1's."""
+    n, rows, cols = D.bound + 1, X.rows, X.columns
+    return D.extended(
+        X.counts[n][n],
+        [gather(rows[n - 1]._faces[n][i], cols[n]._faces[n][i]) for i in range(n + 1)],
+        [gather(rows[n]._degens[n - 1][i], cols[n - 1]._degens[n - 1][i]) for i in range(n)],
+        None if D._labels is None else rows[n]._labels[n],
+    )
 
 
 def transpose(X: TruncatedBisimplicialSet) -> TruncatedBisimplicialSet:

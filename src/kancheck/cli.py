@@ -42,7 +42,12 @@ from .groups import (
     product_set,
 )
 from .groupoids import eg_construction, nerve, one_object_groupoid
-from .kan import brute_force_fill, check_kan_to_point, check_trivial_fibration_to_point
+from .kan import (
+    FillCertificate,
+    brute_force_fill,
+    check_kan_to_point,
+    check_trivial_fibration_to_point,
+)
 from .ordinal import BASIC_IDENTITIES, check_basic_identity, check_power_identity
 from .pointwise import verify_pointwise_fillers
 from .presets import (
@@ -52,7 +57,13 @@ from .presets import (
     preset_double_groupoid,
     preset_group_pair,
 )
-from .doublegroupoid import Square, double_nerve_indexed
+from .doublegroupoid import (
+    DiagonalStages,
+    DoubleGroupoid,
+    Square,
+    double_nerve_indexed,
+    group_pair_double_groupoid,
+)
 from .serialize import (
     certificate_to_dict,
     fibration_report_to_dict,
@@ -214,26 +225,35 @@ def subgroups_from_input(data: dict[str, Any], G: FiniteGroup) -> tuple[tuple[in
     return resolve("subgroup_a"), resolve("subgroup_b")
 
 
+def _double_groupoid_from_source(
+    preset: str | None, data: dict[str, Any] | None
+) -> DoubleGroupoid | None:
+    """The preset or input's subgroup-pair double groupoid, or None when the
+    source is a single group."""
+    if preset is not None:
+        return None if preset == "eg-tensor" else preset_double_groupoid(preset)
+    assert data is not None
+    if "group" in data and ("subgroup_a" in data or "subgroup_b" in data):
+        G = group_from_input(data)
+        return group_pair_double_groupoid(G, *subgroups_from_input(data, G))
+    return None
+
+
 def _bisimplicial_from_source(
     preset: str | None, data: dict[str, Any] | None, P: int, Q: int
 ) -> TruncatedBisimplicialSet:
     """The preset or input's bisimplicial set at bounds ``(P, Q)``: a group
     pair gives its double nerve, a single group the external square of EG."""
-    if preset == "eg-tensor":
-        G = eg_tensor_group()
-    elif preset is not None:
-        return preset_bisimplicial(preset, P, Q)
-    else:
-        assert data is not None
-        if "group" in data and ("subgroup_a" in data or "subgroup_b" in data):
-            from .doublegroupoid import double_nerve, group_pair_double_groupoid
+    D = _double_groupoid_from_source(preset, data)
+    if D is not None:
+        # looked up at call time, so that a wrapper of the module's function
+        # (such as a tracer's) sees the call
+        from .doublegroupoid import double_nerve
 
-            G = group_from_input(data)
-            A, B = subgroups_from_input(data, G)
-            return double_nerve(group_pair_double_groupoid(G, A, B), P, Q)
-        if "group" not in data:
-            raise RejectedInput("cannot build a bisimplicial set from this input")
-        G = group_from_input(data)
+        return double_nerve(D, P, Q)
+    if preset is None and "group" not in data:
+        raise RejectedInput("cannot build a bisimplicial set from this input")
+    G = eg_tensor_group() if preset is not None else group_from_input(data)
     eg = eg_construction(G, P)
     return tensor(eg, eg if Q == P else eg_construction(G, Q))
 
@@ -345,8 +365,14 @@ def _build_kan_objects(
         eg = eg_construction(G, max_dim)
         out.append(("kan-diagonal", product(eg, eg), meta_base))
     elif construction == "double-nerve-diagonal":
-        X = _bisimplicial_from_source(preset, data, max_dim, max_dim)
-        out.append(("kan-diagonal", diagonal(X), meta_base))
+        # a double nerve's diagonal is grown a level at a time under its
+        # check, so a failing verdict builds nothing above its failing level
+        D = _double_groupoid_from_source(preset, data)
+        if D is None:
+            diag = diagonal(_bisimplicial_from_source(preset, data, max_dim, max_dim))
+        else:
+            diag = DiagonalStages(D, max_dim)
+        out.append(("kan-diagonal", diag, meta_base))
     elif construction in ("row", "column"):
         # only the lines asked for are read, each to max_dim: rows need the
         # vertical bound to reach the top index, columns the horizontal one
@@ -432,8 +458,9 @@ def cmd_pointwise(args: argparse.Namespace) -> RunReport:
 def _s3_counterexample_checks() -> list[CheckResult]:
     preset = preset_group_pair("s3-counterexample")
     G, A, B = preset.group, preset.A, preset.B
-    D = preset_double_groupoid("s3-counterexample")
-    NN = _bisimplicial_from_source("s3-counterexample", None, 3, 3)
+    # one double groupoid and one double nerve serve every check
+    D = group_pair_double_groupoid(G, A, B)
+    NN, keys = double_nerve_indexed(D, 3, 3)
 
     def products() -> CheckResult:
         distinct = subgroup_products_distinct(G, A, B)
@@ -456,7 +483,7 @@ def _s3_counterexample_checks() -> list[CheckResult]:
         )
 
     def horn() -> CheckResult:
-        cert = s3_diagonal_horn_certificate()
+        cert = _s3_horn_certificate(D, NN, keys)
         # brute_force_fill refuses an incompatible family, so cert's is compatible
         exhaustive = cert.candidates_examined == cert.f.domain.size(2)
         return CheckResult(
@@ -487,10 +514,16 @@ def s3_diagonal_horn_certificate():
     The two faces are the identity squares of the generators of A and B, read
     as 1-simplices of the diagonal; the search exhausts the (2,2)-simplices.
     """
-    preset = preset_group_pair("s3-counterexample")
     D = preset_double_groupoid("s3-counterexample")
-    NN, keys = double_nerve_indexed(D, 2, 2)
-    dg = diagonal(NN)
+    return _s3_horn_certificate(D, *double_nerve_indexed(D, 2, 2))
+
+
+def _s3_horn_certificate(
+    D: DoubleGroupoid, NN: TruncatedBisimplicialSet, keys: tuple
+) -> FillCertificate:
+    """The horn of :func:`s3_diagonal_horn_certificate` on the diagonal of
+    NN, a double nerve of D to bounds (2, 2) or more, whose keys are
+    ``keys``."""
     a_arrow = D.horizontal.arrow_labels.index("(1,2)")
     b_arrow = D.vertical.arrow_labels.index("(1,3)")
     iota_a = D.square_id(
@@ -501,7 +534,7 @@ def s3_diagonal_horn_certificate():
     )
     x0 = keys[1][1].index(((iota_b,),))
     x2 = keys[1][1].index(((iota_a,),))
-    return brute_force_fill(to_point_map(dg), 2, (0, 2), (x0, x2), 0)
+    return brute_force_fill(to_point_map(diagonal(NN)), 2, (0, 2), (x0, x2), 0)
 
 
 def _eg_tensor_checks() -> list[CheckResult]:

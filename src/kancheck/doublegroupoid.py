@@ -17,6 +17,16 @@ groupoid's endpoints, identities and composites, and the tables of the
 columns p >= 2, are gathered square position by square position and column
 by column on these layouts; no key tuple is built unless keys or a label are
 asked for.
+
+A layout's ids at a level do not depend on its bound, so the double nerve is
+grown one bound at a time, stage n being ``double_nerve(D, min(n, P),
+min(n, Q))``, each line by its next level, and each table is built and
+validated once.  ``double_nerve`` lays out every level first, so a level
+over ``MAX_LEVEL`` is refused before any table is built, then grows to
+(P, Q).  :class:`DiagonalStages` grows the diagonal with it, a level at a
+time: a to-point check of a double-nerve diagonal builds level n only when
+its first cell at n starts, and a size refusal fires only at a level the
+check reaches.
 """
 
 from __future__ import annotations
@@ -26,14 +36,15 @@ from functools import partial
 from itertools import repeat
 from typing import Sequence
 
-from .bisimplicial import TruncatedBisimplicialSet
-from .errors import RejectedInput
+from .bisimplicial import TruncatedBisimplicialSet, diagonal, extend_diagonal
+from .errors import RejectedInput, TruncationError
 from .groups import FiniteGroup, _by_value, _first_nonassociative
 from .groupoids import (
     FiniteGroupoid,
     NerveLayout,
+    extend_groupoid_nerve,
+    extend_nerve,
     nerve_and_layout,
-    nerve_set,
     one_object_groupoid,
     string_label,
 )
@@ -312,11 +323,14 @@ def _matrix_label(column_label: Label, R: NerveLayout, p: int, idx: int) -> str:
     return ";".join(map(column_label, R.key(p, idx)))
 
 
-def _double_nerve(
-    D: DoubleGroupoid, P: int, Q: int
-) -> tuple[TruncatedBisimplicialSet, NerveLayout, NerveLayout | None, list[NerveLayout]]:
-    """The double nerve, the layouts of columns 0 and 1 (``None`` at P = 0),
-    and the layout of every row.
+class _DoubleNerveBuild:
+    """The double nerve of D up to bounds (P, Q), grown one stage at a time.
+
+    Stage n is ``double_nerve(D, min(n, P), min(n, Q))``: :meth:`advance` takes
+    stage n - 1 to stage n, and :meth:`nerve` is the current stage.  A
+    layout's ids at a level do not depend on its bound, so every layout and
+    line grows by its next level, gathered from the levels below, and each
+    table is built and validated once (:meth:`TruncatedSimplicialSet.extended`).
 
     Column 1 is the nerve of the vertical square groupoid (objects the
     horizontal arrows, arrows the squares from bottom to top), so its
@@ -328,72 +342,201 @@ def _double_nerve(
     position at a time.  Column p >= 2 applies the tables of column 1 to each
     column of a p-tuple.  Row 0 and column 0 are the nerves of the horizontal
     and vertical groupoids.
+
+    :meth:`lay_out` grows the layouts alone, which allocates no table; a
+    level over ``MAX_LEVEL`` is refused by the first layout that reaches it.
     """
-    if P < 0 or Q < 0:
-        raise RejectedInput("bounds must be nonnegative")
-    h, sq = D.horizontal, D.squares
-    row0, H = nerve_and_layout(h, P)
-    col0, V = nerve_and_layout(D.vertical, Q)
-    if P == 0:
-        rows = [TruncatedSimplicialSet([n], [[]], [[]], [label])
-                for n, label in zip(col0.counts, col0._labels)]
-        return TruncatedBisimplicialSet(rows, [col0]), V, None, [H]
 
-    C1 = NerveLayout(h.n_arrows, [s.bottom for s in sq], [s.top for s in sq], Q)
-    square_labels = tuple(D.square_label(s) for s in range(D.n_squares))
-    column_labels = [row0._labels[1]] + [
-        partial(string_label, square_labels, C1, q) for q in range(1, Q + 1)
-    ]
-    col1 = nerve_set(C1, D.v_identity, D.v_composites, column_labels)
+    def __init__(self, D: DoubleGroupoid, P: int, Q: int) -> None:
+        if P < 0 or Q < 0:
+            raise RejectedInput("bounds must be nonnegative")
+        h, v, sq = D.horizontal, D.vertical, D.squares
+        self.D, self.P, self.Q, self.n = D, P, Q, 0
+        row0, self.H = nerve_and_layout(h, 0)
+        col0, self.V = nerve_and_layout(v, 0)
+        self.rows, self.columns = [row0], [col0]
+        # column 1's layout, and each row q's (layouts[0] is row 0's, H)
+        self.C1 = None
+        if P:
+            self.C1 = NerveLayout(h.n_arrows, [s.bottom for s in sq], [s.top for s in sq], 0)
+        self.layouts = [self.H]
+        self._square_labels = tuple(map(D.square_label, range(D.n_squares))) if P else ()
+        # the label of level q of column 1, and of level 1 of row q
+        self._column_labels: list[Label] = []
 
-    rights, lefts = [s.right for s in sq], [s.left for s in sq]
-    source, target, identity, composites = rights, lefts, D.h_identity, D.h_composites
-    rows, layouts = [row0], [H]
-    for q in range(1, Q + 1):
+    def lay_out(self, n: int) -> None:
+        """Grow every layout to the bounds of stage n, row q's created at
+        stage q: H, V, column 1's, then row 1's, row 2's, ..., each in full."""
+        P, Q = min(n, self.P), min(n, self.Q)
+        _reach(self.H, P)
+        _reach(self.V, Q)
+        if self.C1 is None:
+            return
+        _reach(self.C1, Q)
+        for q in range(1, Q + 1):
+            if q == len(self.layouts):
+                self.layouts.append(self._row_layout(q))
+            _reach(self.layouts[q], P)
+
+    def _row_layout(self, q: int) -> NerveLayout:
+        """Row q's layout at bound 0: a q-column runs from its right edge to
+        its left edge, read off row q-1's and the last square's."""
+        V, C1, sq = self.V, self.C1, self.D.squares
+        source, target = [s.right for s in sq], [s.left for s in sq]
         if q > 1:
-            parent, last = C1.parent[q], C1.last[q]
-            source = V.encode(q, source, parent, rights, last)
-            target = V.encode(q, target, parent, lefts, last)
-            identity = C1.encode(q, identity, V.parent[q], D.h_identity, V.last[q])
-        R = NerveLayout(V.counts[q], source, target, P)
-        if q > 1 and P >= 2:
-            # a composite column is the composite of the two columns' first
-            # q-1 squares (row q-1) over the composite of their last squares
-            # (row 1)
-            left, right = R.parent[2], R.last[2]
-            composites = C1.encode(
-                q,
-                composites, layouts[q - 1].encode(2, parent, left, parent, right),
-                D.h_composites, layouts[1].encode(2, last, left, last, right),
-            )
-        labels = [col0._labels[q], column_labels[q]] + [
-            partial(_matrix_label, column_labels[q], R, p) for p in range(2, P + 1)
-        ]
-        rows.append(nerve_set(R, identity, composites, labels))
-        layouts.append(R)
+            parent, last, R = C1.parent[q], C1.last[q], self.layouts[q - 1]
+            source = V.encode(q, R.source, parent, source, last)
+            target = V.encode(q, R.target, parent, target, last)
+        return NerveLayout(V.counts[q], source, target, 0)
 
-    # column p >= 2 reads column p-1 on the first p-1 columns of a p-tuple
-    # and column 1 on the last: a p-tuple of row q maps to (T parent, t last)
-    # in row q -/+ 1, T and t the same table of columns p-1 and 1; one
-    # column's tables are in lists at a time
-    columns = [col0, col1]
-    for p in range(2, P + 1):
-        prev = columns[-1]
-        faces = [
-            [layouts[q - 1].encode(p, T, layouts[q].parent[p], t, layouts[q].last[p])
-             for T, t in zip(prev._faces[q], col1._faces[q])]
-            for q in range(1, Q + 1)
-        ]
-        degens = [
-            [layouts[q + 1].encode(p, T, layouts[q].parent[p], t, layouts[q].last[p])
-             for T, t in zip(prev._degens[q], col1._degens[q])]
-            for q in range(Q)
-        ]
-        columns.append(TruncatedSimplicialSet(
-            [R.counts[p] for R in layouts], [[]] + faces, degens + [[]],
-            [r._labels[p] for r in rows],
-        ))
-    return TruncatedBisimplicialSet(rows, columns), V, C1, layouts
+    def advance(self) -> None:
+        """Stage n - 1 to stage n: row 0, column 0 and column 1, then each
+        row, then each column p >= 2, every line by its levels of stage n."""
+        n = self.n + 1
+        self.lay_out(n)
+        D, rows, columns = self.D, self.rows, self.columns
+        P, Q = min(n, self.P), min(n, self.Q)
+        if P == n:
+            rows[0] = extend_groupoid_nerve(rows[0], self.H, D.horizontal)
+        if Q == n:
+            columns[0] = extend_groupoid_nerve(columns[0], self.V, D.vertical)
+        if self.C1 is not None:
+            if n == 1:
+                self._column_labels.append(rows[0]._labels[1])
+                columns.append(_level_zero(self.C1.counts[0], self._column_labels[0]))
+            while columns[1].bound < Q:
+                q = columns[1].bound + 1
+                self._column_labels.append(partial(string_label, self._square_labels, self.C1, q))
+                columns[1] = extend_nerve(
+                    columns[1], self.C1, D.v_identity, D.v_composites, self._column_labels[q]
+                )
+        for q in range(1, Q + 1):
+            if q == len(rows):
+                rows.append(_level_zero(columns[0].counts[q], columns[0]._labels[q]))
+            while rows[q].bound < P:
+                self._extend_row(q)
+        for p in range(2, P + 1):
+            if p == len(columns):
+                columns.append(_level_zero(self.H.counts[p], rows[0]._labels[p]))
+            while columns[p].bound < Q:
+                self._extend_column(p)
+        self.n = n
+
+    def _extend_row(self, q: int) -> None:
+        """Add row q's next level p: at p = 1 the identity of each vertical
+        q-string, and at p = 2 the composite of each composable pair of
+        q-columns, are gathered from row q-1's."""
+        D, C1, V, R = self.D, self.C1, self.V, self.layouts[q]
+        X, label = self.rows[q], self._column_labels[q]
+        p = X.bound + 1
+        identity = composites = ()
+        if p == 1:
+            identity = D.h_identity
+            if q > 1:
+                identity = C1.encode(q, self.rows[q - 1]._degens[0][0], V.parent[q],
+                                     D.h_identity, V.last[q])
+        elif p == 2:
+            composites = D.h_composites
+            if q > 1:
+                # a composite column is the composite of the two columns'
+                # first q-1 squares (row q-1) over the composite of their
+                # last squares (row 1)
+                parent, last, left, right = C1.parent[q], C1.last[q], R.parent[2], R.last[2]
+                composites = C1.encode(
+                    q,
+                    self.rows[q - 1]._faces[2][1],
+                    self.layouts[q - 1].encode(2, parent, left, parent, right),
+                    D.h_composites,
+                    self.layouts[1].encode(2, last, left, last, right),
+                )
+        if p >= 2:
+            label = partial(_matrix_label, label, R, p)
+        self.rows[q] = extend_nerve(X, R, identity, composites, label)
+
+    def _extend_column(self, p: int) -> None:
+        """Add column p >= 2's next level q: it reads column p-1 on the first
+        p-1 columns of a p-tuple and column 1 on the last, so a p-tuple of row
+        q maps to (T parent, t last) in row q -/+ 1, T and t the same table of
+        columns p-1 and 1."""
+        X, prev, col1 = self.columns[p], self.columns[p - 1], self.columns[1]
+        q = X.bound + 1
+        up, here = self.layouts[q - 1], self.layouts[q]
+        self.columns[p] = X.extended(
+            here.counts[p],
+            [up.encode(p, T, here.parent[p], t, here.last[p])
+             for T, t in zip(prev._faces[q], col1._faces[q])],
+            [here.encode(p, T, up.parent[p], t, up.last[p])
+             for T, t in zip(prev._degens[q - 1], col1._degens[q - 1])],
+            self.rows[q]._labels[p],
+        )
+
+    def nerve(self) -> TruncatedBisimplicialSet:
+        """The double nerve at the current stage."""
+        return TruncatedBisimplicialSet(self.rows, self.columns)
+
+    def keys(self) -> tuple[tuple[tuple[object, ...], ...], ...]:
+        """The key behind every bisimplex id of the current stage, as
+        :func:`double_nerve_indexed` describes them, read off the layouts."""
+        P, Q = min(self.n, self.P), min(self.n, self.Q)
+        v_keys = self.V.keys()
+        row_keys = [R.keys() for R in self.layouts]
+        c1_keys = self.C1.keys() if self.C1 is not None else ()
+        return tuple(
+            tuple(
+                v_keys[q] if p == 0 else row_keys[0][p] if q == 0
+                else tuple(tuple(c1_keys[q][c] for c in key) for key in row_keys[q][p])
+                for q in range(Q + 1)
+            )
+            for p in range(P + 1)
+        )
+
+
+def _level_zero(count: int, label: Label) -> TruncatedSimplicialSet:
+    """A line's level 0, which the build extends a level at a time."""
+    return TruncatedSimplicialSet([count], [[]], [[]], [label])
+
+
+def _reach(L: NerveLayout, bound: int) -> None:
+    while L.bound < bound:
+        L.add_level()
+
+
+def _built(D: DoubleGroupoid, P: int, Q: int) -> _DoubleNerveBuild:
+    """The build of the double nerve run to (P, Q), laid out in full first."""
+    build = _DoubleNerveBuild(D, P, Q)
+    build.lay_out(max(P, Q))
+    while build.n < max(P, Q):
+        build.advance()
+    return build
+
+
+class DiagonalStages:
+    """The diagonal of ``double_nerve(D, bound, bound)``, built a level at a
+    time for a check that reads it a level at a time.
+
+    ``stage(n)`` is the diagonal of stage n of the build, the diagonal of
+    ``double_nerve(D, n, n)``; it grows the double nerve, and then the
+    diagonal, by their levels n only when first asked for (stage 0 is built
+    at once).  Stages share their tables.  So a to-point Kan check
+    (:func:`kancheck.kan.check_kan_to_point`) builds level n only when its
+    first cell at n starts, and a level over ``MAX_LEVEL`` is refused only
+    at a level the check reaches.  The stages carry no group action.
+    """
+
+    __slots__ = ("bound", "_build", "_stages")
+
+    def __init__(self, D: DoubleGroupoid, bound: int) -> None:
+        self._build = _DoubleNerveBuild(D, bound, bound)
+        self.bound = bound
+        self._stages = [diagonal(self._build.nerve())]
+
+    def stage(self, n: int) -> TruncatedSimplicialSet:
+        if not 0 <= n <= self.bound:
+            raise TruncationError(f"stage {n} outside bound {self.bound}")
+        while len(self._stages) <= n:
+            self._build.advance()
+            self._stages.append(extend_diagonal(self._stages[-1], self._build.nerve()))
+        return self._stages[n]
 
 
 def double_nerve_indexed(
@@ -407,22 +550,11 @@ def double_nerve_indexed(
     first; every level in ascending lexicographic order.  The keys are read
     off the layouts of the build.
     """
-    NN, V, C1, layouts = _double_nerve(D, P, Q)
-    v_keys = V.keys()
-    row_keys = [R.keys() for R in layouts]
-    c1_keys = C1.keys() if C1 is not None else ()
-    keys = tuple(
-        tuple(
-            v_keys[q] if p == 0 else row_keys[0][p] if q == 0
-            else tuple(tuple(c1_keys[q][c] for c in key) for key in row_keys[q][p])
-            for q in range(Q + 1)
-        )
-        for p in range(P + 1)
-    )
-    return NN, keys
+    build = _built(D, P, Q)
+    return build.nerve(), build.keys()
 
 
 def double_nerve(D: DoubleGroupoid, P: int, Q: int) -> TruncatedBisimplicialSet:
     """Matrices of composable squares, with composing faces and identity
-    column/row degeneracies."""
-    return _double_nerve(D, P, Q)[0]
+    column/row degeneracies: the staged build run to (P, Q)."""
+    return _built(D, P, Q).nerve()

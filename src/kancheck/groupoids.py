@@ -197,12 +197,15 @@ class NerveLayout:
     ``id(s + (g,)) = start[n][s] + pos[g]`` with ``pos[g]`` the rank of ``g``
     among the arrows with its target.  ``ids[n]`` holds level n's ids once, as
     the int objects every table entry refers to, so an entry costs a pointer.
+    A level's ids do not depend on the bound, so :meth:`add_level` adds the level
+    above the bound from the one below and leaves every other level as it is.
 
     Reads only the object count and the arrow endpoint tables, so the nerve of
     anything with those has a layout.
     """
 
-    __slots__ = ("bound", "counts", "source", "target", "pos", "ids", "parent", "last", "start")
+    __slots__ = ("bound", "counts", "source", "target", "pos", "ids", "parent", "last", "start",
+                 "_fan", "_by_target")
 
     def __init__(
         self, n_objects: int, source: Sequence[int], target: Sequence[int], bound: int
@@ -212,27 +215,36 @@ class NerveLayout:
         for g, t in enumerate(target):
             pos.append(len(by_target[t]))
             by_target[t].append(g)
-        fan = list(map(len, by_target))
-        self.bound = bound
-        self.counts = [n_objects, len(source)][: bound + 1]
+        self._fan, self._by_target = list(map(len, by_target)), by_target
+        self.bound = 0
+        self.counts = [n_objects]
         self.source, self.target, self.pos = source, target, pos
-        self.ids: list[list[int]] = [[], list(range(len(source)))]
-        self.parent: list[list[int]] = [[], []]
-        self.last: list[list[int]] = [[], self.ids[1]]
-        self.start: list[list[int]] = [[], []]
-        for n in range(2, bound + 1):
-            tails = gather(source, self.last[n - 1])
-            fans = gather(fan, tails)
+        self.ids: list[Sequence[int]] = [[], tuple(range(len(source)))]
+        self.parent: list[Sequence[int]] = [[], []]
+        self.last: list[Sequence[int]] = [[], self.ids[1]]
+        self.start: list[Sequence[int]] = [[], []]
+        while self.bound < bound:
+            self.add_level()
+
+    def add_level(self) -> None:
+        """Add level ``bound + 1``.  Its count is known from the level below
+        before any of its columns is allocated, and a level over
+        ``MAX_LEVEL`` is refused there."""
+        n = self.bound + 1
+        if n >= 2:
+            tails = gather(self.source, self.last[n - 1])
+            fans = gather(self._fan, tails)
             count = sum(fans)
             if count > MAX_LEVEL:
                 raise RejectedInput(
                     f"nerve level {n} would hold {count} simplices, over the limit of {MAX_LEVEL}"
                 )
-            self.counts.append(count)
-            self.ids.append(list(range(count)))
-            self.start.append(list(accumulate(fans, initial=0)))
-            self.parent.append(list(chain.from_iterable(map(repeat, self.ids[n - 1], fans))))
-            self.last.append(list(chain.from_iterable(gather(by_target, tails))))
+            self.ids.append(tuple(range(count)))
+            self.start.append(tuple(accumulate(fans, initial=0)))
+            self.parent.append(tuple(chain.from_iterable(map(repeat, self.ids[n - 1], fans))))
+            self.last.append(tuple(chain.from_iterable(gather(self._by_target, tails))))
+        self.counts.append(len(self.ids[n]))
+        self.bound = n
 
     def at(self, n: int, heads: Sequence[int], tails: Sequence[int]) -> list[int]:
         """The level-n ids ``heads[k] + tails[k]``, block starts plus positions
@@ -273,57 +285,48 @@ class NerveLayout:
         return tuple(keys)
 
 
-def nerve_set(
-    L: NerveLayout, identity: Sequence[int], composites: Sequence[int], labels: Sequence[Label]
+def extend_nerve(
+    X: TruncatedSimplicialSet, L: NerveLayout, identity: Sequence[int],
+    composites: Sequence[int], label: Label,
 ) -> TruncatedSimplicialSet:
-    """The nerve on the ids of ``L``, given each object's identity arrow and
-    the composite of each composable pair (in the order of level 2 of ``L``;
-    unread below bound 2), labelled by ``labels``.
+    """X, the nerve on ``L`` up to level n - 1, with level n added (``L``
+    must reach n), labelled by ``label``; each table is gathered from the
+    tables one level down, and only the new ones are validated.
 
-    Level 1 has faces ``source`` and ``target``; level 2 has ``d_0 = last``,
-    ``d_1`` the composite and ``d_2 = parent``.  Above, every table is
-    gathered a level at a time, ``(a, g)`` standing for the id
+    Level 1 has faces ``source`` and ``target`` and ``s_0 = identity``;
+    level 2 has ``d_0 = last``, ``d_1`` the composite (``composites``) and
+    ``d_2 = parent``.  Above, ``(a, g)`` standing for the id
     ``start[a] + pos[g]`` of ``a + (g,)``: ``d_n = parent``,
     ``d_i = (d_i parent, last)`` for ``i < n-1``, and
     ``d_{n-1} = (parent parent, composite)`` with the composite of the last
-    two arrows read from level 2, so ``compose`` runs once per composable
-    pair.  ``s_i = (s_i parent, last)`` for ``i < n``, the parent of an arrow
-    being its target, and ``s_n = (id, identity)`` appends an identity arrow.
-    ``start`` is composed with each lower table on the smaller level before
-    it is gathered by ``parent``, and each level's tail positions
-    ``pos[last]`` are read once for all of its tables.
+    two arrows read from ``d_1`` at level 2, so composites are taken once per
+    composable pair.  Into level n >= 2, ``s_i = (s_i parent, last)`` for
+    ``i < n-1``, the parent of an arrow being its target, and
+    ``s_{n-1} = (id, identity)`` appends an identity arrow, read from
+    ``s_0`` at level 0.  ``start`` is composed with each lower table on the
+    smaller level before it is gathered by ``parent``, and level n's tail
+    positions ``pos[last]`` are read once for all of its faces.
     """
-    bound, source, target, pos = L.bound, L.source, L.target, L.pos
-    faces: list[list[Sequence[int]]] = [[]]
-    degens: list[list[Sequence[int]]] = []
-    if bound >= 1:
-        faces.append([source, target])
-        degens.append([identity])
-
-    # the position of the identity at each arrow's source
-    id_pos = gather(pos, gather(identity, source))
-    tail_pos = [[], pos] + [gather(pos, L.last[n]) for n in range(2, bound + 1)]
-    for n in range(1, bound):
-        start = L.start[n + 1]
-        parent = L.parent[n] if n > 1 else target
-        degens.append(
-            [L.at(n + 1, gather(gather(start, s), parent), tail_pos[n]) for s in degens[n - 1]]
-            + [L.at(n + 1, start[:-1], gather(id_pos, L.last[n]))]
-        )
-    degens.append([])
-    if bound >= 2:
-        faces.append([L.last[2], composites, L.parent[2]])
-        composite_pos = gather(pos, composites)
-    for n in range(3, bound + 1):
-        start, parent, tails = L.start[n - 1], L.parent[n], tail_pos[n]
-        pairs = map(add, gather(gather(L.start[2], L.last[n - 1]), parent), tails)
-        faces.append(
-            [L.at(n - 1, gather(gather(start, d), parent), tails) for d in faces[n - 1][: n - 1]]
-            + [L.at(n - 1, gather(gather(start, L.parent[n - 1]), parent),
-                   gather(composite_pos, list(pairs))),
-               parent]
-        )
-    return TruncatedSimplicialSet(L.counts, faces, degens, labels)
+    n, source, pos = X.bound + 1, L.source, L.pos
+    if n == 1:
+        return X.extended(L.counts[1], [source, L.target], [identity], label)
+    m, start = n - 1, L.start[n]
+    # the degeneracies into level n, from level m = n - 1
+    below = L.parent[m] if m > 1 else L.target
+    tails_below = gather(pos, L.last[m]) if m > 1 else pos
+    id_pos = gather(pos, gather(X._degens[0][0], source))
+    degens = [L.at(n, gather(gather(start, s), below), tails_below) for s in X._degens[m - 1]]
+    degens.append(L.at(n, start[:-1], gather(id_pos, L.last[m])))
+    if n == 2:
+        return X.extended(L.counts[2], [L.last[2], composites, L.parent[2]], degens, label)
+    start, parent, tails = L.start[m], L.parent[n], gather(pos, L.last[n])
+    composite_pos = gather(pos, X._faces[2][1])
+    pairs = map(add, gather(gather(L.start[2], L.last[m]), parent), tails)
+    faces = [L.at(m, gather(gather(start, d), parent), tails) for d in X._faces[m][:m]]
+    faces.append(L.at(m, gather(gather(start, L.parent[m]), parent),
+                      gather(composite_pos, list(pairs))))
+    faces.append(parent)
+    return X.extended(L.counts[n], faces, degens, label)
 
 
 def string_label(names: Sequence[str], L: NerveLayout, n: int, idx: int) -> str:
@@ -333,15 +336,28 @@ def string_label(names: Sequence[str], L: NerveLayout, n: int, idx: int) -> str:
 
 
 def nerve_and_layout(C: FiniteGroupoid, bound: int) -> tuple[TruncatedSimplicialSet, NerveLayout]:
-    """The nerve together with the layout of its ids."""
+    """The nerve together with the layout of its ids.  The whole layout is
+    laid out first, so a level over ``MAX_LEVEL`` is refused before any
+    table is built."""
     if bound < 0:
         raise RejectedInput("bound must be nonnegative")
     L = NerveLayout(len(C.objects), C.arrow_source, C.arrow_target, bound)
-    composites = list(map(C.compose, L.parent[2], L.last[2])) if bound >= 2 else []
-    labels = [C.objects.__getitem__] + [
-        partial(string_label, C.arrow_labels, L, n) for n in range(1, bound + 1)
-    ]
-    return nerve_set(L, C.identity_arrows, composites, labels), L
+    X = TruncatedSimplicialSet([L.counts[0]], [[]], [[]], [C.objects.__getitem__])
+    for _ in range(bound):
+        X = extend_groupoid_nerve(X, L, C)
+    return X, L
+
+
+def extend_groupoid_nerve(
+    X: TruncatedSimplicialSet, L: NerveLayout, C: FiniteGroupoid
+) -> TruncatedSimplicialSet:
+    """X, the nerve of C on ``L`` up to level n - 1, with level n added
+    (:func:`extend_nerve`), its strings labelled by their arrows' names."""
+    n = X.bound + 1
+    composites = list(map(C.compose, L.parent[2], L.last[2])) if n == 2 else ()
+    return extend_nerve(
+        X, L, C.identity_arrows, composites, partial(string_label, C.arrow_labels, L, n)
+    )
 
 
 def nerve_indexed(C: FiniteGroupoid, bound: int) -> tuple[TruncatedSimplicialSet, NerveKeys]:

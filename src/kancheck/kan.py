@@ -33,6 +33,12 @@ A check that builds its own map (:func:`check_kan_to_point`,
 reads it, so it holds one cell's least-id map and one level's indexes at a
 time; a caller's map keeps its maps (:func:`check_kan_fibration`), as the
 pointwise sweep reads the diagonal's least-id maps after its Kan check.
+Such a check reads its domain a level at a time, level n on ``X.stage(n)``,
+and a built set is its own stage.  A to-point check of a double-nerve
+diagonal (:class:`~kancheck.doublegroupoid.DiagonalStages`) builds level n
+only when its first cell at n starts: a check that fails below ``max_dim``
+pays only for the build up to its failing level, and a size refusal
+(``MAX_LEVEL``) fires only at a level the check reaches.
 
 Every Kan or trivial-fibration check of a map over a point, a caller's map
 included, also searches one horn family per orbit of a group action the
@@ -70,7 +76,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from typing import Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from .errors import InternalInvariantError, RejectedInput
 from .simplicial import (
@@ -83,6 +89,9 @@ from .simplicial import (
     to_point_map,
     zip_keys,
 )
+
+if TYPE_CHECKING:
+    from .doublegroupoid import DiagonalStages
 
 
 # A block is up to BLOCK_ROWS families of one (n, I) cell as id columns: the
@@ -327,7 +336,8 @@ def _count_cell(
 
 
 def _fill_cells(
-    f: SimplicialMap, kind: str, max_dim: int, cells: list[tuple[int, int]], owned: bool
+    f: SimplicialMap, kind: str, max_dim: int, cells: list[tuple[int, int]],
+    owned: Callable[[int], TruncatedSimplicialSet] | None,
 ) -> FibrationReport:
     """Fill every family of each (n, k) cell in order, stopping at the first
     unfillable one; k is the index left out of [n] (-1 leaves none out).
@@ -339,11 +349,19 @@ def _fill_cells(
     not fill gets a certificate, which :func:`brute_force_fill` makes from
     its ids.
 
-    A check that builds its own map (``owned``) drops each search map once
-    no later cell reads it: cell (n, I) alone reads ``f.least(n, I)``, so it
-    goes when the cell is counted, and only level n's cells read the indexes
-    of X_{n-1}, so they go before level n + 1 starts.  No map is built twice.
-    A caller's map keeps its maps, for the caller to read again.
+    A check that builds its own map passes ``owned``, the stage function of
+    its domain (``X.stage``), and drops each search map once no later cell
+    reads it: cell (n, I) alone reads ``f.least(n, I)``, so it goes when the
+    cell is counted, and only level n's cells read the indexes of X_{n-1}, so
+    they go before level n + 1 starts.  No map is built twice.  Level n is
+    searched on ``owned(n)``, a set that reaches n: a set grown a level at a
+    time (:class:`kancheck.doublegroupoid.DiagonalStages`) builds level n only
+    there, when the first cell of n starts, so a check that stops at a level
+    builds nothing above it; a built set is its own stage at every level.
+    Its map is made afresh only on a new stage, which costs no search work,
+    since the old map's indexes and least-id maps are dropped by then.  A
+    caller's map (``owned`` None) keeps its maps, for the caller to read
+    again.
 
     **One family per orbit.**  A map whose codomain is a point up to
     ``max_dim``, and whose domain carries a group action, has the action
@@ -381,6 +399,9 @@ def _fill_cells(
         if n != level:
             if owned:
                 f._indexes.clear()
+                stage = owned(n)
+                if stage is not f.domain:
+                    f = to_point_map(stage)
             require_level_laws(f, n, None if orbits is None else orbits.level(n))
             level = n
         indices = tuple(i for i in range(n + 1) if i != k)
@@ -415,16 +436,27 @@ def check_kan_fibration(f: SimplicialMap, max_dim: int) -> FibrationReport:
     action is checked and each cell searches one family per orbit
     (:func:`_fill_cells`); otherwise every family is searched."""
     _require_max_dim(f.domain.bound, max_dim)
-    return _fill_cells(f, "kan", max_dim, _horn_cells(max_dim), owned=False)
+    return _fill_cells(f, "kan", max_dim, _horn_cells(max_dim), owned=None)
 
 
-def check_kan_to_point(X: TruncatedSimplicialSet, max_dim: int) -> FibrationReport:
+def check_kan_to_point(
+    X: TruncatedSimplicialSet | DiagonalStages, max_dim: int
+) -> FibrationReport:
     """The report of ``check_kan_fibration(to_point_map(X), max_dim)``, on a
     map of its own that holds one cell's least-id map and one level's
     indexes at a time.  If X carries a group action, it is checked, and each
-    cell searches one family per orbit (:func:`_fill_cells`)."""
+    cell searches one family per orbit (:func:`_fill_cells`).
+
+    X may be built, or grown a level at a time (the diagonal of a double
+    nerve, :class:`~kancheck.doublegroupoid.DiagonalStages`): level n is
+    searched on ``X.stage(n)``, so it is built only when its first cell
+    starts, and a check that fails below ``max_dim`` builds nothing above
+    its failing level; a level too large to build is refused only if the
+    check reaches it.  The report is the built set's."""
     _require_max_dim(X.bound, max_dim)
-    return _fill_cells(to_point_map(X), "kan", max_dim, _horn_cells(max_dim), owned=True)
+    return _fill_cells(
+        to_point_map(X.stage(1)), "kan", max_dim, _horn_cells(max_dim), owned=X.stage
+    )
 
 
 def check_trivial_fibration_to_point(
@@ -436,7 +468,7 @@ def check_trivial_fibration_to_point(
     if X.size(0) == 0:
         return FibrationReport("trivial", max_dim, (), None, base_point_missing=True)
     cells = [(n, -1) for n in range(1, max_dim + 1)]
-    return _fill_cells(to_point_map(X), "trivial", max_dim, cells, owned=True)
+    return _fill_cells(to_point_map(X), "trivial", max_dim, cells, owned=X.stage)
 
 
 def _filled(ws: list[int | None]) -> list[int] | None:

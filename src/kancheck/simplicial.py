@@ -20,6 +20,14 @@ map's naturality, is two gathered columns over a whole level compared by
 sweep needs at one level, face identities and naturality under faces, so that
 a filler verifies its horn.
 
+A set grows by one level with :meth:`TruncatedSimplicialSet.extended`, which
+validates only the new level's tables and shares the rest, so a set grown a
+level at a time validates each table once.  A check reads a set a level at a
+time through ``stage(n)``: a built set is its own stage, and a to-point check
+of a double-nerve diagonal builds level n only when its first cell at n
+starts, so a size refusal fires only at a level the check reaches (see
+:class:`kancheck.doublegroupoid.DiagonalStages`).
+
 A set may carry the action of a group on its levels (``_action``), attached
 only by constructors: ``eg_construction`` attaches the action of G on EG by
 left multiplication (:class:`GroupAction`), and ``product``, and
@@ -89,11 +97,26 @@ def _as_table(entries: Sequence[int], size: int, target_size: int, what: str) ->
 Label = Callable[[int], str]
 
 
-def _label_table(level: Sequence[str], count: int) -> Label:
-    """A level's label table as its label function."""
+def _level_label(level: Sequence[str] | Label, count: int) -> Label:
+    """A level's label function, or its label table wrapped as one."""
+    if callable(level):
+        return level
     if len(level) != count:
         raise RejectedInput("labels must match the simplex counts")
     return tuple(str(s) for s in level).__getitem__
+
+
+def _level_tables(
+    tables: Sequence[Sequence[int]], n: int, kind: str, name: str, size: int, target_size: int
+) -> tuple[tuple[int, ...], ...]:
+    """The n + 1 validated ``kind`` tables ``name_i`` of level n, each of
+    ``size`` entries in ``range(target_size)``."""
+    if len(tables) != n + 1:
+        raise RejectedInput(f"dimension {n} needs {n + 1} {kind} tables")
+    return tuple(
+        _as_table(table, size, target_size, f"{name}_{i} at {n}")
+        for i, table in enumerate(tables)
+    )
 
 
 # a horn-search key: one id, or a tuple of ids
@@ -118,7 +141,8 @@ class TruncatedSimplicialSet:
     ``labels[n]`` is level n's label function ``idx -> str``, or a table of
     its labels, which is wrapped as one; labels are rendered only when read.
     ``_action`` is a group action a constructor attached, or None; equality
-    does not read it.
+    does not read it.  :meth:`extended` adds a level, validating only its
+    tables.
     """
 
     __slots__ = ("bound", "counts", "_faces", "_degens", "_labels", "_action")
@@ -143,31 +167,14 @@ class TruncatedSimplicialSet:
                 "dimension 0 takes no face tables and the bound no degeneracy tables"
             )
 
-        built_faces: list[tuple[tuple[int, ...], ...]] = [()]
-        for n in range(1, self.bound + 1):
-            per_dim = faces[n]
-            if len(per_dim) != n + 1:
-                raise RejectedInput(f"dimension {n} needs {n + 1} face tables")
-            built_faces.append(
-                tuple(
-                    _as_table(per_dim[i], self.counts[n], self.counts[n - 1], f"d_{i} at {n}")
-                    for i in range(n + 1)
-                )
-            )
-        built_degens: list[tuple[tuple[int, ...], ...]] = []
-        for n in range(self.bound):
-            per_dim = degeneracies[n]
-            if len(per_dim) != n + 1:
-                raise RejectedInput(f"dimension {n} needs {n + 1} degeneracy tables")
-            built_degens.append(
-                tuple(
-                    _as_table(per_dim[i], self.counts[n], self.counts[n + 1], f"s_{i} at {n}")
-                    for i in range(n + 1)
-                )
-            )
-        built_degens.append(())
-        self._faces = tuple(built_faces)
-        self._degens = tuple(built_degens)
+        self._faces = ((),) + tuple(
+            _level_tables(faces[n], n, "face", "d", self.counts[n], self.counts[n - 1])
+            for n in range(1, self.bound + 1)
+        )
+        self._degens = tuple(
+            _level_tables(degeneracies[n], n, "degeneracy", "s", self.counts[n], self.counts[n + 1])
+            for n in range(self.bound)
+        ) + ((),)
         self._action: GroupAction | ProductAction | None = None
 
         if labels is None:
@@ -176,9 +183,43 @@ class TruncatedSimplicialSet:
             if len(labels) != self.bound + 1:
                 raise RejectedInput("labels must match the simplex counts")
             self._labels = tuple(
-                level if callable(level) else _label_table(level, self.counts[n])
-                for n, level in enumerate(labels)
+                _level_label(level, self.counts[n]) for n, level in enumerate(labels)
             )
+
+    def extended(
+        self,
+        count: int,
+        faces: Sequence[Sequence[int]],
+        degeneracies: Sequence[Sequence[int]],
+        label: Sequence[str] | Label | None = None,
+    ) -> "TruncatedSimplicialSet":
+        """This set with level ``n = bound + 1`` added: ``count`` simplices,
+        their n + 1 ``faces`` and the n ``degeneracies`` from level n - 1
+        into them, and ``label`` (None exactly when this set is unlabelled).
+        Only the new tables are validated, as the constructor validates them;
+        the others are shared.  The new set carries no action."""
+        n = self.bound + 1
+        if (label is None) != (self._labels is None):
+            raise RejectedInput("labels must match the simplex counts")
+        X = TruncatedSimplicialSet.__new__(TruncatedSimplicialSet)
+        X.counts = self.counts + _int_tuple((count,), "counts")
+        if count < 0:
+            raise RejectedInput("simplex counts must be nonnegative")
+        X.bound = n
+        X._faces = self._faces + (
+            _level_tables(faces, n, "face", "d", count, self.counts[n - 1]),
+        )
+        X._degens = self._degens[:-1] + (
+            _level_tables(degeneracies, n - 1, "degeneracy", "s", self.counts[n - 1], count),
+            (),
+        )
+        X._labels = None if label is None else self._labels + (_level_label(label, count),)
+        X._action = None
+        return X
+
+    def stage(self, n: int) -> "TruncatedSimplicialSet":
+        """The set a check reads level n on: a built set is its own stage."""
+        return self
 
     def size(self, n: int) -> int:
         if not 0 <= n <= self.bound:

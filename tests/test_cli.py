@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import kancheck.cli as cli
+import kancheck.groupoids
 from kancheck import cyclic_group, nerve, one_object_groupoid
 from kancheck.cli import RunReport, build_parser, main, reverify_report, run
 from kancheck.errors import RejectedInput
@@ -222,6 +223,49 @@ class TestKanCommand:
         assert run(argv) == (2, None)
         assert time.perf_counter() - start < 2
         assert f"simplices, over the limit of {MAX_LEVEL}" in capsys.readouterr().err
+
+    def test_failing_double_nerve_verdict_does_not_grow_with_max_dim(self):
+        # the S4 pair's diagonal fails at n = 2, and its double nerve is
+        # built a level at a time under the check, so every bound gives the
+        # n = 2 certificate at the cost of the build to level 2: level 6
+        # would be refused by MAX_LEVEL, and is never reached
+        def verdict(max_dim):
+            argv = ["kan", "--input", "bench/inputs/s4_pair.json",
+                    "--construction", "double-nerve-diagonal", "--max-dim", str(max_dim)]
+            code, report = run_report(argv)
+            assert code == 1
+            data = report.verdict_dict()
+            assert data["config"].pop("max_dim") == max_dim
+            [check] = data["checks"]
+            assert check["details"].pop("max_dim") == max_dim
+            assert check["details"]["report"].pop("max_dim") == max_dim
+            return data
+
+        expected = verdict(3)
+        assert expected["checks"][0]["details"]["report"]["failure"]["family"]["n"] == 2
+        for max_dim in (4, 5, 6):
+            # the best of three runs, so that one descheduling is not read as
+            # a build of the levels above 2 (0.1 s at 4 and 1 s at 5 when it
+            # was built, and a refusal at 6)
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                assert verdict(max_dim) == expected
+                times.append(time.perf_counter() - start)
+            assert min(times) < 0.02
+
+    def test_oversized_level_refused_when_the_check_reaches_it(self, capsys, monkeypatch):
+        # the z2-commuting diagonal passes, so its check reaches level 3,
+        # where row 2's layout would hold 2048 simplices: refused with the
+        # message the build gives in full
+        monkeypatch.setattr(kancheck.groupoids, "MAX_LEVEL", 1000)
+        argv = ["kan", "--preset", "z2-commuting", "--construction", "double-nerve-diagonal"]
+        assert run(argv + ["--max-dim", "2"])[0] == 0
+        capsys.readouterr()
+        assert run(argv + ["--max-dim", "3"]) == (2, None)
+        assert capsys.readouterr().err == (
+            "error: nerve level 3 would hold 2048 simplices, over the limit of 1000\n"
+        )
 
 
 JSON_VALUES = st.recursive(

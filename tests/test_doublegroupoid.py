@@ -9,6 +9,7 @@ from kancheck import (
     FiniteGroupoid,
     Square,
     column,
+    diagonal,
     double_nerve,
     group_from_permutations,
     group_pair_double_groupoid,
@@ -21,8 +22,8 @@ from kancheck import (
     trivial_double_groupoid,
     validate_bisimplicial_identities,
 )
-from kancheck.doublegroupoid import double_nerve_indexed
-from kancheck.errors import RejectedInput
+from kancheck.doublegroupoid import DiagonalStages, _DoubleNerveBuild, double_nerve_indexed
+from kancheck.errors import RejectedInput, TruncationError
 from kancheck.presets import preset_double_groupoid, z2_commuting
 from kancheck.serialize import simplicial_to_dict
 from kancheck.simplicial import TruncatedSimplicialSet
@@ -398,3 +399,53 @@ def test_double_nerve_tables_are_pinned(name, build):
 def test_nerve_tables_are_pinned():
     N = nerve(one_object_groupoid(symmetric_group_preset(3)), 4)
     assert _table_digest(N) == "50faa7abd0778063b285d82a6b4f1d9127a4fefab2aa5ce535954840bdd2b827"
+
+
+# each stage of the build is a double nerve of its own bounds: square and
+# asymmetric bounds, and zero bounds, on every double groupoid above
+STAGED_CASES = [
+    pytest.param(which, P, Q, id=f"{which}-{P}-{Q}")
+    for which in ("s3-preset", "s4-pair", "z2-commuting", "trivial")
+    for P, Q in [(3, 3), (1, 3), (3, 1), (2, 0), (0, 2)]
+]
+
+
+@pytest.mark.parametrize("which, P, Q", STAGED_CASES)
+def test_every_stage_is_the_double_nerve_of_its_bounds(which, P, Q, s3_D):
+    D = trivial_double_groupoid() if which == "trivial" else _case_double_groupoid(which, s3_D)
+    build = _DoubleNerveBuild(D, P, Q)
+    for n in range(max(P, Q) + 1):
+        if n:
+            build.advance()
+        bounds = (min(n, P), min(n, Q))
+        NN, keys = double_nerve_indexed(D, *bounds)
+        staged = build.nerve()
+        assert staged.bounds == bounds and build.keys() == keys
+        # the records hold every table and every label
+        assert [simplicial_to_dict(r) for r in staged.rows] == [
+            simplicial_to_dict(r) for r in NN.rows
+        ]
+        assert [simplicial_to_dict(c) for c in staged.columns] == [
+            simplicial_to_dict(c) for c in NN.columns
+        ]
+        rows, columns, oracle_keys = _nested_key_double_nerve(D, *bounds)
+        assert keys == oracle_keys
+        assert [simplicial_to_dict(r) for r in staged.rows] == [
+            simplicial_to_dict(r) for r in rows
+        ]
+        assert [simplicial_to_dict(c) for c in staged.columns] == [
+            simplicial_to_dict(c) for c in columns
+        ]
+
+
+@pytest.mark.parametrize("which", ["s3-preset", "s4-pair", "z2-commuting"])
+def test_diagonal_stages_are_the_diagonals_of_the_stages(which, s3_D):
+    D = _case_double_groupoid(which, s3_D)
+    stages = DiagonalStages(D, 3)
+    for n in range(4):
+        built = diagonal(double_nerve(D, n, n))
+        assert simplicial_to_dict(stages.stage(n)) == simplicial_to_dict(built)
+    # a stage is built once, and read again as it was
+    assert stages.stage(2) is stages.stage(2)
+    with pytest.raises(TruncationError):
+        stages.stage(4)

@@ -31,6 +31,7 @@ from kancheck import (
     validate_simplicial_identities,
 )
 from kancheck.cli import group_from_input, load_input, subgroups_from_input
+from kancheck.doublegroupoid import DiagonalStages, _DoubleNerveBuild
 from kancheck.errors import InternalInvariantError, RejectedInput
 from kancheck.kan import (
     FibrationReport,
@@ -40,7 +41,7 @@ from kancheck.kan import (
     _blocks,
     _partial_fillers,
 )
-from kancheck.presets import preset_bisimplicial
+from kancheck.presets import preset_bisimplicial, preset_double_groupoid
 from kancheck.serialize import fibration_report_to_dict
 from kancheck.simplicial import GroupAction, TruncatedSimplicialSet, checked_orbits, gather
 
@@ -949,13 +950,64 @@ class TestMapLifetime:
         assert owned["failure"]["family"]["n"] == 2
 
 
+def s4_pair():
+    """The S4 pair's double groupoid: AB != BA, so its double nerve's
+    diagonal is not Kan, at n = 2."""
+    data = load_input("bench/inputs/s4_pair.json")
+    G = group_from_input(data)
+    return group_pair_double_groupoid(G, *subgroups_from_input(data, G))
+
+
 def s4_pair_diagonal(dim):
     """The S4-pair double nerve's diagonal: it has no action, and it is not
     Kan at n = 2."""
-    data = load_input("bench/inputs/s4_pair.json")
-    G = group_from_input(data)
-    pair = group_pair_double_groupoid(G, *subgroups_from_input(data, G))
-    return diagonal(double_nerve(pair, dim, dim))
+    return diagonal(double_nerve(s4_pair(), dim, dim))
+
+
+def recording_stages(monkeypatch):
+    """Record the stage each advance of a double-nerve build reaches."""
+    reached = []
+    advance = _DoubleNerveBuild.advance
+
+    def recording(build):
+        advance(build)
+        reached.append(build.n)
+
+    monkeypatch.setattr(_DoubleNerveBuild, "advance", recording)
+    return reached
+
+
+class TestStagedDiagonal:
+    """A to-point Kan check of a double nerve's diagonal grown a level at a
+    time builds level n only when its first cell at n starts."""
+
+    @pytest.mark.parametrize("max_dim", [3, 4, 5])
+    def test_failing_check_builds_no_stage_past_its_failing_level(self, monkeypatch, max_dim):
+        reached = recording_stages(monkeypatch)
+        report = check_kan_to_point(DiagonalStages(s4_pair(), max_dim), max_dim)
+        assert not report.passed and report.failure.n == 2
+        assert reached == [1, 2]
+
+    def test_passing_check_builds_each_stage_once(self, monkeypatch):
+        reached = recording_stages(monkeypatch)
+        D = preset_double_groupoid("z2-commuting")
+        report = check_kan_to_point(DiagonalStages(D, 3), 3)
+        assert report.passed and reached == [1, 2, 3]
+        monkeypatch.undo()
+        assert report == check_kan_to_point(diagonal(double_nerve(D, 3, 3)), 3)
+
+    @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "1", "7"])
+    @pytest.mark.parametrize("which, max_dim", [
+        ("s4-pair", 3), ("s3-counterexample", 3), ("z2-commuting", 2),
+    ])
+    def test_reports_match_the_built_diagonal(self, monkeypatch, rows, which, max_dim):
+        if rows is not None:
+            monkeypatch.setattr(kancheck.kan, "BLOCK_ROWS", rows)
+        D = s4_pair() if which == "s4-pair" else preset_double_groupoid(which)
+        staged = check_kan_to_point(DiagonalStages(D, max_dim), max_dim)
+        built = check_kan_to_point(diagonal(double_nerve(D, max_dim, max_dim)), max_dim)
+        assert fibration_report_to_dict(staged) == fibration_report_to_dict(built)
+        assert staged.passed == (which == "z2-commuting")
 
 
 def closed_form_cells(order, max_dim, kind):

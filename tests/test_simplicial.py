@@ -71,6 +71,35 @@ class TestConstruction:
             X = TruncatedSimplicialSet(counts, faces, degens)
             SimplicialMap(X, point(1), [[0], [bad]])
 
+    def test_extended_equals_the_whole_set(self, s3_nerve):
+        # a set grown a level at a time has the tables and labels of the set
+        # built at once, and shares the tables below the new level
+        X = TruncatedSimplicialSet(
+            s3_nerve.counts[:1], [[]], [[]], [s3_nerve.labels_at(0)]
+        )
+        for n in range(1, s3_nerve.bound + 1):
+            grown = X.extended(
+                s3_nerve.counts[n], s3_nerve._faces[n], s3_nerve._degens[n - 1],
+                s3_nerve.labels_at(n),
+            )
+            assert grown._faces[n - 1] is X._faces[n - 1]
+            X = grown
+        assert X == s3_nerve and X.bound == s3_nerve.bound
+        assert [X.labels_at(n) for n in range(4)] == [s3_nerve.labels_at(n) for n in range(4)]
+        assert validate_simplicial_identities(X).ok
+
+    @pytest.mark.parametrize("faces, degens, label, message", [
+        ([[0], [1]], [[0]], ["a"], r"^d_1 at 1: entry 1 outside range\(0, 1\)$"),
+        ([[0]], [[0]], ["a"], r"^dimension 1 needs 2 face tables$"),
+        ([[0], [0]], [[0, 0]], ["a"], r"^s_0 at 0: expected 1 entries, got 2$"),
+        ([[0], [0]], [[0]], None, r"^labels must match the simplex counts$"),
+        ([[0], [0]], [[0]], ["a", "b"], r"^labels must match the simplex counts$"),
+    ], ids=["range", "face-count", "degeneracy-length", "no-label", "label-count"])
+    def test_extended_validates_the_new_level(self, faces, degens, label, message):
+        X = TruncatedSimplicialSet([1], [[]], [[]], [["v"]])
+        with pytest.raises(RejectedInput, match=message):
+            X.extended(1, faces, degens, label)
+
     def test_face_bounds(self):
         pt = point(2)
         with pytest.raises(RejectedInput):
