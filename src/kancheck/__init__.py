@@ -17,6 +17,7 @@ from .bisimplicial import (
     diagonal_map,
     point_bisimplicial,
     product,
+    product_presentation,
     row,
     row_map,
     tensor,
@@ -54,6 +55,7 @@ from .groupoids import (
     FiniteGroupoid,
     discrete_groupoid,
     eg_construction,
+    eg_presentation,
     nerve,
     nerve_indexed,
     one_object_groupoid,
@@ -82,8 +84,10 @@ from .simplicial import (
     Simplex,
     SimplicialMap,
     TruncatedSimplicialSet,
+    TwistedProduct,
     pi0,
     point,
+    quotient_map,
     to_point_map,
     validate_simplicial_identities,
 )

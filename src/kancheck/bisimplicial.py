@@ -28,6 +28,7 @@ from .simplicial import (
     Simplex,
     SimplicialMap,
     TruncatedSimplicialSet,
+    TwistedProduct,
     _mismatches,
     _pairs,
     gather,
@@ -225,6 +226,14 @@ def _product_action(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> Pro
     return ProductAction(A, B)
 
 
+# The most simplices one level of a product may hold: 2^21, above the
+# 1679616 of the top level of BS3 x BS3 at dim 4 and of EG(S3) x EG(S3) at
+# dim 3.  Every count is known from the factors before any table is
+# allocated, so a product over it is refused at once instead of running out
+# of memory.
+MAX_PRODUCT_LEVEL = 1 << 21
+
+
 def product(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedSimplicialSet:
     """The product simplicial set: (A x B)_n = A_n x B_n, d_i = (d_i, d_i).
 
@@ -232,10 +241,18 @@ def product(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedSi
     the same ids (row-major, B minor), tables and labels, to the smaller of
     the two bounds.  If a factor carries a group action, the product carries
     the product action (:class:`ProductAction`), which holds the factors
-    and builds no columns of its own.
+    and builds no columns of its own.  A level of more than
+    ``MAX_PRODUCT_LEVEL`` simplices is refused with ``RejectedInput`` before
+    anything is built.
     """
     bound = min(A.bound, B.bound)
     counts = [A.counts[n] * B.counts[n] for n in range(bound + 1)]
+    for n, count in enumerate(counts):
+        if count > MAX_PRODUCT_LEVEL:
+            raise RejectedInput(
+                f"product level {n} would hold {count} simplices, "
+                f"over the limit of {MAX_PRODUCT_LEVEL}"
+            )
     faces = [[]] + [
         [_pairs(A._faces[n][i], B._faces[n][i], B.counts[n - 1]) for i in range(n + 1)]
         for n in range(1, bound + 1)
@@ -248,6 +265,34 @@ def product(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedSi
     X = TruncatedSimplicialSet(counts, faces, degens, labels)
     X._action = _product_action(A, B)
     return X
+
+
+def product_presentation(P: TwistedProduct, Q: TwistedProduct) -> TwistedProduct:
+    """``X x Y`` presented as ``(H x K) x_{tau x sigma} (B x C)``, for
+    ``X = H x_tau B`` and ``Y = K x_sigma C``, built with :func:`product` on
+    the bases alone.  H x K has the pair ids ``h * |K| + k``, the twist is
+    ``(tau, sigma)`` on B x C's pair ids, and ``cover()`` is
+    ``product(X, Y)`` with the product of the two projections."""
+    width = Q.order
+    mul = tuple(
+        tuple(_pairs(P.mul[a], Q.mul[b], width)) for a in range(P.order) for b in range(width)
+    )
+    base = product(P.base, Q.base)
+    twist = [()] + [
+        _pairs(P.twist[n], Q.twist[n], width) for n in range(1, base.bound + 1)
+    ]
+    return TwistedProduct(
+        mul, P.identity * width + Q.identity, base, twist, partial(_product_cover, P, Q)
+    )
+
+
+def _product_cover(
+    P: TwistedProduct, Q: TwistedProduct
+) -> tuple[TruncatedSimplicialSet, tuple[list[int], ...]]:
+    (X, pi), (Y, rho) = P.cover(), Q.cover()
+    bound = min(X.bound, Y.bound)
+    widths = Q.base.counts
+    return product(X, Y), tuple(_pairs(pi[n], rho[n], widths[n]) for n in range(bound + 1))
 
 
 @dataclass(frozen=True)

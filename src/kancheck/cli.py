@@ -10,7 +10,9 @@ Subcommands:
 * ``counterexample``  -- one-shot certificates for the built-in presets.
 
 Exit code 0 means every check came out as expected, where counterexample
-presets expect their documented failures; anything else is nonzero.
+presets expect their documented failures; 1 means a check came out otherwise
+(a correct "not Kan" verdict of a command that expects a pass), 2 rejected
+input, and 3 an uncaught exception, a crash (:func:`main`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .bisimplicial import (
     TruncatedBisimplicialSet,
     column,
     diagonal,
-    product,
+    product_presentation,
     row,
     tensor,
     to_point_bimap,
@@ -41,7 +43,7 @@ from .groups import (
     subgroup_products_distinct,
     product_set,
 )
-from .groupoids import eg_construction, nerve, one_object_groupoid
+from .groupoids import eg_construction, eg_presentation, nerve, one_object_groupoid
 from .kan import (
     FillCertificate,
     brute_force_fill,
@@ -75,6 +77,7 @@ from .serialize import (
 )
 from .simplicial import (
     TruncatedSimplicialSet,
+    TwistedProduct,
     pi0,
     to_point_map,
     validate_simplicial_identities,
@@ -310,8 +313,13 @@ def cmd_identities(args: argparse.Namespace) -> RunReport:
     )
 
 
+# what a kan run checks: a built set, a double nerve's diagonal grown under
+# its check, or a set presented on its quotient
+KanObject = TruncatedSimplicialSet | DiagonalStages | TwistedProduct
+
+
 def _kan_check_to_point(
-    X: TruncatedSimplicialSet, max_dim: int, name: str, meta: dict[str, Any]
+    X: KanObject, max_dim: int, name: str, meta: dict[str, Any]
 ) -> CheckResult:
     report = check_kan_to_point(X, max_dim)
     details: dict[str, Any] = dict(meta)
@@ -334,9 +342,9 @@ def _build_kan_objects(
     construction: str,
     indices: tuple[int, ...],
     max_dim: int,
-) -> list[tuple[str, TruncatedSimplicialSet, dict[str, Any]]]:
+) -> list[tuple[str, KanObject, dict[str, Any]]]:
     """The simplicial sets a kan run will check, with the metadata each reports."""
-    out: list[tuple[str, TruncatedSimplicialSet, dict[str, Any]]] = []
+    out: list[tuple[str, KanObject, dict[str, Any]]] = []
     meta_base = {"construction": construction, "max_dim": max_dim}
     if construction == "simplicial-set":
         if data is None or "simplicial_set" not in data:
@@ -360,10 +368,12 @@ def _build_kan_objects(
     elif construction == "eg-tensor-diagonal":
         if preset is not None and preset != "eg-tensor":
             raise RejectedInput("eg-tensor-diagonal runs on the eg-tensor preset or an input group")
-        # the diagonal of EG (x) EG is the product EG x EG, built without the grid
+        # the diagonal of EG (x) EG is the product EG x EG, presented as
+        # (G x G) x_tau (BG x BG) and checked on that quotient: EG x EG is
+        # built only to certify a failure on its own ids
         G = eg_tensor_group() if preset is not None else group_from_input(data or {})
-        eg = eg_construction(G, max_dim)
-        out.append(("kan-diagonal", product(eg, eg), meta_base))
+        eg = eg_presentation(G, max_dim)
+        out.append(("kan-diagonal", product_presentation(eg, eg), meta_base))
     elif construction == "double-nerve-diagonal":
         # a double nerve's diagonal is grown a level at a time under its
         # check, so a failing verdict builds nothing above its failing level
@@ -690,8 +700,20 @@ def run(argv: Sequence[str] | None = None) -> tuple[int, RunReport | None]:
     return (0 if report.overall_ok else 1), report
 
 
+# the exit status of an uncaught exception: a crash, never a verdict
+CRASHED = 3
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    code, _ = run(argv)
+    """:func:`run`'s exit status, or ``CRASHED`` with a one-line message on
+    stderr when it raises (an ``InternalInvariantError``, a ``MemoryError``
+    or anything else), so that a crash never reads as a verdict."""
+    try:
+        code, _ = run(argv)
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return CRASHED
     return code
 
 

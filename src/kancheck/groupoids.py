@@ -29,6 +29,7 @@ from .simplicial import (
     GroupAction,
     Label,
     TruncatedSimplicialSet,
+    TwistedProduct,
     _int_tuple,
     _pairs,
     gather,
@@ -200,12 +201,18 @@ class NerveLayout:
     A level's ids do not depend on the bound, so :meth:`add_level` adds the level
     above the bound from the one below and leaves every other level as it is.
 
+    A layout lays out the ids of one nerve, and :func:`extend_nerve` keeps
+    two of its columns here, each read once: ``id_pos``, the position of
+    each arrow's source identity among the arrows with its target, set with
+    level 1, and ``composite_pos``, that of each composable pair's
+    composite, set with level 2.
+
     Reads only the object count and the arrow endpoint tables, so the nerve of
     anything with those has a layout.
     """
 
     __slots__ = ("bound", "counts", "source", "target", "pos", "ids", "parent", "last", "start",
-                 "_fan", "_by_target")
+                 "id_pos", "composite_pos", "_fan", "_by_target")
 
     def __init__(
         self, n_objects: int, source: Sequence[int], target: Sequence[int], bound: int
@@ -223,6 +230,8 @@ class NerveLayout:
         self.parent: list[Sequence[int]] = [[], []]
         self.last: list[Sequence[int]] = [[], self.ids[1]]
         self.start: list[Sequence[int]] = [[], []]
+        self.id_pos: Sequence[int] = ()
+        self.composite_pos: Sequence[int] = ()
         while self.bound < bound:
             self.add_level()
 
@@ -305,26 +314,28 @@ def extend_nerve(
     ``s_{n-1} = (id, identity)`` appends an identity arrow, read from
     ``s_0`` at level 0.  ``start`` is composed with each lower table on the
     smaller level before it is gathered by ``parent``, and level n's tail
-    positions ``pos[last]`` are read once for all of its faces.
+    positions ``pos[last]`` are read once for all of its faces.  The
+    positions of the identities and of the composites are read once per
+    layout, with levels 1 and 2 (``L.id_pos``, ``L.composite_pos``).
     """
     n, source, pos = X.bound + 1, L.source, L.pos
     if n == 1:
+        L.id_pos = gather(pos, gather(identity, source))
         return X.extended(L.counts[1], [source, L.target], [identity], label)
     m, start = n - 1, L.start[n]
     # the degeneracies into level n, from level m = n - 1
     below = L.parent[m] if m > 1 else L.target
     tails_below = gather(pos, L.last[m]) if m > 1 else pos
-    id_pos = gather(pos, gather(X._degens[0][0], source))
     degens = [L.at(n, gather(gather(start, s), below), tails_below) for s in X._degens[m - 1]]
-    degens.append(L.at(n, start[:-1], gather(id_pos, L.last[m])))
+    degens.append(L.at(n, start[:-1], gather(L.id_pos, L.last[m])))
     if n == 2:
+        L.composite_pos = gather(pos, composites)
         return X.extended(L.counts[2], [L.last[2], composites, L.parent[2]], degens, label)
     start, parent, tails = L.start[m], L.parent[n], gather(pos, L.last[n])
-    composite_pos = gather(pos, X._faces[2][1])
     pairs = map(add, gather(gather(L.start[2], L.last[m]), parent), tails)
     faces = [L.at(m, gather(gather(start, d), parent), tails) for d in X._faces[m][:m]]
     faces.append(L.at(m, gather(gather(start, L.parent[m]), parent),
-                      gather(composite_pos, list(pairs))))
+                      gather(L.composite_pos, list(pairs))))
     faces.append(parent)
     return X.extended(L.counts[n], faces, degens, label)
 
@@ -421,3 +432,42 @@ def eg_construction(G: FiniteGroup, bound: int) -> TruncatedSimplicialSet:
         columns.append([_pairs(col, left, order) for col, left in zip(columns[-1], columns[0])])
     X._action = GroupAction(tuple(tuple(map(tuple, level)) for level in columns), (G.identity,))
     return X
+
+
+def eg_presentation(G: FiniteGroup, bound: int) -> TwistedProduct:
+    """EG presented as ``G x_tau BG``, without building EG: the base is
+    ``BG = nerve(one_object_groupoid(G), bound)`` and the twist is the first
+    arrow, ``tau(b_1, ..., b_n) = b_1``, gathered through ``d_n`` from the
+    level below.
+
+    ``cover()`` is ``eg_construction(G, bound)`` with the projection
+    ``(g_0, ..., g_n) -> (g_0^-1 g_1, ..., g_{n-1}^-1 g_n)``, read a level at
+    a time as the string of ``d_n`` followed by the arrow of the last edge.
+    The simplex ``(g_0, ..., g_n)`` is ``(g_0, b)`` in ``G x_tau BG``, so
+    ``d_0`` takes g_0 to ``g_1 = g_0 b_1``, the twist the presentation gives.
+    """
+    C = one_object_groupoid(G)
+    B, L = nerve_and_layout(C, bound)
+    # an arrow of the one-object groupoid is its element's id
+    twist: list[Sequence[int]] = [(), tuple(range(G.order))][:bound + 1]
+    for n in range(2, bound + 1):
+        twist.append(gather(twist[-1], B._faces[n][n]))
+    return TwistedProduct(G.table, G.identity, B, twist, partial(_eg_cover, G, L, bound))
+
+
+def _eg_cover(
+    G: FiniteGroup, L: NerveLayout, bound: int
+) -> tuple[TruncatedSimplicialSet, tuple[Sequence[int], ...]]:
+    """``eg_construction(G, bound)`` and its projection onto the nerve on
+    ``L`` (see :func:`eg_presentation`)."""
+    X = eg_construction(G, bound)
+    order, table, inverse = G.order, G.table, G.inverse
+    pi: list[Sequence[int]] = [(0,) * order]
+    if bound:
+        pi.append([table[inverse[a]][b] for a in range(order) for b in range(order)])
+    # each simplex's last edge, (g_{n-1}, g_n), an id of EG_1
+    edges: Sequence[int] = range(order * order)
+    for n in range(2, bound + 1):
+        edges = gather(edges, X._faces[n][0])
+        pi.append(L.encode(n, pi[n - 1], X._faces[n][n], pi[1], edges))
+    return X, tuple(pi)

@@ -55,7 +55,9 @@ first cell where a representative does not fill is searched again in full,
 so its counts and certificate are the full search's (see
 :func:`_fill_cells`).  The level's face identities are compared on T_n
 alone.  A domain without an action, or a map whose codomain is not a point,
-is searched in full.
+is searched in full.  A set presented as a twisted cartesian product
+``H x_tau B`` is not built at all: :func:`check_kan_to_point` searches its
+quotient B and counts |H| families for each (:func:`_check_on_quotient`).
 
 Columns are read by the C-level ``gather``, key columns are zipped into
 tuples by ``zip_keys`` (one column is its own key), and buckets and fillers
@@ -82,10 +84,12 @@ from .errors import InternalInvariantError, RejectedInput
 from .simplicial import (
     SimplicialMap,
     TruncatedSimplicialSet,
+    TwistedProduct,
     _as_table,
     checked_orbits,
     gather,
     require_level_laws,
+    require_twisting,
     to_point_map,
     zip_keys,
 )
@@ -440,7 +444,7 @@ def check_kan_fibration(f: SimplicialMap, max_dim: int) -> FibrationReport:
 
 
 def check_kan_to_point(
-    X: TruncatedSimplicialSet | DiagonalStages, max_dim: int
+    X: TruncatedSimplicialSet | DiagonalStages | TwistedProduct, max_dim: int
 ) -> FibrationReport:
     """The report of ``check_kan_fibration(to_point_map(X), max_dim)``, on a
     map of its own that holds one cell's least-id map and one level's
@@ -452,11 +456,57 @@ def check_kan_to_point(
     searched on ``X.stage(n)``, so it is built only when its first cell
     starts, and a check that fails below ``max_dim`` builds nothing above
     its failing level; a level too large to build is refused only if the
-    check reaches it.  The report is the built set's."""
+    check reaches it.  X may also be presented as a twisted cartesian
+    product, and is then checked on its quotient
+    (:func:`_check_on_quotient`).  The report is the built set's."""
     _require_max_dim(X.bound, max_dim)
+    if isinstance(X, TwistedProduct):
+        return _check_on_quotient(X, max_dim)
     return _fill_cells(
         to_point_map(X.stage(1)), "kan", max_dim, _horn_cells(max_dim), owned=X.stage
     )
+
+
+def _check_on_quotient(P: TwistedProduct, max_dim: int) -> FibrationReport:
+    """The Kan report of ``X = H x_tau B`` to a point, from a search of B.
+
+    The twisting identities are checked on B's tables first
+    (:func:`require_twisting`).  Then B is searched in full, to a point,
+    and every cell's counts are multiplied by |H|.  This is exact, because
+    ``pi: X -> B`` is a covering: H acts freely on X with quotient B, and
+    an n-simplex of X is determined by its image and the lift of its vertex
+    0.  A horn of dimension n >= 2 is connected, indeed contractible, so a
+    horn of B has exactly |H| lifts, one per lift of a vertex.  Each filler
+    of a lifted horn maps to a filler of its image, and each filler of the
+    image lifts to exactly one filler of the lifted horn, the one through
+    that vertex.  At n = 1 a horn is one vertex, and the count is exact
+    too: ``|X_0| = |H| |B_0|``, and an edge of B with a lifted end has
+    exactly one lift with that end, since ``d_0`` moves h by ``tau`` and
+    every other face keeps it.  So every cell of X is |H| copies of the same
+    cell of B, and it fills exactly when that cell fills.  A passing report
+    carries counts and no ids, so it is X's own, byte for byte.
+
+    The first cell of B that does not fill is the first cell of X that does
+    not fill.  That cell alone is searched again on X, built by ``cover()``
+    on its own ids, so its counts and certificate are X's full search's.
+    If X fills it after all, the presentation is not X's, a broken
+    invariant.
+    """
+    require_twisting(P, max_dim)
+    cells = _horn_cells(max_dim)
+    B = P.base
+    report = _fill_cells(to_point_map(B), "kan", max_dim, cells, owned=B.stage)
+    scaled = tuple(
+        HornCellStats(c.n, c.k, c.families * P.order, c.filled * P.order) for c in report.cells
+    )
+    if report.failure is None:
+        return FibrationReport("kan", max_dim, scaled, None)
+    X, _ = P.cover()
+    cell = cells[len(scaled) - 1]
+    failing = _fill_cells(to_point_map(X), "kan", max_dim, [cell], owned=X.stage)
+    if failing.failure is None:
+        raise InternalInvariantError("the cover fills a cell that its quotient does not")
+    return FibrationReport("kan", max_dim, scaled[:-1] + failing.cells, failing.failure)
 
 
 def check_trivial_fibration_to_point(

@@ -36,13 +36,20 @@ left multiplication (:class:`GroupAction`), and ``product``, and
 on the tables (:func:`checked_orbits`) and then search one horn family per
 orbit (see :func:`kancheck.kan._fill_cells`), with the face identities of
 each level compared on one simplex per orbit (:func:`require_level_laws`).
+
+A set on which a group acts freely may instead be presented by its quotient,
+as a principal twisted cartesian product (:class:`TwistedProduct`), whose
+twist is checked on the quotient's tables (:func:`require_twisting`); its
+to-point Kan check searches the quotient alone (see
+:func:`kancheck.kan.check_kan_to_point`), and :func:`quotient_map` is the
+covering map onto it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, groupby
-from operator import attrgetter, itemgetter, ne
+from operator import attrgetter, getitem, itemgetter, ne
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import InternalInvariantError, RejectedInput, TruncationError
@@ -569,6 +576,101 @@ def to_point_map(X: TruncatedSimplicialSet) -> SimplicialMap:
     return SimplicialMap(
         X, pt, [(0,) * X.counts[n] for n in range(X.bound + 1)], validate=False
     )
+
+
+class TwistedProduct:
+    """A set X presented as the principal twisted cartesian product
+    ``H x_tau B`` (May, *Simplicial Objects in Algebraic Topology*, §18),
+    held as its base and its twist, never as X's own tables.
+
+    H is a finite group, constant in every dimension: ``mul[a][b]`` is ab and
+    ``identity`` is e.  B is the base, ``base``.  ``twist[n]`` is the
+    twisting function ``tau_n: B_n -> H`` for 1 <= n <= bound, and
+    ``twist[0]`` is empty.  X_n is ``H x B_n``, with
+    ``d_0 (h, b) = (h tau(b), d_0 b)`` and every other face and degeneracy
+    acting on b alone, so H acts freely on X by ``g (h, b) = (g h, b)``, and
+    ``X / H = B``.  :func:`require_twisting` checks that tau makes X a
+    simplicial set.  ``cover()`` builds X on its own ids, with the
+    projection ``pi: X -> B`` as one column per level; only a check that
+    certifies a failure on X's ids, and :func:`quotient_map`, call it.
+    Constructors make a presentation (``eg_presentation``,
+    ``product_presentation``), and the tie between ``cover()`` and the
+    twist is theirs: it is not re-checked.
+    """
+
+    __slots__ = ("mul", "identity", "base", "twist", "cover")
+
+    def __init__(
+        self, mul: Sequence[Sequence[int]], identity: int, base: TruncatedSimplicialSet,
+        twist: Sequence[Sequence[int]],
+        cover: Callable[[], tuple[TruncatedSimplicialSet, tuple[Sequence[int], ...]]],
+    ) -> None:
+        self.mul, self.identity, self.base = mul, identity, base
+        self.twist, self.cover = twist, cover
+
+    @property
+    def order(self) -> int:
+        """|H|: every simplex of B has |H| simplices of X over it."""
+        return len(self.mul)
+
+    @property
+    def bound(self) -> int:
+        return self.base.bound
+
+
+def _twisting_checks(P: TwistedProduct, n: int):
+    """The twisting identities into level n, as ``(name, m, lhs, rhs)``:
+    two columns over B_m that must agree.
+
+    May's Def. 18.3, for a constant group and with H acting on the fibre
+    from the right (``d_0 (h, b) = (h tau(b), d_0 b)``, which the identities
+    ``d_0 d_0 = d_0 d_1``, ``d_0 d_i = d_{i-1} d_0``, ``d_0 s_0 = id`` and
+    ``d_0 s_i = s_{i-1} d_0`` of X force), reads: on B_n for n >= 2,
+    ``tau d_1 = tau (tau d_0)`` and ``tau d_i = tau`` for i >= 2; on
+    B_{n-1} for n >= 1, ``tau s_0 = e`` and ``tau s_i = tau`` for i >= 1.
+    """
+    B, tau = P.base, P.twist
+    if n >= 2:
+        faces, below = B._faces[n], tau[n - 1]
+        yield ("tau d_1 = tau (tau d_0)", n, gather(below, faces[1]),
+               list(map(getitem, gather(P.mul, tau[n]), gather(below, faces[0]))))
+        for i in range(2, n + 1):
+            yield f"tau d_{i} = tau", n, gather(below, faces[i]), list(tau[n])
+    degens = B._degens[n - 1]
+    yield "tau s_0 = e", n - 1, gather(tau[n], degens[0]), [P.identity] * B.counts[n - 1]
+    for i in range(1, n):
+        yield f"tau s_{i} = tau", n - 1, gather(tau[n], degens[i]), list(tau[n - 1])
+
+
+def require_twisting(P: TwistedProduct, top: int) -> None:
+    """Raise ``InternalInvariantError`` unless ``twist[n]`` maps B_n into H
+    for 1 <= n <= top and the twisting identities of
+    :func:`_twisting_checks` hold into every such level, each one comparison
+    of two gathered columns over a level of B, the first failure named at
+    its least simplex.  Together they make ``H x_tau B`` a simplicial set on
+    which H acts freely."""
+    B, order = P.base, P.order
+    for n in range(1, top + 1):
+        col = P.twist[n]
+        if len(col) != B.counts[n] or (col and not 0 <= min(col) <= max(col) < order):
+            raise InternalInvariantError(f"the twist at level {n} does not map B_{n} into H")
+        for name, m, lhs, rhs in _twisting_checks(P, n):
+            wrong = _mismatches(lhs, rhs)
+            if wrong:
+                raise InternalInvariantError(
+                    f"twisting identity {name} fails at {Simplex(m, wrong[0])}"
+                )
+
+
+def quotient_map(P: TwistedProduct) -> SimplicialMap:
+    """The covering map ``pi: X -> B`` of a presentation, ``(h, b) -> b`` on
+    X's own ids (``P.cover()``), validated as a simplicial map: each
+    component's entries, and that it commutes with every face and
+    degeneracy.  It is a covering: each simplex of B has |H| simplices over
+    it, and a horn of X over an n-simplex of B, n >= 1, has exactly one
+    filler."""
+    X, components = P.cover()
+    return SimplicialMap(X, P.base, components)
 
 
 class GroupAction:

@@ -10,7 +10,8 @@ import kancheck.cli as cli
 import kancheck.groupoids
 from kancheck import cyclic_group, nerve, one_object_groupoid
 from kancheck.cli import RunReport, build_parser, main, reverify_report, run
-from kancheck.errors import RejectedInput
+from kancheck.errors import InternalInvariantError, RejectedInput
+from kancheck.bisimplicial import MAX_PRODUCT_LEVEL
 from kancheck.groupoids import MAX_LEVEL
 from kancheck.serialize import simplicial_to_dict
 
@@ -254,6 +255,19 @@ class TestKanCommand:
                 times.append(time.perf_counter() - start)
             assert min(times) < 0.02
 
+    def test_oversized_product_rejected_quickly(self, capsys):
+        # the S3 eg-tensor diagonal at dim 5 is checked on BS3 x BS3, whose
+        # level 5 would hold 6^10 simplices: refused before it is allocated
+        argv = ["kan", "--input", "tests/inputs/s3.json", "--construction",
+                "eg-tensor-diagonal", "--max-dim", "5"]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 2
+        assert capsys.readouterr().err == (
+            f"error: product level 5 would hold {6 ** 10} simplices, "
+            f"over the limit of {MAX_PRODUCT_LEVEL}\n"
+        )
+
     def test_oversized_level_refused_when_the_check_reaches_it(self, capsys, monkeypatch):
         # the z2-commuting diagonal passes, so its check reaches level 3,
         # where row 2's layout would hold 2048 simplices: refused with the
@@ -266,6 +280,39 @@ class TestKanCommand:
         assert capsys.readouterr().err == (
             "error: nerve level 3 would hold 2048 simplices, over the limit of 1000\n"
         )
+
+
+class TestExitStatus:
+    """0 as expected, 1 a check otherwise, 2 rejected input, 3 a crash."""
+
+    KAN = ["kan", "--preset", "eg-tensor", "--construction", "eg-tensor-diagonal",
+           "--max-dim", "2"]
+
+    @pytest.mark.parametrize("raised", [
+        InternalInvariantError("the cover fills a cell\nthat its quotient does not"),
+        MemoryError(),
+        KeyError(3),
+    ], ids=["invariant", "memory", "other"])
+    def test_crash_exits_3(self, capsys, monkeypatch, raised):
+        def crashing(X, max_dim):
+            raise raised
+
+        monkeypatch.setattr(cli, "check_kan_to_point", crashing)
+        assert main(self.KAN) == cli.CRASHED == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"internal error: {type(raised).__name__}")
+        # run's contract is unchanged: the exception reaches its caller
+        with pytest.raises(type(raised)):
+            run(self.KAN)
+
+    def test_verdicts_and_refusals_keep_their_status(self, capsys):
+        assert main(self.KAN) == 0
+        s3_diagonal = ["kan", "--preset", "s3-counterexample",
+                       "--construction", "double-nerve-diagonal", "--max-dim", "2"]
+        assert main(s3_diagonal) == 1
+        assert main(self.KAN[:-1] + ["0"]) == 2
 
 
 JSON_VALUES = st.recursive(

@@ -105,9 +105,13 @@ def test_s3_diagonal_spans_many_default_blocks(capsys, monkeypatch):
     # the eg-tensor diagonal of S3 at dim 2: each dim-2 cell has 46656 rows,
     # about three blocks at the default BLOCK_ROWS, where no golden cell
     # outgrows one; the verdict is pinned by the hash of its sorted-key JSON.
-    # The product is built without its action, so every family is searched
+    # The command checks EG x EG on its quotient; here it gets the product
+    # itself, built without its action, so every family is searched
     monkeypatch.chdir(HERE.parent)
-    monkeypatch.setattr(kancheck.cli, "product", lambda A, B: without_action(product(A, B)))
+    monkeypatch.setattr(
+        kancheck.cli, "product_presentation",
+        lambda P, Q: without_action(product(P.cover()[0], Q.cover()[0])),
+    )
     sizes = []
 
     def recording(f, n, indices, ys, *columns, check=kancheck.kan._check_witnesses):
