@@ -9,10 +9,10 @@ simplicial set, and rows, columns and the transpose are read off without
 copying.  The diagonal composes one row table with one column table; the
 diagonal of an external product is built directly as the product of its
 factors, and the diagonal of a ``tensor`` carries the product of its
-factors' group actions, as that product does.  The laws are checked on the
-tables too: rows and columns by the simplicial identities, and each
-horizontal/vertical commutation at a level as one comparison of gathered
-columns.
+factors' presentations on their quotients, as that product does.  The laws
+are checked on the tables too: rows and columns by the simplicial
+identities, and each horizontal/vertical commutation at a level as one
+comparison of gathered columns.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Callable, Sequence, TypeVar
 
 from .errors import RejectedInput, TruncationError
 from .simplicial import (
-    ProductAction,
     Simplex,
     SimplicialMap,
     TruncatedSimplicialSet,
@@ -33,6 +32,7 @@ from .simplicial import (
     _pairs,
     gather,
     point,
+    quotient,
     validate_simplicial_identities,
 )
 
@@ -128,8 +128,7 @@ def diagonal(X: TruncatedBisimplicialSet) -> TruncatedSimplicialSet:
     and bisimplices can be converted back and forth by reindexing alone.
     Level 0 is grown a level at a time by :func:`extend_diagonal`.  The
     diagonal of ``tensor(A, B)`` has the ids of ``product(A, B)``, so it
-    carries the same action, :class:`ProductAction` of the factors, when
-    either factor has one.
+    carries the same presentation (:func:`_attach_product_quotient`).
     """
     rows = X.rows
     D = TruncatedSimplicialSet(
@@ -138,7 +137,7 @@ def diagonal(X: TruncatedBisimplicialSet) -> TruncatedSimplicialSet:
     for _ in range(min(X.bounds)):
         D = extend_diagonal(D, X)
     if X._factors is not None:
-        D._action = _product_action(*X._factors)
+        _attach_product_quotient(D, *X._factors)
     return D
 
 
@@ -176,9 +175,14 @@ def tensor(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedBis
     Ids are packed row-major with the B factor minor.  Row q is A acting on
     the first coordinate of A_p x B_q, column p is B acting on the second, so
     the required commutation holds by construction.  The result records its
-    factors, for :func:`diagonal`.
+    factors, for :func:`diagonal`.  A level of more than
+    ``MAX_PRODUCT_LEVEL`` bisimplices is refused with ``RejectedInput``
+    before anything is built.
     """
     P, Q = A.bound, B.bound
+    for p in range(P + 1):
+        for q in range(Q + 1):
+            _require_product_level(f"tensor level ({p}, {q})", A.counts[p] * B.counts[q])
 
     def on_first(table: Sequence[int], width: int) -> list[int]:
         return _pairs(table, range(width), width)
@@ -219,19 +223,39 @@ def tensor(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedBis
     return X
 
 
-def _product_action(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> ProductAction | None:
-    """The action of ``A x B``: the factors' product, if either has an action."""
-    if A._action is None and B._action is None:
-        return None
-    return ProductAction(A, B)
+def _product_quotient(
+    A: TruncatedSimplicialSet, B: TruncatedSimplicialSet, X: TruncatedSimplicialSet
+) -> TwistedProduct:
+    """The presentation of X, ``A x B`` on its ids, as the product of the
+    factors' (:func:`product_presentation`), each factor's made once.  X
+    itself is not read: the product of the factors' projections is trusted
+    to be its projection."""
+    first = quotient(A)
+    return product_presentation(first, first if B is A else quotient(B))
 
 
-# The most simplices one level of a product may hold: 2^21, above the
-# 1679616 of the top level of BS3 x BS3 at dim 4 and of EG(S3) x EG(S3) at
-# dim 3.  Every count is known from the factors before any table is
-# allocated, so a product over it is refused at once instead of running out
-# of memory.
+def _attach_product_quotient(
+    X: TruncatedSimplicialSet, A: TruncatedSimplicialSet, B: TruncatedSimplicialSet
+) -> None:
+    """Give X, ``A x B`` on its ids, the product of the factors'
+    presentations, if both factors carry one."""
+    if A._quotient is not None and B._quotient is not None:
+        X._quotient = partial(_product_quotient, A, B)
+
+
+# The most simplices one level of a product, or bisimplices one level of a
+# tensor, may hold: 2^21, above the 1679616 of the top level of BS3 x BS3 at
+# dim 4 and of EG(S3) x EG(S3) at dim 3.  Every count is known from the
+# factors before any table is allocated, so a product over it is refused at
+# once instead of running out of memory.
 MAX_PRODUCT_LEVEL = 1 << 21
+
+
+def _require_product_level(what: str, count: int) -> None:
+    if count > MAX_PRODUCT_LEVEL:
+        raise RejectedInput(
+            f"{what} would hold {count} simplices, over the limit of {MAX_PRODUCT_LEVEL}"
+        )
 
 
 def product(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedSimplicialSet:
@@ -239,20 +263,16 @@ def product(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedSi
 
     This is ``diagonal(tensor(A, B))`` built without the rest of the grid:
     the same ids (row-major, B minor), tables and labels, to the smaller of
-    the two bounds.  If a factor carries a group action, the product carries
-    the product action (:class:`ProductAction`), which holds the factors
-    and builds no columns of its own.  A level of more than
+    the two bounds.  If both factors carry a presentation on their
+    quotients, the product carries the product of the two, made only when
+    asked for (:func:`~kancheck.simplicial.quotient`).  A level of more than
     ``MAX_PRODUCT_LEVEL`` simplices is refused with ``RejectedInput`` before
     anything is built.
     """
     bound = min(A.bound, B.bound)
     counts = [A.counts[n] * B.counts[n] for n in range(bound + 1)]
     for n, count in enumerate(counts):
-        if count > MAX_PRODUCT_LEVEL:
-            raise RejectedInput(
-                f"product level {n} would hold {count} simplices, "
-                f"over the limit of {MAX_PRODUCT_LEVEL}"
-            )
+        _require_product_level(f"product level {n}", count)
     faces = [[]] + [
         [_pairs(A._faces[n][i], B._faces[n][i], B.counts[n - 1]) for i in range(n + 1)]
         for n in range(1, bound + 1)
@@ -263,7 +283,7 @@ def product(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedSi
     ] + [[]]
     labels = [partial(_pair_label, A, n, B, n, B.counts[n]) for n in range(bound + 1)]
     X = TruncatedSimplicialSet(counts, faces, degens, labels)
-    X._action = _product_action(A, B)
+    _attach_product_quotient(X, A, B)
     return X
 
 

@@ -24,15 +24,14 @@ from operator import add
 from typing import Sequence
 
 from .errors import RejectedInput
-from .groups import FiniteGroup, _by_value, _first_nonassociative, _group_generators
+from .groups import FiniteGroup, _by_value, _first_nonassociative
 from .simplicial import (
-    GroupAction,
     Label,
     TruncatedSimplicialSet,
     TwistedProduct,
     _int_tuple,
-    _pairs,
     gather,
+    presented,
 )
 
 
@@ -397,10 +396,11 @@ def eg_construction(G: FiniteGroup, bound: int) -> TruncatedSimplicialSet:
     Faces delete a coordinate; degeneracies repeat one, the unique choice that
     makes the simplicial identities hold with coordinate-deleting faces.
 
-    The set carries the action of G by left multiplication,
-    ``g (g_0, ..., g_n) = (g g_0, ..., g g_n)``, which commutes with every
-    face and is free, with T_0 = {e}: one permutation column per generator
-    and level (:class:`~kancheck.simplicial.GroupAction`).
+    G acts freely by left multiplication, ``g (g_0, ..., g_n) =
+    (g g_0, ..., g g_n)``, with quotient BG.  The set carries its
+    presentation ``G x_tau BG`` (:func:`eg_presentation`), made only when
+    :func:`~kancheck.simplicial.quotient` asks for it, with the set itself as
+    its cover and the projection checked on the set's tables.
     """
     if bound < 0:
         raise RejectedInput("bound must be nonnegative")
@@ -425,13 +425,18 @@ def eg_construction(G: FiniteGroup, bound: int) -> TruncatedSimplicialSet:
     degens.append([])
     labels = [partial(_eg_label, G, n) for n in range(bound + 1)]
     X = TruncatedSimplicialSet(counts, faces, degens, labels)
-    # an id is its prefix's id times |G| plus its last coordinate, so a
-    # column is the one below paired with left multiplication
-    columns = [[G.table[g] for g in _group_generators(G)]]
-    for n in range(bound):
-        columns.append([_pairs(col, left, order) for col, left in zip(columns[-1], columns[0])])
-    X._action = GroupAction(tuple(tuple(map(tuple, level)) for level in columns), (G.identity,))
+    X._quotient = partial(_eg_quotient, G)
     return X
+
+
+def _eg_base(G: FiniteGroup, bound: int) -> tuple[TruncatedSimplicialSet, NerveLayout, list]:
+    """BG to ``bound``, the layout of its ids, and the twist of EG over it."""
+    B, L = nerve_and_layout(one_object_groupoid(G), bound)
+    # an arrow of the one-object groupoid is its element's id
+    twist: list[Sequence[int]] = [(), tuple(range(G.order))][:bound + 1]
+    for n in range(2, bound + 1):
+        twist.append(gather(twist[-1], B._faces[n][n]))
+    return B, L, twist
 
 
 def eg_presentation(G: FiniteGroup, bound: int) -> TwistedProduct:
@@ -440,34 +445,44 @@ def eg_presentation(G: FiniteGroup, bound: int) -> TwistedProduct:
     arrow, ``tau(b_1, ..., b_n) = b_1``, gathered through ``d_n`` from the
     level below.
 
-    ``cover()`` is ``eg_construction(G, bound)`` with the projection
-    ``(g_0, ..., g_n) -> (g_0^-1 g_1, ..., g_{n-1}^-1 g_n)``, read a level at
-    a time as the string of ``d_n`` followed by the arrow of the last edge.
-    The simplex ``(g_0, ..., g_n)`` is ``(g_0, b)`` in ``G x_tau BG``, so
-    ``d_0`` takes g_0 to ``g_1 = g_0 b_1``, the twist the presentation gives.
+    ``cover()`` is ``eg_construction(G, bound)`` with its projection
+    (:func:`_eg_projection`).  The simplex ``(g_0, ..., g_n)`` is
+    ``(g_0, b)`` in ``G x_tau BG``, so ``d_0`` takes g_0 to
+    ``g_1 = g_0 b_1``, the twist the presentation gives.
     """
-    C = one_object_groupoid(G)
-    B, L = nerve_and_layout(C, bound)
-    # an arrow of the one-object groupoid is its element's id
-    twist: list[Sequence[int]] = [(), tuple(range(G.order))][:bound + 1]
-    for n in range(2, bound + 1):
-        twist.append(gather(twist[-1], B._faces[n][n]))
+    B, L, twist = _eg_base(G, bound)
     return TwistedProduct(G.table, G.identity, B, twist, partial(_eg_cover, G, L, bound))
 
 
 def _eg_cover(
     G: FiniteGroup, L: NerveLayout, bound: int
 ) -> tuple[TruncatedSimplicialSet, tuple[Sequence[int], ...]]:
-    """``eg_construction(G, bound)`` and its projection onto the nerve on
-    ``L`` (see :func:`eg_presentation`)."""
+    """``eg_construction(G, bound)`` and its projection onto the nerve on ``L``."""
     X = eg_construction(G, bound)
+    return X, _eg_projection(G, L, X)
+
+
+def _eg_projection(
+    G: FiniteGroup, L: NerveLayout, X: TruncatedSimplicialSet
+) -> tuple[Sequence[int], ...]:
+    """The projection of a built EG onto the nerve on ``L``,
+    ``(g_0, ..., g_n) -> (g_0^-1 g_1, ..., g_{n-1}^-1 g_n)``, read a level
+    at a time off X's faces as the string of ``d_n`` followed by the arrow
+    of the last edge."""
     order, table, inverse = G.order, G.table, G.inverse
     pi: list[Sequence[int]] = [(0,) * order]
-    if bound:
+    if X.bound:
         pi.append([table[inverse[a]][b] for a in range(order) for b in range(order)])
     # each simplex's last edge, (g_{n-1}, g_n), an id of EG_1
     edges: Sequence[int] = range(order * order)
-    for n in range(2, bound + 1):
+    for n in range(2, X.bound + 1):
         edges = gather(edges, X._faces[n][0])
         pi.append(L.encode(n, pi[n - 1], X._faces[n][n], pi[1], edges))
-    return X, tuple(pi)
+    return tuple(pi)
+
+
+def _eg_quotient(G: FiniteGroup, X: TruncatedSimplicialSet) -> TwistedProduct:
+    """X, a built ``eg_construction(G, X.bound)``, presented as
+    ``G x_tau BG`` on its own tables (:func:`~kancheck.simplicial.presented`)."""
+    B, L, twist = _eg_base(G, X.bound)
+    return presented(X, G.table, G.identity, B, twist, _eg_projection(G, L, X))

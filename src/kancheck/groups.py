@@ -137,12 +137,6 @@ def _generating_set(
     return gens
 
 
-def _group_generators(G: FiniteGroup) -> list[int]:
-    """The generating set of :func:`_generating_set` for a group."""
-    point = (0,) * G.order
-    return _generating_set(G.table, range(G.order), point, point, (G.identity,))
-
-
 def _light_associative(
     rows: Sequence[Sequence[int]], source: Sequence[int], target: Sequence[int],
     identities: Iterable[int],

@@ -31,33 +31,25 @@ block with a row that does not fill has every row's equations evaluated
 A check that builds its own map (:func:`check_kan_to_point`,
 :func:`check_trivial_fibration_to_point`) drops each map once no later cell
 reads it, so it holds one cell's least-id map and one level's indexes at a
-time; a caller's map keeps its maps (:func:`check_kan_fibration`), as the
-pointwise sweep reads the diagonal's least-id maps after its Kan check.
-Such a check reads its domain a level at a time, level n on ``X.stage(n)``,
-and a built set is its own stage.  A to-point check of a double-nerve
+time; a caller's map keeps its maps (:func:`check_kan_fibration`), for the
+caller to read again.  Such a check reads its domain a level at a time,
+level n on ``X.stage(n)``, and a built set is its own stage.  A to-point check of a double-nerve
 diagonal (:class:`~kancheck.doublegroupoid.DiagonalStages`) builds level n
 only when its first cell at n starts: a check that fails below ``max_dim``
 pays only for the build up to its failing level, and a size refusal
 (``MAX_LEVEL``) fires only at a level the check reaches.
 
-Every Kan or trivial-fibration check of a map over a point, a caller's map
-included, also searches one horn family per orbit of a group action the
-domain carries (McKay, "Isomorph-free exhaustive generation", 1998); over a
-point ``f h = f`` for every h, so the action maps horns of f onto horns of
-f.  The action is checked on the tables first: it permutes each level, commutes
-with every face, and its group H_0 acts on X_0 freely with transversal T_0.
-A cell then searches only the families whose first face lies in
-T_{n-1}, the simplices whose vertex 0 is in T_0, and counts |H_0| families
-for each.  A lift of each h in H_0 to every level maps these
-representatives bijectively onto the families whose first face has its
-vertex 0 in h T_0, and fillers onto fillers, so the counts are exact; the
-first cell where a representative does not fill is searched again in full,
-so its counts and certificate are the full search's (see
-:func:`_fill_cells`).  The level's face identities are compared on T_n
-alone.  A domain without an action, or a map whose codomain is not a point,
-is searched in full.  A set presented as a twisted cartesian product
-``H x_tau B`` is not built at all: :func:`check_kan_to_point` searches its
-quotient B and counts |H| families for each (:func:`_check_on_quotient`).
+A set on which a group H acts freely is checked over a point on its
+quotient, by one rule for :func:`check_kan_fibration` and
+:func:`check_kan_to_point` alike: a set presented as a twisted cartesian
+product ``H x_tau B`` is not built at all, and a built set carries the
+presentation its constructor made (:func:`~kancheck.simplicial.quotient`),
+whose projection is checked to be a covering before it is used.  The check
+searches B and counts |H| families for each (:func:`_check_on_quotient`);
+the first cell that does not fill is searched again on the set itself, so
+its counts and certificate are the full search's.  A set without a
+presentation, a map whose codomain is not a point, and every
+trivial-fibration check are searched in full.
 
 Columns are read by the C-level ``gather``, key columns are zipped into
 tuples by ``zip_keys`` (one column is its own key), and buckets and fillers
@@ -86,8 +78,8 @@ from .simplicial import (
     TruncatedSimplicialSet,
     TwistedProduct,
     _as_table,
-    checked_orbits,
     gather,
+    quotient,
     require_level_laws,
     require_twisting,
     to_point_map,
@@ -172,18 +164,17 @@ class FillCertificate:
 
 
 def _fillers(
-    f: SimplicialMap, n: int, indices: tuple[int, ...], ys: list[int], xs: list[list[int]],
-    least: dict | None = None,
+    f: SimplicialMap, n: int, indices: tuple[int, ...], ys: list[int], xs: list[list[int]]
 ) -> list[int | None]:
     """Each row's least-id n-simplex with faces x_i at I that maps to y, or None.
 
     One lookup per row in the least-id map of X_n by ``(f w, d_i w for i in
-    I)`` (:meth:`SimplicialMap.least`, or ``least`` when given), under the
-    key ``(y, x_i for i in I)``: the least id of the fillers is the first
-    filler a scan of X_n meets.
+    I)`` (:meth:`SimplicialMap.least`), under the key ``(y, x_i for i in
+    I)``: the least id of the fillers is the first filler a scan of X_n
+    meets.
     """
     keys = zip_keys([ys, *xs] if f.headed(n) else xs, len(ys))
-    return list(map((f.least(n, indices) if least is None else least).get, keys))
+    return list(map(f.least(n, indices).get, keys))
 
 
 def brute_force_fill(
@@ -213,9 +204,7 @@ def brute_force_fill(
     return FillCertificate(f, n, indices, faces, y, w, f.domain.size(n) if w is None else w + 1)
 
 
-def _blocks(
-    f: SimplicialMap, n: int, indices: tuple[int, ...], firsts: Sequence[int] | None = None
-) -> Iterator[Block]:
+def _blocks(f: SimplicialMap, n: int, indices: tuple[int, ...]) -> Iterator[Block]:
     """Every f-compatible family over I, in blocks of at most BLOCK_ROWS rows,
     in certificate order: targets ascending, then faces by backtracking.
 
@@ -227,18 +216,12 @@ def _blocks(
     way to one child per id of its bucket, in bucket order, so the rows come
     in the order of a depth-first search; children past BLOCK_ROWS go to the
     next block.  At n = 1 there are no pairwise equations and every face is
-    drawn from an f-fiber.  Over a point, ``firsts`` (ascending ids of
-    X_{n-1}) replaces face 0's bucket, so only the families whose face 0 is
-    among them are enumerated, in the same order.
+    drawn from an f-fiber.
     """
     X, Y = f.domain, f.codomain
     # d_{i_t} y: the head of face t's key, read only if the keys have one
     targets = [Y._faces[n][i] for i in indices] if f.headed(n - 1) else None
-    pools = [
-        {(): firsts} if t == 0 and firsts is not None
-        else f.index(n - 1, indices[:t] if n >= 2 else ())
-        for t in range(len(indices))
-    ]
+    pools = [f.index(n - 1, indices[:t] if n >= 2 else ()) for t in range(len(indices))]
     # d_{i_t - 1}: the chosen x_s's entries of face t's key (read for t >= 1)
     shifted = [X._faces[n - 1][i - 1] for i in indices] if n >= 2 else []
     count = Y.counts[n]
@@ -314,20 +297,18 @@ def _require_max_dim(bound: int, max_dim: int) -> None:
 
 
 def _count_cell(
-    f: SimplicialMap, n: int, indices: tuple[int, ...],
-    firsts: Sequence[int] | None = None, least: dict | None = None,
+    f: SimplicialMap, n: int, indices: tuple[int, ...]
 ) -> tuple[int, tuple[int, list[int]] | None]:
     """Fill the families of cell (n, I) in order, on blocks of raw ids, until
     one does not fill: ``(families, None)`` when all fill, else the count
-    before it and its ``(y, faces)``.  ``firsts`` and ``least`` restrict the
-    search as :func:`_blocks` and :func:`_fillers` say.
+    before it and its ``(y, faces)``.
 
     A row that fills is verified by its witness, checked on the tables; a
     block with a row that does not fill has every row's equations checked.
     """
     families = 0
-    for ys, xs in _blocks(f, n, indices, firsts):
-        ws = _fillers(f, n, indices, ys, xs, least)
+    for ys, xs in _blocks(f, n, indices):
+        ws = _fillers(f, n, indices, ys, xs)
         if None in ws:
             if not _all_compatible(f, n, indices, ys, xs):
                 raise InternalInvariantError("enumerated family is not compatible")
@@ -366,37 +347,7 @@ def _fill_cells(
     since the old map's indexes and least-id maps are dropped by then.  A
     caller's map (``owned`` None) keeps its maps, for the caller to read
     again.
-
-    **One family per orbit.**  A map whose codomain is a point up to
-    ``max_dim``, and whose domain carries a group action, has the action
-    checked first (:func:`checked_orbits`): the generators permute each
-    level and commute with every face, they generate a group H_0 on X_0,
-    and ``H_0 x T_0 -> X_0`` is a bijection.  Any other map is searched in
-    full: over a point ``f h = f`` for every h, elsewhere the action need
-    not preserve f.  Each cell then enumerates only the families with
-    ``x_{i_0}`` in ``T_{n-1} = v0^{-1}(T_0)``, i_0 the least index of I and
-    v0 the vertex-0 map.  A map the check built fills them from a least-id
-    map built only over the w with ``d_{i_0} w`` in T_{n-1}, which holds
-    every filler of such a family; a caller's map fills them from its full
-    ``f.least(n, I)``, kept for the pointwise sweep that reads it next.
-    Each level's face identities are compared on ``T_n`` alone
-    (:func:`require_level_laws`).  The cell's counts are |H_0| times theirs.
-    This is exact even if the action has a kernel on a higher level.  For h
-    in H_0, pick a word in the generators that gives h on X_0, and let it
-    act on every level.  It is a permutation of each level that commutes
-    with every face, so it maps compatible families bijectively onto
-    compatible families, and fillers onto fillers.  Since v0 is a composite
-    of faces, it commutes with v0, so it maps the families with ``x_{i_0}``
-    in T_{n-1} onto those with ``v0 x_{i_0}`` in ``h T_0``.  The sets ``h T_0`` partition X_0, so
-    the families of the cell fall into |H_0| classes, each in bijection
-    with the representatives, filled rows with filled rows.  So a cell
-    whose representatives all fill has all its families filled, and the
-    first cell with a representative that does not fill is the full
-    search's first failing cell: it is re-run in full, and its counts and
-    certificate are the full search's.
     """
-    over_point = f.codomain.counts[:max_dim + 1] == (1,) * (max_dim + 1)
-    orbits = checked_orbits(f.domain, max_dim) if over_point else None
     done: list[HornCellStats] = []
     level = 0
     for n, k in cells:
@@ -406,16 +357,9 @@ def _fill_cells(
                 stage = owned(n)
                 if stage is not f.domain:
                     f = to_point_map(stage)
-            require_level_laws(f, n, None if orbits is None else orbits.level(n))
+            require_level_laws(f, n)
             level = n
         indices = tuple(i for i in range(n + 1) if i != k)
-        if orbits is not None:
-            least = f._build_least(n, indices, orbits.over(n, indices[0])) if owned else None
-            reps, stuck = _count_cell(f, n, indices, orbits.level(n - 1), least)
-            del least
-            if stuck is None:
-                done.append(HornCellStats(n, k, reps * orbits.order, reps * orbits.order))
-                continue
         families, stuck = _count_cell(f, n, indices)
         if stuck is not None:
             y, faces = stuck
@@ -436,10 +380,15 @@ def check_kan_fibration(f: SimplicialMap, max_dim: int) -> FibrationReport:
     """Fill every full horn (I = [n] minus one index) for 1 <= n <= max_dim.
 
     Every search map the sweep builds stays cached with f.  If the codomain
-    is a point up to max_dim and the domain carries a group action, the
-    action is checked and each cell searches one family per orbit
-    (:func:`_fill_cells`); otherwise every family is searched."""
+    is a point up to max_dim and the domain carries a presentation on its
+    quotient (:func:`~kancheck.simplicial.quotient`), the quotient is
+    searched instead (:func:`_check_on_quotient`), and a cell it does not
+    fill is searched again on f; otherwise every family is searched."""
     _require_max_dim(f.domain.bound, max_dim)
+    over_point = f.codomain.counts[:max_dim + 1] == (1,) * (max_dim + 1)
+    P = quotient(f.domain) if over_point else None
+    if P is not None:
+        return _check_on_quotient(P, max_dim, lambda: f, owned=False)
     return _fill_cells(f, "kan", max_dim, _horn_cells(max_dim), owned=None)
 
 
@@ -448,8 +397,7 @@ def check_kan_to_point(
 ) -> FibrationReport:
     """The report of ``check_kan_fibration(to_point_map(X), max_dim)``, on a
     map of its own that holds one cell's least-id map and one level's
-    indexes at a time.  If X carries a group action, it is checked, and each
-    cell searches one family per orbit (:func:`_fill_cells`).
+    indexes at a time.
 
     X may be built, or grown a level at a time (the diagonal of a double
     nerve, :class:`~kancheck.doublegroupoid.DiagonalStages`): level n is
@@ -457,40 +405,47 @@ def check_kan_to_point(
     starts, and a check that fails below ``max_dim`` builds nothing above
     its failing level; a level too large to build is refused only if the
     check reaches it.  X may also be presented as a twisted cartesian
-    product, and is then checked on its quotient
-    (:func:`_check_on_quotient`).  The report is the built set's."""
+    product, or carry such a presentation, and is then checked on its
+    quotient (:func:`_check_on_quotient`).  The report is the built set's."""
     _require_max_dim(X.bound, max_dim)
     if isinstance(X, TwistedProduct):
-        return _check_on_quotient(X, max_dim)
+        return _check_on_quotient(X, max_dim, lambda: to_point_map(X.cover()[0]), owned=True)
+    P = quotient(X) if isinstance(X, TruncatedSimplicialSet) else None
+    if P is not None:
+        return _check_on_quotient(P, max_dim, lambda: to_point_map(X), owned=True)
     return _fill_cells(
         to_point_map(X.stage(1)), "kan", max_dim, _horn_cells(max_dim), owned=X.stage
     )
 
 
-def _check_on_quotient(P: TwistedProduct, max_dim: int) -> FibrationReport:
+def _check_on_quotient(
+    P: TwistedProduct, max_dim: int, full: Callable[[], SimplicialMap], owned: bool
+) -> FibrationReport:
     """The Kan report of ``X = H x_tau B`` to a point, from a search of B.
 
     The twisting identities are checked on B's tables first
     (:func:`require_twisting`).  Then B is searched in full, to a point,
     and every cell's counts are multiplied by |H|.  This is exact, because
-    ``pi: X -> B`` is a covering: H acts freely on X with quotient B, and
-    an n-simplex of X is determined by its image and the lift of its vertex
-    0.  A horn of dimension n >= 2 is connected, indeed contractible, so a
+    ``pi: X -> B`` is a covering with fibre |H| (for a built set,
+    :func:`~kancheck.simplicial.require_covering` has checked it): a
+    simplex of B lifts uniquely through each lift of any of its vertices.
+    A horn of dimension n >= 2 is connected, indeed contractible, so a
     horn of B has exactly |H| lifts, one per lift of a vertex.  Each filler
     of a lifted horn maps to a filler of its image, and each filler of the
     image lifts to exactly one filler of the lifted horn, the one through
     that vertex.  At n = 1 a horn is one vertex, and the count is exact
     too: ``|X_0| = |H| |B_0|``, and an edge of B with a lifted end has
-    exactly one lift with that end, since ``d_0`` moves h by ``tau`` and
-    every other face keeps it.  So every cell of X is |H| copies of the same
-    cell of B, and it fills exactly when that cell fills.  A passing report
-    carries counts and no ids, so it is X's own, byte for byte.
+    exactly one lift with that end.  So every cell of X is |H| copies of
+    the same cell of B, and it fills exactly when that cell fills.  A
+    passing report carries counts and no ids, so it is X's own, byte for
+    byte.
 
     The first cell of B that does not fill is the first cell of X that does
-    not fill.  That cell alone is searched again on X, built by ``cover()``
-    on its own ids, so its counts and certificate are X's full search's.
-    If X fills it after all, the presentation is not X's, a broken
-    invariant.
+    not fill.  That cell alone is searched again on X, on the map ``full()``
+    gives: the caller's map, or, when ``owned``, a map of its own of the
+    built set, or of the set ``cover()`` builds when none is built.  So its
+    counts and certificate are X's full search's.  If X fills it after all,
+    the presentation is not X's, a broken invariant.
     """
     require_twisting(P, max_dim)
     cells = _horn_cells(max_dim)
@@ -501,9 +456,9 @@ def _check_on_quotient(P: TwistedProduct, max_dim: int) -> FibrationReport:
     )
     if report.failure is None:
         return FibrationReport("kan", max_dim, scaled, None)
-    X, _ = P.cover()
+    f = full()
     cell = cells[len(scaled) - 1]
-    failing = _fill_cells(to_point_map(X), "kan", max_dim, [cell], owned=X.stage)
+    failing = _fill_cells(f, "kan", max_dim, [cell], owned=f.domain.stage if owned else None)
     if failing.failure is None:
         raise InternalInvariantError("the cover fills a cell that its quotient does not")
     return FibrationReport("kan", max_dim, scaled[:-1] + failing.cells, failing.failure)
@@ -513,7 +468,9 @@ def check_trivial_fibration_to_point(
     X: TruncatedSimplicialSet, max_dim: int
 ) -> FibrationReport:
     """Fill every compatible full boundary (I = [n]) for 1 <= n <= max_dim,
-    on a map of its own, one family per orbit as :func:`check_kan_to_point`."""
+    on a map of its own as :func:`check_kan_to_point`, always in full:
+    boundary counts do not scale over a covering, as ``∂Δ[1]`` is two
+    points."""
     _require_max_dim(X.bound, max_dim)
     if X.size(0) == 0:
         return FibrationReport("trivial", max_dim, (), None, base_point_missing=True)

@@ -28,25 +28,24 @@ of a double-nerve diagonal builds level n only when its first cell at n
 starts, so a size refusal fires only at a level the check reaches (see
 :class:`kancheck.doublegroupoid.DiagonalStages`).
 
-A set may carry the action of a group on its levels (``_action``), attached
-only by constructors: ``eg_construction`` attaches the action of G on EG by
-left multiplication (:class:`GroupAction`), and ``product``, and
-``diagonal`` of a ``tensor``, the product of the factors' actions
-(:class:`ProductAction`).  The horn sweeps of a map over a point check it
-on the tables (:func:`checked_orbits`) and then search one horn family per
-orbit (see :func:`kancheck.kan._fill_cells`), with the face identities of
-each level compared on one simplex per orbit (:func:`require_level_laws`).
-
-A set on which a group acts freely may instead be presented by its quotient,
-as a principal twisted cartesian product (:class:`TwistedProduct`), whose
-twist is checked on the quotient's tables (:func:`require_twisting`); its
-to-point Kan check searches the quotient alone (see
+A set on which a group H acts freely is presented by its quotient, as a
+principal twisted cartesian product (:class:`TwistedProduct`), whose twist is
+checked on the quotient's tables (:func:`require_twisting`).  A presentation
+is made by a constructor, either for a set it does not build
+(``eg_presentation``, ``product_presentation``), or for a set it built, which
+then carries it (``_quotient``, read by :func:`quotient`): ``eg_construction``
+attaches EG's, and ``product``, and ``diagonal`` of a ``tensor``, the product
+of the factors' presentations.  Before a built set's presentation is used,
+its projection is checked on the set's tables to be a covering with fibre |H|
+(:func:`require_covering`).  A Kan check over a point searches the quotient
+alone and counts |H| families for each (see
 :func:`kancheck.kan.check_kan_to_point`), and :func:`quotient_map` is the
 covering map onto it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, groupby
 from operator import attrgetter, getitem, itemgetter, ne
@@ -147,12 +146,12 @@ class TruncatedSimplicialSet:
     0 <= i <= n; ``degeneracies[n][i]`` maps upward for 0 <= n < bound.
     ``labels[n]`` is level n's label function ``idx -> str``, or a table of
     its labels, which is wrapped as one; labels are rendered only when read.
-    ``_action`` is a group action a constructor attached, or None; equality
-    does not read it.  :meth:`extended` adds a level, validating only its
-    tables.
+    ``_quotient`` is None, or a constructor's maker of the set's presentation
+    on its quotient, called with the set (:func:`quotient`); equality does
+    not read it.  :meth:`extended` adds a level, validating only its tables.
     """
 
-    __slots__ = ("bound", "counts", "_faces", "_degens", "_labels", "_action")
+    __slots__ = ("bound", "counts", "_faces", "_degens", "_labels", "_quotient")
 
     def __init__(
         self,
@@ -182,7 +181,7 @@ class TruncatedSimplicialSet:
             _level_tables(degeneracies[n], n, "degeneracy", "s", self.counts[n], self.counts[n + 1])
             for n in range(self.bound)
         ) + ((),)
-        self._action: GroupAction | ProductAction | None = None
+        self._quotient: Callable[[TruncatedSimplicialSet], TwistedProduct] | None = None
 
         if labels is None:
             self._labels = None
@@ -204,7 +203,7 @@ class TruncatedSimplicialSet:
         their n + 1 ``faces`` and the n ``degeneracies`` from level n - 1
         into them, and ``label`` (None exactly when this set is unlabelled).
         Only the new tables are validated, as the constructor validates them;
-        the others are shared.  The new set carries no action."""
+        the others are shared.  The new set carries no presentation."""
         n = self.bound + 1
         if (label is None) != (self._labels is None):
             raise RejectedInput("labels must match the simplex counts")
@@ -221,7 +220,7 @@ class TruncatedSimplicialSet:
             (),
         )
         X._labels = None if label is None else self._labels + (_level_label(label, count),)
-        X._action = None
+        X._quotient = None
         return X
 
     def stage(self, n: int) -> "TruncatedSimplicialSet":
@@ -320,13 +319,12 @@ class IdentityReport:
         return not self.violations
 
 
-def _face_face_checks(X: TruncatedSimplicialSet, n: int, ids: Sequence[int] | None = None):
+def _face_face_checks(X: TruncatedSimplicialSet, n: int):
     """The identities ``d_i d_j = d_{j-1} d_i`` (i < j) of level n, as
-    :func:`_level_checks` yields them; on the n-simplices ``ids`` only, when
-    given."""
+    :func:`_level_checks` yields them."""
     F = X._faces
     if n >= 2:
-        tops = F[n] if ids is None else [gather(t, ids) for t in F[n]]
+        tops = F[n]
         for j in range(n + 1):
             for i in range(j):
                 yield ("face-face", i, j, n - 2,
@@ -455,18 +453,13 @@ class SimplicialMap:
         image is the same, so it is left out of the index and its lookups."""
         return self.codomain.counts[m] > 1
 
-    def _keys(
-        self, m: int, faces: tuple[int, ...], ids: Sequence[int] | None = None
-    ) -> Sequence[Key]:
+    def _keys(self, m: int, faces: tuple[int, ...]) -> Sequence[Key]:
         """Each domain m-simplex w's key ``(f w, d_j w for j in faces)``, the
-        image left out unless :meth:`headed`, zipped by :func:`zip_keys`; for
-        the simplices ``ids`` only, when given."""
+        image left out unless :meth:`headed`, zipped by :func:`zip_keys`."""
         cols = [self.domain._faces[m][j] for j in faces]
         if self.headed(m):
             cols.insert(0, self.components[m])
-        if ids is None:
-            return zip_keys(cols, self.domain.counts[m])
-        return zip_keys([gather(col, ids) for col in cols], len(ids))
+        return zip_keys(cols, self.domain.counts[m])
 
     def index(self, m: int, faces: tuple[int, ...]) -> dict[Key, tuple[int, ...]]:
         """The domain m-simplices bucketed by their keys (:meth:`_keys`): key
@@ -502,15 +495,10 @@ class SimplicialMap:
             found = self._leasts[m, faces] = self._build_least(m, faces)
         return found
 
-    def _build_least(
-        self, m: int, faces: tuple[int, ...], ids: Sequence[int] | None = None
-    ) -> dict[Key, int]:
-        """The least-id map of :meth:`least`, over the ascending ``ids`` only
-        when given: then it is not cached, and a search that reads it must
-        know that every simplex it looks for is among them."""
-        keys = self._keys(m, faces, ids)
+    def _build_least(self, m: int, faces: tuple[int, ...]) -> dict[Key, int]:
+        keys = self._keys(m, faces)
         # read from the last id down, a key is left holding its least id
-        return dict(zip(reversed(keys), reversed(range(len(keys)) if ids is None else ids)))
+        return dict(zip(reversed(keys), reversed(range(len(keys)))))
 
     def fiber(self, n: int, target_idx: int) -> tuple[int, ...]:
         """Ids of domain n-simplices mapping to the given codomain id, ascending."""
@@ -533,9 +521,7 @@ class SimplicialMap:
         return f"SimplicialMap(bound={self.domain.bound})"
 
 
-def require_level_laws(
-    f: SimplicialMap, n: int, reps: Sequence[int] | None = None
-) -> None:
+def require_level_laws(f: SimplicialMap, n: int) -> None:
     """Raise ``RejectedInput`` unless the domain's n-simplices satisfy
     ``d_i d_j = d_{j-1} d_i`` for i < j and, when ``f.headed(n - 1)``, f
     commutes with every ``d_i`` on them; each violation named as the law
@@ -546,26 +532,19 @@ def require_level_laws(
     and ``f x_i = f d_i w = d_i f w = d_i y``.  So a horn sweep checks them
     once per level, and per row only the witness.  Over a point at n - 1
     both sides of ``f d_i = d_i f`` are 0, the one simplex there.
-
-    ``reps`` is T_n of a checked action (:func:`checked_orbits`): every
-    n-simplex is g t for some t in T_n and a permutation g of each level
-    that commutes with every face, so the face identities hold on X_n once
-    they hold on T_n, and only T_n is compared.  On a mismatch the whole
-    level is compared again, so the message names the least violating id.
     """
     X = f.domain
-    if reps is None or any(lhs != rhs for *_, lhs, rhs in _face_face_checks(X, n, reps)):
-        firsts = [
-            (wrong[0], order, IdentityViolation(
-                name, n, i, j, wrong[0], Simplex(dim, lhs[wrong[0]]), Simplex(dim, rhs[wrong[0]])
-            ))
-            for order, (name, i, j, dim, lhs, rhs) in enumerate(_face_face_checks(X, n))
-            if (wrong := _mismatches(lhs, rhs))
-        ]
-        if firsts:
-            raise RejectedInput(
-                f"domain breaks the simplicial identities: {min(firsts)[2].describe(X)}"
-            )
+    firsts = [
+        (wrong[0], order, IdentityViolation(
+            name, n, i, j, wrong[0], Simplex(dim, lhs[wrong[0]]), Simplex(dim, rhs[wrong[0]])
+        ))
+        for order, (name, i, j, dim, lhs, rhs) in enumerate(_face_face_checks(X, n))
+        if (wrong := _mismatches(lhs, rhs))
+    ]
+    if firsts:
+        raise RejectedInput(
+            f"domain breaks the simplicial identities: {min(firsts)[2].describe(X)}"
+        )
     if f.headed(n - 1):
         f._require_natural("d", n)
 
@@ -590,12 +569,14 @@ class TwistedProduct:
     ``d_0 (h, b) = (h tau(b), d_0 b)`` and every other face and degeneracy
     acting on b alone, so H acts freely on X by ``g (h, b) = (g h, b)``, and
     ``X / H = B``.  :func:`require_twisting` checks that tau makes X a
-    simplicial set.  ``cover()`` builds X on its own ids, with the
-    projection ``pi: X -> B`` as one column per level; only a check that
-    certifies a failure on X's ids, and :func:`quotient_map`, call it.
-    Constructors make a presentation (``eg_presentation``,
-    ``product_presentation``), and the tie between ``cover()`` and the
-    twist is theirs: it is not re-checked.
+    simplicial set.  ``cover()`` gives X on its own ids, with the
+    projection ``pi: X -> B`` as one column per level: it builds X, or,
+    for the presentation of a set already built (:func:`quotient`), gives
+    that set.  Only a check that certifies a failure on X's ids, and
+    :func:`quotient_map`, call it.  Constructors make a presentation, and
+    the tie between ``cover()`` and the twist is theirs; what a count
+    scaled by |H| relies on, that pi is a covering with fibre |H|, is
+    checked on X's tables by :func:`require_covering`.
     """
 
     __slots__ = ("mul", "identity", "base", "twist", "cover")
@@ -662,164 +643,105 @@ def require_twisting(P: TwistedProduct, top: int) -> None:
                 )
 
 
+def require_covering(
+    P: TwistedProduct, X: TruncatedSimplicialSet, pi: Sequence[Sequence[int]]
+) -> None:
+    """Raise ``InternalInvariantError`` unless ``pi: X -> B``, B the base of
+    P, is a covering with fibre |H|, checked on X's and B's tables, the
+    first failure named:
+
+    - pi_n maps X_n into B_n, and ``|X_n| = |H| |B_n|``, on every level;
+    - every fibre of pi_0 has |H| vertices;
+    - pi commutes with every face, and X's faces satisfy
+      ``d_i d_j = d_{j-1} d_i``;
+    - ``x -> (vertex 0 of x, pi x)`` is injective on every level, and
+      ``x -> (vertex 1 of x, pi x)`` on the edges.
+
+    Then ``(v0, pi)`` maps X_n injectively into the pairs (v, b) with
+    ``pi v`` the vertex 0 of b, of which there are ``|H| |B_n|`` = |X_n|,
+    so it is a bijection: each simplex of B lifts uniquely through each lift
+    of its vertex 0, and an edge through each lift of either end.  So a
+    simplex lifts uniquely through each lift of any vertex j, along the
+    lift of its edge from vertex 0 to vertex j: pi is a covering (Gabriel
+    and Zisman, 1967, App. I) with fibre |H|.  Vertex 0 of an n-simplex is
+    vertex 0 of its face ``d_n``."""
+    B, order = P.base, P.order
+    if X.bound != B.bound or len(pi) != X.bound + 1:
+        raise InternalInvariantError("the projection does not reach every level of its base")
+    for n, col in enumerate(pi):
+        count = X.counts[n]
+        if len(col) != count or count != order * B.counts[n] or (
+            col and not 0 <= min(col) <= max(col) < B.counts[n]
+        ):
+            raise InternalInvariantError(
+                f"pi_{n} does not map the {count} simplices of X_{n} into B_{n}, "
+                f"or |X_{n}| != |H| |B_{n}| = {order * B.counts[n]}"
+            )
+    fibres = Counter(pi[0])
+    wrong = _mismatches(list(map(fibres.__getitem__, range(B.counts[0]))), [order] * B.counts[0])
+    if wrong:
+        raise InternalInvariantError(
+            f"the fibre of pi over vertex {wrong[0]} has {fibres[wrong[0]]} vertices, "
+            f"not |H| = {order}"
+        )
+    for n in range(1, X.bound + 1):
+        for i, (face, base_face) in enumerate(zip(X._faces[n], B._faces[n])):
+            wrong = _mismatches(gather(pi[n - 1], face), gather(base_face, pi[n]))
+            if wrong:
+                raise InternalInvariantError(
+                    f"pi does not commute with d_{i} at {Simplex(n, wrong[0])}"
+                )
+        for _, i, j, _, lhs, rhs in _face_face_checks(X, n):
+            wrong = _mismatches(lhs, rhs)
+            if wrong:
+                raise InternalInvariantError(
+                    f"the cover breaks d_{i} d_{j} = d_{j - 1} d_{i} at {Simplex(n, wrong[0])}"
+                )
+    vertex = list(range(X.counts[0]))
+    for n in range(1, X.bound + 1):
+        vertex = gather(vertex, X._faces[n][n])
+        ends = [vertex, X._faces[1][0]] if n == 1 else [vertex]
+        if any(len(set(zip(end, pi[n]))) < X.counts[n] for end in ends):
+            raise InternalInvariantError(
+                f"two {n}-simplices over one simplex of B share a lift of a vertex"
+            )
+
+
+def presented(
+    X: TruncatedSimplicialSet, mul: Sequence[Sequence[int]], identity: int,
+    base: TruncatedSimplicialSet, twist: Sequence[Sequence[int]], pi: Sequence[Sequence[int]],
+) -> TwistedProduct:
+    """X, a built set, presented as ``H x_tau B`` with X itself as its
+    cover, once its projection pi is checked to be a covering with fibre
+    |H| (:func:`require_covering`): the presentation a constructor's
+    ``_quotient`` maker returns for a set that is not a product."""
+    P = TwistedProduct(mul, identity, base, twist, lambda: (X, pi))
+    require_covering(P, X, pi)
+    return P
+
+
+def quotient(X: TruncatedSimplicialSet) -> TwistedProduct | None:
+    """X presented on its quotient, as the constructor that built X made it
+    (``X._quotient``, called with X), or None if it made none.  Its
+    ``cover()`` gives X's tables: X itself for a set that is not a product,
+    whose projection is checked before the presentation is returned
+    (:func:`presented`), and for a product the product of its factors'
+    covers, with the product of their projections, trusted as such."""
+    return None if X._quotient is None else X._quotient(X)
+
+
 def quotient_map(P: TwistedProduct) -> SimplicialMap:
     """The covering map ``pi: X -> B`` of a presentation, ``(h, b) -> b`` on
-    X's own ids (``P.cover()``), validated as a simplicial map: each
+    X's own ids (``P.cover()``), validated as a simplicial map (each
     component's entries, and that it commutes with every face and
-    degeneracy.  It is a covering: each simplex of B has |H| simplices over
-    it, and a horn of X over an n-simplex of B, n >= 1, has exactly one
-    filler."""
+    degeneracy, ``RejectedInput`` if not) and then checked to be a covering
+    with fibre |H| (:func:`require_covering`): each simplex of B has |H|
+    simplices over it, and a horn of X over an n-simplex of B, n >= 1, has
+    exactly one filler."""
     X, components = P.cover()
-    return SimplicialMap(X, P.base, components)
-
-
-class GroupAction:
-    """A finite group H acting on a set's levels, given by generators.
-
-    ``generators[m][g]`` is generator g's permutation ``x -> g x`` of X_m;
-    ``base`` is T_0, meant to meet each orbit of X_0 once.  Nothing is taken
-    on trust: :func:`checked_orbits` checks all of it on the tables, and
-    works out |H_0| from the generators.
-    """
-
-    __slots__ = ("generators", "base")
-
-    def __init__(
-        self, generators: tuple[tuple[tuple[int, ...], ...], ...], base: tuple[int, ...]
-    ) -> None:
-        self.generators, self.base = generators, base
-
-
-class ProductAction:
-    """The action of H_A x H_B on ``A x B``, each factor on its coordinate.
-
-    It holds the factors, not product-level columns.  A factor with no
-    action counts as the trivial group, with T_0 all of its X_0.
-    """
-
-    __slots__ = ("first", "second")
-
-    def __init__(self, first: TruncatedSimplicialSet, second: TruncatedSimplicialSet) -> None:
-        self.first, self.second = first, second
-
-
-class _Orbits:
-    """The orbits of a checked action on X, as a sweep reads them.
-
-    ``order`` is |H_0|.  ``level(m)`` is T_m = v0^{-1}(T_0): the m-simplices
-    whose vertex 0 lies in T_0, ascending.  ``over(n, i)`` is the n-simplices
-    w with ``d_i w`` in T_{n-1}, ascending.  Vertex 0 is read off a column
-    of 0s and 1s per level, gathered through ``d_m`` from the level below.
-    """
-
-    def __init__(self, X: TruncatedSimplicialSet, order: int, base: Iterable[int]) -> None:
-        self.X, self.order = X, order
-        member = [0] * X.counts[0]
-        for t in base:
-            member[t] = 1
-        self._members = [member]
-
-    def _member(self, m: int) -> list[int]:
-        """1 where an m-simplex's vertex 0 lies in T_0, else 0."""
-        faces = self.X._faces
-        while len(self._members) <= m:
-            k = len(self._members)
-            # vertex 0 of a k-simplex is vertex 0 of its face d_k
-            self._members.append(gather(self._members[-1], faces[k][k]))
-        return self._members[m]
-
-    def level(self, m: int) -> list[int]:
-        return list(compress(range(self.X.counts[m]), self._member(m)))
-
-    def over(self, n: int, i: int) -> list[int]:
-        inside = gather(self._member(n - 1), self.X._faces[n][i])
-        return list(compress(range(self.X.counts[n]), inside))
-
-
-class _ProductOrbits:
-    """The orbits of a product action, read off its factors' orbits: vertex
-    0 and the faces of ``A x B`` act a coordinate at a time, so T_m is
-    T_m(A) x T_m(B) and H_0 is H_0(A) x H_0(B)."""
-
-    def __init__(
-        self, X: TruncatedSimplicialSet, first: "_Orbits | _ProductOrbits",
-        second: "_Orbits | _ProductOrbits",
-    ) -> None:
-        self.X, self.first, self.second = X, first, second
-        self.order = first.order * second.order
-
-    def level(self, m: int) -> list[int]:
-        return _pairs(self.first.level(m), self.second.level(m), self.second.X.counts[m])
-
-    def over(self, n: int, i: int) -> list[int]:
-        return _pairs(self.first.over(n, i), self.second.over(n, i), self.second.X.counts[n])
-
-
-def checked_orbits(
-    X: TruncatedSimplicialSet, top: int
-) -> _Orbits | _ProductOrbits | None:
-    """The orbits of X's action on levels 0..top, or None if X has none.
-
-    The action is checked first on the tables it is given on: X's own, or
-    each factor's for a product.  Each generator column must be a
-    permutation of its level that commutes with every face table there; and,
-    with H_0 the group the generators generate on X_0,
-    ``H_0 x T_0 -> X_0``, ``(h, t) -> h t``, must be a bijection, so H_0 acts
-    freely on X_0 with transversal T_0.  Only constructors attach an
-    action, so a check that fails raises ``InternalInvariantError``.
-    """
-    return None if X._action is None else _orbits(X, top)
-
-
-def _orbits(X: TruncatedSimplicialSet, top: int) -> _Orbits | _ProductOrbits:
-    action = X._action
-    if action is None:
-        return _Orbits(X, 1, range(X.counts[0]))
-    if isinstance(action, ProductAction):
-        return _ProductOrbits(X, _orbits(action.first, top), _orbits(action.second, top))
-    return _Orbits(X, _free_action_order(X, action, top), action.base)
-
-
-def _free_action_order(X: TruncatedSimplicialSet, action: GroupAction, top: int) -> int:
-    """Check the action on levels 0..top as :func:`checked_orbits` says; return |H_0|."""
-    gens = action.generators
-    if len(gens) <= top or len({len(level) for level in gens[:top + 1]}) > 1:
-        raise InternalInvariantError("the action needs the same generators on every level")
-    for m in range(top + 1):
-        count = X.counts[m]
-        for g, col in enumerate(gens[m]):
-            if len(col) != count or set(col) != set(range(count)):
-                raise InternalInvariantError(f"generator {g} is not a permutation of level {m}")
-            for i, face in enumerate(X._faces[m]):
-                wrong = _mismatches(gather(gens[m - 1][g], face), gather(face, col))
-                if wrong:
-                    raise InternalInvariantError(
-                        f"generator {g} does not commute with d_{i} at {Simplex(m, wrong[0])}"
-                    )
-    count = X.counts[0]
-    # a free action has |H_0| <= |X_0|; a larger group fails the bijection
-    group = _generated(gens[0], count, count)
-    if not set(action.base) <= set(range(count)):
-        raise InternalInvariantError("T_0 is not a set of vertices")
-    images = [h[t] for h in group for t in action.base]
-    if len(images) != count or len(set(images)) != count:
-        raise InternalInvariantError("H_0 x T_0 -> X_0 is not a bijection")
-    return len(group)
-
-
-def _generated(
-    generators: Sequence[Sequence[int]], size: int, limit: int
-) -> list[tuple[int, ...]]:
-    """The permutations of range(size) that the generators generate, closed
-    under composition with each; the search stops once it has more than
-    ``limit``."""
-    group = {tuple(range(size))}
-    frontier = list(group)
-    while frontier and len(group) <= limit:
-        found = {tuple(gather(g, p)) for p in frontier for g in generators}
-        frontier = [q for q in found if q not in group]
-        group.update(frontier)
-    return list(group)
+    f = SimplicialMap(X, P.base, components)
+    require_covering(P, X, f.components)
+    return f
 
 
 class _UnionFind:

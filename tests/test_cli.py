@@ -268,6 +268,21 @@ class TestKanCommand:
             f"over the limit of {MAX_PRODUCT_LEVEL}\n"
         )
 
+    def test_oversized_tensor_rejected_quickly(self, capsys):
+        # the S3 eg-tensor at total dim 4 would hold levels of up to 7776^2
+        # bisimplices, the first over the limit at (3, 4): refused before
+        # any is allocated.  At total dim 3 its top level, 1296^2, is under
+        # the limit
+        argv = ["pointwise", "--input", "tests/inputs/s3.json", "--max-total-dim", "4"]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 2
+        assert capsys.readouterr().err == (
+            f"error: tensor level (3, 4) would hold {6 ** 4 * 6 ** 5} simplices, "
+            f"over the limit of {MAX_PRODUCT_LEVEL}\n"
+        )
+        assert 6 ** 4 * 6 ** 4 <= MAX_PRODUCT_LEVEL
+
     def test_oversized_level_refused_when_the_check_reaches_it(self, capsys, monkeypatch):
         # the z2-commuting diagonal passes, so its check reaches level 3,
         # where row 2's layout would hold 2048 simplices: refused with the

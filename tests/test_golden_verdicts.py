@@ -49,7 +49,7 @@ PINNED = {
     "kan-s4-pair-double-nerve-diagonal":
         "kan --input bench/inputs/s4_pair.json --construction double-nerve-diagonal --max-dim 3",
     # the S3 eg-tensor sweep (8784 problems), whose diagonal Kan check
-    # searches one family per orbit of S3 x S3 (|H_0| = 36)
+    # searches its quotient BS3 x BS3, one family in |S3 x S3| = 36
     "pointwise-s3-eg-tensor": "pointwise --input tests/inputs/s3.json --max-total-dim 2",
 }
 
@@ -96,8 +96,8 @@ def test_verdict_is_the_same_in_small_blocks(name, rows, capsys, monkeypatch):
     assert longest == (0 if name == "identities" else rows)
 
 
-def without_action(X):
-    """The same tables as X, with no group action: the full search runs."""
+def without_quotient(X):
+    """The same tables as X, with no presentation: the full search runs."""
     return TruncatedSimplicialSet(X.counts, X._faces, X._degens)
 
 
@@ -106,11 +106,11 @@ def test_s3_diagonal_spans_many_default_blocks(capsys, monkeypatch):
     # about three blocks at the default BLOCK_ROWS, where no golden cell
     # outgrows one; the verdict is pinned by the hash of its sorted-key JSON.
     # The command checks EG x EG on its quotient; here it gets the product
-    # itself, built without its action, so every family is searched
+    # itself, built without its presentation, so every family is searched
     monkeypatch.chdir(HERE.parent)
     monkeypatch.setattr(
         kancheck.cli, "product_presentation",
-        lambda P, Q: without_action(product(P.cover()[0], Q.cover()[0])),
+        lambda P, Q: without_quotient(product(P.cover()[0], Q.cover()[0])),
     )
     sizes = []
 
@@ -136,9 +136,9 @@ def test_s3_diagonal_spans_many_default_blocks(capsys, monkeypatch):
     )
 
 
-def test_s3_diagonal_searches_one_family_per_orbit(capsys, monkeypatch):
-    # the same command on the product with its action: S3 x S3 acts freely,
-    # so each dim-2 cell searches 46656 / 36 = 1296 representatives, and the
+def test_s3_diagonal_is_checked_on_its_quotient(capsys, monkeypatch):
+    # the same command on the presentation: S3 x S3 acts freely, so each
+    # dim-2 cell searches 46656 / 36 = 1296 families of BS3 x BS3, and the
     # verdict is the full search's, hash for hash
     monkeypatch.chdir(HERE.parent)
     sizes = []
@@ -162,7 +162,7 @@ def test_s3_diagonal_searches_one_family_per_orbit(capsys, monkeypatch):
 
 def test_s3_diagonal_dim3_rung(capsys, monkeypatch):
     # the S3 eg-tensor diagonal at dim 3: 6858504 families, of which the
-    # orbit search visits one in 36; pinned by its per-cell counts and the
+    # search of its quotient visits one in 36; pinned by its per-cell counts and the
     # hash of its structured-format verdict (the config records the format)
     monkeypatch.chdir(HERE.parent)
     code, report = run(
@@ -181,3 +181,24 @@ def test_s3_diagonal_dim3_rung(capsys, monkeypatch):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "cc44bb75761fc61070f2a5db171d44c2daf83fb8d617287cde2e1bf511e29929"
     )
+
+
+@pytest.mark.parametrize("source, max_dim", [
+    ("--preset eg-tensor", 4), ("--input tests/inputs/s3.json", 2),
+], ids=["Z2-4", "S3-2"])
+def test_double_nerve_route_is_the_eg_tensor_diagonal(source, max_dim, capsys, monkeypatch):
+    # on a single group, double-nerve-diagonal builds the diagonal of
+    # EG (x) EG, which carries the product of its factors' presentations,
+    # so it is checked on the same quotient as eg-tensor-diagonal, which
+    # builds no EG: the reports agree cell for cell
+    monkeypatch.chdir(HERE.parent)
+    reports = []
+    for construction in ("double-nerve-diagonal", "eg-tensor-diagonal"):
+        code, report = run(
+            f"kan {source} --construction {construction} --max-dim {max_dim}".split()
+        )
+        capsys.readouterr()
+        assert code == 0
+        reports.append(report.verdict_dict()["checks"][0]["details"]["report"])
+    assert reports[0] == reports[1] and reports[0]["passed"]
+    assert len(reports[0]["cells"]) == (max_dim + 1) * (max_dim + 2) // 2 - 1

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from oracles import compatible, map_apply, simplices
 
+import kancheck.groupoids
 import kancheck.kan
 from kancheck import (
     FiniteGroupoid,
@@ -27,8 +28,11 @@ from kancheck import (
     point,
     product,
     symmetric_group_preset,
+    tensor,
+    to_point_bimap,
     to_point_map,
     validate_simplicial_identities,
+    verify_pointwise_fillers,
 )
 from kancheck.cli import group_from_input, load_input, subgroups_from_input
 from kancheck.doublegroupoid import DiagonalStages, _DoubleNerveBuild
@@ -43,7 +47,7 @@ from kancheck.kan import (
 )
 from kancheck.presets import preset_bisimplicial, preset_double_groupoid
 from kancheck.serialize import fibration_report_to_dict
-from kancheck.simplicial import GroupAction, TruncatedSimplicialSet, checked_orbits, gather
+from kancheck.simplicial import TruncatedSimplicialSet, gather, presented, quotient
 
 
 # A family is ``(n, indices, faces, y)`` on raw ids: ``faces[t]`` is the id
@@ -532,16 +536,22 @@ class TestRowsVerifiedByWitness:
         seen = []
         check = kancheck.kan.require_level_laws
 
-        def recording(f, n, *reps):
-            seen.append((f, n, *map(len, reps)))
-            return check(f, n, *reps)
+        def recording(f, n):
+            seen.append((f, n))
+            return check(f, n)
 
         monkeypatch.setattr(kancheck.kan, "require_level_laws", recording)
         assert check_kan_fibration(eg_diag_map, 3).passed
-        # the diagonal of a tensor carries Z2 x Z2, so each level's face
-        # identities are compared on T_n, a quarter of X_n
-        assert [(n, *reps) for _, n, *reps in seen] == [(n, 4 ** (n + 1) // 4) for n in (1, 2, 3)]
-        assert all(f is eg_diag_map for f, *_ in seen)
+        # the diagonal of a tensor is checked on its quotient BZ2 x BZ2, a
+        # quarter of each level, so the laws are checked on the quotient's
+        # one map, once per level
+        assert [n for _, n in seen] == [1, 2, 3]
+        [base] = {id(f) for f, _ in seen}
+        assert seen[0][0].domain.counts == tuple(4 ** (n + 1) // 4 for n in range(4))
+        seen.clear()
+        full = to_point_map(without_quotient(eg_diag_map.domain))
+        assert check_kan_fibration(full, 3).passed
+        assert seen == [(full, n) for n in (1, 2, 3)]
 
     def test_failing_block_evaluates_its_equations(self, s3_diag_map, monkeypatch):
         rows = []
@@ -583,25 +593,30 @@ class TestRowsVerifiedByWitness:
             check_trivial_fibration_to_point(bad, 2)
 
     def test_broken_face_identity_refused_per_orbit(self, z2):
-        # Z2 acts on the first factor with T_0 = {g}, so the least violating
-        # simplex, (e, e, e) paired with the broken one, is not among the
-        # representatives: they show a mismatch, and the whole level is then
-        # compared, so each message names the full search's least simplex
+        # the broken face keeps pi natural, as both edges lie over e, so a
+        # search of the quotient alone would not see it: the covering check
+        # compares the cover's face identities, and refuses it as a broken
+        # invariant.  Without the presentation, or in a trivial-fibration
+        # check, which reads none, the full search names the least simplex
         eg = eg_construction(z2, 2)
         broken = break_one_face(eg, 2, 0, 0, 3)
-        X = product(with_action(eg, base=(1,)), broken)
-        full = product(without_action(eg), broken)
-        assert checked_orbits(X, 2).level(2)[0] > 0
+        broken._quotient = eg._quotient
+        X = product(eg, broken)
+        full = product(eg, without_quotient(broken))
+        assert quotient(full) is None
+        for check in (check_kan_to_point, lambda Y, n: check_kan_fibration(to_point_map(Y), n)):
+            for tables in (broken, X):
+                with pytest.raises(InternalInvariantError, match="the cover breaks d_0 d_1"):
+                    check(tables, 2)
         first = next(v for v in validate_simplicial_identities(full).violations if v.n == 2)
         want = "domain breaks the simplicial identities: " + first.describe(full)
-        for check in (
-            check_kan_to_point, check_trivial_fibration_to_point,
-            lambda Y, n: check_kan_fibration(to_point_map(Y), n),
+        for check, tables in (
+            (check_kan_to_point, full), (check_trivial_fibration_to_point, X),
+            (check_trivial_fibration_to_point, full),
         ):
-            for tables in (X, full):
-                with pytest.raises(RejectedInput) as err:
-                    check(tables, 2)
-                assert str(err.value) == want
+            with pytest.raises(RejectedInput) as err:
+                check(tables, 2)
+            assert str(err.value) == want
 
     def test_non_natural_map_refused(self, eg_sign_map):
         f = eg_sign_map
@@ -834,7 +849,7 @@ class TestTrivialFibration:
 
 @pytest.fixture(scope="module")
 def eg_product(z2):
-    """EG(Z2) x EG(Z2) to bound 4, with the free action of Z2 x Z2."""
+    """EG(Z2) x EG(Z2) to bound 4, presented on its quotient BZ2 x BZ2."""
     eg = eg_construction(z2, 4)
     return product(eg, eg)
 
@@ -843,9 +858,26 @@ def horn_cells(max_dim):
     return [(n, k) for n in range(1, max_dim + 1) for k in range(n + 1)]
 
 
-def without_action(X):
-    """The same tables as X, with no group action: the full search runs."""
-    return TruncatedSimplicialSet(X.counts, X._faces, X._degens)
+def without_quotient(X):
+    """The same tables and labels as X, with no presentation: the full
+    search runs."""
+    labels = None if X._labels is None else list(X._labels)
+    return TruncatedSimplicialSet(X.counts, X._faces, X._degens, labels)
+
+
+def untwisted(B):
+    """B presented as ``1 x B``: the trivial group, the trivial twist, and
+    B as its own cover, checked as a built set's presentation is."""
+    twist = [()] + [(0,) * c for c in B.counts[1:]]
+    return presented(B, ((0,),), 0, B, twist, tuple(tuple(range(c)) for c in B.counts))
+
+
+def self_presented(B):
+    """B's tables carrying the presentation ``1 x B``, so that a product
+    with a factor that carries one carries one too."""
+    X = without_quotient(B)
+    X._quotient = untwisted
+    return X
 
 
 TRIVIAL_CELLS = [(n, -1) for n in range(1, 5)]
@@ -879,14 +911,14 @@ class TestMapLifetime:
         held = []
         blocks = kancheck.kan._blocks
 
-        def recording(f, n, indices, *firsts):
+        def recording(f, n, indices):
             held.append((n, set(f._leasts), {m for m, _ in f._indexes}))
-            return blocks(f, n, indices, *firsts)
+            return blocks(f, n, indices)
 
         monkeypatch.setattr(kancheck.kan, "_blocks", recording)
-        # without the action the full search drops each cell's least-id
-        # map once counted; with it, no restricted least-id map is cached
-        for tables in (without_action(eg_product), eg_product):
+        # each cell's least-id map is dropped once counted, on the set or,
+        # for the Kan check with the presentation, on its quotient
+        for tables in (without_quotient(eg_product), eg_product):
             held.clear()
             assert check(tables, 4).passed
             assert [n for n, _, _ in held] == [n for n, _ in cells]
@@ -910,8 +942,8 @@ class TestMapLifetime:
         ),
     ], ids=["kan", "trivial"])
     def test_builds_match_a_kept_map_and_none_twice(self, eg_product, monkeypatch, owned, kept):
-        # the same tables without the action, so that both search in full
-        eg_product = without_action(eg_product)
+        # the same tables without the presentation, so that both search in full
+        eg_product = without_quotient(eg_product)
         builds = recording_builds(monkeypatch)
         kept(eg_product)
         on_kept = builds[:]
@@ -922,16 +954,18 @@ class TestMapLifetime:
         assert {m for _, m, _ in builds} == set(range(5))
 
     def test_callers_map_keeps_every_map(self, eg_product):
-        # the map is over a point and its domain has an action, so each cell
-        # draws face 0 from T_{n-1}, never from a level's index by no faces:
-        # no index of level 0 is built, and every full least-id map is kept
-        f = to_point_map(eg_product)
+        # a caller's map that is searched keeps every least-id map and
+        # index it built; one over a point whose domain carries a
+        # presentation is not searched at all, as its quotient is
+        f = to_point_map(without_quotient(eg_product))
         assert check_kan_fibration(f, 4).passed
         assert set(f._leasts) == {
             (n, tuple(i for i in range(n + 1) if i != k)) for n, k in horn_cells(4)
         }
-        assert {m for m, _ in f._indexes} == {1, 2, 3}
-        assert all(faces for _, faces in f._indexes)
+        assert {m for m, _ in f._indexes} == {0, 1, 2, 3}
+        on_quotient = to_point_map(eg_product)
+        assert check_kan_fibration(on_quotient, 4) == check_kan_fibration(f, 4)
+        assert on_quotient._leasts == {} and on_quotient._indexes == {}
 
     def test_same_report_as_the_kept_map(self, eg_product):
         def reports(X, max_dim):
@@ -1027,8 +1061,10 @@ def closed_form_cells(order, max_dim, kind):
 
 
 class TestOrbitSearch:
-    """The to-point checks of a set with a free action search one family per
-    orbit; their reports are the full search's."""
+    """The Kan checks over a point of a set with a free action search its
+    orbits, that is its quotient, and count |H| families for each; their
+    reports are the full search's.  Trivial-fibration checks search in
+    full."""
 
     @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "1", "7"])
     @pytest.mark.parametrize("group, max_dim", [
@@ -1057,18 +1093,21 @@ class TestOrbitSearch:
         builds = []
         for kind in ("_build_index", "_build_least"):
 
-            def counting(f, m, faces, *ids, build=getattr(SimplicialMap, kind), kind=kind):
-                builds.append((kind, m, faces, len(ids[0]) if ids else None))
-                return build(f, m, faces, *ids)
+            def counting(f, m, faces, build=getattr(SimplicialMap, kind), kind=kind):
+                builds.append((kind, m, faces, f.domain.counts[m]))
+                return build(f, m, faces)
 
             monkeypatch.setattr(SimplicialMap, kind, counting)
         assert check(eg_product, 4).passed
         assert len(set(builds)) == len(builds)
         leasts = [b for b in builds if b[0] == "_build_least"]
-        # each over the w whose face i_0 is a representative, |X_n| / 4 of
-        # them, and no full map: no cell was searched in full
+        # the Kan check's each over the quotient BZ2 x BZ2, a quarter of
+        # X_n, and no map over X: no cell was searched on X.  Boundary
+        # counts do not scale over a covering, so the trivial check's are
+        # each over all of X_n
+        share = 4 if check is check_kan_to_point else 1
         assert leasts == [
-            ("_build_least", n, tuple(i for i in range(n + 1) if i != k), 4 ** (n + 1) // 4)
+            ("_build_least", n, tuple(i for i in range(n + 1) if i != k), 4 ** (n + 1) // share)
             for n, k in cells
         ]
 
@@ -1084,53 +1123,59 @@ class TestOrbitSearch:
 
         monkeypatch.setattr(kancheck.kan, "_check_witnesses", recording)
         report = check_kan_to_point(eg_product, 4)
-        # each dim-4 cell has 1024 / 4 = 256 representatives: 16 full blocks
+        # each dim-4 cell of the quotient has 1024 / 4 = 256 families: 16
+        # full blocks
         assert {cell: count for cell, count in blocks.items() if cell[0] == 4} == {
             (4, tuple(i for i in range(5) if i != k), rows): 16 for k in range(5)
         }
         monkeypatch.setattr(kancheck.kan, "_check_witnesses", check)
-        assert report == check_kan_fibration(to_point_map(without_action(eg_product)), 4)
+        assert report == check_kan_fibration(to_point_map(without_quotient(eg_product)), 4)
 
     def test_failing_cell_is_searched_in_full(self, z2, monkeypatch):
-        # Z2 acts on the first factor only; Y has no action and is not Kan
-        X = product(eg_construction(z2, 2), s4_pair_diagonal(2))
+        # Y, presented as 1 x Y, is not Kan, so neither is the quotient
+        # BZ2 x Y of X
+        X = product(eg_construction(z2, 2), self_presented(s4_pair_diagonal(2)))
         seen = []
         count_cell = kancheck.kan._count_cell
 
-        def recording(f, n, indices, *restricted):
-            seen.append((n, indices, bool(restricted)))
-            return count_cell(f, n, indices, *restricted)
+        def recording(f, n, indices):
+            seen.append((n, indices, f.domain is X))
+            return count_cell(f, n, indices)
 
         monkeypatch.setattr(kancheck.kan, "_count_cell", recording)
         owned = fibration_report_to_dict(check_kan_to_point(X, 2))
         monkeypatch.setattr(kancheck.kan, "_count_cell", count_cell)
-        assert owned == fibration_report_to_dict(check_kan_fibration(to_point_map(X), 2))
+        full = to_point_map(without_quotient(X))
+        assert owned == fibration_report_to_dict(check_kan_fibration(full, 2))
         assert not owned["passed"] and owned["failure"]["family"]["n"] == 2
-        # the failing cell's representatives, then the whole cell
-        assert seen[-2][:2] == seen[-1][:2] and (seen[-2][2], seen[-1][2]) == (True, False)
-        assert all(restricted for _, _, restricted in seen[:-1])
+        # the failing cell on the quotient, then on X itself
+        assert seen[-2][:2] == seen[-1][:2] and (seen[-2][2], seen[-1][2]) == (False, True)
+        assert not any(on_x for _, _, on_x in seen[:-1])
 
     @pytest.mark.parametrize("build", [
-        lambda eg: product(eg, standard_simplex(2, 3)),
-        lambda eg: product(standard_simplex(2, 3), eg),
-        lambda eg: product(nerve(one_object_groupoid(cyclic_group(3)), 3), eg),
+        lambda eg: product(eg, self_presented(standard_simplex(2, 3))),
+        lambda eg: product(self_presented(standard_simplex(2, 3)), eg),
+        lambda eg: product(self_presented(nerve(one_object_groupoid(cyclic_group(3)), 3)), eg),
         lambda eg: product(eg, product(eg, eg)),
     ], ids=["eg-x-delta2", "delta2-x-eg", "bz3-x-eg", "eg-x-eg-x-eg"])
     @pytest.mark.parametrize("check", [check_kan_to_point, check_trivial_fibration_to_point])
     def test_reports_match_the_full_search(self, z2, build, check):
-        # an action on either factor, or on both through a nested product;
-        # Delta[2] fills neither every horn nor every boundary, and BZ3 fills
-        # every horn but not every boundary
+        # a presentation on each factor, |H| = 2 or 8; Delta[2] fills
+        # neither every horn nor every boundary, and BZ3 fills every horn
+        # but not every boundary
         X = build(eg_construction(z2, 3))
-        full = TruncatedSimplicialSet(X.counts, X._faces, X._degens, list(X._labels))
-        assert fibration_report_to_dict(check(X, 3)) == fibration_report_to_dict(check(full, 3))
+        assert quotient(X).order in (2, 8)
+        assert fibration_report_to_dict(check(X, 3)) == (
+            fibration_report_to_dict(check(without_quotient(X), 3))
+        )
+        assert quotient(product(eg_construction(z2, 3), standard_simplex(2, 3))) is None
 
     def test_no_grow_closure_outlives_a_check(self, eg_product):
         gc.collect()
         gc.disable()
         try:
             assert check_kan_to_point(eg_product, 4).passed
-            assert check_kan_to_point(without_action(eg_product), 4).passed
+            assert check_kan_to_point(without_quotient(eg_product), 4).passed
             assert not check_kan_to_point(s4_pair_diagonal(2), 2).passed
             grows = [
                 o for o in gc.get_objects()
@@ -1141,79 +1186,121 @@ class TestOrbitSearch:
         assert grows == []
 
 
-def with_action(X, **changes):
-    """A copy of X's tables carrying X's action with the given fields
-    changed."""
-    action = X._action
-    fields = {"generators": action.generators, "base": action.base}
-    Y = without_action(X)
-    Y._action = GroupAction(**{**fields, **changes})
+def tampered_projection(monkeypatch, edit):
+    """Make every EG's projection pass through ``edit``, which changes its
+    columns (a list of lists) in place."""
+    projection = kancheck.groupoids._eg_projection
+
+    def edited(G, L, X):
+        pi = [list(col) for col in projection(G, L, X)]
+        edit(pi)
+        return tuple(pi)
+
+    monkeypatch.setattr(kancheck.groupoids, "_eg_projection", edited)
+
+
+def one_changed_entry(eg, monkeypatch):
+    """EG, the edge (e, e) of its projection sent to g: pi then commutes
+    with no face of a triangle with that edge."""
+    tampered_projection(monkeypatch, lambda pi: pi[1].__setitem__(0, 1))
+    return eg
+
+
+def two_swapped_entries(eg, monkeypatch):
+    """EG, the images of the edges (e, e) and (e, g) swapped in its
+    projection."""
+    def swap(pi):
+        pi[1][0], pi[1][1] = pi[1][1], pi[1][0]
+
+    tampered_projection(monkeypatch, swap)
+    return eg
+
+
+def acting_trivially(eg, monkeypatch):
+    """EG(Z2) presented as if Z2 acted trivially, each simplex its own orbit."""
+    return presented_as(eg, 2, None)
+
+
+def uneven_fibre(eg, monkeypatch):
+    """EG presented over its own tables with both vertices over vertex 0."""
+    return presented_as(eg, 1, [(0, 0)] + [range(c) for c in eg.counts[1:]])
+
+
+def presented_as(X, order, pi):
+    """X's tables carrying the presentation ``Z/order x X`` over X itself,
+    with the trivial twist and the projection ``pi`` (the identity, when
+    None), checked as a built set's presentation is."""
+    Y = without_quotient(X)
+    group = tuple(tuple((a + b) % order for b in range(order)) for a in range(order))
+    twist = [()] + [(0,) * c for c in X.counts[1:]]
+    identity = tuple(tuple(range(c)) for c in X.counts)
+    Y._quotient = lambda Y: presented(Y, group, 0, X, twist, pi or identity)
     return Y
 
 
-def edited_generators(X, m, g, edits):
-    """X's generator columns with generator g's image of each id in
-    ``edits`` at level m set to ``edits[id]``."""
-    columns = [list(map(list, level)) for level in X._action.generators]
-    for idx, to in edits.items():
-        columns[m][g][idx] = to
-    return tuple(tuple(map(tuple, level)) for level in columns)
-
-
-def swapped_entries(X, m, g, a, b):
-    """X's generator columns with generator g's images of a and b swapped
-    at level m: still a permutation."""
-    column = X._action.generators[m][g]
-    return edited_generators(X, m, g, {a: column[b], b: column[a]})
-
-
-def trivial_generators(X):
-    """One generator acting as the identity on every level."""
-    return tuple((tuple(range(c)),) for c in X.counts)
+def pointwise_on_square(X, max_dim):
+    """The pointwise sweep of ``tensor(X, X)``, whose diagonal's Kan check
+    is made on the square of X's quotient."""
+    return verify_pointwise_fillers(to_point_bimap(tensor(X, X)), max_dim)
 
 
 class TestActionChecks:
-    """An action that is not a free action with transversal T_0 is a broken
-    invariant, refused before any cell is searched."""
+    """A free action reaches a check only as a presentation on its quotient,
+    whose projection is checked on the set's tables to be a covering with
+    fibre |H| before any cell is searched; one that is not is a broken
+    invariant."""
 
     @pytest.fixture(scope="class")
     def eg(self, z2):
         return eg_construction(z2, 2)
 
     def test_eg_action_is_left_multiplication(self, eg, s3):
-        action = eg._action
-        assert action.base == (0,)
-        # the one generator swaps e and g in every coordinate
-        assert action.generators[1] == ((3, 2, 1, 0),)
-        assert checked_orbits(eg, 2).order == 2
-        assert checked_orbits(eg_construction(s3, 1), 1).order == 6
+        # G acts on EG(G) by left multiplication, each g a permutation of
+        # every level that commutes with pi: the deck transformations
+        for G, X in ((cyclic_group(2), eg), (s3, eg_construction(s3, 2))):
+            P = quotient(X)
+            assert P.order == G.order and P.cover()[0] is X
+            assert P.base == nerve(one_object_groupoid(G), 2)
+            pi = P.cover()[1]
+            for n in range(3):
+                for g in range(G.order):
+                    # an id's coordinates are its digits base |G|
+                    moved = [
+                        sum(G.mul(g, c) * G.order ** (n - t) for t, c in enumerate(coords))
+                        for coords in itertools.product(range(G.order), repeat=n + 1)
+                    ]
+                    assert sorted(moved) == list(range(X.counts[n]))
+                    assert gather(pi[n], moved) == list(pi[n])
+        assert quotient(eg_construction(s3, 1)).order == 6
 
-    @pytest.mark.parametrize("check", [check_kan_to_point, check_trivial_fibration_to_point])
+    @pytest.mark.parametrize("check", [check_kan_to_point, pointwise_on_square])
     @pytest.mark.parametrize("as_factor", [False, True], ids=["set", "factor"])
     @pytest.mark.parametrize("broken, message", [
-        # one changed entry: the column is no longer a permutation
-        (lambda X: {"generators": edited_generators(X, 1, 0, {0: 2})}, "not a permutation"),
-        # a permutation that does not commute with the faces
-        (lambda X: {"generators": swapped_entries(X, 2, 0, 0, 1)}, "does not commute with d_"),
-        # Z2 acting trivially is not free
-        (lambda X: {"generators": trivial_generators(X)}, "not a bijection"),
-        # both vertices of EG(Z2) lie in one orbit
-        (lambda X: {"base": (0, 1)}, "not a bijection"),
+        (one_changed_entry, "does not commute with d_"),
+        (two_swapped_entries, "does not commute with d_"),
+        (acting_trivially, r"\|H\| \|B_0\|"),
+        (uneven_fibre, "fibre of pi over vertex 0 has 2 vertices"),
     ], ids=["changed-entry", "swapped-entries", "trivial-action", "base"])
-    def test_broken_action_raises(self, eg, broken, message, as_factor, check):
-        bad = with_action(eg, **broken(eg))
+    def test_broken_action_raises(self, eg, broken, message, as_factor, check, monkeypatch):
+        bad = broken(eg, monkeypatch)
         if as_factor:
-            bad = product(eg, bad)
+            bad = product(self_presented(eg), bad)
         with pytest.raises(InternalInvariantError, match=message):
             check(bad, 2)
 
     def test_caller_map_over_a_point_checks_the_action(self, eg):
-        bad = with_action(eg, base=(0, 1))
-        with pytest.raises(InternalInvariantError, match="not a bijection"):
+        bad = presented_as(eg, 2, None)
+        with pytest.raises(InternalInvariantError, match=r"\|H\| \|B_0\|"):
             check_kan_fibration(to_point_map(bad), 2)
-        # over a codomain that is not a point the action is not read
+        # over a codomain that is not a point the presentation is not read
         identity = SimplicialMap(bad, bad, [range(c) for c in bad.counts], validate=False)
         assert check_kan_fibration(identity, 2).passed
+
+    def test_trivial_fibration_check_reads_no_presentation(self, eg):
+        bad = presented_as(eg, 2, None)
+        assert check_trivial_fibration_to_point(bad, 2) == (
+            check_trivial_fibration_to_point(without_quotient(eg), 2)
+        )
 
 
 class TestCertificateIntegrity:

@@ -16,6 +16,7 @@ from test_kan import (
     partial_fill,
     rotated_index,
     s4_pair_diagonal,
+    self_presented,
 )
 
 import kancheck.kan
@@ -332,8 +333,8 @@ class TestSweep:
         assert report.passed
         assert (kan_families, report.problems_checked, steps) == (1224, 656, 416)
         assert evaluated == report.problems_checked + 2 * steps == 1488
-        # the witness of each Kan family the check searches, one per orbit
-        # of Z2 x Z2 on the diagonal (1224 / 4 = 306), and of each partial
+        # the witness of each Kan family the check searches on the
+        # diagonal's quotient by Z2 x Z2 (1224 / 4 = 306), and of each partial
         # fill's full horn (every one fills here), and the answer of each
         # horn, each seen once
         assert witnessed[kancheck.kan] == kan_families // 4 + full == 306 + full
@@ -429,11 +430,11 @@ class TestSweep:
     def test_each_index_built_once_and_shared_with_the_kan_check(
         self, eg_tensor_3, monkeypatch
     ):
-        # every (map, m, J) index and least-id map is built at most once, and
-        # the sweeps' fills in the diagonal find every least-id map they need
-        # already built by its Kan check: the sweeps build indexes only on
-        # line maps, to enumerate, and no least-id map at all.  The map is
-        # fresh, as the transposed sweep enumerates on f's own row maps
+        # every (map, m, J) index and least-id map is built at most once.
+        # The diagonal's Kan check searches its quotient, and builds no map
+        # on the diagonal: the sweeps build the diagonal's least-id maps
+        # they read, and indexes only on line maps, to enumerate.  The map
+        # is fresh, as the transposed sweep enumerates on f's own row maps
         eg_tensor_map = to_point_bimap(eg_tensor_3)
         builds, phase, kan_checked, columns = [], ["kan check"], [], []
         check = kancheck.pointwise.check_kan_fibration
@@ -467,26 +468,25 @@ class TestSweep:
         keys = [(kind, id(f), m, faces) for _, kind, f, m, faces in builds]
         assert len(keys) == len(set(keys))
         [diag_f] = kan_checked
-        by_kan_check = {
-            (m, faces) for when, kind, f, m, faces in builds
-            if f is diag_f and kind == "_build_least"
-        }
-        assert {
-            (n, tuple(i for i in range(n + 1) if i != k)) for n in range(1, 4) for k in range(n + 1)
-        } <= by_kan_check
+        assert not any(f is diag_f for when, _, f, _, _ in builds if when == "kan check")
         in_sweeps = [(kind, f) for when, kind, f, _, _ in builds if when == "sweeps"]
         assert in_sweeps and all(
-            kind == "_build_index" and any(f is col for col in columns) for kind, f in in_sweeps
+            any(f is line for line in columns + [diag_f]) for _, f in in_sweeps
         )
+        assert all(kind == "_build_least" for kind, f in in_sweeps if f is diag_f)
+        assert all(kind == "_build_index" for kind, f in in_sweeps if f is not diag_f)
+        assert any(f is diag_f for _, f in in_sweeps)
         # the column maps of the transpose are f's row maps, each used by
-        # one sweep; a second run on f finds every line index built
+        # one sweep; a second run on f finds every line index built, and
+        # builds only the least-id maps of its own, fresh, diagonal map
         assert {id(col) for col in columns} == {
             id(m) for m in eg_tensor_map.column_maps[:3] + eg_tensor_map.row_maps[:3]
         }
         builds.clear()
         phase[0] = "kan check"
         assert verify_pointwise_fillers(eg_tensor_map, 3).passed
-        assert [b for b in builds if b[0] == "sweeps"] == []
+        again = [(kind, f) for when, kind, f, _, _ in builds if when == "sweeps"]
+        assert again and all(kind == "_build_least" and f is kan_checked[-1] for kind, f in again)
 
     @pytest.mark.parametrize("transposed", [False, True], ids=["direct", "transposed"])
     def test_refused_cell_is_reported(self, monkeypatch, transposed):
@@ -585,18 +585,19 @@ class TestIdSweep:
         assert [type(x) for x in built] == [FillCertificate]
 
 
-def actionless_diagonal_map(f):
-    """``diagonal_map(f)`` with the action its domain carries dropped, so
-    that its Kan check searches every family."""
+def full_search_diagonal_map(f):
+    """``diagonal_map(f)`` with the presentation its domain carries dropped,
+    so that its Kan check searches every family."""
     d = diagonal_map(f)
-    d.domain._action = None
+    d.domain._quotient = None
     return d
 
 
 class TestOrbitPrecondition:
-    """The diagonal of a tensor carries the product action, so the Kan check
-    of a caller's diagonal map over a point searches one family per orbit;
-    its reports, and the sweeps after it, are the full search's."""
+    """The diagonal of a tensor carries the product of its factors'
+    presentations, so the Kan check of a caller's diagonal map over a point
+    searches its quotient, the orbits of the diagonal; its reports, and the
+    sweeps after it, are the full search's."""
 
     @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "1", "7"])
     @pytest.mark.parametrize("group, dim", [
@@ -608,36 +609,38 @@ class TestOrbitPrecondition:
             monkeypatch.setattr(kancheck.kan, "BLOCK_ROWS", rows)
         eg = eg_construction(group, dim)
         f = to_point_bimap(tensor(eg, eg))
-        orbit, full = diagonal_map(f), actionless_diagonal_map(f)
-        assert orbit.domain._action is not None
-        kan = check_kan_fibration(orbit, dim)
+        on_quotient, full = diagonal_map(f), full_search_diagonal_map(f)
+        assert on_quotient.domain._quotient is not None
+        kan = check_kan_fibration(on_quotient, dim)
         assert kan.passed and kan == check_kan_fibration(full, dim)
         swept = verify_pointwise_fillers(f, dim)
-        monkeypatch.setattr(kancheck.pointwise, "diagonal_map", actionless_diagonal_map)
+        monkeypatch.setattr(kancheck.pointwise, "diagonal_map", full_search_diagonal_map)
         assert swept == verify_pointwise_fillers(to_point_bimap(tensor(eg, eg)), dim)
         assert swept.passed and swept.problems_checked > 0
 
     def test_non_kan_precondition_is_the_full_search(self, z2, monkeypatch):
-        # Z2 acts on the first factor; the S4-pair diagonal has no action and
-        # is not Kan at n = 2, so the failing cell is searched in full
-        f = to_point_bimap(tensor(eg_construction(z2, 2), s4_pair_diagonal(2)))
+        # the S4-pair diagonal, presented as 1 x Y, is not Kan at n = 2, so
+        # neither is the quotient BZ2 x Y, and the failing cell is searched
+        # again on the caller's diagonal map
+        f = to_point_bimap(tensor(eg_construction(z2, 2), self_presented(s4_pair_diagonal(2))))
+        diag_f = diagonal_map(f)
         seen = []
         count_cell = kancheck.kan._count_cell
 
-        def recording(g, n, indices, *restricted):
-            seen.append(bool(restricted))
-            return count_cell(g, n, indices, *restricted)
+        def recording(g, n, indices):
+            seen.append(g is diag_f)
+            return count_cell(g, n, indices)
 
         monkeypatch.setattr(kancheck.kan, "_count_cell", recording)
-        orbit = fibration_report_to_dict(check_kan_fibration(diagonal_map(f), 2))
-        assert seen[-2:] == [True, False] and all(seen[:-1])
-        full = fibration_report_to_dict(check_kan_fibration(actionless_diagonal_map(f), 2))
-        assert orbit == full and not orbit["passed"]
-        assert orbit["failure"]["family"]["n"] == 2
-        with pytest.raises(RejectedInput) as by_orbits:
+        on_quotient = fibration_report_to_dict(check_kan_fibration(diag_f, 2))
+        assert seen[-1] and not any(seen[:-1])
+        full = fibration_report_to_dict(check_kan_fibration(full_search_diagonal_map(f), 2))
+        assert on_quotient == full and not on_quotient["passed"]
+        assert on_quotient["failure"]["family"]["n"] == 2
+        with pytest.raises(RejectedInput) as by_quotient:
             verify_pointwise_fillers(f, 2)
-        monkeypatch.setattr(kancheck.pointwise, "diagonal_map", actionless_diagonal_map)
+        monkeypatch.setattr(kancheck.pointwise, "diagonal_map", full_search_diagonal_map)
         with pytest.raises(RejectedInput) as in_full:
             verify_pointwise_fillers(f, 2)
-        assert str(by_orbits.value) == str(in_full.value)
-        assert "unfillable horn at n=2" in str(by_orbits.value)
+        assert str(by_quotient.value) == str(in_full.value)
+        assert "unfillable horn at n=2" in str(by_quotient.value)

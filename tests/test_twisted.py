@@ -1,10 +1,11 @@
 """Sets presented as principal twisted cartesian products ``H x_tau B``.
 
 A to-point Kan check of a presentation searches its quotient B and counts
-|H| families for each of B's; its report must be the built set's, cell for
-cell, and a failure must be certified on the built set's ids.  The twist is
-checked on B's tables first, and the covering map ``X -> B`` is a Kan
-fibration with exactly one filler per horn.
+|H| families for each of B's; its report must be the full search's on the
+built set, cell for cell, and a failure must be certified on the built
+set's ids.  The twist is checked on B's tables first, and the covering map
+``X -> B`` is checked to be a covering, a Kan fibration with exactly one
+filler per horn.
 """
 
 from functools import cache
@@ -32,6 +33,7 @@ from kancheck.simplicial import (
     TruncatedSimplicialSet,
     TwistedProduct,
     point,
+    quotient,
     quotient_map,
     require_twisting,
 )
@@ -46,14 +48,15 @@ def eg_square(G, bound):
 
 
 @cache
-def orbit_path_report(name, bound):
-    """The to-point Kan report of the built EG x EG, one family per orbit."""
+def full_search_report(name, bound):
+    """The to-point Kan report of the built EG x EG without its
+    presentation, so that every family is searched."""
     eg = eg_construction(GROUPS[name], bound)
-    return check_kan_to_point(product(eg, eg), bound)
+    return check_kan_to_point(without_quotient(product(eg, eg)), bound)
 
 
-def without_action(X):
-    """The same tables and labels as X, with no group action: the full
+def without_quotient(X):
+    """The same tables and labels as X, with no presentation: the full
     search runs."""
     return TruncatedSimplicialSet(X.counts, X._faces, X._degens, list(X._labels))
 
@@ -85,11 +88,14 @@ class TestQuotientCheck:
     @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "1", "7"])
     @pytest.mark.parametrize("name, bound", [("Z2", 4), ("Z3", 3), ("S3", 2), ("S3", 3)])
     def test_report_is_the_orbit_paths(self, name, bound, rows, monkeypatch):
+        # the horns of the quotient are the orbits of H on X's horns: their
+        # report, scaled, is the full search's, made at the default block size
+        full = full_search_report(name, bound)
         if rows is not None:
             monkeypatch.setattr(kancheck.kan, "BLOCK_ROWS", rows)
         report = check_kan_to_point(eg_square(GROUPS[name], bound), bound)
         assert report.passed
-        assert report == orbit_path_report(name, bound)
+        assert report == full
 
     def test_passing_check_builds_no_cover(self, monkeypatch):
         built = []
@@ -112,7 +118,7 @@ class TestQuotientCheck:
         Y = s3_counterexample_diagonal(2)
         P = product_presentation(eg_presentation(cyclic_group(2), 2), untwisted(Y))
         X = product(eg_construction(cyclic_group(2), 2), Y)
-        full = fibration_report_to_dict(check_kan_to_point(without_action(X), 2))
+        full = fibration_report_to_dict(check_kan_to_point(without_quotient(X), 2))
         assert fibration_report_to_dict(check_kan_to_point(P, 2)) == full
         assert not full["passed"] and full["failure"]["family"]["n"] == 2
 
@@ -195,4 +201,39 @@ class TestCoveringMap:
         wrong = TwistedProduct(P.mul, P.identity, P.base, P.twist, lambda: (X, swapped))
         with pytest.raises(RejectedInput, match="does not commute"):
             quotient_map(wrong)
+
+    def test_one_changed_entry_is_refused(self):
+        # two parallel edges, a -> b, of a set presented over itself by the
+        # trivial group; one edge sent onto the other is still a simplicial
+        # map, but two edges from a then lie over one: not a covering
+        X = TruncatedSimplicialSet([2, 4], [[], [[0, 1, 1, 1], [0, 1, 0, 0]]], [[[0, 1]], []])
+        identity = [(0, 1), (0, 1, 2, 3)]
+        assert quotient_map(untwisted(X)).components == tuple(identity)
+        changed = [identity[0], (0, 1, 3, 3)]
+        wrong = TwistedProduct(((0,),), 0, X, [(), (0,) * 4], lambda: (X, changed))
+        with pytest.raises(InternalInvariantError, match="share a lift of a vertex"):
+            quotient_map(wrong)
+
+    def test_edges_must_lift_from_either_end(self):
+        # Delta[1] covered twice at its vertices, but its edge lifted twice
+        # from a, both lifts ending at the same lift of b: each simplex
+        # lifts uniquely through a lift of its vertex 0, and the sizes and
+        # fibres are those of a covering, yet b's other lift has no edge
+        # into it
+        B = TruncatedSimplicialSet([2, 3], [[], [[0, 1, 1], [0, 1, 0]]], [[[0, 1]], []])
+        X = TruncatedSimplicialSet(
+            [4, 6], [[], [[0, 1, 2, 3, 2, 2], [0, 1, 2, 3, 0, 1]]], [[[0, 1, 2, 3]], []]
+        )
+        pi = [(0, 0, 1, 1), (0, 0, 1, 1, 2, 2)]
+        P = TwistedProduct(((0, 1), (1, 0)), 0, B, [(), (0, 0, 0)], lambda: (X, pi))
+        with pytest.raises(InternalInvariantError, match="1-simplices over one simplex of B"):
+            quotient_map(P)
+
+    def test_built_eg_carries_its_checked_presentation(self):
+        G = GROUPS["S3"]
+        X = eg_construction(G, 2)
+        P = quotient(X)
+        assert P.cover()[0] is X and P.order == 6
+        assert P.base == eg_presentation(G, 2).base
+        assert quotient_map(P).components == tuple(map(tuple, eg_presentation(G, 2).cover()[1]))
 
