@@ -875,9 +875,7 @@ def untwisted(B):
 def self_presented(B):
     """B's tables carrying the presentation ``1 x B``, so that a product
     with a factor that carries one carries one too."""
-    X = without_quotient(B)
-    X._quotient = untwisted
-    return X
+    return presented_as(B, 1, None)
 
 
 TRIVIAL_CELLS = [(n, -1) for n in range(1, 5)]

@@ -11,6 +11,7 @@ filler per horn.
 from functools import cache
 
 import pytest
+from test_kan import untwisted
 
 import kancheck.groupoids
 import kancheck.kan
@@ -59,15 +60,6 @@ def without_quotient(X):
     """The same tables and labels as X, with no presentation: the full
     search runs."""
     return TruncatedSimplicialSet(X.counts, X._faces, X._degens, list(X._labels))
-
-
-def untwisted(B):
-    """B presented as ``1 x B``: the trivial group, the trivial twist, and B
-    as its own cover."""
-    twist = [()] + [(0,) * c for c in B.counts[1:]]
-    return TwistedProduct(
-        ((0,),), 0, B, twist, lambda: (B, tuple(tuple(range(c)) for c in B.counts))
-    )
 
 
 def with_twist(P, n, idx, to):
