@@ -17,7 +17,6 @@ from .bisimplicial import (
     diagonal_map,
     point_bisimplicial,
     product,
-    product_presentation,
     row,
     row_map,
     tensor,
@@ -55,7 +54,7 @@ from .groupoids import (
     FiniteGroupoid,
     discrete_groupoid,
     eg_construction,
-    eg_presentation,
+    eg_cover,
     nerve,
     nerve_indexed,
     one_object_groupoid,
@@ -84,10 +83,8 @@ from .simplicial import (
     Simplex,
     SimplicialMap,
     TruncatedSimplicialSet,
-    TwistedProduct,
     pi0,
     point,
-    quotient_map,
     to_point_map,
     validate_simplicial_identities,
 )

@@ -6,10 +6,9 @@ p -> X_{p,q} carrying the horizontal tables, column p the simplicial set
 q -> X_{p,q} carrying the vertical tables.  Rows and columns share the
 bisimplex ids of each level, so every table lives in exactly one validated
 simplicial set, and rows, columns and the transpose are read off without
-copying.  The diagonal composes one row table with one column table; the
-diagonal of an external product is built directly as the product of its
-factors, and the diagonal of a ``tensor`` carries the product of its
-factors' presentations on their quotients, as that product does.  The laws
+copying.  The diagonal composes one row table with one column table, and
+the diagonal of a ``tensor`` is the ``product`` of its factors, which
+records them.  The laws
 are checked on the tables too: rows and columns by the simplicial
 identities, and each horizontal/vertical commutation at a level as one
 comparison of gathered columns.
@@ -19,20 +18,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from operator import attrgetter
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .errors import RejectedInput, TruncationError
 from .simplicial import (
     Simplex,
     SimplicialMap,
     TruncatedSimplicialSet,
-    TwistedProduct,
     _mismatches,
     _pairs,
     gather,
     point,
-    quotient,
     validate_simplicial_identities,
 )
 
@@ -127,17 +125,17 @@ def diagonal(X: TruncatedBisimplicialSet) -> TruncatedSimplicialSet:
     Ids are inherited unchanged from the (n,n) tables, so diagonal simplices
     and bisimplices can be converted back and forth by reindexing alone.
     Level 0 is grown a level at a time by :func:`extend_diagonal`.  The
-    diagonal of ``tensor(A, B)`` has the ids of ``product(A, B)``, so it
-    carries the same presentation (:func:`_attach_product_quotient`).
+    diagonal of ``tensor(A, B)`` is ``product(A, B)``, the same ids, tables
+    and labels, built from the factors alone.
     """
+    if X._factors is not None:
+        return product(*X._factors)
     rows = X.rows
     D = TruncatedSimplicialSet(
         [X.counts[0][0]], [[]], [[]], None if rows[0]._labels is None else [rows[0]._labels[0]]
     )
     for _ in range(min(X.bounds)):
         D = extend_diagonal(D, X)
-    if X._factors is not None:
-        _attach_product_quotient(D, *X._factors)
     return D
 
 
@@ -223,31 +221,11 @@ def tensor(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedBis
     return X
 
 
-def _product_quotient(
-    A: TruncatedSimplicialSet, B: TruncatedSimplicialSet, X: TruncatedSimplicialSet
-) -> TwistedProduct:
-    """The presentation of X, ``A x B`` on its ids, as the product of the
-    factors' (:func:`product_presentation`), each factor's made once.  X
-    itself is not read: the product of the factors' projections is trusted
-    to be its projection."""
-    first = quotient(A)
-    return product_presentation(first, first if B is A else quotient(B))
-
-
-def _attach_product_quotient(
-    X: TruncatedSimplicialSet, A: TruncatedSimplicialSet, B: TruncatedSimplicialSet
-) -> None:
-    """Give X, ``A x B`` on its ids, the product of the factors'
-    presentations, if both factors carry one."""
-    if A._quotient is not None and B._quotient is not None:
-        X._quotient = partial(_product_quotient, A, B)
-
-
 # The most simplices one level of a product, or bisimplices one level of a
-# tensor, may hold: 2^21, above the 1679616 of the top level of BS3 x BS3 at
-# dim 4 and of EG(S3) x EG(S3) at dim 3.  Every count is known from the
-# factors before any table is allocated, so a product over it is refused at
-# once instead of running out of memory.
+# tensor, may hold: 2^21, above the 1679616 of the top level of
+# EG(S3) x EG(S3) at dim 3.  Every count is known from the factors before
+# any table is allocated, so a product over it is refused at once instead of
+# running out of memory.
 MAX_PRODUCT_LEVEL = 1 << 21
 
 
@@ -258,14 +236,24 @@ def _require_product_level(what: str, count: int) -> None:
         )
 
 
+def _shared_pairs(ta: Sequence[int], tb: Sequence[int], width: int) -> list[int]:
+    """``_pairs(ta, tb, width)`` from one row of pair ids per distinct entry
+    of ``ta``, shared by every entry equal to it: the table holds
+    ``len(set(ta)) * len(tb)`` int objects, not ``len(ta) * len(tb)``.  It is
+    slower than ``_pairs`` on tables of a few hundred entries, faster on
+    large ones."""
+    rows = {a: [a * width + b for b in tb] for a in set(ta)}
+    return list(chain.from_iterable(map(rows.__getitem__, ta)))
+
+
 def product(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedSimplicialSet:
     """The product simplicial set: (A x B)_n = A_n x B_n, d_i = (d_i, d_i).
 
     This is ``diagonal(tensor(A, B))`` built without the rest of the grid:
     the same ids (row-major, B minor), tables and labels, to the smaller of
-    the two bounds.  If both factors carry a presentation on their
-    quotients, the product carries the product of the two, made only when
-    asked for (:func:`~kancheck.simplicial.quotient`).  A level of more than
+    the two bounds.  The product records its factors (``_factors``), from
+    which a check over a point decides it (see
+    :func:`kancheck.kan.check_kan_to_point`).  A level of more than
     ``MAX_PRODUCT_LEVEL`` simplices is refused with ``RejectedInput`` before
     anything is built.
     """
@@ -274,45 +262,31 @@ def product(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedSi
     for n, count in enumerate(counts):
         _require_product_level(f"product level {n}", count)
     faces = [[]] + [
-        [_pairs(A._faces[n][i], B._faces[n][i], B.counts[n - 1]) for i in range(n + 1)]
+        [_shared_pairs(A._faces[n][i], B._faces[n][i], B.counts[n - 1]) for i in range(n + 1)]
         for n in range(1, bound + 1)
     ]
     degens = [
-        [_pairs(A._degens[n][i], B._degens[n][i], B.counts[n + 1]) for i in range(n + 1)]
+        [_shared_pairs(A._degens[n][i], B._degens[n][i], B.counts[n + 1]) for i in range(n + 1)]
         for n in range(bound)
     ] + [[]]
     labels = [partial(_pair_label, A, n, B, n, B.counts[n]) for n in range(bound + 1)]
     X = TruncatedSimplicialSet(counts, faces, degens, labels)
-    _attach_product_quotient(X, A, B)
+    X._factors = (A, B)
     return X
 
 
-def product_presentation(P: TwistedProduct, Q: TwistedProduct) -> TwistedProduct:
-    """``X x Y`` presented as ``(H x K) x_{tau x sigma} (B x C)``, for
-    ``X = H x_tau B`` and ``Y = K x_sigma C``, built with :func:`product` on
-    the bases alone.  H x K has the pair ids ``h * |K| + k``, the twist is
-    ``(tau, sigma)`` on B x C's pair ids, and ``cover()`` is
-    ``product(X, Y)`` with the product of the two projections."""
-    width = Q.order
-    mul = tuple(
-        tuple(_pairs(P.mul[a], Q.mul[b], width)) for a in range(P.order) for b in range(width)
-    )
-    base = product(P.base, Q.base)
-    twist = [()] + [
-        _pairs(P.twist[n], Q.twist[n], width) for n in range(1, base.bound + 1)
-    ]
-    return TwistedProduct(
-        mul, P.identity * width + Q.identity, base, twist, partial(_product_cover, P, Q)
-    )
+class UnbuiltProduct(NamedTuple):
+    """``A x B`` given by its factors and not built: a Kan check over a
+    point decides it from its factors, and builds it with :func:`product`
+    only to search it in full (see :func:`kancheck.kan.check_kan_to_point`).
+    """
 
+    A: TruncatedSimplicialSet
+    B: TruncatedSimplicialSet
 
-def _product_cover(
-    P: TwistedProduct, Q: TwistedProduct
-) -> tuple[TruncatedSimplicialSet, tuple[list[int], ...]]:
-    (X, pi), (Y, rho) = P.cover(), Q.cover()
-    bound = min(X.bound, Y.bound)
-    widths = Q.base.counts
-    return product(X, Y), tuple(_pairs(pi[n], rho[n], widths[n]) for n in range(bound + 1))
+    @property
+    def bound(self) -> int:
+        return min(self.A.bound, self.B.bound)
 
 
 @dataclass(frozen=True)

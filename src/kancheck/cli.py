@@ -27,9 +27,9 @@ from typing import Any, Sequence
 
 from .bisimplicial import (
     TruncatedBisimplicialSet,
+    UnbuiltProduct,
     column,
     diagonal,
-    product_presentation,
     row,
     tensor,
     to_point_bimap,
@@ -43,7 +43,7 @@ from .groups import (
     subgroup_products_distinct,
     product_set,
 )
-from .groupoids import eg_construction, eg_presentation, nerve, one_object_groupoid
+from .groupoids import eg_construction, nerve, one_object_groupoid
 from .kan import (
     FillCertificate,
     brute_force_fill,
@@ -77,7 +77,6 @@ from .serialize import (
 )
 from .simplicial import (
     TruncatedSimplicialSet,
-    TwistedProduct,
     pi0,
     to_point_map,
     validate_simplicial_identities,
@@ -256,9 +255,15 @@ def _bisimplicial_from_source(
         return double_nerve(D, P, Q)
     if preset is None and "group" not in data:
         raise RejectedInput("cannot build a bisimplicial set from this input")
-    G = eg_tensor_group() if preset is not None else group_from_input(data)
+    G = _single_group(preset, data)
     eg = eg_construction(G, P)
     return tensor(eg, eg if Q == P else eg_construction(G, Q))
+
+
+def _single_group(preset: str | None, data: dict[str, Any] | None) -> FiniteGroup:
+    """The group of a single-group source: the eg-tensor preset's, or the
+    input's."""
+    return eg_tensor_group() if preset is not None else group_from_input(data or {})
 
 
 def cmd_identities(args: argparse.Namespace) -> RunReport:
@@ -314,8 +319,8 @@ def cmd_identities(args: argparse.Namespace) -> RunReport:
 
 
 # what a kan run checks: a built set, a double nerve's diagonal grown under
-# its check, or a set presented on its quotient
-KanObject = TruncatedSimplicialSet | DiagonalStages | TwistedProduct
+# its check, or a product given by its factors
+KanObject = TruncatedSimplicialSet | DiagonalStages | UnbuiltProduct
 
 
 def _kan_check_to_point(
@@ -365,21 +370,19 @@ def _build_kan_objects(
         else:
             G = group_from_input(data or {})
         out.append(("kan-nerve", nerve(one_object_groupoid(G), max_dim), meta_base))
-    elif construction == "eg-tensor-diagonal":
-        if preset is not None and preset != "eg-tensor":
+    elif construction in ("eg-tensor-diagonal", "double-nerve-diagonal"):
+        if construction == "eg-tensor-diagonal" and preset not in (None, "eg-tensor"):
             raise RejectedInput("eg-tensor-diagonal runs on the eg-tensor preset or an input group")
-        # the diagonal of EG (x) EG is the product EG x EG, presented as
-        # (G x G) x_tau (BG x BG) and checked on that quotient: EG x EG is
-        # built only to certify a failure on its own ids
-        G = eg_tensor_group() if preset is not None else group_from_input(data or {})
-        eg = eg_presentation(G, max_dim)
-        out.append(("kan-diagonal", product_presentation(eg, eg), meta_base))
-    elif construction == "double-nerve-diagonal":
         # a double nerve's diagonal is grown a level at a time under its
-        # check, so a failing verdict builds nothing above its failing level
-        D = _double_groupoid_from_source(preset, data)
+        # check, so a failing verdict builds nothing above its failing level.
+        # On a single group the diagonal of EG (x) EG is EG x EG, decided
+        # from its factors: it is built only to be searched in full
+        D = None
+        if construction == "double-nerve-diagonal":
+            D = _double_groupoid_from_source(preset, data)
         if D is None:
-            diag = diagonal(_bisimplicial_from_source(preset, data, max_dim, max_dim))
+            eg = eg_construction(_single_group(preset, data), max_dim)
+            diag: KanObject = UnbuiltProduct(eg, eg)
         else:
             diag = DiagonalStages(D, max_dim)
         out.append(("kan-diagonal", diag, meta_base))

@@ -520,7 +520,7 @@ class DiagonalStages:
     at once).  Stages share their tables.  So a to-point Kan check
     (:func:`kancheck.kan.check_kan_to_point`) builds level n only when its
     first cell at n starts, and a level over ``MAX_LEVEL`` is refused only
-    at a level the check reaches.  The stages carry no group action.
+    at a level the check reaches.  The stages record no factors.
     """
 
     __slots__ = ("bound", "_build", "_stages")

@@ -25,14 +25,7 @@ from typing import Sequence
 
 from .errors import RejectedInput
 from .groups import FiniteGroup, _by_value, _first_nonassociative
-from .simplicial import (
-    Label,
-    TruncatedSimplicialSet,
-    TwistedProduct,
-    _int_tuple,
-    gather,
-    presented,
-)
+from .simplicial import Label, SimplicialMap, TruncatedSimplicialSet, _int_tuple, gather
 
 
 class FiniteGroupoid:
@@ -397,10 +390,7 @@ def eg_construction(G: FiniteGroup, bound: int) -> TruncatedSimplicialSet:
     makes the simplicial identities hold with coordinate-deleting faces.
 
     G acts freely by left multiplication, ``g (g_0, ..., g_n) =
-    (g g_0, ..., g g_n)``, with quotient BG.  The set carries its
-    presentation ``G x_tau BG`` (:func:`eg_presentation`), made only when
-    :func:`~kancheck.simplicial.quotient` asks for it, with the set itself as
-    its cover and the projection checked on the set's tables.
+    (g g_0, ..., g g_n)``, with quotient BG (:func:`eg_cover`).
     """
     if bound < 0:
         raise RejectedInput("bound must be nonnegative")
@@ -424,42 +414,20 @@ def eg_construction(G: FiniteGroup, bound: int) -> TruncatedSimplicialSet:
             degens.append([[encode(c[: i + 1] + c[i:]) for c in coords] for i in range(n + 1)])
     degens.append([])
     labels = [partial(_eg_label, G, n) for n in range(bound + 1)]
-    X = TruncatedSimplicialSet(counts, faces, degens, labels)
-    X._quotient = partial(_eg_quotient, G)
-    return X
+    return TruncatedSimplicialSet(counts, faces, degens, labels)
 
 
-def _eg_base(G: FiniteGroup, bound: int) -> tuple[TruncatedSimplicialSet, NerveLayout, list]:
-    """BG to ``bound``, the layout of its ids, and the twist of EG over it."""
+def eg_cover(G: FiniteGroup, bound: int) -> SimplicialMap:
+    """The universal cover ``pi: EG -> BG`` to ``bound``, validated as a
+    simplicial map, with BG ``nerve(one_object_groupoid(G), bound)``:
+    ``(g_0, ..., g_n) -> (g_0^-1 g_1, ..., g_{n-1}^-1 g_n)``
+    (:func:`_eg_projection`).  Its fibres are the orbits of G acting by left
+    multiplication, and it is a covering: a simplex of BG lifts uniquely
+    through each lift of any of its vertices, so a horn of EG over an
+    n-simplex of BG, n >= 1, has exactly one filler."""
     B, L = nerve_and_layout(one_object_groupoid(G), bound)
-    # an arrow of the one-object groupoid is its element's id
-    twist: list[Sequence[int]] = [(), tuple(range(G.order))][:bound + 1]
-    for n in range(2, bound + 1):
-        twist.append(gather(twist[-1], B._faces[n][n]))
-    return B, L, twist
-
-
-def eg_presentation(G: FiniteGroup, bound: int) -> TwistedProduct:
-    """EG presented as ``G x_tau BG``, without building EG: the base is
-    ``BG = nerve(one_object_groupoid(G), bound)`` and the twist is the first
-    arrow, ``tau(b_1, ..., b_n) = b_1``, gathered through ``d_n`` from the
-    level below.
-
-    ``cover()`` is ``eg_construction(G, bound)`` with its projection
-    (:func:`_eg_projection`).  The simplex ``(g_0, ..., g_n)`` is
-    ``(g_0, b)`` in ``G x_tau BG``, so ``d_0`` takes g_0 to
-    ``g_1 = g_0 b_1``, the twist the presentation gives.
-    """
-    B, L, twist = _eg_base(G, bound)
-    return TwistedProduct(G.table, G.identity, B, twist, partial(_eg_cover, G, L, bound))
-
-
-def _eg_cover(
-    G: FiniteGroup, L: NerveLayout, bound: int
-) -> tuple[TruncatedSimplicialSet, tuple[Sequence[int], ...]]:
-    """``eg_construction(G, bound)`` and its projection onto the nerve on ``L``."""
     X = eg_construction(G, bound)
-    return X, _eg_projection(G, L, X)
+    return SimplicialMap(X, B, _eg_projection(G, L, X))
 
 
 def _eg_projection(
@@ -479,10 +447,3 @@ def _eg_projection(
         edges = gather(edges, X._faces[n][0])
         pi.append(L.encode(n, pi[n - 1], X._faces[n][n], pi[1], edges))
     return tuple(pi)
-
-
-def _eg_quotient(G: FiniteGroup, X: TruncatedSimplicialSet) -> TwistedProduct:
-    """X, a built ``eg_construction(G, X.bound)``, presented as
-    ``G x_tau BG`` on its own tables (:func:`~kancheck.simplicial.presented`)."""
-    B, L, twist = _eg_base(G, X.bound)
-    return presented(X, G.table, G.identity, B, twist, _eg_projection(G, L, X))

@@ -39,17 +39,14 @@ only when its first cell at n starts: a check that fails below ``max_dim``
 pays only for the build up to its failing level, and a size refusal
 (``MAX_LEVEL``) fires only at a level the check reaches.
 
-A set on which a group H acts freely is checked over a point on its
-quotient, by one rule for :func:`check_kan_fibration` and
-:func:`check_kan_to_point` alike: a set presented as a twisted cartesian
-product ``H x_tau B`` is not built at all, and a built set carries the
-presentation its constructor made (:func:`~kancheck.simplicial.quotient`),
-whose projection is checked to be a covering before it is used.  The check
-searches B and counts |H| families for each (:func:`_check_on_quotient`);
-the first cell that does not fill is searched again on the set itself, so
-its counts and certificate are the full search's.  A set without a
-presentation, a map whose codomain is not a point, and every
-trivial-fibration check are searched in full.
+A product over a point is decided from its factors, by one rule for
+:func:`check_kan_fibration`, :func:`check_kan_to_point` and
+:func:`check_trivial_fibration_to_point` alike (:func:`_from_factors`): a
+set built by ``product(A, B)`` records its factors, and an
+:class:`~kancheck.bisimplicial.UnbuiltProduct` is only its factors.  Each
+factor is searched in full on a map of its own, and when both pass, every
+cell's counts are the products of theirs.  Otherwise the product itself is
+searched in full, so its counts and certificate are the full search's.
 
 Columns are read by the C-level ``gather``, key columns are zipped into
 tuples by ``zip_keys`` (one column is its own key), and buckets and fillers
@@ -72,16 +69,14 @@ from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
+from .bisimplicial import UnbuiltProduct, product
 from .errors import InternalInvariantError, RejectedInput
 from .simplicial import (
     SimplicialMap,
     TruncatedSimplicialSet,
-    TwistedProduct,
     _as_table,
     gather,
-    quotient,
     require_level_laws,
-    require_twisting,
     to_point_map,
     zip_keys,
 )
@@ -380,20 +375,19 @@ def check_kan_fibration(f: SimplicialMap, max_dim: int) -> FibrationReport:
     """Fill every full horn (I = [n] minus one index) for 1 <= n <= max_dim.
 
     Every search map the sweep builds stays cached with f.  If the codomain
-    is a point up to max_dim and the domain carries a presentation on its
-    quotient (:func:`~kancheck.simplicial.quotient`), the quotient is
-    searched instead (:func:`_check_on_quotient`), and a cell it does not
-    fill is searched again on f; otherwise every family is searched."""
+    is a point up to max_dim and the domain is a product, the report is its
+    factors' when both pass (:func:`_from_factors`), and f is not searched;
+    otherwise every family is searched on f."""
     _require_max_dim(f.domain.bound, max_dim)
     over_point = f.codomain.counts[:max_dim + 1] == (1,) * (max_dim + 1)
-    P = quotient(f.domain) if over_point else None
-    if P is not None:
-        return _check_on_quotient(P, max_dim, lambda: f, owned=False)
-    return _fill_cells(f, "kan", max_dim, _horn_cells(max_dim), owned=None)
+    report = _from_factors(f.domain, max_dim, check_kan_to_point) if over_point else None
+    if report is None:
+        report = _fill_cells(f, "kan", max_dim, _horn_cells(max_dim), owned=None)
+    return report
 
 
 def check_kan_to_point(
-    X: TruncatedSimplicialSet | DiagonalStages | TwistedProduct, max_dim: int
+    X: TruncatedSimplicialSet | DiagonalStages | UnbuiltProduct, max_dim: int
 ) -> FibrationReport:
     """The report of ``check_kan_fibration(to_point_map(X), max_dim)``, on a
     map of its own that holds one cell's least-id map and one level's
@@ -404,78 +398,85 @@ def check_kan_to_point(
     searched on ``X.stage(n)``, so it is built only when its first cell
     starts, and a check that fails below ``max_dim`` builds nothing above
     its failing level; a level too large to build is refused only if the
-    check reaches it.  X may also be presented as a twisted cartesian
-    product, or carry such a presentation, and is then checked on its
-    quotient (:func:`_check_on_quotient`).  The report is the built set's."""
+    check reaches it.  X may also be a product, built or not
+    (:class:`~kancheck.bisimplicial.UnbuiltProduct`), and is then decided
+    from its factors when both pass (:func:`_from_factors`); an unbuilt
+    product is built only to be searched in full.  The report is the built
+    set's."""
     _require_max_dim(X.bound, max_dim)
-    if isinstance(X, TwistedProduct):
-        return _check_on_quotient(X, max_dim, lambda: to_point_map(X.cover()[0]), owned=True)
-    P = quotient(X) if isinstance(X, TruncatedSimplicialSet) else None
-    if P is not None:
-        return _check_on_quotient(P, max_dim, lambda: to_point_map(X), owned=True)
-    return _fill_cells(
-        to_point_map(X.stage(1)), "kan", max_dim, _horn_cells(max_dim), owned=X.stage
-    )
-
-
-def _check_on_quotient(
-    P: TwistedProduct, max_dim: int, full: Callable[[], SimplicialMap], owned: bool
-) -> FibrationReport:
-    """The Kan report of ``X = H x_tau B`` to a point, from a search of B.
-
-    The twisting identities are checked on B's tables first
-    (:func:`require_twisting`).  Then B is searched in full, to a point,
-    and every cell's counts are multiplied by |H|.  This is exact, because
-    ``pi: X -> B`` is a covering with fibre |H| (for a built set,
-    :func:`~kancheck.simplicial.require_covering` has checked it): a
-    simplex of B lifts uniquely through each lift of any of its vertices.
-    A horn of dimension n >= 2 is connected, indeed contractible, so a
-    horn of B has exactly |H| lifts, one per lift of a vertex.  Each filler
-    of a lifted horn maps to a filler of its image, and each filler of the
-    image lifts to exactly one filler of the lifted horn, the one through
-    that vertex.  At n = 1 a horn is one vertex, and the count is exact
-    too: ``|X_0| = |H| |B_0|``, and an edge of B with a lifted end has
-    exactly one lift with that end.  So every cell of X is |H| copies of
-    the same cell of B, and it fills exactly when that cell fills.  A
-    passing report carries counts and no ids, so it is X's own, byte for
-    byte.
-
-    The first cell of B that does not fill is the first cell of X that does
-    not fill.  That cell alone is searched again on X, on the map ``full()``
-    gives: the caller's map, or, when ``owned``, a map of its own of the
-    built set, or of the set ``cover()`` builds when none is built.  So its
-    counts and certificate are X's full search's.  If X fills it after all,
-    the presentation is not X's, a broken invariant.
-    """
-    require_twisting(P, max_dim)
-    cells = _horn_cells(max_dim)
-    B = P.base
-    report = _fill_cells(to_point_map(B), "kan", max_dim, cells, owned=B.stage)
-    scaled = tuple(
-        HornCellStats(c.n, c.k, c.families * P.order, c.filled * P.order) for c in report.cells
-    )
-    if report.failure is None:
-        return FibrationReport("kan", max_dim, scaled, None)
-    f = full()
-    cell = cells[len(scaled) - 1]
-    failing = _fill_cells(f, "kan", max_dim, [cell], owned=f.domain.stage if owned else None)
-    if failing.failure is None:
-        raise InternalInvariantError("the cover fills a cell that its quotient does not")
-    return FibrationReport("kan", max_dim, scaled[:-1] + failing.cells, failing.failure)
+    report = _from_factors(X, max_dim, check_kan_to_point)
+    if report is None:
+        if isinstance(X, UnbuiltProduct):
+            X = product(*X)
+        report = _fill_cells(
+            to_point_map(X.stage(1)), "kan", max_dim, _horn_cells(max_dim), owned=X.stage
+        )
+    return report
 
 
 def check_trivial_fibration_to_point(
     X: TruncatedSimplicialSet, max_dim: int
 ) -> FibrationReport:
     """Fill every compatible full boundary (I = [n]) for 1 <= n <= max_dim,
-    on a map of its own as :func:`check_kan_to_point`, always in full:
-    boundary counts do not scale over a covering, as ``∂Δ[1]`` is two
-    points."""
+    on a map of its own as :func:`check_kan_to_point`; a product is decided
+    from its factors when both pass (:func:`_from_factors`)."""
     _require_max_dim(X.bound, max_dim)
-    if X.size(0) == 0:
-        return FibrationReport("trivial", max_dim, (), None, base_point_missing=True)
-    cells = [(n, -1) for n in range(1, max_dim + 1)]
-    return _fill_cells(to_point_map(X), "trivial", max_dim, cells, owned=X.stage)
+    report = _from_factors(X, max_dim, check_trivial_fibration_to_point)
+    if report is None:
+        if X.size(0) == 0:
+            return FibrationReport("trivial", max_dim, (), None, base_point_missing=True)
+        cells = [(n, -1) for n in range(1, max_dim + 1)]
+        report = _fill_cells(to_point_map(X), "trivial", max_dim, cells, owned=X.stage)
+    return report
+
+
+def _from_factors(
+    X: TruncatedSimplicialSet | DiagonalStages | UnbuiltProduct, max_dim: int,
+    check: Callable[[TruncatedSimplicialSet, int], FibrationReport],
+) -> FibrationReport | None:
+    """The report of ``check(X, max_dim)`` for ``X = A x B``, a set built by
+    ``product(A, B)`` or an unbuilt product, from ``check`` of each factor:
+    the cellwise products of their ``families`` and ``filled``, when both
+    pass.  None when X is no product, or when a factor fails or breaks a law,
+    for the caller to search X in full.
+
+    The faces of ``A x B`` act on both coordinates, so a family of X, a horn
+    or a boundary, is a pair of families, one of A and one of B, compatible
+    exactly when both are, and a filler of it is a pair of fillers of theirs.
+    So each cell of X has the product of the factors' counts, and it fills
+    exactly when both of theirs do.  A passing report carries counts and no
+    ids, so it is X's own, byte for byte.  A failing one names X's first
+    family that does not fill, which only a search of X finds; and a factor
+    that breaks a law need not make X break one (the other factor may be
+    empty at that level), so X's search names the law X breaks, if any.
+
+    A factor is searched in full on a map of its own, once when ``B is A``,
+    and a factor that is itself a product by this rule.  That X is the
+    product of its factors is trusted to ``product``; of its tables only
+    the level sizes ``|X_n| = |A_n| |B_n|`` are checked.
+    """
+    if isinstance(X, UnbuiltProduct):
+        A, B = X
+    elif isinstance(X, TruncatedSimplicialSet) and X._factors is not None:
+        A, B = X._factors
+    else:
+        return None
+    try:
+        first = check(A, max_dim)
+        second = first if B is A else check(B, max_dim)
+    except RejectedInput:
+        return None
+    if not (first.passed and second.passed):
+        return None
+    if isinstance(X, TruncatedSimplicialSet) and any(
+        X.counts[n] != A.counts[n] * B.counts[n] for n in range(max_dim + 1)
+    ):
+        raise InternalInvariantError("a product's levels are not its factors' products")
+    cells = tuple(
+        HornCellStats(a.n, a.k, a.families * b.families, a.filled * b.filled)
+        for a, b in zip(first.cells, second.cells)
+    )
+    return FibrationReport(first.kind, max_dim, cells, None)
 
 
 def _filled(ws: list[int | None]) -> list[int] | None:

@@ -29,14 +29,13 @@ once and kept with the map.  The transposed sweep enumerates on f's own row
 maps (:func:`kancheck.bisimplicial.transpose_map` shares them), so their
 indexes are kept with f, as the column maps' are.
 
-The Kan check of the diagonal over a point is made on its quotient when the
-diagonal carries a presentation (see :func:`kancheck.kan.check_kan_fibration`):
-the diagonal of ``tensor(A, B)`` carries the product of the factors'
-presentations, as ``product(A, B)`` does, so the precondition of
-``pointwise`` on an eg-tensor searches ``BG x BG``, one family in |G|^2 (4
-for Z2, 36 for S3).  Its report, and the message when it fails, are the
-full search's.  The sweeps themselves enumerate every horn, since
-``max_search`` depends on ids.
+The Kan check of the diagonal over a point is decided from its factors when
+the diagonal is a product (see :func:`kancheck.kan.check_kan_fibration`):
+the diagonal of ``tensor(A, B)`` is ``product(A, B)``, so the precondition
+of ``pointwise`` on an eg-tensor searches EG alone, once, and multiplies its
+counts.  Its report, and the message when it fails, are the full search's.
+The sweeps themselves enumerate every horn, since ``max_search`` depends on
+ids.
 
 Index bookkeeping, for a horn in column p, vertical dimension q >= 1 and
 missing index l: the diagonal family lives at dimension n = p + q over the

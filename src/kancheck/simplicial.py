@@ -28,30 +28,19 @@ of a double-nerve diagonal builds level n only when its first cell at n
 starts, so a size refusal fires only at a level the check reaches (see
 :class:`kancheck.doublegroupoid.DiagonalStages`).
 
-A set on which a group H acts freely is presented by its quotient, as a
-principal twisted cartesian product (:class:`TwistedProduct`), whose twist is
-checked on the quotient's tables (:func:`require_twisting`).  A presentation
-is made by a constructor, either for a set it does not build
-(``eg_presentation``, ``product_presentation``), or for a set it built, which
-then carries it (``_quotient``, read by :func:`quotient`): ``eg_construction``
-attaches EG's, and ``product``, and ``diagonal`` of a ``tensor``, the product
-of the factors' presentations.  Before a built set's presentation is used,
-its projection is checked on the set's tables to be a covering with fibre |H|
-(:func:`require_covering`).  A Kan check over a point searches the quotient
-alone and counts |H| families for each (see
-:func:`kancheck.kan.check_kan_to_point`), and :func:`quotient_map` is the
-covering map onto it.
+A set built by ``product(A, B)`` records its factors (``_factors``), and a
+Kan or trivial-fibration check over a point decides it from its factors'
+checks when both pass (see :func:`kancheck.kan.check_kan_to_point`).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, groupby
-from operator import attrgetter, getitem, itemgetter, ne
+from operator import attrgetter, itemgetter, ne
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-from .errors import InternalInvariantError, RejectedInput, TruncationError
+from .errors import RejectedInput, TruncationError
 
 
 def gather(table: Sequence, ids: Sequence[int]) -> list:
@@ -146,12 +135,12 @@ class TruncatedSimplicialSet:
     0 <= i <= n; ``degeneracies[n][i]`` maps upward for 0 <= n < bound.
     ``labels[n]`` is level n's label function ``idx -> str``, or a table of
     its labels, which is wrapped as one; labels are rendered only when read.
-    ``_quotient`` is None, or a constructor's maker of the set's presentation
-    on its quotient, called with the set (:func:`quotient`); equality does
-    not read it.  :meth:`extended` adds a level, validating only its tables.
+    ``_factors`` is ``(A, B)`` for a set built by ``product(A, B)``, else
+    None; equality does not read it.  :meth:`extended` adds a level,
+    validating only its tables.
     """
 
-    __slots__ = ("bound", "counts", "_faces", "_degens", "_labels", "_quotient")
+    __slots__ = ("bound", "counts", "_faces", "_degens", "_labels", "_factors")
 
     def __init__(
         self,
@@ -181,7 +170,7 @@ class TruncatedSimplicialSet:
             _level_tables(degeneracies[n], n, "degeneracy", "s", self.counts[n], self.counts[n + 1])
             for n in range(self.bound)
         ) + ((),)
-        self._quotient: Callable[[TruncatedSimplicialSet], TwistedProduct] | None = None
+        self._factors: tuple[TruncatedSimplicialSet, TruncatedSimplicialSet] | None = None
 
         if labels is None:
             self._labels = None
@@ -203,7 +192,7 @@ class TruncatedSimplicialSet:
         their n + 1 ``faces`` and the n ``degeneracies`` from level n - 1
         into them, and ``label`` (None exactly when this set is unlabelled).
         Only the new tables are validated, as the constructor validates them;
-        the others are shared.  The new set carries no presentation."""
+        the others are shared.  The new set records no factors."""
         n = self.bound + 1
         if (label is None) != (self._labels is None):
             raise RejectedInput("labels must match the simplex counts")
@@ -220,7 +209,7 @@ class TruncatedSimplicialSet:
             (),
         )
         X._labels = None if label is None else self._labels + (_level_label(label, count),)
-        X._quotient = None
+        X._factors = None
         return X
 
     def stage(self, n: int) -> "TruncatedSimplicialSet":
@@ -555,193 +544,6 @@ def to_point_map(X: TruncatedSimplicialSet) -> SimplicialMap:
     return SimplicialMap(
         X, pt, [(0,) * X.counts[n] for n in range(X.bound + 1)], validate=False
     )
-
-
-class TwistedProduct:
-    """A set X presented as the principal twisted cartesian product
-    ``H x_tau B`` (May, *Simplicial Objects in Algebraic Topology*, §18),
-    held as its base and its twist, never as X's own tables.
-
-    H is a finite group, constant in every dimension: ``mul[a][b]`` is ab and
-    ``identity`` is e.  B is the base, ``base``.  ``twist[n]`` is the
-    twisting function ``tau_n: B_n -> H`` for 1 <= n <= bound, and
-    ``twist[0]`` is empty.  X_n is ``H x B_n``, with
-    ``d_0 (h, b) = (h tau(b), d_0 b)`` and every other face and degeneracy
-    acting on b alone, so H acts freely on X by ``g (h, b) = (g h, b)``, and
-    ``X / H = B``.  :func:`require_twisting` checks that tau makes X a
-    simplicial set.  ``cover()`` gives X on its own ids, with the
-    projection ``pi: X -> B`` as one column per level: it builds X, or,
-    for the presentation of a set already built (:func:`quotient`), gives
-    that set.  Only a check that certifies a failure on X's ids, and
-    :func:`quotient_map`, call it.  Constructors make a presentation, and
-    the tie between ``cover()`` and the twist is theirs; what a count
-    scaled by |H| relies on, that pi is a covering with fibre |H|, is
-    checked on X's tables by :func:`require_covering`.
-    """
-
-    __slots__ = ("mul", "identity", "base", "twist", "cover")
-
-    def __init__(
-        self, mul: Sequence[Sequence[int]], identity: int, base: TruncatedSimplicialSet,
-        twist: Sequence[Sequence[int]],
-        cover: Callable[[], tuple[TruncatedSimplicialSet, tuple[Sequence[int], ...]]],
-    ) -> None:
-        self.mul, self.identity, self.base = mul, identity, base
-        self.twist, self.cover = twist, cover
-
-    @property
-    def order(self) -> int:
-        """|H|: every simplex of B has |H| simplices of X over it."""
-        return len(self.mul)
-
-    @property
-    def bound(self) -> int:
-        return self.base.bound
-
-
-def _twisting_checks(P: TwistedProduct, n: int):
-    """The twisting identities into level n, as ``(name, m, lhs, rhs)``:
-    two columns over B_m that must agree.
-
-    May's Def. 18.3, for a constant group and with H acting on the fibre
-    from the right (``d_0 (h, b) = (h tau(b), d_0 b)``, which the identities
-    ``d_0 d_0 = d_0 d_1``, ``d_0 d_i = d_{i-1} d_0``, ``d_0 s_0 = id`` and
-    ``d_0 s_i = s_{i-1} d_0`` of X force), reads: on B_n for n >= 2,
-    ``tau d_1 = tau (tau d_0)`` and ``tau d_i = tau`` for i >= 2; on
-    B_{n-1} for n >= 1, ``tau s_0 = e`` and ``tau s_i = tau`` for i >= 1.
-    """
-    B, tau = P.base, P.twist
-    if n >= 2:
-        faces, below = B._faces[n], tau[n - 1]
-        yield ("tau d_1 = tau (tau d_0)", n, gather(below, faces[1]),
-               list(map(getitem, gather(P.mul, tau[n]), gather(below, faces[0]))))
-        for i in range(2, n + 1):
-            yield f"tau d_{i} = tau", n, gather(below, faces[i]), list(tau[n])
-    degens = B._degens[n - 1]
-    yield "tau s_0 = e", n - 1, gather(tau[n], degens[0]), [P.identity] * B.counts[n - 1]
-    for i in range(1, n):
-        yield f"tau s_{i} = tau", n - 1, gather(tau[n], degens[i]), list(tau[n - 1])
-
-
-def require_twisting(P: TwistedProduct, top: int) -> None:
-    """Raise ``InternalInvariantError`` unless ``twist[n]`` maps B_n into H
-    for 1 <= n <= top and the twisting identities of
-    :func:`_twisting_checks` hold into every such level, each one comparison
-    of two gathered columns over a level of B, the first failure named at
-    its least simplex.  Together they make ``H x_tau B`` a simplicial set on
-    which H acts freely."""
-    B, order = P.base, P.order
-    for n in range(1, top + 1):
-        col = P.twist[n]
-        if len(col) != B.counts[n] or (col and not 0 <= min(col) <= max(col) < order):
-            raise InternalInvariantError(f"the twist at level {n} does not map B_{n} into H")
-        for name, m, lhs, rhs in _twisting_checks(P, n):
-            wrong = _mismatches(lhs, rhs)
-            if wrong:
-                raise InternalInvariantError(
-                    f"twisting identity {name} fails at {Simplex(m, wrong[0])}"
-                )
-
-
-def require_covering(
-    P: TwistedProduct, X: TruncatedSimplicialSet, pi: Sequence[Sequence[int]]
-) -> None:
-    """Raise ``InternalInvariantError`` unless ``pi: X -> B``, B the base of
-    P, is a covering with fibre |H|, checked on X's and B's tables, the
-    first failure named:
-
-    - pi_n maps X_n into B_n, and ``|X_n| = |H| |B_n|``, on every level;
-    - every fibre of pi_0 has |H| vertices;
-    - pi commutes with every face, and X's faces satisfy
-      ``d_i d_j = d_{j-1} d_i``;
-    - ``x -> (vertex 0 of x, pi x)`` is injective on every level, and
-      ``x -> (vertex 1 of x, pi x)`` on the edges.
-
-    Then ``(v0, pi)`` maps X_n injectively into the pairs (v, b) with
-    ``pi v`` the vertex 0 of b, of which there are ``|H| |B_n|`` = |X_n|,
-    so it is a bijection: each simplex of B lifts uniquely through each lift
-    of its vertex 0, and an edge through each lift of either end.  So a
-    simplex lifts uniquely through each lift of any vertex j, along the
-    lift of its edge from vertex 0 to vertex j: pi is a covering (Gabriel
-    and Zisman, 1967, App. I) with fibre |H|.  Vertex 0 of an n-simplex is
-    vertex 0 of its face ``d_n``."""
-    B, order = P.base, P.order
-    if X.bound != B.bound or len(pi) != X.bound + 1:
-        raise InternalInvariantError("the projection does not reach every level of its base")
-    for n, col in enumerate(pi):
-        count = X.counts[n]
-        if len(col) != count or count != order * B.counts[n] or (
-            col and not 0 <= min(col) <= max(col) < B.counts[n]
-        ):
-            raise InternalInvariantError(
-                f"pi_{n} does not map the {count} simplices of X_{n} into B_{n}, "
-                f"or |X_{n}| != |H| |B_{n}| = {order * B.counts[n]}"
-            )
-    fibres = Counter(pi[0])
-    wrong = _mismatches(list(map(fibres.__getitem__, range(B.counts[0]))), [order] * B.counts[0])
-    if wrong:
-        raise InternalInvariantError(
-            f"the fibre of pi over vertex {wrong[0]} has {fibres[wrong[0]]} vertices, "
-            f"not |H| = {order}"
-        )
-    for n in range(1, X.bound + 1):
-        for i, (face, base_face) in enumerate(zip(X._faces[n], B._faces[n])):
-            wrong = _mismatches(gather(pi[n - 1], face), gather(base_face, pi[n]))
-            if wrong:
-                raise InternalInvariantError(
-                    f"pi does not commute with d_{i} at {Simplex(n, wrong[0])}"
-                )
-        for _, i, j, _, lhs, rhs in _face_face_checks(X, n):
-            wrong = _mismatches(lhs, rhs)
-            if wrong:
-                raise InternalInvariantError(
-                    f"the cover breaks d_{i} d_{j} = d_{j - 1} d_{i} at {Simplex(n, wrong[0])}"
-                )
-    vertex = list(range(X.counts[0]))
-    for n in range(1, X.bound + 1):
-        vertex = gather(vertex, X._faces[n][n])
-        ends = [vertex, X._faces[1][0]] if n == 1 else [vertex]
-        if any(len(set(zip(end, pi[n]))) < X.counts[n] for end in ends):
-            raise InternalInvariantError(
-                f"two {n}-simplices over one simplex of B share a lift of a vertex"
-            )
-
-
-def presented(
-    X: TruncatedSimplicialSet, mul: Sequence[Sequence[int]], identity: int,
-    base: TruncatedSimplicialSet, twist: Sequence[Sequence[int]], pi: Sequence[Sequence[int]],
-) -> TwistedProduct:
-    """X, a built set, presented as ``H x_tau B`` with X itself as its
-    cover, once its projection pi is checked to be a covering with fibre
-    |H| (:func:`require_covering`): the presentation a constructor's
-    ``_quotient`` maker returns for a set that is not a product."""
-    P = TwistedProduct(mul, identity, base, twist, lambda: (X, pi))
-    require_covering(P, X, pi)
-    return P
-
-
-def quotient(X: TruncatedSimplicialSet) -> TwistedProduct | None:
-    """X presented on its quotient, as the constructor that built X made it
-    (``X._quotient``, called with X), or None if it made none.  Its
-    ``cover()`` gives X's tables: X itself for a set that is not a product,
-    whose projection is checked before the presentation is returned
-    (:func:`presented`), and for a product the product of its factors'
-    covers, with the product of their projections, trusted as such."""
-    return None if X._quotient is None else X._quotient(X)
-
-
-def quotient_map(P: TwistedProduct) -> SimplicialMap:
-    """The covering map ``pi: X -> B`` of a presentation, ``(h, b) -> b`` on
-    X's own ids (``P.cover()``), validated as a simplicial map (each
-    component's entries, and that it commutes with every face and
-    degeneracy, ``RejectedInput`` if not) and then checked to be a covering
-    with fibre |H| (:func:`require_covering`): each simplex of B has |H|
-    simplices over it, and a horn of X over an n-simplex of B, n >= 1, has
-    exactly one filler."""
-    X, components = P.cover()
-    f = SimplicialMap(X, P.base, components)
-    require_covering(P, X, f.components)
-    return f
 
 
 class _UnionFind:

@@ -5,13 +5,22 @@ from pathlib import Path
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
+from test_kan import standard_simplex
 
 import kancheck.cli as cli
 import kancheck.groupoids
-from kancheck import cyclic_group, nerve, one_object_groupoid
+from kancheck import (
+    check_kan_to_point,
+    cyclic_group,
+    eg_construction,
+    nerve,
+    one_object_groupoid,
+    product,
+    symmetric_group_preset,
+)
 from kancheck.cli import RunReport, build_parser, main, reverify_report, run
 from kancheck.errors import InternalInvariantError, RejectedInput
-from kancheck.bisimplicial import MAX_PRODUCT_LEVEL
+from kancheck.bisimplicial import MAX_PRODUCT_LEVEL, UnbuiltProduct
 from kancheck.groupoids import MAX_LEVEL
 from kancheck.serialize import simplicial_to_dict
 
@@ -256,16 +265,31 @@ class TestKanCommand:
             assert min(times) < 0.02
 
     def test_oversized_product_rejected_quickly(self, capsys):
-        # the S3 eg-tensor diagonal at dim 5 is checked on BS3 x BS3, whose
-        # level 5 would hold 6^10 simplices: refused before it is allocated
-        argv = ["kan", "--input", "tests/inputs/s3.json", "--construction",
-                "eg-tensor-diagonal", "--max-dim", "5"]
+        # the S3 eg-tensor diagonal at dim 4 and 5 is decided from its factor
+        # EG(S3), so it is never built: at 5 its top level would hold 6^12
+        # simplices, over the product size limit
+        for max_dim, families in ((4, 309189384), (5, 13369883400)):
+            argv = ["kan", "--input", "tests/inputs/s3.json", "--construction",
+                    "eg-tensor-diagonal", "--max-dim", str(max_dim), "--format", "structured"]
+            assert main(argv) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["checks"][0]["details"]["report"]["families_checked"] == families
+        # built directly, that product is refused before its levels are
+        # allocated, and so is an unbuilt one searched in full because a
+        # factor fails: Delta[3] is not Kan, and its level 5 has 84 simplices
+        eg = eg_construction(symmetric_group_preset(3), 5)
         start = time.perf_counter()
-        assert main(argv) == 2
+        with pytest.raises(RejectedInput) as direct:
+            product(eg, eg)
+        with pytest.raises(RejectedInput) as unbuilt:
+            check_kan_to_point(UnbuiltProduct(eg, standard_simplex(3, 5)), 5)
         assert time.perf_counter() - start < 2
-        assert capsys.readouterr().err == (
-            f"error: product level 5 would hold {6 ** 10} simplices, "
-            f"over the limit of {MAX_PRODUCT_LEVEL}\n"
+        assert str(direct.value) == (
+            f"product level 4 would hold {6 ** 10} simplices, over the limit of {MAX_PRODUCT_LEVEL}"
+        )
+        assert str(unbuilt.value) == (
+            f"product level 5 would hold {6 ** 6 * 84} simplices, "
+            f"over the limit of {MAX_PRODUCT_LEVEL}"
         )
 
     def test_oversized_tensor_rejected_quickly(self, capsys):
@@ -304,7 +328,7 @@ class TestExitStatus:
            "--max-dim", "2"]
 
     @pytest.mark.parametrize("raised", [
-        InternalInvariantError("the cover fills a cell\nthat its quotient does not"),
+        InternalInvariantError("a product's levels are not\nits factors' products"),
         MemoryError(),
         KeyError(3),
     ], ids=["invariant", "memory", "other"])

@@ -48,8 +48,8 @@ PINNED = {
     # the benchmark's not-kan-s4 command: an --input double nerve at dim 3
     "kan-s4-pair-double-nerve-diagonal":
         "kan --input bench/inputs/s4_pair.json --construction double-nerve-diagonal --max-dim 3",
-    # the S3 eg-tensor sweep (8784 problems), whose diagonal Kan check
-    # searches its quotient BS3 x BS3, one family in |S3 x S3| = 36
+    # the S3 eg-tensor sweep (8784 problems), whose diagonal Kan check is
+    # decided from its factor EG(S3), searched once
     "pointwise-s3-eg-tensor": "pointwise --input tests/inputs/s3.json --max-total-dim 2",
 }
 
@@ -96,8 +96,9 @@ def test_verdict_is_the_same_in_small_blocks(name, rows, capsys, monkeypatch):
     assert longest == (0 if name == "identities" else rows)
 
 
-def without_quotient(X):
-    """The same tables as X, with no presentation: the full search runs."""
+def without_factors(X):
+    """The same tables as X, with no factors recorded: the full search
+    runs."""
     return TruncatedSimplicialSet(X.counts, X._faces, X._degens)
 
 
@@ -105,12 +106,12 @@ def test_s3_diagonal_spans_many_default_blocks(capsys, monkeypatch):
     # the eg-tensor diagonal of S3 at dim 2: each dim-2 cell has 46656 rows,
     # about three blocks at the default BLOCK_ROWS, where no golden cell
     # outgrows one; the verdict is pinned by the hash of its sorted-key JSON.
-    # The command checks EG x EG on its quotient; here it gets the product
-    # itself, built without its presentation, so every family is searched
+    # The command decides EG x EG from its factors; here it gets the
+    # product itself, built with no factors recorded, so every family is
+    # searched
     monkeypatch.chdir(HERE.parent)
     monkeypatch.setattr(
-        kancheck.cli, "product_presentation",
-        lambda P, Q: without_quotient(product(P.cover()[0], Q.cover()[0])),
+        kancheck.cli, "UnbuiltProduct", lambda A, B: without_factors(product(A, B))
     )
     sizes = []
 
@@ -137,9 +138,9 @@ def test_s3_diagonal_spans_many_default_blocks(capsys, monkeypatch):
 
 
 def test_s3_diagonal_is_checked_on_its_quotient(capsys, monkeypatch):
-    # the same command on the presentation: S3 x S3 acts freely, so each
-    # dim-2 cell searches 46656 / 36 = 1296 families of BS3 x BS3, and the
-    # verdict is the full search's, hash for hash
+    # the same command on the product rule: EG(S3) x EG(S3) is decided from
+    # its factor, searched once, whose dim-2 cells have 216 families each
+    # (46656 = 216^2), and the verdict is the full search's, hash for hash
     monkeypatch.chdir(HERE.parent)
     sizes = []
 
@@ -153,7 +154,7 @@ def test_s3_diagonal_is_checked_on_its_quotient(capsys, monkeypatch):
     )
     capsys.readouterr()
     assert code == 0
-    assert sizes == [1, 1, 1296, 1296, 1296]
+    assert sizes == [6, 6, 216, 216, 216]
     text = json.dumps(report.verdict_dict(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "80f1247e7dcb8e420fb5dba1a3d868b9dc4f1805026bc0332810dd39ddef60ce"
@@ -161,9 +162,9 @@ def test_s3_diagonal_is_checked_on_its_quotient(capsys, monkeypatch):
 
 
 def test_s3_diagonal_dim3_rung(capsys, monkeypatch):
-    # the S3 eg-tensor diagonal at dim 3: 6858504 families, of which the
-    # search of its quotient visits one in 36; pinned by its per-cell counts and the
-    # hash of its structured-format verdict (the config records the format)
+    # the S3 eg-tensor diagonal at dim 3: 6858504 families, decided from
+    # the 5844 of EG(S3); pinned by its per-cell counts and the hash of its
+    # structured-format verdict (the config records the format)
     monkeypatch.chdir(HERE.parent)
     code, report = run(
         "kan --input tests/inputs/s3.json --construction eg-tensor-diagonal --max-dim 3"
@@ -185,13 +186,14 @@ def test_s3_diagonal_dim3_rung(capsys, monkeypatch):
 
 @pytest.mark.parametrize("source, max_dim", [
     ("--preset eg-tensor", 4), ("--input tests/inputs/s3.json", 2),
-], ids=["Z2-4", "S3-2"])
+    ("--input tests/inputs/s3.json", 4),
+], ids=["Z2-4", "S3-2", "S3-4"])
 def test_double_nerve_route_is_the_eg_tensor_diagonal(source, max_dim, capsys, monkeypatch):
-    # on a single group, double-nerve-diagonal builds the diagonal of
-    # EG (x) EG, which carries the product of its factors' presentations,
-    # so it is checked on the same quotient as eg-tensor-diagonal, which
-    # builds no EG: the reports agree cell for cell
+    # on a single group, double-nerve-diagonal checks the same unbuilt
+    # EG x EG as eg-tensor-diagonal, with no tensor grid: at S3 dim 4 the
+    # grid's level (3, 4) would be over the size limit
     monkeypatch.chdir(HERE.parent)
+    monkeypatch.setattr(kancheck.cli, "tensor", None)
     reports = []
     for construction in ("double-nerve-diagonal", "eg-tensor-diagonal"):
         code, report = run(

@@ -22,17 +22,15 @@ from kancheck import (
     diagonal,
     double_nerve,
     eg_construction,
+    eg_cover,
     group_pair_double_groupoid,
     nerve,
     one_object_groupoid,
     point,
     product,
     symmetric_group_preset,
-    tensor,
-    to_point_bimap,
     to_point_map,
     validate_simplicial_identities,
-    verify_pointwise_fillers,
 )
 from kancheck.cli import group_from_input, load_input, subgroups_from_input
 from kancheck.doublegroupoid import DiagonalStages, _DoubleNerveBuild
@@ -47,7 +45,8 @@ from kancheck.kan import (
 )
 from kancheck.presets import preset_bisimplicial, preset_double_groupoid
 from kancheck.serialize import fibration_report_to_dict
-from kancheck.simplicial import TruncatedSimplicialSet, gather, presented, quotient
+from kancheck.bisimplicial import UnbuiltProduct
+from kancheck.simplicial import TruncatedSimplicialSet, gather
 
 
 # A family is ``(n, indices, faces, y)`` on raw ids: ``faces[t]`` is the id
@@ -542,14 +541,14 @@ class TestRowsVerifiedByWitness:
 
         monkeypatch.setattr(kancheck.kan, "require_level_laws", recording)
         assert check_kan_fibration(eg_diag_map, 3).passed
-        # the diagonal of a tensor is checked on its quotient BZ2 x BZ2, a
-        # quarter of each level, so the laws are checked on the quotient's
-        # one map, once per level
+        # the diagonal of a tensor is EG(Z2) x EG(Z2), decided from its
+        # factor, searched once on a map of its own, so the laws are checked
+        # on that one map, once per level
         assert [n for _, n in seen] == [1, 2, 3]
-        [base] = {id(f) for f, _ in seen}
-        assert seen[0][0].domain.counts == tuple(4 ** (n + 1) // 4 for n in range(4))
+        [factor] = {id(f) for f, _ in seen}
+        assert seen[0][0].domain is eg_diag_map.domain._factors[0]
         seen.clear()
-        full = to_point_map(without_quotient(eg_diag_map.domain))
+        full = to_point_map(without_factors(eg_diag_map.domain))
         assert check_kan_fibration(full, 3).passed
         assert seen == [(full, n) for n in (1, 2, 3)]
 
@@ -593,30 +592,30 @@ class TestRowsVerifiedByWitness:
             check_trivial_fibration_to_point(bad, 2)
 
     def test_broken_face_identity_refused_per_orbit(self, z2):
-        # the broken face keeps pi natural, as both edges lie over e, so a
-        # search of the quotient alone would not see it: the covering check
-        # compares the cover's face identities, and refuses it as a broken
-        # invariant.  Without the presentation, or in a trivial-fibration
-        # check, which reads none, the full search names the least simplex
+        # the broken face breaks the face identities of the product too.
+        # The factor's check refuses it, so the product rule gives way to
+        # the full search, which names the product's least simplex, as it
+        # does without the factors recorded.  Over an empty factor the
+        # product breaks no law, and both checks of it are the full search's
         eg = eg_construction(z2, 2)
         broken = break_one_face(eg, 2, 0, 0, 3)
-        broken._quotient = eg._quotient
         X = product(eg, broken)
-        full = product(eg, without_quotient(broken))
-        assert quotient(full) is None
-        for check in (check_kan_to_point, lambda Y, n: check_kan_fibration(to_point_map(Y), n)):
-            for tables in (broken, X):
-                with pytest.raises(InternalInvariantError, match="the cover breaks d_0 d_1"):
-                    check(tables, 2)
+        full = without_factors(X)
         first = next(v for v in validate_simplicial_identities(full).violations if v.n == 2)
         want = "domain breaks the simplicial identities: " + first.describe(full)
         for check, tables in (
-            (check_kan_to_point, full), (check_trivial_fibration_to_point, X),
-            (check_trivial_fibration_to_point, full),
+            (check_kan_to_point, X), (check_kan_to_point, UnbuiltProduct(eg, broken)),
+            (lambda Y, n: check_kan_fibration(to_point_map(Y), n), X),
+            (check_trivial_fibration_to_point, X), (check_trivial_fibration_to_point, full),
         ):
             with pytest.raises(RejectedInput) as err:
                 check(tables, 2)
             assert str(err.value) == want
+        empty = TruncatedSimplicialSet([0, 0, 0], [[], [[], []], [[], [], []]],
+                                       [[[]], [[], []], []])
+        for check in (check_kan_to_point, check_trivial_fibration_to_point):
+            over_empty = product(broken, empty)
+            assert check(over_empty, 2) == check(without_factors(over_empty), 2)
 
     def test_non_natural_map_refused(self, eg_sign_map):
         f = eg_sign_map
@@ -849,7 +848,7 @@ class TestTrivialFibration:
 
 @pytest.fixture(scope="module")
 def eg_product(z2):
-    """EG(Z2) x EG(Z2) to bound 4, presented on its quotient BZ2 x BZ2."""
+    """EG(Z2) x EG(Z2) to bound 4, which records its factors."""
     eg = eg_construction(z2, 4)
     return product(eg, eg)
 
@@ -858,24 +857,11 @@ def horn_cells(max_dim):
     return [(n, k) for n in range(1, max_dim + 1) for k in range(n + 1)]
 
 
-def without_quotient(X):
-    """The same tables and labels as X, with no presentation: the full
+def without_factors(X):
+    """The same tables and labels as X, with no factors recorded: the full
     search runs."""
     labels = None if X._labels is None else list(X._labels)
     return TruncatedSimplicialSet(X.counts, X._faces, X._degens, labels)
-
-
-def untwisted(B):
-    """B presented as ``1 x B``: the trivial group, the trivial twist, and
-    B as its own cover, checked as a built set's presentation is."""
-    twist = [()] + [(0,) * c for c in B.counts[1:]]
-    return presented(B, ((0,),), 0, B, twist, tuple(tuple(range(c)) for c in B.counts))
-
-
-def self_presented(B):
-    """B's tables carrying the presentation ``1 x B``, so that a product
-    with a factor that carries one carries one too."""
-    return presented_as(B, 1, None)
 
 
 TRIVIAL_CELLS = [(n, -1) for n in range(1, 5)]
@@ -915,8 +901,8 @@ class TestMapLifetime:
 
         monkeypatch.setattr(kancheck.kan, "_blocks", recording)
         # each cell's least-id map is dropped once counted, on the set or,
-        # for the Kan check with the presentation, on its quotient
-        for tables in (without_quotient(eg_product), eg_product):
+        # with its factors recorded, on its factor
+        for tables in (without_factors(eg_product), eg_product):
             held.clear()
             assert check(tables, 4).passed
             assert [n for n, _, _ in held] == [n for n, _ in cells]
@@ -940,8 +926,8 @@ class TestMapLifetime:
         ),
     ], ids=["kan", "trivial"])
     def test_builds_match_a_kept_map_and_none_twice(self, eg_product, monkeypatch, owned, kept):
-        # the same tables without the presentation, so that both search in full
-        eg_product = without_quotient(eg_product)
+        # the same tables with no factors recorded, so that both search in full
+        eg_product = without_factors(eg_product)
         builds = recording_builds(monkeypatch)
         kept(eg_product)
         on_kept = builds[:]
@@ -953,17 +939,17 @@ class TestMapLifetime:
 
     def test_callers_map_keeps_every_map(self, eg_product):
         # a caller's map that is searched keeps every least-id map and
-        # index it built; one over a point whose domain carries a
-        # presentation is not searched at all, as its quotient is
-        f = to_point_map(without_quotient(eg_product))
+        # index it built; one over a point whose domain is a product is not
+        # searched at all, as its factor is
+        f = to_point_map(without_factors(eg_product))
         assert check_kan_fibration(f, 4).passed
         assert set(f._leasts) == {
             (n, tuple(i for i in range(n + 1) if i != k)) for n, k in horn_cells(4)
         }
         assert {m for m, _ in f._indexes} == {0, 1, 2, 3}
-        on_quotient = to_point_map(eg_product)
-        assert check_kan_fibration(on_quotient, 4) == check_kan_fibration(f, 4)
-        assert on_quotient._leasts == {} and on_quotient._indexes == {}
+        on_factors = to_point_map(eg_product)
+        assert check_kan_fibration(on_factors, 4) == check_kan_fibration(f, 4)
+        assert on_factors._leasts == {} and on_factors._indexes == {}
 
     def test_same_report_as_the_kept_map(self, eg_product):
         def reports(X, max_dim):
@@ -1059,10 +1045,10 @@ def closed_form_cells(order, max_dim, kind):
 
 
 class TestOrbitSearch:
-    """The Kan checks over a point of a set with a free action search its
-    orbits, that is its quotient, and count |H| families for each; their
-    reports are the full search's.  Trivial-fibration checks search in
-    full."""
+    """The Kan and trivial-fibration checks over a point of a product search
+    each factor once, on a map of its own, and multiply the counts cell by
+    cell when both pass (the product rule); otherwise they search the
+    product in full.  Their reports are the full search's."""
 
     @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "1", "7"])
     @pytest.mark.parametrize("group, max_dim", [
@@ -1099,13 +1085,11 @@ class TestOrbitSearch:
         assert check(eg_product, 4).passed
         assert len(set(builds)) == len(builds)
         leasts = [b for b in builds if b[0] == "_build_least"]
-        # the Kan check's each over the quotient BZ2 x BZ2, a quarter of
-        # X_n, and no map over X: no cell was searched on X.  Boundary
-        # counts do not scale over a covering, so the trivial check's are
-        # each over all of X_n
-        share = 4 if check is check_kan_to_point else 1
+        # each over the factor EG(Z2), searched once, whose level n has
+        # 2^(n+1) simplices against the product's 4^(n+1): no map over the
+        # product, so no cell was searched on it
         assert leasts == [
-            ("_build_least", n, tuple(i for i in range(n + 1) if i != k), 4 ** (n + 1) // share)
+            ("_build_least", n, tuple(i for i in range(n + 1) if i != k), 2 ** (n + 1))
             for n, k in cells
         ]
 
@@ -1121,59 +1105,73 @@ class TestOrbitSearch:
 
         monkeypatch.setattr(kancheck.kan, "_check_witnesses", recording)
         report = check_kan_to_point(eg_product, 4)
-        # each dim-4 cell of the quotient has 1024 / 4 = 256 families: 16
-        # full blocks
+        # each dim-4 cell of the factor EG(Z2) has 2^5 = 32 families: 2 full
+        # blocks
         assert {cell: count for cell, count in blocks.items() if cell[0] == 4} == {
-            (4, tuple(i for i in range(5) if i != k), rows): 16 for k in range(5)
+            (4, tuple(i for i in range(5) if i != k), rows): 2 for k in range(5)
         }
         monkeypatch.setattr(kancheck.kan, "_check_witnesses", check)
-        assert report == check_kan_fibration(to_point_map(without_quotient(eg_product)), 4)
+        assert report == check_kan_fibration(to_point_map(without_factors(eg_product)), 4)
 
     def test_failing_cell_is_searched_in_full(self, z2, monkeypatch):
-        # Y, presented as 1 x Y, is not Kan, so neither is the quotient
-        # BZ2 x Y of X
-        X = product(eg_construction(z2, 2), self_presented(s4_pair_diagonal(2)))
+        # Y, the S4-pair diagonal, is not Kan, so neither is EG(Z2) x Y: each
+        # factor is searched, then the product in full, from its first cell
+        Y = s4_pair_diagonal(2)
+        X = product(eg_construction(z2, 2), Y)
         seen = []
         count_cell = kancheck.kan._count_cell
 
         def recording(f, n, indices):
-            seen.append((n, indices, f.domain is X))
+            seen.append((n, indices, f.domain))
             return count_cell(f, n, indices)
 
         monkeypatch.setattr(kancheck.kan, "_count_cell", recording)
         owned = fibration_report_to_dict(check_kan_to_point(X, 2))
         monkeypatch.setattr(kancheck.kan, "_count_cell", count_cell)
-        full = to_point_map(without_quotient(X))
+        full = to_point_map(without_factors(X))
         assert owned == fibration_report_to_dict(check_kan_fibration(full, 2))
         assert not owned["passed"] and owned["failure"]["family"]["n"] == 2
-        # the failing cell on the quotient, then on X itself
-        assert seen[-2][:2] == seen[-1][:2] and (seen[-2][2], seen[-1][2]) == (False, True)
-        assert not any(on_x for _, _, on_x in seen[:-1])
+        # EG(Z2) in full (5 cells), Y to its failing cell, then X from its
+        # first cell to the same one
+        names = {id(X._factors[0]): "eg", id(Y): "Y", id(X): "X"}
+        on = [names[id(domain)] for _, _, domain in seen]
+        half = (len(seen) - 5) // 2
+        assert on == ["eg"] * 5 + ["Y"] * half + ["X"] * half
+        cells = [(n, indices) for n, indices, _ in seen[5:]]
+        assert cells[:half] == cells[half:] and cells[-1][0] == 2
 
     @pytest.mark.parametrize("build", [
-        lambda eg: product(eg, self_presented(standard_simplex(2, 3))),
-        lambda eg: product(self_presented(standard_simplex(2, 3)), eg),
-        lambda eg: product(self_presented(nerve(one_object_groupoid(cyclic_group(3)), 3)), eg),
+        lambda eg: product(eg, standard_simplex(2, 3)),
+        lambda eg: product(standard_simplex(2, 3), eg),
+        lambda eg: product(nerve(one_object_groupoid(cyclic_group(3)), 3), eg),
         lambda eg: product(eg, product(eg, eg)),
     ], ids=["eg-x-delta2", "delta2-x-eg", "bz3-x-eg", "eg-x-eg-x-eg"])
     @pytest.mark.parametrize("check", [check_kan_to_point, check_trivial_fibration_to_point])
     def test_reports_match_the_full_search(self, z2, build, check):
-        # a presentation on each factor, |H| = 2 or 8; Delta[2] fills
-        # neither every horn nor every boundary, and BZ3 fills every horn
-        # but not every boundary
+        # Delta[2] fills neither every horn nor every boundary, and BZ3 fills
+        # every horn but not every boundary; EG x (EG x EG) is decided from
+        # its factors, the second by the same rule
         X = build(eg_construction(z2, 3))
-        assert quotient(X).order in (2, 8)
+        assert X._factors is not None
         assert fibration_report_to_dict(check(X, 3)) == (
-            fibration_report_to_dict(check(without_quotient(X), 3))
+            fibration_report_to_dict(check(without_factors(X), 3))
         )
-        assert quotient(product(eg_construction(z2, 3), standard_simplex(2, 3))) is None
+
+    def test_caller_map_uses_the_rule_only_over_a_point(self, eg_product):
+        # over a codomain that is not a point the caller's map is searched
+        # in full, on its own maps
+        f = SimplicialMap(eg_product, eg_product, [range(c) for c in eg_product.counts])
+        assert check_kan_fibration(f, 2).passed
+        assert set(f._leasts) == {
+            (n, tuple(i for i in range(n + 1) if i != k)) for n, k in horn_cells(2)
+        }
 
     def test_no_grow_closure_outlives_a_check(self, eg_product):
         gc.collect()
         gc.disable()
         try:
             assert check_kan_to_point(eg_product, 4).passed
-            assert check_kan_to_point(without_quotient(eg_product), 4).passed
+            assert check_kan_to_point(without_factors(eg_product), 4).passed
             assert not check_kan_to_point(s4_pair_diagonal(2), 2).passed
             grows = [
                 o for o in gc.get_objects()
@@ -1184,82 +1182,18 @@ class TestOrbitSearch:
         assert grows == []
 
 
-def tampered_projection(monkeypatch, edit):
-    """Make every EG's projection pass through ``edit``, which changes its
-    columns (a list of lists) in place."""
-    projection = kancheck.groupoids._eg_projection
-
-    def edited(G, L, X):
-        pi = [list(col) for col in projection(G, L, X)]
-        edit(pi)
-        return tuple(pi)
-
-    monkeypatch.setattr(kancheck.groupoids, "_eg_projection", edited)
-
-
-def one_changed_entry(eg, monkeypatch):
-    """EG, the edge (e, e) of its projection sent to g: pi then commutes
-    with no face of a triangle with that edge."""
-    tampered_projection(monkeypatch, lambda pi: pi[1].__setitem__(0, 1))
-    return eg
-
-
-def two_swapped_entries(eg, monkeypatch):
-    """EG, the images of the edges (e, e) and (e, g) swapped in its
-    projection."""
-    def swap(pi):
-        pi[1][0], pi[1][1] = pi[1][1], pi[1][0]
-
-    tampered_projection(monkeypatch, swap)
-    return eg
-
-
-def acting_trivially(eg, monkeypatch):
-    """EG(Z2) presented as if Z2 acted trivially, each simplex its own orbit."""
-    return presented_as(eg, 2, None)
-
-
-def uneven_fibre(eg, monkeypatch):
-    """EG presented over its own tables with both vertices over vertex 0."""
-    return presented_as(eg, 1, [(0, 0)] + [range(c) for c in eg.counts[1:]])
-
-
-def presented_as(X, order, pi):
-    """X's tables carrying the presentation ``Z/order x X`` over X itself,
-    with the trivial twist and the projection ``pi`` (the identity, when
-    None), checked as a built set's presentation is."""
-    Y = without_quotient(X)
-    group = tuple(tuple((a + b) % order for b in range(order)) for a in range(order))
-    twist = [()] + [(0,) * c for c in X.counts[1:]]
-    identity = tuple(tuple(range(c)) for c in X.counts)
-    Y._quotient = lambda Y: presented(Y, group, 0, X, twist, pi or identity)
-    return Y
-
-
-def pointwise_on_square(X, max_dim):
-    """The pointwise sweep of ``tensor(X, X)``, whose diagonal's Kan check
-    is made on the square of X's quotient."""
-    return verify_pointwise_fillers(to_point_bimap(tensor(X, X)), max_dim)
-
-
 class TestActionChecks:
-    """A free action reaches a check only as a presentation on its quotient,
-    whose projection is checked on the set's tables to be a covering with
-    fibre |H| before any cell is searched; one that is not is a broken
-    invariant."""
+    """G acts freely on EG(G) by left multiplication, and the universal
+    cover ``eg_cover(G, bound)``, ``EG -> BG``, is invariant under it."""
 
-    @pytest.fixture(scope="class")
-    def eg(self, z2):
-        return eg_construction(z2, 2)
-
-    def test_eg_action_is_left_multiplication(self, eg, s3):
+    def test_eg_action_is_left_multiplication(self, s3):
         # G acts on EG(G) by left multiplication, each g a permutation of
         # every level that commutes with pi: the deck transformations
-        for G, X in ((cyclic_group(2), eg), (s3, eg_construction(s3, 2))):
-            P = quotient(X)
-            assert P.order == G.order and P.cover()[0] is X
-            assert P.base == nerve(one_object_groupoid(G), 2)
-            pi = P.cover()[1]
+        for G in (cyclic_group(2), s3):
+            f = eg_cover(G, 2)
+            X, pi = f.domain, f.components
+            assert X == eg_construction(G, 2)
+            assert f.codomain == nerve(one_object_groupoid(G), 2)
             for n in range(3):
                 for g in range(G.order):
                     # an id's coordinates are its digits base |G|
@@ -1269,36 +1203,8 @@ class TestActionChecks:
                     ]
                     assert sorted(moved) == list(range(X.counts[n]))
                     assert gather(pi[n], moved) == list(pi[n])
-        assert quotient(eg_construction(s3, 1)).order == 6
-
-    @pytest.mark.parametrize("check", [check_kan_to_point, pointwise_on_square])
-    @pytest.mark.parametrize("as_factor", [False, True], ids=["set", "factor"])
-    @pytest.mark.parametrize("broken, message", [
-        (one_changed_entry, "does not commute with d_"),
-        (two_swapped_entries, "does not commute with d_"),
-        (acting_trivially, r"\|H\| \|B_0\|"),
-        (uneven_fibre, "fibre of pi over vertex 0 has 2 vertices"),
-    ], ids=["changed-entry", "swapped-entries", "trivial-action", "base"])
-    def test_broken_action_raises(self, eg, broken, message, as_factor, check, monkeypatch):
-        bad = broken(eg, monkeypatch)
-        if as_factor:
-            bad = product(self_presented(eg), bad)
-        with pytest.raises(InternalInvariantError, match=message):
-            check(bad, 2)
-
-    def test_caller_map_over_a_point_checks_the_action(self, eg):
-        bad = presented_as(eg, 2, None)
-        with pytest.raises(InternalInvariantError, match=r"\|H\| \|B_0\|"):
-            check_kan_fibration(to_point_map(bad), 2)
-        # over a codomain that is not a point the presentation is not read
-        identity = SimplicialMap(bad, bad, [range(c) for c in bad.counts], validate=False)
-        assert check_kan_fibration(identity, 2).passed
-
-    def test_trivial_fibration_check_reads_no_presentation(self, eg):
-        bad = presented_as(eg, 2, None)
-        assert check_trivial_fibration_to_point(bad, 2) == (
-            check_trivial_fibration_to_point(without_quotient(eg), 2)
-        )
+                    # each fibre is one orbit: |G| simplices over each of BG's
+                    assert Counter(pi[n]) == dict.fromkeys(range(f.codomain.counts[n]), G.order)
 
 
 class TestCertificateIntegrity:

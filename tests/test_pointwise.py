@@ -16,7 +16,6 @@ from test_kan import (
     partial_fill,
     rotated_index,
     s4_pair_diagonal,
-    self_presented,
 )
 
 import kancheck.kan
@@ -333,11 +332,11 @@ class TestSweep:
         assert report.passed
         assert (kan_families, report.problems_checked, steps) == (1224, 656, 416)
         assert evaluated == report.problems_checked + 2 * steps == 1488
-        # the witness of each Kan family the check searches on the
-        # diagonal's quotient by Z2 x Z2 (1224 / 4 = 306), and of each partial
-        # fill's full horn (every one fills here), and the answer of each
-        # horn, each seen once
-        assert witnessed[kancheck.kan] == kan_families // 4 + full == 306 + full
+        # the witness of each Kan family of the diagonal's factor EG(Z2),
+        # searched once (92 families, whose squares' sum is the diagonal's
+        # 1224), and of each partial fill's full horn (every one fills
+        # here), and the answer of each horn, each seen once
+        assert witnessed[kancheck.kan] == 92 + full
         assert witnessed[kancheck.pointwise] == report.problems_checked
 
     def test_point_sweep(self):
@@ -431,7 +430,7 @@ class TestSweep:
         self, eg_tensor_3, monkeypatch
     ):
         # every (map, m, J) index and least-id map is built at most once.
-        # The diagonal's Kan check searches its quotient, and builds no map
+        # The diagonal's Kan check searches its factor, and builds no map
         # on the diagonal: the sweeps build the diagonal's least-id maps
         # they read, and indexes only on line maps, to enumerate.  The map
         # is fresh, as the transposed sweep enumerates on f's own row maps
@@ -586,18 +585,18 @@ class TestIdSweep:
 
 
 def full_search_diagonal_map(f):
-    """``diagonal_map(f)`` with the presentation its domain carries dropped,
-    so that its Kan check searches every family."""
+    """``diagonal_map(f)`` with no factors recorded on its domain, so that
+    its Kan check searches every family."""
     d = diagonal_map(f)
-    d.domain._quotient = None
+    d.domain._factors = None
     return d
 
 
 class TestOrbitPrecondition:
-    """The diagonal of a tensor carries the product of its factors'
-    presentations, so the Kan check of a caller's diagonal map over a point
-    searches its quotient, the orbits of the diagonal; its reports, and the
-    sweeps after it, are the full search's."""
+    """The diagonal of a tensor is the product of its factors, so the Kan
+    check of a caller's diagonal map over a point is decided from the
+    factors (the product rule); its reports, and the sweeps after it, are
+    the full search's."""
 
     @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "1", "7"])
     @pytest.mark.parametrize("group, dim", [
@@ -609,9 +608,9 @@ class TestOrbitPrecondition:
             monkeypatch.setattr(kancheck.kan, "BLOCK_ROWS", rows)
         eg = eg_construction(group, dim)
         f = to_point_bimap(tensor(eg, eg))
-        on_quotient, full = diagonal_map(f), full_search_diagonal_map(f)
-        assert on_quotient.domain._quotient is not None
-        kan = check_kan_fibration(on_quotient, dim)
+        on_factors, full = diagonal_map(f), full_search_diagonal_map(f)
+        assert on_factors.domain._factors == (eg, eg)
+        kan = check_kan_fibration(on_factors, dim)
         assert kan.passed and kan == check_kan_fibration(full, dim)
         swept = verify_pointwise_fillers(f, dim)
         monkeypatch.setattr(kancheck.pointwise, "diagonal_map", full_search_diagonal_map)
@@ -619,10 +618,10 @@ class TestOrbitPrecondition:
         assert swept.passed and swept.problems_checked > 0
 
     def test_non_kan_precondition_is_the_full_search(self, z2, monkeypatch):
-        # the S4-pair diagonal, presented as 1 x Y, is not Kan at n = 2, so
-        # neither is the quotient BZ2 x Y, and the failing cell is searched
-        # again on the caller's diagonal map
-        f = to_point_bimap(tensor(eg_construction(z2, 2), self_presented(s4_pair_diagonal(2))))
+        # the S4-pair diagonal Y is not Kan at n = 2, so neither is
+        # EG(Z2) x Y: after the factors' checks, the caller's diagonal map
+        # is searched in full, from its first cell
+        f = to_point_bimap(tensor(eg_construction(z2, 2), s4_pair_diagonal(2)))
         diag_f = diagonal_map(f)
         seen = []
         count_cell = kancheck.kan._count_cell
@@ -632,15 +631,16 @@ class TestOrbitPrecondition:
             return count_cell(g, n, indices)
 
         monkeypatch.setattr(kancheck.kan, "_count_cell", recording)
-        on_quotient = fibration_report_to_dict(check_kan_fibration(diag_f, 2))
-        assert seen[-1] and not any(seen[:-1])
+        on_factors = fibration_report_to_dict(check_kan_fibration(diag_f, 2))
+        first = seen.index(True)
+        assert first > 0 and all(seen[first:])
         full = fibration_report_to_dict(check_kan_fibration(full_search_diagonal_map(f), 2))
-        assert on_quotient == full and not on_quotient["passed"]
-        assert on_quotient["failure"]["family"]["n"] == 2
-        with pytest.raises(RejectedInput) as by_quotient:
+        assert on_factors == full and not on_factors["passed"]
+        assert on_factors["failure"]["family"]["n"] == 2
+        with pytest.raises(RejectedInput) as by_factors:
             verify_pointwise_fillers(f, 2)
         monkeypatch.setattr(kancheck.pointwise, "diagonal_map", full_search_diagonal_map)
         with pytest.raises(RejectedInput) as in_full:
             verify_pointwise_fillers(f, 2)
-        assert str(by_quotient.value) == str(in_full.value)
-        assert "unfillable horn at n=2" in str(by_quotient.value)
+        assert str(by_factors.value) == str(in_full.value)
+        assert "unfillable horn at n=2" in str(by_factors.value)

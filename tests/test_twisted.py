@@ -1,74 +1,52 @@
-"""Sets presented as principal twisted cartesian products ``H x_tau B``.
+"""Products decided from their factors, and the universal cover ``EG -> BG``.
 
-A to-point Kan check of a presentation searches its quotient B and counts
-|H| families for each of B's; its report must be the full search's on the
-built set, cell for cell, and a failure must be certified on the built
-set's ids.  The twist is checked on B's tables first, and the covering map
-``X -> B`` is checked to be a covering, a Kan fibration with exactly one
+A Kan or trivial-fibration check over a point of ``A x B``, built by
+``product`` or given unbuilt by its factors (``UnbuiltProduct``), searches
+each factor and multiplies the counts cell by cell when both pass; otherwise
+it searches the product in full.  Its report must be the full search's on the
+built product, cell for cell, and a failure must be certified on the
+product's ids.  ``eg_cover`` is a covering, a Kan fibration with exactly one
 filler per horn.
 """
 
 from functools import cache
 
 import pytest
-from test_kan import untwisted
+from test_kan import standard_simplex, without_factors
 
 import kancheck.groupoids
 import kancheck.kan
 from kancheck import (
+    SimplicialMap,
     check_kan_fibration,
     check_kan_to_point,
+    check_trivial_fibration_to_point,
     cyclic_group,
     diagonal,
     double_nerve,
     eg_construction,
+    eg_cover,
+    nerve,
+    one_object_groupoid,
     product,
     symmetric_group_preset,
+    to_point_map,
 )
-from kancheck.bisimplicial import product_presentation
-from kancheck.errors import InternalInvariantError, RejectedInput
-from kancheck.groupoids import eg_presentation, nerve_and_layout, one_object_groupoid
+from kancheck.bisimplicial import UnbuiltProduct
+from kancheck.errors import RejectedInput
 from kancheck.presets import preset_double_groupoid
 from kancheck.serialize import fibration_report_to_dict
-from kancheck.simplicial import (
-    TruncatedSimplicialSet,
-    TwistedProduct,
-    point,
-    quotient,
-    quotient_map,
-    require_twisting,
-)
+from kancheck.simplicial import TruncatedSimplicialSet, _pairs
 
 GROUPS = {"Z2": cyclic_group(2), "Z3": cyclic_group(3), "S3": symmetric_group_preset(3)}
 
 
-def eg_square(G, bound):
-    """EG x EG presented as (G x G) x_tau (BG x BG)."""
-    eg = eg_presentation(G, bound)
-    return product_presentation(eg, eg)
-
-
 @cache
 def full_search_report(name, bound):
-    """The to-point Kan report of the built EG x EG without its
-    presentation, so that every family is searched."""
+    """The to-point Kan report of the built EG x EG with no factors
+    recorded, so that every family is searched."""
     eg = eg_construction(GROUPS[name], bound)
-    return check_kan_to_point(without_quotient(product(eg, eg)), bound)
-
-
-def without_quotient(X):
-    """The same tables and labels as X, with no presentation: the full
-    search runs."""
-    return TruncatedSimplicialSet(X.counts, X._faces, X._degens, list(X._labels))
-
-
-def with_twist(P, n, idx, to):
-    """P with ``twist[n][idx]`` set to ``to``."""
-    twist = list(P.twist)
-    column = list(twist[n])
-    column[idx] = to
-    twist[n] = column
-    return TwistedProduct(P.mul, P.identity, P.base, twist, P.cover)
+    return check_kan_to_point(without_factors(product(eg, eg)), bound)
 
 
 def s3_counterexample_diagonal(bound):
@@ -76,97 +54,107 @@ def s3_counterexample_diagonal(bound):
     return diagonal(double_nerve(preset_double_groupoid("s3-counterexample"), bound, bound))
 
 
+def empty(bound):
+    """The simplicial set with no simplices, to ``bound``."""
+    return TruncatedSimplicialSet(
+        [0] * (bound + 1),
+        [[]] + [[[]] * (n + 1) for n in range(1, bound + 1)],
+        [[[]] * (n + 1) for n in range(bound)] + [[]],
+    )
+
+
 class TestQuotientCheck:
+    """The product rule against the full search of the built product."""
+
     @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "1", "7"])
     @pytest.mark.parametrize("name, bound", [("Z2", 4), ("Z3", 3), ("S3", 2), ("S3", 3)])
     def test_report_is_the_orbit_paths(self, name, bound, rows, monkeypatch):
-        # the horns of the quotient are the orbits of H on X's horns: their
-        # report, scaled, is the full search's, made at the default block size
+        # a horn of EG x EG is a pair of horns of EG, and fills exactly when
+        # both do: the factor's report, multiplied cell by cell, is the full
+        # search's, made at the default block size
         full = full_search_report(name, bound)
         if rows is not None:
             monkeypatch.setattr(kancheck.kan, "BLOCK_ROWS", rows)
-        report = check_kan_to_point(eg_square(GROUPS[name], bound), bound)
+        eg = eg_construction(GROUPS[name], bound)
+        report = check_kan_to_point(UnbuiltProduct(eg, eg), bound)
         assert report.passed
         assert report == full
+        assert check_kan_to_point(product(eg, eg), bound) == full
+
+    @pytest.mark.parametrize("name, bound, families", [
+        ("Z2", 4, 6344), ("Z3", 3, 28449), ("S3", 2, 140040), ("S3", 3, 6858504),
+        ("S3", 4, 309189384), ("S3", 5, 13369883400),
+    ])
+    def test_families_match_the_closed_form(self, name, bound, families):
+        # EG x EG is 0-coskeletal: a horn at n >= 2 is its n + 1 vertices,
+        # so each of the n + 1 cells has one family per simplex, |G|^(2(n+1));
+        # at n = 1 a horn is a vertex, |G|^2 per cell
+        order = GROUPS[name].order
+        closed_form = 2 * order ** 2 + sum(
+            (n + 1) * order ** (2 * (n + 1)) for n in range(2, bound + 1)
+        )
+        eg = eg_construction(GROUPS[name], bound)
+        report = check_kan_to_point(UnbuiltProduct(eg, eg), bound)
+        assert report.passed and report.families_checked == closed_form == families
 
     def test_passing_check_builds_no_cover(self, monkeypatch):
         built = []
-        eg = kancheck.groupoids.eg_construction
-
-        def recording(*args):
-            built.append(args)
-            return eg(*args)
-
-        monkeypatch.setattr(kancheck.groupoids, "eg_construction", recording)
-        assert check_kan_to_point(eg_square(GROUPS["S3"], 2), 2).passed
+        monkeypatch.setattr(kancheck.kan, "product", lambda *factors: built.append(factors))
+        eg = eg_construction(GROUPS["S3"], 2)
+        assert check_kan_to_point(UnbuiltProduct(eg, eg), 2).passed
         assert built == []
 
     @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "1", "7"])
     def test_failing_base_gives_the_full_search_certificate(self, rows, monkeypatch):
-        # EG(Z2) x Y, Y the S3 counterexample's diagonal, as
-        # (Z2 x 1) x_tau (BZ2 x Y): its base is not Kan, because Y is not
+        # EG(Z2) x Y, Y the S3 counterexample's diagonal: Y is not Kan, so
+        # the product is built and searched in full
         if rows is not None:
             monkeypatch.setattr(kancheck.kan, "BLOCK_ROWS", rows)
-        Y = s3_counterexample_diagonal(2)
-        P = product_presentation(eg_presentation(cyclic_group(2), 2), untwisted(Y))
-        X = product(eg_construction(cyclic_group(2), 2), Y)
-        full = fibration_report_to_dict(check_kan_to_point(without_quotient(X), 2))
-        assert fibration_report_to_dict(check_kan_to_point(P, 2)) == full
+        eg, Y = eg_construction(cyclic_group(2), 2), s3_counterexample_diagonal(2)
+        X = product(eg, Y)
+        full = fibration_report_to_dict(check_kan_to_point(without_factors(X), 2))
+        for tables in (UnbuiltProduct(eg, Y), X):
+            assert fibration_report_to_dict(check_kan_to_point(tables, 2)) == full
         assert not full["passed"] and full["failure"]["family"]["n"] == 2
 
-    def test_cover_that_fills_the_failing_cell_is_refused(self):
-        B = s3_counterexample_diagonal(2)
-        P = untwisted(B)
-        wrong = TwistedProduct(
-            P.mul, P.identity, B, P.twist, lambda: (point(2), tuple((0,) * c for c in B.counts))
-        )
-        with pytest.raises(InternalInvariantError, match="fills a cell"):
-            check_kan_to_point(wrong, 2)
+    @pytest.mark.parametrize("build", [
+        lambda eg, Y: (Y, eg),
+        lambda eg, Y: (eg, Y),
+        lambda eg, Y: (Y, standard_simplex(2, 2)),
+        lambda eg, Y: (Y, Y),
+        lambda eg, Y: (empty(2), Y),
+        lambda eg, Y: (eg, empty(2)),
+        lambda eg, Y: (product(eg, eg), Y),
+        lambda eg, Y: (product(eg, Y), eg),
+    ], ids=["first-fails", "second-fails", "both-fail", "b-is-a", "first-empty",
+            "second-empty", "passing-product-x-c", "failing-product-x-c"])
+    @pytest.mark.parametrize("check", [
+        check_kan_to_point,
+        check_trivial_fibration_to_point,
+        lambda X, n: check_kan_fibration(to_point_map(X), n),
+    ], ids=["kan", "trivial", "callers-map"])
+    def test_failing_cases_give_the_full_search(self, build, check):
+        eg, Y = eg_construction(cyclic_group(2), 2), s3_counterexample_diagonal(2)
+        A, B = build(eg, Y)
+        X = product(A, B)
+        full = fibration_report_to_dict(check(without_factors(X), 2))
+        assert fibration_report_to_dict(check(X, 2)) == full
+        if check is check_kan_to_point:
+            assert fibration_report_to_dict(check(UnbuiltProduct(A, B), 2)) == full
 
     def test_bound_too_small_rejected(self):
+        eg = eg_construction(GROUPS["Z2"], 2)
         with pytest.raises(RejectedInput):
-            check_kan_to_point(eg_square(GROUPS["Z2"], 2), 3)
-
-
-class TestTwistingIdentities:
-    def test_eg_twist_is_the_first_arrow(self):
-        G = GROUPS["S3"]
-        P = eg_presentation(G, 3)
-        _, L = nerve_and_layout(one_object_groupoid(G), 3)
-        for n in range(1, 4):
-            assert list(P.twist[n]) == [L.key(n, b)[0] for b in range(L.counts[n])]
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("which", ["first", "last"])
-    @pytest.mark.parametrize("square", [False, True], ids=["eg", "eg-square"])
-    def test_one_changed_entry_is_refused(self, n, which, square):
-        G = GROUPS["Z3"]
-        P = eg_square(G, 3) if square else eg_presentation(G, 3)
-        idx = 0 if which == "first" else P.base.counts[n] - 1
-        bad = with_twist(P, n, idx, (P.twist[n][idx] + 1) % P.order)
-        with pytest.raises(InternalInvariantError, match="twisting identity"):
-            check_kan_to_point(bad, 3)
-
-    def test_changed_entry_is_named(self):
-        # tau s_0 = e fails at the vertex of BZ3 once the identity arrow is
-        # given a twist that is not e
-        P = eg_presentation(GROUPS["Z3"], 2)
-        bad = with_twist(P, 1, 0, 1)
-        with pytest.raises(InternalInvariantError, match=r"tau s_0 = e fails at Simplex\(dim=0"):
-            require_twisting(bad, 2)
-
-    def test_twist_outside_the_group_is_refused(self):
-        P = eg_presentation(GROUPS["Z2"], 2)
-        with pytest.raises(InternalInvariantError, match="does not map B_2 into H"):
-            require_twisting(with_twist(P, 2, 0, 2), 2)
+            check_kan_to_point(UnbuiltProduct(eg, eg), 3)
 
 
 class TestCoveringMap:
     @pytest.mark.parametrize("name, bound", [("Z2", 4), ("S3", 2)])
     def test_every_horn_has_exactly_one_lift(self, name, bound):
         G = GROUPS[name]
-        f = quotient_map(eg_presentation(G, bound))
+        f = eg_cover(G, bound)
         assert f.domain == eg_construction(G, bound)
+        assert f.codomain == nerve(one_object_groupoid(G), bound)
         report = check_kan_fibration(f, bound)
         assert report.passed
         assert [(c.n, c.families, c.filled) for c in report.cells] == [
@@ -180,52 +168,21 @@ class TestCoveringMap:
             assert len(f.least(c.n, indices)) == f.domain.counts[c.n]
 
     def test_product_projection_is_simplicial(self):
-        G = GROUPS["Z2"]
-        f = quotient_map(eg_square(G, 3))
-        eg = eg_construction(G, 3)
-        assert f.domain == product(eg, eg)
-        assert check_kan_fibration(f, 3).passed
+        # pi x pi: EG x EG -> BG x BG, on pair ids, validated and Kan
+        f = eg_cover(GROUPS["Z2"], 3)
+        eg, bg = f.domain, f.codomain
+        components = [_pairs(c, c, bg.counts[n]) for n, c in enumerate(f.components)]
+        square = SimplicialMap(product(eg, eg), product(bg, bg), components)
+        assert check_kan_fibration(square, 3).passed
 
-    def test_wrong_projection_is_refused(self):
-        P = eg_presentation(GROUPS["Z2"], 2)
-        X, pi = P.cover()
-        swapped = [pi[0], pi[1], [pi[2][1], pi[2][0], *pi[2][2:]]]
-        wrong = TwistedProduct(P.mul, P.identity, P.base, P.twist, lambda: (X, swapped))
+    def test_wrong_projection_is_refused(self, monkeypatch):
+        projection = kancheck.groupoids._eg_projection
+
+        def swapped(G, L, X):
+            pi = [list(col) for col in projection(G, L, X)]
+            pi[2][0], pi[2][1] = pi[2][1], pi[2][0]
+            return pi
+
+        monkeypatch.setattr(kancheck.groupoids, "_eg_projection", swapped)
         with pytest.raises(RejectedInput, match="does not commute"):
-            quotient_map(wrong)
-
-    def test_one_changed_entry_is_refused(self):
-        # two parallel edges, a -> b, of a set presented over itself by the
-        # trivial group; one edge sent onto the other is still a simplicial
-        # map, but two edges from a then lie over one: not a covering
-        X = TruncatedSimplicialSet([2, 4], [[], [[0, 1, 1, 1], [0, 1, 0, 0]]], [[[0, 1]], []])
-        identity = [(0, 1), (0, 1, 2, 3)]
-        assert quotient_map(untwisted(X)).components == tuple(identity)
-        changed = [identity[0], (0, 1, 3, 3)]
-        wrong = TwistedProduct(((0,),), 0, X, [(), (0,) * 4], lambda: (X, changed))
-        with pytest.raises(InternalInvariantError, match="share a lift of a vertex"):
-            quotient_map(wrong)
-
-    def test_edges_must_lift_from_either_end(self):
-        # Delta[1] covered twice at its vertices, but its edge lifted twice
-        # from a, both lifts ending at the same lift of b: each simplex
-        # lifts uniquely through a lift of its vertex 0, and the sizes and
-        # fibres are those of a covering, yet b's other lift has no edge
-        # into it
-        B = TruncatedSimplicialSet([2, 3], [[], [[0, 1, 1], [0, 1, 0]]], [[[0, 1]], []])
-        X = TruncatedSimplicialSet(
-            [4, 6], [[], [[0, 1, 2, 3, 2, 2], [0, 1, 2, 3, 0, 1]]], [[[0, 1, 2, 3]], []]
-        )
-        pi = [(0, 0, 1, 1), (0, 0, 1, 1, 2, 2)]
-        P = TwistedProduct(((0, 1), (1, 0)), 0, B, [(), (0, 0, 0)], lambda: (X, pi))
-        with pytest.raises(InternalInvariantError, match="1-simplices over one simplex of B"):
-            quotient_map(P)
-
-    def test_built_eg_carries_its_checked_presentation(self):
-        G = GROUPS["S3"]
-        X = eg_construction(G, 2)
-        P = quotient(X)
-        assert P.cover()[0] is X and P.order == 6
-        assert P.base == eg_presentation(G, 2).base
-        assert quotient_map(P).components == tuple(map(tuple, eg_presentation(G, 2).cover()[1]))
-
+            eg_cover(GROUPS["Z2"], 2)
