@@ -19,10 +19,11 @@ Keys and labels are read off the two columns on demand.
 from __future__ import annotations
 
 from functools import partial
-from itertools import accumulate, chain, product, repeat
+from itertools import accumulate, chain, repeat
 from operator import add
 from typing import Sequence
 
+from .bisimplicial import MAX_PRODUCT_LEVEL
 from .errors import RejectedInput
 from .groups import FiniteGroup, _by_value, _first_nonassociative
 from .simplicial import Label, SimplicialMap, TruncatedSimplicialSet, _int_tuple, gather
@@ -200,14 +201,16 @@ class NerveLayout:
     composite, set with level 2.
 
     Reads only the object count and the arrow endpoint tables, so the nerve of
-    anything with those has a layout.
+    anything with those has a layout.  ``limit`` is the most simplices a
+    level may hold, ``MAX_LEVEL`` when None.
     """
 
     __slots__ = ("bound", "counts", "source", "target", "pos", "ids", "parent", "last", "start",
-                 "id_pos", "composite_pos", "_fan", "_by_target")
+                 "id_pos", "composite_pos", "limit", "_fan", "_by_target")
 
     def __init__(
-        self, n_objects: int, source: Sequence[int], target: Sequence[int], bound: int
+        self, n_objects: int, source: Sequence[int], target: Sequence[int], bound: int,
+        limit: int | None = None,
     ) -> None:
         by_target: list[list[int]] = [[] for _ in range(n_objects)]
         pos = []
@@ -224,21 +227,22 @@ class NerveLayout:
         self.start: list[Sequence[int]] = [[], []]
         self.id_pos: Sequence[int] = ()
         self.composite_pos: Sequence[int] = ()
+        self.limit = limit
         while self.bound < bound:
             self.add_level()
 
     def add_level(self) -> None:
         """Add level ``bound + 1``.  Its count is known from the level below
-        before any of its columns is allocated, and a level over
-        ``MAX_LEVEL`` is refused there."""
-        n = self.bound + 1
+        before any of its columns is allocated, and a level over the
+        layout's limit is refused there."""
+        n, limit = self.bound + 1, MAX_LEVEL if self.limit is None else self.limit
         if n >= 2:
             tails = gather(self.source, self.last[n - 1])
             fans = gather(self._fan, tails)
             count = sum(fans)
-            if count > MAX_LEVEL:
+            if count > limit:
                 raise RejectedInput(
-                    f"nerve level {n} would hold {count} simplices, over the limit of {MAX_LEVEL}"
+                    f"nerve level {n} would hold {count} simplices, over the limit of {limit}"
                 )
             self.ids.append(tuple(range(count)))
             self.start.append(tuple(accumulate(fans, initial=0)))
@@ -383,6 +387,10 @@ def _eg_label(G: FiniteGroup, n: int, idx: int) -> str:
     return "(" + ",".join(reversed(coords)) + ")"
 
 
+# EG is held to its product's limit: a check over a point builds EG, not EG x EG
+MAX_EG_LEVEL = MAX_PRODUCT_LEVEL
+
+
 def eg_construction(G: FiniteGroup, bound: int) -> TruncatedSimplicialSet:
     """The universal cover of a group: n-simplices are (n+1)-tuples of elements.
 
@@ -392,29 +400,27 @@ def eg_construction(G: FiniteGroup, bound: int) -> TruncatedSimplicialSet:
     G acts freely by left multiplication, ``g (g_0, ..., g_n) =
     (g g_0, ..., g g_n)``, with quotient BG (:func:`eg_cover`).
     """
+    return _eg_and_layout(G, bound)[0]
+
+
+def _eg_and_layout(G: FiniteGroup, bound: int) -> tuple[TruncatedSimplicialSet, NerveLayout]:
+    """EG with its layout, as the nerve of the translation groupoid of G on
+    itself: one arrow ``g_1 -> g_0``, id ``g_0 |G| + g_1``, per pair, so
+    ``(g_0, ..., g_n)`` has id ``id(g_0, ..., g_{n-1}) |G| + g_n``, its
+    coordinates in base |G|.  A level over ``MAX_EG_LEVEL`` is refused
+    before any table is built."""
     if bound < 0:
         raise RejectedInput("bound must be nonnegative")
-    order = G.order
-    counts = [order ** (n + 1) for n in range(bound + 1)]
-
-    def encode(coords: tuple[int, ...]) -> int:
-        idx = 0
-        for c in coords:
-            idx = idx * order + c
-        return idx
-
-    faces: list[list[list[int]]] = [[]]
-    degens: list[list[list[int]]] = []
-    for n in range(bound + 1):
-        # every id of level n decoded once: product's order is ascending id
-        coords = list(product(range(order), repeat=n + 1))
-        if n > 0:
-            faces.append([[encode(c[:i] + c[i + 1:]) for c in coords] for i in range(n + 1)])
-        if n < bound:
-            degens.append([[encode(c[: i + 1] + c[i:]) for c in coords] for i in range(n + 1)])
-    degens.append([])
-    labels = [partial(_eg_label, G, n) for n in range(bound + 1)]
-    return TruncatedSimplicialSet(counts, faces, degens, labels)
+    order, arrows = G.order, range(G.order ** 2)
+    L = NerveLayout(order, [a % order for a in arrows], [a // order for a in arrows], bound,
+                    MAX_EG_LEVEL)
+    X = TruncatedSimplicialSet([order], [[]], [[]], [partial(_eg_label, G, 0)])
+    # the identity (g, g) is g (|G| + 1); (g_0, g_1) after (g_1, g_2) is (g_0, g_2)
+    composites = ([p - p % order + g % order for p, g in zip(L.parent[2], L.last[2])]
+                  if bound > 1 else ())
+    for n in range(1, bound + 1):
+        X = extend_nerve(X, L, arrows[:: order + 1], composites, partial(_eg_label, G, n))
+    return X, L
 
 
 def eg_cover(G: FiniteGroup, bound: int) -> SimplicialMap:
@@ -426,24 +432,18 @@ def eg_cover(G: FiniteGroup, bound: int) -> SimplicialMap:
     through each lift of any of its vertices, so a horn of EG over an
     n-simplex of BG, n >= 1, has exactly one filler."""
     B, L = nerve_and_layout(one_object_groupoid(G), bound)
-    X = eg_construction(G, bound)
-    return SimplicialMap(X, B, _eg_projection(G, L, X))
+    X, E = _eg_and_layout(G, bound)
+    return SimplicialMap(X, B, _eg_projection(G, L, E))
 
 
-def _eg_projection(
-    G: FiniteGroup, L: NerveLayout, X: TruncatedSimplicialSet
-) -> tuple[Sequence[int], ...]:
-    """The projection of a built EG onto the nerve on ``L``,
-    ``(g_0, ..., g_n) -> (g_0^-1 g_1, ..., g_{n-1}^-1 g_n)``, read a level
-    at a time off X's faces as the string of ``d_n`` followed by the arrow
-    of the last edge."""
-    order, table, inverse = G.order, G.table, G.inverse
-    pi: list[Sequence[int]] = [(0,) * order]
-    if X.bound:
-        pi.append([table[inverse[a]][b] for a in range(order) for b in range(order)])
-    # each simplex's last edge, (g_{n-1}, g_n), an id of EG_1
-    edges: Sequence[int] = range(order * order)
-    for n in range(2, X.bound + 1):
-        edges = gather(edges, X._faces[n][0])
-        pi.append(L.encode(n, pi[n - 1], X._faces[n][n], pi[1], edges))
+def _eg_projection(G: FiniteGroup, L: NerveLayout, E: NerveLayout) -> tuple[Sequence[int], ...]:
+    """The projection of EG, laid out on ``E``, onto the nerve on ``L``: the
+    nerve of the functor ``(g_0, g_1) -> g_0^-1 g_1``, a string's image read
+    off E's columns as its parent's followed by its last arrow's."""
+    table, inverse = G.table, G.inverse
+    pi: list[Sequence[int]] = [(0,) * G.order]
+    if E.bound:
+        pi.append([table[inverse[t]][s] for t, s in zip(E.target, E.source)])
+    for n in range(2, E.bound + 1):
+        pi.append(L.encode(n, pi[n - 1], E.parent[n], pi[1], E.last[n]))
     return tuple(pi)

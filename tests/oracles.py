@@ -13,10 +13,14 @@ Light's test and visit squares through edge buckets.  The oracles at the end
 of this module check the same laws by looping over every triple, pair and
 2x2 grid of ids, in ascending order, and give the message the first
 violation is refused with.
+
+``eg_reference`` builds EG one coordinate tuple at a time, apart from the
+nerve layout the library builds it on.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator, NamedTuple
 
 from kancheck.bisimplicial import (
@@ -456,3 +460,35 @@ def double_groupoid_tables(h, v, squares):
     composable pairs (s, t), in the order of a loop over s and then t, to
     the id of the composite."""
     return _double_groupoid_scan(h, v, squares)
+
+
+def eg_coordinates(order: int, n: int) -> list[tuple[int, ...]]:
+    """The (n+1)-tuples of elements of a group of this order, the
+    n-simplices of EG, in ascending id order: a tuple read in base |G|."""
+    return list(product(range(order), repeat=n + 1))
+
+
+def eg_reference(G, bound: int) -> TruncatedSimplicialSet:
+    """EG to ``bound`` from coordinate tuples: a face deletes a coordinate,
+    a degeneracy repeats one, an id is its tuple read in base |G|, and a
+    label lists the tuple's element labels."""
+    order = G.order
+
+    def encode(coords: tuple[int, ...]) -> int:
+        idx = 0
+        for c in coords:
+            idx = idx * order + c
+        return idx
+
+    faces: list[list[list[int]]] = [[]]
+    degens: list[list[list[int]]] = []
+    labels = []
+    for n in range(bound + 1):
+        coords = eg_coordinates(order, n)
+        if n > 0:
+            faces.append([[encode(c[:i] + c[i + 1:]) for c in coords] for i in range(n + 1)])
+        if n < bound:
+            degens.append([[encode(c[: i + 1] + c[i:]) for c in coords] for i in range(n + 1)])
+        labels.append(["(" + ",".join(G.labels[g] for g in c) + ")" for c in coords])
+    degens.append([])
+    return TruncatedSimplicialSet([order ** (n + 1) for n in range(bound + 1)], faces, degens, labels)

@@ -307,6 +307,19 @@ class TestKanCommand:
         )
         assert 6 ** 4 * 6 ** 4 <= MAX_PRODUCT_LEVEL
 
+    def test_oversized_eg_rejected_quickly(self, capsys):
+        # EG(S4)'s level 4 would hold 24^5 simplices, over the product size
+        # limit that EG is held to: refused before any table is built
+        argv = ["kan", "--input", "bench/inputs/s4_pair.json", "--construction",
+                "eg-tensor-diagonal", "--max-dim", "4"]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 2
+        assert capsys.readouterr().err == (
+            f"error: nerve level 4 would hold {24 ** 5} simplices, "
+            f"over the limit of {MAX_PRODUCT_LEVEL}\n"
+        )
+
     def test_oversized_level_refused_when_the_check_reaches_it(self, capsys, monkeypatch):
         # the z2-commuting diagonal passes, so its check reaches level 3,
         # where row 2's layout would hold 2048 simplices: refused with the

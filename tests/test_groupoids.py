@@ -1,6 +1,7 @@
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
+from oracles import eg_reference
 from test_kan import GROUPS, group_times_pair_groupoid
 
 import kancheck.groupoids
@@ -17,6 +18,7 @@ from kancheck import (
     to_point_map,
     validate_simplicial_identities,
 )
+from kancheck.bisimplicial import MAX_PRODUCT_LEVEL
 from kancheck.errors import RejectedInput
 from kancheck.groupoids import nerve_indexed
 from kancheck.serialize import simplicial_to_dict
@@ -196,7 +198,49 @@ class TestLevelLimit:
             nerve(one_object_groupoid(z2), 4)
 
 
+class TestEGLevelLimit:
+    """EG is held to its product's limit, ``MAX_EG_LEVEL``, not to the
+    nerve limit ``MAX_LEVEL``."""
+
+    def test_limit_is_the_products(self):
+        assert kancheck.groupoids.MAX_EG_LEVEL == MAX_PRODUCT_LEVEL
+
+    def test_nerve_limit_is_not_read(self, z2, monkeypatch):
+        monkeypatch.setattr(kancheck.groupoids, "MAX_LEVEL", 8)
+        assert eg_construction(z2, 4).counts == (2, 4, 8, 16, 32)
+
+    def test_level_at_the_limit_is_built(self, z2, monkeypatch):
+        monkeypatch.setattr(kancheck.groupoids, "MAX_EG_LEVEL", 8)
+        assert eg_construction(z2, 2).counts == (2, 4, 8)
+
+    def test_level_over_the_limit_is_refused_before_any_table(self, z2, monkeypatch):
+        # the whole layout is counted first: no level's tables are built
+        built = []
+        monkeypatch.setattr(kancheck.groupoids, "MAX_EG_LEVEL", 8)
+        monkeypatch.setattr(kancheck.groupoids, "extend_nerve", lambda *args: built.append(args))
+        with pytest.raises(RejectedInput) as refused:
+            eg_construction(z2, 5)
+        assert str(refused.value) == "nerve level 3 would hold 16 simplices, over the limit of 8"
+        assert built == []
+
+
 class TestUniversalCover:
+    @pytest.mark.parametrize("group, bound", [
+        (lambda: FiniteGroup(["e"], [[0]]), 4),
+        (lambda: cyclic_group(2), 5),
+        (lambda: cyclic_group(3), 4),
+        (lambda: symmetric_group_preset(3), 4),
+    ], ids=["trivial", "Z2", "Z3", "S3"])
+    def test_is_the_coordinate_reference(self, group, bound):
+        # the nerve of the translation groupoid has the coordinate tuples'
+        # ids, tables and labels
+        G = group()
+        EG, reference = eg_construction(G, bound), eg_reference(G, bound)
+        assert EG == reference
+        for n in range(bound + 1):
+            for idx in range(EG.counts[n]):
+                assert EG.label(Simplex(n, idx)) == reference.label(Simplex(n, idx))
+
     def test_trivial_group_gives_point(self):
         EG = eg_construction(FiniteGroup(["e"], [[0]]), 3)
         assert EG.counts == (1, 1, 1, 1)

@@ -12,6 +12,7 @@ filler per horn.
 from functools import cache
 
 import pytest
+from oracles import eg_coordinates, eg_reference
 from test_kan import standard_simplex, without_factors
 
 import kancheck.groupoids
@@ -34,6 +35,7 @@ from kancheck import (
 )
 from kancheck.bisimplicial import UnbuiltProduct
 from kancheck.errors import RejectedInput
+from kancheck.groupoids import nerve_indexed
 from kancheck.presets import preset_double_groupoid
 from kancheck.serialize import fibration_report_to_dict
 from kancheck.simplicial import TruncatedSimplicialSet, _pairs
@@ -153,7 +155,7 @@ class TestCoveringMap:
     def test_every_horn_has_exactly_one_lift(self, name, bound):
         G = GROUPS[name]
         f = eg_cover(G, bound)
-        assert f.domain == eg_construction(G, bound)
+        assert f.domain == eg_reference(G, bound)
         assert f.codomain == nerve(one_object_groupoid(G), bound)
         report = check_kan_fibration(f, bound)
         assert report.passed
@@ -167,6 +169,20 @@ class TestCoveringMap:
             indices = tuple(i for i in range(c.n + 1) if i != c.k)
             assert len(f.least(c.n, indices)) == f.domain.counts[c.n]
 
+    @pytest.mark.parametrize("name, bound", [("Z2", 4), ("S3", 3)])
+    def test_projection_is_the_quotient_strings(self, name, bound):
+        # (g_0, ..., g_n) goes to the string (g_0^-1 g_1, ..., g_{n-1}^-1 g_n)
+        # of BG, read simplex by simplex off BG's keys
+        G = GROUPS[name]
+        f = eg_cover(G, bound)
+        keys = nerve_indexed(one_object_groupoid(G), bound)[1]
+        assert list(f.components[0]) == [0] * G.order
+        for n in range(1, bound + 1):
+            assert [keys[n][y] for y in f.components[n]] == [
+                tuple(G.mul(G.inverse[a], b) for a, b in zip(c, c[1:]))
+                for c in eg_coordinates(G.order, n)
+            ]
+
     def test_product_projection_is_simplicial(self):
         # pi x pi: EG x EG -> BG x BG, on pair ids, validated and Kan
         f = eg_cover(GROUPS["Z2"], 3)
@@ -178,8 +194,8 @@ class TestCoveringMap:
     def test_wrong_projection_is_refused(self, monkeypatch):
         projection = kancheck.groupoids._eg_projection
 
-        def swapped(G, L, X):
-            pi = [list(col) for col in projection(G, L, X)]
+        def swapped(G, L, E):
+            pi = [list(col) for col in projection(G, L, E)]
             pi[2][0], pi[2][1] = pi[2][1], pi[2][0]
             return pi
 
