@@ -8,8 +8,9 @@ bisimplex ids of each level, so every table lives in exactly one validated
 simplicial set, and rows, columns and the transpose are read off without
 copying.  The diagonal composes one row table with one column table, and
 the diagonal of a ``tensor`` is the ``product`` of its factors, which
-records them.  The laws
-are checked on the tables too: rows and columns by the simplicial
+records them; both grow a level at a time (``extend_diagonal``,
+``extend_product``), and ``product`` is ``product_stages`` run to the bound.
+The laws are checked on the tables too: rows and columns by the simplicial
 identities, and each horizontal/vertical commutation at a level as one
 comparison of gathered columns.
 """
@@ -20,12 +21,13 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, NamedTuple, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .errors import RejectedInput, TruncationError
 from .simplicial import (
     Simplex,
     SimplicialMap,
+    Stages,
     TruncatedSimplicialSet,
     _mismatches,
     _pairs,
@@ -229,11 +231,16 @@ def tensor(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedBis
 MAX_PRODUCT_LEVEL = 1 << 21
 
 
-def _require_product_level(what: str, count: int) -> None:
+def _require_product_level(what: str, count: int) -> int:
     if count > MAX_PRODUCT_LEVEL:
         raise RejectedInput(
             f"{what} would hold {count} simplices, over the limit of {MAX_PRODUCT_LEVEL}"
         )
+    return count
+
+
+def _product_count(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet, n: int) -> int:
+    return _require_product_level(f"product level {n}", A.counts[n] * B.counts[n])
 
 
 def _shared_pairs(ta: Sequence[int], tb: Sequence[int], width: int) -> list[int]:
@@ -246,6 +253,31 @@ def _shared_pairs(ta: Sequence[int], tb: Sequence[int], width: int) -> list[int]
     return list(chain.from_iterable(map(rows.__getitem__, ta)))
 
 
+def extend_product(
+    X: TruncatedSimplicialSet, A: TruncatedSimplicialSet, B: TruncatedSimplicialSet
+) -> TruncatedSimplicialSet:
+    """X, the product A x B up to level n - 1, with level n added (A and B
+    must reach n), each table the pairs of the factors'.  A level of more than
+    ``MAX_PRODUCT_LEVEL`` simplices is refused before it is allocated."""
+    n = X.bound + 1
+    return X.extended(
+        _product_count(A, B, n),
+        [_shared_pairs(A._faces[n][i], B._faces[n][i], B.counts[n - 1]) for i in range(n + 1)],
+        [_shared_pairs(A._degens[n - 1][i], B._degens[n - 1][i], B.counts[n]) for i in range(n)],
+        partial(_pair_label, A, n, B, n, B.counts[n]),
+    )
+
+
+def product_stages(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> Stages:
+    """``A x B`` to the smaller of the two bounds as :class:`Stages` grown by
+    :func:`extend_product`, which record the factors: a check over a point
+    builds it only as far as it searches it (see
+    :func:`kancheck.kan.check_kan_to_point`)."""
+    label = partial(_pair_label, A, 0, B, 0, B.counts[0])
+    first = TruncatedSimplicialSet([_product_count(A, B, 0)], [[]], [[]], [label])
+    return Stages(first, lambda X: extend_product(X, A, B), min(A.bound, B.bound), (A, B))
+
+
 def product(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedSimplicialSet:
     """The product simplicial set: (A x B)_n = A_n x B_n, d_i = (d_i, d_i).
 
@@ -255,38 +287,14 @@ def product(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedSi
     which a check over a point decides it (see
     :func:`kancheck.kan.check_kan_to_point`).  A level of more than
     ``MAX_PRODUCT_LEVEL`` simplices is refused with ``RejectedInput`` before
-    anything is built.
+    anything is built; then :func:`product_stages` is run to the bound.
     """
-    bound = min(A.bound, B.bound)
-    counts = [A.counts[n] * B.counts[n] for n in range(bound + 1)]
-    for n, count in enumerate(counts):
-        _require_product_level(f"product level {n}", count)
-    faces = [[]] + [
-        [_shared_pairs(A._faces[n][i], B._faces[n][i], B.counts[n - 1]) for i in range(n + 1)]
-        for n in range(1, bound + 1)
-    ]
-    degens = [
-        [_shared_pairs(A._degens[n][i], B._degens[n][i], B.counts[n + 1]) for i in range(n + 1)]
-        for n in range(bound)
-    ] + [[]]
-    labels = [partial(_pair_label, A, n, B, n, B.counts[n]) for n in range(bound + 1)]
-    X = TruncatedSimplicialSet(counts, faces, degens, labels)
+    stages = product_stages(A, B)
+    for n in range(stages.bound + 1):
+        _product_count(A, B, n)
+    X = stages.stage(stages.bound)
     X._factors = (A, B)
     return X
-
-
-class UnbuiltProduct(NamedTuple):
-    """``A x B`` given by its factors and not built: a Kan check over a
-    point decides it from its factors, and builds it with :func:`product`
-    only to search it in full (see :func:`kancheck.kan.check_kan_to_point`).
-    """
-
-    A: TruncatedSimplicialSet
-    B: TruncatedSimplicialSet
-
-    @property
-    def bound(self) -> int:
-        return min(self.A.bound, self.B.bound)
 
 
 @dataclass(frozen=True)

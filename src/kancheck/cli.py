@@ -27,9 +27,9 @@ from typing import Any, Sequence
 
 from .bisimplicial import (
     TruncatedBisimplicialSet,
-    UnbuiltProduct,
     column,
     diagonal,
+    product_stages,
     row,
     tensor,
     to_point_bimap,
@@ -60,9 +60,9 @@ from .presets import (
     preset_group_pair,
 )
 from .doublegroupoid import (
-    DiagonalStages,
     DoubleGroupoid,
     Square,
+    diagonal_stages,
     double_nerve_indexed,
     group_pair_double_groupoid,
 )
@@ -76,6 +76,7 @@ from .serialize import (
     sweep_report_to_dict,
 )
 from .simplicial import (
+    Stages,
     TruncatedSimplicialSet,
     pi0,
     to_point_map,
@@ -318,9 +319,9 @@ def cmd_identities(args: argparse.Namespace) -> RunReport:
     )
 
 
-# what a kan run checks: a built set, a double nerve's diagonal grown under
-# its check, or a product given by its factors
-KanObject = TruncatedSimplicialSet | DiagonalStages | UnbuiltProduct
+# what a kan run checks: a built set, or one grown under its check (a double
+# nerve's diagonal, a product)
+KanObject = TruncatedSimplicialSet | Stages
 
 
 def _kan_check_to_point(
@@ -373,18 +374,18 @@ def _build_kan_objects(
     elif construction in ("eg-tensor-diagonal", "double-nerve-diagonal"):
         if construction == "eg-tensor-diagonal" and preset not in (None, "eg-tensor"):
             raise RejectedInput("eg-tensor-diagonal runs on the eg-tensor preset or an input group")
-        # a double nerve's diagonal is grown a level at a time under its
-        # check, so a failing verdict builds nothing above its failing level.
-        # On a single group the diagonal of EG (x) EG is EG x EG, decided
-        # from its factors: it is built only to be searched in full
+        # the diagonal is grown a level at a time under its check, so a
+        # failing verdict builds nothing above its failing level.  On a
+        # single group the diagonal of EG (x) EG is EG x EG, decided from its
+        # factors: it is built only as far as a search of it reads
         D = None
         if construction == "double-nerve-diagonal":
             D = _double_groupoid_from_source(preset, data)
         if D is None:
             eg = eg_construction(_single_group(preset, data), max_dim)
-            diag: KanObject = UnbuiltProduct(eg, eg)
+            diag = product_stages(eg, eg)
         else:
-            diag = DiagonalStages(D, max_dim)
+            diag = diagonal_stages(D, max_dim)
         out.append(("kan-diagonal", diag, meta_base))
     elif construction in ("row", "column"):
         # only the lines asked for are read, each to max_dim: rows need the

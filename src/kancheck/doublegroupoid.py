@@ -23,7 +23,7 @@ grown one bound at a time, stage n being ``double_nerve(D, min(n, P),
 min(n, Q))``, each line by its next level, and each table is built and
 validated once.  ``double_nerve`` lays out every level first, so a level
 over ``MAX_LEVEL`` is refused before any table is built, then grows to
-(P, Q).  :class:`DiagonalStages` grows the diagonal with it, a level at a
+(P, Q).  :func:`diagonal_stages` grows the diagonal with it, a level at a
 time: a to-point check of a double-nerve diagonal builds level n only when
 its first cell at n starts, and a size refusal fires only at a level the
 check reaches.
@@ -37,7 +37,7 @@ from itertools import repeat
 from typing import Sequence
 
 from .bisimplicial import TruncatedBisimplicialSet, diagonal, extend_diagonal
-from .errors import RejectedInput, TruncationError
+from .errors import RejectedInput
 from .groups import FiniteGroup, _by_value, _first_nonassociative
 from .groupoids import (
     FiniteGroupoid,
@@ -48,7 +48,7 @@ from .groupoids import (
     one_object_groupoid,
     string_label,
 )
-from .simplicial import Label, TruncatedSimplicialSet, gather
+from .simplicial import Label, Stages, TruncatedSimplicialSet, gather
 
 
 @dataclass(frozen=True)
@@ -510,33 +510,21 @@ def _built(D: DoubleGroupoid, P: int, Q: int) -> _DoubleNerveBuild:
     return build
 
 
-class DiagonalStages:
-    """The diagonal of ``double_nerve(D, bound, bound)``, built a level at a
-    time for a check that reads it a level at a time.
+def diagonal_stages(D: DoubleGroupoid, bound: int) -> Stages:
+    """The diagonal of ``double_nerve(D, bound, bound)`` as
+    :class:`~kancheck.simplicial.Stages`: stage n is the diagonal of stage n
+    of the build, the diagonal of ``double_nerve(D, n, n)``, grown with the
+    double nerve by their levels n only when first asked for.  So a to-point
+    check (:func:`kancheck.kan.check_kan_to_point`) builds level n only when
+    its first cell at n starts, and a level over ``MAX_LEVEL`` is refused
+    only at a level the check reaches.  The stages record no factors."""
+    build = _DoubleNerveBuild(D, bound, bound)
 
-    ``stage(n)`` is the diagonal of stage n of the build, the diagonal of
-    ``double_nerve(D, n, n)``; it grows the double nerve, and then the
-    diagonal, by their levels n only when first asked for (stage 0 is built
-    at once).  Stages share their tables.  So a to-point Kan check
-    (:func:`kancheck.kan.check_kan_to_point`) builds level n only when its
-    first cell at n starts, and a level over ``MAX_LEVEL`` is refused only
-    at a level the check reaches.  The stages record no factors.
-    """
+    def grow(prev: TruncatedSimplicialSet) -> TruncatedSimplicialSet:
+        build.advance()
+        return extend_diagonal(prev, build.nerve())
 
-    __slots__ = ("bound", "_build", "_stages")
-
-    def __init__(self, D: DoubleGroupoid, bound: int) -> None:
-        self._build = _DoubleNerveBuild(D, bound, bound)
-        self.bound = bound
-        self._stages = [diagonal(self._build.nerve())]
-
-    def stage(self, n: int) -> TruncatedSimplicialSet:
-        if not 0 <= n <= self.bound:
-            raise TruncationError(f"stage {n} outside bound {self.bound}")
-        while len(self._stages) <= n:
-            self._build.advance()
-            self._stages.append(extend_diagonal(self._stages[-1], self._build.nerve()))
-        return self._stages[n]
+    return Stages(diagonal(build.nerve()), grow, bound)
 
 
 def double_nerve_indexed(

@@ -29,24 +29,25 @@ block with a row that does not fill has every row's equations evaluated
 (``_all_compatible``).
 
 A check that builds its own map (:func:`check_kan_to_point`,
-:func:`check_trivial_fibration_to_point`) drops each map once no later cell
-reads it, so it holds one cell's least-id map and one level's indexes at a
-time; a caller's map keeps its maps (:func:`check_kan_fibration`), for the
-caller to read again.  Such a check reads its domain a level at a time,
-level n on ``X.stage(n)``, and a built set is its own stage.  A to-point check of a double-nerve
-diagonal (:class:`~kancheck.doublegroupoid.DiagonalStages`) builds level n
-only when its first cell at n starts: a check that fails below ``max_dim``
-pays only for the build up to its failing level, and a size refusal
-(``MAX_LEVEL``) fires only at a level the check reaches.
+:func:`check_trivial_fibration_to_point`, one driver :func:`_check_to_point`
+for both) drops each map once no later cell reads it, so it holds one cell's
+least-id map and one level's indexes at a time; a caller's map keeps its
+maps (:func:`check_kan_fibration`), for the caller to read again.  Such a
+check reads its domain a level at a time, level n on ``X.stage(n)``: a built
+set is its own stage, and a :class:`~kancheck.simplicial.Stages` (a
+double-nerve diagonal, a product) grows level n only when its first cell at
+n starts, so a check that fails below ``max_dim`` pays only for the build up
+to its failing level, and a size refusal fires only at a level the check
+reaches.
 
 A product over a point is decided from its factors, by one rule for
 :func:`check_kan_fibration`, :func:`check_kan_to_point` and
 :func:`check_trivial_fibration_to_point` alike (:func:`_from_factors`): a
-set built by ``product(A, B)`` records its factors, and an
-:class:`~kancheck.bisimplicial.UnbuiltProduct` is only its factors.  Each
-factor is searched in full on a map of its own, and when both pass, every
-cell's counts are the products of theirs.  Otherwise the product itself is
-searched in full, so its counts and certificate are the full search's.
+product, built by ``product(A, B)`` or given as its stages, records its
+factors (``_factors``).  Each factor is searched in full on a map of its
+own, and when both pass, every cell's counts are the products of theirs.
+Otherwise the product itself is searched in full, so its counts and
+certificate are the full search's.
 
 Columns are read by the C-level ``gather``, key columns are zipped into
 tuples by ``zip_keys`` (one column is its own key), and buckets and fillers
@@ -66,13 +67,14 @@ candidates it examined, and keeps no record of where a fill stopped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice, repeat
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
-from .bisimplicial import UnbuiltProduct, product
 from .errors import InternalInvariantError, RejectedInput
 from .simplicial import (
     SimplicialMap,
+    Stages,
     TruncatedSimplicialSet,
     _as_table,
     gather,
@@ -80,9 +82,6 @@ from .simplicial import (
     to_point_map,
     zip_keys,
 )
-
-if TYPE_CHECKING:
-    from .doublegroupoid import DiagonalStages
 
 
 # A block is up to BLOCK_ROWS families of one (n, I) cell as id columns: the
@@ -335,9 +334,9 @@ def _fill_cells(
     cell is counted, and only level n's cells read the indexes of X_{n-1}, so
     they go before level n + 1 starts.  No map is built twice.  Level n is
     searched on ``owned(n)``, a set that reaches n: a set grown a level at a
-    time (:class:`kancheck.doublegroupoid.DiagonalStages`) builds level n only
-    there, when the first cell of n starts, so a check that stops at a level
-    builds nothing above it; a built set is its own stage at every level.
+    time (:class:`~kancheck.simplicial.Stages`) builds level n only there,
+    when the first cell of n starts, so a check that stops at a level builds
+    nothing above it; a built set is its own stage at every level.
     Its map is made afresh only on a new stage, which costs no search work,
     since the old map's indexes and least-id maps are dropped by then.  A
     caller's map (``owned`` None) keeps its maps, for the caller to read
@@ -386,59 +385,42 @@ def check_kan_fibration(f: SimplicialMap, max_dim: int) -> FibrationReport:
     return report
 
 
-def check_kan_to_point(
-    X: TruncatedSimplicialSet | DiagonalStages | UnbuiltProduct, max_dim: int
-) -> FibrationReport:
-    """The report of ``check_kan_fibration(to_point_map(X), max_dim)``, on a
-    map of its own that holds one cell's least-id map and one level's
-    indexes at a time.
-
-    X may be built, or grown a level at a time (the diagonal of a double
-    nerve, :class:`~kancheck.doublegroupoid.DiagonalStages`): level n is
-    searched on ``X.stage(n)``, so it is built only when its first cell
-    starts, and a check that fails below ``max_dim`` builds nothing above
-    its failing level; a level too large to build is refused only if the
-    check reaches it.  X may also be a product, built or not
-    (:class:`~kancheck.bisimplicial.UnbuiltProduct`), and is then decided
-    from its factors when both pass (:func:`_from_factors`); an unbuilt
-    product is built only to be searched in full.  The report is the built
-    set's."""
-    _require_max_dim(X.bound, max_dim)
-    report = _from_factors(X, max_dim, check_kan_to_point)
-    if report is None:
-        if isinstance(X, UnbuiltProduct):
-            X = product(*X)
-        report = _fill_cells(
-            to_point_map(X.stage(1)), "kan", max_dim, _horn_cells(max_dim), owned=X.stage
-        )
-    return report
+def check_kan_to_point(X: TruncatedSimplicialSet | Stages, max_dim: int) -> FibrationReport:
+    """The report of ``check_kan_fibration(to_point_map(X), max_dim)``."""
+    return _check_to_point(X, max_dim, "kan", _horn_cells(max_dim))
 
 
 def check_trivial_fibration_to_point(
-    X: TruncatedSimplicialSet, max_dim: int
+    X: TruncatedSimplicialSet | Stages, max_dim: int
 ) -> FibrationReport:
-    """Fill every compatible full boundary (I = [n]) for 1 <= n <= max_dim,
-    on a map of its own as :func:`check_kan_to_point`; a product is decided
-    from its factors when both pass (:func:`_from_factors`)."""
+    """Fill every compatible full boundary (I = [n]) for 1 <= n <= max_dim."""
+    return _check_to_point(X, max_dim, "trivial", [(n, -1) for n in range(1, max_dim + 1)])
+
+
+def _check_to_point(
+    X: TruncatedSimplicialSet | Stages, max_dim: int, kind: str, cells: list[tuple[int, int]]
+) -> FibrationReport:
+    """Fill the ``cells`` of X over a point on a map of its own, level n on
+    ``X.stage(n)`` (:func:`_fill_cells`), unless X is a product decided from
+    its factors (:func:`_from_factors`).  The report is the built set's."""
     _require_max_dim(X.bound, max_dim)
-    report = _from_factors(X, max_dim, check_trivial_fibration_to_point)
-    if report is None:
-        if X.size(0) == 0:
-            return FibrationReport("trivial", max_dim, (), None, base_point_missing=True)
-        cells = [(n, -1) for n in range(1, max_dim + 1)]
-        report = _fill_cells(to_point_map(X), "trivial", max_dim, cells, owned=X.stage)
-    return report
+    report = _from_factors(X, max_dim, partial(_check_to_point, kind=kind, cells=cells))
+    if report is not None:
+        return report
+    if kind == "trivial" and X.stage(0).counts[0] == 0:
+        return FibrationReport(kind, max_dim, (), None, base_point_missing=True)
+    return _fill_cells(to_point_map(X.stage(1)), kind, max_dim, cells, owned=X.stage)
 
 
 def _from_factors(
-    X: TruncatedSimplicialSet | DiagonalStages | UnbuiltProduct, max_dim: int,
+    X: TruncatedSimplicialSet | Stages, max_dim: int,
     check: Callable[[TruncatedSimplicialSet, int], FibrationReport],
 ) -> FibrationReport | None:
-    """The report of ``check(X, max_dim)`` for ``X = A x B``, a set built by
-    ``product(A, B)`` or an unbuilt product, from ``check`` of each factor:
-    the cellwise products of their ``families`` and ``filled``, when both
-    pass.  None when X is no product, or when a factor fails or breaks a law,
-    for the caller to search X in full.
+    """The report of ``check(X, max_dim)`` for ``X = A x B``, a product that
+    records its factors (``_factors``), from ``check`` of each factor: the
+    cellwise products of their ``families`` and ``filled``, when both pass.
+    None when X is no product, or when a factor fails or breaks a law, for
+    the caller to search X in full.
 
     The faces of ``A x B`` act on both coordinates, so a family of X, a horn
     or a boundary, is a pair of families, one of A and one of B, compatible
@@ -452,15 +434,12 @@ def _from_factors(
 
     A factor is searched in full on a map of its own, once when ``B is A``,
     and a factor that is itself a product by this rule.  That X is the
-    product of its factors is trusted to ``product``; of its tables only
-    the level sizes ``|X_n| = |A_n| |B_n|`` are checked.
+    product of its factors is trusted to ``product`` and ``product_stages``,
+    the only makers of ``_factors``, which build X from them.
     """
-    if isinstance(X, UnbuiltProduct):
-        A, B = X
-    elif isinstance(X, TruncatedSimplicialSet) and X._factors is not None:
-        A, B = X._factors
-    else:
+    if X._factors is None:
         return None
+    A, B = X._factors
     try:
         first = check(A, max_dim)
         second = first if B is A else check(B, max_dim)
@@ -468,10 +447,6 @@ def _from_factors(
         return None
     if not (first.passed and second.passed):
         return None
-    if isinstance(X, TruncatedSimplicialSet) and any(
-        X.counts[n] != A.counts[n] * B.counts[n] for n in range(max_dim + 1)
-    ):
-        raise InternalInvariantError("a product's levels are not its factors' products")
     cells = tuple(
         HornCellStats(a.n, a.k, a.families * b.families, a.filled * b.filled)
         for a, b in zip(first.cells, second.cells)

@@ -23,14 +23,17 @@ a filler verifies its horn.
 A set grows by one level with :meth:`TruncatedSimplicialSet.extended`, which
 validates only the new level's tables and shares the rest, so a set grown a
 level at a time validates each table once.  A check reads a set a level at a
-time through ``stage(n)``: a built set is its own stage, and a to-point check
-of a double-nerve diagonal builds level n only when its first cell at n
-starts, so a size refusal fires only at a level the check reaches (see
-:class:`kancheck.doublegroupoid.DiagonalStages`).
+time through ``stage(n)``: a built set is its own stage, and :class:`Stages`
+grows level n only when it is first asked for, so a to-point check builds
+nothing past the level it stops at, and a size refusal fires only at a level
+the check reaches.  A double nerve's diagonal
+(:func:`kancheck.doublegroupoid.diagonal_stages`) and a product
+(:func:`kancheck.bisimplicial.product_stages`) are given as stages.
 
-A set built by ``product(A, B)`` records its factors (``_factors``), and a
-Kan or trivial-fibration check over a point decides it from its factors'
-checks when both pass (see :func:`kancheck.kan.check_kan_to_point`).
+A product, built by ``product(A, B)`` or given as its stages, records its
+factors (``_factors``), and a Kan or trivial-fibration check over a point
+decides it from its factors' checks when both pass (see
+:func:`kancheck.kan.check_kan_to_point`).
 """
 
 from __future__ import annotations
@@ -270,6 +273,28 @@ class TruncatedSimplicialSet:
 
     def __repr__(self) -> str:
         return f"TruncatedSimplicialSet(bound={self.bound}, counts={self.counts})"
+
+
+class Stages:
+    """A set built a level at a time, for a check that reads it so (see
+    :func:`kancheck.kan.check_kan_to_point`).  ``stage(n)`` is the set up to
+    level n: stage 0 is ``first``, stage n is ``grow(stage n - 1)``, grown
+    only when level n is first asked for and kept, so each level is built
+    once.  ``_factors`` is ``(A, B)`` for the stages of ``A x B``, read as on
+    a set built by ``product(A, B)``, else None."""
+
+    __slots__ = ("bound", "_grow", "_stages", "_factors")
+
+    def __init__(self, first: TruncatedSimplicialSet, grow: Callable, bound: int,
+                 factors: tuple | None = None) -> None:
+        self.bound, self._grow, self._stages, self._factors = bound, grow, [first], factors
+
+    def stage(self, n: int) -> TruncatedSimplicialSet:
+        if not 0 <= n <= self.bound:
+            raise TruncationError(f"stage {n} outside bound {self.bound}")
+        while len(self._stages) <= n:
+            self._stages.append(self._grow(self._stages[-1]))
+        return self._stages[n]
 
 
 def point(bound: int) -> TruncatedSimplicialSet:

@@ -5,7 +5,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
-from test_kan import standard_simplex
+from test_kan import standard_simplex, without_factors
 
 import kancheck.cli as cli
 import kancheck.groupoids
@@ -20,9 +20,9 @@ from kancheck import (
 )
 from kancheck.cli import RunReport, build_parser, main, reverify_report, run
 from kancheck.errors import InternalInvariantError, RejectedInput
-from kancheck.bisimplicial import MAX_PRODUCT_LEVEL, UnbuiltProduct
+from kancheck.bisimplicial import MAX_PRODUCT_LEVEL, product_stages
 from kancheck.groupoids import MAX_LEVEL
-from kancheck.serialize import simplicial_to_dict
+from kancheck.serialize import fibration_report_to_dict, simplicial_to_dict
 
 
 def run_report(argv):
@@ -275,22 +275,27 @@ class TestKanCommand:
             report = json.loads(capsys.readouterr().out)
             assert report["checks"][0]["details"]["report"]["families_checked"] == families
         # built directly, that product is refused before its levels are
-        # allocated, and so is an unbuilt one searched in full because a
-        # factor fails: Delta[3] is not Kan, and its level 5 has 84 simplices
+        # allocated.  Given as its stages with a factor that fails (Delta[3]
+        # is not Kan, and its level 5 has 84 simplices, which would put the
+        # product's level 5 over the limit), it is searched on its stages,
+        # which stop at the failing level 2: the report is the full search's
+        # of the product built to 2, and no stage above 2 is built
         eg = eg_construction(symmetric_group_preset(3), 5)
         start = time.perf_counter()
         with pytest.raises(RejectedInput) as direct:
             product(eg, eg)
-        with pytest.raises(RejectedInput) as unbuilt:
-            check_kan_to_point(UnbuiltProduct(eg, standard_simplex(3, 5)), 5)
+        stages = product_stages(eg, standard_simplex(3, 5))
+        staged = fibration_report_to_dict(check_kan_to_point(stages, 5))
         assert time.perf_counter() - start < 2
         assert str(direct.value) == (
             f"product level 4 would hold {6 ** 10} simplices, over the limit of {MAX_PRODUCT_LEVEL}"
         )
-        assert str(unbuilt.value) == (
-            f"product level 5 would hold {6 ** 6 * 84} simplices, "
-            f"over the limit of {MAX_PRODUCT_LEVEL}"
-        )
+        assert len(stages._stages) == 3
+        small = product(eg_construction(symmetric_group_preset(3), 2), standard_simplex(3, 2))
+        full = fibration_report_to_dict(check_kan_to_point(without_factors(small), 2))
+        assert (staged.pop("max_dim"), full.pop("max_dim")) == (5, 2)
+        assert staged == full
+        assert not staged["passed"] and staged["failure"]["family"]["n"] == 2
 
     def test_oversized_tensor_rejected_quickly(self, capsys):
         # the S3 eg-tensor at total dim 4 would hold levels of up to 7776^2

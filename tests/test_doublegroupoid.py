@@ -22,7 +22,7 @@ from kancheck import (
     trivial_double_groupoid,
     validate_bisimplicial_identities,
 )
-from kancheck.doublegroupoid import DiagonalStages, _DoubleNerveBuild, double_nerve_indexed
+from kancheck.doublegroupoid import _DoubleNerveBuild, diagonal_stages, double_nerve_indexed
 from kancheck.errors import RejectedInput, TruncationError
 from kancheck.presets import preset_double_groupoid, z2_commuting
 from kancheck.serialize import simplicial_to_dict
@@ -441,7 +441,7 @@ def test_every_stage_is_the_double_nerve_of_its_bounds(which, P, Q, s3_D):
 @pytest.mark.parametrize("which", ["s3-preset", "s4-pair", "z2-commuting"])
 def test_diagonal_stages_are_the_diagonals_of_the_stages(which, s3_D):
     D = _case_double_groupoid(which, s3_D)
-    stages = DiagonalStages(D, 3)
+    stages = diagonal_stages(D, 3)
     for n in range(4):
         built = diagonal(double_nerve(D, n, n))
         assert simplicial_to_dict(stages.stage(n)) == simplicial_to_dict(built)

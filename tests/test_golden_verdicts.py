@@ -111,7 +111,7 @@ def test_s3_diagonal_spans_many_default_blocks(capsys, monkeypatch):
     # searched
     monkeypatch.chdir(HERE.parent)
     monkeypatch.setattr(
-        kancheck.cli, "UnbuiltProduct", lambda A, B: without_factors(product(A, B))
+        kancheck.cli, "product_stages", lambda A, B: without_factors(product(A, B))
     )
     sizes = []
 

@@ -33,7 +33,7 @@ from kancheck import (
     validate_simplicial_identities,
 )
 from kancheck.cli import group_from_input, load_input, subgroups_from_input
-from kancheck.doublegroupoid import DiagonalStages, _DoubleNerveBuild
+from kancheck.doublegroupoid import _DoubleNerveBuild, diagonal_stages
 from kancheck.errors import InternalInvariantError, RejectedInput
 from kancheck.kan import (
     FibrationReport,
@@ -45,7 +45,7 @@ from kancheck.kan import (
 )
 from kancheck.presets import preset_bisimplicial, preset_double_groupoid
 from kancheck.serialize import fibration_report_to_dict
-from kancheck.bisimplicial import UnbuiltProduct
+from kancheck.bisimplicial import product_stages
 from kancheck.simplicial import TruncatedSimplicialSet, gather
 
 
@@ -591,7 +591,7 @@ class TestRowsVerifiedByWitness:
         with pytest.raises(RejectedInput, match="face-face at n=2"):
             check_trivial_fibration_to_point(bad, 2)
 
-    def test_broken_face_identity_refused_per_orbit(self, z2):
+    def test_broken_face_identity_refused_by_the_factor_rule(self, z2):
         # the broken face breaks the face identities of the product too.
         # The factor's check refuses it, so the product rule gives way to
         # the full search, which names the product's least simplex, as it
@@ -604,7 +604,7 @@ class TestRowsVerifiedByWitness:
         first = next(v for v in validate_simplicial_identities(full).violations if v.n == 2)
         want = "domain breaks the simplicial identities: " + first.describe(full)
         for check, tables in (
-            (check_kan_to_point, X), (check_kan_to_point, UnbuiltProduct(eg, broken)),
+            (check_kan_to_point, X), (check_kan_to_point, product_stages(eg, broken)),
             (lambda Y, n: check_kan_fibration(to_point_map(Y), n), X),
             (check_trivial_fibration_to_point, X), (check_trivial_fibration_to_point, full),
         ):
@@ -1002,14 +1002,14 @@ class TestStagedDiagonal:
     @pytest.mark.parametrize("max_dim", [3, 4, 5])
     def test_failing_check_builds_no_stage_past_its_failing_level(self, monkeypatch, max_dim):
         reached = recording_stages(monkeypatch)
-        report = check_kan_to_point(DiagonalStages(s4_pair(), max_dim), max_dim)
+        report = check_kan_to_point(diagonal_stages(s4_pair(), max_dim), max_dim)
         assert not report.passed and report.failure.n == 2
         assert reached == [1, 2]
 
     def test_passing_check_builds_each_stage_once(self, monkeypatch):
         reached = recording_stages(monkeypatch)
         D = preset_double_groupoid("z2-commuting")
-        report = check_kan_to_point(DiagonalStages(D, 3), 3)
+        report = check_kan_to_point(diagonal_stages(D, 3), 3)
         assert report.passed and reached == [1, 2, 3]
         monkeypatch.undo()
         assert report == check_kan_to_point(diagonal(double_nerve(D, 3, 3)), 3)
@@ -1022,10 +1022,11 @@ class TestStagedDiagonal:
         if rows is not None:
             monkeypatch.setattr(kancheck.kan, "BLOCK_ROWS", rows)
         D = s4_pair() if which == "s4-pair" else preset_double_groupoid(which)
-        staged = check_kan_to_point(DiagonalStages(D, max_dim), max_dim)
-        built = check_kan_to_point(diagonal(double_nerve(D, max_dim, max_dim)), max_dim)
-        assert fibration_report_to_dict(staged) == fibration_report_to_dict(built)
-        assert staged.passed == (which == "z2-commuting")
+        built = diagonal(double_nerve(D, max_dim, max_dim))
+        for check in (check_kan_to_point, check_trivial_fibration_to_point):
+            staged = fibration_report_to_dict(check(diagonal_stages(D, max_dim), max_dim))
+            assert staged == fibration_report_to_dict(check(built, max_dim))
+        assert check_kan_to_point(built, max_dim).passed == (which == "z2-commuting")
 
 
 def closed_form_cells(order, max_dim, kind):

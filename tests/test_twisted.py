@@ -1,9 +1,9 @@
 """Products decided from their factors, and the universal cover ``EG -> BG``.
 
 A Kan or trivial-fibration check over a point of ``A x B``, built by
-``product`` or given unbuilt by its factors (``UnbuiltProduct``), searches
-each factor and multiplies the counts cell by cell when both pass; otherwise
-it searches the product in full.  Its report must be the full search's on the
+``product`` or given as its stages (``product_stages``), searches each factor
+and multiplies the counts cell by cell when both pass; otherwise it searches
+the product in full.  Its report must be the full search's on the
 built product, cell for cell, and a failure must be certified on the
 product's ids.  ``eg_cover`` is a covering, a Kan fibration with exactly one
 filler per horn.
@@ -15,6 +15,7 @@ import pytest
 from oracles import eg_coordinates, eg_reference
 from test_kan import standard_simplex, without_factors
 
+import kancheck.bisimplicial
 import kancheck.groupoids
 import kancheck.kan
 from kancheck import (
@@ -33,7 +34,7 @@ from kancheck import (
     symmetric_group_preset,
     to_point_map,
 )
-from kancheck.bisimplicial import UnbuiltProduct
+from kancheck.bisimplicial import product_stages
 from kancheck.errors import RejectedInput
 from kancheck.groupoids import nerve_indexed
 from kancheck.presets import preset_double_groupoid
@@ -78,7 +79,7 @@ class TestQuotientCheck:
         if rows is not None:
             monkeypatch.setattr(kancheck.kan, "BLOCK_ROWS", rows)
         eg = eg_construction(GROUPS[name], bound)
-        report = check_kan_to_point(UnbuiltProduct(eg, eg), bound)
+        report = check_kan_to_point(product_stages(eg, eg), bound)
         assert report.passed
         assert report == full
         assert check_kan_to_point(product(eg, eg), bound) == full
@@ -96,26 +97,28 @@ class TestQuotientCheck:
             (n + 1) * order ** (2 * (n + 1)) for n in range(2, bound + 1)
         )
         eg = eg_construction(GROUPS[name], bound)
-        report = check_kan_to_point(UnbuiltProduct(eg, eg), bound)
+        report = check_kan_to_point(product_stages(eg, eg), bound)
         assert report.passed and report.families_checked == closed_form == families
 
     def test_passing_check_builds_no_cover(self, monkeypatch):
         built = []
-        monkeypatch.setattr(kancheck.kan, "product", lambda *factors: built.append(factors))
+        monkeypatch.setattr(
+            kancheck.bisimplicial, "extend_product", lambda *args: built.append(args)
+        )
         eg = eg_construction(GROUPS["S3"], 2)
-        assert check_kan_to_point(UnbuiltProduct(eg, eg), 2).passed
+        assert check_kan_to_point(product_stages(eg, eg), 2).passed
         assert built == []
 
     @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "1", "7"])
     def test_failing_base_gives_the_full_search_certificate(self, rows, monkeypatch):
         # EG(Z2) x Y, Y the S3 counterexample's diagonal: Y is not Kan, so
-        # the product is built and searched in full
+        # the product is searched in full, built or on its stages
         if rows is not None:
             monkeypatch.setattr(kancheck.kan, "BLOCK_ROWS", rows)
         eg, Y = eg_construction(cyclic_group(2), 2), s3_counterexample_diagonal(2)
         X = product(eg, Y)
         full = fibration_report_to_dict(check_kan_to_point(without_factors(X), 2))
-        for tables in (UnbuiltProduct(eg, Y), X):
+        for tables in (product_stages(eg, Y), X):
             assert fibration_report_to_dict(check_kan_to_point(tables, 2)) == full
         assert not full["passed"] and full["failure"]["family"]["n"] == 2
 
@@ -141,13 +144,13 @@ class TestQuotientCheck:
         X = product(A, B)
         full = fibration_report_to_dict(check(without_factors(X), 2))
         assert fibration_report_to_dict(check(X, 2)) == full
-        if check is check_kan_to_point:
-            assert fibration_report_to_dict(check(UnbuiltProduct(A, B), 2)) == full
+        if check in (check_kan_to_point, check_trivial_fibration_to_point):
+            assert fibration_report_to_dict(check(product_stages(A, B), 2)) == full
 
     def test_bound_too_small_rejected(self):
         eg = eg_construction(GROUPS["Z2"], 2)
         with pytest.raises(RejectedInput):
-            check_kan_to_point(UnbuiltProduct(eg, eg), 3)
+            check_kan_to_point(product_stages(eg, eg), 3)
 
 
 class TestCoveringMap:
