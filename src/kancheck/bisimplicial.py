@@ -6,10 +6,14 @@ p -> X_{p,q} carrying the horizontal tables, column p the simplicial set
 q -> X_{p,q} carrying the vertical tables.  Rows and columns share the
 bisimplex ids of each level, so every table lives in exactly one validated
 simplicial set, and rows, columns and the transpose are read off without
-copying.  The diagonal composes one row table with one column table, and
+copying.  A ``tensor`` builds no grid: it records its factors, bounds and
+counts, and builds each row and each column from the factors' tables only
+when it is first read, checks it against the tensor's counts and labels, and
+keeps it.  The diagonal composes one row table with one column table, and
 the diagonal of a ``tensor`` is the ``product`` of its factors, which
-records them; both grow a level at a time (``extend_diagonal``,
-``extend_product``), and ``product`` is ``product_stages`` run to the bound.
+records them, so it reads no line; both grow a level at a time
+(``extend_diagonal``, ``extend_product``), and ``product`` is
+``product_stages`` run to the bound.
 The laws are checked on the tables too: rows and columns by the simplicial
 identities, and each horizontal/vertical commutation at a level as one
 comparison of gathered columns.
@@ -17,14 +21,16 @@ comparison of gathered columns.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 from .errors import RejectedInput, TruncationError
 from .simplicial import (
+    Label,
     Simplex,
     SimplicialMap,
     Stages,
@@ -47,18 +53,60 @@ def _in_line(what: str, build: Callable[..., T], *args) -> T:
         raise RejectedInput(f"{what}: {exc}") from None
 
 
-def _same_labels(r: TruncatedSimplicialSet, p: int, col: TruncatedSimplicialSet, q: int) -> bool:
-    """Whether row level p and column level q label alike: the same label
-    function, or functions that render the same strings."""
-    if r._labels is not None and col._labels is not None and r._labels[p] is col._labels[q]:
+def _label_of(line: TruncatedSimplicialSet, k: int) -> Label | None:
+    """The label function of level k of a line, or None for an unlabelled one."""
+    return None if line._labels is None else line._labels[k]
+
+
+def _same_labels(f: Label | None, g: Label | None, count: int) -> bool:
+    """Whether two label functions of a level of ``count`` simplices (None:
+    unlabelled) label alike: the same function, or functions that render the
+    same strings."""
+    if f is g:
         return True
-    return r.labels_at(p) == col.labels_at(q)
+    if f is None or g is None:
+        return False
+    return list(map(f, range(count))) == list(map(g, range(count)))
+
+
+def _disagreement(
+    line: TruncatedSimplicialSet, counts: Sequence[int], labels: Sequence[Label | None]
+) -> int | None:
+    """The first level k of a line whose count is not ``counts[k]`` or whose
+    labels are not those of ``labels[k]``, or None when every level agrees."""
+    for k, (count, label) in enumerate(zip(counts, labels)):
+        if line.counts[k] != count or not _same_labels(_label_of(line, k), label, count):
+            return k
+    return None
 
 
 def _line(lines: Sequence[T], k: int, what: str, bounds: tuple[int, int]) -> T:
     if not 0 <= k < len(lines):
         raise RejectedInput(f"{what} index {k} outside bounds {bounds}")
     return lines[k]
+
+
+class _Lines(Sequence):
+    """The rows, or the columns, of a tensor, read as the tuple of its lines
+    (by index, slice, length and iteration): line k is ``build(k)``, built on
+    its first read and kept."""
+
+    __slots__ = ("_build", "_built")
+
+    def __init__(self, count: int, build: Callable[[int], TruncatedSimplicialSet]) -> None:
+        self._build = build
+        self._built: list[TruncatedSimplicialSet | None] = [None] * count
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, k):
+        at = range(len(self._built))[k]
+        if isinstance(at, range):
+            return tuple(map(self.__getitem__, at))
+        if self._built[at] is None:
+            self._built[at] = self._build(at)
+        return self._built[at]
 
 
 class TruncatedBisimplicialSet:
@@ -68,6 +116,7 @@ class TruncatedBisimplicialSet:
     ``columns[p]`` the vertical tables of q -> X_{p,q}; every row and column
     must agree on the count and labels of the level they share.  ``_factors``
     is ``(A, B)`` for ``tensor(A, B)``, else None; equality does not read it.
+    The lines of a tensor are built on first read (:func:`tensor`).
     """
 
     __slots__ = ("bounds", "counts", "rows", "columns", "_factors")
@@ -81,15 +130,30 @@ class TruncatedBisimplicialSet:
         P, Q = len(columns) - 1, len(rows) - 1
         if any(r.bound != P for r in rows) or any(c.bound != Q for c in columns):
             raise RejectedInput(f"need {Q + 1} rows of bound {P} and {P + 1} columns of bound {Q}")
-        for p, col in enumerate(columns):
-            for q, r in enumerate(rows):
-                if r.counts[p] != col.counts[q] or not _same_labels(r, p, col, q):
-                    raise RejectedInput(f"row {q} and column {p} disagree on level ({p},{q})")
+        for q, r in enumerate(rows):
+            p = _disagreement(
+                r, [col.counts[q] for col in columns], [_label_of(col, q) for col in columns]
+            )
+            if p is not None:
+                raise RejectedInput(f"row {q} and column {p} disagree on level ({p},{q})")
         self.bounds = (P, Q)
         self.counts = tuple(col.counts for col in columns)
-        self.rows = rows
-        self.columns = columns
+        self.rows: Sequence[TruncatedSimplicialSet] = rows
+        self.columns: Sequence[TruncatedSimplicialSet] = columns
         self._factors: tuple[TruncatedSimplicialSet, TruncatedSimplicialSet] | None = None
+
+    @classmethod
+    def _of_lines(
+        cls, counts: tuple[tuple[int, ...], ...], rows: Sequence[TruncatedSimplicialSet],
+        columns: Sequence[TruncatedSimplicialSet], factors: tuple | None = None,
+    ) -> "TruncatedBisimplicialSet":
+        """The set of these counts and lines, with no agreement check: for
+        lines that agree by construction (:func:`transpose`) or are checked
+        as they are built (:func:`tensor`)."""
+        X = cls.__new__(cls)
+        X.bounds = (len(counts) - 1, len(counts[0]) - 1)
+        X.counts, X.rows, X.columns, X._factors = counts, rows, columns, factors
+        return X
 
     def size(self, p: int, q: int) -> int:
         if not (0 <= p <= self.bounds[0] and 0 <= q <= self.bounds[1]):
@@ -99,7 +163,10 @@ class TruncatedBisimplicialSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedBisimplicialSet):
             return NotImplemented
-        return self.rows == other.rows and self.columns == other.columns
+        return (
+            tuple(self.rows) == tuple(other.rows)
+            and tuple(self.columns) == tuple(other.columns)
+        )
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -158,8 +225,9 @@ def extend_diagonal(
 
 
 def transpose(X: TruncatedBisimplicialSet) -> TruncatedBisimplicialSet:
-    """Swap the two gradings: the rows become the columns and vice versa."""
-    return TruncatedBisimplicialSet(X.columns, X.rows)
+    """Swap the two gradings: the rows become the columns and vice versa,
+    the same sequences, so the transpose of a tensor builds no line."""
+    return TruncatedBisimplicialSet._of_lines(tuple(zip(*X.counts)), X.columns, X.rows)
 
 
 def _pair_label(
@@ -169,20 +237,42 @@ def _pair_label(
     return f"({A.label(Simplex(p, a))},{B.label(Simplex(q, b))})"
 
 
+def _checked_line(
+    line: TruncatedSimplicialSet, counts: Sequence[int], labels: Sequence[Label], what: str
+) -> TruncatedSimplicialSet:
+    """A built line of a tensor, refused unless each level k has the
+    tensor's count ``counts[k]`` and labels ``labels[k]``: so every row and
+    column agrees with every other on the level they share."""
+    k = _disagreement(line, counts, labels)
+    if k is not None:
+        raise RejectedInput(f"{what} disagrees with the tensor on its level {k}")
+    return line
+
+
 def tensor(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedBisimplicialSet:
     """The external product: (A (x) B)_{p,q} = A_p x B_q.
 
     Ids are packed row-major with the B factor minor.  Row q is A acting on
     the first coordinate of A_p x B_q, column p is B acting on the second, so
-    the required commutation holds by construction.  The result records its
-    factors, for :func:`diagonal`.  A level of more than
-    ``MAX_PRODUCT_LEVEL`` bisimplices is refused with ``RejectedInput``
-    before anything is built.
+    the required commutation holds by construction.  No grid is built: the
+    result records its factors, for :func:`diagonal`, and its counts, and
+    each row and each column is built from the factors' tables on its first
+    read, validated, checked against the counts and labels, and kept.  A
+    level of more than ``MAX_PRODUCT_LEVEL`` bisimplices is refused with
+    ``RejectedInput`` before any line exists.
     """
     P, Q = A.bound, B.bound
-    for p in range(P + 1):
-        for q in range(Q + 1):
+    counts = tuple(
+        tuple(
             _require_product_level(f"tensor level ({p}, {q})", A.counts[p] * B.counts[q])
+            for q in range(Q + 1)
+        )
+        for p in range(P + 1)
+    )
+    labels = [
+        [partial(_pair_label, A, p, B, q, B.counts[q]) for q in range(Q + 1)]
+        for p in range(P + 1)
+    ]
 
     def on_first(table: Sequence[int], width: int) -> list[int]:
         return _pairs(table, range(width), width)
@@ -190,37 +280,37 @@ def tensor(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedBis
     def on_second(table: Sequence[int], height: int, width: int) -> list[int]:
         return _pairs(range(height), table, width)
 
-    labels = [
-        [partial(_pair_label, A, p, B, q, B.counts[q]) for q in range(Q + 1)]
-        for p in range(P + 1)
-    ]
-    rows = [
-        TruncatedSimplicialSet(
-            [A.counts[p] * B.counts[q] for p in range(P + 1)],
-            [[on_first(t, B.counts[q]) for t in A._faces[p]] for p in range(P + 1)],
-            [[on_first(t, B.counts[q]) for t in A._degens[p]] for p in range(P + 1)],
+    def build_row(q: int) -> TruncatedSimplicialSet:
+        width = B.counts[q]
+        line = TruncatedSimplicialSet(
+            [counts[p][q] for p in range(P + 1)],
+            [[on_first(t, width) for t in A._faces[p]] for p in range(P + 1)],
+            [[on_first(t, width) for t in A._degens[p]] for p in range(P + 1)],
             [labels[p][q] for p in range(P + 1)],
         )
-        for q in range(Q + 1)
-    ]
-    columns = [
-        TruncatedSimplicialSet(
-            [A.counts[p] * B.counts[q] for q in range(Q + 1)],
+        return _checked_line(
+            line, [c[q] for c in counts], [level[q] for level in labels], f"row {q}"
+        )
+
+    def build_column(p: int) -> TruncatedSimplicialSet:
+        height = A.counts[p]
+        line = TruncatedSimplicialSet(
+            counts[p],
             [[]] + [
-                [on_second(t, A.counts[p], B.counts[q - 1]) for t in B._faces[q]]
+                [on_second(t, height, B.counts[q - 1]) for t in B._faces[q]]
                 for q in range(1, Q + 1)
             ],
             [
-                [on_second(t, A.counts[p], B.counts[q + 1]) for t in B._degens[q]]
+                [on_second(t, height, B.counts[q + 1]) for t in B._degens[q]]
                 for q in range(Q)
             ] + [[]],
             labels[p],
         )
-        for p in range(P + 1)
-    ]
-    X = TruncatedBisimplicialSet(rows, columns)
-    X._factors = (A, B)
-    return X
+        return _checked_line(line, counts[p], labels[p], f"column {p}")
+
+    return TruncatedBisimplicialSet._of_lines(
+        counts, _Lines(Q + 1, build_row), _Lines(P + 1, build_column), (A, B)
+    )
 
 
 # The most simplices one level of a product, or bisimplices one level of a

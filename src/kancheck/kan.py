@@ -433,19 +433,23 @@ def _from_factors(
     empty at that level), so X's search names the law X breaks, if any.
 
     A factor is searched in full on a map of its own, once when ``B is A``,
-    and a factor that is itself a product by this rule.  That X is the
-    product of its factors is trusted to ``product`` and ``product_stages``,
-    the only makers of ``_factors``, which build X from them.
+    and a factor that is itself a product by this rule; B is searched only
+    when A passes, since a failing A already sends X to a full search.  That
+    X is the product of its factors is trusted to ``product`` and
+    ``product_stages``, the only makers of ``_factors``, which build X from
+    them.
     """
     if X._factors is None:
         return None
     A, B = X._factors
     try:
         first = check(A, max_dim)
+        if not first.passed:
+            return None
         second = first if B is A else check(B, max_dim)
     except RejectedInput:
         return None
-    if not (first.passed and second.passed):
+    if not second.passed:
         return None
     cells = tuple(
         HornCellStats(a.n, a.k, a.families * b.families, a.filled * b.filled)

@@ -15,7 +15,9 @@ of this module check the same laws by looping over every triple, pair and
 violation is refused with.
 
 ``eg_reference`` builds EG one coordinate tuple at a time, apart from the
-nerve layout the library builds it on.
+nerve layout the library builds it on, and ``tensor_reference`` builds the
+whole grid of an external product at once, every row and column before any
+is read.
 """
 
 from __future__ import annotations
@@ -492,3 +494,55 @@ def eg_reference(G, bound: int) -> TruncatedSimplicialSet:
         labels.append(["(" + ",".join(G.labels[g] for g in c) + ")" for c in coords])
     degens.append([])
     return TruncatedSimplicialSet([order ** (n + 1) for n in range(bound + 1)], faces, degens, labels)
+
+
+def tensor_reference(
+    A: TruncatedSimplicialSet, B: TruncatedSimplicialSet
+) -> TruncatedBisimplicialSet:
+    """A (x) B with every row and column built first and handed to the
+    checking constructor: (a, b) at level (p, q) has id ``a * |B_q| + b``,
+    row q acts by A on the first coordinate and column p by B on the second,
+    and a label pairs the factors' labels."""
+    P, Q = A.bound, B.bound
+
+    def on_first(table, width):
+        return [a * width + b for a in table for b in range(width)]
+
+    def on_second(table, height, width):
+        return [a * width + b for a in range(height) for b in table]
+
+    def pair_label(p, q):
+        width = B.counts[q]
+
+        def label(idx):
+            a, b = divmod(idx, width)
+            return f"({A.label(Simplex(p, a))},{B.label(Simplex(q, b))})"
+
+        return label
+
+    labels = [[pair_label(p, q) for q in range(Q + 1)] for p in range(P + 1)]
+    rows = [
+        TruncatedSimplicialSet(
+            [A.counts[p] * B.counts[q] for p in range(P + 1)],
+            [[on_first(t, B.counts[q]) for t in A._faces[p]] for p in range(P + 1)],
+            [[on_first(t, B.counts[q]) for t in A._degens[p]] for p in range(P + 1)],
+            [labels[p][q] for p in range(P + 1)],
+        )
+        for q in range(Q + 1)
+    ]
+    columns = [
+        TruncatedSimplicialSet(
+            [A.counts[p] * B.counts[q] for q in range(Q + 1)],
+            [[]] + [
+                [on_second(t, A.counts[p], B.counts[q - 1]) for t in B._faces[q]]
+                for q in range(1, Q + 1)
+            ],
+            [
+                [on_second(t, A.counts[p], B.counts[q + 1]) for t in B._degens[q]]
+                for q in range(Q)
+            ] + [[]],
+            labels[p],
+        )
+        for p in range(P + 1)
+    ]
+    return TruncatedBisimplicialSet(rows, columns)

@@ -1,5 +1,11 @@
+import itertools
+import json
+
 import pytest
-from oracles import BiSimplex, h_degeneracy, h_face, v_degeneracy, v_face
+from oracles import BiSimplex, h_degeneracy, h_face, tensor_reference, v_degeneracy, v_face
+from test_kan import standard_simplex
+
+import kancheck.bisimplicial
 
 from kancheck import (
     Simplex,
@@ -140,6 +146,105 @@ class TestRowsColumnsDiagonal:
 
     def test_pi0_of_diagonal_is_one(self, eg_tensor_3):
         assert len(pi0(diagonal(eg_tensor_3))) == 1
+
+
+def simplex_boundary(m, bound):
+    """The boundary of Delta[m] up to ``bound``: the simplices of
+    ``standard_simplex(m, bound)`` that miss a vertex, renumbered in order."""
+    full = standard_simplex(m, bound)
+    levels = [
+        list(itertools.combinations_with_replacement(range(m + 1), n + 1))
+        for n in range(bound + 1)
+    ]
+    keep = [[i for i, s in enumerate(level) if len(set(s)) <= m] for level in levels]
+    new_id = [{old: new for new, old in enumerate(k)} for k in keep]
+    faces = [[]] + [
+        [[new_id[n - 1][t[x]] for x in keep[n]] for t in full._faces[n]]
+        for n in range(1, bound + 1)
+    ]
+    degens = [
+        [[new_id[n + 1][t[x]] for x in keep[n]] for t in full._degens[n]]
+        for n in range(bound)
+    ] + [[]]
+    return TruncatedSimplicialSet([len(k) for k in keep], faces, degens)
+
+
+TENSOR_CASES = {
+    "eg-z2-squared": lambda: (eg_construction(cyclic_group(2), 3),) * 2,
+    "eg-s3-squared-2-2": lambda: (eg_construction(symmetric_group_preset(3), 2),) * 2,
+    "unequal-bounds": lambda: (
+        eg_construction(cyclic_group(2), 4), eg_construction(cyclic_group(3), 2)
+    ),
+    "simplex-times-boundary": lambda: (standard_simplex(2, 3), simplex_boundary(2, 3)),
+}
+
+
+def built(lines):
+    """The indices of the lines of a tensor built so far."""
+    return [k for k, line in enumerate(lines._built) if line is not None]
+
+
+def records_json(X):
+    """The line records of X, rows then columns, as one JSON text."""
+    return json.dumps(line_records(X))
+
+
+class TestLazyTensor:
+    """A tensor builds each row and column on its first read; every line is
+    the eager reference's, byte for byte."""
+
+    @pytest.mark.parametrize("first", ["rows", "columns"])
+    @pytest.mark.parametrize("case", list(TENSOR_CASES))
+    def test_lines_are_the_reference(self, case, first):
+        A, B = TENSOR_CASES[case]()
+        X, ref = tensor(A, B), tensor_reference(A, B)
+        assert X.bounds == ref.bounds and X.counts == ref.counts
+        assert (len(X.rows), len(X.columns)) == (len(ref.rows), len(ref.columns))
+        # build the lines in one direction, then compare every line, labels
+        # included, in both
+        assert list(getattr(X, first)) == list(getattr(ref, first))
+        assert records_json(X) == records_json(ref)
+        assert X == ref and transpose(X) == transpose(ref)
+        assert validate_bisimplicial_identities(X) == validate_bisimplicial_identities(ref)
+
+    @pytest.mark.parametrize("case", list(TENSOR_CASES))
+    def test_reads_build_only_what_they_read(self, case):
+        A, B = TENSOR_CASES[case]()
+        X = tensor(A, B)
+        assert diagonal(X) == product(A, B)
+        T = transpose(X)
+        assert T.rows is X.columns and T.columns is X.rows
+        assert T.counts == tuple(zip(*X.counts))
+        assert built(X.rows) == built(X.columns) == []
+        P, Q = X.bounds
+        assert row(X, Q) is X.rows[-1] is X.rows[Q:][0]
+        assert (built(X.rows), built(X.columns)) == ([Q], [])
+        assert column(T, Q) is row(X, Q)
+        assert column(X, 0) is X.columns[0]
+        assert (built(X.rows), built(X.columns)) == ([Q], [0])
+
+    def test_each_line_is_checked_when_built(self, eg_z2, monkeypatch):
+        build = kancheck.bisimplicial.TruncatedSimplicialSet
+        renamed = []
+
+        def relabelled(counts, faces, degens, labels):
+            # the same strings, rendered by other functions, unless renamed
+            tables = [list(map(f, range(c))) for f, c in zip(labels, counts)]
+            for level in renamed:
+                tables[level][0] = "renamed"
+            return build(counts, faces, degens, tables)
+
+        monkeypatch.setattr(kancheck.bisimplicial, "TruncatedSimplicialSet", relabelled)
+        X = tensor(eg_z2, eg_z2)
+        ref = tensor_reference(eg_z2, eg_z2)
+        assert simplicial_to_dict(row(X, 2)) == simplicial_to_dict(row(ref, 2))
+        renamed.append(1)
+        refusal = r"^{} disagrees with the tensor on its level 1$"
+        with pytest.raises(RejectedInput, match=refusal.format("row 1")):
+            row(X, 1)
+        with pytest.raises(RejectedInput, match=refusal.format("column 3")):
+            column(X, 3)
+        assert built(X.rows) == [2] and built(X.columns) == []
 
 
 def unlabelled(X):

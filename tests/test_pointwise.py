@@ -556,16 +556,31 @@ class TestIdSweep:
         assert report.direct_cells == oracle_cells(f, dim)
         assert report.transposed_cells == oracle_cells(transpose_map(f), dim)
 
-    def test_eg_tensor_dim4_closed_form(self):
+    @pytest.mark.parametrize("group, dim, problems", [
+        (cyclic_group(2), 1, 16), (cyclic_group(2), 2, 144), (cyclic_group(2), 3, 656),
+        (cyclic_group(2), 4, 2320), (symmetric_group_preset(3), 2, 8784),
+    ], ids=["Z2-1-16", "Z2-2-144", "Z2-3-656", "Z2-4-2320", "S3-2-8784"])
+    def test_eg_tensor_closed_form(self, group, dim, problems):
         # column p of EG x EG is the discrete EG_p times EG; a q-horn of EG is
-        # one vertex for q = 1 and all q + 1 vertices above
-        f = to_point_bimap(preset_bisimplicial("eg-tensor", 4, 4))
-        report = verify_pointwise_fillers(f, 4)
+        # one vertex for q = 1 and all q + 1 vertices above, so the cell
+        # (p, q, missing) has |G|^(p+1) * c_q problems, c_1 = |G| and
+        # c_q = |G|^(q+1) for q >= 2, in each direction
+        order = group.order
+        eg = eg_construction(group, dim)
+        report = verify_pointwise_fillers(to_point_bimap(tensor(eg, eg)), dim)
         assert report.passed
-        for c in report.direct_cells + report.transposed_cells:
-            want = 2 ** (c.p + 1) * 2 ** (1 if c.q == 1 else c.q + 1)
-            assert c.problems == c.filled == want
-        assert report.problems_checked == 2320
+        for cells in (report.direct_cells, report.transposed_cells):
+            assert [(c.p, c.q, c.missing) for c in cells] == [
+                (p, q, missing)
+                for p in range(dim) for q in range(1, dim - p + 1) for missing in range(q + 1)
+            ]
+            for c in cells:
+                want = order ** (c.p + 1) * order ** (1 if c.q == 1 else c.q + 1)
+                assert c.problems == c.filled == want
+        assert report.problems_checked == problems == 2 * sum(
+            (q + 1) * order ** (p + 1) * order ** (1 if q == 1 else q + 1)
+            for p in range(dim) for q in range(1, dim - p + 1)
+        )
 
     def test_passing_sweep_builds_no_objects(self, eg_tensor_map, monkeypatch):
         built = []

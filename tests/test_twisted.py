@@ -147,6 +147,24 @@ class TestQuotientCheck:
         if check in (check_kan_to_point, check_trivial_fibration_to_point):
             assert fibration_report_to_dict(check(product_stages(A, B), 2)) == full
 
+    @pytest.mark.parametrize("check", [
+        check_kan_to_point, check_trivial_fibration_to_point,
+    ], ids=["kan", "trivial"])
+    def test_second_factor_unsearched_when_the_first_fails(self, check):
+        # Delta[3] fails (the Kan check at n = 2, the trivial one at n = 1),
+        # which already sends Delta[3] x EG(S3) to a full search: EG(S3) is
+        # never searched, so its stage is never read
+        eg = eg_construction(GROUPS["S3"], 3)
+
+        class Unread(TruncatedSimplicialSet):
+            def stage(self, n):
+                raise AssertionError("the second factor was searched")
+
+        A, B = standard_simplex(3, 3), Unread(eg.counts, eg._faces, eg._degens, list(eg._labels))
+        report = fibration_report_to_dict(check(product_stages(A, B), 3))
+        assert not report["passed"]
+        assert report == fibration_report_to_dict(check(without_factors(product(A, eg)), 3))
+
     def test_bound_too_small_rejected(self):
         eg = eg_construction(GROUPS["Z2"], 2)
         with pytest.raises(RejectedInput):
