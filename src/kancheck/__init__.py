@@ -77,7 +77,11 @@ from .ordinal import (
     compose_ordinal,
     factorize,
 )
-from .pointwise import PointwiseSweepReport, verify_pointwise_fillers
+from .pointwise import (
+    PointwiseSweepReport,
+    verify_pointwise_fillers,
+    verify_pointwise_to_point,
+)
 from .simplicial import (
     IdentityReport,
     Simplex,

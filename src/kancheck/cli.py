@@ -32,7 +32,6 @@ from .bisimplicial import (
     product_stages,
     row,
     tensor,
-    to_point_bimap,
 )
 from .errors import RejectedInput
 from .groups import (
@@ -51,7 +50,7 @@ from .kan import (
     check_trivial_fibration_to_point,
 )
 from .ordinal import BASIC_IDENTITIES, check_basic_identity, check_power_identity
-from .pointwise import verify_pointwise_fillers
+from .pointwise import verify_pointwise_to_point
 from .presets import (
     PRESET_NAMES,
     eg_tensor_group,
@@ -353,8 +352,12 @@ def _build_kan_objects(
     out: list[tuple[str, KanObject, dict[str, Any]]] = []
     meta_base = {"construction": construction, "max_dim": max_dim}
     if construction == "simplicial-set":
-        if data is None or "simplicial_set" not in data:
+        if data is None:
             raise RejectedInput("construction simplicial-set needs an input file")
+        if "simplicial_set" not in data:
+            raise RejectedInput(
+                "construction simplicial-set needs a simplicial_set record in the input file"
+            )
         X = simplicial_from_dict(data["simplicial_set"])
         # a verdict is about a simplicial set: a record that breaks a law is
         # refused, naming its first violation
@@ -435,9 +438,8 @@ def cmd_pointwise(args: argparse.Namespace) -> RunReport:
     data = load_input(args.input) if args.input else None
     start = time.perf_counter()
     X = _bisimplicial_from_source(args.preset, data, dim, dim)
-    f = to_point_bimap(X)
     try:
-        report = verify_pointwise_fillers(f, dim)
+        report = verify_pointwise_to_point(X, dim)
         check = CheckResult(
             "pointwise-fillers-from-diagonal",
             report.passed,

@@ -469,14 +469,18 @@ def _rows(at: list[int] | None, col: list) -> list:
 
 
 def _partial_fillers(
-    f: SimplicialMap, n: int, indices: tuple[int, ...], ys: list[int], xs: list[list[int]]
+    f: SimplicialMap, n: int, indices: tuple[int, ...], ys: list[int], xs: list[list[int]],
+    scale: Sequence[int] | None = None,
 ) -> tuple[list[int | None], list[int]]:
     """Fill every row of a block of compatible partial horns (1 <= |I| <= n)
     on raw ids, by reduction to full-horn fills.
 
     Returns ``(ws, examined)``: each row's filler id or None, and the
     candidates its full-horn fills examined (as :func:`brute_force_fill`
-    counts them).
+    counts them: ``w + 1`` for a filler w).  With ``scale``, a filler w at
+    level m weighs ``w * scale[m]`` instead: the share of a product filler
+    ``w * |B_m| + b`` that its factor A gives (the pointwise sweep of a
+    tensor fills on its factors, see :mod:`kancheck.pointwise`).
 
     Double induction, run once for the whole block since its rows share I: a
     full horn goes to :func:`_fillers` and every filler is re-checked.
@@ -495,7 +499,9 @@ def _partial_fillers(
         at = _filled(ws)
         _check_witnesses(f, n, indices, _rows(at, ys), [_rows(at, x) for x in xs], _rows(at, ws))
         size = f.domain.counts[n]
-        return ws, [size if w is None else w + 1 for w in ws]
+        if scale is None:
+            return ws, [size if w is None else w + 1 for w in ws]
+        return ws, [size if w is None else w * scale[n] for w in ws]
 
     k = max(i for i in range(n + 1) if i not in indices)  # k >= 1: two are missing
     tables = f.domain._faces[n - 1]
@@ -505,7 +511,7 @@ def _partial_fillers(
     if not _all_compatible(f, n - 1, sub_indices, sub_ys, sub_xs):
         raise InternalInvariantError("derived family one dimension down is incompatible")
 
-    x_k, examined = _partial_fillers(f, n - 1, sub_indices, sub_ys, sub_xs)
+    x_k, examined = _partial_fillers(f, n - 1, sub_indices, sub_ys, sub_xs, scale)
     at = _filled(x_k)
     if at == []:
         return x_k, examined
@@ -516,7 +522,7 @@ def _partial_fillers(
     if not _all_compatible(f, n, enlarged, ys, xs):
         raise InternalInvariantError("family enlarged by the found face is incompatible")
 
-    ws, more = _partial_fillers(f, n, enlarged, ys, xs)
+    ws, more = _partial_fillers(f, n, enlarged, ys, xs, scale)
     if at is None:
         return ws, [a + b for a, b in zip(examined, more)]
     # x_k and examined are this call's own lists: the rows that went on take

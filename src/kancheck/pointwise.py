@@ -34,8 +34,19 @@ the diagonal is a product (see :func:`kancheck.kan.check_kan_fibration`):
 the diagonal of ``tensor(A, B)`` is ``product(A, B)``, so the precondition
 of ``pointwise`` on an eg-tensor searches EG alone, once, and multiplies its
 counts.  Its report, and the message when it fails, are the full search's.
-The sweeps themselves enumerate every horn, since ``max_search`` depends on
-ids.
+
+A tensor's sweep to the point runs on its factors
+(:func:`verify_pointwise_to_point`): column p of ``A ⊠ B`` is |A_p| copies
+of B, so a horn is a pair ``(a, β)`` of a in A_p and a horn β of B, and it
+lifts through the pair of its parts, a degenerated in A and β in B, each
+filled on its factor's map: a cell costs ``|A_p| + #β`` fills, not
+``|A_p|·#β``.  Product ids are ``a·|B_m| + b``, so a row examines
+``F(a) + G(β)`` candidates, and a cell's ``max_search`` is ``max F + max
+G``.  Each part is checked as a full sweep checks its family, and each
+answer is cut back down to its a and to β's faces; that a pair of answers
+solves the pair's horn is trusted to ``tensor``, which builds X from its
+factors.  Any other X, and a tensor with a factor that is not Kan, is swept
+on its lines and its diagonal.
 
 Index bookkeeping, for a horn in column p, vertical dimension q >= 1 and
 missing index l: the diagonal family lives at dimension n = p + q over the
@@ -48,11 +59,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import kan
 from .bisimplicial import (
     BisimplicialMap,
     TruncatedBisimplicialSet,
     column_map,
     diagonal_map,
+    to_point_bimap,
     transpose_map,
 )
 from .errors import InternalInvariantError, RejectedInput, TruncationError
@@ -63,7 +76,7 @@ from .kan import (
     _partial_fillers,
     check_kan_fibration,
 )
-from .simplicial import SimplicialMap, gather, require_level_laws
+from .simplicial import SimplicialMap, gather, require_level_laws, to_point_map
 
 
 def _repeat(
@@ -77,15 +90,27 @@ def _repeat(
     return x
 
 
+def _raise(degens: Sequence, p: int, m: int, s: int, x: list[int]) -> list[int]:
+    """``(s_0)^s (s_p)^(m-p-s) x`` for each x at level p, reading the
+    degeneracy tables ``degens`` of a line: simplices at level m."""
+    x = _repeat(degens, p, m - p - s, p, x, 1)
+    return _repeat(degens, 0, s, m - s, x, 1)
+
+
+def _lower(faces: Sequence, p: int, q: int, l: int, x: list[int]) -> list[int]:
+    """``(d_{p+1})^{q-l} (d_0)^l x`` for each x at level p + q, reading the
+    face tables ``faces`` of a line: simplices at level p."""
+    x = _repeat(faces, 0, l, p + q, x, -1)
+    return _repeat(faces, p + 1, q - l, p + q - l, x, -1)
+
+
 def _degenerate(
     X: TruncatedBisimplicialSet, p: int, m: int, s: int, x: list[int]
 ) -> list[int]:
     """``(s_0^h)^s (s_p^h)^(m-p-s) (s_s^v)^p x`` for each x of a column at level
     (p, m-p): bisimplices at (m, m).  Powers apply right to left."""
     x = _repeat(X.columns[p]._degens, s, p, m - p, x, 1)
-    row = X.rows[m]._degens
-    x = _repeat(row, p, m - p - s, p, x, 1)
-    return _repeat(row, 0, s, m - s, x, 1)
+    return _raise(X.rows[m]._degens, p, m, s, x)
 
 
 def _diagonal_family(
@@ -122,9 +147,7 @@ def _answer(
     included) and maps to its y."""
     X, n = f.domain, p + q
     x = _repeat(X.columns[n]._faces, l, p, n, ws, -1)
-    row = X.rows[q]._faces
-    x = _repeat(row, 0, l, n, x, -1)
-    x = _repeat(row, p + 1, q - l, n - l, x, -1)
+    x = _lower(X.rows[q]._faces, p, q, l, x)
     _check_witnesses(f.column_maps[p], q, indices, ys, xs, x)
     return x
 
@@ -196,6 +219,15 @@ def _sweep(
     return tuple(cells)
 
 
+def _require_total_dim(bounds: tuple[int, int], max_total_dim: int) -> None:
+    if max_total_dim < 1:
+        raise RejectedInput("max_total_dim must be at least 1")
+    if min(bounds) < max_total_dim:
+        raise TruncationError(
+            f"bounds {bounds} cannot hold diagonal families up to {max_total_dim}"
+        )
+
+
 def verify_pointwise_fillers(f: BisimplicialMap, max_total_dim: int) -> PointwiseSweepReport:
     """Certify that a diagonal Kan fibration fills every pointwise horn.
 
@@ -206,13 +238,7 @@ def verify_pointwise_fillers(f: BisimplicialMap, max_total_dim: int) -> Pointwis
     whose diagonal is the same map, covering the row direction by the same
     symmetry.
     """
-    if max_total_dim < 1:
-        raise RejectedInput("max_total_dim must be at least 1")
-    P, Q = f.domain.bounds
-    if min(P, Q) < max_total_dim:
-        raise TruncationError(
-            f"bounds {f.domain.bounds} cannot hold diagonal families up to {max_total_dim}"
-        )
+    _require_total_dim(f.domain.bounds, max_total_dim)
     diag_f = diagonal_map(f)
     kan_report = check_kan_fibration(diag_f, max_total_dim)
     if not kan_report.passed:
@@ -227,3 +253,122 @@ def verify_pointwise_fillers(f: BisimplicialMap, max_total_dim: int) -> Pointwis
         _sweep(f, diag_f, max_total_dim, transposed=False),
         _sweep(transpose_map(f), diag_f, max_total_dim, transposed=True),
     )
+
+
+def _factor_fill(
+    f: SimplicialMap, n: int, indices: tuple[int, ...], ys: list[int], xs: list[list[int]],
+    scale: Sequence[int] | None, where: str,
+) -> tuple[list[int], list[int]]:
+    """Fill a block of one factor's part of a cell's diagonal families, every
+    row verified compatible first: ``(ws, examined)``, as
+    :func:`kancheck.kan._partial_fillers` gives them.  ``where`` names the
+    cell and direction of a part that does not fill."""
+    if not _all_compatible(f, n, indices, ys, xs):
+        raise InternalInvariantError("built diagonal family is not compatible")
+    ws, examined = _partial_fillers(f, n, indices, ys, xs, scale)
+    if None in ws:
+        raise InternalInvariantError(f"{where} did not fill through the Kan diagonal")
+    return ws, examined
+
+
+def _factor_cell(
+    maps: tuple[SimplicialMap, SimplicialMap], scales: tuple, p: int, q: int, l: int,
+    direction: str,
+) -> SweepCell:
+    """The cell (p, q, l) of a tensor's sweep, on its factors D and H, which
+    ``maps`` send to a point: each horn is a pair ``(d, β)`` of a d in D_p
+    and a horn β of H at (q, l), degenerated to the pair of diagonal families
+    that :func:`_diagonal_family` builds.  Its D part depends on d alone and
+    is filled once per d, its H part once per horn.  A row examines
+    ``F(d) + G(β)`` candidates, so the cell's ``max_search`` is the sum of
+    the two parts' maxima; ``scales`` weighs each part's filler ids
+    (:func:`kancheck.kan._partial_fillers`).  Each answer is cut back down:
+    the D part must return its d, the H part must have β's faces."""
+    (f_d, f_h), (scale_d, scale_h) = maps, scales
+    D, H, n = f_d.domain, f_h.domain, p + q
+    horn = tuple(i for i in range(q + 1) if i != l)
+    indices = tuple(range(l)) + tuple(range(p + l + 1, n + 1))
+    where = f"{direction} horn at (p, q, missing) = ({p}, {q}, {l})"
+    horns = max_h = 0
+    for ys, xs in _blocks(f_h, q, horn):
+        # the point's ids are 0 at every level, so ys is the target at n too
+        lifted = [
+            _repeat(H._degens, l - 1 if t < l else l, p, q - 1, x, 1) for t, x in enumerate(xs)
+        ]
+        ws, examined = _factor_fill(f_h, n, indices, ys, lifted, scale_h, where)
+        _check_witnesses(f_h, q, horn, ys, xs, _repeat(H._faces, l, p, n, ws, -1))
+        horns += len(ys)
+        max_h = max(max_h, *examined)
+    count = D.counts[p] if horns else 0
+    max_d = 0
+    for start in range(0, count, kan.BLOCK_ROWS):
+        ds = list(range(start, min(start + kan.BLOCK_ROWS, count)))
+        # each row's faces are one simplex at every index below l and
+        # another at every index above it
+        below = _raise(D._degens, p, n - 1, l - 1, ds) if l else []
+        above = _raise(D._degens, p, n - 1, l, ds) if l < q else []
+        lifted = [below if i < l else above for i in indices]
+        ws, examined = _factor_fill(f_d, n, indices, [0] * len(ds), lifted, scale_d, where)
+        if _lower(D._faces, p, q, l, ws) != ds:
+            raise InternalInvariantError(
+                f"{where}: a filler does not cut back down to its simplex"
+            )
+        max_d = max(max_d, *examined)
+    problems = count * horns
+    return SweepCell(p, q, l, problems, problems, max_d + max_h if problems else 0)
+
+
+def _factor_sweep(
+    maps: tuple[SimplicialMap, SimplicialMap], scales: tuple, max_total_dim: int,
+    direction: str,
+) -> tuple[SweepCell, ...]:
+    return tuple(
+        _factor_cell(maps, scales, p, q, l, direction)
+        for p in range(max_total_dim)
+        for q in range(1, max_total_dim - p + 1)
+        for l in range(q + 1)
+    )
+
+
+def verify_pointwise_to_point(
+    X: TruncatedBisimplicialSet, max_total_dim: int
+) -> PointwiseSweepReport:
+    """The report of ``verify_pointwise_fillers(to_point_bimap(X),
+    max_total_dim)``, for ``X = tensor(A, B)`` swept on A and B.
+
+    Column p of ``A ⊠ B`` is |A_p| copies of B and its diagonal is
+    ``A × B``, whose ids are ``a·|B_m| + b``.  So a horn of column p is a
+    pair ``(a, β)``, its diagonal family a pair of families, and its least
+    filler the pair of the factors' least fillers: the direct sweep fills the
+    degenerated a in A and the horn β in B (:func:`_factor_cell`), the
+    transposed sweep the horns of A and the degenerated b in B.  A row's
+    ``examined`` is ``Σ_j (a_j·|B_{m_j}| + b_j + 1)`` over its chain of full
+    fills, A's share weighed by ``|B_m|`` and B's by ``w + 1``.  Each factor
+    is checked Kan to ``max_total_dim`` on a map of its own, once when
+    ``B is A``; the sweeps fill on those maps and read the least-id maps the
+    check built.  That a pair of answers solves the pair's horn is trusted to
+    ``tensor``, the only maker of a bisimplicial ``_factors``, which builds
+    X's lines from the factors, as :func:`kancheck.kan._from_factors` trusts
+    ``product``.
+
+    When X records no factors, or a factor is not Kan or breaks a law, X
+    takes the path of :func:`verify_pointwise_fillers`, so a refusal names
+    the diagonal's own ids.
+    """
+    _require_total_dim(X.bounds, max_total_dim)
+    if X._factors is not None:
+        A, B = X._factors
+        maps = (to_point_map(A),) if B is A else (to_point_map(A), to_point_map(B))
+        map_a, map_b = maps[0], maps[-1]
+        try:
+            # B only when A passes: a failing A already takes the other path
+            passed = all(check_kan_fibration(m, max_total_dim).passed for m in maps)
+        except RejectedInput:
+            passed = False
+        if passed:
+            return PointwiseSweepReport(
+                max_total_dim,
+                _factor_sweep((map_a, map_b), (B.counts, None), max_total_dim, "direct"),
+                _factor_sweep((map_b, map_a), (None, B.counts), max_total_dim, "transposed"),
+            )
+    return verify_pointwise_fillers(to_point_bimap(X), max_total_dim)

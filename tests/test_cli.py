@@ -217,6 +217,19 @@ class TestKanCommand:
             capsys.readouterr().err
         )
 
+    def test_simplicial_set_construction_names_the_missing_record(self, capsys):
+        # an input file with no simplicial_set record is named as such, not
+        # as a missing file
+        argv = ["kan", "--construction", "simplicial-set", "--max-dim", "1"]
+        assert run(argv + ["--input", "tests/inputs/s3.json"]) == (2, None)
+        assert capsys.readouterr().err == (
+            "error: construction simplicial-set needs a simplicial_set record in the input file\n"
+        )
+        assert run(argv + ["--preset", "eg-tensor"]) == (2, None)
+        assert capsys.readouterr().err == (
+            "error: construction simplicial-set needs an input file\n"
+        )
+
     def test_index_outside_lines_rejected(self, capsys):
         argv = ["kan", "--preset", "eg-tensor", "--construction", "nerve", "--max-dim", "2"]
         assert run(argv + ["--index", "7"]) == (2, None)

@@ -9,6 +9,7 @@ each committed verdict must re-verify by re-running its own config.
 
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,33 @@ def test_s3_diagonal_dim3_rung(capsys, monkeypatch):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "cc44bb75761fc61070f2a5db171d44c2daf83fb8d617287cde2e1bf511e29929"
     )
+
+
+def test_s3_pointwise_dim3_rung(capsys, monkeypatch):
+    # the S3 eg-tensor sweep at total dim 3: 122832 problems, 61416 in each
+    # direction, swept on the factor EG(S3) with no line of the tensor, no
+    # bimap and no diagonal map built; pinned by the hash of its
+    # structured-format verdict, which the sweep on the tensor's lines and
+    # diagonal gave (in about 11 s and 2 GB)
+    monkeypatch.chdir(HERE.parent)
+    monkeypatch.setattr(kancheck.pointwise, "to_point_bimap", None)
+    monkeypatch.setattr(kancheck.pointwise, "diagonal_map", None)
+    start = time.perf_counter()
+    code, report = run(
+        "pointwise --input tests/inputs/s3.json --max-total-dim 3 --format structured".split()
+    )
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    assert code == 0
+    verdict = report.verdict_dict()
+    sweep = verdict["checks"][0]["details"]["report"]
+    assert sweep["passed"] and sweep["problems_checked"] == 122832
+    assert sum(c["problems"] for c in sweep["direct_cells"]) == 61416
+    text = json.dumps(verdict, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "539a969016f927d93118998f1c2d94ef148505183654d57b41eb2f51a7f74100"
+    )
+    assert elapsed < 2
 
 
 @pytest.mark.parametrize("source, max_dim", [

@@ -16,6 +16,7 @@ from test_kan import (
     partial_fill,
     rotated_index,
     s4_pair_diagonal,
+    standard_simplex,
 )
 
 import kancheck.kan
@@ -29,18 +30,22 @@ from kancheck import (
     cyclic_group,
     diagonal_map,
     eg_construction,
+    nerve,
+    one_object_groupoid,
     point_bisimplicial,
     symmetric_group_preset,
     tensor,
     to_point_bimap,
     transpose_map,
     verify_pointwise_fillers,
+    verify_pointwise_to_point,
 )
 from kancheck.errors import InternalInvariantError, RejectedInput, TruncationError
 from kancheck.kan import FillCertificate
 from kancheck.pointwise import SweepCell, _answer, _diagonal_family
 from kancheck.presets import preset_bisimplicial
 from kancheck.serialize import fibration_report_to_dict
+from kancheck.simplicial import TruncatedSimplicialSet
 
 
 # A horn is a family ``(q, indices, faces, y)`` of a column map on raw ids,
@@ -161,6 +166,11 @@ def answer(f, p, missing, horn, w):
     q, indices, faces, y = horn
     [x] = _answer(f, p, q, missing, indices, [y], [[x] for x in faces], [w])
     return x
+
+
+def on_bimap(X, max_total_dim):
+    """The sweep of X's map to the point on its lines and its diagonal."""
+    return verify_pointwise_fillers(to_point_bimap(X), max_total_dim)
 
 
 class TestProblemValidation:
@@ -312,13 +322,13 @@ class TestSweep:
             evaluated += len(ys)
             return compatible(f, n, indices, ys, xs)
 
-        def counting_steps(f, n, indices, ys, xs):
+        def counting_steps(f, n, indices, ys, xs, *scale):
             nonlocal steps, full
             if len(indices) < n:
                 steps += len(ys)
             else:
                 full += len(ys)
-            return fill(f, n, indices, ys, xs)
+            return fill(f, n, indices, ys, xs, *scale)
 
         for module in (kancheck.kan, kancheck.pointwise):
             def counting_witnesses(f, n, indices, ys, xs, ws, module=module):
@@ -556,18 +566,28 @@ class TestIdSweep:
         assert report.direct_cells == oracle_cells(f, dim)
         assert report.transposed_cells == oracle_cells(transpose_map(f), dim)
 
-    @pytest.mark.parametrize("group, dim, problems", [
-        (cyclic_group(2), 1, 16), (cyclic_group(2), 2, 144), (cyclic_group(2), 3, 656),
-        (cyclic_group(2), 4, 2320), (symmetric_group_preset(3), 2, 8784),
-    ], ids=["Z2-1-16", "Z2-2-144", "Z2-3-656", "Z2-4-2320", "S3-2-8784"])
-    def test_eg_tensor_closed_form(self, group, dim, problems):
+    @pytest.mark.parametrize("entry, group, dim, problems", [
+        *[(on_bimap, cyclic_group(2), dim, problems)
+          for dim, problems in ((1, 16), (2, 144), (3, 656), (4, 2320))],
+        (on_bimap, symmetric_group_preset(3), 2, 8784),
+        *[(verify_pointwise_to_point, cyclic_group(2), dim, problems)
+          for dim, problems in ((1, 16), (2, 144), (3, 656), (4, 2320))],
+        (verify_pointwise_to_point, symmetric_group_preset(3), 2, 8784),
+        # on the factors alone: the bimap sweep takes about 10 s and 2 GB here
+        (verify_pointwise_to_point, symmetric_group_preset(3), 3, 122832),
+    ], ids=[
+        "Z2-1-16", "Z2-2-144", "Z2-3-656", "Z2-4-2320", "S3-2-8784",
+        "to-point-Z2-1-16", "to-point-Z2-2-144", "to-point-Z2-3-656", "to-point-Z2-4-2320",
+        "to-point-S3-2-8784", "to-point-S3-3-122832",
+    ])
+    def test_eg_tensor_closed_form(self, entry, group, dim, problems):
         # column p of EG x EG is the discrete EG_p times EG; a q-horn of EG is
         # one vertex for q = 1 and all q + 1 vertices above, so the cell
         # (p, q, missing) has |G|^(p+1) * c_q problems, c_1 = |G| and
         # c_q = |G|^(q+1) for q >= 2, in each direction
         order = group.order
         eg = eg_construction(group, dim)
-        report = verify_pointwise_fillers(to_point_bimap(tensor(eg, eg)), dim)
+        report = entry(tensor(eg, eg), dim)
         assert report.passed
         for cells in (report.direct_cells, report.transposed_cells):
             assert [(c.p, c.q, c.missing) for c in cells] == [
@@ -659,3 +679,152 @@ class TestOrbitPrecondition:
             verify_pointwise_fillers(f, 2)
         assert str(by_factors.value) == str(in_full.value)
         assert "unfillable horn at n=2" in str(by_factors.value)
+
+
+def empty_set(bound):
+    """The simplicial set with no simplices, up to ``bound``."""
+    return TruncatedSimplicialSet(
+        [0] * (bound + 1),
+        [[]] + [[[]] * (n + 1) for n in range(1, bound + 1)],
+        [[[]] * (n + 1) for n in range(bound)] + [[]],
+    )
+
+
+def factor_corpus():
+    """``(name, A, B, max_total_dim)``: tensors whose factors are all Kan."""
+    z2, z3, s3 = cyclic_group(2), cyclic_group(3), symmetric_group_preset(3)
+    corpus = [(f"EG(Z2)^2-{dim}", eg_construction(z2, dim), None, dim) for dim in (1, 2, 3, 4)]
+    corpus += [("EG(Z3)^2-3", eg_construction(z3, 3), None, 3)]
+    corpus += [("EG(S3)^2-2", eg_construction(s3, 2), None, 2)]
+    eg2, eg3 = eg_construction(z2, 3), eg_construction(z3, 3)
+    return corpus + [
+        ("EG(Z2)xEG(Z3)-3", eg2, eg3, 3),
+        ("EG(Z3)xEG(Z2)-3", eg3, eg2, 3),
+        ("BG(Z3)xEG(Z2)-3", nerve(one_object_groupoid(z3), 3), eg2, 3),
+        ("D0xEG(Z2)-3", standard_simplex(0, 3), eg2, 3),
+        ("emptyxEG(Z2)-3", empty_set(3), eg2, 3),
+        ("EG(Z2)xempty-3", eg2, empty_set(3), 3),
+    ]
+
+
+CORPUS = factor_corpus()
+
+
+class TestFactorSweep:
+    """A tensor's sweep to the point runs on its factors; its reports must be
+    the bimap sweep's, on the tensor's lines and its diagonal."""
+
+    @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "1", "7"])
+    @pytest.mark.parametrize("name, A, B, dim", CORPUS, ids=[c[0] for c in CORPUS])
+    def test_report_is_the_bimap_sweep(self, name, A, B, dim, rows, monkeypatch):
+        if rows is not None:
+            monkeypatch.setattr(kancheck.kan, "BLOCK_ROWS", rows)
+        B = A if B is None else B
+        report = verify_pointwise_to_point(tensor(A, B), dim)
+        assert report == on_bimap(tensor(A, B), dim)
+        assert report.passed
+
+    def test_failing_factor_keeps_the_diagonal_refusal(self, z2):
+        # Delta[2] is not Kan: the diagonal Delta[2] x EG(Z2) is searched
+        # itself, so the refusal names the product's ids
+        X = tensor(standard_simplex(2, 3), eg_construction(z2, 3))
+        with pytest.raises(RejectedInput) as on_factors:
+            verify_pointwise_to_point(X, 3)
+        with pytest.raises(RejectedInput) as on_lines:
+            on_bimap(X, 3)
+        assert str(on_factors.value) == str(on_lines.value) == (
+            "the diagonal map is not a Kan fibration up to dimension 3: "
+            "unfillable horn at n=2, I=(1, 2), faces=(0, 4)"
+        )
+
+    def test_lawless_factor_keeps_the_diagonal_refusal(self, z2):
+        # a factor that breaks a law raises in its own check; the tensor then
+        # takes the bimap path, whose refusal names the product's violation
+        eg = eg_construction(z2, 2)
+        faces = [list(level) for level in eg._faces]
+        faces[2][0] = faces[2][1]
+        lawless = TruncatedSimplicialSet(eg.counts, faces, eg._degens)
+        X = tensor(eg, lawless)
+        with pytest.raises(RejectedInput) as on_factors:
+            verify_pointwise_to_point(X, 2)
+        with pytest.raises(RejectedInput) as on_lines:
+            on_bimap(tensor(eg, lawless), 2)
+        assert str(on_factors.value) == str(on_lines.value)
+
+    @pytest.mark.parametrize("same", [True, False], ids=["square", "mixed"])
+    def test_sweep_reads_only_the_factors(self, same, monkeypatch):
+        # no line of the tensor is built, no bimap or diagonal map is made,
+        # and every fill is on a factor's map, each factor Kan-checked once
+        A = eg_construction(cyclic_group(2), 3)
+        B = A if same else eg_construction(cyclic_group(3), 3)
+        X = tensor(A, B)
+        checked, filled_in = [], set()
+        check, fill = kancheck.pointwise.check_kan_fibration, kancheck.pointwise._partial_fillers
+
+        def recording_check(f, max_dim):
+            checked.append(f.domain)
+            return check(f, max_dim)
+
+        def recording_fill(f, *family):
+            filled_in.add(id(f.domain))
+            return fill(f, *family)
+
+        monkeypatch.setattr(kancheck.pointwise, "check_kan_fibration", recording_check)
+        monkeypatch.setattr(kancheck.pointwise, "_partial_fillers", recording_fill)
+        monkeypatch.setattr(kancheck.pointwise, "to_point_bimap", None)
+        monkeypatch.setattr(kancheck.pointwise, "diagonal_map", None)
+        assert verify_pointwise_to_point(X, 3).passed
+        assert X.rows._built == [None] * 4 and X.columns._built == [None] * 4
+        assert checked == ([A] if same else [A, B])
+        assert filled_in == {id(A), id(B)}
+
+    @pytest.mark.parametrize("part", ["degenerated", "horn"])
+    def test_wrong_factor_filler_raises(self, part, monkeypatch):
+        # the direct sweep of EG(Z2) x EG(Z3) fills the degenerated part in
+        # EG(Z2) and the horn part in EG(Z3): a filler handed to the wrong
+        # row, one part at a time, is caught when the answer is cut down
+        A, B = eg_construction(cyclic_group(2), 2), eg_construction(cyclic_group(3), 2)
+        wrong = A if part == "degenerated" else B
+        fill = kancheck.pointwise._partial_fillers
+
+        def rotating(f, n, indices, ys, xs, scale):
+            ws, examined = fill(f, n, indices, ys, xs, scale)
+            return (ws[1:] + ws[:1] if f.domain is wrong else ws), examined
+
+        monkeypatch.setattr(kancheck.pointwise, "_partial_fillers", rotating)
+        with pytest.raises(InternalInvariantError) as err:
+            verify_pointwise_to_point(tensor(A, B), 2)
+        assert str(err.value) == (
+            "direct horn at (p, q, missing) = (0, 1, 0): "
+            "a filler does not cut back down to its simplex"
+            if part == "degenerated" else "witness face d_1 mismatch"
+        )
+
+    def test_unfilled_factor_part_names_its_cell(self, monkeypatch):
+        # past the factors' Kan checks, a part that does not fill is a broken
+        # invariant, named by its cell and direction
+        A = eg_construction(cyclic_group(2), 2)
+        fill = kancheck.pointwise._partial_fillers
+
+        def refusing(f, n, indices, ys, xs, scale):
+            ws, examined = fill(f, n, indices, ys, xs, scale)
+            return [None] * len(ws), examined
+
+        monkeypatch.setattr(kancheck.pointwise, "_partial_fillers", refusing)
+        with pytest.raises(InternalInvariantError) as err:
+            verify_pointwise_to_point(tensor(A, A), 2)
+        assert str(err.value) == (
+            "direct horn at (p, q, missing) = (0, 1, 0) did not fill through the Kan diagonal"
+        )
+
+    def test_bounds_are_checked_first(self):
+        eg = eg_construction(cyclic_group(2), 2)
+        with pytest.raises(TruncationError):
+            verify_pointwise_to_point(tensor(eg, eg), 3)
+        with pytest.raises(RejectedInput):
+            verify_pointwise_to_point(tensor(eg, eg), 0)
+
+    def test_double_nerve_takes_the_bimap_sweep(self):
+        X = preset_bisimplicial("z2-commuting", 2, 2)
+        assert X._factors is None
+        assert verify_pointwise_to_point(X, 2) == on_bimap(X, 2)
