@@ -255,15 +255,17 @@ def _bisimplicial_from_source(
         return double_nerve(D, P, Q)
     if preset is None and "group" not in data:
         raise RejectedInput("cannot build a bisimplicial set from this input")
-    G = _single_group(preset, data)
+    G = _group(preset, data)
     eg = eg_construction(G, P)
     return tensor(eg, eg if Q == P else eg_construction(G, Q))
 
 
-def _single_group(preset: str | None, data: dict[str, Any] | None) -> FiniteGroup:
-    """The group of a single-group source: the eg-tensor preset's, or the
-    input's."""
-    return eg_tensor_group() if preset is not None else group_from_input(data or {})
+def _group(preset: str | None, data: dict[str, Any] | None) -> FiniteGroup:
+    """The group of a source: the eg-tensor preset's, a group-pair preset's
+    ambient group, or the input's."""
+    if preset is None:
+        return group_from_input(data or {})
+    return eg_tensor_group() if preset == "eg-tensor" else preset_group_pair(preset).group
 
 
 def cmd_identities(args: argparse.Namespace) -> RunReport:
@@ -369,10 +371,7 @@ def _build_kan_objects(
             )
         out.append(("kan-simplicial-set", X, meta_base))
     elif construction == "nerve":
-        if preset is not None:
-            G = eg_tensor_group() if preset == "eg-tensor" else preset_group_pair(preset).group
-        else:
-            G = group_from_input(data or {})
+        G = _group(preset, data)
         out.append(("kan-nerve", nerve(one_object_groupoid(G), max_dim), meta_base))
     elif construction in ("eg-tensor-diagonal", "double-nerve-diagonal"):
         if construction == "eg-tensor-diagonal" and preset not in (None, "eg-tensor"):
@@ -385,7 +384,7 @@ def _build_kan_objects(
         if construction == "double-nerve-diagonal":
             D = _double_groupoid_from_source(preset, data)
         if D is None:
-            eg = eg_construction(_single_group(preset, data), max_dim)
+            eg = eg_construction(_group(preset, data), max_dim)
             diag = product_stages(eg, eg)
         else:
             diag = diagonal_stages(D, max_dim)

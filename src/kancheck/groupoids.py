@@ -152,10 +152,13 @@ class FiniteGroupoid:
         return f"FiniteGroupoid(objects={len(self.objects)}, arrows={self.n_arrows})"
 
 
-def one_object_groupoid(G: FiniteGroup, object_label: str = "*") -> FiniteGroupoid:
+ONE_OBJECT = "*"  # the label of a group's one object, as a groupoid
+
+
+def one_object_groupoid(G: FiniteGroup) -> FiniteGroupoid:
     compose = {(g, h): G.mul(g, h) for g in range(G.order) for h in range(G.order)}
     return FiniteGroupoid(
-        [object_label],
+        [ONE_OBJECT],
         [0] * G.order,
         [0] * G.order,
         compose,

@@ -40,14 +40,14 @@ n starts, so a check that fails below ``max_dim`` pays only for the build up
 to its failing level, and a size refusal fires only at a level the check
 reaches.
 
-A product over a point is decided from its factors, by one rule for
-:func:`check_kan_fibration`, :func:`check_kan_to_point` and
-:func:`check_trivial_fibration_to_point` alike (:func:`_from_factors`): a
-product, built by ``product(A, B)`` or given as its stages, records its
-factors (``_factors``).  Each factor is searched in full on a map of its
-own, and when both pass, every cell's counts are the products of theirs.
-Otherwise the product itself is searched in full, so its counts and
-certificate are the full search's.
+A product over a point is decided from its factors by one rule,
+:func:`_from_factors`, for :func:`check_kan_to_point`,
+:func:`check_trivial_fibration_to_point` and the pointwise sweep of a tensor,
+whose diagonal is the product of its factors
+(:func:`kancheck.pointwise.verify_pointwise_to_point`).  Each factor is
+searched in full on a map of its own, and when both pass, every cell's
+counts are the products of theirs.  Otherwise the product itself is searched
+in full, as every caller's map is (:func:`check_kan_fibration`).
 
 Columns are read by the C-level ``gather``, key columns are zipped into
 tuples by ``zip_keys`` (one column is its own key), and buckets and fillers
@@ -69,7 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice, repeat
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from .errors import InternalInvariantError, RejectedInput
 from .simplicial import (
@@ -82,6 +82,9 @@ from .simplicial import (
     to_point_map,
     zip_keys,
 )
+
+if TYPE_CHECKING:
+    from .bisimplicial import TruncatedBisimplicialSet
 
 
 # A block is up to BLOCK_ROWS families of one (n, I) cell as id columns: the
@@ -373,16 +376,11 @@ def _horn_cells(max_dim: int) -> list[tuple[int, int]]:
 def check_kan_fibration(f: SimplicialMap, max_dim: int) -> FibrationReport:
     """Fill every full horn (I = [n] minus one index) for 1 <= n <= max_dim.
 
-    Every search map the sweep builds stays cached with f.  If the codomain
-    is a point up to max_dim and the domain is a product, the report is its
-    factors' when both pass (:func:`_from_factors`), and f is not searched;
-    otherwise every family is searched on f."""
+    Every family of f is searched, whatever its domain and codomain, and
+    every search map the sweep builds stays cached with f, for the caller
+    to read again."""
     _require_max_dim(f.domain.bound, max_dim)
-    over_point = f.codomain.counts[:max_dim + 1] == (1,) * (max_dim + 1)
-    report = _from_factors(f.domain, max_dim, check_kan_to_point) if over_point else None
-    if report is None:
-        report = _fill_cells(f, "kan", max_dim, _horn_cells(max_dim), owned=None)
-    return report
+    return _fill_cells(f, "kan", max_dim, _horn_cells(max_dim), owned=None)
 
 
 def check_kan_to_point(X: TruncatedSimplicialSet | Stages, max_dim: int) -> FibrationReport:
@@ -413,14 +411,16 @@ def _check_to_point(
 
 
 def _from_factors(
-    X: TruncatedSimplicialSet | Stages, max_dim: int,
+    X: TruncatedSimplicialSet | Stages | TruncatedBisimplicialSet, max_dim: int,
     check: Callable[[TruncatedSimplicialSet, int], FibrationReport],
 ) -> FibrationReport | None:
     """The report of ``check(X, max_dim)`` for ``X = A x B``, a product that
-    records its factors (``_factors``), from ``check`` of each factor: the
-    cellwise products of their ``families`` and ``filled``, when both pass.
-    None when X is no product, or when a factor fails or breaks a law, for
-    the caller to search X in full.
+    records its factors (``_factors``), or a tensor ``A ⊠ B``, whose diagonal
+    is ``A x B``, from ``check`` of each factor: the cellwise products of
+    their ``families`` and ``filled``, when both pass.  None when X records
+    no factors, or when a factor fails or breaks a law, for the caller to
+    search X in full.  The callers are :func:`_check_to_point` and
+    :func:`kancheck.pointwise.verify_pointwise_to_point`.
 
     The faces of ``A x B`` act on both coordinates, so a family of X, a horn
     or a boundary, is a pair of families, one of A and one of B, compatible
@@ -432,12 +432,10 @@ def _from_factors(
     that breaks a law need not make X break one (the other factor may be
     empty at that level), so X's search names the law X breaks, if any.
 
-    A factor is searched in full on a map of its own, once when ``B is A``,
-    and a factor that is itself a product by this rule; B is searched only
-    when A passes, since a failing A already sends X to a full search.  That
-    X is the product of its factors is trusted to ``product`` and
-    ``product_stages``, the only makers of ``_factors``, which build X from
-    them.
+    ``check`` runs once per distinct factor, and on B only when A passes,
+    since a failing A already sends X to a full search.  That X is
+    the product of its factors is trusted to ``product``, ``product_stages``
+    and ``tensor``, the only makers of ``_factors``, which build X from them.
     """
     if X._factors is None:
         return None

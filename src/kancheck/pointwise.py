@@ -29,11 +29,11 @@ once and kept with the map.  The transposed sweep enumerates on f's own row
 maps (:func:`kancheck.bisimplicial.transpose_map` shares them), so their
 indexes are kept with f, as the column maps' are.
 
-The Kan check of the diagonal over a point is decided from its factors when
-the diagonal is a product (see :func:`kancheck.kan.check_kan_fibration`):
-the diagonal of ``tensor(A, B)`` is ``product(A, B)``, so the precondition
-of ``pointwise`` on an eg-tensor searches EG alone, once, and multiplies its
-counts.  Its report, and the message when it fails, are the full search's.
+The diagonal of ``tensor(A, B)`` is ``product(A, B)``, so the Kan
+precondition of a tensor's sweep to the point is decided from its factors
+(:func:`kancheck.kan._from_factors`): on an eg-tensor it searches EG alone,
+once.  When a factor fails, :func:`verify_pointwise_fillers` searches the
+diagonal map in full, so the message is the full search's.
 
 A tensor's sweep to the point runs on its factors
 (:func:`verify_pointwise_to_point`): column p of ``A ⊠ B`` is |A_p| copies
@@ -76,7 +76,13 @@ from .kan import (
     _partial_fillers,
     check_kan_fibration,
 )
-from .simplicial import SimplicialMap, gather, require_level_laws, to_point_map
+from .simplicial import (
+    SimplicialMap,
+    TruncatedSimplicialSet,
+    gather,
+    require_level_laws,
+    to_point_map,
+)
 
 
 def _repeat(
@@ -318,18 +324,6 @@ def _factor_cell(
     return SweepCell(p, q, l, problems, problems, max_d + max_h if problems else 0)
 
 
-def _factor_sweep(
-    maps: tuple[SimplicialMap, SimplicialMap], scales: tuple, max_total_dim: int,
-    direction: str,
-) -> tuple[SweepCell, ...]:
-    return tuple(
-        _factor_cell(maps, scales, p, q, l, direction)
-        for p in range(max_total_dim)
-        for q in range(1, max_total_dim - p + 1)
-        for l in range(q + 1)
-    )
-
-
 def verify_pointwise_to_point(
     X: TruncatedBisimplicialSet, max_total_dim: int
 ) -> PointwiseSweepReport:
@@ -343,32 +337,35 @@ def verify_pointwise_to_point(
     degenerated a in A and the horn β in B (:func:`_factor_cell`), the
     transposed sweep the horns of A and the degenerated b in B.  A row's
     ``examined`` is ``Σ_j (a_j·|B_{m_j}| + b_j + 1)`` over its chain of full
-    fills, A's share weighed by ``|B_m|`` and B's by ``w + 1``.  Each factor
-    is checked Kan to ``max_total_dim`` on a map of its own, once when
-    ``B is A``; the sweeps fill on those maps and read the least-id maps the
-    check built.  That a pair of answers solves the pair's horn is trusted to
+    fills, A's share weighed by ``|B_m|`` and B's by ``w + 1``.  The factor
+    rule (:func:`kancheck.kan._from_factors`) checks each factor Kan on a map
+    of its own, kept for the sweeps, which read the least-id maps the check
+    built.  That a pair of answers solves the pair's horn is trusted to
     ``tensor``, the only maker of a bisimplicial ``_factors``, which builds
-    X's lines from the factors, as :func:`kancheck.kan._from_factors` trusts
-    ``product``.
+    X's lines from the factors, as the rule trusts ``product``.
 
-    When X records no factors, or a factor is not Kan or breaks a law, X
-    takes the path of :func:`verify_pointwise_fillers`, so a refusal names
+    When the rule gives no report (X records no factors, or a factor is not
+    Kan or breaks a law), X takes the path of :func:`verify_pointwise_fillers`,
+    which searches the diagonal, not the factors again, so a refusal names
     the diagonal's own ids.
     """
     _require_total_dim(X.bounds, max_total_dim)
-    if X._factors is not None:
-        A, B = X._factors
-        maps = (to_point_map(A),) if B is A else (to_point_map(A), to_point_map(B))
-        map_a, map_b = maps[0], maps[-1]
-        try:
-            # B only when A passes: a failing A already takes the other path
-            passed = all(check_kan_fibration(m, max_total_dim).passed for m in maps)
-        except RejectedInput:
-            passed = False
-        if passed:
-            return PointwiseSweepReport(
-                max_total_dim,
-                _factor_sweep((map_a, map_b), (B.counts, None), max_total_dim, "direct"),
-                _factor_sweep((map_b, map_a), (None, B.counts), max_total_dim, "transposed"),
-            )
-    return verify_pointwise_fillers(to_point_bimap(X), max_total_dim)
+    maps: list[SimplicialMap] = []
+
+    def check(S: TruncatedSimplicialSet, n: int) -> kan.FibrationReport:
+        maps.append(to_point_map(S))
+        return check_kan_fibration(maps[-1], n)
+
+    if kan._from_factors(X, max_total_dim, check) is None:
+        return verify_pointwise_fillers(to_point_bimap(X), max_total_dim)
+    # one map when B is A, else A's then B's
+    pair, counts_b = (maps[0], maps[-1]), X._factors[1].counts
+    cells = [
+        (p, q, l) for p in range(max_total_dim)
+        for q in range(1, max_total_dim - p + 1) for l in range(q + 1)
+    ]
+    return PointwiseSweepReport(
+        max_total_dim,
+        tuple(_factor_cell(pair, (counts_b, None), *c, "direct") for c in cells),
+        tuple(_factor_cell(pair[::-1], (None, counts_b), *c, "transposed") for c in cells),
+    )

@@ -31,9 +31,9 @@ the check reaches.  A double nerve's diagonal
 (:func:`kancheck.bisimplicial.product_stages`) are given as stages.
 
 A product, built by ``product(A, B)`` or given as its stages, records its
-factors (``_factors``), and a Kan or trivial-fibration check over a point
-decides it from its factors' checks when both pass (see
-:func:`kancheck.kan.check_kan_to_point`).
+factors (``_factors``), as a tensor does; a check of it to a point decides it
+from its factors' checks (:func:`kancheck.kan._from_factors`), and a caller's
+map on it is searched in full (:func:`kancheck.kan.check_kan_fibration`).
 """
 
 from __future__ import annotations

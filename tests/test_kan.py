@@ -541,12 +541,11 @@ class TestRowsVerifiedByWitness:
 
         monkeypatch.setattr(kancheck.kan, "require_level_laws", recording)
         assert check_kan_fibration(eg_diag_map, 3).passed
-        # the diagonal of a tensor is EG(Z2) x EG(Z2), decided from its
-        # factor, searched once on a map of its own, so the laws are checked
-        # on that one map, once per level
-        assert [n for _, n in seen] == [1, 2, 3]
-        [factor] = {id(f) for f, _ in seen}
-        assert seen[0][0].domain is eg_diag_map.domain._factors[0]
+        # the diagonal of a tensor is EG(Z2) x EG(Z2), but a caller's map is
+        # searched itself, not on its domain's factors, so the laws are
+        # checked on it, once per level
+        assert eg_diag_map.domain._factors is not None
+        assert seen == [(eg_diag_map, n) for n in (1, 2, 3)]
         seen.clear()
         full = to_point_map(without_factors(eg_diag_map.domain))
         assert check_kan_fibration(full, 3).passed
@@ -938,18 +937,16 @@ class TestMapLifetime:
         assert {m for _, m, _ in builds} == set(range(5))
 
     def test_callers_map_keeps_every_map(self, eg_product):
-        # a caller's map that is searched keeps every least-id map and
-        # index it built; one over a point whose domain is a product is not
-        # searched at all, as its factor is
-        f = to_point_map(without_factors(eg_product))
-        assert check_kan_fibration(f, 4).passed
-        assert set(f._leasts) == {
-            (n, tuple(i for i in range(n + 1) if i != k)) for n, k in horn_cells(4)
-        }
-        assert {m for m, _ in f._indexes} == {0, 1, 2, 3}
-        on_factors = to_point_map(eg_product)
-        assert check_kan_fibration(on_factors, 4) == check_kan_fibration(f, 4)
-        assert on_factors._leasts == {} and on_factors._indexes == {}
+        # a caller's map is searched in full, over a point and on a product
+        # that records its factors too, and keeps every least-id map and
+        # index it built; its report is the factor rule's
+        for X in (without_factors(eg_product), eg_product):
+            f = to_point_map(X)
+            assert check_kan_fibration(f, 4) == check_kan_to_point(eg_product, 4)
+            assert set(f._leasts) == {
+                (n, tuple(i for i in range(n + 1) if i != k)) for n, k in horn_cells(4)
+            }
+            assert {m for m, _ in f._indexes} == {0, 1, 2, 3}
 
     def test_same_report_as_the_kept_map(self, eg_product):
         def reports(X, max_dim):

@@ -26,6 +26,7 @@ from kancheck import (
     SimplicialMap,
     brute_force_fill,
     check_kan_fibration,
+    check_kan_to_point,
     column_map,
     cyclic_group,
     diagonal_map,
@@ -342,11 +343,10 @@ class TestSweep:
         assert report.passed
         assert (kan_families, report.problems_checked, steps) == (1224, 656, 416)
         assert evaluated == report.problems_checked + 2 * steps == 1488
-        # the witness of each Kan family of the diagonal's factor EG(Z2),
-        # searched once (92 families, whose squares' sum is the diagonal's
-        # 1224), and of each partial fill's full horn (every one fills
-        # here), and the answer of each horn, each seen once
-        assert witnessed[kancheck.kan] == 92 + full
+        # the witness of each Kan family of the diagonal, searched in full
+        # (1224 families), and of each partial fill's full horn (every one
+        # fills here), and the answer of each horn, each seen once
+        assert witnessed[kancheck.kan] == kan_families + full
         assert witnessed[kancheck.pointwise] == report.problems_checked
 
     def test_point_sweep(self):
@@ -440,10 +440,10 @@ class TestSweep:
         self, eg_tensor_3, monkeypatch
     ):
         # every (map, m, J) index and least-id map is built at most once.
-        # The diagonal's Kan check searches its factor, and builds no map
-        # on the diagonal: the sweeps build the diagonal's least-id maps
-        # they read, and indexes only on line maps, to enumerate.  The map
-        # is fresh, as the transposed sweep enumerates on f's own row maps
+        # The diagonal's Kan check searches the diagonal map in full and
+        # builds every least-id map the sweeps read, so the sweeps build
+        # indexes only, on line maps, to enumerate.  The map is fresh, as
+        # the transposed sweep enumerates on f's own row maps
         eg_tensor_map = to_point_bimap(eg_tensor_3)
         builds, phase, kan_checked, columns = [], ["kan check"], [], []
         check = kancheck.pointwise.check_kan_fibration
@@ -477,25 +477,26 @@ class TestSweep:
         keys = [(kind, id(f), m, faces) for _, kind, f, m, faces in builds]
         assert len(keys) == len(set(keys))
         [diag_f] = kan_checked
-        assert not any(f is diag_f for when, _, f, _, _ in builds if when == "kan check")
+        in_check = {kind for when, kind, f, _, _ in builds if when == "kan check" and f is diag_f}
+        assert in_check == {"_build_index", "_build_least"}
+        assert all(f is diag_f for when, _, f, _, _ in builds if when == "kan check")
         in_sweeps = [(kind, f) for when, kind, f, _, _ in builds if when == "sweeps"]
         assert in_sweeps and all(
-            any(f is line for line in columns + [diag_f]) for _, f in in_sweeps
+            kind == "_build_index" and any(f is line for line in columns)
+            for kind, f in in_sweeps
         )
-        assert all(kind == "_build_least" for kind, f in in_sweeps if f is diag_f)
-        assert all(kind == "_build_index" for kind, f in in_sweeps if f is not diag_f)
-        assert any(f is diag_f for _, f in in_sweeps)
         # the column maps of the transpose are f's row maps, each used by
-        # one sweep; a second run on f finds every line index built, and
-        # builds only the least-id maps of its own, fresh, diagonal map
+        # one sweep; a second run on f finds every line index built, so
+        # only the Kan check of its own, fresh, diagonal map builds
         assert {id(col) for col in columns} == {
             id(m) for m in eg_tensor_map.column_maps[:3] + eg_tensor_map.row_maps[:3]
         }
         builds.clear()
         phase[0] = "kan check"
         assert verify_pointwise_fillers(eg_tensor_map, 3).passed
-        again = [(kind, f) for when, kind, f, _, _ in builds if when == "sweeps"]
-        assert again and all(kind == "_build_least" and f is kan_checked[-1] for kind, f in again)
+        assert builds and all(
+            when == "kan check" and f is kan_checked[-1] for when, _, f, _, _ in builds
+        )
 
     @pytest.mark.parametrize("transposed", [False, True], ids=["direct", "transposed"])
     def test_refused_cell_is_reported(self, monkeypatch, transposed):
@@ -619,19 +620,11 @@ class TestIdSweep:
         assert [type(x) for x in built] == [FillCertificate]
 
 
-def full_search_diagonal_map(f):
-    """``diagonal_map(f)`` with no factors recorded on its domain, so that
-    its Kan check searches every family."""
-    d = diagonal_map(f)
-    d.domain._factors = None
-    return d
-
-
 class TestOrbitPrecondition:
-    """The diagonal of a tensor is the product of its factors, so the Kan
-    check of a caller's diagonal map over a point is decided from the
-    factors (the product rule); its reports, and the sweeps after it, are
-    the full search's."""
+    """The diagonal of a tensor is the product of its factors.  The Kan
+    check of a caller's diagonal map searches it in full; its report is the
+    factor rule's (``check_kan_to_point``), and the sweeps after it are the
+    tensor's sweep to the point, whose precondition the rule decides."""
 
     @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "1", "7"])
     @pytest.mark.parametrize("group, dim", [
@@ -642,21 +635,23 @@ class TestOrbitPrecondition:
         if rows is not None:
             monkeypatch.setattr(kancheck.kan, "BLOCK_ROWS", rows)
         eg = eg_construction(group, dim)
-        f = to_point_bimap(tensor(eg, eg))
-        on_factors, full = diagonal_map(f), full_search_diagonal_map(f)
-        assert on_factors.domain._factors == (eg, eg)
-        kan = check_kan_fibration(on_factors, dim)
-        assert kan.passed and kan == check_kan_fibration(full, dim)
+        X = tensor(eg, eg)
+        f = to_point_bimap(X)
+        diag_f = diagonal_map(f)
+        assert diag_f.domain._factors == (eg, eg)
+        kan = check_kan_fibration(diag_f, dim)
+        assert kan.passed and kan == check_kan_to_point(diag_f.domain, dim)
         swept = verify_pointwise_fillers(f, dim)
-        monkeypatch.setattr(kancheck.pointwise, "diagonal_map", full_search_diagonal_map)
-        assert swept == verify_pointwise_fillers(to_point_bimap(tensor(eg, eg)), dim)
+        assert swept == verify_pointwise_to_point(X, dim)
         assert swept.passed and swept.problems_checked > 0
 
     def test_non_kan_precondition_is_the_full_search(self, z2, monkeypatch):
         # the S4-pair diagonal Y is not Kan at n = 2, so neither is
-        # EG(Z2) x Y: after the factors' checks, the caller's diagonal map
-        # is searched in full, from its first cell
-        f = to_point_bimap(tensor(eg_construction(z2, 2), s4_pair_diagonal(2)))
+        # EG(Z2) x Y: a caller's diagonal map is searched in full, from its
+        # first cell, and its report is the factor rule's, which searches
+        # the product itself once Y fails
+        X = tensor(eg_construction(z2, 2), s4_pair_diagonal(2))
+        f = to_point_bimap(X)
         diag_f = diagonal_map(f)
         seen = []
         count_cell = kancheck.kan._count_cell
@@ -666,19 +661,17 @@ class TestOrbitPrecondition:
             return count_cell(g, n, indices)
 
         monkeypatch.setattr(kancheck.kan, "_count_cell", recording)
-        on_factors = fibration_report_to_dict(check_kan_fibration(diag_f, 2))
-        first = seen.index(True)
-        assert first > 0 and all(seen[first:])
-        full = fibration_report_to_dict(check_kan_fibration(full_search_diagonal_map(f), 2))
-        assert on_factors == full and not on_factors["passed"]
-        assert on_factors["failure"]["family"]["n"] == 2
-        with pytest.raises(RejectedInput) as by_factors:
+        on_map = fibration_report_to_dict(check_kan_fibration(diag_f, 2))
+        assert seen and all(seen)
+        by_rule = fibration_report_to_dict(check_kan_to_point(diag_f.domain, 2))
+        assert on_map == by_rule and not on_map["passed"]
+        assert on_map["failure"]["family"]["n"] == 2
+        with pytest.raises(RejectedInput) as on_lines:
             verify_pointwise_fillers(f, 2)
-        monkeypatch.setattr(kancheck.pointwise, "diagonal_map", full_search_diagonal_map)
-        with pytest.raises(RejectedInput) as in_full:
-            verify_pointwise_fillers(f, 2)
-        assert str(by_factors.value) == str(in_full.value)
-        assert "unfillable horn at n=2" in str(by_factors.value)
+        with pytest.raises(RejectedInput) as on_factors:
+            verify_pointwise_to_point(X, 2)
+        assert str(on_lines.value) == str(on_factors.value)
+        assert "unfillable horn at n=2" in str(on_lines.value)
 
 
 def empty_set(bound):
@@ -735,6 +728,37 @@ class TestFactorSweep:
         assert str(on_factors.value) == str(on_lines.value) == (
             "the diagonal map is not a Kan fibration up to dimension 3: "
             "unfillable horn at n=2, I=(1, 2), faces=(0, 4)"
+        )
+
+    @pytest.mark.parametrize("name", ["EG(Z2)xY", "D2xEG(Z2)"])
+    def test_failing_factor_is_searched_once(self, name, z2, monkeypatch):
+        # a factor that is not Kan is searched once, by the factor rule; the
+        # tensor then takes the bimap path, whose Kan check searches the
+        # diagonal itself and not the factors again.  Y is the S4-pair
+        # diagonal, not Kan at n = 2, and so is Delta[2]
+        eg = eg_construction(z2, 3)
+        A, B, searches, faces = {
+            "EG(Z2)xY": (eg, s4_pair_diagonal(3), ["A", "B", "diagonal"], "(1, 8)"),
+            "D2xEG(Z2)": (standard_simplex(2, 3), eg, ["A", "diagonal"], "(0, 4)"),
+        }[name]
+        seen = []
+        fill_cells = kancheck.kan._fill_cells
+
+        def recording(f, *args, **kwargs):
+            factors = f.domain._factors or ()
+            seen.append(
+                "A" if f.domain is A else "B" if f.domain is B
+                else "diagonal" if tuple(map(id, factors)) == (id(A), id(B)) else f.domain
+            )
+            return fill_cells(f, *args, **kwargs)
+
+        monkeypatch.setattr(kancheck.kan, "_fill_cells", recording)
+        with pytest.raises(RejectedInput) as err:
+            verify_pointwise_to_point(tensor(A, B), 3)
+        assert seen == searches
+        assert str(err.value) == (
+            "the diagonal map is not a Kan fibration up to dimension 3: "
+            f"unfillable horn at n=2, I=(1, 2), faces={faces}"
         )
 
     def test_lawless_factor_keeps_the_diagonal_refusal(self, z2):
