@@ -61,7 +61,9 @@ Kan and trivial-fibration sweeps count on blocks and make a certificate only
 for the first family that does not fill; the pointwise sweep makes none,
 since a partial diagonal horn that does not fill there is a broken
 invariant.  So ``_partial_fillers`` returns only each row's filler and the
-candidates it examined, and keeps no record of where a fill stopped.
+candidates it examined, once per weighting it is given (one for the sweep
+on a diagonal, up to two for a tensor's sweep on its factors), and keeps no
+record of where a fill stopped.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice, repeat
+from operator import add
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from .errors import InternalInvariantError, RejectedInput
@@ -468,17 +471,20 @@ def _rows(at: list[int] | None, col: list) -> list:
 
 def _partial_fillers(
     f: SimplicialMap, n: int, indices: tuple[int, ...], ys: list[int], xs: list[list[int]],
-    scale: Sequence[int] | None = None,
-) -> tuple[list[int | None], list[int]]:
+    weightings: Sequence[Sequence[int] | None] = (None,),
+) -> tuple[list[int | None], list[list[int]]]:
     """Fill every row of a block of compatible partial horns (1 <= |I| <= n)
     on raw ids, by reduction to full-horn fills.
 
-    Returns ``(ws, examined)``: each row's filler id or None, and the
-    candidates its full-horn fills examined (as :func:`brute_force_fill`
-    counts them: ``w + 1`` for a filler w).  With ``scale``, a filler w at
-    level m weighs ``w * scale[m]`` instead: the share of a product filler
+    Returns ``(ws, examined)``: each row's filler id or None, and for each of
+    the ``weightings``, in order, the candidates each row's full-horn fills
+    examined.  Weighting None counts them as :func:`brute_force_fill` does,
+    ``w + 1`` for a filler w; a weighting ``scale`` weighs a filler w at
+    level m ``w * scale[m]`` instead: the share of a product filler
     ``w * |B_m| + b`` that its factor A gives (the pointwise sweep of a
-    tensor fills on its factors, see :mod:`kancheck.pointwise`).
+    tensor fills on its factors, once for every weighting its cells read, see
+    :mod:`kancheck.pointwise`).  A row that does not fill at level m counts
+    ``|X_m|`` under every weighting.
 
     Double induction, run once for the whole block since its rows share I: a
     full horn goes to :func:`_fillers` and every filler is re-checked.
@@ -497,9 +503,11 @@ def _partial_fillers(
         at = _filled(ws)
         _check_witnesses(f, n, indices, _rows(at, ys), [_rows(at, x) for x in xs], _rows(at, ws))
         size = f.domain.counts[n]
-        if scale is None:
-            return ws, [size if w is None else w + 1 for w in ws]
-        return ws, [size if w is None else w * scale[n] for w in ws]
+        return ws, [
+            [size if w is None else w + 1 for w in ws] if scale is None
+            else [size if w is None else w * scale[n] for w in ws]
+            for scale in weightings
+        ]
 
     k = max(i for i in range(n + 1) if i not in indices)  # k >= 1: two are missing
     tables = f.domain._faces[n - 1]
@@ -509,7 +517,7 @@ def _partial_fillers(
     if not _all_compatible(f, n - 1, sub_indices, sub_ys, sub_xs):
         raise InternalInvariantError("derived family one dimension down is incompatible")
 
-    x_k, examined = _partial_fillers(f, n - 1, sub_indices, sub_ys, sub_xs, scale)
+    x_k, examined = _partial_fillers(f, n - 1, sub_indices, sub_ys, sub_xs, weightings)
     at = _filled(x_k)
     if at == []:
         return x_k, examined
@@ -520,12 +528,14 @@ def _partial_fillers(
     if not _all_compatible(f, n, enlarged, ys, xs):
         raise InternalInvariantError("family enlarged by the found face is incompatible")
 
-    ws, more = _partial_fillers(f, n, enlarged, ys, xs, scale)
+    ws, more = _partial_fillers(f, n, enlarged, ys, xs, weightings)
     if at is None:
-        return ws, [a + b for a, b in zip(examined, more)]
+        return ws, [list(map(add, e, m)) for e, m in zip(examined, more)]
     # x_k and examined are this call's own lists: the rows that went on take
     # their filler and add what it examined
-    for r, w, m in zip(at, ws, more):
+    for r, w in zip(at, ws):
         x_k[r] = w
-        examined[r] += m
+    for e, m in zip(examined, more):
+        for r, v in zip(at, m):
+            e[r] += v
     return x_k, examined

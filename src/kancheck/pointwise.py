@@ -41,12 +41,16 @@ of B, so a horn is a pair ``(a, β)`` of a in A_p and a horn β of B, and it
 lifts through the pair of its parts, a degenerated in A and β in B, each
 filled on its factor's map: a cell costs ``|A_p| + #β`` fills, not
 ``|A_p|·#β``.  Product ids are ``a·|B_m| + b``, so a row examines
-``F(a) + G(β)`` candidates, and a cell's ``max_search`` is ``max F + max
-G``.  Each part is checked as a full sweep checks its family, and each
-answer is cut back down to its a and to β's faces; that a pair of answers
-solves the pair's horn is trusted to ``tensor``, which builds X from its
-factors.  Any other X, and a tensor with a factor that is not Kan, is swept
-on its lines and its diagonal.
+``F(a) + G(β)`` candidates, A's parts weighing a filler w by ``|B_m|`` and
+B's by ``w + 1``, and a cell's ``max_search`` is ``max F + max G``.  The
+transposed cell (p, q, l) reads the same two parts as the direct one, with
+the factors' roles swapped, so a part is filled once per factor map and
+cell, under every weighting that the cells reading it need: when B is A,
+the transposed sweep fills nothing.  Each distinct fill is checked as a full
+sweep checks its family, and each answer is cut back down to its a and to
+β's faces; that a pair of answers solves the pair's horn is trusted to
+``tensor``, which builds X from its factors.  Any other X, and a tensor with
+a factor that is not Kan, is swept on its lines and its diagonal.
 
 Index bookkeeping, for a horn in column p, vertical dimension q >= 1 and
 missing index l: the diagonal family lives at dimension n = p + q over the
@@ -211,7 +215,7 @@ def _sweep(
                 problems = max_search = 0
                 for ys, xs in _blocks(col_f, q, indices):
                     family = _diagonal_family(f, diag_f, p, q, missing, ys, xs)
-                    ws, examined = _partial_fillers(diag_f, *family)
+                    ws, [examined] = _partial_fillers(diag_f, *family)
                     if None in ws:
                         raise InternalInvariantError(
                             f"{'transposed' if transposed else 'direct'} horn at "
@@ -263,65 +267,112 @@ def verify_pointwise_fillers(f: BisimplicialMap, max_total_dim: int) -> Pointwis
 
 def _factor_fill(
     f: SimplicialMap, n: int, indices: tuple[int, ...], ys: list[int], xs: list[list[int]],
-    scale: Sequence[int] | None, where: str,
-) -> tuple[list[int], list[int]]:
+    weightings: Sequence[Sequence[int] | None], where: str,
+) -> tuple[list[int], list[list[int]]]:
     """Fill a block of one factor's part of a cell's diagonal families, every
     row verified compatible first: ``(ws, examined)``, as
     :func:`kancheck.kan._partial_fillers` gives them.  ``where`` names the
     cell and direction of a part that does not fill."""
     if not _all_compatible(f, n, indices, ys, xs):
         raise InternalInvariantError("built diagonal family is not compatible")
-    ws, examined = _partial_fillers(f, n, indices, ys, xs, scale)
+    ws, examined = _partial_fillers(f, n, indices, ys, xs, weightings)
     if None in ws:
         raise InternalInvariantError(f"{where} did not fill through the Kan diagonal")
     return ws, examined
 
 
-def _factor_cell(
-    maps: tuple[SimplicialMap, SimplicialMap], scales: tuple, p: int, q: int, l: int,
-    direction: str,
-) -> SweepCell:
-    """The cell (p, q, l) of a tensor's sweep, on its factors D and H, which
-    ``maps`` send to a point: each horn is a pair ``(d, β)`` of a d in D_p
-    and a horn β of H at (q, l), degenerated to the pair of diagonal families
-    that :func:`_diagonal_family` builds.  Its D part depends on d alone and
-    is filled once per d, its H part once per horn.  A row examines
-    ``F(d) + G(β)`` candidates, so the cell's ``max_search`` is the sum of
-    the two parts' maxima; ``scales`` weighs each part's filler ids
-    (:func:`kancheck.kan._partial_fillers`).  Each answer is cut back down:
-    the D part must return its d, the H part must have β's faces."""
-    (f_d, f_h), (scale_d, scale_h) = maps, scales
-    D, H, n = f_d.domain, f_h.domain, p + q
+def _widest(maxima: list[int], examined: list[list[int]]) -> list[int]:
+    """The running maxima, one per weighting, with a block's ``examined``."""
+    return [max(m, *e) for m, e in zip(maxima, examined)]
+
+
+def _horn_part(
+    f: SimplicialMap, weightings: Sequence, p: int, q: int, l: int, where: str
+) -> tuple[int, list[int]]:
+    """The horn part of cell (p, q, l) on a factor H, which f sends to a
+    point: every horn β of H at (q, l), degenerated to its diagonal family at
+    n = p + q and filled, and each answer cut back down to β's faces.
+    Returns the number of horns and, per weighting, the most any examined."""
+    H, n = f.domain, p + q
     horn = tuple(i for i in range(q + 1) if i != l)
     indices = tuple(range(l)) + tuple(range(p + l + 1, n + 1))
-    where = f"{direction} horn at (p, q, missing) = ({p}, {q}, {l})"
-    horns = max_h = 0
-    for ys, xs in _blocks(f_h, q, horn):
+    horns, maxima = 0, [0] * len(weightings)
+    for ys, xs in _blocks(f, q, horn):
         # the point's ids are 0 at every level, so ys is the target at n too
         lifted = [
             _repeat(H._degens, l - 1 if t < l else l, p, q - 1, x, 1) for t, x in enumerate(xs)
         ]
-        ws, examined = _factor_fill(f_h, n, indices, ys, lifted, scale_h, where)
-        _check_witnesses(f_h, q, horn, ys, xs, _repeat(H._faces, l, p, n, ws, -1))
+        ws, examined = _factor_fill(f, n, indices, ys, lifted, weightings, where)
+        _check_witnesses(f, q, horn, ys, xs, _repeat(H._faces, l, p, n, ws, -1))
         horns += len(ys)
-        max_h = max(max_h, *examined)
-    count = D.counts[p] if horns else 0
-    max_d = 0
-    for start in range(0, count, kan.BLOCK_ROWS):
-        ds = list(range(start, min(start + kan.BLOCK_ROWS, count)))
+        maxima = _widest(maxima, examined)
+    return horns, maxima
+
+
+def _degenerated_part(
+    f: SimplicialMap, weightings: Sequence, p: int, q: int, l: int, where: str
+) -> tuple[int, list[int]]:
+    """The degenerated part of cell (p, q, l) on a factor D, which f sends to
+    a point: every d in D_p, degenerated to the diagonal family at n = p + q
+    that the horns of (q, l) give it, and filled, and each answer cut back
+    down to its d.  Returns ``|D_p|`` and, per weighting, the most any
+    examined."""
+    D, n = f.domain, p + q
+    indices = tuple(range(l)) + tuple(range(p + l + 1, n + 1))
+    maxima = [0] * len(weightings)
+    for start in range(0, D.counts[p], kan.BLOCK_ROWS):
+        ds = list(range(start, min(start + kan.BLOCK_ROWS, D.counts[p])))
         # each row's faces are one simplex at every index below l and
         # another at every index above it
         below = _raise(D._degens, p, n - 1, l - 1, ds) if l else []
         above = _raise(D._degens, p, n - 1, l, ds) if l < q else []
         lifted = [below if i < l else above for i in indices]
-        ws, examined = _factor_fill(f_d, n, indices, [0] * len(ds), lifted, scale_d, where)
+        ws, examined = _factor_fill(f, n, indices, [0] * len(ds), lifted, weightings, where)
         if _lower(D._faces, p, q, l, ws) != ds:
             raise InternalInvariantError(
                 f"{where}: a filler does not cut back down to its simplex"
             )
-        max_d = max(max_d, *examined)
-    problems = count * horns
-    return SweepCell(p, q, l, problems, problems, max_d + max_h if problems else 0)
+        maxima = _widest(maxima, examined)
+    return D.counts[p], maxima
+
+
+def _factor_cells(
+    maps: list[SimplicialMap], weightings: list[list], p: int, q: int, l: int
+) -> list[SweepCell]:
+    """The direct and the transposed cell (p, q, l) of a tensor's sweep, on
+    its factors' maps: one when B is A, else A's then B's, each filling under
+    ``weightings[i]``, A's weighting first and B's last.  A horn of the
+    direct cell is a pair ``(a, β)`` of an a in A_p and a horn β of B at
+    (q, l); of the transposed cell, a pair of a horn of A and a b in B_p.  So
+    a cell reads two parts, its D part (:func:`_degenerated_part`) and its H
+    part (:func:`_horn_part`), and a row examines ``F(d) + G(β)``
+    candidates: the cell's ``max_search`` is the sum of the two parts'
+    maxima, each under its factor's weighting.
+
+    A part is filled once per factor map and cell, under every weighting of
+    its map, when the first cell that reads it asks for it, and named by that
+    cell's direction: when B is A, the transposed cell reads the direct
+    cell's parts and fills nothing.  The D part is filled only for a cell
+    with a horn, as a cell with none has no problem."""
+    parts: dict[tuple, tuple[int, list[int]]] = {}
+
+    def part(fill, i: int, where: str) -> tuple[int, list[int]]:
+        key = fill, id(maps[i])
+        if key not in parts:
+            parts[key] = fill(maps[i], weightings[i], p, q, l, where)
+        return parts[key]
+
+    cells = []
+    # role 0 is A's and role -1 is B's: its map in maps, and its weighting
+    # in that map's list
+    for direction, d, h in (("direct", 0, -1), ("transposed", -1, 0)):
+        where = f"{direction} horn at (p, q, missing) = ({p}, {q}, {l})"
+        horns, max_h = part(_horn_part, h, where)
+        count, max_d = part(_degenerated_part, d, where) if horns else (0, None)
+        problems = count * horns
+        search = max_d[d] + max_h[h] if problems else 0
+        cells.append(SweepCell(p, q, l, problems, problems, search))
+    return cells
 
 
 def verify_pointwise_to_point(
@@ -333,16 +384,22 @@ def verify_pointwise_to_point(
     Column p of ``A ⊠ B`` is |A_p| copies of B and its diagonal is
     ``A × B``, whose ids are ``a·|B_m| + b``.  So a horn of column p is a
     pair ``(a, β)``, its diagonal family a pair of families, and its least
-    filler the pair of the factors' least fillers: the direct sweep fills the
-    degenerated a in A and the horn β in B (:func:`_factor_cell`), the
-    transposed sweep the horns of A and the degenerated b in B.  A row's
-    ``examined`` is ``Σ_j (a_j·|B_{m_j}| + b_j + 1)`` over its chain of full
-    fills, A's share weighed by ``|B_m|`` and B's by ``w + 1``.  The factor
-    rule (:func:`kancheck.kan._from_factors`) checks each factor Kan on a map
-    of its own, kept for the sweeps, which read the least-id maps the check
-    built.  That a pair of answers solves the pair's horn is trusted to
-    ``tensor``, the only maker of a bisimplicial ``_factors``, which builds
-    X's lines from the factors, as the rule trusts ``product``.
+    filler the pair of the factors' least fillers: direct cell (p, q, l)
+    reads two parts, the degenerated a in A and the horn β in B, and
+    transposed cell (p, q, l) the same two parts with the factors' roles
+    swapped, the horns of A and the degenerated b in B
+    (:func:`_factor_cells`).  A row's ``examined`` is ``Σ_j (a_j·|B_{m_j}| +
+    b_j + 1)`` over its chain of full fills, so A's parts are always weighed
+    by ``|B_m|`` and B's by ``w + 1``, whichever sweep reads them.  The
+    factor rule (:func:`kancheck.kan._from_factors`) checks each factor Kan
+    on a map of its own, kept for the sweeps, which read the least-id maps
+    the check built.  A part is filled once per factor map and cell, under
+    every weighting of that map: when B is A, the one map fills each part
+    under both weightings and the transposed sweep fills nothing; otherwise
+    each map fills under its factor's weighting, each part once.  That a
+    pair of answers solves the pair's horn is trusted to ``tensor``, the only
+    maker of a bisimplicial ``_factors``, which builds X's lines from the
+    factors, as the rule trusts ``product``.
 
     When the rule gives no report (X records no factors, or a factor is not
     Kan or breaks a law), X takes the path of :func:`verify_pointwise_fillers`,
@@ -358,14 +415,15 @@ def verify_pointwise_to_point(
 
     if kan._from_factors(X, max_total_dim, check) is None:
         return verify_pointwise_fillers(to_point_bimap(X), max_total_dim)
-    # one map when B is A, else A's then B's
-    pair, counts_b = (maps[0], maps[-1]), X._factors[1].counts
+    # product ids are a·|B_m| + b, so A's parts weigh a filler w by |B_m|
+    # and B's by w + 1; one map, when B is A, fills under both
+    weightings: list[list] = [[] for _ in maps]
+    weightings[0].append(X._factors[1].counts)
+    weightings[-1].append(None)
     cells = [
-        (p, q, l) for p in range(max_total_dim)
+        _factor_cells(maps, weightings, p, q, l) for p in range(max_total_dim)
         for q in range(1, max_total_dim - p + 1) for l in range(q + 1)
     ]
     return PointwiseSweepReport(
-        max_total_dim,
-        tuple(_factor_cell(pair, (counts_b, None), *c, "direct") for c in cells),
-        tuple(_factor_cell(pair[::-1], (None, counts_b), *c, "transposed") for c in cells),
+        max_total_dim, tuple(c[0] for c in cells), tuple(c[1] for c in cells)
     )

@@ -88,7 +88,7 @@ def test_criterion_2_partial_horn_oracle_equivalence():
             for size in range(1, n + 1):
                 for indices in itertools.combinations(range(n + 1), size):
                     for ys, xs in _blocks(f, n, indices):
-                        ws, _ = _partial_fillers(f, n, indices, ys, xs)
+                        ws, [_] = _partial_fillers(f, n, indices, ys, xs)
                         for y, w, *faces in zip(ys, ws, *xs):
                             assert w is not None, (G.order, n, indices)
                             for i, xi in zip(indices, faces):

@@ -75,7 +75,7 @@ def engine_families(f, n, indices):
 
 def partial_fill(f, n, indices, faces, y):
     """``_partial_fillers`` on a block of one: ``(w or None, examined)``."""
-    [w], [examined] = _partial_fillers(f, n, indices, [y], [[x] for x in faces])
+    [w], [[examined]] = _partial_fillers(f, n, indices, [y], [[x] for x in faces])
     return w, examined
 
 
@@ -806,7 +806,7 @@ class TestPartialFillBlocks:
         for (n, indices), pinned in PARTIAL_FILLS_OF_DELTA2.items():
             rows_filled = []
             for ys, xs in kancheck.kan._blocks(f, n, indices):
-                ws, examined = kancheck.kan._partial_fillers(f, n, indices, ys, xs)
+                ws, [examined] = kancheck.kan._partial_fillers(f, n, indices, ys, xs)
                 rows_filled += zip(ws, examined)
                 mixed += None in ws and ws.count(None) < len(ws)
             assert rows_filled == pinned

@@ -323,13 +323,13 @@ class TestSweep:
             evaluated += len(ys)
             return compatible(f, n, indices, ys, xs)
 
-        def counting_steps(f, n, indices, ys, xs, *scale):
+        def counting_steps(f, n, indices, ys, xs, *weightings):
             nonlocal steps, full
             if len(indices) < n:
                 steps += len(ys)
             else:
                 full += len(ys)
-            return fill(f, n, indices, ys, xs, *scale)
+            return fill(f, n, indices, ys, xs, *weightings)
 
         for module in (kancheck.kan, kancheck.pointwise):
             def counting_witnesses(f, n, indices, ys, xs, ws, module=module):
@@ -693,6 +693,7 @@ def factor_corpus():
     return corpus + [
         ("EG(Z2)xEG(Z3)-3", eg2, eg3, 3),
         ("EG(Z3)xEG(Z2)-3", eg3, eg2, 3),
+        ("EG(Z2)xEG(Z2)'-3", eg2, eg_construction(z2, 3), 3),
         ("BG(Z3)xEG(Z2)-3", nerve(one_object_groupoid(z3), 3), eg2, 3),
         ("D0xEG(Z2)-3", standard_simplex(0, 3), eg2, 3),
         ("emptyxEG(Z2)-3", empty_set(3), eg2, 3),
@@ -716,6 +717,10 @@ class TestFactorSweep:
         report = verify_pointwise_to_point(tensor(A, B), dim)
         assert report == on_bimap(tensor(A, B), dim)
         assert report.passed
+        if B is not A and B == A:
+            # equal factors built apart have a map each, so they share no
+            # part, and give the square's report
+            assert report == verify_pointwise_to_point(tensor(A, A), dim)
 
     def test_failing_factor_keeps_the_diagonal_refusal(self, z2):
         # Delta[2] is not Kan: the diagonal Delta[2] x EG(Z2) is searched
@@ -775,32 +780,53 @@ class TestFactorSweep:
             on_bimap(tensor(eg, lawless), 2)
         assert str(on_factors.value) == str(on_lines.value)
 
-    @pytest.mark.parametrize("same", [True, False], ids=["square", "mixed"])
-    def test_sweep_reads_only_the_factors(self, same, monkeypatch):
+    @pytest.mark.parametrize("other, fills", [("square", 178), ("apart", 356), ("mixed", 808)],
+                             ids=["square", "apart", "mixed"])
+    def test_sweep_reads_only_the_factors(self, other, fills, monkeypatch):
         # no line of the tensor is built, no bimap or diagonal map is made,
-        # and every fill is on a factor's map, each factor Kan-checked once
+        # and every fill is on a factor's map, each factor Kan-checked once.
+        # A part is filled once per factor map and cell, each row verified
+        # compatible once: the square's transposed sweep reads the direct
+        # sweep's parts, so it fills half of what the same sweep fills on
+        # the two maps of EG(Z2) built apart, where each direction fills its
+        # own, as the mixed EG(Z2) x EG(Z3) does
         A = eg_construction(cyclic_group(2), 3)
-        B = A if same else eg_construction(cyclic_group(3), 3)
+        B = {
+            "square": A,
+            "apart": eg_construction(cyclic_group(2), 3),
+            "mixed": eg_construction(cyclic_group(3), 3),
+        }[other]
         X = tensor(A, B)
         checked, filled_in = [], set()
+        filled = compatible_rows = 0
         check, fill = kancheck.pointwise.check_kan_fibration, kancheck.pointwise._partial_fillers
+        compatible = kancheck.pointwise._all_compatible
 
         def recording_check(f, max_dim):
             checked.append(f.domain)
             return check(f, max_dim)
 
-        def recording_fill(f, *family):
+        def recording_fill(f, n, indices, ys, xs, weightings):
+            nonlocal filled
             filled_in.add(id(f.domain))
-            return fill(f, *family)
+            filled += len(ys)
+            return fill(f, n, indices, ys, xs, weightings)
+
+        def counting(f, n, indices, ys, xs):
+            nonlocal compatible_rows
+            compatible_rows += len(ys)
+            return compatible(f, n, indices, ys, xs)
 
         monkeypatch.setattr(kancheck.pointwise, "check_kan_fibration", recording_check)
         monkeypatch.setattr(kancheck.pointwise, "_partial_fillers", recording_fill)
+        monkeypatch.setattr(kancheck.pointwise, "_all_compatible", counting)
         monkeypatch.setattr(kancheck.pointwise, "to_point_bimap", None)
         monkeypatch.setattr(kancheck.pointwise, "diagonal_map", None)
         assert verify_pointwise_to_point(X, 3).passed
         assert X.rows._built == [None] * 4 and X.columns._built == [None] * 4
-        assert checked == ([A] if same else [A, B])
+        assert checked == ([A] if B is A else [A, B])
         assert filled_in == {id(A), id(B)}
+        assert filled == compatible_rows == fills
 
     @pytest.mark.parametrize("part", ["degenerated", "horn"])
     def test_wrong_factor_filler_raises(self, part, monkeypatch):
@@ -811,8 +837,8 @@ class TestFactorSweep:
         wrong = A if part == "degenerated" else B
         fill = kancheck.pointwise._partial_fillers
 
-        def rotating(f, n, indices, ys, xs, scale):
-            ws, examined = fill(f, n, indices, ys, xs, scale)
+        def rotating(f, n, indices, ys, xs, weightings):
+            ws, examined = fill(f, n, indices, ys, xs, weightings)
             return (ws[1:] + ws[:1] if f.domain is wrong else ws), examined
 
         monkeypatch.setattr(kancheck.pointwise, "_partial_fillers", rotating)
@@ -824,14 +850,40 @@ class TestFactorSweep:
             if part == "degenerated" else "witness face d_1 mismatch"
         )
 
+    @pytest.mark.parametrize("part", ["horn", "degenerated"])
+    def test_wrong_shared_filler_raises(self, part, monkeypatch):
+        # the square EG(Z2) x EG(Z2) fills each part once for both sweeps,
+        # under both weightings, and still checks its fillers: cell
+        # (0, 1, 0) fills its horn part, then its degenerated part, and a
+        # filler handed to the wrong row in either is caught
+        A = eg_construction(cyclic_group(2), 2)
+        fill = kancheck.pointwise._partial_fillers
+        calls = []
+
+        def rotating(f, n, indices, ys, xs, weightings):
+            ws, examined = fill(f, n, indices, ys, xs, weightings)
+            calls.append(len(weightings))
+            wrong = len(calls) == (1 if part == "horn" else 2)
+            return (ws[1:] + ws[:1] if wrong else ws), examined
+
+        monkeypatch.setattr(kancheck.pointwise, "_partial_fillers", rotating)
+        with pytest.raises(InternalInvariantError) as err:
+            verify_pointwise_to_point(tensor(A, A), 2)
+        assert calls == [2] * len(calls)
+        assert str(err.value) == (
+            "witness face d_1 mismatch" if part == "horn" else
+            "direct horn at (p, q, missing) = (0, 1, 0): "
+            "a filler does not cut back down to its simplex"
+        )
+
     def test_unfilled_factor_part_names_its_cell(self, monkeypatch):
         # past the factors' Kan checks, a part that does not fill is a broken
         # invariant, named by its cell and direction
         A = eg_construction(cyclic_group(2), 2)
         fill = kancheck.pointwise._partial_fillers
 
-        def refusing(f, n, indices, ys, xs, scale):
-            ws, examined = fill(f, n, indices, ys, xs, scale)
+        def refusing(f, n, indices, ys, xs, weightings):
+            ws, examined = fill(f, n, indices, ys, xs, weightings)
             return [None] * len(ws), examined
 
         monkeypatch.setattr(kancheck.pointwise, "_partial_fillers", refusing)
