@@ -9,6 +9,10 @@ Subcommands:
                           pointwise horn, including the transposed sweep.
 * ``counterexample``  -- one-shot certificates for the built-in presets.
 
+Each command's arguments are defined once, in ``COMMANDS``.  A run builds
+one parser: an argv led by a command is read by that command's parser
+alone, and only any other argv builds the full parser (:func:`_parse`).
+
 Exit code 0 means every check came out as expected, where counterexample
 presets expect their documented failures; 1 means a check came out otherwise
 (a correct "not Kan" verdict of a command that expects a pass), 2 rejected
@@ -626,7 +630,7 @@ def reverify_report(report: RunReport) -> bool:
             if item is not None:
                 argv += [flag, str(item)]
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
         fresh = args.func(args)
     except (RejectedInput, SystemExit):
         return False
@@ -637,62 +641,93 @@ def _verdict_bytes(report: RunReport) -> str:
     return json.dumps(report.verdict_dict(), sort_keys=True)
 
 
+def _source(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--preset", choices=PRESET_NAMES)
+    group.add_argument("--input", help="JSON input file (group tables or explicit sets)")
+
+
+def _kan_arguments(p: argparse.ArgumentParser) -> None:
+    _source(p)
+    p.add_argument(
+        "--construction",
+        choices=("nerve", "double-nerve-diagonal", "eg-tensor-diagonal", "row",
+                 "column", "simplicial-set"),
+        required=True,
+    )
+    p.add_argument("--index", type=int, action="append",
+                   help="row/column index; repeatable (default 0 1 2)")
+    p.add_argument("--max-dim", type=int, default=3)
+
+
+def _pointwise_arguments(p: argparse.ArgumentParser) -> None:
+    _source(p)
+    p.add_argument("--max-total-dim", type=int, default=3)
+
+
+# name -> (help line, adder of the command's own arguments, command function)
+COMMANDS = {
+    "identities": ("fuzz the operator identity families",
+                   lambda p: p.add_argument("--max-n", type=int, default=6), cmd_identities),
+    "kan": ("Kan check to a point", _kan_arguments, cmd_kan),
+    "pointwise": ("pointwise fillers from a diagonal fibration", _pointwise_arguments,
+                  cmd_pointwise),
+    "counterexample": ("one-shot preset certificates",
+                       lambda p: p.add_argument("--preset", choices=PRESET_NAMES, required=True),
+                       cmd_counterexample),
+}
+
+
+def _fill(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, add_arguments, command = COMMANDS[name]
+    add_arguments(p)
+    p.add_argument("--format", choices=("text", "structured"), default="text")
+    p.set_defaults(func=command)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kancheck",
         description="exhaustive Kan-condition certification for finite (bi)simplicial sets",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("text", "structured"), default="text")
-
-    def source(p: argparse.ArgumentParser) -> None:
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--preset", choices=PRESET_NAMES)
-        group.add_argument("--input", help="JSON input file (group tables or explicit sets)")
-
-    p_id = sub.add_parser("identities", help="fuzz the operator identity families")
-    p_id.add_argument("--max-n", type=int, default=6)
-    common(p_id)
-    p_id.set_defaults(func=cmd_identities)
-
-    p_kan = sub.add_parser("kan", help="Kan check to a point")
-    source(p_kan)
-    p_kan.add_argument(
-        "--construction",
-        choices=("nerve", "double-nerve-diagonal", "eg-tensor-diagonal", "row",
-                 "column", "simplicial-set"),
-        required=True,
-    )
-    p_kan.add_argument("--index", type=int, action="append",
-                       help="row/column index; repeatable (default 0 1 2)")
-    p_kan.add_argument("--max-dim", type=int, default=3)
-    common(p_kan)
-    p_kan.set_defaults(func=cmd_kan)
-
-    p_pw = sub.add_parser("pointwise", help="pointwise fillers from a diagonal fibration")
-    source(p_pw)
-    p_pw.add_argument("--max-total-dim", type=int, default=3)
-    common(p_pw)
-    p_pw.set_defaults(func=cmd_pointwise)
-
-    p_cx = sub.add_parser("counterexample", help="one-shot preset certificates")
-    p_cx.add_argument("--preset", choices=PRESET_NAMES, required=True)
-    common(p_cx)
-    p_cx.set_defaults(func=cmd_counterexample)
+    for name, (help_line, _, _) in COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_line), name)
     return parser
 
 
 @cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves it as it was, so
-    ``run`` and ``reverify_report`` share it."""
+    """The full parser (five parsers), built once per process, and only for
+    an argv that one command's parser cannot read (:func:`_parse`)."""
     return build_parser()
 
 
+@cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """Command ``name``'s parser alone: the one the full parser hands it to."""
+    return _fill(argparse.ArgumentParser(prog=f"kancheck {name}"), name)
+
+
+def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``.  An argv led by a command is read
+    by that command's parser alone; any other (no words, an unknown first
+    word, ``--help``, or words left over) goes to the full parser, whose
+    help and errors argparse prints.  ``run`` and ``reverify_report`` share
+    both, since parsing leaves a parser as it was."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0])
+        )
+        if not rest:
+            return args
+    return _parser().parse_args(argv)
+
+
 def run(argv: Sequence[str] | None = None) -> tuple[int, RunReport | None]:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         report: RunReport = args.func(args)
     except RejectedInput as exc:

@@ -1,5 +1,7 @@
+import argparse
 import json
 import time
+from functools import cache
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -704,3 +706,88 @@ def test_parser_lists_commands():
     help_text = parser.format_help()
     for cmd in ("identities", "kan", "pointwise", "counterexample"):
         assert cmd in help_text
+
+
+SOURCE = ["--preset", "eg-tensor"]
+
+# argv forms over every command: help, a missing required argument, a bad
+# choice, a bad int, an unknown option, a stray word, "--", an abbreviated
+# option, "=", and the argvs no command's parser reads
+PARSE_CORPUS = {
+    "no-words": [],
+    "unknown-command": ["frobnicate", "--preset", "eg-tensor"],
+    "help": ["--help"],
+    "h": ["-h"],
+    "option-first": ["--format", "text", "kan", *SOURCE, "--construction", "nerve"],
+    "dashes-first": ["--", "identities"],
+    "identities": ["identities"],
+    "identities-help": ["identities", "-h"],
+    "identities-max-n": ["identities", "--max-n", "2", "--format", "structured"],
+    "identities-bad-int": ["identities", "--max-n", "six"],
+    "identities-no-value": ["identities", "--max-n"],
+    "identities-stray": ["identities", "stray"],
+    "kan-help": ["kan", "--help"],
+    "kan-help-last": ["kan", *SOURCE, "--construction", "nerve", "--help"],
+    "kan-no-construction": ["kan", *SOURCE],
+    "kan-no-source": ["kan", "--construction", "nerve"],
+    "kan-bad-choice": ["kan", "--preset", "nope", "--construction", "nerve"],
+    "kan-bad-index": ["kan", *SOURCE, "--construction", "row", "--index", "x"],
+    "kan-bogus": ["kan", *SOURCE, "--construction", "nerve", "--bogus"],
+    "kan-dashes": ["kan", "--", *SOURCE, "--construction", "nerve"],
+    "kan-dashes-last": ["kan", *SOURCE, "--construction", "nerve", "--"],
+    "kan-abbreviated": ["kan", "--pre", "eg-tensor", "--construction", "nerve"],
+    "kan-equals": ["kan", "--preset=eg-tensor", "--construction=row", "--index", "0",
+                   "--index=2", "--max-dim", "2"],
+    "pointwise-help": ["pointwise", "--help"],
+    "pointwise-no-source": ["pointwise"],
+    "pointwise-both-sources": ["pointwise", *SOURCE, "--input", "s3.json"],
+    "pointwise-stray": ["pointwise", *SOURCE, "stray", "--max-total-dim", "2"],
+    "pointwise-input": ["pointwise", "--input", "s3.json", "--max-total-dim", "2",
+                        "--format", "structured"],
+    "counterexample-help": ["counterexample", "--help"],
+    "counterexample-no-preset": ["counterexample"],
+    "counterexample-bad-format": ["counterexample", *SOURCE, "--format", "xml"],
+    "counterexample": ["counterexample", "--preset", "s3-counterexample"],
+}
+
+
+class TestParseRoutes:
+    """``run`` reads an argv led by a command with that command's parser
+    alone; every argv must come out as the full parser reads it."""
+
+    @staticmethod
+    def outcome(parse, argv, capsys):
+        try:
+            result, status = parse(argv), None
+        except SystemExit as exc:
+            result, status = None, exc.code
+        captured = capsys.readouterr()
+        return result, status, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", PARSE_CORPUS.values(), ids=PARSE_CORPUS.keys())
+    def test_routes_agree(self, argv, capsys):
+        expected = self.outcome(build_parser().parse_args, argv, capsys)
+        if expected[1] is None:
+            # a valid argv: the same Namespace, and nothing printed
+            assert self.outcome(cli._parse, argv, capsys) == expected
+        else:
+            # the same exit status, help or error, byte for byte
+            assert self.outcome(main, argv, capsys) == expected
+
+    def test_a_run_builds_one_parser(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        # empty caches of this test's own, so that earlier tests' parsers
+        # do not count
+        for name in ("_parser", "_command_parser"):
+            monkeypatch.setattr(cli, name, cache(getattr(cli, name).__wrapped__))
+        code, report = run(TestExitStatus.KAN)
+        assert code == 0 and built == ["kancheck kan"]
+        assert reverify_report(report)
+        assert built == ["kancheck kan"]

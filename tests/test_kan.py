@@ -547,7 +547,7 @@ class TestRowsVerifiedByWitness:
         assert eg_diag_map.domain._factors is not None
         assert seen == [(eg_diag_map, n) for n in (1, 2, 3)]
         seen.clear()
-        full = to_point_map(without_factors(eg_diag_map.domain))
+        full = to_point_map(eg_diag_map.domain)
         assert check_kan_fibration(full, 3).passed
         assert seen == [(full, n) for n in (1, 2, 3)]
 
@@ -1109,7 +1109,7 @@ class TestOrbitSearch:
             (4, tuple(i for i in range(5) if i != k), rows): 2 for k in range(5)
         }
         monkeypatch.setattr(kancheck.kan, "_check_witnesses", check)
-        assert report == check_kan_fibration(to_point_map(without_factors(eg_product)), 4)
+        assert report == check_kan_fibration(to_point_map(eg_product), 4)
 
     def test_failing_cell_is_searched_in_full(self, z2, monkeypatch):
         # Y, the S4-pair diagonal, is not Kan, so neither is EG(Z2) x Y: each
@@ -1126,7 +1126,7 @@ class TestOrbitSearch:
         monkeypatch.setattr(kancheck.kan, "_count_cell", recording)
         owned = fibration_report_to_dict(check_kan_to_point(X, 2))
         monkeypatch.setattr(kancheck.kan, "_count_cell", count_cell)
-        full = to_point_map(without_factors(X))
+        full = to_point_map(X)
         assert owned == fibration_report_to_dict(check_kan_fibration(full, 2))
         assert not owned["passed"] and owned["failure"]["family"]["n"] == 2
         # EG(Z2) in full (5 cells), Y to its failing cell, then X from its
