@@ -9,6 +9,9 @@ Subcommands:
                           pointwise horn, including the transposed sweep.
 * ``counterexample``  -- one-shot certificates for the built-in presets.
 
+A ``--preset`` or ``--input`` resolves to a group with its subgroup pair or
+None (:func:`_resolve`); ``simplicial-set`` reads an input's record instead.
+
 Each command's arguments are defined once, in ``COMMANDS``.  A run builds
 one parser: an argv led by a command is read by that command's parser
 alone, and only any other argv builds the full parser (:func:`_parse`).
@@ -35,7 +38,6 @@ from .bisimplicial import (
     diagonal,
     product_stages,
     row,
-    tensor,
 )
 from .errors import RejectedInput
 from .groups import (
@@ -57,10 +59,12 @@ from .ordinal import BASIC_IDENTITIES, check_basic_identity, check_power_identit
 from .pointwise import verify_pointwise_to_point
 from .presets import (
     PRESET_NAMES,
+    SubgroupPair,
     eg_tensor_group,
     preset_bisimplicial,
     preset_double_groupoid,
-    preset_group_pair,
+    preset_source,
+    source_bisimplicial,
 )
 from .doublegroupoid import (
     DoubleGroupoid,
@@ -206,10 +210,7 @@ def load_input(path: str) -> dict[str, Any]:
 
 
 def group_from_input(data: dict[str, Any]) -> FiniteGroup:
-    entry = data.get("group")
-    if entry is None:
-        raise RejectedInput("input file has no 'group' entry")
-    json_shape(entry, dict, "group entry")
+    entry = json_shape(data.get("group"), dict, "group entry")
     if "table" in entry:
         return group_from_table(
             json_shape(required_entry(entry, "labels", "group entry"), list, "group labels"),
@@ -223,7 +224,7 @@ def group_from_input(data: dict[str, Any]) -> FiniteGroup:
     raise RejectedInput("group entry needs either labels+table or degree+generators")
 
 
-def subgroups_from_input(data: dict[str, Any], G: FiniteGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def subgroups_from_input(data: dict[str, Any], G: FiniteGroup) -> SubgroupPair:
     def resolve(key: str) -> tuple[int, ...]:
         labels = json_shape(required_entry(data, key, "input file"), list, key)
         return tuple(G.index(s) for s in labels)
@@ -231,45 +232,21 @@ def subgroups_from_input(data: dict[str, Any], G: FiniteGroup) -> tuple[tuple[in
     return resolve("subgroup_a"), resolve("subgroup_b")
 
 
-def _double_groupoid_from_source(
-    preset: str | None, data: dict[str, Any] | None
-) -> DoubleGroupoid | None:
-    """The preset or input's subgroup-pair double groupoid, or None when the
-    source is a single group."""
+def _resolve(
+    preset: str | None, data: dict[str, Any] | None, what: str, with_pair: bool = True
+) -> tuple[FiniteGroup, SubgroupPair | None]:
+    """The source's group and its subgroup pair, or None for a lone group or
+    when not ``with_pair`` (an input's pair is then not read)."""
     if preset is not None:
-        return None if preset == "eg-tensor" else preset_double_groupoid(preset)
+        G, pair = preset_source(preset)
+        return G, pair if with_pair else None
     assert data is not None
-    if "group" in data and ("subgroup_a" in data or "subgroup_b" in data):
-        G = group_from_input(data)
-        return group_pair_double_groupoid(G, *subgroups_from_input(data, G))
-    return None
-
-
-def _bisimplicial_from_source(
-    preset: str | None, data: dict[str, Any] | None, P: int, Q: int
-) -> TruncatedBisimplicialSet:
-    """The preset or input's bisimplicial set at bounds ``(P, Q)``: a group
-    pair gives its double nerve, a single group the external square of EG."""
-    D = _double_groupoid_from_source(preset, data)
-    if D is not None:
-        # looked up at call time, so that a wrapper of the module's function
-        # (such as a tracer's) sees the call
-        from .doublegroupoid import double_nerve
-
-        return double_nerve(D, P, Q)
-    if preset is None and "group" not in data:
-        raise RejectedInput("cannot build a bisimplicial set from this input")
-    G = _group(preset, data)
-    eg = eg_construction(G, P)
-    return tensor(eg, eg if Q == P else eg_construction(G, Q))
-
-
-def _group(preset: str | None, data: dict[str, Any] | None) -> FiniteGroup:
-    """The group of a source: the eg-tensor preset's, a group-pair preset's
-    ambient group, or the input's."""
-    if preset is None:
-        return group_from_input(data or {})
-    return eg_tensor_group() if preset == "eg-tensor" else preset_group_pair(preset).group
+    if data.get("group") is None:
+        raise RejectedInput(f"{what} needs a group, and the input file has none")
+    G = group_from_input(data)
+    if with_pair and ("subgroup_a" in data or "subgroup_b" in data):
+        return G, subgroups_from_input(data, G)
+    return G, None
 
 
 def cmd_identities(args: argparse.Namespace) -> RunReport:
@@ -355,15 +332,12 @@ def _build_kan_objects(
     max_dim: int,
 ) -> list[tuple[str, KanObject, dict[str, Any]]]:
     """The simplicial sets a kan run will check, with the metadata each reports."""
-    out: list[tuple[str, KanObject, dict[str, Any]]] = []
-    meta_base = {"construction": construction, "max_dim": max_dim}
+    meta = {"construction": construction, "max_dim": max_dim}
+    what = f"construction {construction}"
     if construction == "simplicial-set":
-        if data is None:
-            raise RejectedInput("construction simplicial-set needs an input file")
-        if "simplicial_set" not in data:
-            raise RejectedInput(
-                "construction simplicial-set needs a simplicial_set record in the input file"
-            )
+        if data is None or "simplicial_set" not in data:
+            source = "the input file" if preset is None else f"preset {preset}"
+            raise RejectedInput(f"{what} needs a simplicial_set record, and {source} has none")
         X = simplicial_from_dict(data["simplicial_set"])
         # a verdict is about a simplicial set: a record that breaks a law is
         # refused, naming its first violation
@@ -373,47 +347,40 @@ def _build_kan_objects(
                 "simplicial-set record breaks the simplicial identities: "
                 + violations[0].describe(X)
             )
-        out.append(("kan-simplicial-set", X, meta_base))
-    elif construction == "nerve":
-        G = _group(preset, data)
-        out.append(("kan-nerve", nerve(one_object_groupoid(G), max_dim), meta_base))
-    elif construction in ("eg-tensor-diagonal", "double-nerve-diagonal"):
-        if construction == "eg-tensor-diagonal" and preset not in (None, "eg-tensor"):
-            raise RejectedInput("eg-tensor-diagonal runs on the eg-tensor preset or an input group")
-        # the diagonal is grown a level at a time under its check, so a
-        # failing verdict builds nothing above its failing level.  On a
-        # single group the diagonal of EG (x) EG is EG x EG, decided from its
-        # factors: it is built only as far as a search of it reads
-        D = None
-        if construction == "double-nerve-diagonal":
-            D = _double_groupoid_from_source(preset, data)
-        if D is None:
-            eg = eg_construction(_group(preset, data), max_dim)
-            diag = product_stages(eg, eg)
-        else:
-            diag = diagonal_stages(D, max_dim)
-        out.append(("kan-diagonal", diag, meta_base))
-    elif construction in ("row", "column"):
+        return [("kan-simplicial-set", X, meta)]
+    # every other construction is built from the source's group, and all
+    # but the nerve and the eg-tensor diagonal from its subgroup pair if any
+    G, pair = _resolve(preset, data, what, construction not in ("nerve", "eg-tensor-diagonal"))
+    if construction == "nerve":
+        return [("kan-nerve", nerve(one_object_groupoid(G), max_dim), meta)]
+    if construction in ("row", "column"):
         # only the lines asked for are read, each to max_dim: rows need the
         # vertical bound to reach the top index, columns the horizontal one
         top = max(0, *indices)
         P, Q = (max_dim, top) if construction == "row" else (top, max_dim)
-        X = _bisimplicial_from_source(preset, data, P, Q)
-        for idx in indices:
-            piece = row(X, idx) if construction == "row" else column(X, idx)
-            meta = dict(meta_base)
-            meta["index"] = idx
-            out.append((f"kan-{construction}-{idx}", piece, meta))
+        X = source_bisimplicial(G, pair, P, Q)
+        line = row if construction == "row" else column
+        return [(f"kan-{construction}-{idx}", line(X, idx), dict(meta, index=idx))
+                for idx in indices]
+    # the two diagonals, each grown a level at a time under its check, so a
+    # failing verdict builds nothing above its failing level.  On a lone group
+    # the diagonal of EG (x) EG is EG x EG, decided from its factors: it is
+    # built only as far as a search of it reads
+    if pair is None:
+        eg = eg_construction(G, max_dim)
+        diag = product_stages(eg, eg)
     else:
-        raise RejectedInput(f"unknown construction {construction!r}")
-    return out
+        diag = diagonal_stages(group_pair_double_groupoid(G, *pair), max_dim)
+    return [("kan-diagonal", diag, meta)]
 
 
 def cmd_kan(args: argparse.Namespace) -> RunReport:
     if args.index and args.construction not in ("row", "column"):
         raise RejectedInput("--index applies only to the row and column constructions")
+    indices = tuple(args.index or (0, 1, 2))
+    if len(set(indices)) < len(indices):
+        raise RejectedInput("--index values must be distinct")
     data = load_input(args.input) if args.input else None
-    indices = tuple(args.index) if args.index else (0, 1, 2)
     start = time.perf_counter()
     objects = _build_kan_objects(args.preset, data, args.construction, indices, args.max_dim)
     checks = [_kan_check_to_point(X, args.max_dim, name, meta) for name, X, meta in objects]
@@ -440,7 +407,7 @@ def cmd_pointwise(args: argparse.Namespace) -> RunReport:
         raise RejectedInput("max-total-dim must be at least 1")
     data = load_input(args.input) if args.input else None
     start = time.perf_counter()
-    X = _bisimplicial_from_source(args.preset, data, dim, dim)
+    X = source_bisimplicial(*_resolve(args.preset, data, "command pointwise"), dim, dim)
     try:
         report = verify_pointwise_to_point(X, dim)
         check = CheckResult(
@@ -475,8 +442,7 @@ def cmd_pointwise(args: argparse.Namespace) -> RunReport:
 
 
 def _s3_counterexample_checks() -> list[CheckResult]:
-    preset = preset_group_pair("s3-counterexample")
-    G, A, B = preset.group, preset.A, preset.B
+    G, (A, B) = preset_source("s3-counterexample")
     # one double groupoid and one double nerve serve every check
     D = group_pair_double_groupoid(G, A, B)
     NN, keys = double_nerve_indexed(D, 3, 3)
@@ -582,26 +548,31 @@ def _eg_tensor_checks() -> list[CheckResult]:
     return [trivial, rows_check]
 
 
+def _z2_commuting_checks() -> list[CheckResult]:
+    G, (A, B) = preset_source("z2-commuting")
+    distinct = subgroup_products_distinct(G, A, B)
+    return [
+        CheckResult(
+            "subgroup-products-differ",
+            distinct,
+            False,
+            "AB equals BA, so the counterexample is inapplicable to this preset",
+            {"applicable": distinct},
+        )
+    ]
+
+
+# preset -> the checks of its certificate
+COUNTEREXAMPLE_CHECKS = {
+    "s3-counterexample": _s3_counterexample_checks,
+    "z2-commuting": _z2_commuting_checks,
+    "eg-tensor": _eg_tensor_checks,
+}
+
+
 def cmd_counterexample(args: argparse.Namespace) -> RunReport:
     start = time.perf_counter()
-    if args.preset == "s3-counterexample":
-        checks = _s3_counterexample_checks()
-    elif args.preset == "z2-commuting":
-        preset = preset_group_pair("z2-commuting")
-        distinct = subgroup_products_distinct(preset.group, preset.A, preset.B)
-        checks = [
-            CheckResult(
-                "subgroup-products-differ",
-                distinct,
-                False,
-                "AB equals BA, so the counterexample is inapplicable to this preset",
-                {"applicable": distinct},
-            )
-        ]
-    elif args.preset == "eg-tensor":
-        checks = _eg_tensor_checks()
-    else:
-        raise RejectedInput(f"no counterexample preset named {args.preset!r}")
+    checks = COUNTEREXAMPLE_CHECKS[args.preset]()
     elapsed = time.perf_counter() - start
     return RunReport(
         "counterexample",

@@ -1,4 +1,8 @@
-"""Built-in input presets used by the command-line driver and the tests."""
+"""Built-in input presets, and the one builder of a source's bisimplicial set.
+
+A source is a group with a subgroup pair or a lone group (:func:`preset_source`
+resolves a preset); :func:`source_bisimplicial` builds its bisimplicial set.
+"""
 
 from __future__ import annotations
 
@@ -17,6 +21,10 @@ class GroupPairPreset:
     group: FiniteGroup
     A: tuple[int, ...]
     B: tuple[int, ...]
+
+
+# a subgroup pair (A, B) of a group, as element ids
+SubgroupPair = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def s3_counterexample() -> GroupPairPreset:
@@ -61,11 +69,28 @@ def eg_tensor_group() -> FiniteGroup:
     return cyclic_group(2)
 
 
-def preset_bisimplicial(name: str, P: int, Q: int) -> TruncatedBisimplicialSet:
+def preset_source(name: str) -> tuple[FiniteGroup, SubgroupPair | None]:
+    """The preset's group and subgroup pair; the eg-tensor preset has none."""
     if name == "eg-tensor":
-        if P != Q:
-            raise RejectedInput("the tensor preset uses symmetric bounds")
-        # the external square of the universal cover of the order-two group
-        eg = eg_construction(eg_tensor_group(), P)
-        return tensor(eg, eg)
-    return double_nerve(preset_double_groupoid(name), P, Q)
+        # its bisimplicial set is the external square of the universal cover
+        # of the order-two group
+        return eg_tensor_group(), None
+    data = preset_group_pair(name)
+    return data.group, (data.A, data.B)
+
+
+def source_bisimplicial(
+    G: FiniteGroup, pair: SubgroupPair | None, P: int, Q: int
+) -> TruncatedBisimplicialSet:
+    """The source's bisimplicial set at bounds ``(P, Q)``: a subgroup pair
+    gives its double nerve, a lone group the external square of EG."""
+    if pair is not None:
+        return double_nerve(group_pair_double_groupoid(G, *pair), P, Q)
+    eg = eg_construction(G, P)
+    return tensor(eg, eg if Q == P else eg_construction(G, Q))
+
+
+def preset_bisimplicial(name: str, P: int, Q: int) -> TruncatedBisimplicialSet:
+    if name == "eg-tensor" and P != Q:
+        raise RejectedInput("the tensor preset uses symmetric bounds")
+    return source_bisimplicial(*preset_source(name), P, Q)

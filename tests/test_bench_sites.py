@@ -6,15 +6,26 @@ The tracer skips a site that no longer resolves, so its layer silently reads
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-)
-tracing = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracing)
+from kancheck.cli import run
+
+
+
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = load_bench_module("tracing")
+workloads = load_bench_module("workloads")
 
 # pointwise fills only through kan.fill_partial_horn, so it no longer imports
 # brute_force_fill; its sweep enumerates horns with the id engine kan._blocks,
@@ -25,8 +36,11 @@ _spec.loader.exec_module(tracing)
 # Certificates are made on raw ids, by kan.brute_force_fill alone, so kan no
 # longer has the per-family iter_compatible_families or fill_partial_horn;
 # nothing in the program called them, so kan.enumerate and kan.partial_fill
-# already read 0 on every workload
+# already read 0 on every workload.  A source's bisimplicial set is built by
+# presets.source_bisimplicial, so cli no longer imports tensor; its layer is
+# read through kancheck.presets:tensor
 RETIRED = {
+    "kancheck.cli:tensor",
     "kancheck.kan:fill_partial_horn",
     "kancheck.kan:iter_compatible_families",
     "kancheck.pointwise:brute_force_fill",
@@ -57,3 +71,27 @@ def test_retired_site_is_gone(site):
     # a retired site that comes back belongs in the checked list again
     assert site in SITES
     assert resolve(site) is None
+
+
+@pytest.mark.parametrize("workload, layers", [
+    ("kan-diagonal-eg", {"groupoids.eg_construction"}),
+    ("pointwise-eg", {"groupoids.eg_construction", "bisimplicial.tensor"}),
+])
+def test_build_layers_see_the_workload(monkeypatch, capsys, workload, layers):
+    # the workload's command builds its set through sites the tracer wraps,
+    # so these layers read its build time and not 0
+    calls = Counter()
+    for layer in layers:
+        for site in tracing.SITES[layer]:
+            if site in RETIRED:
+                continue
+            module_name, _, attr = site.partition(":")
+            module = importlib.import_module(module_name)
+
+            def counting(*args, fn=getattr(module, attr), layer=layer, **kwargs):
+                calls[layer] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, counting)
+    assert run(workloads.COMMANDS[workload])[0] == 0
+    assert set(calls) == layers

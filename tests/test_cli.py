@@ -11,6 +11,7 @@ from test_kan import standard_simplex, without_factors
 
 import kancheck.cli as cli
 import kancheck.groupoids
+import kancheck.presets
 from kancheck import (
     check_kan_to_point,
     cyclic_group,
@@ -84,13 +85,15 @@ class TestKanCommand:
         def refuse(*args):
             raise AssertionError("the eg-tensor diagonal built the tensor grid")
 
-        monkeypatch.setattr(cli, "tensor", refuse)
+        monkeypatch.setattr(kancheck.presets, "tensor", refuse)
         monkeypatch.setattr(cli, "diagonal", refuse)
         golden = Path(__file__).parent / "golden" / "kan-eg-tensor-diagonal.json"
         expected = json.loads(golden.read_text(encoding="utf-8"))["checks"]
         path = tmp_path / "z2.json"
         path.write_text(json.dumps({"group": {"labels": ["e", "g"], "table": [[0, 1], [1, 0]]}}))
-        for source in (["--preset", "eg-tensor"], ["--input", str(path)]):
+        # a pair preset's diagonal is its group's: z2-commuting's group is Z2
+        for source in (["--preset", "eg-tensor"], ["--input", str(path)],
+                       ["--preset", "z2-commuting"]):
             code, report = run_report(
                 ["kan", *source, "--construction", "eg-tensor-diagonal", "--max-dim", "3"]
             )
@@ -110,12 +113,12 @@ class TestKanCommand:
         # a row q to max_dim needs bounds (max_dim, q), a column p (p, max_dim)
         built = []
 
-        def recording(*args, build=cli._bisimplicial_from_source):
+        def recording(*args, build=cli.source_bisimplicial):
             X = build(*args)
             built.append(X.bounds)
             return X
 
-        monkeypatch.setattr(cli, "_bisimplicial_from_source", recording)
+        monkeypatch.setattr(cli, "source_bisimplicial", recording)
         assert run(["kan", *argv])[0] == 0
         assert built == [bounds]
 
@@ -189,6 +192,22 @@ class TestKanCommand:
             assert run(argv) == (2, None)
             assert reverify_report(report) is False
 
+    def test_input_with_group_and_record_serves_both(self, tmp_path, z2_nerve):
+        # a file holding a group and a simplicial_set record serves the
+        # constructions of either: here both are the nerve of Z2
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps({
+            "group": {"labels": ["e", "g"], "table": [[0, 1], [1, 0]]},
+            "simplicial_set": simplicial_to_dict(z2_nerve),
+        }))
+        reports = []
+        for construction in ("nerve", "simplicial-set", "eg-tensor-diagonal"):
+            code, report = run_report(["kan", "--input", str(path), "--construction",
+                                       construction, "--max-dim", "2"])
+            assert code == 0
+            reports.append(report.checks[0].details["report"])
+        assert reports[0] == reports[1]
+
     def test_input_set_breaking_a_law_rejected(self, capsys):
         # two vertices and one edge from 1 to 0 whose degeneracy s_0 sends
         # both vertices to it: d_1 s_0 != id at vertex 0, so this is not a
@@ -225,11 +244,13 @@ class TestKanCommand:
         argv = ["kan", "--construction", "simplicial-set", "--max-dim", "1"]
         assert run(argv + ["--input", "tests/inputs/s3.json"]) == (2, None)
         assert capsys.readouterr().err == (
-            "error: construction simplicial-set needs a simplicial_set record in the input file\n"
+            "error: construction simplicial-set needs a simplicial_set record, "
+            "and the input file has none\n"
         )
         assert run(argv + ["--preset", "eg-tensor"]) == (2, None)
         assert capsys.readouterr().err == (
-            "error: construction simplicial-set needs an input file\n"
+            "error: construction simplicial-set needs a simplicial_set record, "
+            "and preset eg-tensor has none\n"
         )
 
     def test_index_outside_lines_rejected(self, capsys):
@@ -237,6 +258,16 @@ class TestKanCommand:
         assert run(argv + ["--index", "7"]) == (2, None)
         assert "error: --index applies only to" in capsys.readouterr().err
         assert run(argv)[0] == 0
+
+    def test_repeated_index_rejected(self, capsys):
+        # a repeated index would check its line twice under one check name
+        argv = ["kan", "--preset", "s3-counterexample", "--construction", "column",
+                "--index", "1", "--max-dim", "1"]
+        assert run(argv + ["--index", "1"]) == (2, None)
+        assert capsys.readouterr().err == "error: --index values must be distinct\n"
+        code, report = run_report(argv + ["--index", "0"])
+        assert code == 0
+        assert [c.name for c in report.checks] == ["kan-column-1", "kan-column-0"]
 
     def test_oversized_nerve_rejected_quickly(self, capsys):
         # row 40 needs the vertical bound 40, so this asks for a 1 x 40
@@ -352,6 +383,56 @@ class TestKanCommand:
         assert capsys.readouterr().err == (
             "error: nerve level 3 would hold 2048 simplices, over the limit of 1000\n"
         )
+
+
+MATRIX_SOURCES = {
+    **{name: ["--preset", name] for name in ("s3-counterexample", "z2-commuting", "eg-tensor")},
+    **{Path(path).stem: ["--input", path] for path in (
+        "tests/inputs/lawless_set.json", "tests/inputs/s3.json", "tests/inputs/z2_nerve.json",
+        "bench/inputs/s4_pair.json",
+    )},
+}
+KAN_CONSTRUCTIONS = ("nerve", "double-nerve-diagonal", "eg-tensor-diagonal", "row", "column",
+                     "simplicial-set")
+
+
+def matrix_refusal(source, construction):
+    """What a source and a construction (or ``pointwise``) are refused with
+    at dim 1, or None when the run exits 0."""
+    if construction == "simplicial-set":
+        if source == "lawless_set":
+            return ("simplicial-set record breaks the simplicial identities: "
+                    "face-degen-cancel at n=0, i=1, j=0, simplex 0: 0#1 != 0#0")
+        if source != "z2_nerve":
+            lacking = "the input file" if source in ("s3", "s4_pair") else f"preset {source}"
+            return f"construction simplicial-set needs a simplicial_set record, and {lacking} has none"
+        return None
+    if source in ("lawless_set", "z2_nerve"):
+        # a record-only input has no group, which every other construction needs
+        what = "command pointwise" if construction == "pointwise" else f"construction {construction}"
+        return f"{what} needs a group, and the input file has none"
+    # every preset and every group input is accepted, the pair presets by
+    # eg-tensor-diagonal too (on their group, as for the S4 pair input)
+    return None
+
+
+class TestSourceMatrix:
+    @pytest.mark.parametrize("construction", KAN_CONSTRUCTIONS + ("pointwise",))
+    @pytest.mark.parametrize("source", MATRIX_SOURCES)
+    def test_source_and_construction(self, capsys, source, construction):
+        # each source against each construction: the exit status and stderr
+        # are pinned, and a refusal names the construction or command and
+        # what the source lacks
+        if construction == "pointwise":
+            argv = ["pointwise", *MATRIX_SOURCES[source], "--max-total-dim", "1"]
+        else:
+            argv = ["kan", *MATRIX_SOURCES[source], "--construction", construction,
+                    "--max-dim", "1"]
+        refusal = matrix_refusal(source, construction)
+        assert main(argv) == (0 if refusal is None else 2)
+        captured = capsys.readouterr()
+        assert captured.err == ("" if refusal is None else f"error: {refusal}\n")
+        assert (captured.out == "") == (refusal is not None)
 
 
 class TestExitStatus:

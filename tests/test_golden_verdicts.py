@@ -17,6 +17,7 @@ import pytest
 import kancheck.cli
 import kancheck.kan
 import kancheck.pointwise
+import kancheck.presets
 from kancheck import product
 from kancheck.cli import RunReport, reverify_report, run
 from kancheck.simplicial import TruncatedSimplicialSet
@@ -221,7 +222,7 @@ def test_double_nerve_route_is_the_eg_tensor_diagonal(source, max_dim, capsys, m
     # EG x EG as eg-tensor-diagonal, with no tensor grid: at S3 dim 4 the
     # grid's level (3, 4) would be over the size limit
     monkeypatch.chdir(HERE.parent)
-    monkeypatch.setattr(kancheck.cli, "tensor", None)
+    monkeypatch.setattr(kancheck.presets, "tensor", None)
     reports = []
     for construction in ("double-nerve-diagonal", "eg-tensor-diagonal"):
         code, report = run(
