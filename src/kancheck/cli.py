@@ -12,9 +12,9 @@ Subcommands:
 A ``--preset`` or ``--input`` resolves to a group with its subgroup pair or
 None (:func:`_resolve`); ``simplicial-set`` reads an input's record instead.
 
-Each command's arguments are defined once, in ``COMMANDS``.  A run builds
-one parser: an argv led by a command is read by that command's parser
-alone, and only any other argv builds the full parser (:func:`_parse`).
+Each command's arguments are data, defined once in ``COMMANDS``.  A valid
+run is read from that table and builds no parser; only any other argv builds
+the argparse parser, which prints help and every error (:func:`_parse`).
 
 Exit code 0 means every check came out as expected, where counterexample
 presets expect their documented failures; 1 means a check came out otherwise
@@ -375,12 +375,14 @@ def _build_kan_objects(
 
 
 def cmd_kan(args: argparse.Namespace) -> RunReport:
+    if args.max_dim < 1:
+        raise RejectedInput("max_dim must be at least 1")
     if args.index and args.construction not in ("row", "column"):
         raise RejectedInput("--index applies only to the row and column constructions")
     indices = tuple(args.index or (0, 1, 2))
     if len(set(indices)) < len(indices):
         raise RejectedInput("--index values must be distinct")
-    data = load_input(args.input) if args.input else None
+    data = None if args.input is None else load_input(args.input)
     start = time.perf_counter()
     objects = _build_kan_objects(args.preset, data, args.construction, indices, args.max_dim)
     checks = [_kan_check_to_point(X, args.max_dim, name, meta) for name, X, meta in objects]
@@ -405,7 +407,7 @@ def cmd_pointwise(args: argparse.Namespace) -> RunReport:
     dim = args.max_total_dim
     if dim < 1:
         raise RejectedInput("max-total-dim must be at least 1")
-    data = load_input(args.input) if args.input else None
+    data = None if args.input is None else load_input(args.input)
     start = time.perf_counter()
     X = source_bisimplicial(*_resolve(args.preset, data, "command pointwise"), dim, dim)
     try:
@@ -612,49 +614,28 @@ def _verdict_bytes(report: RunReport) -> str:
     return json.dumps(report.verdict_dict(), sort_keys=True)
 
 
-def _source(p: argparse.ArgumentParser) -> None:
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", choices=PRESET_NAMES)
-    group.add_argument("--input", help="JSON input file (group tables or explicit sets)")
+# the source of a kan or pointwise run: exactly one of the two is required
+SOURCE = (("--preset", {"choices": PRESET_NAMES}),
+          ("--input", {"help": "JSON input file (group tables or explicit sets)"}))
+FORMAT = ("--format", {"choices": ("text", "structured"), "default": "text"})
 
-
-def _kan_arguments(p: argparse.ArgumentParser) -> None:
-    _source(p)
-    p.add_argument(
-        "--construction",
-        choices=("nerve", "double-nerve-diagonal", "eg-tensor-diagonal", "row",
-                 "column", "simplicial-set"),
-        required=True,
-    )
-    p.add_argument("--index", type=int, action="append",
-                   help="row/column index; repeatable (default 0 1 2)")
-    p.add_argument("--max-dim", type=int, default=3)
-
-
-def _pointwise_arguments(p: argparse.ArgumentParser) -> None:
-    _source(p)
-    p.add_argument("--max-total-dim", type=int, default=3)
-
-
-# name -> (help line, adder of the command's own arguments, command function)
+# name -> (help line, command function, its source or (), its other arguments),
+# each argument a flag and its argparse keywords
 COMMANDS = {
-    "identities": ("fuzz the operator identity families",
-                   lambda p: p.add_argument("--max-n", type=int, default=6), cmd_identities),
-    "kan": ("Kan check to a point", _kan_arguments, cmd_kan),
-    "pointwise": ("pointwise fillers from a diagonal fibration", _pointwise_arguments,
-                  cmd_pointwise),
-    "counterexample": ("one-shot preset certificates",
-                       lambda p: p.add_argument("--preset", choices=PRESET_NAMES, required=True),
-                       cmd_counterexample),
+    "identities": ("fuzz the operator identity families", cmd_identities, (),
+                   (("--max-n", {"type": int, "default": 6}),)),
+    "kan": ("Kan check to a point", cmd_kan, SOURCE, (
+        ("--construction", {"choices": ("nerve", "double-nerve-diagonal", "eg-tensor-diagonal",
+                                        "row", "column", "simplicial-set"), "required": True}),
+        ("--index", {"type": int, "action": "append",
+                     "help": "row/column index; repeatable (default 0 1 2)"}),
+        ("--max-dim", {"type": int, "default": 3}),
+    )),
+    "pointwise": ("pointwise fillers from a diagonal fibration", cmd_pointwise, SOURCE,
+                  (("--max-total-dim", {"type": int, "default": 3}),)),
+    "counterexample": ("one-shot preset certificates", cmd_counterexample, (),
+                       (("--preset", {"choices": PRESET_NAMES, "required": True}),)),
 }
-
-
-def _fill(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    _, add_arguments, command = COMMANDS[name]
-    add_arguments(p)
-    p.add_argument("--format", choices=("text", "structured"), default="text")
-    p.set_defaults(func=command)
-    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -663,38 +644,57 @@ def build_parser() -> argparse.ArgumentParser:
         description="exhaustive Kan-condition certification for finite (bi)simplicial sets",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, _, _) in COMMANDS.items():
-        _fill(sub.add_parser(name, help=help_line), name)
+    for name, (help_line, command, source, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if source:
+            group = p.add_mutually_exclusive_group(required=True)
+            for flag, keywords in source:
+                group.add_argument(flag, **keywords)
+        for flag, keywords in (*arguments, FORMAT):
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=command)
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The full parser (five parsers), built once per process, and only for
-    an argv that one command's parser cannot read (:func:`_parse`)."""
-    return build_parser()
+# the full parser (five parsers), built once per process for an argv _read refuses
+_parser = cache(build_parser)
 
 
-@cache
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """Command ``name``'s parser alone: the one the full parser hands it to."""
-    return _fill(argparse.ArgumentParser(prog=f"kancheck {name}"), name)
+def _read(argv: Sequence[str]) -> argparse.Namespace | None:
+    """A valid run's Namespace, read from ``COMMANDS`` with no parser, or None."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    _, command, source, arguments = COMMANDS[argv[0]]
+    table = dict((*source, *arguments, FORMAT))
+    given: dict[str, Any] = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        keywords = table.get(flag)
+        # a value led by "-" is left to argparse, which may read it as a flag
+        if keywords is None or text.startswith("-"):
+            return None
+        append = keywords.get("action") == "append"
+        try:
+            value = keywords.get("type", str)(text)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", (value,)) or (flag in given and not append):
+            return None
+        given[flag] = given.get(flag, []) + [value] if append else value
+    missing = any(kw.get("required") and flag not in given for flag, kw in table.items())
+    if missing or (source and sum(flag in given for flag, _ in source) != 1):
+        return None
+    return argparse.Namespace(command=argv[0], func=command, **{
+        flag[2:].replace("-", "_"): given.get(flag, keywords.get("default"))
+        for flag, keywords in table.items()
+    })
 
 
 def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``.  An argv led by a command is read
-    by that command's parser alone; any other (no words, an unknown first
-    word, ``--help``, or words left over) goes to the full parser, whose
-    help and errors argparse prints.  ``run`` and ``reverify_report`` share
-    both, since parsing leaves a parser as it was."""
+    """``build_parser().parse_args(argv)``, read by :func:`_read` with no
+    parser for a valid run; any other argv (help, an error, ``--flag=value``,
+    an abbreviated flag, a value led by ``-``) goes to the full parser."""
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in COMMANDS:
-        args, rest = _command_parser(argv[0]).parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0])
-        )
-        if not rest:
-            return args
-    return _parser().parse_args(argv)
+    return _read(argv) or _parser().parse_args(argv)
 
 
 def run(argv: Sequence[str] | None = None) -> tuple[int, RunReport | None]:

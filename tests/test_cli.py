@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import random
+import subprocess
+import sys
 import time
 from functools import cache
 from pathlib import Path
@@ -467,6 +471,23 @@ class TestExitStatus:
         assert main(s3_diagonal) == 1
         assert main(self.KAN[:-1] + ["0"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["kan", "--input", "", "--construction", "nerve"],
+        ["pointwise", "--input", ""],
+    ], ids=["kan", "pointwise"])
+    def test_empty_input_path_is_read_and_refused(self, capsys, argv):
+        # an empty path is a path: it is read, and refused, not taken for
+        # no input
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read input file '': ")
+
+    @pytest.mark.parametrize("max_dim", ["0", "-1"])
+    def test_max_dim_below_one_refused_before_any_build(self, capsys, monkeypatch, max_dim):
+        # a build would crash here (exit 3): the bound is refused first
+        monkeypatch.setattr(cli, "_build_kan_objects", None)
+        assert main(self.KAN[:-1] + [max_dim]) == 2
+        assert capsys.readouterr().err == "error: max_dim must be at least 1\n"
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 40) | st.text(max_size=3),
@@ -832,9 +853,59 @@ PARSE_CORPUS = {
 }
 
 
+# values a seeded argv draws besides an argument's good and bad ones: the empty
+# string, and values led by "-", which the table route leaves to argparse
+ODD_VALUES = ("", "-1", "-", "-x")
+
+
+def drawn_value(rng, keywords):
+    """A good value of the argument four times in five, else a bad or odd one."""
+    if "choices" in keywords:
+        good, bad = keywords["choices"], ("nope", *ODD_VALUES)
+    elif keywords.get("type") is int:
+        good, bad = ("0", "1", "2"), ("x", "1.5", *ODD_VALUES)
+    else:
+        good, bad = ("s3.json",), ODD_VALUES
+    return rng.choice(good if rng.random() < 0.8 else bad)
+
+
+def seeded_argvs(seed, count):
+    """``count`` argvs drawn from ``cli.COMMANDS``: each argument given zero to
+    two times, one source, both or neither, and now and then a stray word, an
+    unknown, abbreviated or ``--flag=value`` flag, or a trailing flag with no
+    value."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        command = rng.choice(list(cli.COMMANDS))
+        _, _, source, arguments = cli.COMMANDS[command]
+        pairs = []
+        for flag, keywords in (*arguments, cli.FORMAT):
+            weights = (1, 8, 1) if keywords.get("required") else (5, 4, 1)
+            times = rng.choices((0, 1, 2), weights)[0]
+            pairs += [[flag, drawn_value(rng, keywords)] for _ in range(times)]
+        if source:
+            chosen = rng.choices((1, 2, 0), (8, 1, 1))[0]
+            sources = rng.sample(source, len(source))[:chosen]
+            pairs += [[flag, drawn_value(rng, keywords)] for flag, keywords in sources]
+        rng.shuffle(pairs)
+        if pairs and rng.random() < 0.1:
+            pair = rng.choice(pairs)
+            pair[:] = ["=".join(pair)]
+        if pairs and rng.random() < 0.1:
+            pair = rng.choice(pairs)
+            pair[0] = pair[0][:5]
+        if rng.random() < 0.1:
+            pairs.insert(rng.randint(0, len(pairs)), [rng.choice(("stray", "--bogus"))])
+        words = [command] + [word for pair in pairs for word in pair]
+        if rng.random() < 0.1:
+            words.append(rng.choice([flag for flag, _ in (*source, *arguments, cli.FORMAT)]))
+        yield words
+
+
 class TestParseRoutes:
-    """``run`` reads an argv led by a command with that command's parser
-    alone; every argv must come out as the full parser reads it."""
+    """``run`` reads a valid argv from ``cli.COMMANDS`` with no parser, and
+    leaves any other to the full parser; every argv must come out as the
+    full parser reads it."""
 
     @staticmethod
     def outcome(parse, argv, capsys):
@@ -855,7 +926,27 @@ class TestParseRoutes:
             # the same exit status, help or error, byte for byte
             assert self.outcome(main, argv, capsys) == expected
 
-    def test_a_run_builds_one_parser(self, monkeypatch, capsys):
+    def test_seeded_argvs_agree(self, capsys):
+        read = argparse_only = refused = 0
+        for argv in seeded_argvs(seed=37, count=400):
+            expected = self.outcome(build_parser().parse_args, argv, capsys)
+            if expected[1] is None:
+                # a valid argv: the same Namespace, and nothing printed
+                assert self.outcome(cli._parse, argv, capsys) == expected, argv
+                if cli._read(argv) is None:
+                    argparse_only += 1
+                else:
+                    read += 1
+            else:
+                # no command runs: the table route refuses the argv, and the
+                # full parser prints the same help or error, byte for byte
+                assert cli._read(argv) is None, argv
+                assert self.outcome(main, argv, capsys) == expected, argv
+                refused += 1
+        # the draw reaches each route
+        assert min(read, argparse_only, refused) >= 40, (read, argparse_only, refused)
+
+    def test_a_run_builds_no_parser(self, monkeypatch, capsys):
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -864,11 +955,30 @@ class TestParseRoutes:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-        # empty caches of this test's own, so that earlier tests' parsers
-        # do not count
-        for name in ("_parser", "_command_parser"):
-            monkeypatch.setattr(cli, name, cache(getattr(cli, name).__wrapped__))
+        # an empty cache of this test's own, so that earlier tests' parser
+        # does not count
+        monkeypatch.setattr(cli, "_parser", cache(cli.build_parser))
         code, report = run(TestExitStatus.KAN)
-        assert code == 0 and built == ["kancheck kan"]
-        assert reverify_report(report)
-        assert built == ["kancheck kan"]
+        assert code == 0 and reverify_report(report)
+        assert built == []
+        # an abbreviated flag is the full parser's to read: it is built once
+        abbreviated = ["kan", "--pre", "eg-tensor", "--construction", "nerve", "--max-dim", "2"]
+        assert run(abbreviated)[0] == run(abbreviated)[0] == 0
+        assert built == ["kancheck"] + [f"kancheck {name}" for name in cli.COMMANDS]
+
+    def test_a_run_imports_no_locale(self, tmp_path):
+        # argparse imports locale for its first message; a valid run prints
+        # none, so in a fresh process it never imports it
+        script = (
+            "import sys\n"
+            "from kancheck.cli import reverify_report, run\n"
+            f"code, report = run({TestExitStatus.KAN!r} + ['--format', 'structured'])\n"
+            "assert code == 0 and reverify_report(report)\n"
+            "print(sorted({'argparse', 'locale'} & set(sys.modules)))\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, cwd=tmp_path, check=True)
+        assert done.stdout.splitlines()[-1] == "['argparse']"

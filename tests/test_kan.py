@@ -1042,7 +1042,7 @@ def closed_form_cells(order, max_dim, kind):
     return cells
 
 
-class TestOrbitSearch:
+class TestProductRule:
     """The Kan and trivial-fibration checks over a point of a product search
     each factor once, on a map of its own, and multiply the counts cell by
     cell when both pass (the product rule); otherwise they search the
