@@ -346,15 +346,16 @@ def string_label(names: Sequence[str], L: NerveLayout, n: int, idx: int) -> str:
 
 
 def nerve_and_layout(C: FiniteGroupoid, bound: int) -> tuple[TruncatedSimplicialSet, NerveLayout]:
-    """The nerve together with the layout of its ids.  The whole layout is
-    laid out first, so a level over ``MAX_LEVEL`` is refused before any
-    table is built."""
+    """The nerve together with the layout of its ids, recorded as
+    2-coskeletal (see :func:`nerve`).  The whole layout is laid out first,
+    so a level over ``MAX_LEVEL`` is refused before any table is built."""
     if bound < 0:
         raise RejectedInput("bound must be nonnegative")
     L = NerveLayout(len(C.objects), C.arrow_source, C.arrow_target, bound)
     X = TruncatedSimplicialSet([L.counts[0]], [[]], [[]], [C.objects.__getitem__])
     for _ in range(bound):
         X = extend_groupoid_nerve(X, L, C)
+    X._coskeletal = 2
     return X, L
 
 
@@ -377,7 +378,16 @@ def nerve_indexed(C: FiniteGroupoid, bound: int) -> tuple[TruncatedSimplicialSet
 
 
 def nerve(C: FiniteGroupoid, bound: int) -> TruncatedSimplicialSet:
-    """Strings of composable arrows, with composing faces and identity insertions."""
+    """Strings of composable arrows, with composing faces and identity insertions.
+
+    The nerve is 2-coskeletal, and is recorded so (``_coskeletal``): a map
+    into it from the 2-skeleton of Δ^n is an object at each vertex and an
+    arrow ``f_ij: j -> i`` on each edge i < j whose triangles say ``f_ik =
+    f_ij f_jk``, so it is fixed by the string ``(f_01, f_12, ...,
+    f_{n-1,n})`` of its spine, and every string gives one.  So it extends
+    to Δ^n in exactly one way, an n-simplex, and so does a map from any
+    part of Δ^n that holds its 2-skeleton.  A check over a point counts the
+    horns and boundaries that hold it (:func:`kancheck.kan._check_to_point`)."""
     return nerve_and_layout(C, bound)[0]
 
 
@@ -402,6 +412,13 @@ def eg_construction(G: FiniteGroup, bound: int) -> TruncatedSimplicialSet:
 
     G acts freely by left multiplication, ``g (g_0, ..., g_n) =
     (g g_0, ..., g g_n)``, with quotient BG (:func:`eg_cover`).
+
+    EG is built as the nerve of the translation groupoid of G on itself
+    (:func:`_eg_and_layout`), and like every groupoid's nerve it is
+    2-coskeletal (see :func:`nerve`), and recorded so: a check over a point
+    counts its horns from dimension 4 and its boundaries from dimension 3
+    (:func:`kancheck.kan._check_to_point`).  It is even 0-coskeletal, a
+    simplex being its tuple of vertices, but only 2 is recorded.
     """
     return _eg_and_layout(G, bound)[0]
 
@@ -410,8 +427,8 @@ def _eg_and_layout(G: FiniteGroup, bound: int) -> tuple[TruncatedSimplicialSet, 
     """EG with its layout, as the nerve of the translation groupoid of G on
     itself: one arrow ``g_1 -> g_0``, id ``g_0 |G| + g_1``, per pair, so
     ``(g_0, ..., g_n)`` has id ``id(g_0, ..., g_{n-1}) |G| + g_n``, its
-    coordinates in base |G|.  A level over ``MAX_EG_LEVEL`` is refused
-    before any table is built."""
+    coordinates in base |G|, recorded as 2-coskeletal.  A level over
+    ``MAX_EG_LEVEL`` is refused before any table is built."""
     if bound < 0:
         raise RejectedInput("bound must be nonnegative")
     order, arrows = G.order, range(G.order ** 2)
@@ -423,6 +440,7 @@ def _eg_and_layout(G: FiniteGroup, bound: int) -> tuple[TruncatedSimplicialSet, 
                   if bound > 1 else ())
     for n in range(1, bound + 1):
         X = extend_nerve(X, L, arrows[:: order + 1], composites, partial(_eg_label, G, n))
+    X._coskeletal = 2
     return X, L
 
 

@@ -40,6 +40,15 @@ n starts, so a check that fails below ``max_dim`` pays only for the build up
 to its failing level, and a size refusal fires only at a level the check
 reaches.
 
+A check that builds its own map counts, and does not search, every cell
+(n, I) with ``|I| >= c + 2`` of a set that records it is c-coskeletal
+(``_coskeletal``): such a cell has ``|X_n|`` families, each with one filler
+(:func:`_check_to_point` proves it).  Only the builders of a groupoid's
+nerve and of EG record it, with c = 2, so horns are counted from n = 4 and
+boundaries from n = 3.  That record is trusted to them, as ``_factors`` is
+to the makers of a product; the level laws of a counted level are still
+checked, and a caller's map is searched in full.
+
 A product over a point is decided from its factors by one rule,
 :func:`_from_factors`, for :func:`check_kan_to_point`,
 :func:`check_trivial_fibration_to_point` and the pointwise sweep of a tensor,
@@ -335,10 +344,14 @@ def _fill_cells(
     its ids.
 
     A check that builds its own map passes ``owned``, the stage function of
-    its domain (``X.stage``), and drops each search map once no later cell
-    reads it: cell (n, I) alone reads ``f.least(n, I)``, so it goes when the
-    cell is counted, and only level n's cells read the indexes of X_{n-1}, so
-    they go before level n + 1 starts.  No map is built twice.  Level n is
+    its domain (``X.stage``).  On a stage that records it is c-coskeletal
+    (``_coskeletal``), such a check counts each cell (n, I) with
+    ``|I| >= c + 2`` instead of searching it: ``|X_n|`` families, all
+    filled (see :func:`_check_to_point`); the level laws are still checked.
+    It drops each search map once no later cell reads it: cell (n, I) alone
+    reads ``f.least(n, I)``, so it goes when the cell is counted, and only
+    level n's cells read the indexes of X_{n-1}, so they go before level
+    n + 1 starts.  No map is built twice.  Level n is
     searched on ``owned(n)``, a set that reaches n: a set grown a level at a
     time (:class:`~kancheck.simplicial.Stages`) builds level n only there,
     when the first cell of n starts, so a check that stops at a level builds
@@ -346,10 +359,11 @@ def _fill_cells(
     Its map is made afresh only on a new stage, which costs no search work,
     since the old map's indexes and least-id maps are dropped by then.  A
     caller's map (``owned`` None) keeps its maps, for the caller to read
-    again.
+    again, and has every cell searched.
     """
     done: list[HornCellStats] = []
     level = 0
+    counted = None  # the fewest faces of a counted cell, or None
     for n, k in cells:
         if n != level:
             if owned:
@@ -357,9 +371,14 @@ def _fill_cells(
                 stage = owned(n)
                 if stage is not f.domain:
                     f = to_point_map(stage)
+                c = f.domain._coskeletal
+                counted = None if c is None else c + 2
             require_level_laws(f, n)
             level = n
         indices = tuple(i for i in range(n + 1) if i != k)
+        if counted is not None and len(indices) >= counted:
+            done.append(HornCellStats(n, k, f.domain.counts[n], f.domain.counts[n]))
+            continue
         families, stuck = _count_cell(f, n, indices)
         if stuck is not None:
             y, faces = stuck
@@ -403,7 +422,31 @@ def _check_to_point(
 ) -> FibrationReport:
     """Fill the ``cells`` of X over a point on a map of its own, level n on
     ``X.stage(n)`` (:func:`_fill_cells`), unless X is a product decided from
-    its factors (:func:`_from_factors`).  The report is the built set's."""
+    its factors (:func:`_from_factors`).  The report is the built set's.
+
+    On a set that records it is c-coskeletal (``_coskeletal``), a cell
+    (n, I) with ``|I| >= c + 2`` is counted, not searched: it has exactly
+    ``|X_n|`` families, each with one filler.  These are the horns at
+    ``n >= c + 2`` and the boundaries at ``n >= c + 1``.  Proof: a family
+    over I is a map into X from ``Λ_I``, the union of the faces ``d_i Δ^n``
+    for i in I, and its fillers are its extensions to Δ^n.  A c-face of Δ^n
+    has c + 1 < |I| vertices, so it misses some i in I and lies in
+    ``d_i Δ^n``; so ``Λ_I`` holds the c-skeleton of Δ^n, and
+    ``sk_c Λ_I = sk_c Δ^n``.  X being c-coskeletal, a map into X from any K
+    restricts bijectively to ``sk_c K``, so ``Hom(Λ_I, X) = Hom(sk_c Δ^n,
+    X) = Hom(Δ^n, X) = X_n``, restriction from Δ^n being the bijection.
+    Over a point every family has the one target, so the cell has ``|X_n|``
+    families, and each fills uniquely.
+
+    That X is c-coskeletal is trusted to its builder, as ``_factors`` is:
+    only :func:`kancheck.groupoids.nerve_and_layout` and
+    :func:`kancheck.groupoids._eg_and_layout` record it, on the nerves
+    they build; no copy, extension or product does.  The level laws of a
+    counted level are still checked (:func:`require_level_laws`), so a set
+    that breaks one is refused as a search would refuse it.  A caller's map
+    (:func:`check_kan_fibration`) is searched in full, since the pointwise
+    sweeps read the maps its search builds.
+    """
     _require_max_dim(X.bound, max_dim)
     report = _from_factors(X, max_dim, partial(_check_to_point, kind=kind, cells=cells))
     if report is not None:

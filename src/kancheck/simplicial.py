@@ -34,6 +34,9 @@ A product, built by ``product(A, B)`` or given as its stages, records its
 factors (``_factors``), as a tensor does; a check of it to a point decides it
 from its factors' checks (:func:`kancheck.kan._from_factors`), and a caller's
 map on it is searched in full (:func:`kancheck.kan.check_kan_fibration`).
+A groupoid's nerve records that it is 2-coskeletal (``_coskeletal``), and a
+check of it to a point counts its cells with 4 faces or more
+(:func:`kancheck.kan._check_to_point`).
 """
 
 from __future__ import annotations
@@ -139,11 +142,16 @@ class TruncatedSimplicialSet:
     ``labels[n]`` is level n's label function ``idx -> str``, or a table of
     its labels, which is wrapped as one; labels are rendered only when read.
     ``_factors`` is ``(A, B)`` for a set built by ``product(A, B)``, else
-    None; equality does not read it.  :meth:`extended` adds a level,
-    validating only its tables.
+    None.  ``_coskeletal`` is c for a set its builder knows to be the
+    truncation of a c-coskeletal set (a groupoid's nerve, 2), else None: a
+    check over a point counts its cells from c + 2 faces up instead of
+    searching them (:func:`kancheck.kan._fill_cells`).  Equality reads
+    neither.  :meth:`extended` adds a level, validating only its tables.
     """
 
-    __slots__ = ("bound", "counts", "_faces", "_degens", "_labels", "_factors")
+    __slots__ = (
+        "bound", "counts", "_faces", "_degens", "_labels", "_factors", "_coskeletal",
+    )
 
     def __init__(
         self,
@@ -174,6 +182,7 @@ class TruncatedSimplicialSet:
             for n in range(self.bound)
         ) + ((),)
         self._factors: tuple[TruncatedSimplicialSet, TruncatedSimplicialSet] | None = None
+        self._coskeletal: int | None = None
 
         if labels is None:
             self._labels = None
@@ -195,7 +204,8 @@ class TruncatedSimplicialSet:
         their n + 1 ``faces`` and the n ``degeneracies`` from level n - 1
         into them, and ``label`` (None exactly when this set is unlabelled).
         Only the new tables are validated, as the constructor validates them;
-        the others are shared.  The new set records no factors."""
+        the others are shared.  The new set records no factors and no
+        coskeleton."""
         n = self.bound + 1
         if (label is None) != (self._labels is None):
             raise RejectedInput("labels must match the simplex counts")
@@ -212,7 +222,7 @@ class TruncatedSimplicialSet:
             (),
         )
         X._labels = None if label is None else self._labels + (_level_label(label, count),)
-        X._factors = None
+        X._factors = X._coskeletal = None
         return X
 
     def stage(self, n: int) -> "TruncatedSimplicialSet":

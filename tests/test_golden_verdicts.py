@@ -186,6 +186,35 @@ def test_s3_diagonal_dim3_rung(capsys, monkeypatch):
     )
 
 
+def test_s3_diagonal_dim6_rung(capsys, monkeypatch):
+    # the S3 eg-tensor diagonal at dim 6: 561919032072 families, decided
+    # from EG(S3), whose 9 cells below dim 4 are searched and whose cells
+    # from dim 4 up are counted, as EG is 2-coskeletal; pinned by the hash
+    # that the search of every cell of EG(S3) gave (in about 7-10 s and
+    # 285 MB as one CLI process)
+    monkeypatch.chdir(HERE.parent)
+    searched = []
+
+    def recording(f, n, indices, count_cell=kancheck.kan._count_cell):
+        searched.append(n)
+        return count_cell(f, n, indices)
+
+    monkeypatch.setattr(kancheck.kan, "_count_cell", recording)
+    code, report = run(
+        "kan --input tests/inputs/s3.json --construction eg-tensor-diagonal --max-dim 6"
+        " --format structured".split()
+    )
+    capsys.readouterr()
+    assert code == 0
+    assert searched == [1] * 2 + [2] * 3 + [3] * 4
+    verdict = report.verdict_dict()
+    assert verdict["checks"][0]["details"]["report"]["families_checked"] == 561919032072
+    text = json.dumps(verdict, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "57d33f66046effaf7de1fa1bc22a40980e8f16a0f510875205ed533737d92272"
+    )
+
+
 def test_s3_pointwise_dim3_rung(capsys, monkeypatch):
     # the S3 eg-tensor sweep at total dim 3: 122832 problems, 61416 in each
     # direction, swept on the factor EG(S3) with no line of the tensor, no

@@ -44,7 +44,7 @@ from kancheck.kan import (
     _partial_fillers,
 )
 from kancheck.presets import preset_bisimplicial, preset_double_groupoid
-from kancheck.serialize import fibration_report_to_dict
+from kancheck.serialize import fibration_report_to_dict, simplicial_from_dict, simplicial_to_dict
 from kancheck.bisimplicial import product_stages
 from kancheck.simplicial import TruncatedSimplicialSet, gather
 
@@ -395,20 +395,30 @@ GROUPS = {
 }
 
 
+# the most simplices the top level of a drawn nerve may hold: the oracles
+# scan a whole level for each family
+MAX_DRAWN_LEVEL = 256
+
+
 @st.composite
 def groupoid_nerves(draw):
     """Nerves of connected groupoids G x pair(1..3) with at most 12 arrows,
-    arrows in a drawn order, truncated at a drawn bound <= 3."""
+    arrows in a drawn order, truncated at a drawn bound <= 5, lowered until
+    the top level holds at most MAX_DRAWN_LEVEL simplices."""
     G = GROUPS[draw(st.sampled_from(sorted(GROUPS)))]()
     objects = draw(st.sampled_from([k for k in (1, 2, 3) if G.order * k * k <= 12]))
     order = draw(st.permutations(range(G.order * objects * objects)))
-    bound = draw(st.integers(1, 3))
+    bound = draw(st.integers(1, 5))
+    # level n holds a string of n arrows from each object: objects (|G| objects)^n
+    while bound > 1 and objects * (G.order * objects) ** bound > MAX_DRAWN_LEVEL:
+        bound -= 1
     return nerve(group_times_pair_groupoid(G, objects, order), bound)
 
 
 class TestGroupoidNerves:
     """Known answers: the nerve of a groupoid is Kan, and above dimension 1
-    every horn has exactly one filler."""
+    every horn has exactly one filler.  A check over a point counts its
+    cells from 4 faces up, and its reports are the full search's."""
 
     @settings(max_examples=12, deadline=None)
     @given(X=groupoid_nerves())
@@ -433,6 +443,8 @@ class TestGroupoidNerves:
                     )
                     assert [fillers[faces] for faces, _ in families] == [1] * len(families)
                     assert len(families) == X.size(n)
+        for check in (check_kan_to_point, check_trivial_fibration_to_point):
+            assert check(X, X.bound) == check(without_factors(X), X.bound)
 
 
 class TestIdEngineReports:
@@ -852,13 +864,22 @@ def eg_product(z2):
     return product(eg, eg)
 
 
+@pytest.fixture(scope="module")
+def searched_eg_product(z2):
+    """EG(Z2) x EG(Z2) to bound 4, whose recorded factors are copies of
+    EG(Z2) that record no coskeleton: a check over a point searches every
+    cell of the factor, dim 4 included."""
+    eg = without_factors(eg_construction(z2, 4))
+    return product(eg, eg)
+
+
 def horn_cells(max_dim):
     return [(n, k) for n in range(1, max_dim + 1) for k in range(n + 1)]
 
 
 def without_factors(X):
-    """The same tables and labels as X, with no factors recorded: the full
-    search runs."""
+    """The same tables and labels as X, with no factors and no coskeleton
+    recorded: the full search runs."""
     labels = None if X._labels is None else list(X._labels)
     return TruncatedSimplicialSet(X.counts, X._faces, X._degens, labels)
 
@@ -889,7 +910,7 @@ class TestMapLifetime:
         (check_trivial_fibration_to_point, TRIVIAL_CELLS),
     ], ids=["kan", "trivial"])
     def test_each_cell_starts_with_one_level_of_indexes(
-        self, eg_product, monkeypatch, check, cells
+        self, searched_eg_product, monkeypatch, check, cells
     ):
         held = []
         blocks = kancheck.kan._blocks
@@ -901,7 +922,7 @@ class TestMapLifetime:
         monkeypatch.setattr(kancheck.kan, "_blocks", recording)
         # each cell's least-id map is dropped once counted, on the set or,
         # with its factors recorded, on its factor
-        for tables in (without_factors(eg_product), eg_product):
+        for tables in (without_factors(searched_eg_product), searched_eg_product):
             held.clear()
             assert check(tables, 4).passed
             assert [n for n, _, _ in held] == [n for n, _ in cells]
@@ -1070,7 +1091,7 @@ class TestProductRule:
         (check_trivial_fibration_to_point, TRIVIAL_CELLS),
     ], ids=["kan", "trivial"])
     def test_one_restricted_map_per_cell_and_none_twice(
-        self, eg_product, monkeypatch, check, cells
+        self, searched_eg_product, monkeypatch, check, cells
     ):
         builds = []
         for kind in ("_build_index", "_build_least"):
@@ -1080,7 +1101,7 @@ class TestProductRule:
                 return build(f, m, faces)
 
             monkeypatch.setattr(SimplicialMap, kind, counting)
-        assert check(eg_product, 4).passed
+        assert check(searched_eg_product, 4).passed
         assert len(set(builds)) == len(builds)
         leasts = [b for b in builds if b[0] == "_build_least"]
         # each over the factor EG(Z2), searched once, whose level n has
@@ -1091,7 +1112,7 @@ class TestProductRule:
             for n, k in cells
         ]
 
-    def test_a_cell_spans_several_full_blocks(self, eg_product, monkeypatch):
+    def test_a_cell_spans_several_full_blocks(self, searched_eg_product, monkeypatch):
         rows = 16
         monkeypatch.setattr(kancheck.kan, "BLOCK_ROWS", rows)
         blocks = Counter()
@@ -1102,14 +1123,14 @@ class TestProductRule:
             return check(f, n, indices, ys, *columns)
 
         monkeypatch.setattr(kancheck.kan, "_check_witnesses", recording)
-        report = check_kan_to_point(eg_product, 4)
+        report = check_kan_to_point(searched_eg_product, 4)
         # each dim-4 cell of the factor EG(Z2) has 2^5 = 32 families: 2 full
         # blocks
         assert {cell: count for cell, count in blocks.items() if cell[0] == 4} == {
             (4, tuple(i for i in range(5) if i != k), rows): 2 for k in range(5)
         }
         monkeypatch.setattr(kancheck.kan, "_check_witnesses", check)
-        assert report == check_kan_fibration(to_point_map(eg_product), 4)
+        assert report == check_kan_fibration(to_point_map(searched_eg_product), 4)
 
     def test_failing_cell_is_searched_in_full(self, z2, monkeypatch):
         # Y, the S4-pair diagonal, is not Kan, so neither is EG(Z2) x Y: each
@@ -1178,6 +1199,128 @@ class TestProductRule:
         finally:
             gc.enable()
         assert grows == []
+
+
+def searched_cells(monkeypatch):
+    """Record the ``(n, I)`` of every cell a sweep searches
+    (``kan._count_cell``)."""
+    seen = []
+    count_cell = kancheck.kan._count_cell
+
+    def recording(f, n, indices):
+        seen.append((n, indices))
+        return count_cell(f, n, indices)
+
+    monkeypatch.setattr(kancheck.kan, "_count_cell", recording)
+    return seen
+
+
+def report_cells(report):
+    """The ``(n, I)`` of each cell of a report, in order."""
+    return [(c.n, tuple(i for i in range(c.n + 1) if i != c.k)) for c in report.cells]
+
+
+# nerves recorded as 2-coskeletal, each to the bound it is checked at
+COSKELETAL_SETS = {
+    "EG(Z2)-8": lambda: eg_construction(cyclic_group(2), 8),
+    "EG(Z3)-6": lambda: eg_construction(cyclic_group(3), 6),
+    "EG(S3)-5": lambda: eg_construction(symmetric_group_preset(3), 5),
+    "BS3-5": lambda: nerve(one_object_groupoid(symmetric_group_preset(3)), 5),
+    # the pair groupoid on 3 objects: its boundaries fill too, so its
+    # trivial sweep reaches the counted levels
+    "codiscrete3-5": lambda: nerve(group_times_pair_groupoid(cyclic_group(1), 3, range(9)), 5),
+}
+
+
+@pytest.fixture(scope="module")
+def full_searches():
+    """Filled by :func:`full_search`, and dropped with this module."""
+    return {}
+
+
+def full_search(searches, name, check):
+    """The named set, and ``check`` of a copy of it that records no
+    coskeleton, to its bound: every cell searched.  Made once per set and
+    check, at the block size in force at the first call."""
+    if (name, check) not in searches:
+        X = COSKELETAL_SETS[name]()
+        searches[name, check] = X, fibration_report_to_dict(check(without_factors(X), X.bound))
+    return searches[name, check]
+
+
+class TestCountedCells:
+    """A check over a point counts each cell (n, I) of a set recorded as
+    c-coskeletal with |I| >= c + 2, and searches the others: the nerves of
+    groupoids, recorded with c = 2, have their horns counted from n = 4 and
+    their boundaries from n = 3.  Its reports are the full search's."""
+
+    @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "1", "7"])
+    @pytest.mark.parametrize("check", [check_kan_to_point, check_trivial_fibration_to_point],
+                             ids=["kan", "trivial"])
+    @pytest.mark.parametrize("name", sorted(COSKELETAL_SETS))
+    def test_counted_reports_are_the_full_search(
+        self, full_searches, name, check, rows, monkeypatch
+    ):
+        # the reference is searched at the default block size: the block size
+        # cuts only the cells the counted check searches
+        X, full = full_search(full_searches, name, check)
+        assert X._coskeletal == 2
+        if rows is not None:
+            monkeypatch.setattr(kancheck.kan, "BLOCK_ROWS", rows)
+        searched = searched_cells(monkeypatch)
+        report = check(X, X.bound)
+        assert fibration_report_to_dict(report) == full
+        assert searched == [cell for cell in report_cells(report) if len(cell[1]) < 4]
+        # every set here passes both checks but BS3, whose boundaries at n = 2
+        # do not all fill
+        assert report.passed == (name != "BS3-5" or check is check_kan_to_point)
+
+    def test_records_extensions_and_products_are_searched_in_full(self, z2, monkeypatch):
+        # none of these records a coskeleton, though each is a nerve or a
+        # product of nerves: a check of it searches every cell it reports
+        N = nerve(one_object_groupoid(z2), 5)
+        grown = nerve(one_object_groupoid(z2), 4).extended(
+            N.counts[5], N._faces[5], N._degens[4], N._labels[5]
+        )
+        record = simplicial_from_dict(simplicial_to_dict(N))
+        both = product(N, N)
+        # the product itself is searched, not its factors
+        monkeypatch.setattr(kancheck.kan, "_from_factors", lambda *args: None)
+        searched = searched_cells(monkeypatch)
+        for X in (grown, record, both):
+            assert X._coskeletal is None
+            for check in (check_kan_to_point, check_trivial_fibration_to_point):
+                searched.clear()
+                report = check(X, 5)
+                assert searched == report_cells(report)
+                # BZ2 and its square are Kan, and fail a boundary at n = 2
+                assert report.passed == (check is check_kan_to_point)
+                if X is not both:
+                    assert report == check(N, 5)
+
+    def test_a_callers_map_is_searched_in_full(self):
+        X = eg_construction(cyclic_group(3), 5)
+        f = to_point_map(X)
+        assert check_kan_fibration(f, 5) == check_kan_to_point(X, 5)
+        assert set(f._leasts) == {
+            (n, tuple(i for i in range(n + 1) if i != k)) for n, k in horn_cells(5)
+        }
+
+    @pytest.mark.parametrize("check", [check_kan_to_point, check_trivial_fibration_to_point],
+                             ids=["kan", "trivial"])
+    def test_a_counted_level_keeps_its_laws(self, z2, check):
+        # a level the check counts, level 4 of a set recorded as
+        # 2-coskeletal with a face moved, is refused as the search refuses it
+        X = eg_construction(z2, 4)
+        faces = [list(t) for t in X._faces[4]]
+        faces[0][0] = faces[0][1]
+        broken = eg_construction(z2, 3).extended(X.counts[4], faces, X._degens[3], X._labels[4])
+        broken._coskeletal = 2
+        with pytest.raises(RejectedInput, match="simplicial identities") as counted:
+            check(broken, 4)
+        with pytest.raises(RejectedInput) as searched:
+            check(without_factors(broken), 4)
+        assert str(counted.value) == str(searched.value)
 
 
 class TestActionChecks:

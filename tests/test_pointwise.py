@@ -620,7 +620,7 @@ class TestIdSweep:
         assert [type(x) for x in built] == [FillCertificate]
 
 
-class TestOrbitPrecondition:
+class TestDiagonalPrecondition:
     """The diagonal of a tensor is the product of its factors.  The Kan
     check of a caller's diagonal map searches it in full; its report is the
     factor rule's (``check_kan_to_point``), and the sweeps after it are the
