@@ -414,11 +414,11 @@ def eg_construction(G: FiniteGroup, bound: int) -> TruncatedSimplicialSet:
     (g g_0, ..., g g_n)``, with quotient BG (:func:`eg_cover`).
 
     EG is built as the nerve of the translation groupoid of G on itself
-    (:func:`_eg_and_layout`), and like every groupoid's nerve it is
-    2-coskeletal (see :func:`nerve`), and recorded so: a check over a point
-    counts its horns from dimension 4 and its boundaries from dimension 3
-    (:func:`kancheck.kan._check_to_point`).  It is even 0-coskeletal, a
-    simplex being its tuple of vertices, but only 2 is recorded.
+    (:func:`_eg_and_layout`).  Like every groupoid's nerve it is
+    2-coskeletal (see :func:`nerve`), and it is even 0-coskeletal: an
+    n-simplex is its tuple of n + 1 vertices, and every tuple is one.  It is
+    recorded so, and a check over a point counts its horns from dimension 2
+    and its boundaries from dimension 1 (:func:`kancheck.kan._check_to_point`).
     """
     return _eg_and_layout(G, bound)[0]
 
@@ -427,8 +427,9 @@ def _eg_and_layout(G: FiniteGroup, bound: int) -> tuple[TruncatedSimplicialSet, 
     """EG with its layout, as the nerve of the translation groupoid of G on
     itself: one arrow ``g_1 -> g_0``, id ``g_0 |G| + g_1``, per pair, so
     ``(g_0, ..., g_n)`` has id ``id(g_0, ..., g_{n-1}) |G| + g_n``, its
-    coordinates in base |G|, recorded as 2-coskeletal.  A level over
-    ``MAX_EG_LEVEL`` is refused before any table is built."""
+    coordinates in base |G|, recorded as 0-coskeletal (see
+    :func:`eg_construction`).  A level over ``MAX_EG_LEVEL`` is refused
+    before any table is built."""
     if bound < 0:
         raise RejectedInput("bound must be nonnegative")
     order, arrows = G.order, range(G.order ** 2)
@@ -440,7 +441,7 @@ def _eg_and_layout(G: FiniteGroup, bound: int) -> tuple[TruncatedSimplicialSet, 
                   if bound > 1 else ())
     for n in range(1, bound + 1):
         X = extend_nerve(X, L, arrows[:: order + 1], composites, partial(_eg_label, G, n))
-    X._coskeletal = 2
+    X._coskeletal = 0
     return X, L
 
 

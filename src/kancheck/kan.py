@@ -44,8 +44,10 @@ A check that builds its own map counts, and does not search, every cell
 (n, I) with ``|I| >= c + 2`` of a set that records it is c-coskeletal
 (``_coskeletal``): such a cell has ``|X_n|`` families, each with one filler
 (:func:`_check_to_point` proves it).  Only the builders of a groupoid's
-nerve and of EG record it, with c = 2, so horns are counted from n = 4 and
-boundaries from n = 3.  That record is trusted to them, as ``_factors`` is
+nerve and of EG record it: a nerve with c = 2, so its horns are counted
+from n = 4 and its boundaries from n = 3, and EG with c = 0, a simplex
+being its tuple of vertices, so its horns are counted from n = 2 and its
+boundaries from n = 1.  That record is trusted to them, as ``_factors`` is
 to the makers of a product; the level laws of a counted level are still
 checked, and a caller's map is searched in full.
 
@@ -345,9 +347,11 @@ def _fill_cells(
 
     A check that builds its own map passes ``owned``, the stage function of
     its domain (``X.stage``).  On a stage that records it is c-coskeletal
-    (``_coskeletal``), such a check counts each cell (n, I) with
-    ``|I| >= c + 2`` instead of searching it: ``|X_n|`` families, all
-    filled (see :func:`_check_to_point`); the level laws are still checked.
+    (``_coskeletal``: 2 on a groupoid's nerve, 0 on EG), such a check
+    counts each cell (n, I) with ``|I| >= c + 2`` instead of searching it:
+    ``|X_n|`` families, all filled (see :func:`_check_to_point`); the level
+    laws are still checked.  On EG only the two horn cells at n = 1 are
+    searched.
     It drops each search map once no later cell reads it: cell (n, I) alone
     reads ``f.least(n, I)``, so it goes when the cell is counted, and only
     level n's cells read the indexes of X_{n-1}, so they go before level

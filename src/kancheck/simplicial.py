@@ -34,8 +34,9 @@ A product, built by ``product(A, B)`` or given as its stages, records its
 factors (``_factors``), as a tensor does; a check of it to a point decides it
 from its factors' checks (:func:`kancheck.kan._from_factors`), and a caller's
 map on it is searched in full (:func:`kancheck.kan.check_kan_fibration`).
-A groupoid's nerve records that it is 2-coskeletal (``_coskeletal``), and a
-check of it to a point counts its cells with 4 faces or more
+A groupoid's nerve records that it is 2-coskeletal (``_coskeletal``), and
+EG that it is 0-coskeletal; a check of such a set to a point counts its
+cells with c + 2 faces or more, 4 on a nerve and 2 on EG
 (:func:`kancheck.kan._check_to_point`).
 """
 
@@ -143,9 +144,9 @@ class TruncatedSimplicialSet:
     its labels, which is wrapped as one; labels are rendered only when read.
     ``_factors`` is ``(A, B)`` for a set built by ``product(A, B)``, else
     None.  ``_coskeletal`` is c for a set its builder knows to be the
-    truncation of a c-coskeletal set (a groupoid's nerve, 2), else None: a
-    check over a point counts its cells from c + 2 faces up instead of
-    searching them (:func:`kancheck.kan._fill_cells`).  Equality reads
+    truncation of a c-coskeletal set (a groupoid's nerve, 2; EG, 0), else
+    None: a check over a point counts its cells from c + 2 faces up instead
+    of searching them (:func:`kancheck.kan._fill_cells`).  Equality reads
     neither.  :meth:`extended` adds a level, validating only its tables.
     """
 

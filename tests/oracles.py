@@ -18,6 +18,9 @@ violation is refused with.
 nerve layout the library builds it on, and ``tensor_reference`` builds the
 whole grid of an external product at once, every row and column before any
 is read.
+
+``unrecorded_copy`` copies a set's tables and labels with none of what its
+builder recorded, so a check of the copy searches every cell.
 """
 
 from __future__ import annotations
@@ -462,6 +465,14 @@ def double_groupoid_tables(h, v, squares):
     composable pairs (s, t), in the order of a loop over s and then t, to
     the id of the composite."""
     return _double_groupoid_scan(h, v, squares)
+
+
+def unrecorded_copy(X: TruncatedSimplicialSet) -> TruncatedSimplicialSet:
+    """The same tables and labels as X, made through the constructor, with
+    no factors (``_factors``) and no coskeleton (``_coskeletal``) recorded:
+    a check over a point searches every cell of it."""
+    labels = None if X._labels is None else list(X._labels)
+    return TruncatedSimplicialSet(X.counts, X._faces, X._degens, labels)
 
 
 def eg_coordinates(order: int, n: int) -> list[tuple[int, ...]]:

@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
+from oracles import unrecorded_copy
 
 import kancheck.cli
 import kancheck.kan
@@ -20,7 +21,6 @@ import kancheck.pointwise
 import kancheck.presets
 from kancheck import product
 from kancheck.cli import RunReport, reverify_report, run
-from kancheck.simplicial import TruncatedSimplicialSet
 
 HERE = Path(__file__).parent
 
@@ -82,7 +82,16 @@ def test_verdict_is_the_same_in_small_blocks(name, rows, capsys, monkeypatch):
     monkeypatch.chdir(HERE.parent)
     monkeypatch.setattr(kancheck.kan, "BLOCK_ROWS", rows)
     longest = 0
+    searched = []  # the families of each searched cell that its blocks held
     for module in (kancheck.kan, kancheck.pointwise):
+        def blocks(f, n, indices, grow=module._blocks):
+            cell = len(searched)
+            searched.append(0)
+            for ys, xs in grow(f, n, indices):
+                searched[cell] += len(ys)
+                yield ys, xs
+
+        monkeypatch.setattr(module, "_blocks", blocks)
         for check_name in ("_all_compatible", "_check_witnesses"):
             def recording(f, n, indices, ys, *columns, check=getattr(module, check_name)):
                 nonlocal longest
@@ -94,14 +103,9 @@ def test_verdict_is_the_same_in_small_blocks(name, rows, capsys, monkeypatch):
     capsys.readouterr()
     expected = json.loads((HERE / "golden" / f"{name}.json").read_text(encoding="utf-8"))
     assert json.dumps(report.verdict_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
-    # the checks saw blocks of up to ``rows`` rows, and some that long
-    assert longest == (0 if name == "identities" else rows)
-
-
-def without_factors(X):
-    """The same tables as X, with no factors recorded: the full search
-    runs."""
-    return TruncatedSimplicialSet(X.counts, X._faces, X._degens)
+    # the checks saw blocks of up to ``rows`` rows, and some that long, or
+    # as long as the largest searched cell (0 when no cell is searched)
+    assert longest == min(rows, max(searched, default=0))
 
 
 def test_s3_diagonal_spans_many_default_blocks(capsys, monkeypatch):
@@ -113,7 +117,7 @@ def test_s3_diagonal_spans_many_default_blocks(capsys, monkeypatch):
     # searched
     monkeypatch.chdir(HERE.parent)
     monkeypatch.setattr(
-        kancheck.cli, "product_stages", lambda A, B: without_factors(product(A, B))
+        kancheck.cli, "product_stages", lambda A, B: unrecorded_copy(product(A, B))
     )
     sizes = []
 
@@ -141,8 +145,10 @@ def test_s3_diagonal_spans_many_default_blocks(capsys, monkeypatch):
 
 def test_s3_diagonal_is_checked_on_its_quotient(capsys, monkeypatch):
     # the same command on the product rule: EG(S3) x EG(S3) is decided from
-    # its factor, searched once, whose dim-2 cells have 216 families each
-    # (46656 = 216^2), and the verdict is the full search's, hash for hash
+    # its factor, checked once, whose two dim-1 cells of 6 families each are
+    # searched and whose dim-2 cells of 216 families each (46656 = 216^2)
+    # are counted, as EG is 0-coskeletal; the verdict is the full search's,
+    # hash for hash
     monkeypatch.chdir(HERE.parent)
     sizes = []
 
@@ -156,7 +162,7 @@ def test_s3_diagonal_is_checked_on_its_quotient(capsys, monkeypatch):
     )
     capsys.readouterr()
     assert code == 0
-    assert sizes == [6, 6, 216, 216, 216]
+    assert sizes == [6, 6]
     text = json.dumps(report.verdict_dict(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "80f1247e7dcb8e420fb5dba1a3d868b9dc4f1805026bc0332810dd39ddef60ce"
@@ -188,8 +194,8 @@ def test_s3_diagonal_dim3_rung(capsys, monkeypatch):
 
 def test_s3_diagonal_dim6_rung(capsys, monkeypatch):
     # the S3 eg-tensor diagonal at dim 6: 561919032072 families, decided
-    # from EG(S3), whose 9 cells below dim 4 are searched and whose cells
-    # from dim 4 up are counted, as EG is 2-coskeletal; pinned by the hash
+    # from EG(S3), whose 2 cells at dim 1 are searched and whose cells from
+    # dim 2 up are counted, as EG is 0-coskeletal; pinned by the hash
     # that the search of every cell of EG(S3) gave (in about 7-10 s and
     # 285 MB as one CLI process)
     monkeypatch.chdir(HERE.parent)
@@ -206,7 +212,7 @@ def test_s3_diagonal_dim6_rung(capsys, monkeypatch):
     )
     capsys.readouterr()
     assert code == 0
-    assert searched == [1] * 2 + [2] * 3 + [3] * 4
+    assert searched == [1, 1]
     verdict = report.verdict_dict()
     assert verdict["checks"][0]["details"]["report"]["families_checked"] == 561919032072
     text = json.dumps(verdict, sort_keys=True, separators=(",", ":"))

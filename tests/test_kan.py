@@ -6,7 +6,7 @@ from collections import Counter
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
-from oracles import compatible, map_apply, simplices
+from oracles import compatible, map_apply, simplices, unrecorded_copy
 
 import kancheck.groupoids
 import kancheck.kan
@@ -444,7 +444,7 @@ class TestGroupoidNerves:
                     assert [fillers[faces] for faces, _ in families] == [1] * len(families)
                     assert len(families) == X.size(n)
         for check in (check_kan_to_point, check_trivial_fibration_to_point):
-            assert check(X, X.bound) == check(without_factors(X), X.bound)
+            assert check(X, X.bound) == check(unrecorded_copy(X), X.bound)
 
 
 class TestIdEngineReports:
@@ -611,7 +611,7 @@ class TestRowsVerifiedByWitness:
         eg = eg_construction(z2, 2)
         broken = break_one_face(eg, 2, 0, 0, 3)
         X = product(eg, broken)
-        full = without_factors(X)
+        full = unrecorded_copy(X)
         first = next(v for v in validate_simplicial_identities(full).violations if v.n == 2)
         want = "domain breaks the simplicial identities: " + first.describe(full)
         for check, tables in (
@@ -626,7 +626,7 @@ class TestRowsVerifiedByWitness:
                                        [[[]], [[], []], []])
         for check in (check_kan_to_point, check_trivial_fibration_to_point):
             over_empty = product(broken, empty)
-            assert check(over_empty, 2) == check(without_factors(over_empty), 2)
+            assert check(over_empty, 2) == check(unrecorded_copy(over_empty), 2)
 
     def test_non_natural_map_refused(self, eg_sign_map):
         f = eg_sign_map
@@ -869,19 +869,12 @@ def searched_eg_product(z2):
     """EG(Z2) x EG(Z2) to bound 4, whose recorded factors are copies of
     EG(Z2) that record no coskeleton: a check over a point searches every
     cell of the factor, dim 4 included."""
-    eg = without_factors(eg_construction(z2, 4))
+    eg = unrecorded_copy(eg_construction(z2, 4))
     return product(eg, eg)
 
 
 def horn_cells(max_dim):
     return [(n, k) for n in range(1, max_dim + 1) for k in range(n + 1)]
-
-
-def without_factors(X):
-    """The same tables and labels as X, with no factors and no coskeleton
-    recorded: the full search runs."""
-    labels = None if X._labels is None else list(X._labels)
-    return TruncatedSimplicialSet(X.counts, X._faces, X._degens, labels)
 
 
 TRIVIAL_CELLS = [(n, -1) for n in range(1, 5)]
@@ -922,7 +915,7 @@ class TestMapLifetime:
         monkeypatch.setattr(kancheck.kan, "_blocks", recording)
         # each cell's least-id map is dropped once counted, on the set or,
         # with its factors recorded, on its factor
-        for tables in (without_factors(searched_eg_product), searched_eg_product):
+        for tables in (unrecorded_copy(searched_eg_product), searched_eg_product):
             held.clear()
             assert check(tables, 4).passed
             assert [n for n, _, _ in held] == [n for n, _ in cells]
@@ -947,7 +940,7 @@ class TestMapLifetime:
     ], ids=["kan", "trivial"])
     def test_builds_match_a_kept_map_and_none_twice(self, eg_product, monkeypatch, owned, kept):
         # the same tables with no factors recorded, so that both search in full
-        eg_product = without_factors(eg_product)
+        eg_product = unrecorded_copy(eg_product)
         builds = recording_builds(monkeypatch)
         kept(eg_product)
         on_kept = builds[:]
@@ -961,7 +954,7 @@ class TestMapLifetime:
         # a caller's map is searched in full, over a point and on a product
         # that records its factors too, and keeps every least-id map and
         # index it built; its report is the factor rule's
-        for X in (without_factors(eg_product), eg_product):
+        for X in (unrecorded_copy(eg_product), eg_product):
             f = to_point_map(X)
             assert check_kan_fibration(f, 4) == check_kan_to_point(eg_product, 4)
             assert set(f._leasts) == {
@@ -1134,9 +1127,11 @@ class TestProductRule:
 
     def test_failing_cell_is_searched_in_full(self, z2, monkeypatch):
         # Y, the S4-pair diagonal, is not Kan, so neither is EG(Z2) x Y: each
-        # factor is searched, then the product in full, from its first cell
+        # factor is searched, then the product in full, from its first cell.
+        # The EG factor is a copy that records no coskeleton, so its cells
+        # at dim 2 are searched too
         Y = s4_pair_diagonal(2)
-        X = product(eg_construction(z2, 2), Y)
+        X = product(unrecorded_copy(eg_construction(z2, 2)), Y)
         seen = []
         count_cell = kancheck.kan._count_cell
 
@@ -1173,7 +1168,7 @@ class TestProductRule:
         X = build(eg_construction(z2, 3))
         assert X._factors is not None
         assert fibration_report_to_dict(check(X, 3)) == (
-            fibration_report_to_dict(check(without_factors(X), 3))
+            fibration_report_to_dict(check(unrecorded_copy(X), 3))
         )
 
     def test_caller_map_uses_the_rule_only_over_a_point(self, eg_product):
@@ -1190,7 +1185,7 @@ class TestProductRule:
         gc.disable()
         try:
             assert check_kan_to_point(eg_product, 4).passed
-            assert check_kan_to_point(without_factors(eg_product), 4).passed
+            assert check_kan_to_point(unrecorded_copy(eg_product), 4).passed
             assert not check_kan_to_point(s4_pair_diagonal(2), 2).passed
             grows = [
                 o for o in gc.get_objects()
@@ -1220,7 +1215,8 @@ def report_cells(report):
     return [(c.n, tuple(i for i in range(c.n + 1) if i != c.k)) for c in report.cells]
 
 
-# nerves recorded as 2-coskeletal, each to the bound it is checked at
+# sets recorded as c-coskeletal, each to the bound it is checked at: EG with
+# c = 0, the nerves with c = 2
 COSKELETAL_SETS = {
     "EG(Z2)-8": lambda: eg_construction(cyclic_group(2), 8),
     "EG(Z3)-6": lambda: eg_construction(cyclic_group(3), 6),
@@ -1230,6 +1226,23 @@ COSKELETAL_SETS = {
     # trivial sweep reaches the counted levels
     "codiscrete3-5": lambda: nerve(group_times_pair_groupoid(cyclic_group(1), 3, range(9)), 5),
 }
+
+
+# the group order of each EG above
+EG_ORDERS = {"EG(Z2)-8": 2, "EG(Z3)-6": 3, "EG(S3)-5": 6}
+
+
+def vertex_tuples(X, n):
+    """The vertices of each n-simplex of X, read off its face tables: vertex
+    j by deleting the indices above j, top first, then index 0, j times."""
+    columns = []
+    for j in range(n + 1):
+        column = range(X.counts[n])
+        for m in [*range(n, j, -1), *range(j, 0, -1)]:
+            face = X._faces[m][m if m > j else 0]
+            column = [face[x] for x in column]
+        columns.append(column)
+    return list(zip(*columns))
 
 
 @pytest.fixture(scope="module")
@@ -1244,7 +1257,7 @@ def full_search(searches, name, check):
     check, at the block size in force at the first call."""
     if (name, check) not in searches:
         X = COSKELETAL_SETS[name]()
-        searches[name, check] = X, fibration_report_to_dict(check(without_factors(X), X.bound))
+        searches[name, check] = X, fibration_report_to_dict(check(unrecorded_copy(X), X.bound))
     return searches[name, check]
 
 
@@ -1252,7 +1265,9 @@ class TestCountedCells:
     """A check over a point counts each cell (n, I) of a set recorded as
     c-coskeletal with |I| >= c + 2, and searches the others: the nerves of
     groupoids, recorded with c = 2, have their horns counted from n = 4 and
-    their boundaries from n = 3.  Its reports are the full search's."""
+    their boundaries from n = 3, and EG, recorded with c = 0, its horns from
+    n = 2 and its boundaries from n = 1.  Its reports are the full
+    search's."""
 
     @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "1", "7"])
     @pytest.mark.parametrize("check", [check_kan_to_point, check_trivial_fibration_to_point],
@@ -1264,16 +1279,32 @@ class TestCountedCells:
         # the reference is searched at the default block size: the block size
         # cuts only the cells the counted check searches
         X, full = full_search(full_searches, name, check)
-        assert X._coskeletal == 2
+        c = 0 if name in EG_ORDERS else 2
+        assert X._coskeletal == c
         if rows is not None:
             monkeypatch.setattr(kancheck.kan, "BLOCK_ROWS", rows)
         searched = searched_cells(monkeypatch)
         report = check(X, X.bound)
         assert fibration_report_to_dict(report) == full
-        assert searched == [cell for cell in report_cells(report) if len(cell[1]) < 4]
+        assert searched == [cell for cell in report_cells(report) if len(cell[1]) < c + 2]
         # every set here passes both checks but BS3, whose boundaries at n = 2
         # do not all fill
         assert report.passed == (name != "BS3-5" or check is check_kan_to_point)
+
+    @pytest.mark.parametrize("name", sorted(COSKELETAL_SETS))
+    def test_a_0_coskeletal_record_is_true(self, name):
+        # read off the face tables, not by the Kan engine: a set recorded as
+        # 0-coskeletal is its vertices, the vertex map X_n -> X_0^(n+1)
+        # being one-to-one and onto at every level
+        X = COSKELETAL_SETS[name]()
+        bijective = all(
+            len(set(vertex_tuples(X, n))) == X.counts[n] == X.counts[0] ** (n + 1)
+            for n in range(X.bound + 1)
+        )
+        assert bijective or X._coskeletal != 0
+        if name in EG_ORDERS:
+            assert X._coskeletal == 0
+            assert X.counts == tuple(EG_ORDERS[name] ** (n + 1) for n in range(X.bound + 1))
 
     def test_records_extensions_and_products_are_searched_in_full(self, z2, monkeypatch):
         # none of these records a coskeleton, though each is a nerve or a
@@ -1319,7 +1350,7 @@ class TestCountedCells:
         with pytest.raises(RejectedInput, match="simplicial identities") as counted:
             check(broken, 4)
         with pytest.raises(RejectedInput) as searched:
-            check(without_factors(broken), 4)
+            check(unrecorded_copy(broken), 4)
         assert str(counted.value) == str(searched.value)
 
 

@@ -12,8 +12,8 @@ filler per horn.
 from functools import cache
 
 import pytest
-from oracles import eg_coordinates, eg_reference
-from test_kan import standard_simplex, without_factors
+from oracles import eg_coordinates, eg_reference, unrecorded_copy
+from test_kan import standard_simplex
 
 import kancheck.bisimplicial
 import kancheck.groupoids
@@ -49,7 +49,7 @@ def full_search_report(name, bound):
     """The to-point Kan report of the built EG x EG with no factors
     recorded, so that every family is searched."""
     eg = eg_construction(GROUPS[name], bound)
-    return check_kan_to_point(without_factors(product(eg, eg)), bound)
+    return check_kan_to_point(unrecorded_copy(product(eg, eg)), bound)
 
 
 def s3_counterexample_diagonal(bound):
@@ -117,7 +117,7 @@ class TestQuotientCheck:
             monkeypatch.setattr(kancheck.kan, "BLOCK_ROWS", rows)
         eg, Y = eg_construction(cyclic_group(2), 2), s3_counterexample_diagonal(2)
         X = product(eg, Y)
-        full = fibration_report_to_dict(check_kan_to_point(without_factors(X), 2))
+        full = fibration_report_to_dict(check_kan_to_point(unrecorded_copy(X), 2))
         for tables in (product_stages(eg, Y), X):
             assert fibration_report_to_dict(check_kan_to_point(tables, 2)) == full
         assert not full["passed"] and full["failure"]["family"]["n"] == 2
@@ -142,7 +142,7 @@ class TestQuotientCheck:
         eg, Y = eg_construction(cyclic_group(2), 2), s3_counterexample_diagonal(2)
         A, B = build(eg, Y)
         X = product(A, B)
-        full = fibration_report_to_dict(check(without_factors(X), 2))
+        full = fibration_report_to_dict(check(unrecorded_copy(X), 2))
         assert fibration_report_to_dict(check(X, 2)) == full
         if check in (check_kan_to_point, check_trivial_fibration_to_point):
             assert fibration_report_to_dict(check(product_stages(A, B), 2)) == full
@@ -163,7 +163,7 @@ class TestQuotientCheck:
         A, B = standard_simplex(3, 3), Unread(eg.counts, eg._faces, eg._degens, list(eg._labels))
         report = fibration_report_to_dict(check(product_stages(A, B), 3))
         assert not report["passed"]
-        assert report == fibration_report_to_dict(check(without_factors(product(A, eg)), 3))
+        assert report == fibration_report_to_dict(check(unrecorded_copy(product(A, eg)), 3))
 
     def test_bound_too_small_rejected(self):
         eg = eg_construction(GROUPS["Z2"], 2)
