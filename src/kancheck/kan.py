@@ -55,10 +55,11 @@ A product over a point is decided from its factors by one rule,
 :func:`_from_factors`, for :func:`check_kan_to_point`,
 :func:`check_trivial_fibration_to_point` and the pointwise sweep of a tensor,
 whose diagonal is the product of its factors
-(:func:`kancheck.pointwise.verify_pointwise_to_point`).  Each factor is
-searched in full on a map of its own, and when both pass, every cell's
-counts are the products of theirs.  Otherwise the product itself is searched
-in full, as every caller's map is (:func:`check_kan_fibration`).
+(:func:`kancheck.pointwise.verify_pointwise_to_point`, which passes
+:func:`check_kan_to_point`).  Each factor gets the caller's check to a point,
+on a map of its own, and when both pass, every cell's counts are the
+products of theirs.  Otherwise the product itself is searched in full, as
+every caller's map is (:func:`check_kan_fibration`).
 
 Columns are read by the C-level ``gather``, key columns are zipped into
 tuples by ``zip_keys`` (one column is its own key), and buckets and fillers
@@ -448,8 +449,10 @@ def _check_to_point(
     they build; no copy, extension or product does.  The level laws of a
     counted level are still checked (:func:`require_level_laws`), so a set
     that breaks one is refused as a search would refuse it.  A caller's map
-    (:func:`check_kan_fibration`) is searched in full, since the pointwise
-    sweeps read the maps its search builds.
+    (:func:`check_kan_fibration`) is searched in full, for a caller that
+    reads the maps its search builds, as the bimap pointwise sweep does; a
+    tensor's pointwise sweep decides its factors here and fills on fresh
+    maps of its own.
     """
     _require_max_dim(X.bound, max_dim)
     report = _from_factors(X, max_dim, partial(_check_to_point, kind=kind, cells=cells))

@@ -31,9 +31,10 @@ indexes are kept with f, as the column maps' are.
 
 The diagonal of ``tensor(A, B)`` is ``product(A, B)``, so the Kan
 precondition of a tensor's sweep to the point is decided from its factors
-(:func:`kancheck.kan._from_factors`): on an eg-tensor it searches EG alone,
-once.  When a factor fails, :func:`verify_pointwise_fillers` searches the
-diagonal map in full, so the message is the full search's.
+by :func:`kancheck.kan.check_kan_to_point` (:func:`kancheck.kan._from_factors`):
+on an eg-tensor it checks EG alone, once, searching its two n = 1 horn cells
+and counting the rest.  When a factor fails, :func:`verify_pointwise_fillers`
+searches the diagonal map in full, so the message is the full search's.
 
 A tensor's sweep to the point runs on its factors
 (:func:`verify_pointwise_to_point`): column p of ``A ⊠ B`` is |A_p| copies
@@ -44,13 +45,15 @@ filled on its factor's map: a cell costs ``|A_p| + #β`` fills, not
 ``F(a) + G(β)`` candidates, A's parts weighing a filler w by ``|B_m|`` and
 B's by ``w + 1``, and a cell's ``max_search`` is ``max F + max G``.  The
 transposed cell (p, q, l) reads the same two parts as the direct one, with
-the factors' roles swapped, so a part is filled once per factor map and
-cell, under every weighting that the cells reading it need: when B is A,
-the transposed sweep fills nothing.  Each distinct fill is checked as a full
-sweep checks its family, and each answer is cut back down to its a and to
-β's faces; that a pair of answers solves the pair's horn is trusted to
-``tensor``, which builds X from its factors.  Any other X, and a tensor with
-a factor that is not Kan, is swept on its lines and its diagonal.
+the factors' roles swapped, and a map's two parts sit at the same
+``(n, I)``, so each distinct factor map fills once per cell, its horn rows
+and its degenerated rows in the same blocks, under every weighting that the
+cells reading them need: when B is A, the transposed sweep fills nothing.
+Each block is checked as a full sweep checks its family, and each answer
+is cut back down to its a or to β's faces; that a pair of answers solves
+the pair's horn is trusted to ``tensor``, which builds X from its factors.
+Any other X, and a tensor with a factor that is not Kan, is swept on its
+lines and its diagonal.
 
 Index bookkeeping, for a horn in column p, vertical dimension q >= 1 and
 missing index l: the diagonal family lives at dimension n = p + q over the
@@ -265,112 +268,95 @@ def verify_pointwise_fillers(f: BisimplicialMap, max_total_dim: int) -> Pointwis
     )
 
 
-def _factor_fill(
-    f: SimplicialMap, n: int, indices: tuple[int, ...], ys: list[int], xs: list[list[int]],
-    weightings: Sequence[Sequence[int] | None], where: str,
-) -> tuple[list[int], list[list[int]]]:
-    """Fill a block of one factor's part of a cell's diagonal families, every
-    row verified compatible first: ``(ws, examined)``, as
-    :func:`kancheck.kan._partial_fillers` gives them.  ``where`` names the
-    cell and direction of a part that does not fill."""
-    if not _all_compatible(f, n, indices, ys, xs):
-        raise InternalInvariantError("built diagonal family is not compatible")
-    ws, examined = _partial_fillers(f, n, indices, ys, xs, weightings)
-    if None in ws:
-        raise InternalInvariantError(f"{where} did not fill through the Kan diagonal")
-    return ws, examined
-
-
 def _widest(maxima: list[int], examined: list[list[int]]) -> list[int]:
     """The running maxima, one per weighting, with a block's ``examined``."""
-    return [max(m, *e) for m, e in zip(maxima, examined)]
+    return [max([m, *e]) for m, e in zip(maxima, examined)]
 
 
-def _horn_part(
-    f: SimplicialMap, weightings: Sequence, p: int, q: int, l: int, where: str
-) -> tuple[int, list[int]]:
-    """The horn part of cell (p, q, l) on a factor H, which f sends to a
-    point: every horn β of H at (q, l), degenerated to its diagonal family at
-    n = p + q and filled, and each answer cut back down to β's faces.
-    Returns the number of horns and, per weighting, the most any examined."""
-    H, n = f.domain, p + q
+def _factor_rows(
+    f: SimplicialMap, weightings: Sequence, p: int, q: int, l: int, horns: int, count: int,
+    directions: tuple[str, str],
+) -> tuple[list[int], list[int]]:
+    """The parts of cell (p, q, l) on a factor M, which f sends to a point,
+    filled together: its horn part, every horn β of M at (q, l), and its
+    degenerated part, the ids d below ``count`` of M_p, each degenerated to
+    its diagonal family at n = p + q, whose index set is the same for both.
+
+    The rows, horns first, fill in blocks of at most ``kan.BLOCK_ROWS``,
+    every row verified compatible first.  Each horn's answer is cut back down
+    to β's faces and each d's to d.  ``directions`` name each part's cell
+    direction, for a row that does not fill or cut down; the enumerated
+    horns must be the ``horns`` the factor's Kan check counted.  Returns,
+    per weighting, the most any row of each part examined."""
+    M, n = f.domain, p + q
     horn = tuple(i for i in range(q + 1) if i != l)
     indices = tuple(range(l)) + tuple(range(p + l + 1, n + 1))
-    horns, maxima = 0, [0] * len(weightings)
-    for ys, xs in _blocks(f, q, horn):
-        # the point's ids are 0 at every level, so ys is the target at n too
-        lifted = [
-            _repeat(H._degens, l - 1 if t < l else l, p, q - 1, x, 1) for t, x in enumerate(xs)
-        ]
-        ws, examined = _factor_fill(f, n, indices, ys, lifted, weightings, where)
-        _check_witnesses(f, q, horn, ys, xs, _repeat(H._faces, l, p, n, ws, -1))
-        horns += len(ys)
-        maxima = _widest(maxima, examined)
-    return horns, maxima
-
-
-def _degenerated_part(
-    f: SimplicialMap, weightings: Sequence, p: int, q: int, l: int, where: str
-) -> tuple[int, list[int]]:
-    """The degenerated part of cell (p, q, l) on a factor D, which f sends to
-    a point: every d in D_p, degenerated to the diagonal family at n = p + q
-    that the horns of (q, l) give it, and filled, and each answer cut back
-    down to its d.  Returns ``|D_p|`` and, per weighting, the most any
-    examined."""
-    D, n = f.domain, p + q
-    indices = tuple(range(l)) + tuple(range(p + l + 1, n + 1))
-    maxima = [0] * len(weightings)
-    for start in range(0, D.counts[p], kan.BLOCK_ROWS):
-        ds = list(range(start, min(start + kan.BLOCK_ROWS, D.counts[p])))
-        # each row's faces are one simplex at every index below l and
-        # another at every index above it
-        below = _raise(D._degens, p, n - 1, l - 1, ds) if l else []
-        above = _raise(D._degens, p, n - 1, l, ds) if l < q else []
-        lifted = [below if i < l else above for i in indices]
-        ws, examined = _factor_fill(f, n, indices, [0] * len(ds), lifted, weightings, where)
-        if _lower(D._faces, p, q, l, ws) != ds:
+    # a face below l is degenerated by s_{l-1}, one above it by s_l
+    shifts = [l - 1 if t < l else l for t in range(q)]
+    wheres = [f"{d} horn at (p, q, missing) = ({p}, {q}, {l})" for d in directions]
+    max_h, max_d = [0] * len(weightings), [0] * len(weightings)
+    blocks, start, found = _blocks(f, q, horn), 0, 0
+    while (block := next(blocks, None)) or start < count:
+        ys, xs = block or ([], [[] for _ in horn])
+        ds = list(range(start, min(count, start + kan.BLOCK_ROWS - len(ys))))
+        start, h = start + len(ds), len(ys)
+        ups = {s: _raise(M._degens, p, n - 1, s, ds) for s in set(shifts)}
+        lifted = [_repeat(M._degens, s, p, q - 1, x, 1) + ups[s] for s, x in zip(shifts, xs)]
+        # the point's ids are 0 at every level, so every target is 0 at n
+        rows = [0] * (h + len(ds))
+        if not _all_compatible(f, n, indices, rows, lifted):
+            raise InternalInvariantError("built diagonal family is not compatible")
+        ws, examined = _partial_fillers(f, n, indices, rows, lifted, weightings)
+        if None in ws:
+            where = wheres[ws.index(None) >= h]
+            raise InternalInvariantError(f"{where} did not fill through the Kan diagonal")
+        _check_witnesses(f, q, horn, ys, xs, _repeat(M._faces, l, p, n, ws[:h], -1))
+        if _lower(M._faces, p, q, l, ws[h:]) != ds:
             raise InternalInvariantError(
-                f"{where}: a filler does not cut back down to its simplex"
+                f"{wheres[1]}: a filler does not cut back down to its simplex"
             )
-        maxima = _widest(maxima, examined)
-    return D.counts[p], maxima
+        found += h
+        max_h = _widest(max_h, [e[:h] for e in examined])
+        max_d = _widest(max_d, [e[h:] for e in examined])
+    if found != horns:
+        raise InternalInvariantError(f"{wheres[0]}: {found} horns, {horns} counted")
+    return max_h, max_d
 
 
 def _factor_cells(
-    maps: list[SimplicialMap], weightings: list[list], p: int, q: int, l: int
+    maps: list[SimplicialMap], weightings: list[list], horns: list[dict], p: int, q: int, l: int
 ) -> list[SweepCell]:
     """The direct and the transposed cell (p, q, l) of a tensor's sweep, on
     its factors' maps: one when B is A, else A's then B's, each filling under
-    ``weightings[i]``, A's weighting first and B's last.  A horn of the
-    direct cell is a pair ``(a, β)`` of an a in A_p and a horn β of B at
-    (q, l); of the transposed cell, a pair of a horn of A and a b in B_p.  So
-    a cell reads two parts, its D part (:func:`_degenerated_part`) and its H
-    part (:func:`_horn_part`), and a row examines ``F(d) + G(β)``
-    candidates: the cell's ``max_search`` is the sum of the two parts'
-    maxima, each under its factor's weighting.
+    ``weightings[i]``, A's weighting first and B's last, with ``horns[i]``
+    the horn counts of its factor's Kan check.  A horn of the direct cell is
+    a pair ``(a, β)`` of an a in A_p and a horn β of B at (q, l); of the
+    transposed cell, a pair of a horn of A and a b in B_p.  So a cell reads
+    two parts, the degenerated part of its D factor and the horn part of its
+    H factor, and a row examines ``F(d) + G(β)`` candidates: the cell's
+    ``max_search`` is the sum of the two parts' maxima, each under its
+    factor's weighting.
 
-    A part is filled once per factor map and cell, under every weighting of
-    its map, when the first cell that reads it asks for it, and named by that
-    cell's direction: when B is A, the transposed cell reads the direct
-    cell's parts and fills nothing.  The D part is filled only for a cell
-    with a horn, as a cell with none has no problem."""
-    parts: dict[tuple, tuple[int, list[int]]] = {}
-
-    def part(fill, i: int, where: str) -> tuple[int, list[int]]:
-        key = fill, id(maps[i])
-        if key not in parts:
-            parts[key] = fill(maps[i], weightings[i], p, q, l, where)
-        return parts[key]
-
+    Each map fills once per cell (:func:`_factor_rows`), its horn part and,
+    when the cell that reads it has a horn, its degenerated part, under
+    every weighting of the map; a part is named by the direction of the first
+    cell that reads it.  When B is A, the transposed cell reads the direct
+    cell's parts."""
+    parts = [
+        _factor_rows(
+            f, weightings[i], p, q, l, horns[i][q, l],
+            f.domain.counts[p] if horns[-1 - i][q, l] else 0,
+            ("direct" if f is maps[-1] else "transposed",
+             "direct" if f is maps[0] else "transposed"),
+        )
+        for i, f in enumerate(maps)
+    ]
     cells = []
     # role 0 is A's and role -1 is B's: its map in maps, and its weighting
     # in that map's list
-    for direction, d, h in (("direct", 0, -1), ("transposed", -1, 0)):
-        where = f"{direction} horn at (p, q, missing) = ({p}, {q}, {l})"
-        horns, max_h = part(_horn_part, h, where)
-        count, max_d = part(_degenerated_part, d, where) if horns else (0, None)
-        problems = count * horns
-        search = max_d[d] + max_h[h] if problems else 0
+    for d, h in ((0, -1), (-1, 0)):
+        problems = maps[d].domain.counts[p] * horns[h][q, l]
+        search = parts[d][1][d] + parts[h][0][h] if problems else 0
         cells.append(SweepCell(p, q, l, problems, problems, search))
     return cells
 
@@ -391,15 +377,17 @@ def verify_pointwise_to_point(
     (:func:`_factor_cells`).  A row's ``examined`` is ``Σ_j (a_j·|B_{m_j}| +
     b_j + 1)`` over its chain of full fills, so A's parts are always weighed
     by ``|B_m|`` and B's by ``w + 1``, whichever sweep reads them.  The
-    factor rule (:func:`kancheck.kan._from_factors`) checks each factor Kan
-    on a map of its own, kept for the sweeps, which read the least-id maps
-    the check built.  A part is filled once per factor map and cell, under
-    every weighting of that map: when B is A, the one map fills each part
-    under both weightings and the transposed sweep fills nothing; otherwise
-    each map fills under its factor's weighting, each part once.  That a
-    pair of answers solves the pair's horn is trusted to ``tensor``, the only
-    maker of a bisimplicial ``_factors``, which builds X's lines from the
-    factors, as the rule trusts ``product``.
+    factor rule (:func:`kancheck.kan._from_factors`) decides each factor Kan
+    by :func:`kancheck.kan.check_kan_to_point`, which counts EG's cells from
+    dim 2 up, and whose horn counts the sweep's enumeration must match.  The
+    sweep fills on a fresh map per distinct factor, which builds the least-id
+    maps it reads on first read, once per map and cell, under every
+    weighting of that map: when B is A, the one map fills under both
+    weightings and the transposed sweep fills nothing; otherwise each map
+    fills under its factor's weighting.  That a pair of answers solves the
+    pair's horn is trusted to ``tensor``, the only maker of a bisimplicial
+    ``_factors``, which builds X's lines from the factors, as the rule
+    trusts ``product``.
 
     When the rule gives no report (X records no factors, or a factor is not
     Kan or breaks a law), X takes the path of :func:`verify_pointwise_fillers`,
@@ -408,10 +396,13 @@ def verify_pointwise_to_point(
     """
     _require_total_dim(X.bounds, max_total_dim)
     maps: list[SimplicialMap] = []
+    horns: list[dict] = []
 
     def check(S: TruncatedSimplicialSet, n: int) -> kan.FibrationReport:
+        report = kan.check_kan_to_point(S, n)
         maps.append(to_point_map(S))
-        return check_kan_fibration(maps[-1], n)
+        horns.append({(c.n, c.k): c.families for c in report.cells})
+        return report
 
     if kan._from_factors(X, max_total_dim, check) is None:
         return verify_pointwise_fillers(to_point_bimap(X), max_total_dim)
@@ -421,7 +412,7 @@ def verify_pointwise_to_point(
     weightings[0].append(X._factors[1].counts)
     weightings[-1].append(None)
     cells = [
-        _factor_cells(maps, weightings, p, q, l) for p in range(max_total_dim)
+        _factor_cells(maps, weightings, horns, p, q, l) for p in range(max_total_dim)
         for q in range(1, max_total_dim - p + 1) for l in range(q + 1)
     ]
     return PointwiseSweepReport(

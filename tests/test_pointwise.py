@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from oracles import (
     BiSimplex,
@@ -37,12 +39,13 @@ from kancheck import (
     symmetric_group_preset,
     tensor,
     to_point_bimap,
+    to_point_map,
     transpose_map,
     verify_pointwise_fillers,
     verify_pointwise_to_point,
 )
 from kancheck.errors import InternalInvariantError, RejectedInput, TruncationError
-from kancheck.kan import FillCertificate
+from kancheck.kan import FillCertificate, HornCellStats
 from kancheck.pointwise import SweepCell, _answer, _diagonal_family
 from kancheck.presets import preset_bisimplicial
 from kancheck.serialize import fibration_report_to_dict
@@ -704,6 +707,27 @@ def factor_corpus():
 CORPUS = factor_corpus()
 
 
+def factor_pair(other, bound=3):
+    """``(A, B)`` with A = EG(Z2): B is A ("square"), EG(Z2) built apart
+    ("apart"), EG(Z3) ("mixed") or the empty set ("empty")."""
+    A = eg_construction(cyclic_group(2), bound)
+    return A, {
+        "square": lambda: A,
+        "apart": lambda: eg_construction(cyclic_group(2), bound),
+        "mixed": lambda: eg_construction(cyclic_group(3), bound),
+        "empty": lambda: empty_set(bound),
+    }[other]()
+
+
+def rotated(ws, horns, part):
+    """A factor block's fillers, its first ``horns`` rows the horn part and
+    the rest the degenerated part, with one part's fillers rotated by one
+    row: each row of that part gets another row's filler."""
+    assert len(ws) == 2 * horns
+    h, d = ws[:horns], ws[horns:]
+    return h[1:] + h[:1] + d if part == "horn" else h + d[1:] + d[:1]
+
+
 class TestFactorSweep:
     """A tensor's sweep to the point runs on its factors; its reports must be
     the bimap sweep's, on the tensor's lines and its diagonal."""
@@ -784,27 +808,23 @@ class TestFactorSweep:
                              ids=["square", "apart", "mixed"])
     def test_sweep_reads_only_the_factors(self, other, fills, monkeypatch):
         # no line of the tensor is built, no bimap or diagonal map is made,
-        # and every fill is on a factor's map, each factor Kan-checked once.
-        # A part is filled once per factor map and cell, each row verified
-        # compatible once: the square's transposed sweep reads the direct
-        # sweep's parts, so it fills half of what the same sweep fills on
-        # the two maps of EG(Z2) built apart, where each direction fills its
-        # own, as the mixed EG(Z2) x EG(Z3) does
-        A = eg_construction(cyclic_group(2), 3)
-        B = {
-            "square": A,
-            "apart": eg_construction(cyclic_group(2), 3),
-            "mixed": eg_construction(cyclic_group(3), 3),
-        }[other]
+        # and every fill is on a factor's map, each factor's Kan
+        # precondition decided once, by the to-point check.  A map fills its
+        # parts of a cell once, each row verified compatible once: the
+        # square's transposed sweep reads the direct sweep's parts, so it
+        # fills half of what the same sweep fills on the two maps of EG(Z2)
+        # built apart, where each direction fills its own, as the mixed
+        # EG(Z2) x EG(Z3) does
+        A, B = factor_pair(other)
         X = tensor(A, B)
         checked, filled_in = [], set()
         filled = compatible_rows = 0
-        check, fill = kancheck.pointwise.check_kan_fibration, kancheck.pointwise._partial_fillers
+        check, fill = kancheck.kan.check_kan_to_point, kancheck.pointwise._partial_fillers
         compatible = kancheck.pointwise._all_compatible
 
-        def recording_check(f, max_dim):
-            checked.append(f.domain)
-            return check(f, max_dim)
+        def recording_check(S, max_dim):
+            checked.append(S)
+            return check(S, max_dim)
 
         def recording_fill(f, n, indices, ys, xs, weightings):
             nonlocal filled
@@ -817,7 +837,8 @@ class TestFactorSweep:
             compatible_rows += len(ys)
             return compatible(f, n, indices, ys, xs)
 
-        monkeypatch.setattr(kancheck.pointwise, "check_kan_fibration", recording_check)
+        monkeypatch.setattr(kancheck.kan, "check_kan_to_point", recording_check)
+        monkeypatch.setattr(kancheck.pointwise, "check_kan_fibration", None)
         monkeypatch.setattr(kancheck.pointwise, "_partial_fillers", recording_fill)
         monkeypatch.setattr(kancheck.pointwise, "_all_compatible", counting)
         monkeypatch.setattr(kancheck.pointwise, "to_point_bimap", None)
@@ -828,18 +849,129 @@ class TestFactorSweep:
         assert filled_in == {id(A), id(B)}
         assert filled == compatible_rows == fills
 
+    @pytest.mark.parametrize("other, calls", [
+        ("square", 16), ("apart", 32), ("mixed", 32), ("empty", 16),
+    ], ids=["square", "apart", "mixed", "empty"])
+    def test_one_fill_per_cell_and_map(self, other, calls, monkeypatch):
+        # at the default block size each distinct map with rows fills once
+        # per cell, A's map before B's: its horns at (q, l) (|M_0| at q = 1,
+        # else |M_q|, M being 0-coskeletal), then every d of M_p when the
+        # other factor has a horn there, at the cell's diagonal n and index
+        # set, under every weighting of the map.  Next to the empty set, EG
+        # fills its horns alone, and the empty set fills nothing
+        A, B = factor_pair(other)
+        on_lines = on_bimap(tensor(A, B), 3)
+        seen = []
+        fill = kancheck.pointwise._partial_fillers
+
+        def recording(f, n, indices, ys, xs, weightings):
+            seen.append((f.domain, n, indices, len(ys), len(weightings)))
+            return fill(f, n, indices, ys, xs, weightings)
+
+        monkeypatch.setattr(kancheck.pointwise, "_partial_fillers", recording)
+        assert verify_pointwise_to_point(tensor(A, B), 3) == on_lines
+        factors = [A] if B is A else [A, B]
+
+        def horns(M, q):
+            return M.counts[q if q > 1 else 0]
+
+        expected = [
+            (M, p + q, tuple(range(l)) + tuple(range(p + l + 1, p + q + 1)),
+             horns(M, q) + (M.counts[p] if horns(N, q) else 0), 3 - len(factors))
+            for p in range(3) for q in range(1, 4 - p) for l in range(q + 1)
+            for M, N in zip(factors, factors[::-1])
+        ]
+        assert seen == [call for call in expected if call[3]]
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("other", ["square", "apart", "mixed"])
+    def test_blocks_hold_to_the_bound(self, other, rows, monkeypatch):
+        # a map's rows of a cell, horns then ds, go through the engine in
+        # blocks of at most BLOCK_ROWS, each verified a block at a time
+        A, B = factor_pair(other)
+        expected = on_bimap(tensor(A, B), 3)
+        monkeypatch.setattr(kancheck.kan, "BLOCK_ROWS", rows)
+        sizes = {"compatible": [], "witnesses": []}
+        compatible = kancheck.pointwise._all_compatible
+        witnesses = kancheck.pointwise._check_witnesses
+
+        def counting(f, n, indices, ys, xs):
+            sizes["compatible"].append(len(ys))
+            return compatible(f, n, indices, ys, xs)
+
+        def checking(f, n, indices, ys, xs, ws):
+            sizes["witnesses"].append(len(ws))
+            return witnesses(f, n, indices, ys, xs, ws)
+
+        monkeypatch.setattr(kancheck.pointwise, "_all_compatible", counting)
+        monkeypatch.setattr(kancheck.pointwise, "_check_witnesses", checking)
+        assert verify_pointwise_to_point(tensor(A, B), 3) == expected
+        assert max(sizes["compatible"]) == max(sizes["witnesses"]) == rows
+        assert sum(sizes["compatible"]) == {"square": 178, "apart": 356, "mixed": 808}[other]
+
+    @pytest.mark.parametrize("other", ["square", "mixed"])
+    def test_precondition_searches_only_the_dim_1_horns(self, other, monkeypatch):
+        # each factor's precondition is the to-point check, which counts
+        # EG's cells from dim 2 up: only its two n = 1 horn cells are
+        # searched, and its report is the full search of a caller's map
+        A, B = factor_pair(other)
+        factors = [A] if B is A else [A, B]
+        expected = [check_kan_fibration(to_point_map(S), 3) for S in factors]
+        searched, reports = [], []
+        count_cell, check = kancheck.kan._count_cell, kancheck.kan.check_kan_to_point
+
+        def recording_cell(f, n, indices):
+            searched.append((f.domain, n, indices))
+            return count_cell(f, n, indices)
+
+        def recording_check(S, max_dim):
+            reports.append(check(S, max_dim))
+            return reports[-1]
+
+        monkeypatch.setattr(kancheck.kan, "_count_cell", recording_cell)
+        monkeypatch.setattr(kancheck.kan, "check_kan_to_point", recording_check)
+        assert verify_pointwise_to_point(tensor(A, B), 3).passed
+        assert searched == [(S, 1, indices) for S in factors for indices in ((1,), (0,))]
+        assert reports == expected
+        assert [c.families for c in reports[0].cells] == [2, 2, 8, 8, 8, 16, 16, 16, 16]
+
+    def test_horns_must_be_the_counted_ones(self, monkeypatch):
+        # the sweep enumerates each factor's horns, and they must be the
+        # ones its Kan check counted: a report that counts one horn too many
+        # at (q, l) = (2, 1) is caught at the first cell that reads it
+        A = eg_construction(cyclic_group(2), 3)
+        check = kancheck.kan.check_kan_to_point
+
+        def miscounting(S, max_dim):
+            report = check(S, max_dim)
+            cells = [HornCellStats(c.n, c.k, c.families + ((c.n, c.k) == (2, 1)), c.filled)
+                     for c in report.cells]
+            return dataclasses.replace(report, cells=tuple(cells))
+
+        monkeypatch.setattr(kancheck.kan, "check_kan_to_point", miscounting)
+        with pytest.raises(InternalInvariantError) as err:
+            verify_pointwise_to_point(tensor(A, A), 3)
+        assert str(err.value) == (
+            "direct horn at (p, q, missing) = (0, 2, 1): 8 horns, 9 counted"
+        )
+
     @pytest.mark.parametrize("part", ["degenerated", "horn"])
     def test_wrong_factor_filler_raises(self, part, monkeypatch):
-        # the direct sweep of EG(Z2) x EG(Z3) fills the degenerated part in
-        # EG(Z2) and the horn part in EG(Z3): a filler handed to the wrong
-        # row, one part at a time, is caught when the answer is cut down
-        A, B = eg_construction(cyclic_group(2), 2), eg_construction(cyclic_group(3), 2)
+        # the direct sweep of EG(Z2) x EG(Z3) reads the degenerated part in
+        # EG(Z2) and the horn part in EG(Z3).  Cell (0, 1, 0) fills each
+        # map's |M_0| horns, then its |M_0| ds, in one block: a filler
+        # handed to the wrong row inside one part of that block is caught by
+        # that part's own check, when its answers are cut down
+        A, B = factor_pair("mixed", 2)
         wrong = A if part == "degenerated" else B
         fill = kancheck.pointwise._partial_fillers
 
         def rotating(f, n, indices, ys, xs, weightings):
             ws, examined = fill(f, n, indices, ys, xs, weightings)
-            return (ws[1:] + ws[:1] if f.domain is wrong else ws), examined
+            if f.domain is wrong:
+                ws = rotated(ws, f.domain.counts[0], part)
+            return ws, examined
 
         monkeypatch.setattr(kancheck.pointwise, "_partial_fillers", rotating)
         with pytest.raises(InternalInvariantError) as err:
@@ -854,8 +986,9 @@ class TestFactorSweep:
     def test_wrong_shared_filler_raises(self, part, monkeypatch):
         # the square EG(Z2) x EG(Z2) fills each part once for both sweeps,
         # under both weightings, and still checks its fillers: cell
-        # (0, 1, 0) fills its horn part, then its degenerated part, and a
-        # filler handed to the wrong row in either is caught
+        # (0, 1, 0) fills its horn part and its degenerated part in one
+        # block, and a filler handed to the wrong row inside either part is
+        # caught by that part's check
         A = eg_construction(cyclic_group(2), 2)
         fill = kancheck.pointwise._partial_fillers
         calls = []
@@ -863,13 +996,12 @@ class TestFactorSweep:
         def rotating(f, n, indices, ys, xs, weightings):
             ws, examined = fill(f, n, indices, ys, xs, weightings)
             calls.append(len(weightings))
-            wrong = len(calls) == (1 if part == "horn" else 2)
-            return (ws[1:] + ws[:1] if wrong else ws), examined
+            return (rotated(ws, 2, part) if len(calls) == 1 else ws), examined
 
         monkeypatch.setattr(kancheck.pointwise, "_partial_fillers", rotating)
         with pytest.raises(InternalInvariantError) as err:
             verify_pointwise_to_point(tensor(A, A), 2)
-        assert calls == [2] * len(calls)
+        assert calls == [2]
         assert str(err.value) == (
             "witness face d_1 mismatch" if part == "horn" else
             "direct horn at (p, q, missing) = (0, 1, 0): "
