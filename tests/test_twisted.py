@@ -66,7 +66,7 @@ def empty(bound):
     )
 
 
-class TestFactorRule:
+class TestQuotientCheck:
     """The product rule against the full search of the built product."""
 
     @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "1", "7"])
