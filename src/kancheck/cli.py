@@ -70,7 +70,7 @@ from .doublegroupoid import (
     DoubleGroupoid,
     Square,
     diagonal_stages,
-    double_nerve_indexed,
+    double_nerve,
     group_pair_double_groupoid,
 )
 from .serialize import (
@@ -447,7 +447,7 @@ def _s3_counterexample_checks() -> list[CheckResult]:
     G, (A, B) = preset_source("s3-counterexample")
     # one double groupoid and one double nerve serve every check
     D = group_pair_double_groupoid(G, A, B)
-    NN, keys = double_nerve_indexed(D, 3, 3)
+    NN = double_nerve(D, 3, 3)
 
     def products() -> CheckResult:
         distinct = subgroup_products_distinct(G, A, B)
@@ -470,7 +470,7 @@ def _s3_counterexample_checks() -> list[CheckResult]:
         )
 
     def horn() -> CheckResult:
-        cert = _s3_horn_certificate(D, NN, keys)
+        cert = _s3_horn_certificate(D, NN)
         # brute_force_fill refuses an incompatible family, so cert's is compatible
         exhaustive = cert.candidates_examined == cert.f.domain.size(2)
         return CheckResult(
@@ -502,26 +502,19 @@ def s3_diagonal_horn_certificate():
     as 1-simplices of the diagonal; the search exhausts the (2,2)-simplices.
     """
     D = preset_double_groupoid("s3-counterexample")
-    return _s3_horn_certificate(D, *double_nerve_indexed(D, 2, 2))
+    return _s3_horn_certificate(D, double_nerve(D, 2, 2))
 
 
-def _s3_horn_certificate(
-    D: DoubleGroupoid, NN: TruncatedBisimplicialSet, keys: tuple
-) -> FillCertificate:
+def _s3_horn_certificate(D: DoubleGroupoid, NN: TruncatedBisimplicialSet) -> FillCertificate:
     """The horn of :func:`s3_diagonal_horn_certificate` on the diagonal of
-    NN, a double nerve of D to bounds (2, 2) or more, whose keys are
-    ``keys``."""
+    NN, a double nerve of D to bounds (2, 2) or more, where a (1, 1)
+    bisimplex, an arrow of column 1's groupoid, has its square's id."""
     a_arrow = D.horizontal.arrow_labels.index("(1,2)")
     b_arrow = D.vertical.arrow_labels.index("(1,3)")
-    iota_a = D.square_id(
-        Square(a_arrow, D.vertical.identity(0), a_arrow, D.vertical.identity(0))
-    )
-    iota_b = D.square_id(
-        Square(D.horizontal.identity(0), b_arrow, D.horizontal.identity(0), b_arrow)
-    )
-    x0 = keys[1][1].index(((iota_b,),))
-    x2 = keys[1][1].index(((iota_a,),))
-    return brute_force_fill(to_point_map(diagonal(NN)), 2, (0, 2), (x0, x2), 0)
+    h_id, v_id = D.horizontal.identity(0), D.vertical.identity(0)
+    iota_a = D.square_id(Square(a_arrow, v_id, a_arrow, v_id))
+    iota_b = D.square_id(Square(h_id, b_arrow, h_id, b_arrow))
+    return brute_force_fill(to_point_map(diagonal(NN)), 2, (0, 2), (iota_b, iota_a), 0)
 
 
 def _eg_tensor_checks() -> list[CheckResult]:

@@ -19,11 +19,11 @@ Keys and labels are read off the two columns on demand.
 from __future__ import annotations
 
 from functools import partial
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, cycle, repeat, tee
 from operator import add
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .bisimplicial import MAX_PRODUCT_LEVEL
+from .bisimplicial import _require_product_level
 from .errors import RejectedInput
 from .groups import FiniteGroup, _by_value, _first_nonassociative
 from .simplicial import Label, SimplicialMap, TruncatedSimplicialSet, _int_tuple, gather
@@ -204,16 +204,15 @@ class NerveLayout:
     composite, set with level 2.
 
     Reads only the object count and the arrow endpoint tables, so the nerve of
-    anything with those has a layout.  ``limit`` is the most simplices a
-    level may hold, ``MAX_LEVEL`` when None.
+    anything with those has a layout.  A level of more than ``MAX_LEVEL``
+    simplices is refused before its columns are allocated.
     """
 
     __slots__ = ("bound", "counts", "source", "target", "pos", "ids", "parent", "last", "start",
-                 "id_pos", "composite_pos", "limit", "_fan", "_by_target")
+                 "id_pos", "composite_pos", "_fan", "_by_target")
 
     def __init__(
-        self, n_objects: int, source: Sequence[int], target: Sequence[int], bound: int,
-        limit: int | None = None,
+        self, n_objects: int, source: Sequence[int], target: Sequence[int], bound: int
     ) -> None:
         by_target: list[list[int]] = [[] for _ in range(n_objects)]
         pos = []
@@ -230,22 +229,21 @@ class NerveLayout:
         self.start: list[Sequence[int]] = [[], []]
         self.id_pos: Sequence[int] = ()
         self.composite_pos: Sequence[int] = ()
-        self.limit = limit
         while self.bound < bound:
             self.add_level()
 
     def add_level(self) -> None:
         """Add level ``bound + 1``.  Its count is known from the level below
-        before any of its columns is allocated, and a level over the
-        layout's limit is refused there."""
-        n, limit = self.bound + 1, MAX_LEVEL if self.limit is None else self.limit
+        before any of its columns is allocated, and a level over
+        ``MAX_LEVEL`` is refused there."""
+        n = self.bound + 1
         if n >= 2:
             tails = gather(self.source, self.last[n - 1])
             fans = gather(self._fan, tails)
             count = sum(fans)
-            if count > limit:
+            if count > MAX_LEVEL:
                 raise RejectedInput(
-                    f"nerve level {n} would hold {count} simplices, over the limit of {limit}"
+                    f"nerve level {n} would hold {count} simplices, over the limit of {MAX_LEVEL}"
                 )
             self.ids.append(tuple(range(count)))
             self.start.append(tuple(accumulate(fans, initial=0)))
@@ -400,8 +398,15 @@ def _eg_label(G: FiniteGroup, n: int, idx: int) -> str:
     return "(" + ",".join(reversed(coords)) + ")"
 
 
-# EG is held to its product's limit: a check over a point builds EG, not EG x EG
-MAX_EG_LEVEL = MAX_PRODUCT_LEVEL
+def _runs(ids: Sequence[int], starts: Iterable[int], width: int, times: int) -> Iterator[int]:
+    """The runs ``ids[s : s + width]``, s in ``starts``, each ``times`` times
+    over, end to end, in C-level passes; a run of one is an entry."""
+    if width == 1:
+        entries = map(ids.__getitem__, starts)
+        return chain.from_iterable(map(repeat, entries, repeat(times))) if times > 1 else entries
+    starts, ends = tee(starts)
+    runs = map(ids.__getitem__, map(slice, starts, map(add, ends, repeat(width))))
+    return chain.from_iterable(chain.from_iterable(map(repeat, runs, repeat(times))))
 
 
 def eg_construction(G: FiniteGroup, bound: int) -> TruncatedSimplicialSet:
@@ -413,36 +418,36 @@ def eg_construction(G: FiniteGroup, bound: int) -> TruncatedSimplicialSet:
     G acts freely by left multiplication, ``g (g_0, ..., g_n) =
     (g g_0, ..., g g_n)``, with quotient BG (:func:`eg_cover`).
 
-    EG is built as the nerve of the translation groupoid of G on itself
-    (:func:`_eg_and_layout`).  Like every groupoid's nerve it is
-    2-coskeletal (see :func:`nerve`), and it is even 0-coskeletal: an
-    n-simplex is its tuple of n + 1 vertices, and every tuple is one.  It is
-    recorded so, and a check over a point counts its horns from dimension 2
-    and its boundaries from dimension 1 (:func:`kancheck.kan._check_to_point`).
+    An id is its tuple read in base q = |G|, ``g_0`` first, and each table is
+    written from the digits in runs sliced from a level's ids, so an entry
+    costs a pointer.  At level n, digit i weighs ``w_i = q^(n-i)``: ``d_i``
+    is the level below in runs of ``w_i``, each q times over, and ``s_i``
+    maps the k-th value of digits 0..i to the ``w_{i+1}`` ids from ``(k q +
+    k mod q) w_{i+1}``.  EG needs no layout: each level's count ``q^(n+1)``
+    is held to the product limit before any table is built, since a check
+    over a point builds EG, not EG x EG.
+
+    EG is 0-coskeletal: an n-simplex is its tuple of n + 1 vertices, and
+    every tuple is one.  It is recorded so, and a check over a point counts
+    its horns from dimension 2 and its boundaries from dimension 1
+    (:func:`kancheck.kan._check_to_point`).
     """
-    return _eg_and_layout(G, bound)[0]
-
-
-def _eg_and_layout(G: FiniteGroup, bound: int) -> tuple[TruncatedSimplicialSet, NerveLayout]:
-    """EG with its layout, as the nerve of the translation groupoid of G on
-    itself: one arrow ``g_1 -> g_0``, id ``g_0 |G| + g_1``, per pair, so
-    ``(g_0, ..., g_n)`` has id ``id(g_0, ..., g_{n-1}) |G| + g_n``, its
-    coordinates in base |G|, recorded as 0-coskeletal (see
-    :func:`eg_construction`).  A level over ``MAX_EG_LEVEL`` is refused
-    before any table is built."""
     if bound < 0:
         raise RejectedInput("bound must be nonnegative")
-    order, arrows = G.order, range(G.order ** 2)
-    L = NerveLayout(order, [a % order for a in arrows], [a // order for a in arrows], bound,
-                    MAX_EG_LEVEL)
-    X = TruncatedSimplicialSet([order], [[]], [[]], [partial(_eg_label, G, 0)])
-    # the identity (g, g) is g (|G| + 1); (g_0, g_1) after (g_1, g_2) is (g_0, g_2)
-    composites = ([p - p % order + g % order for p, g in zip(L.parent[2], L.last[2])]
-                  if bound > 1 else ())
+    q = G.order
+    for n in range(bound + 1):
+        _require_product_level(f"nerve level {n}", q ** (n + 1))
+    ids = tuple(range(q))
+    X = TruncatedSimplicialSet([q], [[]], [[]], [partial(_eg_label, G, 0)])
     for n in range(1, bound + 1):
-        X = extend_nerve(X, L, arrows[:: order + 1], composites, partial(_eg_label, G, n))
+        below, ids = ids, tuple(range(q ** (n + 1)))
+        w = [q ** (n - i) for i in range(n + 1)]  # the weight of digit i
+        faces = [_runs(below, range(0, q ** n, w[i]), w[i], q) for i in range(n + 1)]
+        degens = [_runs(ids, map(add, range(0, q * w[0], w[i]), cycle(range(0, w[i], w[i + 1]))),
+                        w[i + 1], 1) for i in range(n)]
+        X = X.extended(q ** (n + 1), faces, degens, partial(_eg_label, G, n))
     X._coskeletal = 0
-    return X, L
+    return X
 
 
 def eg_cover(G: FiniteGroup, bound: int) -> SimplicialMap:
@@ -452,20 +457,21 @@ def eg_cover(G: FiniteGroup, bound: int) -> SimplicialMap:
     (:func:`_eg_projection`).  Its fibres are the orbits of G acting by left
     multiplication, and it is a covering: a simplex of BG lifts uniquely
     through each lift of any of its vertices, so a horn of EG over an
-    n-simplex of BG, n >= 1, has exactly one filler."""
+    n-simplex of BG, n >= 1, has exactly one filler.  The projection is read
+    off EG's own tables and encoded on BG's layout."""
     B, L = nerve_and_layout(one_object_groupoid(G), bound)
-    X, E = _eg_and_layout(G, bound)
-    return SimplicialMap(X, B, _eg_projection(G, L, E))
+    X = eg_construction(G, bound)
+    return SimplicialMap(X, B, _eg_projection(G, L, X))
 
 
-def _eg_projection(G: FiniteGroup, L: NerveLayout, E: NerveLayout) -> tuple[Sequence[int], ...]:
-    """The projection of EG, laid out on ``E``, onto the nerve on ``L``: the
-    nerve of the functor ``(g_0, g_1) -> g_0^-1 g_1``, a string's image read
-    off E's columns as its parent's followed by its last arrow's."""
-    table, inverse = G.table, G.inverse
+def _eg_projection(G: FiniteGroup, L: NerveLayout, X: TruncatedSimplicialSet) -> tuple:
+    """The projection of EG onto the nerve on ``L``: the nerve of the functor
+    ``(g_0, g_1) -> g_0^-1 g_1``, an n-simplex x's image, n >= 2, encoded from
+    its parent ``d_n x``'s and its last edge's, the edge ``x mod |G|^2``."""
+    table, inverse, edges = G.table, G.inverse, list(range(G.order ** 2))
     pi: list[Sequence[int]] = [(0,) * G.order]
-    if E.bound:
-        pi.append([table[inverse[t]][s] for t, s in zip(E.target, E.source)])
-    for n in range(2, E.bound + 1):
-        pi.append(L.encode(n, pi[n - 1], E.parent[n], pi[1], E.last[n]))
+    if X.bound:
+        pi.append([table[inverse[t]][s] for t, s in zip(X._faces[1][1], X._faces[1][0])])
+    for n in range(2, X.bound + 1):
+        pi.append(L.encode(n, pi[n - 1], X._faces[n][n], pi[1], edges * G.order ** (n - 1)))
     return tuple(pi)

@@ -445,7 +445,7 @@ def _check_to_point(
 
     That X is c-coskeletal is trusted to its builder, as ``_factors`` is:
     only :func:`kancheck.groupoids.nerve_and_layout` and
-    :func:`kancheck.groupoids._eg_and_layout` record it, on the nerves
+    :func:`kancheck.groupoids.eg_construction` record it, on the sets
     they build; no copy, extension or product does.  The level laws of a
     counted level are still checked (:func:`require_level_laws`), so a set
     that breaks one is refused as a search would refuse it.  A caller's map

@@ -1,5 +1,6 @@
 import pytest
 
+import kancheck.groupoids
 from kancheck import (
     cyclic_group,
     eg_construction,
@@ -10,7 +11,9 @@ from kancheck import (
     to_point_bimap,
     to_point_map,
 )
+from kancheck.groupoids import NerveLayout
 from kancheck.presets import preset_bisimplicial, s3_counterexample
+from kancheck.simplicial import TruncatedSimplicialSet
 
 
 @pytest.fixture(scope="session")
@@ -66,3 +69,26 @@ def s3_pair():
 @pytest.fixture(scope="session")
 def s3_double_nerve():
     return preset_bisimplicial("s3-counterexample", 3, 3)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The names of the table builders called while the test runs, in call
+    order: EG's run writer, a simplicial set's constructor and ``extended``,
+    and a nerve layout."""
+    calls = []
+
+    def recording(owner, name, label):
+        original = getattr(owner, name)
+
+        def record(*args, **kwargs):
+            calls.append(label)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, record)
+
+    recording(kancheck.groupoids, "_runs", "_runs")
+    recording(TruncatedSimplicialSet, "__init__", "TruncatedSimplicialSet")
+    recording(TruncatedSimplicialSet, "extended", "extended")
+    recording(NerveLayout, "__init__", "NerveLayout")
+    return calls

@@ -376,6 +376,22 @@ class TestKanCommand:
             f"over the limit of {MAX_PRODUCT_LEVEL}\n"
         )
 
+    def test_oversized_eg_refused_by_its_count(self, capsys, table_builds):
+        # EG(S3)'s level 8 would hold 6^9 simplices: every level's count is
+        # known in closed form, so the refusal comes before any table or
+        # layout is built
+        argv = ["kan", "--input", "tests/inputs/s3.json", "--construction",
+                "eg-tensor-diagonal", "--max-dim", "8"]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 2
+        assert capsys.readouterr().err == (
+            f"error: nerve level 8 would hold {6 ** 9} simplices, "
+            f"over the limit of {MAX_PRODUCT_LEVEL}\n"
+        )
+        assert (6 ** 9, MAX_PRODUCT_LEVEL) == (10077696, 2097152)
+        assert table_builds == []
+
     def test_oversized_level_refused_when_the_check_reaches_it(self, capsys, monkeypatch):
         # the z2-commuting diagonal passes, so its check reaches level 3,
         # where row 2's layout would hold 2048 simplices: refused with the

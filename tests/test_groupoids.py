@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from oracles import eg_reference
 from test_kan import GROUPS, group_times_pair_groupoid
 
+import kancheck.bisimplicial
 import kancheck.groupoids
 from kancheck import (
     FiniteGroup,
@@ -18,7 +19,6 @@ from kancheck import (
     to_point_map,
     validate_simplicial_identities,
 )
-from kancheck.bisimplicial import MAX_PRODUCT_LEVEL
 from kancheck.errors import RejectedInput
 from kancheck.groupoids import nerve_indexed
 from kancheck.serialize import simplicial_to_dict
@@ -199,29 +199,41 @@ class TestLevelLimit:
 
 
 class TestEGLevelLimit:
-    """EG is held to its product's limit, ``MAX_EG_LEVEL``, not to the
+    """EG is held to its product's limit, ``MAX_PRODUCT_LEVEL``, not to the
     nerve limit ``MAX_LEVEL``."""
 
-    def test_limit_is_the_products(self):
-        assert kancheck.groupoids.MAX_EG_LEVEL == MAX_PRODUCT_LEVEL
+    def test_limit_is_the_products(self, z2, monkeypatch):
+        monkeypatch.setattr(kancheck.bisimplicial, "MAX_PRODUCT_LEVEL", 8)
+        assert eg_construction(z2, 2).counts == (2, 4, 8)
+        with pytest.raises(RejectedInput, match="nerve level 3 would hold 16 simplices"):
+            eg_construction(z2, 3)
 
     def test_nerve_limit_is_not_read(self, z2, monkeypatch):
         monkeypatch.setattr(kancheck.groupoids, "MAX_LEVEL", 8)
         assert eg_construction(z2, 4).counts == (2, 4, 8, 16, 32)
 
     def test_level_at_the_limit_is_built(self, z2, monkeypatch):
-        monkeypatch.setattr(kancheck.groupoids, "MAX_EG_LEVEL", 8)
+        monkeypatch.setattr(kancheck.bisimplicial, "MAX_PRODUCT_LEVEL", 8)
         assert eg_construction(z2, 2).counts == (2, 4, 8)
 
-    def test_level_over_the_limit_is_refused_before_any_table(self, z2, monkeypatch):
-        # the whole layout is counted first: no level's tables are built
-        built = []
-        monkeypatch.setattr(kancheck.groupoids, "MAX_EG_LEVEL", 8)
-        monkeypatch.setattr(kancheck.groupoids, "extend_nerve", lambda *args: built.append(args))
+    def test_level_over_the_limit_is_refused_before_any_table(self, z2, monkeypatch, table_builds):
+        # every level's count is checked first: no level's tables are built
+        monkeypatch.setattr(kancheck.bisimplicial, "MAX_PRODUCT_LEVEL", 8)
+        eg_construction(z2, 2)
+        assert {"_runs", "TruncatedSimplicialSet", "extended"} <= set(table_builds)
+        table_builds.clear()
         with pytest.raises(RejectedInput) as refused:
             eg_construction(z2, 5)
         assert str(refused.value) == "nerve level 3 would hold 16 simplices, over the limit of 8"
-        assert built == []
+        assert table_builds == []
+
+
+def assert_is_coordinate_reference(EG, G, bound):
+    reference = eg_reference(G, bound)
+    assert EG == reference
+    for n in range(bound + 1):
+        for idx in range(EG.counts[n]):
+            assert EG.label(Simplex(n, idx)) == reference.label(Simplex(n, idx))
 
 
 class TestUniversalCover:
@@ -232,14 +244,27 @@ class TestUniversalCover:
         (lambda: symmetric_group_preset(3), 4),
     ], ids=["trivial", "Z2", "Z3", "S3"])
     def test_is_the_coordinate_reference(self, group, bound):
-        # the nerve of the translation groupoid has the coordinate tuples'
-        # ids, tables and labels
+        # the tables written from the digits are the coordinate tuples' ids,
+        # tables and labels
         G = group()
-        EG, reference = eg_construction(G, bound), eg_reference(G, bound)
-        assert EG == reference
-        for n in range(bound + 1):
-            for idx in range(EG.counts[n]):
-                assert EG.label(Simplex(n, idx)) == reference.label(Simplex(n, idx))
+        assert_is_coordinate_reference(eg_construction(G, bound), G, bound)
+
+    @pytest.mark.parametrize("group, bound", [
+        (lambda: cyclic_group(2), 3),
+        (lambda: symmetric_group_preset(3), 2),
+    ], ids=["Z2", "S3"])
+    def test_off_by_one_face_fails_the_reference(self, group, bound):
+        # a d_i that drops digit i + 1, the table of d_{i+1}, at any level
+        # below the bound or at it, is told apart from the reference
+        G = group()
+        EG = eg_construction(G, bound)
+        for n in range(1, bound + 1):
+            for i in range(n):
+                faces = list(EG._faces)
+                faces[n] = faces[n][:i] + (faces[n][i + 1],) + faces[n][i + 1:]
+                shifted = TruncatedSimplicialSet(EG.counts, faces, EG._degens, list(EG._labels))
+                with pytest.raises(AssertionError):
+                    assert_is_coordinate_reference(shifted, G, bound)
 
     def test_trivial_group_gives_point(self):
         EG = eg_construction(FiniteGroup(["e"], [[0]]), 3)
