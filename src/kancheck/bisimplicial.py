@@ -39,6 +39,7 @@ from .simplicial import (
     _pairs,
     gather,
     point,
+    require_level,
     validate_simplicial_identities,
 )
 
@@ -257,18 +258,13 @@ def tensor(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedBis
     the required commutation holds by construction.  No grid is built: the
     result records its factors, for :func:`diagonal`, and its counts, and
     each row and each column is built from the factors' tables on its first
-    read, validated, checked against the counts and labels, and kept.  A
-    level of more than ``MAX_PRODUCT_LEVEL`` bisimplices is refused with
-    ``RejectedInput`` before any line exists.
+    read, validated, checked against the counts and labels, and kept.  The
+    counts are recorded unchecked: a line is held to the size budget
+    (:func:`kancheck.simplicial.require_level`) level by level when it is
+    built, so row q refuses its level p, column p its level q.
     """
     P, Q = A.bound, B.bound
-    counts = tuple(
-        tuple(
-            _require_product_level(f"tensor level ({p}, {q})", A.counts[p] * B.counts[q])
-            for q in range(Q + 1)
-        )
-        for p in range(P + 1)
-    )
+    counts = tuple(tuple(A.counts[p] * B.counts[q] for q in range(Q + 1)) for p in range(P + 1))
     labels = [
         [partial(_pair_label, A, p, B, q, B.counts[q]) for q in range(Q + 1)]
         for p in range(P + 1)
@@ -282,8 +278,9 @@ def tensor(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedBis
 
     def build_row(q: int) -> TruncatedSimplicialSet:
         width = B.counts[q]
+        sizes = [require_level(f"row {q} level {p}", p, counts[p][q]) for p in range(P + 1)]
         line = TruncatedSimplicialSet(
-            [counts[p][q] for p in range(P + 1)],
+            sizes,
             [[on_first(t, width) for t in A._faces[p]] for p in range(P + 1)],
             [[on_first(t, width) for t in A._degens[p]] for p in range(P + 1)],
             [labels[p][q] for p in range(P + 1)],
@@ -294,8 +291,9 @@ def tensor(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedBis
 
     def build_column(p: int) -> TruncatedSimplicialSet:
         height = A.counts[p]
+        sizes = [require_level(f"column {p} level {q}", q, c) for q, c in enumerate(counts[p])]
         line = TruncatedSimplicialSet(
-            counts[p],
+            sizes,
             [[]] + [
                 [on_second(t, height, B.counts[q - 1]) for t in B._faces[q]]
                 for q in range(1, Q + 1)
@@ -313,24 +311,8 @@ def tensor(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedBis
     )
 
 
-# The most simplices one level of a product, or bisimplices one level of a
-# tensor, may hold: 2^21, above the 1679616 of the top level of
-# EG(S3) x EG(S3) at dim 3.  Every count is known from the factors before
-# any table is allocated, so a product over it is refused at once instead of
-# running out of memory.
-MAX_PRODUCT_LEVEL = 1 << 21
-
-
-def _require_product_level(what: str, count: int) -> int:
-    if count > MAX_PRODUCT_LEVEL:
-        raise RejectedInput(
-            f"{what} would hold {count} simplices, over the limit of {MAX_PRODUCT_LEVEL}"
-        )
-    return count
-
-
 def _product_count(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet, n: int) -> int:
-    return _require_product_level(f"product level {n}", A.counts[n] * B.counts[n])
+    return require_level(f"product level {n}", n, A.counts[n] * B.counts[n])
 
 
 def _shared_pairs(ta: Sequence[int], tb: Sequence[int], width: int) -> list[int]:
@@ -347,8 +329,8 @@ def extend_product(
     X: TruncatedSimplicialSet, A: TruncatedSimplicialSet, B: TruncatedSimplicialSet
 ) -> TruncatedSimplicialSet:
     """X, the product A x B up to level n - 1, with level n added (A and B
-    must reach n), each table the pairs of the factors'.  A level of more than
-    ``MAX_PRODUCT_LEVEL`` simplices is refused before it is allocated."""
+    must reach n), each table the pairs of the factors'.  A level past the
+    size budget is refused before it is allocated."""
     n = X.bound + 1
     return X.extended(
         _product_count(A, B, n),
@@ -375,9 +357,10 @@ def product(A: TruncatedSimplicialSet, B: TruncatedSimplicialSet) -> TruncatedSi
     the same ids (row-major, B minor), tables and labels, to the smaller of
     the two bounds.  The product records its factors (``_factors``), from
     which a check over a point decides it (see
-    :func:`kancheck.kan.check_kan_to_point`).  A level of more than
-    ``MAX_PRODUCT_LEVEL`` simplices is refused with ``RejectedInput`` before
-    anything is built; then :func:`product_stages` is run to the bound.
+    :func:`kancheck.kan.check_kan_to_point`).  A level past the size budget
+    (:func:`kancheck.simplicial.require_level`) is refused with
+    ``RejectedInput`` before anything is built; then :func:`product_stages`
+    is run to the bound.
     """
     stages = product_stages(A, B)
     for n in range(stages.bound + 1):
@@ -503,9 +486,14 @@ class BisimplicialMap:
 
 
 def to_point_bimap(X: TruncatedBisimplicialSet) -> BisimplicialMap:
-    P, Q = X.bounds
-    pt = point_bisimplicial(P, Q)
-    comps = [[(0,) * X.counts[p][q] for q in range(Q + 1)] for p in range(P + 1)]
+    """The map of X to the point.  Level (p, q) is row q's level p and
+    column p's level q, so it is held to the size budget as the larger of
+    the two, before any component exists: a tensor whose lines would be
+    refused is refused here first."""
+    sizes = [[require_level(f"level ({p}, {q})", max(p, q), c) for q, c in enumerate(counts)]
+             for p, counts in enumerate(X.counts)]
+    pt = point_bisimplicial(*X.bounds)
+    comps = [[(0,) * count for count in counts] for counts in sizes]
     return BisimplicialMap(X, pt, comps, validate=False)
 
 

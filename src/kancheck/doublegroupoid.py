@@ -22,7 +22,7 @@ A layout's ids at a level do not depend on its bound, so the double nerve is
 grown one bound at a time, stage n being ``double_nerve(D, min(n, P),
 min(n, Q))``, each line by its next level, and each table is built and
 validated once.  ``double_nerve`` lays out every level first, so a level
-over ``MAX_LEVEL`` is refused before any table is built, then grows to
+past the size budget is refused before any table is built, then grows to
 (P, Q).  :func:`diagonal_stages` grows the diagonal with it, a level at a
 time: a to-point check of a double-nerve diagonal builds level n only when
 its first cell at n starts, and a size refusal fires only at a level the
@@ -344,7 +344,7 @@ class _DoubleNerveBuild:
     and vertical groupoids.
 
     :meth:`lay_out` grows the layouts alone, which allocates no table; a
-    level over ``MAX_LEVEL`` is refused by the first layout that reaches it.
+    level past the size budget is refused by the first layout that reaches it.
     """
 
     def __init__(self, D: DoubleGroupoid, P: int, Q: int) -> None:
@@ -516,7 +516,7 @@ def diagonal_stages(D: DoubleGroupoid, bound: int) -> Stages:
     of the build, the diagonal of ``double_nerve(D, n, n)``, grown with the
     double nerve by their levels n only when first asked for.  So a to-point
     check (:func:`kancheck.kan.check_kan_to_point`) builds level n only when
-    its first cell at n starts, and a level over ``MAX_LEVEL`` is refused
+    its first cell at n starts, and a level past the size budget is refused
     only at a level the check reaches.  The stages record no factors."""
     build = _DoubleNerveBuild(D, bound, bound)
 

@@ -23,10 +23,11 @@ from itertools import accumulate, chain, cycle, repeat, tee
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
-from .bisimplicial import _require_product_level
 from .errors import RejectedInput
 from .groups import FiniteGroup, _by_value, _first_nonassociative
-from .simplicial import Label, SimplicialMap, TruncatedSimplicialSet, _int_tuple, gather
+from .simplicial import (
+    Label, SimplicialMap, TruncatedSimplicialSet, _int_tuple, gather, require_level,
+)
 
 
 class FiniteGroupoid:
@@ -176,11 +177,6 @@ def discrete_groupoid(names: Sequence[str]) -> FiniteGroupoid:
 
 NerveKeys = tuple[tuple[object, ...], ...]
 
-# The most simplices one nerve level may hold.  A level's count is known from
-# the level below it before any of its columns is allocated, so a bound that
-# would pass it is refused there instead of building for minutes.
-MAX_LEVEL = 1 << 18
-
 
 class NerveLayout:
     """The simplex ids of a nerve up to ``bound``, as one pair of int columns
@@ -204,8 +200,9 @@ class NerveLayout:
     composite, set with level 2.
 
     Reads only the object count and the arrow endpoint tables, so the nerve of
-    anything with those has a layout.  A level of more than ``MAX_LEVEL``
-    simplices is refused before its columns are allocated.
+    anything with those has a layout.  A level past the size budget
+    (:func:`kancheck.simplicial.require_level`) is refused before its
+    columns are allocated.
     """
 
     __slots__ = ("bound", "counts", "source", "target", "pos", "ids", "parent", "last", "start",
@@ -234,17 +231,13 @@ class NerveLayout:
 
     def add_level(self) -> None:
         """Add level ``bound + 1``.  Its count is known from the level below
-        before any of its columns is allocated, and a level over
-        ``MAX_LEVEL`` is refused there."""
+        before any of its columns is allocated, and a level past the size
+        budget is refused there."""
         n = self.bound + 1
         if n >= 2:
             tails = gather(self.source, self.last[n - 1])
             fans = gather(self._fan, tails)
-            count = sum(fans)
-            if count > MAX_LEVEL:
-                raise RejectedInput(
-                    f"nerve level {n} would hold {count} simplices, over the limit of {MAX_LEVEL}"
-                )
+            count = require_level(f"nerve level {n}", n, sum(fans))
             self.ids.append(tuple(range(count)))
             self.start.append(tuple(accumulate(fans, initial=0)))
             self.parent.append(tuple(chain.from_iterable(map(repeat, self.ids[n - 1], fans))))
@@ -346,7 +339,7 @@ def string_label(names: Sequence[str], L: NerveLayout, n: int, idx: int) -> str:
 def nerve_and_layout(C: FiniteGroupoid, bound: int) -> tuple[TruncatedSimplicialSet, NerveLayout]:
     """The nerve together with the layout of its ids, recorded as
     2-coskeletal (see :func:`nerve`).  The whole layout is laid out first,
-    so a level over ``MAX_LEVEL`` is refused before any table is built."""
+    so a level past the size budget is refused before any table is built."""
     if bound < 0:
         raise RejectedInput("bound must be nonnegative")
     L = NerveLayout(len(C.objects), C.arrow_source, C.arrow_target, bound)
@@ -424,8 +417,8 @@ def eg_construction(G: FiniteGroup, bound: int) -> TruncatedSimplicialSet:
     is the level below in runs of ``w_i``, each q times over, and ``s_i``
     maps the k-th value of digits 0..i to the ``w_{i+1}`` ids from ``(k q +
     k mod q) w_{i+1}``.  EG needs no layout: each level's count ``q^(n+1)``
-    is held to the product limit before any table is built, since a check
-    over a point builds EG, not EG x EG.
+    is a closed form, so every level is held to the size budget
+    (:func:`kancheck.simplicial.require_level`) before any table is built.
 
     EG is 0-coskeletal: an n-simplex is its tuple of n + 1 vertices, and
     every tuple is one.  It is recorded so, and a check over a point counts
@@ -436,7 +429,7 @@ def eg_construction(G: FiniteGroup, bound: int) -> TruncatedSimplicialSet:
         raise RejectedInput("bound must be nonnegative")
     q = G.order
     for n in range(bound + 1):
-        _require_product_level(f"nerve level {n}", q ** (n + 1))
+        require_level(f"EG level {n}", n, q ** (n + 1))
     ids = tuple(range(q))
     X = TruncatedSimplicialSet([q], [[]], [[]], [partial(_eg_label, G, 0)])
     for n in range(1, bound + 1):

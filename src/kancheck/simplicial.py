@@ -96,6 +96,25 @@ def _as_table(entries: Sequence[int], size: int, target_size: int, what: str) ->
     return table
 
 
+# The size budget, the one limit of every builder: the most entries level
+# n's n + 1 face tables may hold.  Each builder calls require_level with a
+# level's count just before it allocates the level.  2^24 admits EG(S3) to 7.
+MAX_LEVEL_ENTRIES = 1 << 24
+
+
+def require_level(what: str, n: int, count: int) -> int:
+    """``count``, the size of level n, unless its face tables' ``(n + 1) *
+    count`` entries would pass ``MAX_LEVEL_ENTRIES``: then ``what`` is
+    refused with ``RejectedInput``."""
+    entries = (n + 1) * count
+    if entries > MAX_LEVEL_ENTRIES:
+        raise RejectedInput(
+            f"{what} would hold {count} simplices in {entries} face-table entries, "
+            f"over the limit of {MAX_LEVEL_ENTRIES}"
+        )
+    return count
+
+
 Label = Callable[[int], str]
 
 

@@ -6,6 +6,7 @@ from oracles import BiSimplex, h_degeneracy, h_face, tensor_reference, v_degener
 from test_kan import standard_simplex
 
 import kancheck.bisimplicial
+import kancheck.simplicial
 
 from kancheck import (
     Simplex,
@@ -245,6 +246,32 @@ class TestLazyTensor:
         with pytest.raises(RejectedInput, match=refusal.format("column 3")):
             column(X, 3)
         assert built(X.rows) == [2] and built(X.columns) == []
+
+    def test_each_line_is_held_to_the_budget_when_built(self, eg_z2, monkeypatch):
+        # level (p, q) of EG(Z2) x EG(Z2) holds 2^(p+q+2) bisimplices: row q
+        # charges it p + 1 face tables, column p charges it q + 1
+        monkeypatch.setattr(kancheck.simplicial, "MAX_LEVEL_ENTRIES", 4 * 32)
+        X = tensor(eg_z2, eg_z2)
+        assert X.counts[3][3] == 256
+        assert row(X, 0).counts == column(X, 0).counts == (4, 8, 16, 32)
+        with pytest.raises(RejectedInput, match=r"^row 1 level 3 would hold 64 simplices in 256 "):
+            row(X, 1)
+        with pytest.raises(RejectedInput, match=r"^column 1 level 3 would hold 64 simplices in 256 "):
+            column(X, 1)
+        assert built(X.rows) == built(X.columns) == [0]
+
+    def test_to_point_refuses_an_over_budget_tensor_first(self, eg_z2, monkeypatch, table_builds):
+        # level (p, q) is held as the larger of row q's level p and column
+        # p's level q, before any component, line or point is built
+        X = tensor(eg_z2, eg_z2)
+        monkeypatch.setattr(kancheck.simplicial, "MAX_LEVEL_ENTRIES", 4 * 256 - 1)
+        with pytest.raises(RejectedInput, match=r"^level \(3, 3\) would hold 256 simplices in 1024 "):
+            to_point_bimap(X)
+        assert table_builds == [] and built(X.rows) == built(X.columns) == []
+        with pytest.raises(RejectedInput, match=r"^row 3 level 3 would hold 256 "):
+            row(X, 3)
+        monkeypatch.setattr(kancheck.simplicial, "MAX_LEVEL_ENTRIES", 4 * 256)
+        assert to_point_bimap(X).components[3][3] == (0,) * 256
 
 
 def unlabelled(X):

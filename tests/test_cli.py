@@ -15,8 +15,8 @@ from oracles import unrecorded_copy
 from test_kan import standard_simplex
 
 import kancheck.cli as cli
-import kancheck.groupoids
 import kancheck.presets
+import kancheck.simplicial
 from kancheck import (
     check_kan_to_point,
     cyclic_group,
@@ -28,9 +28,9 @@ from kancheck import (
 )
 from kancheck.cli import RunReport, build_parser, main, reverify_report, run
 from kancheck.errors import InternalInvariantError, RejectedInput
-from kancheck.bisimplicial import MAX_PRODUCT_LEVEL, product_stages
-from kancheck.groupoids import MAX_LEVEL
+from kancheck.bisimplicial import product_stages
 from kancheck.serialize import fibration_report_to_dict, simplicial_to_dict
+from kancheck.simplicial import MAX_LEVEL_ENTRIES
 
 
 def run_report(argv):
@@ -277,19 +277,23 @@ class TestKanCommand:
     def test_oversized_nerve_rejected_quickly(self, capsys):
         # row 40 needs the vertical bound 40, so this asks for a 1 x 40
         # double nerve: column 0 alone would reach 2^40 strings; its first
-        # level over the limit is refused before it is allocated
+        # level over the budget, level 20 with 21 face tables of 2^20
+        # entries, is refused before it is allocated
         argv = ["kan", "--preset", "s3-counterexample", "--construction", "row",
                 "--index", "40", "--max-dim", "1"]
         start = time.perf_counter()
         assert run(argv) == (2, None)
         assert time.perf_counter() - start < 2
-        assert f"simplices, over the limit of {MAX_LEVEL}" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: nerve level 20 would hold {2 ** 20} simplices in {21 * 2 ** 20} "
+            f"face-table entries, over the limit of {MAX_LEVEL_ENTRIES}\n"
+        )
 
     def test_failing_double_nerve_verdict_does_not_grow_with_max_dim(self):
         # the S4 pair's diagonal fails at n = 2, and its double nerve is
         # built a level at a time under the check, so every bound gives the
-        # n = 2 certificate at the cost of the build to level 2: level 6
-        # would be refused by MAX_LEVEL, and is never reached
+        # n = 2 certificate at the cost of the build to level 2: level 6,
+        # whose rows hold up to 520192 simplices, is never reached
         def verdict(max_dim):
             argv = ["kan", "--input", "bench/inputs/s4_pair.json",
                     "--construction", "double-nerve-diagonal", "--max-dim", str(max_dim)]
@@ -318,7 +322,7 @@ class TestKanCommand:
     def test_oversized_product_rejected_quickly(self, capsys):
         # the S3 eg-tensor diagonal at dim 4 and 5 is decided from its factor
         # EG(S3), so it is never built: at 5 its top level would hold 6^12
-        # simplices, over the product size limit
+        # simplices, over the size budget
         for max_dim, families in ((4, 309189384), (5, 13369883400)):
             argv = ["kan", "--input", "tests/inputs/s3.json", "--construction",
                     "eg-tensor-diagonal", "--max-dim", str(max_dim), "--format", "structured"]
@@ -328,7 +332,7 @@ class TestKanCommand:
         # built directly, that product is refused before its levels are
         # allocated.  Given as its stages with a factor that fails (Delta[3]
         # is not Kan, and its level 5 has 84 simplices, which would put the
-        # product's level 5 over the limit), it is searched on its stages,
+        # product's level 5 over the budget), it is searched on its stages,
         # which stop at the failing level 2: the report is the full search's
         # of the product built to 2, and no stage above 2 is built
         eg = eg_construction(symmetric_group_preset(3), 5)
@@ -339,7 +343,8 @@ class TestKanCommand:
         staged = fibration_report_to_dict(check_kan_to_point(stages, 5))
         assert time.perf_counter() - start < 2
         assert str(direct.value) == (
-            f"product level 4 would hold {6 ** 10} simplices, over the limit of {MAX_PRODUCT_LEVEL}"
+            f"product level 4 would hold {6 ** 10} simplices in {5 * 6 ** 10} "
+            f"face-table entries, over the limit of {MAX_LEVEL_ENTRIES}"
         )
         assert len(stages._stages) == 3
         small = product(eg_construction(symmetric_group_preset(3), 2), standard_simplex(3, 2))
@@ -349,31 +354,38 @@ class TestKanCommand:
         assert not staged["passed"] and staged["failure"]["family"]["n"] == 2
 
     def test_oversized_tensor_rejected_quickly(self, capsys):
-        # the S3 eg-tensor at total dim 4 would hold levels of up to 7776^2
-        # bisimplices, the first over the limit at (3, 4): refused before
-        # any is allocated.  At total dim 3 its top level, 1296^2, is under
-        # the limit
-        argv = ["pointwise", "--input", "tests/inputs/s3.json", "--max-total-dim", "4"]
+        # the S3 eg-tensor at total dim 4 has levels of up to 7776^2
+        # bisimplices, but its sweep reads the factor EG(S3) and builds no
+        # line, so it passes with its closed-form problem count
+        argv = ["pointwise", "--input", "tests/inputs/s3.json", "--max-total-dim", "4",
+                "--format", "structured"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"][0]["details"]["report"]["problems_checked"] == 1273680
+        # a line is held to the budget when it is built: row 4 of the tensor
+        # at bounds (5, 4) would hold 6^4 * 6^5 bisimplices at its level 3,
+        # in 4 face tables, and is refused before that level is allocated
+        argv = ["kan", "--input", "tests/inputs/s3.json", "--construction", "row",
+                "--index", "4", "--max-dim", "5"]
         start = time.perf_counter()
         assert main(argv) == 2
         assert time.perf_counter() - start < 2
         assert capsys.readouterr().err == (
-            f"error: tensor level (3, 4) would hold {6 ** 4 * 6 ** 5} simplices, "
-            f"over the limit of {MAX_PRODUCT_LEVEL}\n"
+            f"error: row 4 level 3 would hold {6 ** 4 * 6 ** 5} simplices in "
+            f"{4 * 6 ** 4 * 6 ** 5} face-table entries, over the limit of {MAX_LEVEL_ENTRIES}\n"
         )
-        assert 6 ** 4 * 6 ** 4 <= MAX_PRODUCT_LEVEL
 
     def test_oversized_eg_rejected_quickly(self, capsys):
-        # EG(S4)'s level 4 would hold 24^5 simplices, over the product size
-        # limit that EG is held to: refused before any table is built
+        # EG(S4)'s level 4 would hold 24^5 simplices in 5 face tables, over
+        # the budget: refused before any table is built
         argv = ["kan", "--input", "bench/inputs/s4_pair.json", "--construction",
                 "eg-tensor-diagonal", "--max-dim", "4"]
         start = time.perf_counter()
         assert main(argv) == 2
         assert time.perf_counter() - start < 2
         assert capsys.readouterr().err == (
-            f"error: nerve level 4 would hold {24 ** 5} simplices, "
-            f"over the limit of {MAX_PRODUCT_LEVEL}\n"
+            f"error: EG level 4 would hold {24 ** 5} simplices in {5 * 24 ** 5} "
+            f"face-table entries, over the limit of {MAX_LEVEL_ENTRIES}\n"
         )
 
     def test_oversized_eg_refused_by_its_count(self, capsys, table_builds):
@@ -386,23 +398,25 @@ class TestKanCommand:
         assert main(argv) == 2
         assert time.perf_counter() - start < 2
         assert capsys.readouterr().err == (
-            f"error: nerve level 8 would hold {6 ** 9} simplices, "
-            f"over the limit of {MAX_PRODUCT_LEVEL}\n"
+            f"error: EG level 8 would hold {6 ** 9} simplices in {9 * 6 ** 9} "
+            f"face-table entries, over the limit of {MAX_LEVEL_ENTRIES}\n"
         )
-        assert (6 ** 9, MAX_PRODUCT_LEVEL) == (10077696, 2097152)
+        assert (9 * 6 ** 9, MAX_LEVEL_ENTRIES) == (90699264, 16777216)
         assert table_builds == []
 
     def test_oversized_level_refused_when_the_check_reaches_it(self, capsys, monkeypatch):
         # the z2-commuting diagonal passes, so its check reaches level 3,
-        # where row 2's layout would hold 2048 simplices: refused with the
+        # where row 2's layout would hold 2048 simplices in 4 face tables
+        # (at dim 2 no level holds more than 768 entries): refused with the
         # message the build gives in full
-        monkeypatch.setattr(kancheck.groupoids, "MAX_LEVEL", 1000)
+        monkeypatch.setattr(kancheck.simplicial, "MAX_LEVEL_ENTRIES", 4000)
         argv = ["kan", "--preset", "z2-commuting", "--construction", "double-nerve-diagonal"]
         assert run(argv + ["--max-dim", "2"])[0] == 0
         capsys.readouterr()
         assert run(argv + ["--max-dim", "3"]) == (2, None)
         assert capsys.readouterr().err == (
-            "error: nerve level 3 would hold 2048 simplices, over the limit of 1000\n"
+            "error: nerve level 3 would hold 2048 simplices in 8192 face-table entries, "
+            "over the limit of 4000\n"
         )
 
 

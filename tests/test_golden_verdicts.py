@@ -255,7 +255,7 @@ def test_s3_pointwise_dim3_rung(capsys, monkeypatch):
 def test_double_nerve_route_is_the_eg_tensor_diagonal(source, max_dim, capsys, monkeypatch):
     # on a single group, double-nerve-diagonal checks the same unbuilt
     # EG x EG as eg-tensor-diagonal, with no tensor grid: at S3 dim 4 the
-    # grid's level (3, 4) would be over the size limit
+    # grid's row 4 would be over the size budget at its level 3
     monkeypatch.chdir(HERE.parent)
     monkeypatch.setattr(kancheck.presets, "tensor", None)
     reports = []

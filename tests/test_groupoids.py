@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from oracles import eg_reference
 from test_kan import GROUPS, group_times_pair_groupoid
 
-import kancheck.bisimplicial
-import kancheck.groupoids
+import kancheck.simplicial
 from kancheck import (
     FiniteGroup,
     FiniteGroupoid,
@@ -15,6 +14,7 @@ from kancheck import (
     nerve,
     one_object_groupoid,
     pi0,
+    product,
     symmetric_group_preset,
     to_point_map,
     validate_simplicial_identities,
@@ -188,43 +188,47 @@ class TestNerveAgainstReference:
 
 
 class TestLevelLimit:
+    # BZ2's level n holds 2^n simplices in n + 1 face tables
     def test_level_at_the_limit_is_built(self, z2, monkeypatch):
-        monkeypatch.setattr(kancheck.groupoids, "MAX_LEVEL", 8)
+        monkeypatch.setattr(kancheck.simplicial, "MAX_LEVEL_ENTRIES", 4 * 8)
         assert nerve(one_object_groupoid(z2), 3).counts == (1, 2, 4, 8)
 
     def test_level_over_the_limit_is_refused(self, z2, monkeypatch):
-        monkeypatch.setattr(kancheck.groupoids, "MAX_LEVEL", 8)
-        with pytest.raises(RejectedInput, match="nerve level 4 would hold 16 simplices"):
+        monkeypatch.setattr(kancheck.simplicial, "MAX_LEVEL_ENTRIES", 4 * 8)
+        with pytest.raises(RejectedInput, match="nerve level 4 would hold 16 simplices in 80 "):
             nerve(one_object_groupoid(z2), 4)
 
 
 class TestEGLevelLimit:
-    """EG is held to its product's limit, ``MAX_PRODUCT_LEVEL``, not to the
-    nerve limit ``MAX_LEVEL``."""
+    """EG is held to the one size budget, ``MAX_LEVEL_ENTRIES``, by its
+    closed-form counts: EG(Z2)'s level n holds 2^(n+1) simplices in n + 1
+    face tables."""
 
     def test_limit_is_the_products(self, z2, monkeypatch):
-        monkeypatch.setattr(kancheck.bisimplicial, "MAX_PRODUCT_LEVEL", 8)
+        # the budget that stops EG at level 3 stops EG(Z2) x EG(Z2) at level 1
+        monkeypatch.setattr(kancheck.simplicial, "MAX_LEVEL_ENTRIES", 3 * 8)
         assert eg_construction(z2, 2).counts == (2, 4, 8)
-        with pytest.raises(RejectedInput, match="nerve level 3 would hold 16 simplices"):
+        with pytest.raises(RejectedInput, match="EG level 3 would hold 16 simplices in 64 "):
             eg_construction(z2, 3)
-
-    def test_nerve_limit_is_not_read(self, z2, monkeypatch):
-        monkeypatch.setattr(kancheck.groupoids, "MAX_LEVEL", 8)
-        assert eg_construction(z2, 4).counts == (2, 4, 8, 16, 32)
+        eg = eg_construction(z2, 1)
+        with pytest.raises(RejectedInput, match="product level 1 would hold 16 simplices in 32 "):
+            product(eg, eg)
 
     def test_level_at_the_limit_is_built(self, z2, monkeypatch):
-        monkeypatch.setattr(kancheck.bisimplicial, "MAX_PRODUCT_LEVEL", 8)
+        monkeypatch.setattr(kancheck.simplicial, "MAX_LEVEL_ENTRIES", 3 * 8)
         assert eg_construction(z2, 2).counts == (2, 4, 8)
 
     def test_level_over_the_limit_is_refused_before_any_table(self, z2, monkeypatch, table_builds):
         # every level's count is checked first: no level's tables are built
-        monkeypatch.setattr(kancheck.bisimplicial, "MAX_PRODUCT_LEVEL", 8)
+        monkeypatch.setattr(kancheck.simplicial, "MAX_LEVEL_ENTRIES", 3 * 8)
         eg_construction(z2, 2)
         assert {"_runs", "TruncatedSimplicialSet", "extended"} <= set(table_builds)
         table_builds.clear()
         with pytest.raises(RejectedInput) as refused:
             eg_construction(z2, 5)
-        assert str(refused.value) == "nerve level 3 would hold 16 simplices, over the limit of 8"
+        assert str(refused.value) == (
+            "EG level 3 would hold 16 simplices in 64 face-table entries, over the limit of 24"
+        )
         assert table_builds == []
 
 

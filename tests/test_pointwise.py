@@ -579,10 +579,12 @@ class TestIdSweep:
         (verify_pointwise_to_point, symmetric_group_preset(3), 2, 8784),
         # on the factors alone: the bimap sweep takes about 10 s and 2 GB here
         (verify_pointwise_to_point, symmetric_group_preset(3), 3, 122832),
+        # the tensor's lines would be over the size budget here; none is built
+        (verify_pointwise_to_point, symmetric_group_preset(3), 4, 1273680),
     ], ids=[
         "Z2-1-16", "Z2-2-144", "Z2-3-656", "Z2-4-2320", "S3-2-8784",
         "to-point-Z2-1-16", "to-point-Z2-2-144", "to-point-Z2-3-656", "to-point-Z2-4-2320",
-        "to-point-S3-2-8784", "to-point-S3-3-122832",
+        "to-point-S3-2-8784", "to-point-S3-3-122832", "to-point-S3-4-1273680",
     ])
     def test_eg_tensor_closed_form(self, entry, group, dim, problems):
         # column p of EG x EG is the discrete EG_p times EG; a q-horn of EG is
